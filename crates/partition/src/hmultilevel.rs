@@ -7,7 +7,7 @@
 
 use crate::hgraph::HGraph;
 use crate::multilevel::names as vnames;
-use crate::refine::{record_fm_pass, FmPassOutcome};
+use crate::refine::{record_fm_pass, worst_violation, FmPassOutcome};
 use lts_obs::MetricsRegistry;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -403,6 +403,10 @@ fn fm_pass(h: &HGraph, side: &mut [u8], sw: &mut [[u64; 2]], lim: &[[u64; 2]]) -
             heap.push((gain[v as usize], v));
         }
     }
+    let mut count = [0usize; 2];
+    for &s in side.iter() {
+        count[s as usize] += 1;
+    }
     let mut seq: Vec<u32> = Vec::new();
     let mut delta = 0i64;
     let mut best_delta = 0i64;
@@ -414,12 +418,15 @@ fn fm_pass(h: &HGraph, side: &mut [u8], sw: &mut [[u64; 2]], lim: &[[u64; 2]]) -
         if moved[vi] || gv != gain[vi] {
             continue;
         }
-        let to = 1 - side[vi] as usize;
-        let from_count = side.iter().filter(|&&s| s as usize == 1 - to).count();
-        if from_count <= 1 || !move_feasible(h, vi, to, sw, lim) {
+        let from = side[vi] as usize;
+        let to = 1 - from;
+        // never empty a side
+        if count[from] <= 1 || !move_feasible(h, vi, to, sw, lim) {
             continue;
         }
         apply_move(h, vi, side, sw, &mut net_side);
+        count[from] -= 1;
+        count[to] += 1;
         moved[vi] = true;
         seq.push(v);
         delta -= gv;
@@ -458,20 +465,9 @@ fn fm_pass(h: &HGraph, side: &mut [u8], sw: &mut [[u64; 2]], lim: &[[u64; 2]]) -
 fn rebalance(h: &HGraph, side: &mut [u8], sw: &mut [[u64; 2]], lim: &[[u64; 2]]) {
     let mut net_side = net_sides(h, side);
     for _ in 0..4 * h.n_vertices() {
-        let mut worst: Option<(usize, usize)> = None;
-        let mut worst_over = 0.0f64;
-        for c in 0..h.ncon {
-            for s in 0..2 {
-                if sw[c][s] > lim[c][s] {
-                    let over = (sw[c][s] - lim[c][s]) as f64 / lim[c][s].max(1) as f64;
-                    if over > worst_over {
-                        worst_over = over;
-                        worst = Some((c, s));
-                    }
-                }
-            }
-        }
-        let Some((c, s)) = worst else { break };
+        let Some((c, s)) = worst_violation(sw, lim) else {
+            break;
+        };
         let mut best: Option<(i64, u32)> = None;
         for v in 0..h.n_vertices() as u32 {
             let vi = v as usize;
@@ -652,6 +648,59 @@ mod tests {
         let h = mesh_hgraph(5, 5, 3);
         let cfg = HPartitionConfig::default();
         assert_eq!(hpartition_kway(&h, 4, &cfg), hpartition_kway(&h, 4, &cfg));
+    }
+
+    fn hgraph_of_2pin_nets(n: usize, nets: &[[u32; 2]]) -> HGraph {
+        let nets = nets.iter().map(|p| (p.to_vec(), 1));
+        HGraph::from_nets(n, nets, 1, vec![1; n])
+    }
+
+    #[test]
+    fn fm_refuses_the_only_gain_that_empties_a_side() {
+        // vertex 3 is alone on side 1 and shares a net with everyone
+        // (gain +3); side 1 is full, so no other move is feasible
+        let h = hgraph_of_2pin_nets(4, &[[0, 3], [1, 3], [2, 3], [0, 1], [1, 2]]);
+        let mut side = vec![0, 0, 0, 1];
+        assert_eq!(gain_of(&h, 3, &side, &net_sides(&h, &side)), 3);
+        let lim = vec![[4, 1]];
+        let mut sw = side_weights(&h, &side);
+        let out = fm_pass(&h, &mut side, &mut sw, &lim);
+        assert_eq!((out.gain, out.moves), (0, 0));
+        assert_eq!(side, vec![0, 0, 0, 1], "side 1 emptied");
+    }
+
+    #[test]
+    fn fm_side_count_follows_the_moves() {
+        // side 1 = {3, 4}, both with positive gain (3 and 2). Moving 3
+        // leaves 4 alone, so 4 must then be refused
+        let h = hgraph_of_2pin_nets(5, &[[0, 3], [1, 3], [2, 3], [0, 4], [1, 4]]);
+        let mut side = vec![0, 0, 0, 1, 1];
+        let ns = net_sides(&h, &side);
+        assert_eq!(
+            (gain_of(&h, 3, &side, &ns), gain_of(&h, 4, &side, &ns)),
+            (3, 2)
+        );
+        let lim = vec![[5, 2]];
+        let mut sw = side_weights(&h, &side);
+        let out = fm_pass(&h, &mut side, &mut sw, &lim);
+        assert_eq!((out.gain, out.moves - out.rolled_back), (3, 1));
+        assert_eq!(side, vec![0, 0, 0, 0, 1], "side 1 emptied");
+        assert_eq!(sw, side_weights(&h, &side));
+    }
+
+    #[test]
+    fn rebalance_breaks_gain_ties_by_lowest_vertex() {
+        // a path 0-1-2-3-4 of 2-pin nets, all on side 0: the ends tie on the
+        // best gain (−1); the lower id, 0, must be the one evicted
+        let h = hgraph_of_2pin_nets(5, &[[0, 1], [1, 2], [2, 3], [3, 4]]);
+        let mut side = vec![0u8; 5];
+        let ns = net_sides(&h, &side);
+        assert_eq!(gain_of(&h, 0, &side, &ns), -1);
+        assert_eq!(gain_of(&h, 4, &side, &ns), -1);
+        let lim = vec![[4, 5]];
+        let mut sw = side_weights(&h, &side);
+        rebalance(&h, &mut side, &mut sw, &lim);
+        assert_eq!(side, vec![1, 0, 0, 0, 0]);
     }
 
     #[test]

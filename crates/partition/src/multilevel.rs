@@ -337,7 +337,6 @@ fn contract(g: &Graph, match_of: &[u32], n_coarse: usize) -> (Graph, Vec<u32>) {
         members[cmap[v as usize] as usize].push(v);
     }
     for cv in 0..n_coarse as u32 {
-        let start = adj.len();
         for &v in &members[cv as usize] {
             for (idx, &u) in g.neighbors(v).iter().enumerate() {
                 let cu = cmap[u as usize];
@@ -355,7 +354,6 @@ fn contract(g: &Graph, match_of: &[u32], n_coarse: usize) -> (Graph, Vec<u32>) {
                 }
             }
         }
-        let _ = start;
         xadj.push(adj.len() as u32);
     }
     (

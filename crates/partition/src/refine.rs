@@ -76,6 +76,25 @@ pub fn violation(sw: &[[u64; 2]], limits: &[[u64; 2]]) -> f64 {
     worst
 }
 
+/// The most overloaded (constraint, side) against `limits`, if any: the
+/// first strictly worst in (constraint, side) order.
+pub(crate) fn worst_violation(sw: &[[u64; 2]], limits: &[[u64; 2]]) -> Option<(usize, usize)> {
+    let mut worst = None;
+    let mut worst_over = 0.0f64;
+    for (c, s) in sw.iter().enumerate() {
+        for side in 0..2 {
+            if s[side] > limits[c][side] {
+                let over = (s[side] - limits[c][side]) as f64 / limits[c][side].max(1) as f64;
+                if over > worst_over {
+                    worst_over = over;
+                    worst = Some((c, side));
+                }
+            }
+        }
+    }
+    worst
+}
+
 #[inline]
 fn move_feasible(g: &Graph, v: usize, to: usize, sw: &[[u64; 2]], limits: &[[u64; 2]]) -> bool {
     for c in 0..g.ncon {
@@ -251,6 +270,10 @@ pub fn fm_pass_observed(
             heap.push((gain[v as usize], v));
         }
     }
+    let mut count = [0usize; 2];
+    for &s in side.iter() {
+        count[s as usize] += 1;
+    }
     let mut seq: Vec<u32> = Vec::new();
     let mut delta = 0i64; // cumulative cut change (negative = better)
     let mut best_delta = 0i64;
@@ -263,16 +286,18 @@ pub fn fm_pass_observed(
         if moved[vi] || gv != gain[vi] {
             continue; // stale entry
         }
-        let to = 1 - side[vi] as usize;
+        let from = side[vi] as usize;
+        let to = 1 - from;
         // never empty a side
-        let from_count = side.iter().filter(|&&s| s as usize == 1 - to).count();
-        if from_count <= 1 {
+        if count[from] <= 1 {
             continue;
         }
         if !move_feasible(g, vi, to, sw, limits) {
             continue;
         }
         apply_move(g, vi, side, sw);
+        count[from] -= 1;
+        count[to] += 1;
         moved[vi] = true;
         seq.push(v);
         delta -= gv;
@@ -312,22 +337,11 @@ pub fn fm_pass_observed(
 /// coarse solutions feasible.
 pub fn rebalance(g: &Graph, side: &mut [u8], sw: &mut [[u64; 2]], limits: &[[u64; 2]]) {
     for _ in 0..4 * g.n_vertices() {
-        // find worst violation
-        let mut worst: Option<(usize, usize)> = None;
-        let mut worst_over = 0.0f64;
-        for c in 0..g.ncon {
-            for s in 0..2 {
-                if sw[c][s] > limits[c][s] {
-                    let over = (sw[c][s] - limits[c][s]) as f64 / limits[c][s].max(1) as f64;
-                    if over > worst_over {
-                        worst_over = over;
-                        worst = Some((c, s));
-                    }
-                }
-            }
-        }
-        let Some((c, s)) = worst else { break };
+        let Some((c, s)) = worst_violation(sw, limits) else {
+            break;
+        };
         // best vertex to evict: carries weight in c, on side s, max gain
+        // (lowest id on ties)
         let mut best: Option<(i64, u32)> = None;
         for v in 0..g.n_vertices() as u32 {
             let vi = v as usize;
@@ -493,6 +507,73 @@ mod tests {
                 sw
             );
         }
+    }
+
+    fn graph_from_edges(n: usize, edges: &[(u32, u32)]) -> Graph {
+        let mut nbrs = vec![Vec::new(); n];
+        for &(a, b) in edges {
+            nbrs[a as usize].push(b);
+            nbrs[b as usize].push(a);
+        }
+        let mut xadj = vec![0u32];
+        let mut adj = Vec::new();
+        for l in nbrs {
+            adj.extend(l);
+            xadj.push(adj.len() as u32);
+        }
+        Graph {
+            ewgt: vec![1; adj.len()],
+            xadj,
+            adj,
+            ncon: 1,
+            vwgt: vec![1; n],
+        }
+    }
+
+    #[test]
+    fn fm_refuses_the_only_gain_that_empties_a_side() {
+        // vertex 3 is alone on side 1 and adjacent to everything (gain +3);
+        // side 1 is full, so no other move is feasible
+        let g = graph_from_edges(4, &[(0, 3), (1, 3), (2, 3), (0, 1), (1, 2)]);
+        let mut side = vec![0, 0, 0, 1];
+        assert_eq!(gain_of(&g, 3, &side), 3);
+        let limits = vec![[4, 1]];
+        let mut sw = side_weights(&g, &side);
+        let out = fm_pass_observed(&g, &mut side, &mut sw, &limits);
+        assert_eq!((out.gain, out.moves), (0, 0));
+        assert_eq!(side, vec![0, 0, 0, 1], "side 1 emptied");
+    }
+
+    #[test]
+    fn fm_side_count_follows_the_moves() {
+        // side 1 = {3, 4}, both with positive gain (3 and 2). Moving 3
+        // leaves 4 alone, so 4 must then be refused
+        let g = graph_from_edges(5, &[(0, 3), (1, 3), (2, 3), (0, 4), (1, 4)]);
+        let mut side = vec![0, 0, 0, 1, 1];
+        assert_eq!((gain_of(&g, 3, &side), gain_of(&g, 4, &side)), (3, 2));
+        let limits = vec![[5, 2]];
+        let mut sw = side_weights(&g, &side);
+        let out = fm_pass_observed(&g, &mut side, &mut sw, &limits);
+        assert_eq!((out.gain, out.moves - out.rolled_back), (3, 1));
+        assert_eq!(side, vec![0, 0, 0, 0, 1], "side 1 emptied");
+        assert_eq!(sw, side_weights(&g, &side));
+    }
+
+    #[test]
+    fn rebalance_breaks_gain_ties_by_lowest_vertex() {
+        // 6×6 grid, all but vertex 35 on side 0: vertices 29 and 34 tie on
+        // the best gain (−1); the lower id, 29, must be the one evicted
+        let g = grid_graph(6, 6);
+        let mut side = vec![0u8; 36];
+        side[35] = 1;
+        assert_eq!(gain_of(&g, 29, &side), -1);
+        assert_eq!(gain_of(&g, 34, &side), -1);
+        // a limit one unit under side 0's weight forces exactly one eviction
+        let limits = vec![[34, 36]];
+        let mut sw = side_weights(&g, &side);
+        rebalance(&g, &mut side, &mut sw, &limits);
+        let moved: Vec<usize> = (0..35).filter(|&v| side[v] == 1).collect();
+        assert_eq!(moved, vec![29]);
     }
 
     #[test]

@@ -483,11 +483,11 @@ impl<'a, O: Operator> RankCtx<'a, O> {
         let rank = self.rank;
         let plan = self.plan;
         let fs_l = &mut self.fs[l];
-        for (d, ranks) in &plan.shared[l] {
+        for (d, ranks) in plan.shared[l].entries() {
             let mut total = 0.0;
             for &r in ranks {
                 if r as usize == rank {
-                    total += fs_l[*d as usize];
+                    total += fs_l[d as usize];
                 } else {
                     let pi = match plan.peers[l].iter().position(|&p| p == r as usize) {
                         Some(pi) => pi,
@@ -502,7 +502,7 @@ impl<'a, O: Operator> RankCtx<'a, O> {
                     }
                 }
             }
-            fs_l[*d as usize] = total;
+            fs_l[d as usize] = total;
         }
         // recycle the payload buffers for the next exchange
         while let Some(p) = self.pending.pop() {
@@ -779,8 +779,9 @@ pub fn run_distributed_with_sources<O: Operator + DofTopology + Sync>(
     let mut u = vec![0.0; ndof];
     let mut v = vec![0.0; ndof];
     let mut stats: Vec<RankStats> = Vec::with_capacity(n_ranks);
-    for (rank, (ur, vr, st)) in results.into_iter().enumerate() {
-        for d in 0..ndof {
+    for (rank, ((ur, vr, st), plan)) in results.into_iter().zip(&plans).enumerate() {
+        for &d in &plan.my_dofs {
+            let d = d as usize;
             if owner[d] == rank as u32 {
                 u[d] = ur[d];
                 v[d] = vr[d];

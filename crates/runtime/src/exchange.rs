@@ -9,7 +9,7 @@
 use lts_core::{DofTopology, LtsSetup};
 
 /// Exchange plan of one rank.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RankPlan {
     /// Elements this rank owns, intersected with `setup.elems[l]`.
     pub my_elems: Vec<Vec<u32>>,
@@ -33,7 +33,142 @@ pub struct RankPlan {
     pub pair_dofs: Vec<Vec<Vec<u32>>>,
     /// Per level: all shared DOFs of this rank (ascending) with their full
     /// ascending rank sets.
-    pub shared: Vec<Vec<(u32, Vec<u32>)>>,
+    pub shared: Vec<SharedDofs>,
+}
+
+/// Shared DOFs of one level with their rank sets, stored flat:
+/// `ranks[offsets[i]..offsets[i + 1]]` is the ascending rank set of
+/// `dofs[i]`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SharedDofs {
+    pub dofs: Vec<u32>,
+    pub offsets: Vec<u32>,
+    pub ranks: Vec<u32>,
+}
+
+impl Default for SharedDofs {
+    fn default() -> Self {
+        SharedDofs {
+            dofs: Vec::new(),
+            offsets: vec![0],
+            ranks: Vec::new(),
+        }
+    }
+}
+
+impl SharedDofs {
+    pub fn push(&mut self, dof: u32, ranks: &[u32]) {
+        self.dofs.push(dof);
+        self.ranks.extend_from_slice(ranks);
+        self.offsets.push(self.ranks.len() as u32);
+    }
+
+    /// `(dof, ascending rank set)` in ascending DOF order.
+    pub fn entries(&self) -> impl Iterator<Item = (u32, &[u32])> + '_ {
+        self.dofs
+            .iter()
+            .zip(self.offsets.windows(2))
+            .map(|(&d, w)| (d, &self.ranks[w[0] as usize..w[1] as usize]))
+    }
+}
+
+/// Owned elements of every rank, each list ascending: one pass over the
+/// partition.
+pub(crate) fn elems_by_rank(partition: &[u32], n_ranks: usize) -> Vec<Vec<u32>> {
+    let mut count = vec![0usize; n_ranks];
+    for &r in partition {
+        count[r as usize] += 1;
+    }
+    let mut out: Vec<Vec<u32>> = count.into_iter().map(Vec::with_capacity).collect();
+    for (e, &r) in partition.iter().enumerate() {
+        out[r as usize].push(e as u32);
+    }
+    out
+}
+
+/// Every DOF's rank set — the ranks owning an element containing it — as
+/// one flat table: `ranks[offsets[d]..offsets[d + 1]]`, ascending.
+struct RankSets {
+    offsets: Vec<u32>,
+    ranks: Vec<u32>,
+}
+
+impl RankSets {
+    /// Count, then fill. Elements are visited rank by rank, so each DOF meets
+    /// its ranks in ascending order and a last-rank stamp removes repeats.
+    fn build<T: DofTopology>(topo: &T, by_rank: &[Vec<u32>]) -> Self {
+        let ndof = topo.n_dofs();
+        let mut dofs = Vec::new();
+        let mut last = vec![u32::MAX; ndof];
+        let mut offsets = vec![0u32; ndof + 1];
+        for (r, elems) in by_rank.iter().enumerate() {
+            for &e in elems {
+                topo.elem_dofs(e, &mut dofs);
+                for &d in &dofs {
+                    if last[d as usize] != r as u32 {
+                        last[d as usize] = r as u32;
+                        offsets[d as usize + 1] += 1;
+                    }
+                }
+            }
+        }
+        for d in 0..ndof {
+            offsets[d + 1] += offsets[d];
+        }
+        let mut ranks = vec![0u32; offsets[ndof] as usize];
+        let mut cursor = offsets[..ndof].to_vec();
+        last.fill(u32::MAX);
+        for (r, elems) in by_rank.iter().enumerate() {
+            for &e in elems {
+                topo.elem_dofs(e, &mut dofs);
+                for &d in &dofs {
+                    let d = d as usize;
+                    if last[d] != r as u32 {
+                        last[d] = r as u32;
+                        ranks[cursor[d] as usize] = r as u32;
+                        cursor[d] += 1;
+                    }
+                }
+            }
+        }
+        RankSets { offsets, ranks }
+    }
+
+    #[inline]
+    fn of(&self, d: u32) -> &[u32] {
+        &self.ranks[self.offsets[d as usize] as usize..self.offsets[d as usize + 1] as usize]
+    }
+}
+
+fn empty_plans(n_ranks: usize, nl: usize) -> Vec<RankPlan> {
+    (0..n_ranks)
+        .map(|_| RankPlan {
+            my_elems: vec![Vec::new(); nl],
+            my_boundary_elems: vec![Vec::new(); nl],
+            my_interior_elems: vec![Vec::new(); nl],
+            my_zero: vec![Vec::new(); nl],
+            my_active: vec![Vec::new(); nl],
+            my_leaf: vec![Vec::new(); nl],
+            my_dofs: Vec::new(),
+            peers: vec![Vec::new(); nl],
+            pair_dofs: vec![Vec::new(); nl],
+            shared: vec![SharedDofs::default(); nl],
+        })
+        .collect()
+}
+
+/// Append `d` to `plan`'s pair list with `peer` at level `l`, inserting the
+/// peer in sorted position on first contact.
+fn push_pair_dof(plan: &mut RankPlan, l: usize, peer: usize, d: u32) {
+    let pos = match plan.peers[l].binary_search(&peer) {
+        Ok(i) => i,
+        Err(i) => {
+            plan.peers[l].insert(i, peer);
+            plan.pair_dofs[l].insert(i, Vec::new());
+            i
+        }
+    };
+    plan.pair_dofs[l][pos].push(d);
 }
 
 /// Build the per-rank plans for a partition.
@@ -48,102 +183,57 @@ pub fn build_plans<T: DofTopology>(
     assert!(partition.iter().all(|&p| (p as usize) < n_ranks));
     let ndof = topo.n_dofs();
     let nl = setup.n_levels;
-
-    // rank sets per dof (sorted, deduped)
-    let mut dof_ranks: Vec<Vec<u32>> = vec![Vec::new(); ndof];
-    let mut dofs = Vec::new();
-    for e in 0..topo.n_elems() as u32 {
-        let r = partition[e as usize];
-        topo.elem_dofs(e, &mut dofs);
-        for &d in &dofs {
-            let v = &mut dof_ranks[d as usize];
-            if !v.contains(&r) {
-                v.push(r);
-            }
-        }
-    }
-    for v in dof_ranks.iter_mut() {
-        v.sort_unstable();
-    }
-
-    let mut plans: Vec<RankPlan> = (0..n_ranks)
-        .map(|_| RankPlan {
-            my_elems: vec![Vec::new(); nl],
-            my_boundary_elems: vec![Vec::new(); nl],
-            my_interior_elems: vec![Vec::new(); nl],
-            my_zero: vec![Vec::new(); nl],
-            my_active: vec![Vec::new(); nl],
-            my_leaf: vec![Vec::new(); nl],
-            my_dofs: Vec::new(),
-            peers: vec![Vec::new(); nl],
-            pair_dofs: vec![Vec::new(); nl],
-            shared: vec![Vec::new(); nl],
-        })
-        .collect();
+    let sets = RankSets::build(topo, &elems_by_rank(partition, n_ranks));
+    let mut plans = empty_plans(n_ranks, nl);
 
     for d in 0..ndof as u32 {
-        for &r in &dof_ranks[d as usize] {
+        for &r in sets.of(d) {
             plans[r as usize].my_dofs.push(d);
         }
     }
+    // per-level element lists, split boundary/interior for overlap
+    let mut dofs = Vec::new();
     for (l, elems_l) in setup.elems.iter().enumerate() {
         for &e in elems_l {
-            plans[partition[e as usize] as usize].my_elems[l].push(e);
-        }
-    }
-    let owns = |r: usize, d: u32| dof_ranks[d as usize].contains(&(r as u32));
-    // boundary/interior split of each rank's per-level element lists
-    for (l, elems_l) in setup.elems.iter().enumerate() {
-        for &e in elems_l {
-            let r = partition[e as usize] as usize;
+            let plan = &mut plans[partition[e as usize] as usize];
+            plan.my_elems[l].push(e);
             topo.elem_dofs(e, &mut dofs);
-            let boundary = dofs.iter().any(|&d| dof_ranks[d as usize].len() >= 2);
-            if boundary {
-                plans[r].my_boundary_elems[l].push(e);
+            if dofs.iter().any(|&d| sets.of(d).len() >= 2) {
+                plan.my_boundary_elems[l].push(e);
             } else {
-                plans[r].my_interior_elems[l].push(e);
+                plan.my_interior_elems[l].push(e);
             }
         }
     }
     for l in 0..nl {
         for &d in &setup.touched[l] {
-            for &r in &dof_ranks[d as usize] {
+            for &r in sets.of(d) {
                 plans[r as usize].my_zero[l].push(d);
             }
         }
         for &d in &setup.active[l] {
-            for &r in &dof_ranks[d as usize] {
+            for &r in sets.of(d) {
                 plans[r as usize].my_active[l].push(d);
             }
         }
         for &d in &setup.leaf[l] {
-            for &r in &dof_ranks[d as usize] {
+            for &r in sets.of(d) {
                 plans[r as usize].my_leaf[l].push(d);
             }
         }
-        let _ = owns;
         // shared dofs and pair lists (ascending dof order by construction)
         for &d in &setup.touched[l] {
-            let ranks = &dof_ranks[d as usize];
+            let ranks = sets.of(d);
             if ranks.len() < 2 {
                 continue;
             }
             for &r in ranks {
-                plans[r as usize].shared[l].push((d, ranks.clone()));
+                let plan = &mut plans[r as usize];
+                plan.shared[l].push(d, ranks);
                 for &p in ranks {
-                    if p == r {
-                        continue;
+                    if p != r {
+                        push_pair_dof(plan, l, p as usize, d);
                     }
-                    let plan = &mut plans[r as usize];
-                    let pos = match plan.peers[l].binary_search(&(p as usize)) {
-                        Ok(i) => i,
-                        Err(i) => {
-                            plan.peers[l].insert(i, p as usize);
-                            plan.pair_dofs[l].insert(i, Vec::new());
-                            i
-                        }
-                    };
-                    plan.pair_dofs[l][pos].push(d);
                 }
             }
         }
@@ -156,6 +246,142 @@ mod tests {
     use super::*;
     use lts_core::Chain1d;
 
+    /// Reference plan builder with one `Vec` rank set per DOF: the oracle of
+    /// [`build_plans`].
+    fn build_plans_reference<T: DofTopology>(
+        topo: &T,
+        setup: &LtsSetup,
+        partition: &[u32],
+        n_ranks: usize,
+    ) -> Vec<RankPlan> {
+        let ndof = topo.n_dofs();
+        let nl = setup.n_levels;
+        let mut dof_ranks: Vec<Vec<u32>> = vec![Vec::new(); ndof];
+        let mut dofs = Vec::new();
+        for e in 0..topo.n_elems() as u32 {
+            let r = partition[e as usize];
+            topo.elem_dofs(e, &mut dofs);
+            for &d in &dofs {
+                let v = &mut dof_ranks[d as usize];
+                if !v.contains(&r) {
+                    v.push(r);
+                }
+            }
+        }
+        for v in dof_ranks.iter_mut() {
+            v.sort_unstable();
+        }
+        let mut plans = empty_plans(n_ranks, nl);
+        for d in 0..ndof as u32 {
+            for &r in &dof_ranks[d as usize] {
+                plans[r as usize].my_dofs.push(d);
+            }
+        }
+        for (l, elems_l) in setup.elems.iter().enumerate() {
+            for &e in elems_l {
+                plans[partition[e as usize] as usize].my_elems[l].push(e);
+            }
+        }
+        for (l, elems_l) in setup.elems.iter().enumerate() {
+            for &e in elems_l {
+                let r = partition[e as usize] as usize;
+                topo.elem_dofs(e, &mut dofs);
+                let boundary = dofs.iter().any(|&d| dof_ranks[d as usize].len() >= 2);
+                if boundary {
+                    plans[r].my_boundary_elems[l].push(e);
+                } else {
+                    plans[r].my_interior_elems[l].push(e);
+                }
+            }
+        }
+        for l in 0..nl {
+            for &d in &setup.touched[l] {
+                for &r in &dof_ranks[d as usize] {
+                    plans[r as usize].my_zero[l].push(d);
+                }
+            }
+            for &d in &setup.active[l] {
+                for &r in &dof_ranks[d as usize] {
+                    plans[r as usize].my_active[l].push(d);
+                }
+            }
+            for &d in &setup.leaf[l] {
+                for &r in &dof_ranks[d as usize] {
+                    plans[r as usize].my_leaf[l].push(d);
+                }
+            }
+            for &d in &setup.touched[l] {
+                let ranks = &dof_ranks[d as usize];
+                if ranks.len() < 2 {
+                    continue;
+                }
+                for &r in ranks {
+                    plans[r as usize].shared[l].push(d, ranks);
+                    for &p in ranks {
+                        if p != r {
+                            push_pair_dof(&mut plans[r as usize], l, p as usize, d);
+                        }
+                    }
+                }
+            }
+        }
+        plans
+    }
+
+    fn assert_plans_match_reference<T: DofTopology>(
+        topo: &T,
+        setup: &LtsSetup,
+        part: &[u32],
+        k: usize,
+    ) {
+        let got = build_plans(topo, setup, part, k);
+        let want = build_plans_reference(topo, setup, part, k);
+        assert_eq!(got.len(), k);
+        for (r, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g, w, "rank {r} of {k}");
+        }
+    }
+
+    #[test]
+    fn plans_match_reference_on_chains() {
+        let c = Chain1d::with_velocities(
+            (0..24)
+                .map(|i| if (8..14).contains(&i) { 4.0 } else { 1.0 })
+                .collect(),
+            1.0,
+        );
+        let (lv, _) = c.assign_levels(0.5, 3);
+        let setup = LtsSetup::new(&c, &lv);
+        assert!(setup.n_levels >= 2);
+        for k in [1usize, 2, 3, 8] {
+            let blocks: Vec<u32> = (0..24).map(|e| (e * k / 24) as u32).collect();
+            assert_plans_match_reference(&c, &setup, &blocks, k);
+            // scrambled: every rank owns scattered elements
+            let scrambled: Vec<u32> = (0..24u32).map(|e| (e * 7 + e / 5) % k as u32).collect();
+            assert_plans_match_reference(&c, &setup, &scrambled, k);
+        }
+    }
+
+    #[test]
+    fn plans_match_reference_on_hex_meshes() {
+        use lts_mesh::{BenchmarkMesh, MeshKind};
+        use lts_partition::{partition_mesh, Strategy};
+        use lts_sem::AcousticOperator;
+        let b = BenchmarkMesh::build(MeshKind::Trench, 500);
+        let op = AcousticOperator::new(&b.mesh, 2);
+        let setup = LtsSetup::new(&op, &b.levels.elem_level);
+        assert!(setup.n_levels >= 2);
+        let n = b.mesh.n_elems() as u32;
+        for k in [1usize, 2, 3, 8] {
+            let part = partition_mesh(&b.mesh, &b.levels, k, Strategy::ScotchP, 1);
+            assert_plans_match_reference(&op, &setup, &part, k);
+            let scrambled: Vec<u32> = (0..n)
+                .map(|e| (e.wrapping_mul(2_654_435_761) >> 7) % k as u32)
+                .collect();
+            assert_plans_match_reference(&op, &setup, &scrambled, k);
+        }
+    }
+
     #[test]
     fn chain_two_ranks_share_one_dof_per_level_interface() {
         // 8 elements, uniform (single level), split 4|4 → dof 4 shared
@@ -167,7 +393,8 @@ mod tests {
         assert_eq!(plans[1].peers[0], vec![0]);
         assert_eq!(plans[0].pair_dofs[0][0], vec![4]);
         assert_eq!(plans[1].pair_dofs[0][0], vec![4]);
-        assert_eq!(plans[0].shared[0], vec![(4, vec![0, 1])]);
+        let shared: Vec<(u32, &[u32])> = plans[0].shared[0].entries().collect();
+        assert_eq!(shared, vec![(4, &[0u32, 1][..])]);
     }
 
     #[test]

@@ -12,8 +12,7 @@ use crate::distributed::RunResult;
 use crate::distributed::{
     run_rank_contexts_recorded, DistributedConfig, LocalRank, RankContextRun, RankResult,
 };
-use crate::exchange::build_plans;
-use crate::exchange::RankPlan;
+use crate::exchange::{build_plans, elems_by_rank, RankPlan, SharedDofs};
 use crate::stats::RankStats;
 use crate::RuntimeError;
 use lts_core::{LtsSetup, Operator, Source};
@@ -96,117 +95,22 @@ pub fn run_distributed_local_acoustic_flight(
     let ndof = Operator::ndof(&global_op);
     assert_eq!(u0.len(), ndof);
     let plans = build_plans(&global_op, &setup, partition, n_ranks);
-    let global_mass = global_op.mass().to_vec();
     drop(discretize);
     host.set_gauge("ndof", ndof as f64);
     host.set_gauge("n_ranks", n_ranks as f64);
 
     // per-rank local worlds
     let worlds_span = host.start_span("decompose.build_worlds", None);
-    let mut ranks: Vec<LocalRank<UnstructuredAcoustic>> = Vec::with_capacity(n_ranks);
-    for (rank, plan) in plans.iter().enumerate() {
-        let my_elems_global: Vec<u32> = (0..mesh.n_elems() as u32)
-            .filter(|&e| partition[e as usize] == rank as u32)
-            .collect();
-        let (local_op, global_of_local) = UnstructuredAcoustic::from_subset(
-            mesh,
-            order,
-            &my_elems_global,
-            Some(&|g| global_mass[g as usize]),
-        );
-        // index translations
-        let local_dof = |g: u32| -> u32 {
-            // The plan only names DOFs of elements this rank owns, so a miss
-            // is a plan-construction bug, not a runtime condition.
-            global_of_local
-                .binary_search(&g)
-                .expect("dof not owned by rank") as u32 // lint: allow(no-panic) — plan-construction invariant, not a runtime condition
-        };
-        let local_elem: std::collections::HashMap<u32, u32> = my_elems_global
-            .iter()
-            .enumerate()
-            .map(|(l, &g)| (g, l as u32))
-            .collect();
-        let nl = setup.n_levels;
-        let map_dofs = |lists: &Vec<Vec<u32>>| -> Vec<Vec<u32>> {
-            lists
-                .iter()
-                .map(|l| l.iter().map(|&d| local_dof(d)).collect())
-                .collect()
-        };
-        let localized = RankPlan {
-            my_elems: (0..nl)
-                .map(|l| plan.my_elems[l].iter().map(|e| local_elem[e]).collect())
-                .collect(),
-            my_boundary_elems: (0..nl)
-                .map(|l| {
-                    plan.my_boundary_elems[l]
-                        .iter()
-                        .map(|e| local_elem[e])
-                        .collect()
-                })
-                .collect(),
-            my_interior_elems: (0..nl)
-                .map(|l| {
-                    plan.my_interior_elems[l]
-                        .iter()
-                        .map(|e| local_elem[e])
-                        .collect()
-                })
-                .collect(),
-            my_zero: map_dofs(&plan.my_zero),
-            my_active: map_dofs(&plan.my_active),
-            my_leaf: map_dofs(&plan.my_leaf),
-            my_dofs: (0..global_of_local.len() as u32).collect(),
-            peers: plan.peers.clone(),
-            pair_dofs: plan
-                .pair_dofs
-                .iter()
-                .map(|per_peer| {
-                    per_peer
-                        .iter()
-                        .map(|l| l.iter().map(|&d| local_dof(d)).collect())
-                        .collect()
-                })
-                .collect(),
-            shared: plan
-                .shared
-                .iter()
-                .map(|l| l.iter().map(|(d, r)| (local_dof(*d), r.clone())).collect())
-                .collect(),
-        };
-        // local level metadata
-        let dof_level: Vec<u8> = global_of_local
-            .iter()
-            .map(|&g| setup.dof_level[g as usize])
-            .collect();
-        let leaf_level: Vec<u8> = global_of_local
-            .iter()
-            .map(|&g| setup.leaf_level[g as usize])
-            .collect();
-        let u_local: Vec<f64> = global_of_local.iter().map(|&g| u0[g as usize]).collect();
-        let v_local: Vec<f64> = global_of_local.iter().map(|&g| v0[g as usize]).collect();
-        let my_sources: Vec<Vec<(usize, u32)>> = {
-            let mut per_level = vec![Vec::new(); nl];
-            for (si, src) in sources.iter().enumerate() {
-                if let Ok(l) = global_of_local.binary_search(&src.dof) {
-                    per_level[setup.leaf_level[src.dof as usize] as usize].push((si, l as u32));
-                }
-            }
-            per_level
-        };
-        ranks.push(LocalRank {
-            op: local_op,
-            n_levels: nl,
-            dof_level,
-            leaf_level,
-            plan: localized,
-            u: u_local,
-            v: v_local,
-            my_sources,
-            global_of_local,
-        });
-    }
+    let ranks = acoustic_worlds(
+        mesh,
+        order,
+        partition,
+        &setup,
+        &plans,
+        global_op.mass(),
+        (u0, v0),
+        sources,
+    );
     drop(worlds_span);
 
     let run_span = host.start_span("run.steps", None);
@@ -321,128 +225,21 @@ pub fn run_distributed_local_elastic_flight(
     let ndof = Operator::ndof(&global_op);
     assert_eq!(u0.len(), ndof);
     let plans = build_plans(&global_op, &setup, partition, n_ranks);
-    let global_mass = global_op.mass().to_vec();
     drop(discretize);
     host.set_gauge("ndof", ndof as f64);
     host.set_gauge("n_ranks", n_ranks as f64);
 
     let worlds_span = host.start_span("decompose.build_worlds", None);
-    let mut ranks: Vec<LocalRank<UnstructuredElastic>> = Vec::with_capacity(n_ranks);
-    for (rank, plan) in plans.iter().enumerate() {
-        let my_elems_global: Vec<u32> = (0..mesh.n_elems() as u32)
-            .filter(|&e| partition[e as usize] == rank as u32)
-            .collect();
-        let (local_op, node_of_local) = UnstructuredElastic::from_subset(
-            mesh,
-            order,
-            &my_elems_global,
-            Some(&|g| global_mass[3 * g as usize]),
-        );
-        // dof translation: global dof = 3·node + comp
-        let local_dof = |g: u32| -> u32 {
-            let node = g / 3;
-            let comp = g % 3;
-            // Same decompose-time invariant as the acoustic variant:
-            // plans never name foreign nodes.
-            // lint: allow(no-panic) — decompose-time structural invariant
-            3 * node_of_local.binary_search(&node).expect("node not owned") as u32 + comp
-        };
-        let local_elem: std::collections::HashMap<u32, u32> = my_elems_global
-            .iter()
-            .enumerate()
-            .map(|(l, &g)| (g, l as u32))
-            .collect();
-        let nl = setup.n_levels;
-        let map_dofs = |lists: &Vec<Vec<u32>>| -> Vec<Vec<u32>> {
-            lists
-                .iter()
-                .map(|l| l.iter().map(|&d| local_dof(d)).collect())
-                .collect()
-        };
-        let n_local_dofs = 3 * node_of_local.len();
-        let localized = RankPlan {
-            my_elems: (0..nl)
-                .map(|l| plan.my_elems[l].iter().map(|e| local_elem[e]).collect())
-                .collect(),
-            my_boundary_elems: (0..nl)
-                .map(|l| {
-                    plan.my_boundary_elems[l]
-                        .iter()
-                        .map(|e| local_elem[e])
-                        .collect()
-                })
-                .collect(),
-            my_interior_elems: (0..nl)
-                .map(|l| {
-                    plan.my_interior_elems[l]
-                        .iter()
-                        .map(|e| local_elem[e])
-                        .collect()
-                })
-                .collect(),
-            my_zero: map_dofs(&plan.my_zero),
-            my_active: map_dofs(&plan.my_active),
-            my_leaf: map_dofs(&plan.my_leaf),
-            my_dofs: (0..n_local_dofs as u32).collect(),
-            peers: plan.peers.clone(),
-            pair_dofs: plan
-                .pair_dofs
-                .iter()
-                .map(|per_peer| {
-                    per_peer
-                        .iter()
-                        .map(|l| l.iter().map(|&d| local_dof(d)).collect())
-                        .collect()
-                })
-                .collect(),
-            shared: plan
-                .shared
-                .iter()
-                .map(|l| l.iter().map(|(d, r)| (local_dof(*d), r.clone())).collect())
-                .collect(),
-        };
-        let global_dof_of_local: Vec<u32> = (0..n_local_dofs as u32)
-            .map(|ld| 3 * node_of_local[(ld / 3) as usize] + ld % 3)
-            .collect();
-        let dof_level: Vec<u8> = global_dof_of_local
-            .iter()
-            .map(|&g| setup.dof_level[g as usize])
-            .collect();
-        let leaf_level: Vec<u8> = global_dof_of_local
-            .iter()
-            .map(|&g| setup.leaf_level[g as usize])
-            .collect();
-        let u_local: Vec<f64> = global_dof_of_local
-            .iter()
-            .map(|&g| u0[g as usize])
-            .collect();
-        let v_local: Vec<f64> = global_dof_of_local
-            .iter()
-            .map(|&g| v0[g as usize])
-            .collect();
-        let my_sources: Vec<Vec<(usize, u32)>> = {
-            let mut per_level = vec![Vec::new(); nl];
-            for (si, src) in sources.iter().enumerate() {
-                let node = src.dof / 3;
-                if let Ok(ln) = node_of_local.binary_search(&node) {
-                    let ld = 3 * ln as u32 + src.dof % 3;
-                    per_level[setup.leaf_level[src.dof as usize] as usize].push((si, ld));
-                }
-            }
-            per_level
-        };
-        ranks.push(LocalRank {
-            op: local_op,
-            n_levels: nl,
-            dof_level,
-            leaf_level,
-            plan: localized,
-            u: u_local,
-            v: v_local,
-            my_sources,
-            global_of_local: global_dof_of_local,
-        });
-    }
+    let ranks = elastic_worlds(
+        mesh,
+        order,
+        partition,
+        &setup,
+        &plans,
+        global_op.mass(),
+        (u0, v0),
+        sources,
+    );
     drop(worlds_span);
 
     let run_span = host.start_span("run.steps", None);
@@ -473,6 +270,210 @@ pub fn run_distributed_local_elastic_flight(
         }
     }
     (Ok((u, v, stats)), recordings)
+}
+
+/// Global → rank-local index, one rank at a time: a dense array over the
+/// global range, loaded with the current rank's ids and cleared after it.
+/// Localizing every rank costs O(global + Σ local), with no hashing and no
+/// search per lookup. While unloaded, the array also serves `from_subset_in`
+/// as its node map.
+struct LocalIndex {
+    local: Vec<u32>,
+}
+
+impl LocalIndex {
+    const NONE: u32 = lts_sem::unstructured::UNMAPPED;
+
+    fn new(n_global: usize) -> Self {
+        LocalIndex {
+            local: vec![Self::NONE; n_global],
+        }
+    }
+
+    /// Map `global_of_local[l] → l`.
+    fn load(&mut self, global_of_local: &[u32]) {
+        for (l, &g) in global_of_local.iter().enumerate() {
+            self.local[g as usize] = l as u32;
+        }
+    }
+
+    /// Undo [`LocalIndex::load`] for the same list.
+    fn unload(&mut self, global_of_local: &[u32]) {
+        for &g in global_of_local {
+            self.local[g as usize] = Self::NONE;
+        }
+    }
+
+    fn owned(&self, g: u32) -> Option<u32> {
+        Some(self.local[g as usize]).filter(|&l| l != Self::NONE)
+    }
+
+    /// The local id of `g`, which the rank must own: plans only name this
+    /// rank's elements and DOFs, so a miss is a plan-construction bug.
+    fn of(&self, g: u32) -> u32 {
+        self.owned(g).expect("not owned by rank") // lint: allow(no-panic) — plan-construction invariant, not a runtime condition
+    }
+}
+
+/// `plan` in rank-local numbering: elements through `elem`, DOFs through
+/// `dof`; the rank's DOFs are `0..n_local_dofs`.
+fn localize_plan(
+    plan: &RankPlan,
+    n_local_dofs: usize,
+    elem: impl Fn(u32) -> u32,
+    dof: impl Fn(u32) -> u32,
+) -> RankPlan {
+    let elems = |lists: &[Vec<u32>]| -> Vec<Vec<u32>> {
+        lists
+            .iter()
+            .map(|l| l.iter().map(|&e| elem(e)).collect())
+            .collect()
+    };
+    let dofs = |lists: &[Vec<u32>]| -> Vec<Vec<u32>> {
+        lists
+            .iter()
+            .map(|l| l.iter().map(|&d| dof(d)).collect())
+            .collect()
+    };
+    RankPlan {
+        my_elems: elems(&plan.my_elems),
+        my_boundary_elems: elems(&plan.my_boundary_elems),
+        my_interior_elems: elems(&plan.my_interior_elems),
+        my_zero: dofs(&plan.my_zero),
+        my_active: dofs(&plan.my_active),
+        my_leaf: dofs(&plan.my_leaf),
+        my_dofs: (0..n_local_dofs as u32).collect(),
+        peers: plan.peers.clone(),
+        pair_dofs: plan.pair_dofs.iter().map(|pp| dofs(pp)).collect(),
+        shared: plan
+            .shared
+            .iter()
+            .map(|s| SharedDofs {
+                dofs: s.dofs.iter().map(|&d| dof(d)).collect(),
+                ..s.clone()
+            })
+            .collect(),
+    }
+}
+
+/// `global[g]` for each `g` of `idx`.
+fn gather<T: Copy>(global: &[T], idx: &[u32]) -> Vec<T> {
+    idx.iter().map(|&g| global[g as usize]).collect()
+}
+
+/// Each rank's acoustic world: its local operator over its own elements,
+/// its plan, level metadata, initial fields and sources in local numbering.
+#[allow(clippy::too_many_arguments)]
+fn acoustic_worlds(
+    mesh: &HexMesh,
+    order: usize,
+    partition: &[u32],
+    setup: &LtsSetup,
+    plans: &[RankPlan],
+    global_mass: &[f64],
+    (u0, v0): (&[f64], &[f64]),
+    sources: &[Source],
+) -> Vec<LocalRank<UnstructuredAcoustic>> {
+    let nl = setup.n_levels;
+    let by_rank = elems_by_rank(partition, plans.len());
+    let mut elem_index = LocalIndex::new(mesh.n_elems());
+    let mut dof_index = LocalIndex::new(u0.len());
+    let mut ranks = Vec::with_capacity(plans.len());
+    for (plan, my_elems_global) in plans.iter().zip(&by_rank) {
+        let (local_op, global_of_local) = UnstructuredAcoustic::from_subset_in(
+            mesh,
+            order,
+            my_elems_global,
+            Some(&|g| global_mass[g as usize]),
+            &mut dof_index.local,
+        );
+        elem_index.load(my_elems_global);
+        dof_index.load(&global_of_local);
+        let localized = localize_plan(
+            plan,
+            global_of_local.len(),
+            |e| elem_index.of(e),
+            |d| dof_index.of(d),
+        );
+        let mut my_sources: Vec<Vec<(usize, u32)>> = vec![Vec::new(); nl];
+        for (si, src) in sources.iter().enumerate() {
+            if let Some(l) = dof_index.owned(src.dof) {
+                my_sources[setup.leaf_level[src.dof as usize] as usize].push((si, l));
+            }
+        }
+        elem_index.unload(my_elems_global);
+        dof_index.unload(&global_of_local);
+        ranks.push(LocalRank {
+            op: local_op,
+            n_levels: nl,
+            dof_level: gather(&setup.dof_level, &global_of_local),
+            leaf_level: gather(&setup.leaf_level, &global_of_local),
+            plan: localized,
+            u: gather(u0, &global_of_local),
+            v: gather(v0, &global_of_local),
+            my_sources,
+            global_of_local,
+        });
+    }
+    ranks
+}
+
+/// [`acoustic_worlds`] for the elastic operator: local node numbering with
+/// three interleaved components per node (global DOF = 3·node + comp).
+#[allow(clippy::too_many_arguments)]
+fn elastic_worlds(
+    mesh: &HexMesh,
+    order: usize,
+    partition: &[u32],
+    setup: &LtsSetup,
+    plans: &[RankPlan],
+    global_mass: &[f64],
+    (u0, v0): (&[f64], &[f64]),
+    sources: &[Source],
+) -> Vec<LocalRank<UnstructuredElastic>> {
+    let nl = setup.n_levels;
+    let by_rank = elems_by_rank(partition, plans.len());
+    let mut elem_index = LocalIndex::new(mesh.n_elems());
+    let mut node_index = LocalIndex::new(u0.len() / 3);
+    let mut ranks = Vec::with_capacity(plans.len());
+    for (plan, my_elems_global) in plans.iter().zip(&by_rank) {
+        let (local_op, node_of_local) = UnstructuredElastic::from_subset_in(
+            mesh,
+            order,
+            my_elems_global,
+            Some(&|g| global_mass[3 * g as usize]),
+            &mut node_index.local,
+        );
+        elem_index.load(my_elems_global);
+        node_index.load(&node_of_local);
+        let local_dof = |g: u32| 3 * node_index.of(g / 3) + g % 3;
+        let n_local_dofs = 3 * node_of_local.len();
+        let localized = localize_plan(plan, n_local_dofs, |e| elem_index.of(e), local_dof);
+        let mut my_sources: Vec<Vec<(usize, u32)>> = vec![Vec::new(); nl];
+        for (si, src) in sources.iter().enumerate() {
+            if let Some(ln) = node_index.owned(src.dof / 3) {
+                let ld = 3 * ln + src.dof % 3;
+                my_sources[setup.leaf_level[src.dof as usize] as usize].push((si, ld));
+            }
+        }
+        elem_index.unload(my_elems_global);
+        node_index.unload(&node_of_local);
+        let global_dof_of_local: Vec<u32> = (0..n_local_dofs as u32)
+            .map(|ld| 3 * node_of_local[(ld / 3) as usize] + ld % 3)
+            .collect();
+        ranks.push(LocalRank {
+            op: local_op,
+            n_levels: nl,
+            dof_level: gather(&setup.dof_level, &global_dof_of_local),
+            leaf_level: gather(&setup.leaf_level, &global_dof_of_local),
+            plan: localized,
+            u: gather(u0, &global_dof_of_local),
+            v: gather(v0, &global_dof_of_local),
+            my_sources,
+            global_of_local: global_dof_of_local,
+        });
+    }
+    ranks
 }
 
 #[cfg(test)]
@@ -621,6 +622,127 @@ mod tests {
                 u[i],
                 u_ref[i]
             );
+        }
+    }
+
+    /// Maps every localized list of every rank back to global ids — elements
+    /// through the rank's ascending element list, DOFs through
+    /// `global_of_local` — and checks the result is the global plan, along
+    /// with the gathered level metadata, fields and sources.
+    fn assert_worlds_match_plans<O: Operator>(
+        worlds: &[LocalRank<O>],
+        plans: &[RankPlan],
+        partition: &[u32],
+        setup: &LtsSetup,
+        u0: &[f64],
+        sources: &[Source],
+    ) {
+        let by_rank = elems_by_rank(partition, plans.len());
+        assert_eq!(worlds.len(), plans.len());
+        for (r, (w, plan)) in worlds.iter().zip(plans).enumerate() {
+            let g = &w.global_of_local;
+            let elems = &by_rank[r];
+            let back_elems = |lists: &[Vec<u32>]| -> Vec<Vec<u32>> {
+                lists
+                    .iter()
+                    .map(|l| l.iter().map(|&e| elems[e as usize]).collect())
+                    .collect()
+            };
+            let back_dofs = |lists: &[Vec<u32>]| -> Vec<Vec<u32>> {
+                lists
+                    .iter()
+                    .map(|l| l.iter().map(|&d| g[d as usize]).collect())
+                    .collect()
+            };
+            let back = RankPlan {
+                my_elems: back_elems(&w.plan.my_elems),
+                my_boundary_elems: back_elems(&w.plan.my_boundary_elems),
+                my_interior_elems: back_elems(&w.plan.my_interior_elems),
+                my_zero: back_dofs(&w.plan.my_zero),
+                my_active: back_dofs(&w.plan.my_active),
+                my_leaf: back_dofs(&w.plan.my_leaf),
+                my_dofs: w.plan.my_dofs.iter().map(|&d| g[d as usize]).collect(),
+                peers: w.plan.peers.clone(),
+                pair_dofs: w.plan.pair_dofs.iter().map(|pp| back_dofs(pp)).collect(),
+                shared: w
+                    .plan
+                    .shared
+                    .iter()
+                    .map(|sh| SharedDofs {
+                        dofs: sh.dofs.iter().map(|&d| g[d as usize]).collect(),
+                        offsets: sh.offsets.clone(),
+                        ranks: sh.ranks.clone(),
+                    })
+                    .collect(),
+            };
+            assert_eq!(&back, plan, "rank {r}");
+            let levels: Vec<u8> = g.iter().map(|&d| setup.dof_level[d as usize]).collect();
+            assert_eq!(w.dof_level, levels, "rank {r}");
+            let leaves: Vec<u8> = g.iter().map(|&d| setup.leaf_level[d as usize]).collect();
+            assert_eq!(w.leaf_level, leaves, "rank {r}");
+            let u: Vec<f64> = g.iter().map(|&d| u0[d as usize]).collect();
+            assert_eq!(w.u, u, "rank {r}");
+            let mut mine = Vec::new();
+            for per_level in &w.my_sources {
+                for &(si, ld) in per_level {
+                    assert_eq!(g[ld as usize], sources[si].dof, "rank {r}");
+                    mine.push(si);
+                }
+            }
+            mine.sort_unstable();
+            let owned: Vec<usize> = (0..sources.len())
+                .filter(|&si| plan.my_dofs.binary_search(&sources[si].dof).is_ok())
+                .collect();
+            assert_eq!(mine, owned, "rank {r}");
+        }
+    }
+
+    #[test]
+    fn localized_worlds_map_back_to_global_plans() {
+        let b = BenchmarkMesh::build(MeshKind::Trench, 500);
+        let order = 2;
+        let acoustic = AcousticOperator::new(&b.mesh, order);
+        let elastic = ElasticOperator::poisson(&b.mesh, order);
+        for k in [1usize, 3, 8] {
+            let part = partition_mesh(&b.mesh, &b.levels, k, Strategy::ScotchP, 1);
+
+            let setup = LtsSetup::new(&acoustic, &b.levels.elem_level);
+            let ndof = Operator::ndof(&acoustic);
+            let u0: Vec<f64> = (0..ndof).map(|i| i as f64).collect();
+            let sources: Vec<Source> = (0..5)
+                .map(|i| Source::ricker((i * ndof / 5) as u32, 0.3, 1.0, 1.0))
+                .collect();
+            let plans = build_plans(&acoustic, &setup, &part, k);
+            let worlds = acoustic_worlds(
+                &b.mesh,
+                order,
+                &part,
+                &setup,
+                &plans,
+                acoustic.mass(),
+                (&u0, &u0),
+                &sources,
+            );
+            assert_worlds_match_plans(&worlds, &plans, &part, &setup, &u0, &sources);
+
+            let setup = LtsSetup::new(&elastic, &b.levels.elem_level);
+            let ndof = Operator::ndof(&elastic);
+            let u0: Vec<f64> = (0..ndof).map(|i| i as f64).collect();
+            let sources: Vec<Source> = (0..5)
+                .map(|i| Source::ricker((i * ndof / 5 + i) as u32, 0.3, 1.0, 1.0))
+                .collect();
+            let plans = build_plans(&elastic, &setup, &part, k);
+            let worlds = elastic_worlds(
+                &b.mesh,
+                order,
+                &part,
+                &setup,
+                &plans,
+                elastic.mass(),
+                (&u0, &u0),
+                &sources,
+            );
+            assert_worlds_match_plans(&worlds, &plans, &part, &setup, &u0, &sources);
         }
     }
 

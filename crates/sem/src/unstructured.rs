@@ -25,6 +25,50 @@ use crate::gll::GllBasis;
 use lts_core::{DofTopology, Operator, Workspace};
 use lts_mesh::HexMesh;
 
+/// Entry of an idle global → local node map (see
+/// [`UnstructuredAcoustic::from_subset_in`]).
+pub const UNMAPPED: u32 = u32::MAX;
+
+/// Compact local numbering of the nodes of `elems` (ascending global ids).
+/// Returns each element's node list in local ids, `npe` per element, and
+/// `global_of_local`.
+///
+/// `local_of_global` is a dense map over all global nodes, every entry
+/// [`UNMAPPED`] on entry and again on return, so one array serves any
+/// number of subsets at O(subset) cost each.
+fn local_numbering(
+    dofmap: &DofMap,
+    elems: &[u32],
+    local_of_global: &mut [u32],
+) -> (Vec<u32>, Vec<u32>) {
+    debug_assert_eq!(local_of_global.len(), dofmap.n_nodes());
+    let mut elem_nodes = Vec::with_capacity(elems.len() * dofmap.nodes_per_elem());
+    let mut buf = Vec::new();
+    let mut global_of_local = Vec::new();
+    for &e in elems {
+        dofmap.elem_nodes(e, &mut buf);
+        for &g in &buf {
+            // 0 marks "seen" until numbered
+            if local_of_global[g as usize] == UNMAPPED {
+                local_of_global[g as usize] = 0;
+                global_of_local.push(g);
+            }
+        }
+        elem_nodes.extend_from_slice(&buf);
+    }
+    global_of_local.sort_unstable();
+    for (l, &g) in global_of_local.iter().enumerate() {
+        local_of_global[g as usize] = l as u32;
+    }
+    for g in &mut elem_nodes {
+        *g = local_of_global[*g as usize];
+    }
+    for &g in &global_of_local {
+        local_of_global[g as usize] = UNMAPPED;
+    }
+    (elem_nodes, global_of_local)
+}
+
 /// Gather-list acoustic operator.
 pub struct UnstructuredAcoustic {
     pub basis: GllBasis,
@@ -58,32 +102,28 @@ impl UnstructuredAcoustic {
         elems: &[u32],
         full_mass_of: Option<&dyn Fn(u32) -> f64>,
     ) -> (Self, Vec<u32>) {
+        let mut map = vec![UNMAPPED; DofMap::new(mesh, order).n_nodes()];
+        Self::from_subset_in(mesh, order, elems, full_mass_of, &mut map)
+    }
+
+    /// [`Self::from_subset`] numbering through a caller-owned dense map over
+    /// the mesh's global GLL nodes. Every entry must be [`UNMAPPED`], and is
+    /// again on return, so one map serves every rank of a decomposition
+    /// without a per-rank pass over the whole mesh.
+    pub fn from_subset_in(
+        mesh: &HexMesh,
+        order: usize,
+        elems: &[u32],
+        full_mass_of: Option<&dyn Fn(u32) -> f64>,
+        local_of_global: &mut [u32],
+    ) -> (Self, Vec<u32>) {
         let dofmap = DofMap::new(mesh, order);
         let basis = GllBasis::new(order);
         let npe = dofmap.nodes_per_elem();
+        let (elem_dofs, global_of_local) = local_numbering(&dofmap, elems, local_of_global);
 
-        // local numbering: ascending global ids of all touched nodes
-        let mut touched = Vec::with_capacity(elems.len() * npe);
-        let mut buf = Vec::new();
-        for &e in elems {
-            dofmap.elem_nodes(e, &mut buf);
-            touched.extend_from_slice(&buf);
-        }
-        touched.sort_unstable();
-        touched.dedup();
-        let global_of_local = touched;
-        let mut local_of_global = std::collections::HashMap::with_capacity(global_of_local.len());
-        for (l, &g) in global_of_local.iter().enumerate() {
-            local_of_global.insert(g, l as u32);
-        }
-
-        let mut elem_dofs = Vec::with_capacity(elems.len() * npe);
         let mut elem_geom = Vec::with_capacity(elems.len());
         for &e in elems {
-            dofmap.elem_nodes(e, &mut buf);
-            for &g in &buf {
-                elem_dofs.push(local_of_global[&g]);
-            }
             let (ei, ej, ek) = dofmap.elem_ijk(e);
             let hx = mesh.xs[ei + 1] - mesh.xs[ei];
             let hy = mesh.ys[ej + 1] - mesh.ys[ej];
@@ -329,30 +369,26 @@ impl UnstructuredElastic {
         elems: &[u32],
         full_mass_of: Option<&dyn Fn(u32) -> f64>,
     ) -> (Self, Vec<u32>) {
+        let mut map = vec![UNMAPPED; DofMap::new(mesh, order).n_nodes()];
+        Self::from_subset_in(mesh, order, elems, full_mass_of, &mut map)
+    }
+
+    /// [`Self::from_subset`] through a caller-owned node map, as in
+    /// [`UnstructuredAcoustic::from_subset_in`].
+    pub fn from_subset_in(
+        mesh: &HexMesh,
+        order: usize,
+        elems: &[u32],
+        full_mass_of: Option<&dyn Fn(u32) -> f64>,
+        local_of_global: &mut [u32],
+    ) -> (Self, Vec<u32>) {
         let dofmap = DofMap::new(mesh, order);
         let basis = GllBasis::new(order);
         let npe = dofmap.nodes_per_elem();
-        let mut touched = Vec::with_capacity(elems.len() * npe);
-        let mut buf = Vec::new();
-        for &e in elems {
-            dofmap.elem_nodes(e, &mut buf);
-            touched.extend_from_slice(&buf);
-        }
-        touched.sort_unstable();
-        touched.dedup();
-        let global_of_local = touched;
-        let mut local_of_global = std::collections::HashMap::with_capacity(global_of_local.len());
-        for (l, &g) in global_of_local.iter().enumerate() {
-            local_of_global.insert(g, l as u32);
-        }
-        let mut elem_nodes = Vec::with_capacity(elems.len() * npe);
+        let (elem_nodes, global_of_local) = local_numbering(&dofmap, elems, local_of_global);
         let mut elem_geom = Vec::with_capacity(elems.len());
         let vs_over_vp = 1.0 / 3.0f64.sqrt();
         for &e in elems {
-            dofmap.elem_nodes(e, &mut buf);
-            for &g in &buf {
-                elem_nodes.push(local_of_global[&g]);
-            }
             let (ei, ej, ek) = dofmap.elem_ijk(e);
             let hx = mesh.xs[ei + 1] - mesh.xs[ei];
             let hy = mesh.ys[ej + 1] - mesh.ys[ej];
@@ -667,6 +703,27 @@ mod tests {
         assert!(map.windows(2).all(|w| w[1] > w[0]), "local order ascending");
         // mass positive
         assert!(op.mass().iter().all(|&x| x > 0.0));
+    }
+
+    #[test]
+    fn shared_node_map_is_restored_between_subsets() {
+        // one map numbers several subsets in turn, as the rank decomposer
+        // does; each must match a fresh from_subset and leave it unmapped
+        let m = mesh();
+        let order = 2;
+        let mut map = vec![UNMAPPED; DofMap::new(&m, order).n_nodes()];
+        for elems in [vec![0u32, 1, 4, 5], vec![2, 3, 6, 7, 14], vec![23]] {
+            let (a, ga) = UnstructuredAcoustic::from_subset(&m, order, &elems, None);
+            let (b, gb) = UnstructuredAcoustic::from_subset_in(&m, order, &elems, None, &mut map);
+            assert_eq!((a.elem_dofs, a.mass), (b.elem_dofs, b.mass));
+            assert_eq!(ga, gb);
+            assert!(map.iter().all(|&l| l == UNMAPPED));
+            let (a, ga) = UnstructuredElastic::from_subset(&m, order, &elems, None);
+            let (b, gb) = UnstructuredElastic::from_subset_in(&m, order, &elems, None, &mut map);
+            assert_eq!((a.elem_nodes, a.mass), (b.elem_nodes, b.mass));
+            assert_eq!(ga, gb);
+            assert!(map.iter().all(|&l| l == UNMAPPED));
+        }
     }
 
     #[test]

@@ -18,6 +18,11 @@ cargo xtask lint --sarif target/lint.sarif
 echo "== lts-check (structural invariants over the four benchmark meshes)"
 cargo run -q --release -p lts-check
 
+echo "== golden partitions (every strategy, incl. the benchmark-size cases)"
+# The partitioners' outputs are pinned by hash; the #[ignore]d cases are
+# the benchmark's own meshes, too slow for the debug tier-1 run.
+cargo test -q --release -p lts-partition --test partition_golden -- --include-ignored
+
 echo "== transport conformance (channel / shm-ring / unix-socket / faulty)"
 cargo test -q --test transport_conformance
 

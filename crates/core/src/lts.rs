@@ -37,6 +37,8 @@ pub struct LtsNewmark<'a, O: Operator> {
     pub setup: &'a LtsSetup,
     /// The global (coarsest) step `Δt`.
     pub dt: f64,
+    /// Auxiliary displacement/velocity per level. Level 0 steps `u`/`v`
+    /// directly, so `uts[0]`/`vts[0]` stay unallocated.
     uts: Vec<Vec<f64>>,
     vts: Vec<Vec<f64>>,
     fs: Vec<Vec<f64>>,
@@ -57,8 +59,8 @@ impl<'a, O: Operator> LtsNewmark<'a, O> {
             op,
             setup,
             dt,
-            uts: vec![vec![0.0; n]; levels],
-            vts: vec![vec![0.0; n]; levels],
+            uts: aux_levels(n, levels),
+            vts: aux_levels(n, levels),
             fs: vec![vec![0.0; n]; levels],
             ws: Workspace::new(),
             threads: 1,
@@ -155,6 +157,14 @@ impl<'a, O: Operator> LtsNewmark<'a, O> {
         }
         t
     }
+}
+
+/// Per-level auxiliary buffers of length `n` for levels `1..levels`; level 0
+/// gets an empty, unallocated slot (it steps the global `u`/`v`).
+pub fn aux_levels(n: usize, levels: usize) -> Vec<Vec<f64>> {
+    (0..levels)
+        .map(|l| if l == 0 { Vec::new() } else { vec![0.0; n] })
+        .collect()
 }
 
 /// Add `Δ·F(t)/M` at every source whose DOF's leaf level is `level`; `half`
@@ -345,6 +355,26 @@ mod tests {
         for i in 0..13 {
             assert_eq!(u1[i], u2[i], "dof {i}");
             assert_eq!(v1[i], v2[i], "dof {i}");
+        }
+    }
+
+    /// Level 0 steps `u`/`v` in place, so its auxiliary buffers are never
+    /// allocated, before or after stepping.
+    #[test]
+    fn level0_aux_buffers_have_zero_capacity() {
+        let c = Chain1d::with_velocities(vec![1.0, 1.0, 1.0, 2.0, 4.0], 1.0);
+        let (lv, dt) = c.assign_levels(0.5, 3);
+        let setup = LtsSetup::new(&c, &lv);
+        assert_eq!(setup.n_levels, 3);
+        let mut u: Vec<f64> = (0..6).map(|i| (i as f64 * 0.9).cos()).collect();
+        let mut v = vec![0.0; 6];
+        let mut lts = LtsNewmark::new(&c, &setup, dt);
+        lts.run(&mut u, &mut v, 0.0, 4, &[]);
+        assert_eq!(lts.uts[0].capacity(), 0);
+        assert_eq!(lts.vts[0].capacity(), 0);
+        for l in 1..3 {
+            assert_eq!(lts.uts[l].len(), 6);
+            assert_eq!(lts.vts[l].len(), 6);
         }
     }
 

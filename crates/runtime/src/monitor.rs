@@ -342,6 +342,40 @@ mod tests {
         assert!((wm - 0.8).abs() < 1e-9);
     }
 
+    /// The verdict of a skewed two-rank run, on injected durations: the
+    /// rank that waits past the threshold warns, the busy one never does.
+    #[test]
+    fn stalled_rank_warns_and_busy_rank_does_not() {
+        let cfg = MonitorConfig {
+            window_exchanges: 4,
+            wait_warn_fraction: 0.5,
+            log_warnings: false,
+        };
+        let mon = StallMonitor::new(cfg, 2, 1);
+        let mut idle = RankMonitor::new(mon.clone(), 0);
+        let mut busy = RankMonitor::new(mon.clone(), 1);
+        let (mut reg0, mut reg1) = (MetricsRegistry::new(), MetricsRegistry::new());
+        for _ in 0..60 {
+            // rank 1 computes 10 ms per exchange; rank 0 computes 1 ms and
+            // waits the other 9 for rank 1's partials
+            idle.on_exchange(&mut reg0, 0, 0.001, 0.009);
+            busy.on_exchange(&mut reg1, 0, 0.010, 0.000_01);
+        }
+        idle.flush_window(&mut reg0);
+        busy.flush_window(&mut reg1);
+        assert_eq!(reg0.counter_total(names::STALL_WARNINGS), 1);
+        assert_eq!(reg1.counter_total(names::STALL_WARNINGS), 0);
+        let wf = reg0.gauge(names::STALL_WAIT_FRAC_WM, Some(0)).unwrap();
+        assert!((wf - 0.9).abs() < 1e-9, "windowed wait fraction {wf}");
+        let warnings = mon.warnings();
+        assert_eq!(warnings.len(), 1);
+        assert_eq!(warnings[0].rank, 0);
+        // the warning carries λ at its window close (rank 1 one exchange
+        // behind); after both ranks finish, λ = (10 − 1) / 10
+        assert!((warnings[0].lambda - 26.0 / 30.0).abs() < 1e-6);
+        assert!((mon.lambda_per_level()[0] - 0.9).abs() < 1e-6);
+    }
+
     #[test]
     fn below_threshold_records_watermark_but_no_warning() {
         let cfg = MonitorConfig {

@@ -7,7 +7,7 @@
 //! and [`lts_core::DofTopology`] so both Newmark and LTS-Newmark drive it
 //! directly.
 
-use crate::compiled::{AcousticEngine, GatherCache, ScalarScratch, ScalarWs, FULL_LEVEL};
+use crate::compiled::{AcousticEngine, GatherCache, LevelMask, OpWs, ScalarScratch, FULL_LEVEL};
 use crate::dofmap::DofMap;
 use crate::gll::GllBasis;
 use lts_core::{DofTopology, Operator, Workspace};
@@ -33,7 +33,7 @@ pub struct AcousticOperator {
 }
 
 /// Workspace slot of the structured acoustic operator.
-struct AcousticWs(ScalarWs);
+struct AcousticWs(OpWs<ScalarScratch>);
 
 impl AcousticOperator {
     pub fn new(mesh: &HexMesh, order: usize) -> Self {
@@ -174,32 +174,31 @@ impl AcousticOperator {
         cache: &mut GatherCache,
         key_level: u16,
         elems: &[u32],
-        dof_level: Option<(&[u8], u8)>,
+        mask: Option<LevelMask>,
     ) -> usize {
-        let npe = self.dofmap.nodes_per_elem();
         cache.get_or_build(
             key_level,
             elems,
             self.dofmap.n_nodes(),
             &mut |e, out| DofTopology::elem_dofs(self, e, out),
-            &mut |order, idx, mask| {
-                let mut nodes = Vec::with_capacity(npe);
-                for &e in order {
-                    DofTopology::elem_dofs(self, e, &mut nodes);
-                    if let Some((lvl, k)) = dof_level {
-                        for &g in &nodes {
-                            mask.push(if lvl[g as usize] == k { 1.0 } else { 0.0 });
-                        }
-                    }
-                    idx.extend_from_slice(&nodes);
-                }
-            },
+            mask,
+            1,
         )
     }
 
+    /// This operator's workspace slot.
+    fn ws<'w>(&self, ws: &'w mut Workspace) -> &'w mut OpWs<ScalarScratch> {
+        let npe = self.dofmap.nodes_per_elem();
+        &mut ws.get_or_insert_with(|| AcousticWs(OpWs::new(npe))).0
+    }
+
     /// The shared execution engine over this operator's geometry.
-    fn engine(&self) -> AcousticEngine<'_, impl Fn(u32) -> (f64, f64, f64, f64) + Sync + '_> {
+    fn engine<'a>(
+        &'a self,
+        mask: Option<LevelMask<'a>>,
+    ) -> AcousticEngine<'a, impl Fn(u32) -> (f64, f64, f64, f64) + Sync + 'a> {
         AcousticEngine {
+            mask,
             basis: &self.basis,
             inv_mass: &self.inv_mass,
             npe: self.dofmap.nodes_per_elem(),
@@ -237,20 +236,14 @@ impl Operator for AcousticOperator {
 
     fn apply_ws(&self, u: &[f64], out: &mut [f64], ws: &mut Workspace) {
         out.fill(0.0);
-        let npe = self.dofmap.nodes_per_elem();
-        let st = ws.get_or_insert_with(|| AcousticWs(ScalarWs::new(npe)));
-        let i = match st.0.cache.find(FULL_LEVEL, &[]) {
-            Some(i) => i,
-            None => {
+        let st = self.ws(ws);
+        let i = st.prepare(self.dofmap.nodes_per_elem(), 1, |c| {
+            c.find(FULL_LEVEL, &[]).unwrap_or_else(|| {
                 let all: Vec<u32> = (0..self.dofmap.n_elems() as u32).collect();
-                self.compiled_entry(&mut st.0.cache, FULL_LEVEL, &all, None)
-            }
-        };
-        let variant = crate::simd::active();
-        st.0.cache.ensure_plan(i, npe, 1, variant);
-        st.0.serial.ensure_lanes(npe, variant.lanes());
-        let ScalarWs { cache, serial, .. } = &mut st.0;
-        self.engine().run_serial(cache.entry(i), u, serial, out);
+                self.compiled_entry(c, FULL_LEVEL, &all, None)
+            })
+        });
+        st.run(i, 1, &self.engine(None), u, out);
     }
 
     fn apply_masked_ws(
@@ -262,19 +255,7 @@ impl Operator for AcousticOperator {
         level: u8,
         ws: &mut Workspace,
     ) {
-        let npe = self.dofmap.nodes_per_elem();
-        let st = ws.get_or_insert_with(|| AcousticWs(ScalarWs::new(npe)));
-        let i = self.compiled_entry(
-            &mut st.0.cache,
-            level as u16,
-            elems,
-            Some((dof_level, level)),
-        );
-        let variant = crate::simd::active();
-        st.0.cache.ensure_plan(i, npe, 1, variant);
-        st.0.serial.ensure_lanes(npe, variant.lanes());
-        let ScalarWs { cache, serial, .. } = &mut st.0;
-        self.engine().run_serial(cache.entry(i), u, serial, out);
+        self.apply_masked_threads(u, out, elems, dof_level, level, ws, 1);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -288,43 +269,19 @@ impl Operator for AcousticOperator {
         ws: &mut Workspace,
         threads: usize,
     ) {
-        if threads <= 1 {
-            return self.apply_masked_ws(u, out, elems, dof_level, level, ws);
-        }
-        let npe = self.dofmap.nodes_per_elem();
-        let st = ws.get_or_insert_with(|| AcousticWs(ScalarWs::new(npe)));
-        let i = self.compiled_entry(
-            &mut st.0.cache,
-            level as u16,
-            elems,
-            Some((dof_level, level)),
-        );
-        let variant = crate::simd::active();
-        st.0.cache.ensure_plan(i, npe, 1, variant);
-        let ScalarWs { cache, par, .. } = &mut st.0;
-        if par.len() < threads {
-            par.resize_with(threads, || ScalarScratch::new(npe));
-        }
-        for sc in par.iter_mut() {
-            sc.ensure_lanes(npe, variant.lanes());
-        }
-        self.engine()
-            .run_threads(cache.entry(i), u, &mut par[..threads], out);
+        let mask = Some(LevelMask { dof_level, level });
+        let st = self.ws(ws);
+        let i = st.prepare(self.dofmap.nodes_per_elem(), threads, |c| {
+            self.compiled_entry(c, level as u16, elems, mask)
+        });
+        st.run(i, threads, &self.engine(mask), u, out);
     }
 
     fn precompile_masked(&self, elems: &[u32], dof_level: &[u8], level: u8, ws: &mut Workspace) {
-        let npe = self.dofmap.nodes_per_elem();
-        let st = ws.get_or_insert_with(|| AcousticWs(ScalarWs::new(npe)));
-        let i = self.compiled_entry(
-            &mut st.0.cache,
-            level as u16,
-            elems,
-            Some((dof_level, level)),
-        );
-        // warm the SIMD plan too, so no transpose happens mid-run
-        let variant = crate::simd::active();
-        st.0.cache.ensure_plan(i, npe, 1, variant);
-        st.0.serial.ensure_lanes(npe, variant.lanes());
+        let mask = Some(LevelMask { dof_level, level });
+        self.ws(ws).prepare(self.dofmap.nodes_per_elem(), 1, |c| {
+            self.compiled_entry(c, level as u16, elems, mask)
+        });
     }
 
     fn mass(&self) -> &[f64] {
@@ -474,6 +431,47 @@ mod tests {
                 full[i],
                 sum[i]
             );
+        }
+    }
+
+    /// A compiled masked entry stores no f64 per gathered node: its heap is
+    /// the `u32` order, colour offsets and index tables plus one pure-flag
+    /// byte per element (scalar walk) and per SIMD unit.
+    #[test]
+    fn compiled_masked_entry_holds_no_f64_per_gathered_node() {
+        use lts_core::LtsSetup;
+        use lts_mesh::Levels;
+        let mut m = HexMesh::uniform(6, 3, 3, 1.0, 1.0);
+        m.paint_box((4, 6), (0, 3), (0, 3), 2.0, 1.0);
+        let lv = Levels::assign(&m, 0.5, 4);
+        let op = AcousticOperator::new(&m, 3);
+        let setup = LtsSetup::new(&op, &lv.elem_level);
+        assert!(setup.n_levels > 1);
+        let npe = op.dofmap.nodes_per_elem();
+        for variant in [
+            crate::simd::KernelVariant::Scalar,
+            crate::simd::KernelVariant::Avx2,
+        ] {
+            for l in 0..setup.n_levels {
+                let mut ws = Workspace::new();
+                op.precompile_masked(&setup.elems[l], &setup.dof_level, l as u8, &mut ws);
+                let st = op.ws(&mut ws);
+                st.cache.ensure_plan(0, npe, variant);
+                let en = st.cache.entry(0);
+                let n_elems = setup.elems[l].len();
+                let gathered = n_elems * npe;
+                assert_eq!(en.idx.len(), gathered);
+                assert_eq!(en.pure.len(), n_elems);
+                // key + order + idx + colour offsets, as u32; one flag per element
+                let mut want = 4 * (2 * n_elems + gathered + en.color_off.len()) + n_elems;
+                if let Some(plan) = &en.simd {
+                    let units = plan.unit_base.len();
+                    let tidx = units * npe * plan.lanes;
+                    assert_eq!(plan.tidx.len(), tidx);
+                    want += 4 * (plan.unit_off.len() + 3 * units + tidx) + units;
+                }
+                assert_eq!(en.heap_bytes(), want, "level {l}, {variant:?}");
+            }
         }
     }
 

@@ -1,14 +1,22 @@
-//! Level-compiled gather lists: the `dof_level == level` branch of a masked
-//! product, baked once per `(level, element list)` into flat index/mask
-//! tables, ordered colour-major by a greedy conflict-free colouring.
+//! Level-compiled gather lists: the element list of a masked product, baked
+//! once per `(level, element list)` into flat index tables, ordered
+//! colour-major by a greedy conflict-free colouring.
 //!
-//! A compiled entry lets the inner sub-step loops of LTS-Newmark run
-//! branch-free (`loc = u[idx] * mask` with `mask ∈ {0, 1}`) and gives the
-//! threaded executor its race-freedom invariant for free: within one colour
-//! no two elements share a scatter target, so any interleaving of a colour's
-//! elements produces bitwise-identical sums. The *serial* path walks the same
-//! colour-major order, which is what makes the threaded product bitwise equal
-//! to the serial one.
+//! The level mask itself is never stored. A masked product zeroes every
+//! gathered DOF whose `dof_level` differs from the product's level; at
+//! compile time each element (scalar walk) and each SIMD unit gets a
+//! one-byte *pure* flag, set when every gathered DOF already lies on the
+//! level. Pure elements and units gather plainly; mixed ones multiply by the
+//! factor `[0.0, 1.0][(dof_level[g] == level) as usize]` derived per DOF —
+//! the exact 0/1 factor a stored mask would hold, and `x·1.0 == x`, so both
+//! paths are bitwise equal to a masked gather.
+//!
+//! The colour-major order gives the threaded executor its race-freedom
+//! invariant for free: within one colour no two elements share a scatter
+//! target, so any interleaving of a colour's elements produces
+//! bitwise-identical sums. The *serial* path walks the same colour-major
+//! order, which is what makes the threaded product bitwise equal to the
+//! serial one.
 //!
 //! Entries live in a [`GatherCache`] stashed in the stepper's
 //! [`lts_core::Workspace`], so each `(level, element set)` pair is compiled
@@ -23,8 +31,28 @@ use crate::simd::{
 /// Sentinel `level` for the unmasked full-mesh product.
 pub(crate) const FULL_LEVEL: u16 = u16::MAX;
 
-/// Emits the flat `idx`/`mask` tables for a colour-major element order.
-pub(crate) type FillFn<'a> = &'a mut dyn FnMut(&[u32], &mut Vec<u32>, &mut Vec<f64>);
+/// The level mask of a masked product, derived per DOF instead of stored:
+/// DOF `d` contributes iff `dof_level[d] == level`.
+#[derive(Clone, Copy)]
+pub(crate) struct LevelMask<'a> {
+    pub(crate) dof_level: &'a [u8],
+    pub(crate) level: u8,
+}
+
+impl LevelMask<'_> {
+    /// The 0/1 gather factor of DOF `dof` (branch-free).
+    #[inline(always)]
+    pub(crate) fn factor(self, dof: usize) -> f64 {
+        [0.0, 1.0][(self.dof_level[dof] == self.level) as usize]
+    }
+
+    /// Whether every DOF of the gathered ids `ids` (`comps` DOFs per id,
+    /// DOF `comps·id + c`) lies on the level.
+    fn covers(self, ids: &[u32], comps: usize) -> bool {
+        ids.iter()
+            .all(|&id| (0..comps).all(|c| self.dof_level[comps * id as usize + c] == self.level))
+    }
+}
 
 /// One compiled `(level, element list)` entry.
 pub(crate) struct CompiledGather {
@@ -38,13 +66,27 @@ pub(crate) struct CompiledGather {
     /// Per ordered element: its `npe` scatter-target ids (global nodes or
     /// local DOFs, whatever the operator gathers from).
     pub(crate) idx: Vec<u32>,
-    /// Multiplicative level masks (1.0 / 0.0), aligned with the gathered
-    /// values; empty for the unmasked full product.
-    pub(crate) mask: Vec<f64>,
+    /// Per ordered element: 1 when every gathered DOF lies on the entry's
+    /// level (gather with no mask), 0 when mixed; empty for the unmasked
+    /// full product.
+    pub(crate) pure: Vec<u8>,
     /// SIMD batching plan for the active [`KernelVariant`]; `None` on the
     /// scalar variant (lanes = 1). Rebuilt by [`GatherCache::ensure_plan`]
     /// when the active lane width changes.
     pub(crate) simd: Option<SimdPlan>,
+}
+
+impl CompiledGather {
+    /// Heap bytes held by the entry and its SIMD plan: `u32` order, colour
+    /// offsets and index tables plus one flag byte per element or unit.
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let u32s = self.key.capacity()
+            + self.order.capacity()
+            + self.color_off.capacity()
+            + self.idx.capacity();
+        4 * u32s + self.pure.capacity() + self.simd.as_ref().map_or(0, SimdPlan::heap_bytes)
+    }
 }
 
 /// Derived structure-of-arrays view of a [`CompiledGather`] for one SIMD
@@ -75,30 +117,35 @@ pub(crate) struct SimdPlan {
     pub(crate) unit_toff: Vec<u32>,
     /// Transposed scatter-target ids of the units (lane-padded).
     pub(crate) tidx: Vec<u32>,
-    /// Transposed masks (`mask_stride` per node-lane entry, offset
-    /// `toff · mask_stride`); empty when the entry is unmasked.
-    pub(crate) tmask: Vec<f64>,
+    /// Per unit: 1 when all of its elements are pure (padded lanes repeat
+    /// a valid one), 0 when any is mixed; empty when the entry is unmasked.
+    pub(crate) unit_pure: Vec<u8>,
 }
 
 impl SimdPlan {
     fn build(
         color_off: &[u32],
         idx: &[u32],
-        mask: &[f64],
+        pure: &[u8],
         npe: usize,
-        mask_stride: usize,
         variant: KernelVariant,
     ) -> SimdPlan {
         let lanes = variant.lanes();
+        let n_units: usize = color_off
+            .windows(2)
+            .map(|w| (w[1] - w[0]).div_ceil(lanes as u32) as usize)
+            .sum();
+        let mut unit_off = Vec::with_capacity(color_off.len());
+        unit_off.push(0);
         let mut p = SimdPlan {
             variant,
             lanes,
-            unit_off: vec![0],
-            unit_base: Vec::new(),
-            unit_len: Vec::new(),
-            unit_toff: Vec::new(),
-            tidx: Vec::new(),
-            tmask: Vec::new(),
+            unit_off,
+            unit_base: Vec::with_capacity(n_units),
+            unit_len: Vec::with_capacity(n_units),
+            unit_toff: Vec::with_capacity(n_units),
+            tidx: Vec::with_capacity(n_units * npe * lanes),
+            unit_pure: Vec::with_capacity(if pure.is_empty() { 0 } else { n_units }),
         };
         for w in color_off.windows(2) {
             let (lo, hi) = (w[0] as usize, w[1] as usize);
@@ -115,19 +162,25 @@ impl SimdPlan {
                         p.tidx.push(idx[(pos + l.min(len - 1)) * npe + q]);
                     }
                 }
-                if !mask.is_empty() {
-                    for q in 0..npe {
-                        for l in 0..lanes {
-                            let nb = ((pos + l.min(len - 1)) * npe + q) * mask_stride;
-                            p.tmask.extend_from_slice(&mask[nb..nb + mask_stride]);
-                        }
-                    }
+                if !pure.is_empty() {
+                    p.unit_pure
+                        .push(pure[pos..pos + len].iter().all(|&f| f != 0) as u8);
                 }
                 pos += len;
             }
             p.unit_off.push(p.unit_base.len() as u32);
         }
         p
+    }
+
+    #[cfg(test)]
+    fn heap_bytes(&self) -> usize {
+        let u32s = self.unit_off.capacity()
+            + self.unit_base.capacity()
+            + self.unit_len.capacity()
+            + self.unit_toff.capacity()
+            + self.tidx.capacity();
+        4 * u32s + self.unit_pure.capacity()
     }
 }
 
@@ -152,16 +205,18 @@ impl GatherCache {
 
     /// Fetch or compile the entry for `(level, elems)`.
     ///
-    /// `targets_of` yields an element's scatter targets (drives the greedy
-    /// colouring); `fill` receives the colour-major `order` and emits the
-    /// flat `idx`/`mask` tables.
+    /// `targets_of` yields an element's gathered ids, which are also its
+    /// scatter targets: they drive the greedy colouring and fill the flat
+    /// `idx` table in colour-major order. With a `mask`, each element's pure
+    /// flag is derived from its `idx` row, `comps` DOFs per gathered id.
     pub(crate) fn get_or_build(
         &mut self,
         level: u16,
         elems: &[u32],
         n_targets: usize,
         targets_of: &mut dyn FnMut(u32, &mut Vec<u32>),
-        fill: FillFn,
+        mask: Option<LevelMask>,
+        comps: usize,
     ) -> usize {
         if let Some(i) = self.find(level, elems) {
             return i;
@@ -187,15 +242,25 @@ impl GatherCache {
         }
         let (order, color_off) = coloring.flatten();
         let mut idx = Vec::new();
-        let mut mask = Vec::new();
-        fill(&order, &mut idx, &mut mask);
+        let mut pure = Vec::with_capacity(if mask.is_some() { order.len() } else { 0 });
+        let mut ids = Vec::new();
+        for &e in &order {
+            targets_of(e, &mut ids);
+            if idx.is_empty() {
+                idx.reserve_exact(ids.len() * order.len());
+            }
+            idx.extend_from_slice(&ids);
+            if let Some(m) = mask {
+                pure.push(m.covers(&ids, comps) as u8);
+            }
+        }
         self.entries.push(CompiledGather {
             level,
             key: elems.to_vec(),
             order,
             color_off,
             idx,
-            mask,
+            pure,
             simd: None,
         });
         self.entries.len() - 1
@@ -205,13 +270,7 @@ impl GatherCache {
     /// transposed tables when a multi-lane variant is active, drop them when
     /// the scalar variant is. Called by the operators on every apply — a
     /// no-op once the plan matches, so the cost is one comparison per apply.
-    pub(crate) fn ensure_plan(
-        &mut self,
-        i: usize,
-        npe: usize,
-        mask_stride: usize,
-        variant: KernelVariant,
-    ) {
+    pub(crate) fn ensure_plan(&mut self, i: usize, npe: usize, variant: KernelVariant) {
         let en = &mut self.entries[i];
         let lanes = variant.lanes();
         if lanes <= 1 {
@@ -224,9 +283,8 @@ impl GatherCache {
         en.simd = Some(SimdPlan::build(
             &en.color_off,
             &en.idx,
-            &en.mask,
+            &en.pure,
             npe,
-            mask_stride,
             variant,
         ));
     }
@@ -243,8 +301,16 @@ pub(crate) struct ScalarScratch {
     pub(crate) vder: Vec<f64>,
 }
 
-impl ScalarScratch {
-    pub(crate) fn new(npe: usize) -> Self {
+/// Per-worker element scratch of an engine.
+pub(crate) trait EngineScratch: Send {
+    fn new(npe: usize) -> Self;
+
+    /// Size the batch buffers for `lanes`-wide units (outside the hot loop).
+    fn ensure_lanes(&mut self, npe: usize, lanes: usize);
+}
+
+impl EngineScratch for ScalarScratch {
+    fn new(npe: usize) -> Self {
         ScalarScratch {
             loc: vec![0.0; npe],
             tmp: vec![0.0; npe],
@@ -255,8 +321,7 @@ impl ScalarScratch {
         }
     }
 
-    /// Size the batch buffers for `lanes`-wide units (outside the hot loop).
-    pub(crate) fn ensure_lanes(&mut self, npe: usize, lanes: usize) {
+    fn ensure_lanes(&mut self, npe: usize, lanes: usize) {
         let n = npe * lanes;
         if lanes > 1 && self.vloc.len() < n {
             self.vloc.resize(n, 0.0);
@@ -266,37 +331,115 @@ impl ScalarScratch {
     }
 }
 
-/// Workspace state of a scalar (acoustic) operator: compiled entries plus
-/// serial and per-thread element scratch.
-pub(crate) struct ScalarWs {
-    pub(crate) cache: GatherCache,
-    pub(crate) serial: ScalarScratch,
-    pub(crate) par: Vec<ScalarScratch>,
-}
+/// An execution engine over compiled entries with scratch `S`: a scalar
+/// per-element path, a SIMD unit path, and the two walks over them.
+pub(crate) trait Engine<S: Send>: Sync {
+    /// Process position `pos` of a compiled entry.
+    fn elem(&self, entry: &CompiledGather, pos: usize, u: &[f64], sc: &mut S, out: &mut [f64]);
 
-impl ScalarWs {
-    pub(crate) fn new(npe: usize) -> Self {
-        ScalarWs {
-            cache: GatherCache::default(),
-            serial: ScalarScratch::new(npe),
-            par: Vec::new(),
+    /// Process unit `unit` of `entry`'s SIMD plan.
+    fn unit(
+        &self,
+        entry: &CompiledGather,
+        plan: &SimdPlan,
+        unit: usize,
+        u: &[f64],
+        sc: &mut S,
+        out: &mut [f64],
+    );
+
+    /// Serial walk of an entry, batch-wise when a plan is attached. Both
+    /// walks visit colours in order and touch every scatter target once per
+    /// colour, so they produce bitwise-identical sums.
+    fn run_serial(&self, entry: &CompiledGather, u: &[f64], sc: &mut S, out: &mut [f64]) {
+        match entry.simd.as_ref() {
+            Some(plan) => {
+                for unit in 0..plan.unit_base.len() {
+                    self.unit(entry, plan, unit, u, sc, out);
+                }
+            }
+            None => {
+                for pos in 0..entry.order.len() {
+                    self.elem(entry, pos, u, sc, out);
+                }
+            }
+        }
+    }
+
+    /// Colour-phased threaded walk; with a plan the work items handed to
+    /// [`crate::parallel::par_colored`] are whole units.
+    fn run_threads(&self, entry: &CompiledGather, u: &[f64], par: &mut [S], out: &mut [f64]) {
+        match entry.simd.as_ref() {
+            Some(plan) => {
+                crate::parallel::par_colored(out, &plan.unit_off, par, |unit, sc, o| {
+                    self.unit(entry, plan, unit, u, sc, o);
+                });
+            }
+            None => {
+                crate::parallel::par_colored(out, &entry.color_off, par, |pos, sc, o| {
+                    self.elem(entry, pos, u, sc, o);
+                });
+            }
         }
     }
 }
 
-/// Workspace state of an elastic operator.
-pub(crate) struct ElasticScratchWs {
+/// Workspace state of an operator: compiled entries plus serial and
+/// per-thread element scratch.
+pub(crate) struct OpWs<S> {
     pub(crate) cache: GatherCache,
-    pub(crate) serial: crate::elastic::Scratch,
-    pub(crate) par: Vec<crate::elastic::Scratch>,
+    serial: S,
+    par: Vec<S>,
 }
 
-impl ElasticScratchWs {
+impl<S: EngineScratch> OpWs<S> {
     pub(crate) fn new(npe: usize) -> Self {
-        ElasticScratchWs {
+        OpWs {
             cache: GatherCache::default(),
-            serial: crate::elastic::Scratch::new(npe),
+            serial: S::new(npe),
             par: Vec::new(),
+        }
+    }
+
+    /// Fetch or compile an entry with `compile`, warm its SIMD plan for the
+    /// active variant and size the scratch of `threads` workers (≤ 1:
+    /// serial), so no transpose or resize happens mid-run. Returns the entry.
+    pub(crate) fn prepare(
+        &mut self,
+        npe: usize,
+        threads: usize,
+        compile: impl FnOnce(&mut GatherCache) -> usize,
+    ) -> usize {
+        let i = compile(&mut self.cache);
+        let variant = crate::simd::active();
+        self.cache.ensure_plan(i, npe, variant);
+        if threads <= 1 {
+            self.serial.ensure_lanes(npe, variant.lanes());
+        } else {
+            if self.par.len() < threads {
+                self.par.resize_with(threads, || S::new(npe));
+            }
+            for sc in &mut self.par {
+                sc.ensure_lanes(npe, variant.lanes());
+            }
+        }
+        i
+    }
+
+    /// Run prepared entry `i` on `threads` workers.
+    pub(crate) fn run(
+        &mut self,
+        i: usize,
+        threads: usize,
+        engine: &impl Engine<S>,
+        u: &[f64],
+        out: &mut [f64],
+    ) {
+        let entry = self.cache.entry(i);
+        if threads <= 1 {
+            engine.run_serial(entry, u, &mut self.serial, out);
+        } else {
+            engine.run_threads(entry, u, &mut self.par[..threads], out);
         }
     }
 }
@@ -304,20 +447,22 @@ impl ElasticScratchWs {
 /// The shared acoustic execution engine: one scalar per-element path and one
 /// SIMD unit path over a compiled entry, parameterized on a geometry lookup
 /// `e → (hx, hy, hz, μ)` so the structured and unstructured operators drive
-/// the same code.
+/// the same code. `mask` is the masked product's level mask (`None` for the
+/// full product).
 pub(crate) struct AcousticEngine<'a, G: Fn(u32) -> (f64, f64, f64, f64) + Sync> {
     pub(crate) basis: &'a GllBasis,
     pub(crate) inv_mass: &'a [f64],
     pub(crate) npe: usize,
     pub(crate) geom: G,
+    pub(crate) mask: Option<LevelMask<'a>>,
 }
 
-impl<G: Fn(u32) -> (f64, f64, f64, f64) + Sync> AcousticEngine<'_, G> {
-    /// Process position `pos` of a compiled entry: branch-free gather,
-    /// stiffness kernel, multiply-by-`M⁻¹` scatter.
+impl<G: Fn(u32) -> (f64, f64, f64, f64) + Sync> Engine<ScalarScratch> for AcousticEngine<'_, G> {
+    /// Process position `pos` of a compiled entry: gather (masked only when
+    /// the element is mixed), stiffness kernel, multiply-by-`M⁻¹` scatter.
     // lint: hot-path
     #[inline]
-    pub(crate) fn elem(
+    fn elem(
         &self,
         entry: &CompiledGather,
         pos: usize,
@@ -328,14 +473,17 @@ impl<G: Fn(u32) -> (f64, f64, f64, f64) + Sync> AcousticEngine<'_, G> {
         let npe = self.npe;
         let base = pos * npe;
         let ids = &entry.idx[base..base + npe];
-        if entry.mask.is_empty() {
-            for li in 0..npe {
-                sc.loc[li] = u[ids[li] as usize];
+        match self.mask {
+            Some(m) if entry.pure[pos] == 0 => {
+                for li in 0..npe {
+                    let g = ids[li] as usize;
+                    sc.loc[li] = u[g] * m.factor(g);
+                }
             }
-        } else {
-            let mk = &entry.mask[base..base + npe];
-            for li in 0..npe {
-                sc.loc[li] = u[ids[li] as usize] * mk[li];
+            _ => {
+                for li in 0..npe {
+                    sc.loc[li] = u[ids[li] as usize];
+                }
             }
         }
         let (hx, hy, hz, mu) = (self.geom)(entry.order[pos]);
@@ -375,14 +523,17 @@ impl<G: Fn(u32) -> (f64, f64, f64, f64) + Sync> AcousticEngine<'_, G> {
         let npe = self.npe;
         let toff = plan.unit_toff[unit] as usize;
         let ids = &plan.tidx[toff..toff + npe * w];
-        if entry.mask.is_empty() {
-            for (i, &id) in ids.iter().enumerate() {
-                sc.vloc[i] = u[id as usize];
+        match self.mask {
+            Some(m) if plan.unit_pure[unit] == 0 => {
+                for (i, &id) in ids.iter().enumerate() {
+                    let g = id as usize;
+                    sc.vloc[i] = u[g] * m.factor(g);
+                }
             }
-        } else {
-            let mk = &plan.tmask[toff..toff + npe * w];
-            for (i, &id) in ids.iter().enumerate() {
-                sc.vloc[i] = u[id as usize] * mk[i];
+            _ => {
+                for (i, &id) in ids.iter().enumerate() {
+                    sc.vloc[i] = u[id as usize];
+                }
             }
         }
         // per-lane coefficients, with the scalar kernel's exact expressions
@@ -426,70 +577,27 @@ impl<G: Fn(u32) -> (f64, f64, f64, f64) + Sync> AcousticEngine<'_, G> {
             }
         }
     }
-
-    /// Serial walk of an entry, batch-wise when a plan is attached. Both
-    /// walks visit colours in order and touch every scatter target once per
-    /// colour, so they produce bitwise-identical sums.
-    pub(crate) fn run_serial(
-        &self,
-        entry: &CompiledGather,
-        u: &[f64],
-        sc: &mut ScalarScratch,
-        out: &mut [f64],
-    ) {
-        match entry.simd.as_ref() {
-            Some(plan) => {
-                for unit in 0..plan.unit_base.len() {
-                    self.unit(entry, plan, unit, u, sc, out);
-                }
-            }
-            None => {
-                for pos in 0..entry.order.len() {
-                    self.elem(entry, pos, u, sc, out);
-                }
-            }
-        }
-    }
-
-    /// Colour-phased threaded walk; with a plan the work items handed to
-    /// [`crate::parallel::par_colored`] are whole units.
-    pub(crate) fn run_threads(
-        &self,
-        entry: &CompiledGather,
-        u: &[f64],
-        par: &mut [ScalarScratch],
-        out: &mut [f64],
-    ) {
-        match entry.simd.as_ref() {
-            Some(plan) => {
-                crate::parallel::par_colored(out, &plan.unit_off, par, |unit, sc, o| {
-                    self.unit(entry, plan, unit, u, sc, o);
-                });
-            }
-            None => {
-                crate::parallel::par_colored(out, &entry.color_off, par, |pos, sc, o| {
-                    self.elem(entry, pos, u, sc, o);
-                });
-            }
-        }
-    }
 }
 
 /// The shared elastic execution engine (`e → (hx, hy, hz, λ, μ)`), mirroring
 /// [`AcousticEngine`] for the 3-component operator. `idx` entries are *node*
-/// ids; DOF `3·node + comp` addresses `u`/`out`/`inv_mass`.
+/// ids; DOF `3·node + comp` addresses `u`/`out`/`inv_mass`, and a mixed
+/// element's mask factor is taken per component DOF.
 pub(crate) struct ElasticEngine<'a, G: Fn(u32) -> (f64, f64, f64, f64, f64) + Sync> {
     pub(crate) basis: &'a GllBasis,
     pub(crate) inv_mass: &'a [f64],
     pub(crate) npe: usize,
     pub(crate) geom: G,
+    pub(crate) mask: Option<LevelMask<'a>>,
 }
 
-impl<G: Fn(u32) -> (f64, f64, f64, f64, f64) + Sync> ElasticEngine<'_, G> {
+impl<G: Fn(u32) -> (f64, f64, f64, f64, f64) + Sync> Engine<crate::elastic::Scratch>
+    for ElasticEngine<'_, G>
+{
     /// Process position `pos` of a compiled entry.
     // lint: hot-path
     #[inline]
-    pub(crate) fn elem(
+    fn elem(
         &self,
         entry: &CompiledGather,
         pos: usize,
@@ -500,19 +608,22 @@ impl<G: Fn(u32) -> (f64, f64, f64, f64, f64) + Sync> ElasticEngine<'_, G> {
         let npe = self.npe;
         let base = pos * npe;
         let ids = &entry.idx[base..base + npe];
-        if entry.mask.is_empty() {
-            for li in 0..npe {
-                let gn = ids[li] as usize;
-                for comp in 0..3 {
-                    s.u[comp][li] = u[3 * gn + comp];
+        match self.mask {
+            Some(m) if entry.pure[pos] == 0 => {
+                for li in 0..npe {
+                    let gn = ids[li] as usize;
+                    for comp in 0..3 {
+                        let dof = 3 * gn + comp;
+                        s.u[comp][li] = u[dof] * m.factor(dof);
+                    }
                 }
             }
-        } else {
-            let mk = &entry.mask[3 * base..3 * (base + npe)];
-            for li in 0..npe {
-                let gn = ids[li] as usize;
-                for comp in 0..3 {
-                    s.u[comp][li] = u[3 * gn + comp] * mk[3 * li + comp];
+            _ => {
+                for li in 0..npe {
+                    let gn = ids[li] as usize;
+                    for comp in 0..3 {
+                        s.u[comp][li] = u[3 * gn + comp];
+                    }
                 }
             }
         }
@@ -547,20 +658,22 @@ impl<G: Fn(u32) -> (f64, f64, f64, f64, f64) + Sync> ElasticEngine<'_, G> {
         let n = npe * w;
         let toff = plan.unit_toff[unit] as usize;
         let ids = &plan.tidx[toff..toff + n];
-        if entry.mask.is_empty() {
-            for (i, &id) in ids.iter().enumerate() {
-                let gn = id as usize;
-                s.vu[i] = u[3 * gn];
-                s.vu[n + i] = u[3 * gn + 1];
-                s.vu[2 * n + i] = u[3 * gn + 2];
+        match self.mask {
+            Some(m) if plan.unit_pure[unit] == 0 => {
+                for (i, &id) in ids.iter().enumerate() {
+                    let gn = 3 * id as usize;
+                    s.vu[i] = u[gn] * m.factor(gn);
+                    s.vu[n + i] = u[gn + 1] * m.factor(gn + 1);
+                    s.vu[2 * n + i] = u[gn + 2] * m.factor(gn + 2);
+                }
             }
-        } else {
-            let mk = &plan.tmask[3 * toff..3 * (toff + n)];
-            for (i, &id) in ids.iter().enumerate() {
-                let gn = id as usize;
-                s.vu[i] = u[3 * gn] * mk[3 * i];
-                s.vu[n + i] = u[3 * gn + 1] * mk[3 * i + 1];
-                s.vu[2 * n + i] = u[3 * gn + 2] * mk[3 * i + 2];
+            _ => {
+                for (i, &id) in ids.iter().enumerate() {
+                    let gn = id as usize;
+                    s.vu[i] = u[3 * gn];
+                    s.vu[n + i] = u[3 * gn + 1];
+                    s.vu[2 * n + i] = u[3 * gn + 2];
+                }
             }
         }
         let mut cf = ElasticLanes::default();
@@ -612,50 +725,6 @@ impl<G: Fn(u32) -> (f64, f64, f64, f64, f64) + Sync> ElasticEngine<'_, G> {
             }
         }
     }
-
-    /// Serial walk of an entry (see [`AcousticEngine::run_serial`]).
-    pub(crate) fn run_serial(
-        &self,
-        entry: &CompiledGather,
-        u: &[f64],
-        s: &mut crate::elastic::Scratch,
-        out: &mut [f64],
-    ) {
-        match entry.simd.as_ref() {
-            Some(plan) => {
-                for unit in 0..plan.unit_base.len() {
-                    self.unit(entry, plan, unit, u, s, out);
-                }
-            }
-            None => {
-                for pos in 0..entry.order.len() {
-                    self.elem(entry, pos, u, s, out);
-                }
-            }
-        }
-    }
-
-    /// Colour-phased threaded walk (see [`AcousticEngine::run_threads`]).
-    pub(crate) fn run_threads(
-        &self,
-        entry: &CompiledGather,
-        u: &[f64],
-        par: &mut [crate::elastic::Scratch],
-        out: &mut [f64],
-    ) {
-        match entry.simd.as_ref() {
-            Some(plan) => {
-                crate::parallel::par_colored(out, &plan.unit_off, par, |unit, s, o| {
-                    self.unit(entry, plan, unit, u, s, o);
-                });
-            }
-            None => {
-                crate::parallel::par_colored(out, &entry.color_off, par, |pos, s, o| {
-                    self.elem(entry, pos, u, s, o);
-                });
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -670,27 +739,26 @@ mod tests {
             out.push(e);
             out.push(e + 1);
         };
-        let mut builds = 0usize;
         let mut cache = GatherCache::default();
         let elems: Vec<u32> = (0..6).collect();
         for _ in 0..3 {
-            let mut fill = |order: &[u32], idx: &mut Vec<u32>, _mask: &mut Vec<f64>| {
-                builds += 1;
-                idx.extend_from_slice(order);
-            };
-            let i = cache.get_or_build(0, &elems, 7, &mut targets, &mut fill);
+            let i = cache.get_or_build(0, &elems, 7, &mut targets, None, 1);
             assert_eq!(i, 0);
         }
-        assert_eq!(builds, 1, "entry must be compiled exactly once");
+        assert_eq!(
+            cache.entries.len(),
+            1,
+            "entry must be compiled exactly once"
+        );
+        let en = cache.entry(0);
+        let want: Vec<u32> = en.order.iter().flat_map(|&e| [e, e + 1]).collect();
+        assert_eq!(en.idx, want, "idx rows follow the colour-major order");
         // a different list is a different entry
         let sub: Vec<u32> = vec![1, 3];
-        let mut fill = |order: &[u32], idx: &mut Vec<u32>, _mask: &mut Vec<f64>| {
-            idx.extend_from_slice(order);
-        };
-        let j = cache.get_or_build(0, &sub, 7, &mut targets, &mut fill);
+        let j = cache.get_or_build(0, &sub, 7, &mut targets, None, 1);
         assert_eq!(j, 1);
         // the full-mesh sentinel matches without a key comparison
-        let k = cache.get_or_build(FULL_LEVEL, &elems, 7, &mut targets, &mut fill);
+        let k = cache.get_or_build(FULL_LEVEL, &elems, 7, &mut targets, None, 1);
         assert_eq!(cache.find(FULL_LEVEL, &[]), Some(k));
     }
 
@@ -700,10 +768,9 @@ mod tests {
         // two colours: 5 + 3 elements; idx[pos] = [10·pos, 10·pos + 1]
         let color_off = vec![0u32, 5, 8];
         let idx: Vec<u32> = (0..8u32).flat_map(|p| [10 * p, 10 * p + 1]).collect();
-        let mask: Vec<f64> = (0..8)
-            .flat_map(|p| [1.0, if p % 2 == 0 { 1.0 } else { 0.0 }])
-            .collect();
-        let plan = SimdPlan::build(&color_off, &idx, &mask, npe, 1, KernelVariant::Avx2);
+        // odd positions are mixed
+        let pure: Vec<u8> = (0..8).map(|p| u8::from(p % 2 == 0)).collect();
+        let plan = SimdPlan::build(&color_off, &idx, &pure, npe, KernelVariant::Avx2);
         assert_eq!(plan.lanes, 4);
         // colour 0 → one full unit + one 1-element tail; colour 1 → one tail
         assert_eq!(plan.unit_off, vec![0, 2, 3]);
@@ -720,14 +787,9 @@ mod tests {
                 50, 60, 70, 70, 51, 61, 71, 71, // 3-element tail, padded
             ]
         );
-        assert_eq!(
-            plan.tmask,
-            vec![
-                1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 0.0, //
-                1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, //
-                1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0,
-            ]
-        );
+        // a unit is pure only if every valid lane is; the padded lanes of
+        // the 1-element tail repeat pure position 4
+        assert_eq!(plan.unit_pure, vec![0, 1, 0]);
         // scalar variant → no plan
         let mut cache = GatherCache::default();
         cache.entries.push(CompiledGather {
@@ -736,12 +798,12 @@ mod tests {
             order: (0..8).collect(),
             color_off,
             idx,
-            mask,
+            pure,
             simd: None,
         });
-        cache.ensure_plan(0, npe, 1, KernelVariant::Avx2);
+        cache.ensure_plan(0, npe, KernelVariant::Avx2);
         assert!(cache.entry(0).simd.is_some());
-        cache.ensure_plan(0, npe, 1, KernelVariant::Scalar);
+        cache.ensure_plan(0, npe, KernelVariant::Scalar);
         assert!(cache.entry(0).simd.is_none());
     }
 
@@ -753,13 +815,45 @@ mod tests {
         };
         let elems: Vec<u32> = (0..8).collect();
         let mut cache = GatherCache::default();
-        let mut fill = |_: &[u32], _: &mut Vec<u32>, _: &mut Vec<f64>| {};
-        let i = cache.get_or_build(0, &elems, 4, &mut targets, &mut fill);
+        let i = cache.get_or_build(0, &elems, 4, &mut targets, None, 1);
         let en = cache.entry(i);
         assert_eq!(en.color_off, vec![0, 4, 8]);
         assert_eq!(en.order, vec![0, 2, 4, 6, 1, 3, 5, 7]);
         let mut all: Vec<u32> = en.order.clone();
         all.sort_unstable();
         assert_eq!(all, elems);
+    }
+
+    #[test]
+    fn pure_flags_follow_the_level_of_every_gathered_dof() {
+        // chain: element e gathers nodes {e, e+1}; nodes 0..=3 on level 1,
+        // 4..=6 on level 0
+        let mut targets = |e: u32, out: &mut Vec<u32>| {
+            out.clear();
+            out.push(e);
+            out.push(e + 1);
+        };
+        let dof_level = [1u8, 1, 1, 1, 0, 0, 0];
+        let mask = LevelMask {
+            dof_level: &dof_level,
+            level: 1,
+        };
+        let elems: Vec<u32> = (0..6).collect();
+        let mut cache = GatherCache::default();
+        let i = cache.get_or_build(1, &elems, 7, &mut targets, Some(mask), 1);
+        let en = cache.entry(i);
+        for (pos, &e) in en.order.iter().enumerate() {
+            assert_eq!(en.pure[pos], u8::from(e < 3), "element {e}");
+        }
+        assert_eq!(mask.factor(3), 1.0);
+        assert_eq!(mask.factor(4), 0.0);
+        // three components per id: one off-level component makes it mixed
+        let comp_level = [1u8, 1, 1, 1, 0, 1];
+        let m3 = LevelMask {
+            dof_level: &comp_level,
+            level: 1,
+        };
+        assert!(m3.covers(&[0], 3));
+        assert!(!m3.covers(&[0, 1], 3));
     }
 }

@@ -5,7 +5,7 @@
 //! (`dof = 3·node + comp`), so the LTS level machinery applies per-DOF with
 //! no special cases.
 
-use crate::compiled::{ElasticEngine, ElasticScratchWs, GatherCache, FULL_LEVEL};
+use crate::compiled::{ElasticEngine, EngineScratch, GatherCache, LevelMask, OpWs, FULL_LEVEL};
 use crate::dofmap::DofMap;
 use crate::gll::GllBasis;
 use lts_core::{DofTopology, Operator, Workspace};
@@ -30,7 +30,7 @@ pub struct ElasticOperator {
 }
 
 /// Workspace slot of the structured elastic operator.
-struct ElasticWs(ElasticScratchWs);
+struct ElasticWs(OpWs<Scratch>);
 
 /// `out[a,b,c] = Σ_m D[a][m] f[m,b,c]` (ξ-derivative).
 fn deriv_x(d: &[f64], np: usize, f: &[f64], out: &mut [f64]) {
@@ -206,8 +206,8 @@ pub(crate) struct Scratch {
     pub(crate) vout: Vec<f64>,
 }
 
-impl Scratch {
-    pub(crate) fn new(npe: usize) -> Self {
+impl EngineScratch for Scratch {
+    fn new(npe: usize) -> Self {
         let z = || vec![0.0; npe];
         Scratch {
             u: [z(), z(), z()],
@@ -221,8 +221,7 @@ impl Scratch {
         }
     }
 
-    /// Size the batch buffers for `lanes`-wide units (outside the hot loop).
-    pub(crate) fn ensure_lanes(&mut self, npe: usize, lanes: usize) {
+    fn ensure_lanes(&mut self, npe: usize, lanes: usize) {
         let n = npe * lanes;
         if lanes > 1 && self.vflux.len() < n {
             self.vu.resize(3 * n, 0.0);
@@ -342,42 +341,37 @@ impl ElasticOperator {
     }
 
     /// Fetch or compile the colour-major gather entry for `(level, elems)`.
-    /// `idx` holds node ids; masks carry 3 entries per node (one per
-    /// component).
+    /// `idx` holds node ids (3 DOFs each, one per component).
     fn compiled_entry(
         &self,
         cache: &mut GatherCache,
         key_level: u16,
         elems: &[u32],
-        dof_level: Option<(&[u8], u8)>,
+        mask: Option<LevelMask>,
     ) -> usize {
-        let npe = self.dofmap.nodes_per_elem();
         cache.get_or_build(
             key_level,
             elems,
             self.dofmap.n_nodes(),
             &mut |e, out| self.elem_gids(e, out),
-            &mut |order, idx, mask| {
-                let mut nodes = Vec::with_capacity(npe);
-                for &e in order {
-                    self.elem_gids(e, &mut nodes);
-                    if let Some((lvl, k)) = dof_level {
-                        for &gn in &nodes {
-                            for comp in 0..3 {
-                                let dof = 3 * gn as usize + comp;
-                                mask.push(if lvl[dof] == k { 1.0 } else { 0.0 });
-                            }
-                        }
-                    }
-                    idx.extend_from_slice(&nodes);
-                }
-            },
+            mask,
+            3,
         )
     }
 
+    /// This operator's workspace slot.
+    fn ws<'w>(&self, ws: &'w mut Workspace) -> &'w mut OpWs<Scratch> {
+        let npe = self.dofmap.nodes_per_elem();
+        &mut ws.get_or_insert_with(|| ElasticWs(OpWs::new(npe))).0
+    }
+
     /// The shared execution engine over this operator's geometry.
-    fn engine(&self) -> ElasticEngine<'_, impl Fn(u32) -> (f64, f64, f64, f64, f64) + Sync + '_> {
+    fn engine<'a>(
+        &'a self,
+        mask: Option<LevelMask<'a>>,
+    ) -> ElasticEngine<'a, impl Fn(u32) -> (f64, f64, f64, f64, f64) + Sync + 'a> {
         ElasticEngine {
+            mask,
             basis: &self.basis,
             inv_mass: &self.inv_mass,
             npe: self.dofmap.nodes_per_elem(),
@@ -428,20 +422,14 @@ impl Operator for ElasticOperator {
 
     fn apply_ws(&self, u: &[f64], out: &mut [f64], ws: &mut Workspace) {
         out.fill(0.0);
-        let npe = self.dofmap.nodes_per_elem();
-        let st = ws.get_or_insert_with(|| ElasticWs(ElasticScratchWs::new(npe)));
-        let i = match st.0.cache.find(FULL_LEVEL, &[]) {
-            Some(i) => i,
-            None => {
+        let st = self.ws(ws);
+        let i = st.prepare(self.dofmap.nodes_per_elem(), 1, |c| {
+            c.find(FULL_LEVEL, &[]).unwrap_or_else(|| {
                 let all: Vec<u32> = (0..self.dofmap.n_elems() as u32).collect();
-                self.compiled_entry(&mut st.0.cache, FULL_LEVEL, &all, None)
-            }
-        };
-        let variant = crate::simd::active();
-        st.0.cache.ensure_plan(i, npe, 3, variant);
-        st.0.serial.ensure_lanes(npe, variant.lanes());
-        let ElasticScratchWs { cache, serial, .. } = &mut st.0;
-        self.engine().run_serial(cache.entry(i), u, serial, out);
+                self.compiled_entry(c, FULL_LEVEL, &all, None)
+            })
+        });
+        st.run(i, 1, &self.engine(None), u, out);
     }
 
     fn apply_masked_ws(
@@ -453,19 +441,7 @@ impl Operator for ElasticOperator {
         level: u8,
         ws: &mut Workspace,
     ) {
-        let npe = self.dofmap.nodes_per_elem();
-        let st = ws.get_or_insert_with(|| ElasticWs(ElasticScratchWs::new(npe)));
-        let i = self.compiled_entry(
-            &mut st.0.cache,
-            level as u16,
-            elems,
-            Some((dof_level, level)),
-        );
-        let variant = crate::simd::active();
-        st.0.cache.ensure_plan(i, npe, 3, variant);
-        st.0.serial.ensure_lanes(npe, variant.lanes());
-        let ElasticScratchWs { cache, serial, .. } = &mut st.0;
-        self.engine().run_serial(cache.entry(i), u, serial, out);
+        self.apply_masked_threads(u, out, elems, dof_level, level, ws, 1);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -479,43 +455,19 @@ impl Operator for ElasticOperator {
         ws: &mut Workspace,
         threads: usize,
     ) {
-        if threads <= 1 {
-            return self.apply_masked_ws(u, out, elems, dof_level, level, ws);
-        }
-        let npe = self.dofmap.nodes_per_elem();
-        let st = ws.get_or_insert_with(|| ElasticWs(ElasticScratchWs::new(npe)));
-        let i = self.compiled_entry(
-            &mut st.0.cache,
-            level as u16,
-            elems,
-            Some((dof_level, level)),
-        );
-        let variant = crate::simd::active();
-        st.0.cache.ensure_plan(i, npe, 3, variant);
-        let ElasticScratchWs { cache, par, .. } = &mut st.0;
-        if par.len() < threads {
-            par.resize_with(threads, || Scratch::new(npe));
-        }
-        for s in par.iter_mut() {
-            s.ensure_lanes(npe, variant.lanes());
-        }
-        self.engine()
-            .run_threads(cache.entry(i), u, &mut par[..threads], out);
+        let mask = Some(LevelMask { dof_level, level });
+        let st = self.ws(ws);
+        let i = st.prepare(self.dofmap.nodes_per_elem(), threads, |c| {
+            self.compiled_entry(c, level as u16, elems, mask)
+        });
+        st.run(i, threads, &self.engine(mask), u, out);
     }
 
     fn precompile_masked(&self, elems: &[u32], dof_level: &[u8], level: u8, ws: &mut Workspace) {
-        let npe = self.dofmap.nodes_per_elem();
-        let st = ws.get_or_insert_with(|| ElasticWs(ElasticScratchWs::new(npe)));
-        let i = self.compiled_entry(
-            &mut st.0.cache,
-            level as u16,
-            elems,
-            Some((dof_level, level)),
-        );
-        // warm the SIMD plan too, so no transpose happens mid-run
-        let variant = crate::simd::active();
-        st.0.cache.ensure_plan(i, npe, 3, variant);
-        st.0.serial.ensure_lanes(npe, variant.lanes());
+        let mask = Some(LevelMask { dof_level, level });
+        self.ws(ws).prepare(self.dofmap.nodes_per_elem(), 1, |c| {
+            self.compiled_entry(c, level as u16, elems, mask)
+        });
     }
 
     fn mass(&self) -> &[f64] {

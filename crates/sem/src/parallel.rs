@@ -19,7 +19,7 @@
 //! used here.
 
 use crate::acoustic::AcousticOperator;
-use crate::compiled::ScalarScratch;
+use crate::compiled::{EngineScratch, ScalarScratch};
 use crate::disjoint::DisjointOut;
 
 /// The 8 parity colour classes of a structured mesh.

@@ -758,6 +758,7 @@ pub(crate) fn batch_elastic_stiffness(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compiled::EngineScratch;
     use crate::gll::GllBasis;
 
     #[test]

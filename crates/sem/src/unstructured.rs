@@ -16,8 +16,7 @@
 //! bitwise-identical.
 
 use crate::compiled::{
-    AcousticEngine, ElasticEngine, ElasticScratchWs, GatherCache, ScalarScratch, ScalarWs,
-    FULL_LEVEL,
+    AcousticEngine, ElasticEngine, GatherCache, LevelMask, OpWs, ScalarScratch, FULL_LEVEL,
 };
 use crate::dofmap::DofMap;
 use crate::elastic::Scratch;
@@ -85,7 +84,7 @@ pub struct UnstructuredAcoustic {
 }
 
 /// Workspace slot of the gather-list acoustic operator.
-struct UAcousticWs(ScalarWs);
+struct UAcousticWs(OpWs<ScalarScratch>);
 
 impl UnstructuredAcoustic {
     /// Build over a subset of a structured mesh's elements, with compact
@@ -193,31 +192,31 @@ impl UnstructuredAcoustic {
         cache: &mut GatherCache,
         key_level: u16,
         elems: &[u32],
-        dof_level: Option<(&[u8], u8)>,
+        mask: Option<LevelMask>,
     ) -> usize {
         cache.get_or_build(
             key_level,
             elems,
             self.ndof,
             &mut |e, out| DofTopology::elem_dofs(self, e, out),
-            &mut |order, idx, mask| {
-                for &e in order {
-                    let base = e as usize * self.npe;
-                    let dofs = &self.elem_dofs[base..base + self.npe];
-                    if let Some((lvl, k)) = dof_level {
-                        for &dof in dofs {
-                            mask.push(if lvl[dof as usize] == k { 1.0 } else { 0.0 });
-                        }
-                    }
-                    idx.extend_from_slice(dofs);
-                }
-            },
+            mask,
+            1,
         )
     }
 
+    /// This operator's workspace slot.
+    fn ws<'w>(&self, ws: &'w mut Workspace) -> &'w mut OpWs<ScalarScratch> {
+        let npe = self.npe;
+        &mut ws.get_or_insert_with(|| UAcousticWs(OpWs::new(npe))).0
+    }
+
     /// The shared execution engine over this operator's geometry.
-    fn engine(&self) -> AcousticEngine<'_, impl Fn(u32) -> (f64, f64, f64, f64) + Sync + '_> {
+    fn engine<'a>(
+        &'a self,
+        mask: Option<LevelMask<'a>>,
+    ) -> AcousticEngine<'a, impl Fn(u32) -> (f64, f64, f64, f64) + Sync + 'a> {
         AcousticEngine {
+            mask,
             basis: &self.basis,
             inv_mass: &self.inv_mass,
             npe: self.npe,
@@ -249,19 +248,14 @@ impl Operator for UnstructuredAcoustic {
 
     fn apply_ws(&self, u: &[f64], out: &mut [f64], ws: &mut Workspace) {
         out.fill(0.0);
-        let st = ws.get_or_insert_with(|| UAcousticWs(ScalarWs::new(self.npe)));
-        let i = match st.0.cache.find(FULL_LEVEL, &[]) {
-            Some(i) => i,
-            None => {
+        let st = self.ws(ws);
+        let i = st.prepare(self.npe, 1, |c| {
+            c.find(FULL_LEVEL, &[]).unwrap_or_else(|| {
                 let all: Vec<u32> = (0..self.elem_geom.len() as u32).collect();
-                self.compiled_entry(&mut st.0.cache, FULL_LEVEL, &all, None)
-            }
-        };
-        let variant = crate::simd::active();
-        st.0.cache.ensure_plan(i, self.npe, 1, variant);
-        st.0.serial.ensure_lanes(self.npe, variant.lanes());
-        let ScalarWs { cache, serial, .. } = &mut st.0;
-        self.engine().run_serial(cache.entry(i), u, serial, out);
+                self.compiled_entry(c, FULL_LEVEL, &all, None)
+            })
+        });
+        st.run(i, 1, &self.engine(None), u, out);
     }
 
     fn apply_masked_ws(
@@ -273,18 +267,7 @@ impl Operator for UnstructuredAcoustic {
         level: u8,
         ws: &mut Workspace,
     ) {
-        let st = ws.get_or_insert_with(|| UAcousticWs(ScalarWs::new(self.npe)));
-        let i = self.compiled_entry(
-            &mut st.0.cache,
-            level as u16,
-            elems,
-            Some((dof_level, level)),
-        );
-        let variant = crate::simd::active();
-        st.0.cache.ensure_plan(i, self.npe, 1, variant);
-        st.0.serial.ensure_lanes(self.npe, variant.lanes());
-        let ScalarWs { cache, serial, .. } = &mut st.0;
-        self.engine().run_serial(cache.entry(i), u, serial, out);
+        self.apply_masked_threads(u, out, elems, dof_level, level, ws, 1);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -298,41 +281,19 @@ impl Operator for UnstructuredAcoustic {
         ws: &mut Workspace,
         threads: usize,
     ) {
-        if threads <= 1 {
-            return self.apply_masked_ws(u, out, elems, dof_level, level, ws);
-        }
-        let st = ws.get_or_insert_with(|| UAcousticWs(ScalarWs::new(self.npe)));
-        let i = self.compiled_entry(
-            &mut st.0.cache,
-            level as u16,
-            elems,
-            Some((dof_level, level)),
-        );
-        let variant = crate::simd::active();
-        st.0.cache.ensure_plan(i, self.npe, 1, variant);
-        let ScalarWs { cache, par, .. } = &mut st.0;
-        if par.len() < threads {
-            par.resize_with(threads, || ScalarScratch::new(self.npe));
-        }
-        for sc in par.iter_mut() {
-            sc.ensure_lanes(self.npe, variant.lanes());
-        }
-        self.engine()
-            .run_threads(cache.entry(i), u, &mut par[..threads], out);
+        let mask = Some(LevelMask { dof_level, level });
+        let st = self.ws(ws);
+        let i = st.prepare(self.npe, threads, |c| {
+            self.compiled_entry(c, level as u16, elems, mask)
+        });
+        st.run(i, threads, &self.engine(mask), u, out);
     }
 
     fn precompile_masked(&self, elems: &[u32], dof_level: &[u8], level: u8, ws: &mut Workspace) {
-        let st = ws.get_or_insert_with(|| UAcousticWs(ScalarWs::new(self.npe)));
-        let i = self.compiled_entry(
-            &mut st.0.cache,
-            level as u16,
-            elems,
-            Some((dof_level, level)),
-        );
-        // warm the SIMD plan too, so no transpose happens mid-run
-        let variant = crate::simd::active();
-        st.0.cache.ensure_plan(i, self.npe, 1, variant);
-        st.0.serial.ensure_lanes(self.npe, variant.lanes());
+        let mask = Some(LevelMask { dof_level, level });
+        self.ws(ws).prepare(self.npe, 1, |c| {
+            self.compiled_entry(c, level as u16, elems, mask)
+        });
     }
 
     fn mass(&self) -> &[f64] {
@@ -357,7 +318,7 @@ pub struct UnstructuredElastic {
 }
 
 /// Workspace slot of the gather-list elastic operator.
-struct UElasticWs(ElasticScratchWs);
+struct UElasticWs(OpWs<Scratch>);
 
 impl UnstructuredElastic {
     /// Build over a subset of elements with compact local node numbering
@@ -458,13 +419,13 @@ impl UnstructuredElastic {
     }
 
     /// Fetch or compile the colour-major gather entry for `(level, elems)`.
-    /// `idx` holds local node ids; masks carry 3 entries per node.
+    /// `idx` holds local node ids (3 DOFs each, one per component).
     fn compiled_entry(
         &self,
         cache: &mut GatherCache,
         key_level: u16,
         elems: &[u32],
-        dof_level: Option<(&[u8], u8)>,
+        mask: Option<LevelMask>,
     ) -> usize {
         cache.get_or_build(
             key_level,
@@ -475,27 +436,24 @@ impl UnstructuredElastic {
                 let base = e as usize * self.npe;
                 out.extend_from_slice(&self.elem_nodes[base..base + self.npe]);
             },
-            &mut |order, idx, mask| {
-                for &e in order {
-                    let base = e as usize * self.npe;
-                    let nodes = &self.elem_nodes[base..base + self.npe];
-                    if let Some((lvl, k)) = dof_level {
-                        for &node in nodes {
-                            for comp in 0..3 {
-                                let dof = 3 * node as usize + comp;
-                                mask.push(if lvl[dof] == k { 1.0 } else { 0.0 });
-                            }
-                        }
-                    }
-                    idx.extend_from_slice(nodes);
-                }
-            },
+            mask,
+            3,
         )
     }
 
+    /// This operator's workspace slot.
+    fn ws<'w>(&self, ws: &'w mut Workspace) -> &'w mut OpWs<Scratch> {
+        let npe = self.npe;
+        &mut ws.get_or_insert_with(|| UElasticWs(OpWs::new(npe))).0
+    }
+
     /// The shared execution engine over this operator's geometry.
-    fn engine(&self) -> ElasticEngine<'_, impl Fn(u32) -> (f64, f64, f64, f64, f64) + Sync + '_> {
+    fn engine<'a>(
+        &'a self,
+        mask: Option<LevelMask<'a>>,
+    ) -> ElasticEngine<'a, impl Fn(u32) -> (f64, f64, f64, f64, f64) + Sync + 'a> {
         ElasticEngine {
+            mask,
             basis: &self.basis,
             inv_mass: &self.inv_mass,
             npe: self.npe,
@@ -531,19 +489,14 @@ impl Operator for UnstructuredElastic {
 
     fn apply_ws(&self, u: &[f64], out: &mut [f64], ws: &mut Workspace) {
         out.fill(0.0);
-        let st = ws.get_or_insert_with(|| UElasticWs(ElasticScratchWs::new(self.npe)));
-        let i = match st.0.cache.find(FULL_LEVEL, &[]) {
-            Some(i) => i,
-            None => {
+        let st = self.ws(ws);
+        let i = st.prepare(self.npe, 1, |c| {
+            c.find(FULL_LEVEL, &[]).unwrap_or_else(|| {
                 let all: Vec<u32> = (0..self.elem_geom.len() as u32).collect();
-                self.compiled_entry(&mut st.0.cache, FULL_LEVEL, &all, None)
-            }
-        };
-        let variant = crate::simd::active();
-        st.0.cache.ensure_plan(i, self.npe, 3, variant);
-        st.0.serial.ensure_lanes(self.npe, variant.lanes());
-        let ElasticScratchWs { cache, serial, .. } = &mut st.0;
-        self.engine().run_serial(cache.entry(i), u, serial, out);
+                self.compiled_entry(c, FULL_LEVEL, &all, None)
+            })
+        });
+        st.run(i, 1, &self.engine(None), u, out);
     }
 
     fn apply_masked_ws(
@@ -555,18 +508,7 @@ impl Operator for UnstructuredElastic {
         level: u8,
         ws: &mut Workspace,
     ) {
-        let st = ws.get_or_insert_with(|| UElasticWs(ElasticScratchWs::new(self.npe)));
-        let i = self.compiled_entry(
-            &mut st.0.cache,
-            level as u16,
-            elems,
-            Some((dof_level, level)),
-        );
-        let variant = crate::simd::active();
-        st.0.cache.ensure_plan(i, self.npe, 3, variant);
-        st.0.serial.ensure_lanes(self.npe, variant.lanes());
-        let ElasticScratchWs { cache, serial, .. } = &mut st.0;
-        self.engine().run_serial(cache.entry(i), u, serial, out);
+        self.apply_masked_threads(u, out, elems, dof_level, level, ws, 1);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -580,41 +522,19 @@ impl Operator for UnstructuredElastic {
         ws: &mut Workspace,
         threads: usize,
     ) {
-        if threads <= 1 {
-            return self.apply_masked_ws(u, out, elems, dof_level, level, ws);
-        }
-        let st = ws.get_or_insert_with(|| UElasticWs(ElasticScratchWs::new(self.npe)));
-        let i = self.compiled_entry(
-            &mut st.0.cache,
-            level as u16,
-            elems,
-            Some((dof_level, level)),
-        );
-        let variant = crate::simd::active();
-        st.0.cache.ensure_plan(i, self.npe, 3, variant);
-        let ElasticScratchWs { cache, par, .. } = &mut st.0;
-        if par.len() < threads {
-            par.resize_with(threads, || Scratch::new(self.npe));
-        }
-        for s in par.iter_mut() {
-            s.ensure_lanes(self.npe, variant.lanes());
-        }
-        self.engine()
-            .run_threads(cache.entry(i), u, &mut par[..threads], out);
+        let mask = Some(LevelMask { dof_level, level });
+        let st = self.ws(ws);
+        let i = st.prepare(self.npe, threads, |c| {
+            self.compiled_entry(c, level as u16, elems, mask)
+        });
+        st.run(i, threads, &self.engine(mask), u, out);
     }
 
     fn precompile_masked(&self, elems: &[u32], dof_level: &[u8], level: u8, ws: &mut Workspace) {
-        let st = ws.get_or_insert_with(|| UElasticWs(ElasticScratchWs::new(self.npe)));
-        let i = self.compiled_entry(
-            &mut st.0.cache,
-            level as u16,
-            elems,
-            Some((dof_level, level)),
-        );
-        // warm the SIMD plan too, so no transpose happens mid-run
-        let variant = crate::simd::active();
-        st.0.cache.ensure_plan(i, self.npe, 3, variant);
-        st.0.serial.ensure_lanes(self.npe, variant.lanes());
+        let mask = Some(LevelMask { dof_level, level });
+        self.ws(ws).prepare(self.npe, 1, |c| {
+            self.compiled_entry(c, level as u16, elems, mask)
+        });
     }
 
     fn mass(&self) -> &[f64] {

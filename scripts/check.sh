@@ -23,6 +23,11 @@ echo "== golden partitions (every strategy, incl. the benchmark-size cases)"
 # the benchmark's own meshes, too slow for the debug tier-1 run.
 cargo test -q --release -p lts-partition --test partition_golden -- --include-ignored
 
+echo "== golden fields (serial + 2-rank local runtime, incl. the benchmark-size cases)"
+# Final u/v bits of acoustic and elastic LTS runs are pinned by hash; a
+# memory or speed change to gathers, kernels or stepping must not move one.
+cargo test -q --release --test field_golden -- --include-ignored
+
 echo "== transport conformance (channel / shm-ring / unix-socket / faulty)"
 cargo test -q --test transport_conformance
 

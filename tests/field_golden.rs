@@ -1,0 +1,197 @@
+//! Golden fields: FNV-1a hashes of the final `u`/`v` bits of LTS-Newmark
+//! runs, serial (`LtsNewmark`) and on the local-decomposition runtime at two
+//! ranks, for both physics at orders 2–4 on small trench and trench-big
+//! meshes with one Ricker source. A memory or speed change to the gather,
+//! kernel or stepping code must leave every bit of every field as it is, so
+//! any drift here is a behaviour change.
+//!
+//! The two benchmark-size cases are `#[ignore]`d to keep the debug test run
+//! fast; run them with
+//! `cargo test --release --test field_golden -- --include-ignored`.
+
+use wave_lts::lts::{DofTopology, LtsNewmark, LtsSetup, Operator, Source};
+use wave_lts::mesh::{BenchmarkMesh, MeshKind};
+use wave_lts::partition::{partition_mesh, Strategy};
+use wave_lts::runtime::{
+    run_distributed_local_acoustic, run_distributed_local_elastic, DistributedConfig, RankStats,
+    RuntimeError,
+};
+use wave_lts::sem::gll::cfl_dt_scale;
+use wave_lts::sem::{AcousticOperator, ElasticOperator};
+
+/// FNV-1a (64-bit) over the bytes of `u` then `v`, via `to_bits`.
+fn fnv1a(u: &[f64], v: &[f64]) -> u64 {
+    u.iter()
+        .chain(v)
+        .flat_map(|x| x.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Physics {
+    Acoustic,
+    Elastic,
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Path {
+    Serial,
+    /// `run_distributed_local_*` at two ranks (SCOTCH-P partition).
+    LocalR2,
+}
+
+/// Run `steps` global steps from a smooth initial displacement, zero
+/// velocity and one Ricker source at DOF `ndof / 3`; return the
+/// hash of the final fields.
+fn run_case(
+    physics: Physics,
+    path: Path,
+    kind: MeshKind,
+    elements: usize,
+    order: usize,
+    steps: usize,
+) -> u64 {
+    let b = BenchmarkMesh::build(kind, elements);
+    assert!(
+        b.levels.n_levels > 1,
+        "{kind:?} {elements}: single-level mesh"
+    );
+    let dt = b.levels.dt_global * cfl_dt_scale(order, 3);
+    match physics {
+        Physics::Acoustic => {
+            let op = AcousticOperator::new(&b.mesh, order);
+            solve(
+                &op,
+                &b,
+                path,
+                order,
+                dt,
+                steps,
+                run_distributed_local_acoustic,
+            )
+        }
+        Physics::Elastic => {
+            let op = ElasticOperator::poisson(&b.mesh, order);
+            solve(
+                &op,
+                &b,
+                path,
+                order,
+                dt,
+                steps,
+                run_distributed_local_elastic,
+            )
+        }
+    }
+}
+
+type LocalRunner = fn(
+    &wave_lts::mesh::HexMesh,
+    &wave_lts::mesh::Levels,
+    usize,
+    &[u32],
+    f64,
+    &[f64],
+    &[f64],
+    usize,
+    &DistributedConfig,
+    &[Source],
+) -> Result<(Vec<f64>, Vec<f64>, Vec<RankStats>), RuntimeError>;
+
+fn solve<O: Operator + DofTopology>(
+    op: &O,
+    b: &BenchmarkMesh,
+    path: Path,
+    order: usize,
+    dt: f64,
+    steps: usize,
+    local: LocalRunner,
+) -> u64 {
+    let setup = LtsSetup::new(op, &b.levels.elem_level);
+    let ndof = Operator::ndof(op);
+    let mut u: Vec<f64> = (0..ndof).map(|i| ((i as f64) * 0.07).sin()).collect();
+    let mut v = vec![0.0; ndof];
+    let sources = [Source::ricker((ndof / 3) as u32, 0.3, 1.0, 1.0)];
+    match path {
+        Path::Serial => {
+            let mut lts = LtsNewmark::new(op, &setup, dt);
+            lts.run(&mut u, &mut v, 0.0, steps, &sources);
+            fnv1a(&u, &v)
+        }
+        Path::LocalR2 => {
+            let part = partition_mesh(&b.mesh, &b.levels, 2, Strategy::ScotchP, 1);
+            let cfg = DistributedConfig::new(2);
+            let (u, v, _) = local(
+                &b.mesh, &b.levels, order, &part, dt, &u, &v, steps, &cfg, &sources,
+            )
+            .expect("local runtime");
+            fnv1a(&u, &v)
+        }
+    }
+}
+
+/// `(physics, path, mesh, elements, order, steps, hash)`.
+type Golden = (Physics, Path, MeshKind, usize, usize, usize, u64);
+
+/// Recorded before the compiled gathers lost their stored level masks.
+#[rustfmt::skip]
+const SMALL: &[Golden] = &[
+    (Physics::Acoustic, Path::Serial, MeshKind::Trench, 300, 2, 2, 0xb117_031e_6413_2fb2),
+    (Physics::Acoustic, Path::Serial, MeshKind::Trench, 300, 3, 2, 0xb68e_73c3_b2fc_a814),
+    (Physics::Acoustic, Path::Serial, MeshKind::Trench, 300, 4, 2, 0x01a5_bb97_085e_de63),
+    (Physics::Acoustic, Path::Serial, MeshKind::TrenchBig, 864, 2, 2, 0xdb5d_83d7_3013_5e42),
+    (Physics::Acoustic, Path::Serial, MeshKind::TrenchBig, 864, 3, 2, 0xaed7_17af_4a9a_263d),
+    (Physics::Acoustic, Path::Serial, MeshKind::TrenchBig, 864, 4, 2, 0xb740_2246_2fab_75b3),
+    (Physics::Acoustic, Path::LocalR2, MeshKind::Trench, 300, 2, 2, 0xd0e9_7af4_b341_a71e),
+    (Physics::Acoustic, Path::LocalR2, MeshKind::Trench, 300, 3, 2, 0xce7a_a461_a665_8352),
+    (Physics::Acoustic, Path::LocalR2, MeshKind::Trench, 300, 4, 2, 0x0fdd_f0d4_e091_16ec),
+    (Physics::Acoustic, Path::LocalR2, MeshKind::TrenchBig, 864, 2, 2, 0xcafb_4c6b_a423_8f12),
+    (Physics::Acoustic, Path::LocalR2, MeshKind::TrenchBig, 864, 3, 2, 0x8eb7_4c9c_bf19_7a04),
+    (Physics::Acoustic, Path::LocalR2, MeshKind::TrenchBig, 864, 4, 2, 0x2195_2f96_786c_377f),
+    (Physics::Elastic, Path::Serial, MeshKind::Trench, 300, 2, 2, 0x4a62_9a09_c7a2_51e5),
+    (Physics::Elastic, Path::Serial, MeshKind::Trench, 300, 3, 2, 0x6cbc_6260_5f12_26b6),
+    (Physics::Elastic, Path::Serial, MeshKind::Trench, 300, 4, 2, 0xea9d_e50f_d0a5_3229),
+    (Physics::Elastic, Path::Serial, MeshKind::TrenchBig, 864, 2, 2, 0x0bcb_ec38_bef9_48e7),
+    (Physics::Elastic, Path::Serial, MeshKind::TrenchBig, 864, 3, 2, 0x05ca_ddea_ad62_f843),
+    (Physics::Elastic, Path::Serial, MeshKind::TrenchBig, 864, 4, 2, 0x917c_1aaa_06bd_8788),
+    (Physics::Elastic, Path::LocalR2, MeshKind::Trench, 300, 2, 2, 0xa61c_be75_b72e_1e33),
+    (Physics::Elastic, Path::LocalR2, MeshKind::Trench, 300, 3, 2, 0x8d27_24e5_ba3d_52ac),
+    (Physics::Elastic, Path::LocalR2, MeshKind::Trench, 300, 4, 2, 0x874e_4942_70ff_d3df),
+    (Physics::Elastic, Path::LocalR2, MeshKind::TrenchBig, 864, 2, 2, 0x4689_4fef_2c63_d2ab),
+    (Physics::Elastic, Path::LocalR2, MeshKind::TrenchBig, 864, 3, 2, 0x5fce_bd24_6d36_ee21),
+    (Physics::Elastic, Path::LocalR2, MeshKind::TrenchBig, 864, 4, 2, 0x0873_0d13_1fee_4a3d),
+];
+
+/// The benchmark's trench order-4 mesh, serial and at two ranks.
+#[rustfmt::skip]
+const BENCH_SIZE: &[Golden] = &[
+    (Physics::Acoustic, Path::Serial, MeshKind::Trench, 8_788, 4, 2, 0xd97b_7cb2_3578_7bf6),
+    (Physics::Acoustic, Path::LocalR2, MeshKind::Trench, 8_788, 4, 2, 0x12c0_53b7_dc79_4c7b),
+];
+
+fn check(cases: &[Golden]) {
+    let mut drift = Vec::new();
+    for &(physics, path, kind, elements, order, steps, want) in cases {
+        let got = run_case(physics, path, kind, elements, order, steps);
+        if got != want {
+            drift.push(format!(
+                "{physics:?} {path:?} {kind:?} {elements} p{order} {steps} steps: \
+                 {got:#018x}, golden {want:#018x}"
+            ));
+        }
+    }
+    assert!(drift.is_empty(), "field drift:\n{}", drift.join("\n"));
+}
+
+#[test]
+fn small_fields_match_golden_hashes() {
+    check(SMALL);
+}
+
+#[test]
+#[ignore = "benchmark-size; run in release with --include-ignored"]
+fn benchmark_size_fields_match_golden_hashes() {
+    check(BENCH_SIZE);
+}

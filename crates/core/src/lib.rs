@@ -31,7 +31,7 @@ pub mod spectral;
 pub mod two_level;
 
 pub use chain1d::Chain1d;
-pub use lts::{LtsNewmark, LtsStats};
+pub use lts::{LevelForce, LevelSets, LevelState, LtsNewmark, LtsStats};
 pub use newmark::Newmark;
 pub use operator::{DofTopology, Operator, Source, Workspace};
 pub use setup::LtsSetup;

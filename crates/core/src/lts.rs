@@ -6,8 +6,8 @@
 //! ```text
 //! f₀ = A P₀ uⁿ                               (frozen over the step)
 //! ũ  = aux(1, uⁿ)                            (advance levels ≥ 1 by Δt)
-//! vⁿ⁺¹ᐟ² = vⁿ⁻¹ᐟ² + 2(ũ − uⁿ)/Δt             on active(1)
 //! vⁿ⁺¹ᐟ² = vⁿ⁻¹ᐟ² − Δt·f₀                    on leaf(0)   (≡ plain Newmark)
+//! vⁿ⁺¹ᐟ² = vⁿ⁻¹ᐟ² + 2(ũ − uⁿ)/Δt             on active(1)
 //! uⁿ⁺¹   = uⁿ + Δt vⁿ⁺¹ᐟ²
 //! ```
 //!
@@ -18,9 +18,15 @@
 //! DOFs whose force is constant during a child's integration (the
 //! `leaf` sets) take plain leap-frog sub-steps — analytically identical to
 //! the recovery (validated against [`crate::reference`] to round-off).
+//!
+//! The recursion is written once, in [`LevelState::step`], over a
+//! [`LevelForce`] hook that evaluates one level's force. [`LtsNewmark`] is
+//! the serial instance; each distributed rank of `lts-runtime` is the other,
+//! adding the assembly exchange of interface DOFs after its masked product.
 
 use crate::operator::{Operator, Source, Workspace};
 use crate::setup::LtsSetup;
+use std::convert::Infallible;
 
 /// Work counters for the Eq. 9 efficiency accounting.
 #[derive(Debug, Clone, Copy, Default)]
@@ -31,17 +37,181 @@ pub struct LtsStats {
     pub n_steps: u64,
 }
 
-/// Multi-level LTS-Newmark stepper.
+/// One level's force evaluation: everything the serial stepper and a
+/// distributed rank do differently.
+pub trait LevelForce {
+    type Error;
+    /// `f = A P_l state` on this stepper's entries of `f`: zero them, apply
+    /// the level's masked product, and (distributed) assemble the totals of
+    /// interface DOFs.
+    fn force(&mut self, l: usize, state: &[f64], f: &mut [f64]) -> Result<(), Self::Error>;
+    /// Add `half·Δ·F(t)/M` at every source whose DOF's leaf level is `l`.
+    fn inject(&self, l: usize, target: &mut [f64], dt: f64, t: f64, half: f64);
+}
+
+/// The DOF sets the recursion walks: an [`LtsSetup`]'s, or a rank's share
+/// of them.
+#[derive(Debug, Clone, Copy)]
+pub struct LevelSets<'s> {
+    /// `active[l]` for every level `l ≥ 1` (`active[0]` is not read).
+    pub active: &'s [Vec<u32>],
+    /// `leaf[l]` for every level.
+    pub leaf: &'s [Vec<u32>],
+    /// The DOFs level 0 integrates; `None` is the whole vector.
+    pub all: Option<&'s [u32]>,
+}
+
+/// A DOF set of the recursion: the whole vector, or a list.
+#[derive(Clone, Copy)]
+enum Dofs<'s> {
+    All,
+    List(&'s [u32]),
+}
+
+impl Dofs<'_> {
+    #[inline]
+    fn each(self, n: usize, mut f: impl FnMut(usize)) {
+        match self {
+            Dofs::All => (0..n).for_each(f),
+            Dofs::List(ds) => ds.iter().for_each(|&i| f(i as usize)),
+        }
+    }
+}
+
+/// The per-level buffers of the recursion: auxiliary displacement and
+/// velocity of every level ≥ 1 (level 0 steps `u`/`v` directly, so
+/// `uts[0]`/`vts[0]` stay unallocated) and every level's force.
+pub struct LevelState {
+    uts: Vec<Vec<f64>>,
+    vts: Vec<Vec<f64>>,
+    fs: Vec<Vec<f64>>,
+}
+
+impl LevelState {
+    /// Buffers for `levels` levels over `n` DOFs.
+    pub fn new(n: usize, levels: usize) -> Self {
+        LevelState {
+            uts: aux_levels(n, levels),
+            vts: aux_levels(n, levels),
+            fs: vec![vec![0.0; n]; levels],
+        }
+    }
+
+    /// Advance one global step `dt` from time `t` (`u = uⁿ`, `v = vⁿ⁻¹ᐟ²`),
+    /// evaluating every force through `hook`.
+    pub fn step<F: LevelForce>(
+        &mut self,
+        hook: &mut F,
+        sets: LevelSets<'_>,
+        dt: f64,
+        u: &mut [f64],
+        v: &mut [f64],
+        t: f64,
+    ) -> Result<(), F::Error> {
+        let (uts, vts) = (&mut self.uts[1..], &mut self.vts[1..]);
+        advance(hook, sets, &mut self.fs, 0, dt, t, (u, v), (uts, vts))
+    }
+}
+
+/// Per-level auxiliary buffers of length `n` for levels `1..levels`; level 0
+/// gets an empty, unallocated slot (it steps the global `u`/`v`).
+fn aux_levels(n: usize, levels: usize) -> Vec<Vec<f64>> {
+    (0..levels)
+        .map(|l| if l == 0 { Vec::new() } else { vec![0.0; n] })
+        .collect()
+}
+
+/// Integrate level `l`: at level 0, one step of `Δt` continuing `(u, v)`;
+/// at level `l ≥ 1`, the auxiliary system over `Δt_{l−1}` — two sub-steps
+/// of `Δt_l` from the state already copied into `u_l`, with zero velocity.
+/// `finer_u`/`finer_v` hold the buffers of levels `l+1..`.
+#[allow(clippy::too_many_arguments)]
+fn advance<F: LevelForce>(
+    hook: &mut F,
+    sets: LevelSets<'_>,
+    fs: &mut [Vec<f64>],
+    l: usize,
+    dt: f64,
+    t0: f64,
+    (u_l, v_l): (&mut [f64], &mut [f64]),
+    (finer_u, finer_v): (&mut [Vec<f64>], &mut [Vec<f64>]),
+) -> Result<(), F::Error> {
+    let dt_l = dt / (1u64 << l) as f64;
+    let n = u_l.len();
+    let all = sets.all.map_or(Dofs::All, Dofs::List);
+    let active = if l == 0 {
+        all
+    } else {
+        Dofs::List(&sets.active[l])
+    };
+    // DOFs this level steps itself: all of its active ones at the innermost
+    // level, otherwise those whose force stays constant while the child runs
+    let own = if finer_u.is_empty() {
+        active
+    } else {
+        Dofs::List(&sets.leaf[l])
+    };
+    for m in 0..if l == 0 { 1 } else { 2 } {
+        // level 0 continues vⁿ⁻¹ᐟ²; an auxiliary level starts from rest
+        let first = l > 0 && m == 0;
+        let tm = t0 + m as f64 * dt_l;
+
+        // f_l = A P_l ũ_m
+        hook.force(l, u_l, &mut fs[l])?;
+        if let (Some((child_u, deeper_u)), Some((child_v, deeper_v))) =
+            (finer_u.split_first_mut(), finer_v.split_first_mut())
+        {
+            for &i in &sets.active[l + 1] {
+                child_u[i as usize] = u_l[i as usize];
+            }
+            advance(
+                hook,
+                sets,
+                fs,
+                l + 1,
+                dt,
+                tm,
+                (child_u, child_v),
+                (deeper_u, deeper_v),
+            )?;
+        }
+        // leap-frog with force Σ_{j≤l} f_j
+        own.each(n, |i| {
+            let mut f = 0.0;
+            for fj in fs[..=l].iter() {
+                f += fj[i];
+            }
+            if first {
+                v_l[i] = -0.5 * dt_l * f;
+            } else {
+                v_l[i] -= dt_l * f;
+            }
+        });
+        hook.inject(l, v_l, dt_l, tm, if first { 0.5 } else { 1.0 });
+        // active(l+1): velocity recovery from the child's displacement
+        if let Some(child_u) = finer_u.first() {
+            for &i in &sets.active[l + 1] {
+                let i = i as usize;
+                let d = (child_u[i] - u_l[i]) / dt_l;
+                if first {
+                    v_l[i] = d;
+                } else {
+                    v_l[i] += 2.0 * d;
+                }
+            }
+        }
+        active.each(n, |i| u_l[i] += dt_l * v_l[i]);
+    }
+    Ok(())
+}
+
+/// Multi-level LTS-Newmark stepper: the serial instance of the recursion.
 pub struct LtsNewmark<'a, O: Operator> {
     pub op: &'a O,
     pub setup: &'a LtsSetup,
     /// The global (coarsest) step `Δt`.
     pub dt: f64,
-    /// Auxiliary displacement/velocity per level. Level 0 steps `u`/`v`
-    /// directly, so `uts[0]`/`vts[0]` stay unallocated.
-    uts: Vec<Vec<f64>>,
-    vts: Vec<Vec<f64>>,
-    fs: Vec<Vec<f64>>,
+    levels: LevelState,
     ws: Workspace,
     /// Intra-rank worker threads for the masked products (1 = serial; the
     /// threaded path is bitwise-identical to serial by construction).
@@ -49,19 +219,58 @@ pub struct LtsNewmark<'a, O: Operator> {
     pub stats: LtsStats,
 }
 
+/// The serial [`LevelForce`]: the masked product over `elems[l]`, no
+/// exchange.
+struct SerialForce<'a, 'w, O: Operator> {
+    op: &'a O,
+    setup: &'a LtsSetup,
+    sources: &'w [Source],
+    ws: &'w mut Workspace,
+    threads: usize,
+    stats: &'w mut LtsStats,
+}
+
+impl<O: Operator> LevelForce for SerialForce<'_, '_, O> {
+    type Error = Infallible;
+
+    fn force(&mut self, l: usize, state: &[f64], f: &mut [f64]) -> Result<(), Infallible> {
+        let s = self.setup;
+        for &i in &s.touched[l] {
+            f[i as usize] = 0.0;
+        }
+        self.op.apply_masked_threads(
+            state,
+            f,
+            &s.elems[l],
+            &s.dof_level,
+            l as u8,
+            self.ws,
+            self.threads,
+        );
+        self.stats.elem_ops += s.elems[l].len() as u64;
+        Ok(())
+    }
+
+    fn inject(&self, l: usize, target: &mut [f64], dt: f64, t: f64, half: f64) {
+        for src in self.sources {
+            let d = src.dof as usize;
+            if self.setup.leaf_level[d] as usize == l {
+                target[d] += half * dt * (src.amplitude)(t) / self.op.mass()[d];
+            }
+        }
+    }
+}
+
 impl<'a, O: Operator> LtsNewmark<'a, O> {
     pub fn new(op: &'a O, setup: &'a LtsSetup, dt: f64) -> Self {
         assert!(dt > 0.0);
         let n = op.ndof();
         assert_eq!(n, setup.dof_level.len());
-        let levels = setup.n_levels;
         LtsNewmark {
             op,
             setup,
             dt,
-            uts: aux_levels(n, levels),
-            vts: aux_levels(n, levels),
-            fs: vec![vec![0.0; n]; levels],
+            levels: LevelState::new(n, setup.n_levels),
             ws: Workspace::new(),
             threads: 1,
             stats: LtsStats::default(),
@@ -76,68 +285,21 @@ impl<'a, O: Operator> LtsNewmark<'a, O> {
     /// Advance one global step from time `t` (`u = uⁿ`, `v = vⁿ⁻¹ᐟ²`).
     pub fn step(&mut self, u: &mut [f64], v: &mut [f64], t: f64, sources: &[Source]) {
         let s = self.setup;
-        let levels = s.n_levels;
-        let dt = self.dt;
-
-        // f₀ = A P₀ uⁿ
-        for &i in &s.touched[0] {
-            self.fs[0][i as usize] = 0.0;
-        }
-        self.op.apply_masked_threads(
-            u,
-            &mut self.fs[0],
-            &s.elems[0],
-            &s.dof_level,
-            0,
-            &mut self.ws,
-            self.threads,
-        );
-        self.stats.elem_ops += s.elems[0].len() as u64;
-
-        if levels == 1 {
-            for (vi, f) in v.iter_mut().zip(&self.fs[0]) {
-                *vi -= dt * f;
-            }
-            inject_sources(self.op, sources, &s.leaf_level, 0, v, dt, t, 1.0);
-            for (ui, vi) in u.iter_mut().zip(v.iter()) {
-                *ui += dt * vi;
-            }
-            self.stats.n_steps += 1;
-            return;
-        }
-
-        // child initial state
-        for &i in &s.active[1] {
-            self.uts[1][i as usize] = u[i as usize];
-        }
-        aux_advance(
-            self.op,
-            s,
-            1,
-            &mut self.uts,
-            &mut self.vts,
-            &mut self.fs,
-            dt,
-            t,
+        let mut hook = SerialForce {
+            op: self.op,
+            setup: s,
             sources,
-            &mut self.stats,
-            &mut self.ws,
-            self.threads,
-        );
-        // velocity recovery on active(1)
-        for &i in &s.active[1] {
-            let i = i as usize;
-            v[i] += 2.0 * (self.uts[1][i] - u[i]) / dt;
-        }
-        // plain Newmark on leaf(0)
-        for &i in &s.leaf[0] {
-            let i = i as usize;
-            v[i] -= dt * self.fs[0][i];
-        }
-        inject_sources(self.op, sources, &s.leaf_level, 0, v, dt, t, 1.0);
-        for (ui, vi) in u.iter_mut().zip(v.iter()) {
-            *ui += dt * vi;
-        }
+            ws: &mut self.ws,
+            threads: self.threads,
+            stats: &mut self.stats,
+        };
+        let sets = LevelSets {
+            active: &s.active,
+            leaf: &s.leaf,
+            all: None,
+        };
+        // qualified, so the call graph of `crates/lint` links this `step` only
+        let Ok(()) = LevelState::step(&mut self.levels, &mut hook, sets, self.dt, u, v, t);
         self.stats.n_steps += 1;
     }
 
@@ -156,175 +318,6 @@ impl<'a, O: Operator> LtsNewmark<'a, O> {
             t += self.dt;
         }
         t
-    }
-}
-
-/// Per-level auxiliary buffers of length `n` for levels `1..levels`; level 0
-/// gets an empty, unallocated slot (it steps the global `u`/`v`).
-pub fn aux_levels(n: usize, levels: usize) -> Vec<Vec<f64>> {
-    (0..levels)
-        .map(|l| if l == 0 { Vec::new() } else { vec![0.0; n] })
-        .collect()
-}
-
-/// Add `Δ·F(t)/M` at every source whose DOF's leaf level is `level`; `half`
-/// scales the first leap-frog half-step.
-// lint: hot-path
-#[allow(clippy::too_many_arguments)]
-fn inject_sources<O: Operator>(
-    op: &O,
-    sources: &[Source],
-    leaf_level: &[u8],
-    level: u8,
-    v: &mut [f64],
-    dt: f64,
-    t: f64,
-    half: f64,
-) {
-    for src in sources {
-        let d = src.dof as usize;
-        if leaf_level[d] == level {
-            v[d] += half * dt * (src.amplitude)(t) / op.mass()[d];
-        }
-    }
-}
-
-/// Integrate the level-`l` auxiliary system over `Δt_{l−1}` (two sub-steps of
-/// `Δt_l`), starting from the state already copied into `uts[l]` with zero
-/// auxiliary velocity.
-// lint: hot-path
-#[allow(clippy::too_many_arguments)]
-fn aux_advance<O: Operator>(
-    op: &O,
-    s: &LtsSetup,
-    l: usize,
-    uts: &mut [Vec<f64>],
-    vts: &mut [Vec<f64>],
-    fs: &mut [Vec<f64>],
-    dt: f64,
-    t0: f64,
-    sources: &[Source],
-    stats: &mut LtsStats,
-    ws: &mut Workspace,
-    threads: usize,
-) {
-    let levels = s.n_levels;
-    let dt_l = dt / (1u64 << l) as f64;
-    let innermost = l == levels - 1;
-
-    for m in 0..2usize {
-        let tm = t0 + m as f64 * dt_l;
-
-        // f_l = A P_l ũ_m
-        for &i in &s.touched[l] {
-            fs[l][i as usize] = 0.0;
-        }
-        {
-            let (fs_lo, fs_hi) = fs.split_at_mut(l);
-            let _ = fs_lo;
-            op.apply_masked_threads(
-                &uts[l],
-                &mut fs_hi[0],
-                &s.elems[l],
-                &s.dof_level,
-                l as u8,
-                ws,
-                threads,
-            );
-        }
-        stats.elem_ops += s.elems[l].len() as u64;
-
-        if innermost {
-            // leap-frog on all active(l) with force Σ_{j≤l} f_j
-            for &i in &s.active[l] {
-                let i = i as usize;
-                let mut f = 0.0;
-                for fj in fs[..=l].iter() {
-                    f += fj[i];
-                }
-                if m == 0 {
-                    vts[l][i] = -0.5 * dt_l * f;
-                } else {
-                    vts[l][i] -= dt_l * f;
-                }
-            }
-            inject_sources(
-                op,
-                sources,
-                &s.leaf_level,
-                l as u8,
-                &mut vts[l],
-                dt_l,
-                tm,
-                if m == 0 { 0.5 } else { 1.0 },
-            );
-            for &i in &s.active[l] {
-                let i = i as usize;
-                uts[l][i] += dt_l * vts[l][i];
-            }
-        } else {
-            // child initial state and recursion
-            {
-                let (cur, rest) = uts.split_at_mut(l + 1);
-                let src = &cur[l];
-                let dst = &mut rest[0];
-                for &i in &s.active[l + 1] {
-                    dst[i as usize] = src[i as usize];
-                }
-            }
-            aux_advance(
-                op,
-                s,
-                l + 1,
-                uts,
-                vts,
-                fs,
-                dt,
-                tm,
-                sources,
-                stats,
-                ws,
-                threads,
-            );
-
-            // leaf(l): plain leap-frog with the (constant-in-child) force
-            for &i in &s.leaf[l] {
-                let i = i as usize;
-                let mut f = 0.0;
-                for fj in fs[..=l].iter() {
-                    f += fj[i];
-                }
-                if m == 0 {
-                    vts[l][i] = -0.5 * dt_l * f;
-                } else {
-                    vts[l][i] -= dt_l * f;
-                }
-            }
-            inject_sources(
-                op,
-                sources,
-                &s.leaf_level,
-                l as u8,
-                &mut vts[l],
-                dt_l,
-                tm,
-                if m == 0 { 0.5 } else { 1.0 },
-            );
-            // active(l+1): velocity recovery from the child's displacement
-            for &i in &s.active[l + 1] {
-                let i = i as usize;
-                let d = (uts[l + 1][i] - uts[l][i]) / dt_l;
-                if m == 0 {
-                    vts[l][i] = d;
-                } else {
-                    vts[l][i] += 2.0 * d;
-                }
-            }
-            for &i in &s.active[l] {
-                let i = i as usize;
-                uts[l][i] += dt_l * vts[l][i];
-            }
-        }
     }
 }
 
@@ -370,11 +363,11 @@ mod tests {
         let mut v = vec![0.0; 6];
         let mut lts = LtsNewmark::new(&c, &setup, dt);
         lts.run(&mut u, &mut v, 0.0, 4, &[]);
-        assert_eq!(lts.uts[0].capacity(), 0);
-        assert_eq!(lts.vts[0].capacity(), 0);
+        assert_eq!(lts.levels.uts[0].capacity(), 0);
+        assert_eq!(lts.levels.vts[0].capacity(), 0);
         for l in 1..3 {
-            assert_eq!(lts.uts[l].len(), 6);
-            assert_eq!(lts.vts[l].len(), 6);
+            assert_eq!(lts.levels.uts[l].len(), 6);
+            assert_eq!(lts.levels.vts[l].len(), 6);
         }
     }
 

@@ -28,8 +28,8 @@ pub struct LtsSetup {
     /// `elems[k]`: elements containing ≥ 1 DOF of level exactly `k`.
     pub elems: Vec<Vec<u32>>,
     /// `active[k]`: DOFs integrated by level `k`'s auxiliary system
-    /// (`active[0]` is the full DOF range and is stored empty as a sentinel —
-    /// use [`LtsSetup::is_full_level`]).
+    /// (`active[0]` is the full DOF range and is stored empty as a
+    /// sentinel).
     pub active: Vec<Vec<u32>>,
     /// `leaf[k] = active[k] \ active[k+1]`.
     pub leaf: Vec<Vec<u32>>,
@@ -41,11 +41,6 @@ pub struct LtsSetup {
 }
 
 impl LtsSetup {
-    /// `active[0]`/`leaf`-set handling: level 0 integrates all DOFs.
-    pub fn is_full_level(&self, level: usize) -> bool {
-        level == 0
-    }
-
     pub fn new<T: DofTopology>(topo: &T, elem_level: &[u8]) -> Self {
         assert_eq!(elem_level.len(), topo.n_elems());
         let ndof = topo.n_dofs();

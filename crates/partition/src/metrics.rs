@@ -76,20 +76,21 @@ pub fn mpi_volume(mesh: &HexMesh, levels: &Levels, part: &[u32]) -> u64 {
 /// levels and the element partition alone.
 ///
 /// The runtime's exchange (`lts-runtime/src/exchange.rs`) sends, for every
-/// `force_level(l)` call and every interface DOF in `touched[l]` shared by
-/// `λ ≥ 2` ranks, one partial value along each *ordered* rank pair — so a
-/// single shared DOF contributes `λ(λ−1)` sent values per call. That is a
-/// redundant-assembly volume, deliberately *not* the connectivity-1 cut of
-/// [`mpi_volume`] (which counts `λ−1` per DOF with `Σ p` net costs).
+/// level-`l` force evaluation (`LevelForce::force`) and every interface DOF
+/// in `touched[l]` shared by `λ ≥ 2` ranks, one partial value along each
+/// *ordered* rank pair — so a single shared DOF contributes `λ(λ−1)` sent
+/// values per call. That is a redundant-assembly volume, deliberately *not*
+/// the connectivity-1 cut of [`mpi_volume`] (which counts `λ−1` per DOF
+/// with `Σ p` net costs).
 ///
 /// Exact when the discretisation's DOFs coincide with the mesh corner nodes,
 /// i.e. polynomial order 1 — the integration tests run at that order and
 /// assert bitwise equality with the runtime registry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExchangeOracle {
-    /// `force_level(l)` calls per global step: `2^l`.
+    /// Level-`l` force evaluations per global step: `2^l`.
     pub calls: Vec<u64>,
-    /// `|elems[l]|` — elements applied per `force_level(l)` call.
+    /// `|elems[l]|` — elements applied per level-`l` force evaluation.
     pub elems: Vec<u64>,
     /// Masked element applications per global step: `calls[l] · |elems[l]|`.
     pub elem_ops: Vec<u64>,

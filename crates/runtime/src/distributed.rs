@@ -2,8 +2,11 @@
 //! exchanges after every masked product, redundant (consistent) updates of
 //! interface DOFs.
 //!
-//! Mirrors [`lts_core::LtsNewmark`]'s recursion exactly; the integration
-//! tests assert agreement with the serial stepper to round-off.
+//! A rank steps through the same recursion as the serial stepper,
+//! [`lts_core::LevelState::step`]; the rank supplies only its
+//! [`LevelForce`] hook — zero its entries, apply boundary then interior
+//! elements, exchange, count — and walks its plan's share of the level DOF
+//! sets.
 //!
 //! Ranks speak to each other only through the pluggable
 //! [`crate::transport::Transport`] trait, so the same stepper runs over
@@ -26,8 +29,9 @@ use crate::monitor::{MonitorConfig, RankMonitor, StallMonitor};
 use crate::stats::{names, RankStats, TimelineEvent};
 use crate::transport::faulty::{self, FaultPlan};
 use crate::transport::{self, Recv, Transport, TransportError, TransportKind};
-use lts_core::lts::aux_levels;
-use lts_core::{DofTopology, LtsSetup, Operator, Source, Workspace};
+use lts_core::{
+    DofTopology, LevelForce, LevelSets, LevelState, LtsSetup, Operator, Source, Workspace,
+};
 use lts_obs::{EventKind, FlightRecorder, MetricsRegistry, RankRecording, NO_LEVEL, NO_PEER};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
@@ -117,11 +121,6 @@ struct RankCtx<'a, O: Operator> {
     /// per leaf level: (index into `sources`, DOF in this rank's numbering)
     my_sources: Vec<Vec<(usize, u32)>>,
     dt: f64,
-    u: Vec<f64>,
-    v: Vec<f64>,
-    uts: Vec<Vec<f64>>,
-    vts: Vec<Vec<f64>>,
-    fs: Vec<Vec<f64>>,
     /// This rank's endpoint of the halo-exchange fabric.
     transport: Box<dyn Transport>,
     /// Peers whose goodbye has been observed.
@@ -231,10 +230,8 @@ fn rank_sources(plan: &RankPlan, setup: &LtsSetup, sources: &[Source]) -> Vec<Ve
 }
 
 impl<'a, O: Operator> RankCtx<'a, O> {
-    /// The single place a rank's state is built and its level buffers are
-    /// sized: `fs` on every level, `uts`/`vts` on levels ≥ 1 only (level 0
-    /// steps `u`/`v` directly), plus per-peer exchange bookkeeping for the
-    /// transport's rank group.
+    /// The single place a rank's context is built, with per-peer exchange
+    /// bookkeeping for the transport's rank group.
     #[allow(clippy::too_many_arguments)]
     fn new(
         rank: usize,
@@ -245,13 +242,11 @@ impl<'a, O: Operator> RankCtx<'a, O> {
         sources: &'a [Source],
         my_sources: Vec<Vec<(usize, u32)>>,
         dt: f64,
-        (u, v): (Vec<f64>, Vec<f64>),
         transport: Box<dyn Transport>,
         flight: FlightRecorder,
         monitor: Option<RankMonitor>,
         cfg: DistributedConfig,
     ) -> Self {
-        let ndof = u.len();
         let n_ranks = transport.n_ranks();
         RankCtx {
             rank,
@@ -262,11 +257,6 @@ impl<'a, O: Operator> RankCtx<'a, O> {
             sources,
             my_sources,
             dt,
-            u,
-            v,
-            uts: aux_levels(ndof, n_levels),
-            vts: aux_levels(ndof, n_levels),
-            fs: vec![vec![0.0; ndof]; n_levels],
             transport,
             gone: vec![false; n_ranks],
             inbox: vec![VecDeque::new(); n_ranks],
@@ -314,69 +304,10 @@ impl<'a, O: Operator> RankCtx<'a, O> {
         }
     }
 
-    /// Apply the masked product over this rank's elements, amplify work,
-    /// then assemble totals on shared DOFs.
-    ///
-    /// Boundary elements are applied first in *both* modes (interface
-    /// partials are then complete, since interior elements by definition
-    /// touch no shared DOF); `overlap` only decides whether the sends are
-    /// posted between the two applies (SPECFEM3D-style, messages fly while
-    /// interior elements compute) or after them. The per-DOF summation
-    /// order — and therefore every field bit — is identical either way.
-    fn force_level(&mut self, l: usize, state_is_u: bool) -> Result<(), RuntimeError> {
-        self.flight
-            .record(EventKind::LevelBegin, l as u8, self.step_idx, NO_PEER, 0);
-        // zero my entries
-        for &i in &self.plan.my_zero[l] {
-            self.fs[l][i as usize] = 0.0;
-        }
-        let has_peers = !self.plan.peers[l].is_empty();
-        if !self.plan.my_boundary_elems[l].is_empty() {
-            let state = if state_is_u { &self.u } else { &self.uts[l] };
-            self.op.apply_masked_threads(
-                state,
-                &mut self.fs[l],
-                &self.plan.my_boundary_elems[l],
-                self.dof_level,
-                l as u8,
-                &mut self.ws,
-                self.cfg.threads_per_rank,
-            );
-        }
-        self.amplify(self.plan.my_boundary_elems[l].len());
-        if has_peers && self.cfg.overlap {
-            self.send_partials(l)?;
-        }
-        if !self.plan.my_interior_elems[l].is_empty() {
-            let state = if state_is_u { &self.u } else { &self.uts[l] };
-            self.op.apply_masked_threads(
-                state,
-                &mut self.fs[l],
-                &self.plan.my_interior_elems[l],
-                self.dof_level,
-                l as u8,
-                &mut self.ws,
-                self.cfg.threads_per_rank,
-            );
-        }
-        self.amplify(self.plan.my_interior_elems[l].len());
-        self.reg
-            .inc_level(names::ELEM_OPS, l as u8, self.plan.my_elems[l].len() as u64);
-        if has_peers {
-            if !self.cfg.overlap {
-                self.send_partials(l)?;
-            }
-            self.recv_and_assemble(l)?;
-        }
-        self.flight
-            .record(EventKind::LevelEnd, l as u8, self.step_idx, NO_PEER, 0);
-        Ok(())
-    }
-
     /// Post this rank's interface partials to every level-`l` peer. Stages
     /// each payload in the reused `send_buf`; allocation-free steady state
     /// (enforced via `lint/hotpaths.toml`).
-    fn send_partials(&mut self, l: usize) -> Result<(), RuntimeError> {
+    fn send_partials(&mut self, l: usize, f: &[f64]) -> Result<(), RuntimeError> {
         let mut dofs_sent = 0u64;
         for pi in 0..self.plan.peers[l].len() {
             let peer = self.plan.peers[l][pi];
@@ -385,7 +316,7 @@ impl<'a, O: Operator> RankCtx<'a, O> {
             }
             self.send_buf.clear();
             for &d in &self.plan.pair_dofs[l][pi] {
-                self.send_buf.push(self.fs[l][d as usize]);
+                self.send_buf.push(f[d as usize]);
             }
             dofs_sent += self.send_buf.len() as u64;
             let seq = self.send_seq[peer];
@@ -412,7 +343,7 @@ impl<'a, O: Operator> RankCtx<'a, O> {
     /// against the exchange plan before any indexing. Buffers recycle
     /// through `pool`; allocation-free steady state (see
     /// `lint/hotpaths.toml`).
-    fn recv_and_assemble(&mut self, l: usize) -> Result<(), RuntimeError> {
+    fn recv_and_assemble(&mut self, l: usize, f: &mut [f64]) -> Result<(), RuntimeError> {
         let busy_s = self.busy_since.elapsed().as_secs_f64();
         self.reg.observe(names::BUSY, Some(l as u8), busy_s);
         self.flight
@@ -550,12 +481,11 @@ impl<'a, O: Operator> RankCtx<'a, O> {
         self.cursors.resize(np, 0);
         let rank = self.rank;
         let plan = self.plan;
-        let fs_l = &mut self.fs[l];
         for (d, ranks) in plan.shared[l].entries() {
             let mut total = 0.0;
             for &r in ranks {
                 if r as usize == rank {
-                    total += fs_l[d as usize];
+                    total += f[d as usize];
                 } else {
                     let pi = match plan.peers[l].iter().position(|&p| p == r as usize) {
                         Some(pi) => pi,
@@ -570,7 +500,7 @@ impl<'a, O: Operator> RankCtx<'a, O> {
                     }
                 }
             }
-            fs_l[d as usize] = total;
+            f[d as usize] = total;
         }
         // recycle the payload buffers for the next exchange
         while let Some(p) = self.pending.pop() {
@@ -582,131 +512,27 @@ impl<'a, O: Operator> RankCtx<'a, O> {
         Ok(())
     }
 
-    /// Inject `Δ·F(t)/M` for this rank's sources at `level` into `target`
-    /// (`vts[level]` or the global `v`).
-    fn inject(&self, level: usize, target: &mut [f64], dt: f64, t: f64, half: f64) {
-        for &(si, dof) in &self.my_sources[level] {
-            let src = &self.sources[si];
-            let d = dof as usize;
-            target[d] += half * dt * (src.amplitude)(t) / self.op.mass()[d];
-        }
-    }
-
-    fn aux_advance(&mut self, l: usize, t0: f64) -> Result<(), RuntimeError> {
-        let levels = self.n_levels;
-        let dt_l = self.dt / (1u64 << l) as f64;
-        let innermost = l == levels - 1;
-        for m in 0..2usize {
-            let tm = t0 + m as f64 * dt_l;
-            self.force_level(l, false)?;
-            if innermost {
-                for ai in 0..self.plan.my_active[l].len() {
-                    let i = self.plan.my_active[l][ai] as usize;
-                    let mut f = 0.0;
-                    for fj in self.fs[..=l].iter() {
-                        f += fj[i];
-                    }
-                    if m == 0 {
-                        self.vts[l][i] = -0.5 * dt_l * f;
-                    } else {
-                        self.vts[l][i] -= dt_l * f;
-                    }
-                }
-                {
-                    let (vts_lo, vts_hi) = self.vts.split_at_mut(l);
-                    let _ = vts_lo;
-                    let mut tmp = std::mem::take(&mut vts_hi[0]);
-                    self.inject(l, &mut tmp, dt_l, tm, if m == 0 { 0.5 } else { 1.0 });
-                    self.vts[l] = tmp;
-                }
-                for ai in 0..self.plan.my_active[l].len() {
-                    let i = self.plan.my_active[l][ai] as usize;
-                    self.uts[l][i] += dt_l * self.vts[l][i];
-                }
-            } else {
-                {
-                    let (cur, rest) = self.uts.split_at_mut(l + 1);
-                    let src = &cur[l];
-                    let dst = &mut rest[0];
-                    for &i in &self.plan.my_active[l + 1] {
-                        dst[i as usize] = src[i as usize];
-                    }
-                }
-                self.aux_advance(l + 1, tm)?;
-                for ai in 0..self.plan.my_leaf[l].len() {
-                    let i = self.plan.my_leaf[l][ai] as usize;
-                    let mut f = 0.0;
-                    for fj in self.fs[..=l].iter() {
-                        f += fj[i];
-                    }
-                    if m == 0 {
-                        self.vts[l][i] = -0.5 * dt_l * f;
-                    } else {
-                        self.vts[l][i] -= dt_l * f;
-                    }
-                }
-                {
-                    let mut tmp = std::mem::take(&mut self.vts[l]);
-                    self.inject(l, &mut tmp, dt_l, tm, if m == 0 { 0.5 } else { 1.0 });
-                    self.vts[l] = tmp;
-                }
-                for ai in 0..self.plan.my_active[l + 1].len() {
-                    let i = self.plan.my_active[l + 1][ai] as usize;
-                    let d = (self.uts[l + 1][i] - self.uts[l][i]) / dt_l;
-                    if m == 0 {
-                        self.vts[l][i] = d;
-                    } else {
-                        self.vts[l][i] += 2.0 * d;
-                    }
-                }
-                for ai in 0..self.plan.my_active[l].len() {
-                    let i = self.plan.my_active[l][ai] as usize;
-                    self.uts[l][i] += dt_l * self.vts[l][i];
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn step(&mut self, t: f64) -> Result<(), RuntimeError> {
+    /// One global step through the shared recursion, framed by the step's
+    /// flight events.
+    fn step(
+        &mut self,
+        levels: &mut LevelState,
+        u: &mut [f64],
+        v: &mut [f64],
+        t: f64,
+    ) -> Result<(), RuntimeError> {
         self.flight
             .record(EventKind::StepBegin, NO_LEVEL, self.step_idx, NO_PEER, 0);
-        let levels = self.n_levels;
+        let plan = self.plan;
+        let sets = LevelSets {
+            active: &plan.my_active,
+            leaf: &plan.my_leaf,
+            // a local rank owns its whole vector, a replicated one a subset
+            all: (plan.my_dofs.len() != u.len()).then_some(&plan.my_dofs[..]),
+        };
         let dt = self.dt;
-        self.force_level(0, true)?;
-        if levels == 1 {
-            for &i in &self.plan.my_dofs {
-                let i = i as usize;
-                self.v[i] -= dt * self.fs[0][i];
-            }
-            let mut tmp = std::mem::take(&mut self.v);
-            self.inject(0, &mut tmp, dt, t, 1.0);
-            self.v = tmp;
-            for &i in &self.plan.my_dofs {
-                let i = i as usize;
-                self.u[i] += dt * self.v[i];
-            }
-        } else {
-            for &i in &self.plan.my_active[1] {
-                self.uts[1][i as usize] = self.u[i as usize];
-            }
-            self.aux_advance(1, t)?;
-            for &i in &self.plan.my_active[1] {
-                let i = i as usize;
-                self.v[i] += 2.0 * (self.uts[1][i] - self.u[i]) / dt;
-            }
-            for &i in &self.plan.my_leaf[0] {
-                let i = i as usize;
-                self.v[i] -= dt * self.fs[0][i];
-            }
-            let mut tmp = std::mem::take(&mut self.v);
-            self.inject(0, &mut tmp, dt, t, 1.0);
-            self.v = tmp;
-            for &i in &self.plan.my_dofs {
-                let i = i as usize;
-                self.u[i] += dt * self.v[i];
-            }
-        }
+        // qualified, so the call graph of `crates/lint` links this `step` only
+        LevelState::step(levels, self, sets, dt, u, v, t)?;
         self.flight
             .record(EventKind::StepEnd, NO_LEVEL, self.step_idx, NO_PEER, 0);
         self.step_idx += 1;
@@ -714,16 +540,91 @@ impl<'a, O: Operator> RankCtx<'a, O> {
     }
 }
 
+impl<O: Operator> LevelForce for RankCtx<'_, O> {
+    type Error = RuntimeError;
+
+    /// Apply the masked product over this rank's elements, amplify work,
+    /// then assemble totals on shared DOFs.
+    ///
+    /// Boundary elements are applied first in *both* modes (interface
+    /// partials are then complete, since interior elements by definition
+    /// touch no shared DOF); `overlap` only decides whether the sends are
+    /// posted between the two applies (SPECFEM3D-style, messages fly while
+    /// interior elements compute) or after them. The per-DOF summation
+    /// order — and therefore every field bit — is identical either way.
+    fn force(&mut self, l: usize, state: &[f64], f: &mut [f64]) -> Result<(), RuntimeError> {
+        self.flight
+            .record(EventKind::LevelBegin, l as u8, self.step_idx, NO_PEER, 0);
+        // zero my entries
+        for &i in &self.plan.my_zero[l] {
+            f[i as usize] = 0.0;
+        }
+        let has_peers = !self.plan.peers[l].is_empty();
+        if !self.plan.my_boundary_elems[l].is_empty() {
+            self.op.apply_masked_threads(
+                state,
+                f,
+                &self.plan.my_boundary_elems[l],
+                self.dof_level,
+                l as u8,
+                &mut self.ws,
+                self.cfg.threads_per_rank,
+            );
+        }
+        self.amplify(self.plan.my_boundary_elems[l].len());
+        if has_peers && self.cfg.overlap {
+            self.send_partials(l, f)?;
+        }
+        if !self.plan.my_interior_elems[l].is_empty() {
+            self.op.apply_masked_threads(
+                state,
+                f,
+                &self.plan.my_interior_elems[l],
+                self.dof_level,
+                l as u8,
+                &mut self.ws,
+                self.cfg.threads_per_rank,
+            );
+        }
+        self.amplify(self.plan.my_interior_elems[l].len());
+        self.reg
+            .inc_level(names::ELEM_OPS, l as u8, self.plan.my_elems[l].len() as u64);
+        if has_peers {
+            if !self.cfg.overlap {
+                self.send_partials(l, f)?;
+            }
+            self.recv_and_assemble(l, f)?;
+        }
+        self.flight
+            .record(EventKind::LevelEnd, l as u8, self.step_idx, NO_PEER, 0);
+        Ok(())
+    }
+
+    /// Inject `Δ·F(t)/M` for this rank's sources at `level` into `target`.
+    fn inject(&self, level: usize, target: &mut [f64], dt: f64, t: f64, half: f64) {
+        for &(si, dof) in &self.my_sources[level] {
+            let src = &self.sources[si];
+            let d = dof as usize;
+            target[d] += half * dt * (src.amplitude)(t) / self.op.mass()[d];
+        }
+    }
+}
+
 /// Drive one rank's context for `n_steps`, then stamp its transport metrics
 /// (labelled by backend) and close the endpoint so peers observe a clean
 /// goodbye. On error the context drops, which closes the endpoint too —
 /// that drop is what propagates the failure cascade.
-fn run_rank_loop<O: Operator>(mut ctx: RankCtx<'_, O>, n_steps: usize) -> (RankRun, RankRecording) {
+fn run_rank_loop<O: Operator>(
+    mut ctx: RankCtx<'_, O>,
+    (mut u, mut v): Fields,
+    n_steps: usize,
+) -> (Outcome<Fields>, RankRecording) {
+    let mut levels = LevelState::new(u.len(), ctx.n_levels);
     ctx.precompile();
     ctx.busy_since = Instant::now();
     let dt = ctx.dt;
     for step in 0..n_steps {
-        if let Err(e) = ctx.step(step as f64 * dt) {
+        if let Err(e) = ctx.step(&mut levels, &mut u, &mut v, step as f64 * dt) {
             // terminal fault event, then freeze the ring for the post-mortem
             let (level, peer) = fault_context(&e);
             ctx.flight
@@ -751,8 +652,7 @@ fn run_rank_loop<O: Operator>(mut ctx: RankCtx<'_, O>, n_steps: usize) -> (RankR
     let rec = ctx.flight.snapshot(rank as u32);
     (
         Ok((
-            ctx.u,
-            ctx.v,
+            (u, v),
             RankStats::from_registry(rank, ctx.reg, ctx.timeline),
         )),
         rec,
@@ -921,111 +821,124 @@ fn run_endpoints_with_plans<O: Operator + DofTopology + Sync>(
     sources: &[Source],
     endpoints: Vec<Box<dyn Transport>>,
 ) -> (Vec<RankRun>, Vec<RankPlan>, Vec<RankRecording>) {
-    let endpoints = apply_fault_plan(endpoints, cfg.fault);
+    let plans = build_plans(op, setup, partition, endpoints.len());
+    assert_eq!(u0.len(), Operator::ndof(op));
+    let (outcomes, recordings) = run_rank_threads(
+        plans.iter().collect(),
+        endpoints,
+        cfg,
+        setup.n_levels,
+        |rank, plan, transport, flight, monitor| {
+            let ctx = RankCtx::new(
+                rank,
+                op,
+                setup.n_levels,
+                &setup.dof_level,
+                plan,
+                sources,
+                rank_sources(plan, setup, sources),
+                dt,
+                transport,
+                flight,
+                monitor,
+                *cfg,
+            );
+            run_rank_loop(ctx, (u0.to_vec(), v0.to_vec()), n_steps)
+        },
+    );
+    let outcomes = outcomes
+        .into_iter()
+        .map(|o| o.map(|((u, v), st)| (u, v, st)))
+        .collect();
+    (outcomes, plans, recordings)
+}
+
+/// One rank's result with its statistics, or its failure.
+type Outcome<R> = Result<(R, RankStats), RuntimeError>;
+
+/// A rank's `(u, v)`.
+type Fields = (Vec<f64>, Vec<f64>);
+
+/// The rank-thread driver: runs `rank_main(rank, world, endpoint, flight
+/// recorder, monitor)` on one scoped thread per rank, every recorder on one
+/// epoch so the recordings share a time axis. All threads are joined
+/// before anything propagates: a failed rank's endpoint closes, which
+/// unblocks any peer still waiting in recv (goodbye cascade). A panicked
+/// rank yields [`RuntimeError::RankPanicked`] and an empty recording. The
+/// monitor's λ gauges are then stamped into every surviving registry.
+fn run_rank_threads<W: Send, R: Send>(
+    worlds: Vec<W>,
+    endpoints: Vec<Box<dyn Transport>>,
+    cfg: &DistributedConfig,
+    n_levels: usize,
+    rank_main: impl Fn(
+            usize,
+            W,
+            Box<dyn Transport>,
+            FlightRecorder,
+            Option<RankMonitor>,
+        ) -> (Outcome<R>, RankRecording)
+        + Sync,
+) -> (Vec<Outcome<R>>, Vec<RankRecording>) {
     let n_ranks = endpoints.len();
-    let plans = build_plans(op, setup, partition, n_ranks);
-    let ndof = Operator::ndof(op);
-    assert_eq!(u0.len(), ndof);
+    let endpoints = apply_fault_plan(endpoints, cfg.fault);
     let monitor = cfg
         .stall_monitor
-        .map(|mc| StallMonitor::new(mc, n_ranks, setup.n_levels));
-    // one epoch across the rank group, so the recordings share a time axis
+        .map(|mc| StallMonitor::new(mc, n_ranks, n_levels));
     let epoch = Instant::now();
-
-    type Joined = (RankRun, RankRecording);
-    let (mut outcomes, recordings): (Vec<RankRun>, Vec<RankRecording>) =
+    let (rank_main, monitor_ref) = (&rank_main, &monitor);
+    let (mut outcomes, recordings): (Vec<Outcome<R>>, Vec<RankRecording>) =
         std::thread::scope(|scope| {
-            let mut handles: Vec<std::thread::ScopedJoinHandle<Joined>> = Vec::new();
-            for (rank, transport) in endpoints.into_iter().enumerate() {
-                let plan = &plans[rank];
-                let cfg = *cfg;
-                let mon = monitor.clone();
-                handles.push(scope.spawn(move || {
-                    let ctx = RankCtx::new(
-                        rank,
-                        op,
-                        setup.n_levels,
-                        &setup.dof_level,
-                        plan,
-                        sources,
-                        rank_sources(plan, setup, sources),
-                        dt,
-                        (u0.to_vec(), v0.to_vec()),
-                        transport,
-                        FlightRecorder::with_epoch(cfg.flight_capacity, epoch),
-                        mon.map(|s| RankMonitor::new(s, rank)),
-                        cfg,
-                    );
-                    run_rank_loop(ctx, n_steps)
-                }));
-            }
-            // join everyone before propagating: a failed rank's endpoint
-            // closes, which unblocks any peer still waiting in recv
-            // (goodbye cascade)
-            let mut runs = Vec::with_capacity(n_ranks);
-            let mut recs = Vec::with_capacity(n_ranks);
-            for (rank, h) in handles.into_iter().enumerate() {
-                match h.join() {
-                    Ok((run, rec)) => {
-                        runs.push(run);
-                        recs.push(rec);
-                    }
-                    Err(_) => {
-                        runs.push(Err(RuntimeError::RankPanicked { rank }));
-                        recs.push(RankRecording {
+            let handles: Vec<_> = worlds
+                .into_iter()
+                .zip(endpoints)
+                .enumerate()
+                .map(|(rank, (world, transport))| {
+                    scope.spawn(move || {
+                        let flight = FlightRecorder::with_epoch(cfg.flight_capacity, epoch);
+                        let mon = monitor_ref.clone().map(|s| RankMonitor::new(s, rank));
+                        rank_main(rank, world, transport, flight, mon)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .enumerate()
+                .map(|(rank, h)| {
+                    h.join().unwrap_or_else(|_| {
+                        let rec = RankRecording {
                             rank: rank as u32,
                             dropped: 0,
                             events: Vec::new(),
-                        });
-                    }
-                }
-            }
-            (runs, recs)
+                        };
+                        (Err(RuntimeError::RankPanicked { rank }), rec)
+                    })
+                })
+                .unzip()
         });
     stamp_lambda_gauges(
         monitor.as_deref(),
         outcomes
             .iter_mut()
-            .filter_map(|o| o.as_mut().ok().map(|(_, _, st)| &mut st.registry)),
+            .filter_map(|o| o.as_mut().ok().map(|(_, st)| &mut st.registry)),
     );
-    (outcomes, plans, recordings)
+    (outcomes, recordings)
 }
 
 /// Run ONE rank of a globally-replicated distributed run on an
-/// already-connected endpoint — the building block of the multi-process
-/// runner: `wave-lts worker` rebuilds its mesh and exchange plan
-/// deterministically, dials the coordinator, and calls this with the
-/// resulting [`crate::transport::socket::SocketTransport`].
+/// already-connected endpoint, returning its flight recording on success
+/// *and* failure — the building block of the multi-process runner:
+/// `wave-lts worker` rebuilds its mesh and exchange plan deterministically,
+/// dials the coordinator, calls this with the resulting
+/// [`crate::transport::socket::SocketTransport`], and ships the recording
+/// back as a [`crate::transport::codec::Frame::Flight`] so multi-process
+/// post-mortems causally align with in-process ones. The recorder gets its
+/// own epoch here (one per OS process); the causal merge never compares raw
+/// timestamps across ranks.
 ///
 /// The online stall monitor needs shared-memory aggregation across ranks,
 /// so it is not run here regardless of `cfg.stall_monitor`; the
 /// deterministic counters and busy/wait histograms are recorded as usual.
-#[allow(clippy::too_many_arguments)]
-pub fn run_rank_endpoint<O: Operator>(
-    op: &O,
-    setup: &LtsSetup,
-    plan: &RankPlan,
-    rank: usize,
-    dt: f64,
-    u0: &[f64],
-    v0: &[f64],
-    n_steps: usize,
-    cfg: &DistributedConfig,
-    sources: &[Source],
-    transport: Box<dyn Transport>,
-) -> RankRun {
-    run_rank_endpoint_recorded(
-        op, setup, plan, rank, dt, u0, v0, n_steps, cfg, sources, transport,
-    )
-    .0
-}
-
-/// [`run_rank_endpoint`] plus this rank's flight recording, returned on
-/// success *and* failure — what `wave-lts worker` ships back to the
-/// coordinator as a [`crate::transport::codec::Frame::Flight`] so
-/// multi-process post-mortems causally align with in-process ones. The
-/// recorder gets its own epoch here (one per OS process); the causal merge
-/// never compares raw timestamps across ranks.
 #[allow(clippy::too_many_arguments)]
 pub fn run_rank_endpoint_recorded<O: Operator>(
     op: &O,
@@ -1049,13 +962,13 @@ pub fn run_rank_endpoint_recorded<O: Operator>(
         sources,
         rank_sources(plan, setup, sources),
         dt,
-        (u0.to_vec(), v0.to_vec()),
         transport,
         FlightRecorder::new(cfg.flight_capacity),
         None,
         *cfg,
     );
-    run_rank_loop(ctx, n_steps)
+    let (run, rec) = run_rank_loop(ctx, (u0.to_vec(), v0.to_vec()), n_steps);
+    (run.map(|((u, v), st)| (u, v, st)), rec)
 }
 
 /// One rank's complete owned world for the distributed-memory runner
@@ -1065,7 +978,6 @@ pub struct LocalRank<O: Operator> {
     pub op: O,
     pub n_levels: usize,
     pub dof_level: Vec<u8>,
-    pub leaf_level: Vec<u8>,
     pub plan: RankPlan,
     pub u: Vec<f64>,
     pub v: Vec<f64>,
@@ -1075,35 +987,15 @@ pub struct LocalRank<O: Operator> {
     pub global_of_local: Vec<u32>,
 }
 
-/// Spawn one thread per pre-built [`LocalRank`] world and run `n_steps` over
-/// the configured transport backend. Returns each rank's final
-/// `(u, v, global_of_local)` plus statistics.
-pub fn run_rank_contexts<O: Operator + Send>(
-    ranks: Vec<LocalRank<O>>,
-    dt: f64,
-    n_steps: usize,
-    cfg: &DistributedConfig,
-    sources: &[Source],
-) -> Result<(Vec<RankResult>, Vec<RankStats>), RuntimeError> {
-    let (outcomes, _recordings) = run_rank_contexts_recorded(ranks, dt, n_steps, cfg, sources);
-    let mut flat_results: Vec<RankResult> = Vec::with_capacity(outcomes.len());
-    let mut flat_stats: Vec<RankStats> = Vec::with_capacity(outcomes.len());
-    // lowest failed rank wins, matching the pre-recorder behaviour
-    for o in outcomes {
-        let (res, st) = o?;
-        flat_results.push(res);
-        flat_stats.push(st);
-    }
-    Ok((flat_results, flat_stats))
-}
-
 /// One rank's outcome from [`run_rank_contexts_recorded`].
-pub type RankContextRun = Result<(RankResult, RankStats), RuntimeError>;
+pub type RankContextRun = Outcome<RankResult>;
 
-/// [`run_rank_contexts`] returning **each rank's own outcome** plus its
-/// flight recording — on failure the recordings are exactly the material a
-/// crash report needs, and the λ gauges are already stamped into every
-/// surviving rank's registry.
+/// Spawn one thread per pre-built [`LocalRank`] world and run `n_steps` over
+/// the configured transport backend, returning **each rank's own outcome**
+/// — its final `(u, v, global_of_local)` plus statistics — and its flight
+/// recording. On failure the recordings are exactly the material a crash
+/// report needs, and the λ gauges are already stamped into every surviving
+/// rank's registry.
 pub fn run_rank_contexts_recorded<O: Operator + Send>(
     ranks: Vec<LocalRank<O>>,
     dt: f64,
@@ -1111,84 +1003,32 @@ pub fn run_rank_contexts_recorded<O: Operator + Send>(
     cfg: &DistributedConfig,
     sources: &[Source],
 ) -> (Vec<RankContextRun>, Vec<RankRecording>) {
-    let n_ranks = ranks.len();
-    let monitor = cfg.stall_monitor.map(|mc| {
-        let n_levels = ranks.first().map_or(1, |r| r.n_levels);
-        StallMonitor::new(mc, n_ranks, n_levels)
-    });
-    let endpoints = apply_fault_plan(transport::make_cluster(cfg.transport, n_ranks), cfg.fault);
-    let epoch = Instant::now();
-    type Joined = (
-        Result<(Vec<f64>, Vec<f64>, Vec<u32>, RankStats), RuntimeError>,
-        RankRecording,
-    );
-    let (mut outcomes, recordings): (Vec<_>, Vec<RankRecording>) = std::thread::scope(|scope| {
-        let mut handles: Vec<std::thread::ScopedJoinHandle<Joined>> = Vec::new();
-        for ((rank, world), transport) in ranks.into_iter().enumerate().zip(endpoints) {
-            let cfg = *cfg;
-            let mon = monitor.clone();
-            handles.push(scope.spawn(move || {
-                let LocalRank {
-                    op,
-                    n_levels,
-                    dof_level,
-                    leaf_level: _,
-                    plan,
-                    u,
-                    v,
-                    my_sources,
-                    global_of_local,
-                } = world;
-                let ctx = RankCtx::new(
-                    rank,
-                    &op,
-                    n_levels,
-                    &dof_level,
-                    &plan,
-                    sources,
-                    my_sources,
-                    dt,
-                    (u, v),
-                    transport,
-                    FlightRecorder::with_epoch(cfg.flight_capacity, epoch),
-                    mon.map(|s| RankMonitor::new(s, rank)),
-                    cfg,
-                );
-                let (run, rec) = run_rank_loop(ctx, n_steps);
-                (run.map(|(u, v, st)| (u, v, global_of_local, st)), rec)
-            }));
-        }
-        let mut runs = Vec::with_capacity(n_ranks);
-        let mut recs = Vec::with_capacity(n_ranks);
-        for (rank, h) in handles.into_iter().enumerate() {
-            match h.join() {
-                Ok((run, rec)) => {
-                    runs.push(run);
-                    recs.push(rec);
-                }
-                Err(_) => {
-                    runs.push(Err(RuntimeError::RankPanicked { rank }));
-                    recs.push(RankRecording {
-                        rank: rank as u32,
-                        dropped: 0,
-                        events: Vec::new(),
-                    });
-                }
-            }
-        }
-        (runs, recs)
-    });
-    stamp_lambda_gauges(
-        monitor.as_deref(),
-        outcomes
-            .iter_mut()
-            .filter_map(|o| o.as_mut().ok().map(|(_, _, _, st)| &mut st.registry)),
-    );
-    let outcomes = outcomes
-        .into_iter()
-        .map(|o| o.map(|(u, v, map, st)| ((u, v, map), st)))
-        .collect();
-    (outcomes, recordings)
+    let n_levels = ranks.first().map_or(1, |r| r.n_levels);
+    let endpoints = transport::make_cluster(cfg.transport, ranks.len());
+    run_rank_threads(
+        ranks,
+        endpoints,
+        cfg,
+        n_levels,
+        |rank, world, transport, flight, monitor| {
+            let LocalRank {
+                op,
+                n_levels,
+                dof_level,
+                plan,
+                u,
+                v,
+                my_sources,
+                global_of_local,
+            } = world;
+            let ctx = RankCtx::new(
+                rank, &op, n_levels, &dof_level, &plan, sources, my_sources, dt, transport, flight,
+                monitor, *cfg,
+            );
+            let (run, rec) = run_rank_loop(ctx, (u, v), n_steps);
+            (run.map(|((u, v), st)| ((u, v, global_of_local), st)), rec)
+        },
+    )
 }
 
 #[cfg(test)]
@@ -1214,43 +1054,6 @@ mod tests {
         (0..n)
             .map(|i| (-((i as f64 - n as f64 / 2.5) / 2.0).powi(2)).exp())
             .collect()
-    }
-
-    /// `RankCtx::new` sizes the level buffers: level 0 steps the rank's
-    /// `u`/`v`, so its auxiliary buffers stay unallocated through stepping.
-    #[test]
-    fn level0_aux_buffers_have_zero_capacity() {
-        let c = Chain1d::with_velocities(vec![1.0, 1.0, 1.0, 2.0, 4.0], 1.0);
-        let (lv, dt) = c.assign_levels(0.5, 3);
-        let setup = LtsSetup::new(&c, &lv);
-        assert_eq!(setup.n_levels, 3);
-        let plans = build_plans(&c, &setup, &[0; 5], 1);
-        let cfg = DistributedConfig::new(1);
-        let transport = transport::make_cluster(cfg.transport, 1).pop().unwrap();
-        let mut ctx = RankCtx::new(
-            0,
-            &c,
-            setup.n_levels,
-            &setup.dof_level,
-            &plans[0],
-            &[],
-            rank_sources(&plans[0], &setup, &[]),
-            dt,
-            (gaussian(6), vec![0.0; 6]),
-            transport,
-            FlightRecorder::new(0),
-            None,
-            cfg,
-        );
-        for step in 0..3 {
-            ctx.step(step as f64 * dt).unwrap();
-        }
-        assert_eq!(ctx.uts[0].capacity(), 0);
-        assert_eq!(ctx.vts[0].capacity(), 0);
-        for l in 1..3 {
-            assert_eq!(ctx.uts[l].len(), 6);
-            assert_eq!(ctx.vts[l].len(), 6);
-        }
     }
 
     #[test]

@@ -28,8 +28,8 @@ pub mod transport;
 
 pub use distributed::{
     flight_capacity_from_env, run_distributed, run_distributed_endpoints,
-    run_distributed_endpoints_recorded, run_distributed_with_sources, run_rank_endpoint,
-    run_rank_endpoint_recorded, DistributedConfig, RankRun,
+    run_distributed_endpoints_recorded, run_distributed_with_sources, run_rank_endpoint_recorded,
+    DistributedConfig, RankRun,
 };
 pub use error::RuntimeError;
 pub use local::{

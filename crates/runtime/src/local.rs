@@ -8,17 +8,70 @@
 //! rank-local DOF/element numbering up front). Verified bitwise against the
 //! serial stepper.
 
-use crate::distributed::RunResult;
 use crate::distributed::{
-    run_rank_contexts_recorded, DistributedConfig, LocalRank, RankContextRun, RankResult,
+    run_rank_contexts_recorded, DistributedConfig, LocalRank, RankContextRun, RankResult, RunResult,
 };
 use crate::exchange::{build_plans, elems_by_rank, RankPlan, SharedDofs};
 use crate::stats::RankStats;
 use crate::RuntimeError;
-use lts_core::{LtsSetup, Operator, Source};
+use lts_core::{DofTopology, LtsSetup, Operator, Source};
 use lts_mesh::{HexMesh, Levels};
 use lts_obs::{MetricsRegistry, RankRecording};
 use lts_sem::{AcousticOperator, ElasticOperator, UnstructuredAcoustic, UnstructuredElastic};
+
+/// A SEM operator a rank builds over its own elements, paired with the
+/// global operator the decomposer discretizes first.
+trait LocalOperator: Operator + Send + Sized {
+    /// The global discretization (mass and level sets).
+    type Global: Operator + DofTopology;
+    /// DOF components per GLL node (global DOF = components·node + comp).
+    const COMPONENTS: u32;
+    fn global(mesh: &HexMesh, order: usize) -> Self::Global;
+    /// The local operator over `elems` and its local→global node map,
+    /// numbered through `node_map` (see
+    /// [`UnstructuredAcoustic::from_subset_in`]).
+    fn from_subset_in(
+        mesh: &HexMesh,
+        order: usize,
+        elems: &[u32],
+        node_mass: &dyn Fn(u32) -> f64,
+        node_map: &mut [u32],
+    ) -> (Self, Vec<u32>);
+}
+
+impl LocalOperator for UnstructuredAcoustic {
+    type Global = AcousticOperator;
+    const COMPONENTS: u32 = 1;
+    fn global(mesh: &HexMesh, order: usize) -> AcousticOperator {
+        AcousticOperator::new(mesh, order)
+    }
+    fn from_subset_in(
+        mesh: &HexMesh,
+        order: usize,
+        elems: &[u32],
+        node_mass: &dyn Fn(u32) -> f64,
+        node_map: &mut [u32],
+    ) -> (Self, Vec<u32>) {
+        UnstructuredAcoustic::from_subset_in(mesh, order, elems, Some(node_mass), node_map)
+    }
+}
+
+impl LocalOperator for UnstructuredElastic {
+    type Global = ElasticOperator;
+    const COMPONENTS: u32 = 3;
+    fn global(mesh: &HexMesh, order: usize) -> ElasticOperator {
+        ElasticOperator::poisson(mesh, order)
+    }
+    fn from_subset_in(
+        mesh: &HexMesh,
+        order: usize,
+        elems: &[u32],
+        node_mass: &dyn Fn(u32) -> f64,
+        node_map: &mut [u32],
+    ) -> (Self, Vec<u32>) {
+        UnstructuredElastic::from_subset_in(mesh, order, elems, Some(node_mass), node_map)
+    }
+}
 
 /// Run partitioned LTS with per-rank local memory on the acoustic SEM.
 ///
@@ -38,10 +91,11 @@ pub fn run_distributed_local_acoustic(
     cfg: &DistributedConfig,
     sources: &[Source],
 ) -> RunResult {
-    let mut host = MetricsRegistry::new();
-    run_distributed_local_acoustic_observed(
-        mesh, levels, order, partition, dt, u0, v0, n_steps, cfg, sources, &mut host,
+    let host = &mut MetricsRegistry::new();
+    run_local::<UnstructuredAcoustic>(
+        mesh, levels, order, partition, dt, u0, v0, n_steps, cfg, sources, host,
     )
+    .0
 }
 
 /// [`run_distributed_local_acoustic`] recording the decomposer phases
@@ -62,7 +116,7 @@ pub fn run_distributed_local_acoustic_observed(
     sources: &[Source],
     host: &mut MetricsRegistry,
 ) -> RunResult {
-    run_distributed_local_acoustic_flight(
+    run_local::<UnstructuredAcoustic>(
         mesh, levels, order, partition, dt, u0, v0, n_steps, cfg, sources, host,
     )
     .0
@@ -87,10 +141,97 @@ pub fn run_distributed_local_acoustic_flight(
     sources: &[Source],
     host: &mut MetricsRegistry,
 ) -> (RunResult, Vec<RankRecording>) {
+    run_local::<UnstructuredAcoustic>(
+        mesh, levels, order, partition, dt, u0, v0, n_steps, cfg, sources, host,
+    )
+}
+
+/// [`run_distributed_local_acoustic`] for the elastic operator: local node
+/// numbering with three interleaved components per node.
+#[allow(clippy::too_many_arguments)]
+pub fn run_distributed_local_elastic(
+    mesh: &HexMesh,
+    levels: &Levels,
+    order: usize,
+    partition: &[u32],
+    dt: f64,
+    u0: &[f64],
+    v0: &[f64],
+    n_steps: usize,
+    cfg: &DistributedConfig,
+    sources: &[Source],
+) -> RunResult {
+    let host = &mut MetricsRegistry::new();
+    run_local::<UnstructuredElastic>(
+        mesh, levels, order, partition, dt, u0, v0, n_steps, cfg, sources, host,
+    )
+    .0
+}
+
+/// [`run_distributed_local_elastic`] with decomposer-phase spans and global
+/// counter totals recorded into `host` (see the acoustic observed variant).
+#[allow(clippy::too_many_arguments)]
+pub fn run_distributed_local_elastic_observed(
+    mesh: &HexMesh,
+    levels: &Levels,
+    order: usize,
+    partition: &[u32],
+    dt: f64,
+    u0: &[f64],
+    v0: &[f64],
+    n_steps: usize,
+    cfg: &DistributedConfig,
+    sources: &[Source],
+    host: &mut MetricsRegistry,
+) -> RunResult {
+    run_local::<UnstructuredElastic>(
+        mesh, levels, order, partition, dt, u0, v0, n_steps, cfg, sources, host,
+    )
+    .0
+}
+
+/// [`run_distributed_local_elastic_observed`] returning the flight-recorder
+/// rings alongside the result (see the acoustic flight variant).
+#[allow(clippy::too_many_arguments)]
+pub fn run_distributed_local_elastic_flight(
+    mesh: &HexMesh,
+    levels: &Levels,
+    order: usize,
+    partition: &[u32],
+    dt: f64,
+    u0: &[f64],
+    v0: &[f64],
+    n_steps: usize,
+    cfg: &DistributedConfig,
+    sources: &[Source],
+    host: &mut MetricsRegistry,
+) -> (RunResult, Vec<RankRecording>) {
+    run_local::<UnstructuredElastic>(
+        mesh, levels, order, partition, dt, u0, v0, n_steps, cfg, sources, host,
+    )
+}
+
+/// The one body behind the six `run_distributed_local_*` entry points:
+/// discretize globally, build plans and rank worlds, run the ranks, and
+/// assemble the global fields from each DOF's lowest owning rank.
+#[allow(clippy::too_many_arguments)]
+fn run_local<L: LocalOperator>(
+    mesh: &HexMesh,
+    levels: &Levels,
+    order: usize,
+    partition: &[u32],
+    dt: f64,
+    u0: &[f64],
+    v0: &[f64],
+    n_steps: usize,
+    cfg: &DistributedConfig,
+    sources: &[Source],
+    host: &mut MetricsRegistry,
+) -> (RunResult, Vec<RankRecording>) {
     let n_ranks = cfg.n_ranks;
     // global discretization (mass + level sets), as the decomposer computes
     let discretize = host.start_span("decompose.discretize", None);
-    let global_op = AcousticOperator::new(mesh, order);
+    let global_op = L::global(mesh, order);
     let setup = LtsSetup::new(&global_op, &levels.elem_level);
     let ndof = Operator::ndof(&global_op);
     assert_eq!(u0.len(), ndof);
@@ -101,7 +242,7 @@ pub fn run_distributed_local_acoustic_flight(
 
     // per-rank local worlds
     let worlds_span = host.start_span("decompose.build_worlds", None);
-    let ranks = acoustic_worlds(
+    let ranks = local_worlds::<L>(
         mesh,
         order,
         partition,
@@ -157,119 +298,6 @@ fn split_outcomes(
         stats.push(st);
     }
     Ok((results, stats))
-}
-
-/// [`run_distributed_local_acoustic`] for the elastic operator: local node
-/// numbering with three interleaved components per node.
-#[allow(clippy::too_many_arguments)]
-pub fn run_distributed_local_elastic(
-    mesh: &HexMesh,
-    levels: &Levels,
-    order: usize,
-    partition: &[u32],
-    dt: f64,
-    u0: &[f64],
-    v0: &[f64],
-    n_steps: usize,
-    cfg: &DistributedConfig,
-    sources: &[Source],
-) -> RunResult {
-    let mut host = MetricsRegistry::new();
-    run_distributed_local_elastic_observed(
-        mesh, levels, order, partition, dt, u0, v0, n_steps, cfg, sources, &mut host,
-    )
-}
-
-/// [`run_distributed_local_elastic`] with decomposer-phase spans and global
-/// counter totals recorded into `host` (see the acoustic observed variant).
-#[allow(clippy::too_many_arguments)]
-pub fn run_distributed_local_elastic_observed(
-    mesh: &HexMesh,
-    levels: &Levels,
-    order: usize,
-    partition: &[u32],
-    dt: f64,
-    u0: &[f64],
-    v0: &[f64],
-    n_steps: usize,
-    cfg: &DistributedConfig,
-    sources: &[Source],
-    host: &mut MetricsRegistry,
-) -> RunResult {
-    run_distributed_local_elastic_flight(
-        mesh, levels, order, partition, dt, u0, v0, n_steps, cfg, sources, host,
-    )
-    .0
-}
-
-/// [`run_distributed_local_elastic_observed`] returning the flight-recorder
-/// rings alongside the result (see the acoustic flight variant).
-#[allow(clippy::too_many_arguments)]
-pub fn run_distributed_local_elastic_flight(
-    mesh: &HexMesh,
-    levels: &Levels,
-    order: usize,
-    partition: &[u32],
-    dt: f64,
-    u0: &[f64],
-    v0: &[f64],
-    n_steps: usize,
-    cfg: &DistributedConfig,
-    sources: &[Source],
-    host: &mut MetricsRegistry,
-) -> (RunResult, Vec<RankRecording>) {
-    let n_ranks = cfg.n_ranks;
-    let discretize = host.start_span("decompose.discretize", None);
-    let global_op = ElasticOperator::poisson(mesh, order);
-    let setup = LtsSetup::new(&global_op, &levels.elem_level);
-    let ndof = Operator::ndof(&global_op);
-    assert_eq!(u0.len(), ndof);
-    let plans = build_plans(&global_op, &setup, partition, n_ranks);
-    drop(discretize);
-    host.set_gauge("ndof", ndof as f64);
-    host.set_gauge("n_ranks", n_ranks as f64);
-
-    let worlds_span = host.start_span("decompose.build_worlds", None);
-    let ranks = elastic_worlds(
-        mesh,
-        order,
-        partition,
-        &setup,
-        &plans,
-        global_op.mass(),
-        (u0, v0),
-        sources,
-    );
-    drop(worlds_span);
-
-    let run_span = host.start_span("run.steps", None);
-    let (outcomes, recordings) = run_rank_contexts_recorded(ranks, dt, n_steps, cfg, sources);
-    drop(run_span);
-    let (results, stats) = match split_outcomes(outcomes) {
-        Ok(pair) => pair,
-        Err(e) => return (Err(e), recordings),
-    };
-    for s in &stats {
-        host.merge_from(&s.registry);
-    }
-
-    let mut owner = vec![u32::MAX; ndof];
-    for (rank, plan) in plans.iter().enumerate() {
-        for &d in &plan.my_dofs {
-            owner[d as usize] = owner[d as usize].min(rank as u32);
-        }
-    }
-    let mut u = vec![0.0; ndof];
-    let mut v = vec![0.0; ndof];
-    for (rank, (u_local, v_local, global_of_local)) in results.into_iter().enumerate() {
-        for (l, &g) in global_of_local.iter().enumerate() {
-            if owner[g as usize] == rank as u32 {
-                u[g as usize] = u_local[l];
-                v[g as usize] = v_local[l];
-            }
-        }
-    }
-    (Ok((u, v, stats)), recordings)
 }
 
 /// Global → rank-local index, one rank at a time: a dense array over the
@@ -361,10 +389,11 @@ fn gather<T: Copy>(global: &[T], idx: &[u32]) -> Vec<T> {
     idx.iter().map(|&g| global[g as usize]).collect()
 }
 
-/// Each rank's acoustic world: its local operator over its own elements,
-/// its plan, level metadata, initial fields and sources in local numbering.
+/// Each rank's world: its local operator over its own elements, its plan,
+/// level metadata, initial fields and sources in local numbering. Local
+/// DOFs interleave `L::COMPONENTS` components per local node.
 #[allow(clippy::too_many_arguments)]
-fn acoustic_worlds(
+fn local_worlds<L: LocalOperator>(
     mesh: &HexMesh,
     order: usize,
     partition: &[u32],
@@ -373,104 +402,47 @@ fn acoustic_worlds(
     global_mass: &[f64],
     (u0, v0): (&[f64], &[f64]),
     sources: &[Source],
-) -> Vec<LocalRank<UnstructuredAcoustic>> {
+) -> Vec<LocalRank<L>> {
+    let c = L::COMPONENTS;
     let nl = setup.n_levels;
     let by_rank = elems_by_rank(partition, plans.len());
     let mut elem_index = LocalIndex::new(mesh.n_elems());
-    let mut dof_index = LocalIndex::new(u0.len());
+    let mut node_index = LocalIndex::new(u0.len() / c as usize);
     let mut ranks = Vec::with_capacity(plans.len());
     for (plan, my_elems_global) in plans.iter().zip(&by_rank) {
-        let (local_op, global_of_local) = UnstructuredAcoustic::from_subset_in(
+        let (local_op, node_of_local) = L::from_subset_in(
             mesh,
             order,
             my_elems_global,
-            Some(&|g| global_mass[g as usize]),
-            &mut dof_index.local,
-        );
-        elem_index.load(my_elems_global);
-        dof_index.load(&global_of_local);
-        let localized = localize_plan(
-            plan,
-            global_of_local.len(),
-            |e| elem_index.of(e),
-            |d| dof_index.of(d),
-        );
-        let mut my_sources: Vec<Vec<(usize, u32)>> = vec![Vec::new(); nl];
-        for (si, src) in sources.iter().enumerate() {
-            if let Some(l) = dof_index.owned(src.dof) {
-                my_sources[setup.leaf_level[src.dof as usize] as usize].push((si, l));
-            }
-        }
-        elem_index.unload(my_elems_global);
-        dof_index.unload(&global_of_local);
-        ranks.push(LocalRank {
-            op: local_op,
-            n_levels: nl,
-            dof_level: gather(&setup.dof_level, &global_of_local),
-            leaf_level: gather(&setup.leaf_level, &global_of_local),
-            plan: localized,
-            u: gather(u0, &global_of_local),
-            v: gather(v0, &global_of_local),
-            my_sources,
-            global_of_local,
-        });
-    }
-    ranks
-}
-
-/// [`acoustic_worlds`] for the elastic operator: local node numbering with
-/// three interleaved components per node (global DOF = 3·node + comp).
-#[allow(clippy::too_many_arguments)]
-fn elastic_worlds(
-    mesh: &HexMesh,
-    order: usize,
-    partition: &[u32],
-    setup: &LtsSetup,
-    plans: &[RankPlan],
-    global_mass: &[f64],
-    (u0, v0): (&[f64], &[f64]),
-    sources: &[Source],
-) -> Vec<LocalRank<UnstructuredElastic>> {
-    let nl = setup.n_levels;
-    let by_rank = elems_by_rank(partition, plans.len());
-    let mut elem_index = LocalIndex::new(mesh.n_elems());
-    let mut node_index = LocalIndex::new(u0.len() / 3);
-    let mut ranks = Vec::with_capacity(plans.len());
-    for (plan, my_elems_global) in plans.iter().zip(&by_rank) {
-        let (local_op, node_of_local) = UnstructuredElastic::from_subset_in(
-            mesh,
-            order,
-            my_elems_global,
-            Some(&|g| global_mass[3 * g as usize]),
+            &|g| global_mass[(c * g) as usize],
             &mut node_index.local,
         );
         elem_index.load(my_elems_global);
         node_index.load(&node_of_local);
-        let local_dof = |g: u32| 3 * node_index.of(g / 3) + g % 3;
-        let n_local_dofs = 3 * node_of_local.len();
+        let local_dof = |g: u32| c * node_index.of(g / c) + g % c;
+        let n_local_dofs = c as usize * node_of_local.len();
         let localized = localize_plan(plan, n_local_dofs, |e| elem_index.of(e), local_dof);
         let mut my_sources: Vec<Vec<(usize, u32)>> = vec![Vec::new(); nl];
         for (si, src) in sources.iter().enumerate() {
-            if let Some(ln) = node_index.owned(src.dof / 3) {
-                let ld = 3 * ln + src.dof % 3;
+            if let Some(ln) = node_index.owned(src.dof / c) {
+                let ld = c * ln + src.dof % c;
                 my_sources[setup.leaf_level[src.dof as usize] as usize].push((si, ld));
             }
         }
         elem_index.unload(my_elems_global);
         node_index.unload(&node_of_local);
-        let global_dof_of_local: Vec<u32> = (0..n_local_dofs as u32)
-            .map(|ld| 3 * node_of_local[(ld / 3) as usize] + ld % 3)
+        let global_of_local: Vec<u32> = (0..n_local_dofs as u32)
+            .map(|ld| c * node_of_local[(ld / c) as usize] + ld % c)
             .collect();
         ranks.push(LocalRank {
             op: local_op,
             n_levels: nl,
-            dof_level: gather(&setup.dof_level, &global_dof_of_local),
-            leaf_level: gather(&setup.leaf_level, &global_dof_of_local),
+            dof_level: gather(&setup.dof_level, &global_of_local),
             plan: localized,
-            u: gather(u0, &global_dof_of_local),
-            v: gather(v0, &global_dof_of_local),
+            u: gather(u0, &global_of_local),
+            v: gather(v0, &global_of_local),
             my_sources,
-            global_of_local: global_dof_of_local,
+            global_of_local,
         });
     }
     ranks
@@ -678,8 +650,6 @@ mod tests {
             assert_eq!(&back, plan, "rank {r}");
             let levels: Vec<u8> = g.iter().map(|&d| setup.dof_level[d as usize]).collect();
             assert_eq!(w.dof_level, levels, "rank {r}");
-            let leaves: Vec<u8> = g.iter().map(|&d| setup.leaf_level[d as usize]).collect();
-            assert_eq!(w.leaf_level, leaves, "rank {r}");
             let u: Vec<f64> = g.iter().map(|&d| u0[d as usize]).collect();
             assert_eq!(w.u, u, "rank {r}");
             let mut mine = Vec::new();
@@ -713,7 +683,7 @@ mod tests {
                 .map(|i| Source::ricker((i * ndof / 5) as u32, 0.3, 1.0, 1.0))
                 .collect();
             let plans = build_plans(&acoustic, &setup, &part, k);
-            let worlds = acoustic_worlds(
+            let worlds = local_worlds::<UnstructuredAcoustic>(
                 &b.mesh,
                 order,
                 &part,
@@ -732,7 +702,7 @@ mod tests {
                 .map(|i| Source::ricker((i * ndof / 5 + i) as u32, 0.3, 1.0, 1.0))
                 .collect();
             let plans = build_plans(&elastic, &setup, &part, k);
-            let worlds = elastic_worlds(
+            let worlds = local_worlds::<UnstructuredElastic>(
                 &b.mesh,
                 order,
                 &part,

@@ -243,7 +243,7 @@ impl Operator for AcousticOperator {
                 self.compiled_entry(c, FULL_LEVEL, &all, None)
             })
         });
-        st.run(i, 1, &self.engine(None), u, out);
+        st.run_entry(i, 1, &self.engine(None), u, out);
     }
 
     fn apply_masked_ws(
@@ -274,7 +274,7 @@ impl Operator for AcousticOperator {
         let i = st.prepare(self.dofmap.nodes_per_elem(), threads, |c| {
             self.compiled_entry(c, level as u16, elems, mask)
         });
-        st.run(i, threads, &self.engine(mask), u, out);
+        st.run_entry(i, threads, &self.engine(mask), u, out);
     }
 
     fn precompile_masked(&self, elems: &[u32], dof_level: &[u8], level: u8, ws: &mut Workspace) {

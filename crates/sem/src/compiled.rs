@@ -427,7 +427,7 @@ impl<S: EngineScratch> OpWs<S> {
     }
 
     /// Run prepared entry `i` on `threads` workers.
-    pub(crate) fn run(
+    pub(crate) fn run_entry(
         &mut self,
         i: usize,
         threads: usize,

@@ -429,7 +429,7 @@ impl Operator for ElasticOperator {
                 self.compiled_entry(c, FULL_LEVEL, &all, None)
             })
         });
-        st.run(i, 1, &self.engine(None), u, out);
+        st.run_entry(i, 1, &self.engine(None), u, out);
     }
 
     fn apply_masked_ws(
@@ -460,7 +460,7 @@ impl Operator for ElasticOperator {
         let i = st.prepare(self.dofmap.nodes_per_elem(), threads, |c| {
             self.compiled_entry(c, level as u16, elems, mask)
         });
-        st.run(i, threads, &self.engine(mask), u, out);
+        st.run_entry(i, threads, &self.engine(mask), u, out);
     }
 
     fn precompile_masked(&self, elems: &[u32], dof_level: &[u8], level: u8, ws: &mut Workspace) {

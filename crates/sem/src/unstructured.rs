@@ -255,7 +255,7 @@ impl Operator for UnstructuredAcoustic {
                 self.compiled_entry(c, FULL_LEVEL, &all, None)
             })
         });
-        st.run(i, 1, &self.engine(None), u, out);
+        st.run_entry(i, 1, &self.engine(None), u, out);
     }
 
     fn apply_masked_ws(
@@ -286,7 +286,7 @@ impl Operator for UnstructuredAcoustic {
         let i = st.prepare(self.npe, threads, |c| {
             self.compiled_entry(c, level as u16, elems, mask)
         });
-        st.run(i, threads, &self.engine(mask), u, out);
+        st.run_entry(i, threads, &self.engine(mask), u, out);
     }
 
     fn precompile_masked(&self, elems: &[u32], dof_level: &[u8], level: u8, ws: &mut Workspace) {
@@ -496,7 +496,7 @@ impl Operator for UnstructuredElastic {
                 self.compiled_entry(c, FULL_LEVEL, &all, None)
             })
         });
-        st.run(i, 1, &self.engine(None), u, out);
+        st.run_entry(i, 1, &self.engine(None), u, out);
     }
 
     fn apply_masked_ws(
@@ -527,7 +527,7 @@ impl Operator for UnstructuredElastic {
         let i = st.prepare(self.npe, threads, |c| {
             self.compiled_entry(c, level as u16, elems, mask)
         });
-        st.run(i, threads, &self.engine(mask), u, out);
+        st.run_entry(i, threads, &self.engine(mask), u, out);
     }
 
     fn precompile_masked(&self, elems: &[u32], dof_level: &[u8], level: u8, ws: &mut Workspace) {

@@ -1,20 +1,22 @@
 //! Golden fields: FNV-1a hashes of the final `u`/`v` bits of LTS-Newmark
 //! runs, serial (`LtsNewmark`) and on the local-decomposition runtime at two
 //! ranks, for both physics at orders 2–4 on small trench and trench-big
-//! meshes with one Ricker source. A memory or speed change to the gather,
-//! kernel or stepping code must leave every bit of every field as it is, so
-//! any drift here is a behaviour change.
+//! meshes with one Ricker source. Further cases pin the replicated runtime,
+//! the local runtime with comm/compute overlap and two threads per rank,
+//! and single-level runs (every element on level 0). A memory or speed
+//! change to the gather, kernel or stepping code must leave every bit of
+//! every field as it is, so any drift here is a behaviour change.
 //!
 //! The two benchmark-size cases are `#[ignore]`d to keep the debug test run
 //! fast; run them with
 //! `cargo test --release --test field_golden -- --include-ignored`.
 
 use wave_lts::lts::{DofTopology, LtsNewmark, LtsSetup, Operator, Source};
-use wave_lts::mesh::{BenchmarkMesh, MeshKind};
+use wave_lts::mesh::{BenchmarkMesh, Levels, MeshKind};
 use wave_lts::partition::{partition_mesh, Strategy};
 use wave_lts::runtime::{
-    run_distributed_local_acoustic, run_distributed_local_elastic, DistributedConfig, RankStats,
-    RuntimeError,
+    run_distributed_local_acoustic, run_distributed_local_elastic, run_distributed_with_sources,
+    DistributedConfig, RankStats, RuntimeError,
 };
 use wave_lts::sem::gll::cfl_dt_scale;
 use wave_lts::sem::{AcousticOperator, ElasticOperator};
@@ -40,11 +42,19 @@ enum Path {
     Serial,
     /// `run_distributed_local_*` at two ranks (SCOTCH-P partition).
     LocalR2,
+    /// [`LocalR2`](Path::LocalR2) with comm/compute overlap and two worker
+    /// threads per rank.
+    LocalR2OverlapT2,
+    /// `run_distributed_with_sources` (globally replicated state) at two
+    /// ranks.
+    ReplicatedR2,
 }
 
 /// Run `steps` global steps from a smooth initial displacement, zero
 /// velocity and one Ricker source at DOF `ndof / 3`; return the
-/// hash of the final fields.
+/// hash of the final fields. With `single_level`, every element is put on
+/// level 0 and the global step shrinks to the mesh's finest one,
+/// `dt_global / 2^(n_levels − 1)`.
 fn run_case(
     physics: Physics,
     path: Path,
@@ -52,19 +62,30 @@ fn run_case(
     elements: usize,
     order: usize,
     steps: usize,
+    single_level: bool,
 ) -> u64 {
     let b = BenchmarkMesh::build(kind, elements);
     assert!(
         b.levels.n_levels > 1,
         "{kind:?} {elements}: single-level mesh"
     );
-    let dt = b.levels.dt_global * cfl_dt_scale(order, 3);
+    let levels = if single_level {
+        Levels {
+            elem_level: vec![0; b.mesh.n_elems()],
+            n_levels: 1,
+            dt_global: b.levels.dt_global / (1u64 << (b.levels.n_levels - 1)) as f64,
+        }
+    } else {
+        b.levels.clone()
+    };
+    let dt = levels.dt_global * cfl_dt_scale(order, 3);
     match physics {
         Physics::Acoustic => {
             let op = AcousticOperator::new(&b.mesh, order);
             solve(
                 &op,
                 &b,
+                &levels,
                 path,
                 order,
                 dt,
@@ -77,6 +98,7 @@ fn run_case(
             solve(
                 &op,
                 &b,
+                &levels,
                 path,
                 order,
                 dt,
@@ -100,16 +122,18 @@ type LocalRunner = fn(
     &[Source],
 ) -> Result<(Vec<f64>, Vec<f64>, Vec<RankStats>), RuntimeError>;
 
-fn solve<O: Operator + DofTopology>(
+#[allow(clippy::too_many_arguments)]
+fn solve<O: Operator + DofTopology + Sync>(
     op: &O,
     b: &BenchmarkMesh,
+    levels: &Levels,
     path: Path,
     order: usize,
     dt: f64,
     steps: usize,
     local: LocalRunner,
 ) -> u64 {
-    let setup = LtsSetup::new(op, &b.levels.elem_level);
+    let setup = LtsSetup::new(op, &levels.elem_level);
     let ndof = Operator::ndof(op);
     let mut u: Vec<f64> = (0..ndof).map(|i| ((i as f64) * 0.07).sin()).collect();
     let mut v = vec![0.0; ndof];
@@ -120,13 +144,28 @@ fn solve<O: Operator + DofTopology>(
             lts.run(&mut u, &mut v, 0.0, steps, &sources);
             fnv1a(&u, &v)
         }
-        Path::LocalR2 => {
-            let part = partition_mesh(&b.mesh, &b.levels, 2, Strategy::ScotchP, 1);
-            let cfg = DistributedConfig::new(2);
+        Path::LocalR2 | Path::LocalR2OverlapT2 => {
+            let part = partition_mesh(&b.mesh, levels, 2, Strategy::ScotchP, 1);
+            let cfg = match path {
+                Path::LocalR2OverlapT2 => DistributedConfig {
+                    overlap: true,
+                    threads_per_rank: 2,
+                    ..DistributedConfig::new(2)
+                },
+                _ => DistributedConfig::new(2),
+            };
             let (u, v, _) = local(
-                &b.mesh, &b.levels, order, &part, dt, &u, &v, steps, &cfg, &sources,
+                &b.mesh, levels, order, &part, dt, &u, &v, steps, &cfg, &sources,
             )
             .expect("local runtime");
+            fnv1a(&u, &v)
+        }
+        Path::ReplicatedR2 => {
+            let part = partition_mesh(&b.mesh, levels, 2, Strategy::ScotchP, 1);
+            let cfg = DistributedConfig::new(2);
+            let (u, v, _) =
+                run_distributed_with_sources(op, &setup, &part, dt, &u, &v, steps, &cfg, &sources)
+                    .expect("replicated runtime");
             fnv1a(&u, &v)
         }
     }
@@ -171,10 +210,38 @@ const BENCH_SIZE: &[Golden] = &[
     (Physics::Acoustic, Path::LocalR2, MeshKind::Trench, 8_788, 4, 2, 0x12c0_53b7_dc79_4c7b),
 ];
 
-fn check(cases: &[Golden]) {
+/// The replicated runtime, and the local runtime with overlap and two
+/// threads per rank; recorded before the serial and rank steppers shared
+/// one recursion.
+#[rustfmt::skip]
+const RUNTIME_VARIANTS: &[Golden] = &[
+    (Physics::Acoustic, Path::ReplicatedR2, MeshKind::Trench, 300, 2, 2, 0xd0e9_7af4_b341_a71e),
+    (Physics::Acoustic, Path::ReplicatedR2, MeshKind::Trench, 300, 4, 2, 0x0fdd_f0d4_e091_16ec),
+    (Physics::Acoustic, Path::ReplicatedR2, MeshKind::TrenchBig, 864, 3, 2, 0x8eb7_4c9c_bf19_7a04),
+    (Physics::Elastic, Path::ReplicatedR2, MeshKind::Trench, 300, 2, 2, 0xa61c_be75_b72e_1e33),
+    (Physics::Acoustic, Path::LocalR2OverlapT2, MeshKind::Trench, 300, 2, 2, 0xd0e9_7af4_b341_a71e),
+    (Physics::Acoustic, Path::LocalR2OverlapT2, MeshKind::Trench, 300, 4, 2, 0x0fdd_f0d4_e091_16ec),
+    (Physics::Acoustic, Path::LocalR2OverlapT2, MeshKind::TrenchBig, 864, 2, 2, 0xcafb_4c6b_a423_8f12),
+    (Physics::Elastic, Path::LocalR2OverlapT2, MeshKind::Trench, 300, 3, 2, 0x8d27_24e5_ba3d_52ac),
+];
+
+/// Every element on level 0 at the mesh's finest step; recorded before the
+/// serial and rank steppers shared one recursion.
+#[rustfmt::skip]
+const SINGLE_LEVEL: &[Golden] = &[
+    (Physics::Acoustic, Path::Serial, MeshKind::Trench, 300, 2, 3, 0x80ed_5dde_6cb5_cf63),
+    (Physics::Acoustic, Path::Serial, MeshKind::Trench, 300, 4, 3, 0x2bf1_af8e_008e_524e),
+    (Physics::Elastic, Path::Serial, MeshKind::Trench, 300, 3, 3, 0x654f_596c_370b_58e3),
+    (Physics::Acoustic, Path::LocalR2, MeshKind::Trench, 300, 2, 3, 0x7442_4120_568e_b055),
+    (Physics::Acoustic, Path::LocalR2, MeshKind::Trench, 300, 4, 3, 0xfbc9_93a8_8eef_ff64),
+    (Physics::Elastic, Path::LocalR2, MeshKind::Trench, 300, 3, 3, 0x6369_6637_f287_6f0b),
+    (Physics::Acoustic, Path::ReplicatedR2, MeshKind::Trench, 300, 2, 3, 0x7442_4120_568e_b055),
+];
+
+fn check(cases: &[Golden], single_level: bool) {
     let mut drift = Vec::new();
     for &(physics, path, kind, elements, order, steps, want) in cases {
-        let got = run_case(physics, path, kind, elements, order, steps);
+        let got = run_case(physics, path, kind, elements, order, steps, single_level);
         if got != want {
             drift.push(format!(
                 "{physics:?} {path:?} {kind:?} {elements} p{order} {steps} steps: \
@@ -187,11 +254,21 @@ fn check(cases: &[Golden]) {
 
 #[test]
 fn small_fields_match_golden_hashes() {
-    check(SMALL);
+    check(SMALL, false);
+}
+
+#[test]
+fn runtime_variant_fields_match_golden_hashes() {
+    check(RUNTIME_VARIANTS, false);
+}
+
+#[test]
+fn single_level_fields_match_golden_hashes() {
+    check(SINGLE_LEVEL, true);
 }
 
 #[test]
 #[ignore = "benchmark-size; run in release with --include-ignored"]
 fn benchmark_size_fields_match_golden_hashes() {
-    check(BENCH_SIZE);
+    check(BENCH_SIZE, false);
 }

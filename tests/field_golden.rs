@@ -11,7 +11,7 @@
 //! fast; run them with
 //! `cargo test --release --test field_golden -- --include-ignored`.
 
-use wave_lts::lts::{DofTopology, LtsNewmark, LtsSetup, Operator, Source};
+use wave_lts::lts::{Chain1d, DofTopology, LtsNewmark, LtsSetup, Operator, Source};
 use wave_lts::mesh::{BenchmarkMesh, Levels, MeshKind};
 use wave_lts::partition::{partition_mesh, Strategy};
 use wave_lts::runtime::{
@@ -271,4 +271,106 @@ fn single_level_fields_match_golden_hashes() {
 #[ignore = "benchmark-size; run in release with --include-ignored"]
 fn benchmark_size_fields_match_golden_hashes() {
     check(BENCH_SIZE, false);
+}
+
+/// A 1-D chain run at `ranks` ranks on `part`: the 3-level 24-element
+/// chain with an interleaved `e % 3` partition (every rank owns elements at
+/// every level), or the paper's Fig. 1 chain on two ranks.
+#[derive(Clone, Copy, Debug)]
+enum ChainCase {
+    /// Three levels, `e % 3` at three ranks, one Ricker source on the
+    /// finest level; `overlap` toggles comm/compute overlap.
+    Interleaved { overlap: bool },
+    /// Fig. 1: eight fine elements in a 16-element chain; `balanced`
+    /// splits each level evenly, otherwise the geometric split at 10.
+    Fig1 { balanced: bool },
+}
+
+fn chain_case(case: ChainCase) -> u64 {
+    let (vel, max_levels, steps, ranks) = match case {
+        ChainCase::Interleaved { .. } => {
+            let vel: Vec<f64> = (0..24)
+                .map(|i| match i {
+                    20.. => 4.0,
+                    17.. => 2.0,
+                    _ => 1.0,
+                })
+                .collect();
+            (vel, 3, 20, 3)
+        }
+        ChainCase::Fig1 { .. } => {
+            let vel: Vec<f64> = (0..16)
+                .map(|i| if (4..12).contains(&i) { 2.0 } else { 1.0 })
+                .collect();
+            (vel, 2, 60, 2)
+        }
+    };
+    let ne = vel.len();
+    let c = Chain1d::with_velocities(vel, 1.0);
+    let (lv, dt) = c.assign_levels(0.5, max_levels);
+    let setup = LtsSetup::new(&c, &lv);
+    let n = ne + 1;
+    let (u0, sources, part, overlap) = match case {
+        ChainCase::Interleaved { overlap } => {
+            let u0: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.37).sin()).collect();
+            let sources = vec![Source::ricker(21, 0.3, 1.0, 1.0)];
+            let part: Vec<u32> = (0..ne).map(|e| (e % 3) as u32).collect();
+            (u0, sources, part, overlap)
+        }
+        ChainCase::Fig1 { balanced } => {
+            let u0: Vec<f64> = (0..n)
+                .map(|i| (-((i as f64 - 8.0) / 2.0f64).powi(2)).exp())
+                .collect();
+            let part: Vec<u32> = if balanced {
+                (0..ne)
+                    .map(|e| {
+                        let peers: Vec<usize> = (0..ne).filter(|&x| lv[x] == lv[e]).collect();
+                        let pos = peers.iter().position(|&x| x == e).unwrap();
+                        u32::from(pos >= peers.len() / 2)
+                    })
+                    .collect()
+            } else {
+                (0..ne).map(|e| u32::from(e >= 10)).collect()
+            };
+            (u0, Vec::new(), part, false)
+        }
+    };
+    let cfg = DistributedConfig {
+        overlap,
+        ..DistributedConfig::new(ranks)
+    };
+    let (u, v, _) = run_distributed_with_sources(
+        &c,
+        &setup,
+        &part,
+        dt,
+        &u0,
+        &vec![0.0; n],
+        steps,
+        &cfg,
+        &sources,
+    )
+    .expect("chain runtime");
+    fnv1a(&u, &v)
+}
+
+/// Recorded on the globally replicated runtime, before the chain ran
+/// through the rank-local builder.
+const CHAINS: &[(ChainCase, u64)] = &[
+    (ChainCase::Interleaved { overlap: false }, 0xb79f_bb6a_8405_5f07),
+    (ChainCase::Interleaved { overlap: true }, 0xb79f_bb6a_8405_5f07),
+    (ChainCase::Fig1 { balanced: false }, 0xda93_7523_15c5_457b),
+    (ChainCase::Fig1 { balanced: true }, 0xda93_7523_15c5_457b),
+];
+
+#[test]
+fn chain_fields_match_golden_hashes() {
+    let mut drift = Vec::new();
+    for &(case, want) in CHAINS {
+        let got = chain_case(case);
+        if got != want {
+            drift.push(format!("{case:?}: {got:#018x}, golden {want:#018x}"));
+        }
+    }
+    assert!(drift.is_empty(), "field drift:\n{}", drift.join("\n"));
 }

@@ -7,10 +7,10 @@
 //! per-element work and prints measured busy/stall bars.
 
 use lts_bench::Args;
-use lts_core::{Chain1d, LtsSetup};
-use lts_obs::Json;
+use lts_core::Chain1d;
+use lts_obs::{Json, MetricsRegistry};
 use lts_runtime::stats::{ascii_timeline, chrome_trace, lambda_from_stats, profile_json};
-use lts_runtime::{run_distributed, DistributedConfig, MonitorConfig};
+use lts_runtime::{run, DistributedConfig, MonitorConfig, RunSpec};
 
 fn main() {
     let args = Args::parse();
@@ -28,7 +28,6 @@ fn main() {
     }
     let c = Chain1d::with_velocities(vel, 1.0);
     let (lv, dt) = c.assign_levels(0.5, 2);
-    let setup = LtsSetup::new(&c, &lv);
     let fine: Vec<usize> = (0..16).filter(|&e| lv[e] == 1).collect();
     println!("chain: 16 elements, fine (p=2) elements at {fine:?}, Δt = {dt}");
 
@@ -67,7 +66,18 @@ fn main() {
         let fine_per_rank: Vec<usize> = (0..2)
             .map(|r| (0..16).filter(|&e| part[e] == r && lv[e] == 1).count())
             .collect();
-        let (_, _, stats) = run_distributed(&c, &setup, part, dt, &u0, &v0, steps, &cfg)
+        let spec = RunSpec {
+            elem_level: &lv,
+            partition: part,
+            dt,
+            u0: &u0,
+            v0: &v0,
+            n_steps: steps,
+            sources: &[],
+            cfg,
+        };
+        let (_, _, stats) = run(&c, &spec, None, &mut MetricsRegistry::new())
+            .into_result()
             .expect("distributed run failed");
         println!("\n== {name} (fine elements per rank: {fine_per_rank:?}) ==");
         print!("{}", ascii_timeline(&stats, 48));

@@ -9,7 +9,9 @@
 
 use crate::operator::{DofTopology, Operator};
 
-/// `n` interval elements, `n+1` DOFs; element `e` couples DOFs `e`, `e+1`.
+/// Interval elements, each coupling the two DOFs of its node pair: `n`
+/// elements and `n+1` DOFs, element `e` on DOFs `e`, `e+1`, until a
+/// renumbering or a sub-chain changes the pairs.
 #[derive(Debug, Clone)]
 pub struct Chain1d {
     /// Element lengths.
@@ -20,8 +22,8 @@ pub struct Chain1d {
     pub rho: Vec<f64>,
     /// Lumped diagonal mass per DOF (in the external numbering).
     mass: Vec<f64>,
-    /// Optional DOF renumbering `new = perm[natural]` (p-level grouping).
-    perm: Option<Vec<u32>>,
+    /// The left and right DOF of each element (in the external numbering).
+    nodes: Vec<[u32; 2]>,
 }
 
 impl Chain1d {
@@ -41,7 +43,7 @@ impl Chain1d {
             mu,
             rho,
             mass,
-            perm: None,
+            nodes: (0..n as u32).map(|e| [e, e + 1]).collect(),
         }
     }
 
@@ -60,28 +62,53 @@ impl Chain1d {
         self.h.len()
     }
 
-    /// Renumber the DOFs with `new = perm[natural]` (see
+    /// Renumber the DOFs with `new = perm[old]` (see
     /// [`crate::setup::LtsSetup::grouping_permutation`]); all vectors the
     /// operator touches are in the new numbering afterwards.
     pub fn set_permutation(&mut self, perm: &[u32]) {
-        assert_eq!(perm.len(), self.h.len() + 1);
+        assert_eq!(perm.len(), self.mass.len());
         let mut mass = vec![0.0; self.mass.len()];
-        // self.mass is currently in the *natural* numbering only when no
-        // permutation was set before
-        assert!(self.perm.is_none(), "permutation already set");
         for (old, &new) in perm.iter().enumerate() {
             mass[new as usize] = self.mass[old];
         }
         self.mass = mass;
-        self.perm = Some(perm.to_vec());
+        for pair in &mut self.nodes {
+            *pair = pair.map(|d| perm[d as usize]);
+        }
     }
 
-    #[inline]
-    fn gid(&self, natural: usize) -> usize {
-        match &self.perm {
-            Some(p) => p[natural] as usize,
-            None => natural,
+    /// The sub-chain over `elems` (ascending), with its DOFs numbered
+    /// compactly in ascending global order, and the global DOF of each
+    /// local one. Masses are this chain's, so the sub-chain's masked
+    /// product does the same arithmetic on the DOFs it holds.
+    /// `local_of_global` is a dense map over this chain's DOFs, every entry
+    /// `u32::MAX` on entry and again on return.
+    pub fn subset(&self, elems: &[u32], local_of_global: &mut [u32]) -> (Chain1d, Vec<u32>) {
+        let mut global_of_local: Vec<u32> =
+            elems.iter().flat_map(|&e| self.nodes[e as usize]).collect();
+        global_of_local.sort_unstable();
+        global_of_local.dedup();
+        for (l, &g) in global_of_local.iter().enumerate() {
+            local_of_global[g as usize] = l as u32;
         }
+        let pick = |x: &[f64]| elems.iter().map(|&e| x[e as usize]).collect();
+        let sub = Chain1d {
+            h: pick(&self.h),
+            mu: pick(&self.mu),
+            rho: pick(&self.rho),
+            mass: global_of_local
+                .iter()
+                .map(|&g| self.mass[g as usize])
+                .collect(),
+            nodes: elems
+                .iter()
+                .map(|&e| self.nodes[e as usize].map(|g| local_of_global[g as usize]))
+                .collect(),
+        };
+        for &g in &global_of_local {
+            local_of_global[g as usize] = u32::MAX;
+        }
+        (sub, global_of_local)
     }
 
     /// Stable step bound for element `e` (`h_e / c_e`).
@@ -130,7 +157,7 @@ impl Chain1d {
 
 impl DofTopology for Chain1d {
     fn n_dofs(&self) -> usize {
-        self.h.len() + 1
+        self.mass.len()
     }
 
     fn n_elems(&self) -> usize {
@@ -139,21 +166,20 @@ impl DofTopology for Chain1d {
 
     fn elem_dofs(&self, e: u32, out: &mut Vec<u32>) {
         out.clear();
-        out.push(self.gid(e as usize) as u32);
-        out.push(self.gid(e as usize + 1) as u32);
+        out.extend_from_slice(&self.nodes[e as usize]);
     }
 }
 
 impl Operator for Chain1d {
     fn ndof(&self) -> usize {
-        self.h.len() + 1
+        self.mass.len()
     }
 
     fn apply_ws(&self, u: &[f64], out: &mut [f64], _ws: &mut crate::Workspace) {
-        debug_assert_eq!(u.len(), self.h.len() + 1);
+        debug_assert_eq!(u.len(), self.mass.len());
         out.fill(0.0);
-        for e in 0..self.n_elems() {
-            let (l, r) = (self.gid(e), self.gid(e + 1));
+        for (e, &[l, r]) in self.nodes.iter().enumerate() {
+            let (l, r) = (l as usize, r as usize);
             let k = self.mu[e] / self.h[e];
             let d = k * (u[l] - u[r]);
             out[l] += d;
@@ -175,7 +201,7 @@ impl Operator for Chain1d {
     ) {
         for &e in elems {
             let e = e as usize;
-            let (l, r) = (self.gid(e), self.gid(e + 1));
+            let [l, r] = self.nodes[e].map(|d| d as usize);
             let ul = if dof_level[l] == level { u[l] } else { 0.0 };
             let ur = if dof_level[r] == level { u[r] } else { 0.0 };
             let k = self.mu[e] / self.h[e];

@@ -50,15 +50,13 @@ pub trait LevelForce {
 }
 
 /// The DOF sets the recursion walks: an [`LtsSetup`]'s, or a rank's share
-/// of them.
+/// of them in its own numbering. Level 0 integrates the whole vector.
 #[derive(Debug, Clone, Copy)]
 pub struct LevelSets<'s> {
     /// `active[l]` for every level `l ≥ 1` (`active[0]` is not read).
     pub active: &'s [Vec<u32>],
     /// `leaf[l]` for every level.
     pub leaf: &'s [Vec<u32>],
-    /// The DOFs level 0 integrates; `None` is the whole vector.
-    pub all: Option<&'s [u32]>,
 }
 
 /// A DOF set of the recursion: the whole vector, or a list.
@@ -138,9 +136,8 @@ fn advance<F: LevelForce>(
 ) -> Result<(), F::Error> {
     let dt_l = dt / (1u64 << l) as f64;
     let n = u_l.len();
-    let all = sets.all.map_or(Dofs::All, Dofs::List);
     let active = if l == 0 {
-        all
+        Dofs::All
     } else {
         Dofs::List(&sets.active[l])
     };
@@ -296,7 +293,6 @@ impl<'a, O: Operator> LtsNewmark<'a, O> {
         let sets = LevelSets {
             active: &s.active,
             leaf: &s.leaf,
-            all: None,
         };
         // qualified, so the call graph of `crates/lint` links this `step` only
         let Ok(()) = LevelState::step(&mut self.levels, &mut hook, sets, self.dt, u, v, t);

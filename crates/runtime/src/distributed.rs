@@ -2,11 +2,14 @@
 //! exchanges after every masked product, redundant (consistent) updates of
 //! interface DOFs.
 //!
-//! A rank steps through the same recursion as the serial stepper,
-//! [`lts_core::LevelState::step`]; the rank supplies only its
+//! Every rank holds only its own world — its elements' operator, plan,
+//! state and sources in rank-local numbering, built by [`crate::local`] —
+//! and steps it through the same recursion as the serial stepper,
+//! [`lts_core::LevelState::step`]. The rank supplies only its
 //! [`LevelForce`] hook — zero its entries, apply boundary then interior
-//! elements, exchange, count — and walks its plan's share of the level DOF
-//! sets.
+//! elements, exchange, count. One rank body, [`step_rank`], serves the
+//! in-process rank threads of [`run`] and the `wave-lts worker` processes
+//! of [`run_rank`]; both assemble global fields through one function.
 //!
 //! Ranks speak to each other only through the pluggable
 //! [`crate::transport::Transport`] trait, so the same stepper runs over
@@ -24,14 +27,14 @@ use crate::error::RuntimeError;
 /// What a distributed run returns: final `(u, v)` and per-rank stats, or
 /// the first rank failure.
 pub type RunResult = Result<(Vec<f64>, Vec<f64>, Vec<RankStats>), RuntimeError>;
-use crate::exchange::{build_plans, RankPlan};
+use crate::exchange::RankPlan;
+use crate::local::{decompose, local_worlds, rank_world, Acoustic, Decompose};
 use crate::monitor::{MonitorConfig, RankMonitor, StallMonitor};
 use crate::stats::{names, RankStats, TimelineEvent};
 use crate::transport::faulty::{self, FaultPlan};
 use crate::transport::{self, Recv, Transport, TransportError, TransportKind};
-use lts_core::{
-    DofTopology, LevelForce, LevelSets, LevelState, LtsSetup, Operator, Source, Workspace,
-};
+use lts_core::{LevelForce, LevelSets, LevelState, Operator, Source, Workspace};
+use lts_mesh::{HexMesh, Levels};
 use lts_obs::{EventKind, FlightRecorder, MetricsRegistry, RankRecording, NO_LEVEL, NO_PEER};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
@@ -64,7 +67,8 @@ pub struct DistributedConfig {
     /// coloured scatter keeps results bitwise identical to serial at any
     /// value, so counters and fields are unaffected.
     pub threads_per_rank: usize,
-    /// Which halo-exchange backend the in-process entry points build.
+    /// Which halo-exchange backend [`run`] builds when it is given no
+    /// endpoints.
     pub transport: TransportKind,
     /// Flight-recorder ring capacity per rank, in events. `0` disables
     /// recording (seeded from the `LTS_FLIGHT` env var, default
@@ -72,9 +76,9 @@ pub struct DistributedConfig {
     /// bitwise-neutral: fields and deterministic counters are identical
     /// with it on or off.
     pub flight_capacity: usize,
-    /// Inject a transport fault on one rank: the in-process entry points
-    /// wrap that rank's endpoint in a
-    /// [`crate::transport::faulty::FaultyTransport`] with the given plan.
+    /// Inject a transport fault on one rank: the rank it names wraps its
+    /// endpoint in a [`crate::transport::faulty::FaultyTransport`] with the
+    /// given plan, in process and in a `wave-lts worker` alike.
     pub fault: Option<(usize, FaultPlan)>,
 }
 
@@ -105,11 +109,17 @@ impl DistributedConfig {
     }
 }
 
-/// One rank's run result: `(u_local, v_local, global_of_local)`.
-pub type RankResult = (Vec<f64>, Vec<f64>, Vec<u32>);
+/// One rank's final fields in its own numbering.
+#[derive(Debug, Clone)]
+pub struct RankFields {
+    pub u: Vec<f64>,
+    pub v: Vec<f64>,
+    /// Global DOF id of each local DOF.
+    pub global_of_local: Vec<u32>,
+}
 
-/// One rank's outcome on the globally-replicated state layout.
-pub type RankRun = Result<(Vec<f64>, Vec<f64>, RankStats), RuntimeError>;
+/// One rank's outcome: its final fields and statistics, or its failure.
+pub type RankRun = Result<(RankFields, RankStats), RuntimeError>;
 
 struct RankCtx<'a, O: Operator> {
     rank: usize,
@@ -215,18 +225,6 @@ fn bad_payload(rank: usize, peer: usize, level: usize) -> RuntimeError {
 #[cold]
 fn not_a_peer(rank: usize, peer: usize, level: usize) -> RuntimeError {
     RuntimeError::NotAPeer { rank, peer, level }
-}
-
-/// Per leaf level, the sources on `plan`'s DOFs: `(index into sources,
-/// DOF)`.
-fn rank_sources(plan: &RankPlan, setup: &LtsSetup, sources: &[Source]) -> Vec<Vec<(usize, u32)>> {
-    let mut mine: Vec<Vec<(usize, u32)>> = vec![Vec::new(); setup.n_levels];
-    for (si, src) in sources.iter().enumerate() {
-        if plan.my_dofs.binary_search(&src.dof).is_ok() {
-            mine[setup.leaf_level[src.dof as usize] as usize].push((si, src.dof));
-        }
-    }
-    mine
 }
 
 impl<'a, O: Operator> RankCtx<'a, O> {
@@ -527,8 +525,6 @@ impl<'a, O: Operator> RankCtx<'a, O> {
         let sets = LevelSets {
             active: &plan.my_active,
             leaf: &plan.my_leaf,
-            // a local rank owns its whole vector, a replicated one a subset
-            all: (plan.my_dofs.len() != u.len()).then_some(&plan.my_dofs[..]),
         };
         let dt = self.dt;
         // qualified, so the call graph of `crates/lint` links this `step` only
@@ -610,27 +606,60 @@ impl<O: Operator> LevelForce for RankCtx<'_, O> {
     }
 }
 
-/// Drive one rank's context for `n_steps`, then stamp its transport metrics
-/// (labelled by backend) and close the endpoint so peers observe a clean
-/// goodbye. On error the context drops, which closes the endpoint too —
-/// that drop is what propagates the failure cascade.
-fn run_rank_loop<O: Operator>(
-    mut ctx: RankCtx<'_, O>,
-    (mut u, mut v): Fields,
-    n_steps: usize,
-) -> (Outcome<Fields>, RankRecording) {
-    let mut levels = LevelState::new(u.len(), ctx.n_levels);
+/// Step one rank's world for `spec.n_steps` over `transport`, then stamp
+/// its transport metrics (labelled by backend) and close the endpoint so
+/// peers observe a clean goodbye. On error the context drops, which closes
+/// the endpoint too — that drop is what propagates the failure cascade.
+///
+/// This is the one rank body: the in-process rank threads and
+/// `wave-lts worker` both run it. A `cfg.fault` naming this rank wraps the
+/// endpoint first.
+fn step_rank<O: Operator>(
+    rank: usize,
+    world: LocalRank<O>,
+    transport: Box<dyn Transport>,
+    flight: FlightRecorder,
+    monitor: Option<RankMonitor>,
+    spec: &RunSpec<'_>,
+) -> (RankRun, RankRecording) {
+    let transport = match spec.cfg.fault {
+        Some((r, plan)) if r == rank => faulty::wrap(transport, plan),
+        _ => transport,
+    };
+    let LocalRank {
+        op,
+        n_levels,
+        dof_level,
+        plan,
+        mut u,
+        mut v,
+        my_sources,
+        global_of_local,
+    } = world;
+    let mut ctx = RankCtx::new(
+        rank,
+        &op,
+        n_levels,
+        &dof_level,
+        &plan,
+        spec.sources,
+        my_sources,
+        spec.dt,
+        transport,
+        flight,
+        monitor,
+        spec.cfg,
+    );
+    let mut levels = LevelState::new(u.len(), n_levels);
     ctx.precompile();
     ctx.busy_since = Instant::now();
-    let dt = ctx.dt;
-    for step in 0..n_steps {
-        if let Err(e) = ctx.step(&mut levels, &mut u, &mut v, step as f64 * dt) {
+    for step in 0..spec.n_steps {
+        if let Err(e) = ctx.step(&mut levels, &mut u, &mut v, step as f64 * spec.dt) {
             // terminal fault event, then freeze the ring for the post-mortem
             let (level, peer) = fault_context(&e);
             ctx.flight
                 .record(EventKind::Fault, level, ctx.step_idx, peer, 0);
-            let rec = ctx.flight.snapshot(ctx.rank as u32);
-            return (Err(e), rec);
+            return (Err(e), ctx.flight.snapshot(rank as u32));
         }
     }
     // busy tail after the last exchange, recorded level-less
@@ -648,31 +677,14 @@ fn run_rank_loop<O: Operator>(
     ctx.reg
         .set_gauge_labeled(names::TRANSPORT_BYTES, backend, tm.bytes_sent as f64);
     ctx.transport.close();
-    let rank = ctx.rank;
     let rec = ctx.flight.snapshot(rank as u32);
-    (
-        Ok((
-            (u, v),
-            RankStats::from_registry(rank, ctx.reg, ctx.timeline),
-        )),
-        rec,
-    )
-}
-
-/// Apply `cfg.fault` to a freshly built (or caller-provided) set of
-/// endpoints: the configured rank's endpoint gets the faulty wrapper.
-fn apply_fault_plan(
-    endpoints: Vec<Box<dyn Transport>>,
-    fault: Option<(usize, FaultPlan)>,
-) -> Vec<Box<dyn Transport>> {
-    endpoints
-        .into_iter()
-        .enumerate()
-        .map(|(r, ep)| match fault {
-            Some((fr, plan)) if fr == r => faulty::wrap(ep, plan),
-            _ => ep,
-        })
-        .collect()
+    let stats = RankStats::from_registry(rank, ctx.reg, ctx.timeline);
+    let fields = RankFields {
+        u,
+        v,
+        global_of_local,
+    };
+    (Ok((fields, stats)), rec)
 }
 
 /// Stamp the monitor's final per-level Eq. 21 λ (and its run-long watermark)
@@ -694,200 +706,26 @@ fn stamp_lambda_gauges<'r>(
     }
 }
 
-/// Run `n_steps` of distributed LTS-Newmark over `partition`. Returns the
-/// assembled global `(u, v)` and per-rank statistics; fails cleanly (no
-/// deadlock, no panic) if any rank drops out mid-run.
-#[allow(clippy::too_many_arguments)]
-pub fn run_distributed<O: Operator + DofTopology + Sync>(
-    op: &O,
-    setup: &LtsSetup,
-    partition: &[u32],
-    dt: f64,
-    u0: &[f64],
-    v0: &[f64],
-    n_steps: usize,
-    cfg: &DistributedConfig,
-) -> RunResult {
-    run_distributed_with_sources(op, setup, partition, dt, u0, v0, n_steps, cfg, &[])
-}
-
-/// [`run_distributed`] with external point sources; every rank owning a
-/// source's DOF injects it identically, so interface DOFs stay consistent.
-#[allow(clippy::too_many_arguments)]
-pub fn run_distributed_with_sources<O: Operator + DofTopology + Sync>(
-    op: &O,
-    setup: &LtsSetup,
-    partition: &[u32],
-    dt: f64,
-    u0: &[f64],
-    v0: &[f64],
-    n_steps: usize,
-    cfg: &DistributedConfig,
-    sources: &[Source],
-) -> RunResult {
-    let n_ranks = cfg.n_ranks;
-    let endpoints = transport::make_cluster(cfg.transport, n_ranks);
-    let (outcomes, plans, _recordings) = run_endpoints_with_plans(
-        op, setup, partition, dt, u0, v0, n_steps, cfg, sources, endpoints,
-    );
-    // lowest failed rank wins, matching the pre-transport behaviour
-    let mut results = Vec::with_capacity(n_ranks);
-    for o in outcomes {
-        results.push(o?);
-    }
-
-    // assemble global state from DOF owners (lowest owning rank)
-    let ndof = Operator::ndof(op);
-    let mut owner = vec![u32::MAX; ndof];
-    for (rank, plan) in plans.iter().enumerate() {
-        for &d in &plan.my_dofs {
-            owner[d as usize] = owner[d as usize].min(rank as u32);
-        }
-    }
-    let mut u = vec![0.0; ndof];
-    let mut v = vec![0.0; ndof];
-    let mut stats: Vec<RankStats> = Vec::with_capacity(n_ranks);
-    for (rank, ((ur, vr, st), plan)) in results.into_iter().zip(&plans).enumerate() {
-        for &d in &plan.my_dofs {
-            let d = d as usize;
-            if owner[d] == rank as u32 {
-                u[d] = ur[d];
-                v[d] = vr[d];
-            }
-        }
-        stats.push(st);
-    }
-    Ok((u, v, stats))
-}
-
-/// Run every rank of a globally-replicated distributed run on the given
-/// transport endpoints (one per rank, e.g. from
-/// [`transport::make_cluster`] or wrapped in
-/// [`crate::transport::faulty::FaultyTransport`]), returning **each rank's
-/// own outcome** instead of the first failure — the fault-injection tests
-/// assert that killing one rank yields an error on *every* rank.
-#[allow(clippy::too_many_arguments)]
-pub fn run_distributed_endpoints<O: Operator + DofTopology + Sync>(
-    op: &O,
-    setup: &LtsSetup,
-    partition: &[u32],
-    dt: f64,
-    u0: &[f64],
-    v0: &[f64],
-    n_steps: usize,
-    cfg: &DistributedConfig,
-    sources: &[Source],
+/// The rank-thread driver: runs [`step_rank`] for every world on one
+/// scoped thread per rank, every recorder on one epoch so the recordings
+/// share a time axis. All threads are joined before anything propagates: a
+/// failed rank's endpoint closes, which unblocks any peer still waiting in
+/// recv (goodbye cascade). A panicked rank yields
+/// [`RuntimeError::RankPanicked`] and an empty recording. The monitor's λ
+/// gauges are then stamped into every surviving registry.
+fn run_rank_threads<O: Operator + Send>(
+    worlds: Vec<LocalRank<O>>,
     endpoints: Vec<Box<dyn Transport>>,
-) -> Vec<RankRun> {
-    run_endpoints_with_plans(
-        op, setup, partition, dt, u0, v0, n_steps, cfg, sources, endpoints,
-    )
-    .0
-}
-
-/// [`run_distributed_endpoints`] plus each rank's flight recording — the
-/// post-mortem path: recordings come back on success *and* failure, so an
-/// injected fault still yields the material for a causally merged crash
-/// report.
-#[allow(clippy::too_many_arguments)]
-pub fn run_distributed_endpoints_recorded<O: Operator + DofTopology + Sync>(
-    op: &O,
-    setup: &LtsSetup,
-    partition: &[u32],
-    dt: f64,
-    u0: &[f64],
-    v0: &[f64],
-    n_steps: usize,
-    cfg: &DistributedConfig,
-    sources: &[Source],
-    endpoints: Vec<Box<dyn Transport>>,
+    spec: &RunSpec<'_>,
 ) -> (Vec<RankRun>, Vec<RankRecording>) {
-    let (outcomes, _plans, recordings) = run_endpoints_with_plans(
-        op, setup, partition, dt, u0, v0, n_steps, cfg, sources, endpoints,
-    );
-    (outcomes, recordings)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_endpoints_with_plans<O: Operator + DofTopology + Sync>(
-    op: &O,
-    setup: &LtsSetup,
-    partition: &[u32],
-    dt: f64,
-    u0: &[f64],
-    v0: &[f64],
-    n_steps: usize,
-    cfg: &DistributedConfig,
-    sources: &[Source],
-    endpoints: Vec<Box<dyn Transport>>,
-) -> (Vec<RankRun>, Vec<RankPlan>, Vec<RankRecording>) {
-    let plans = build_plans(op, setup, partition, endpoints.len());
-    assert_eq!(u0.len(), Operator::ndof(op));
-    let (outcomes, recordings) = run_rank_threads(
-        plans.iter().collect(),
-        endpoints,
-        cfg,
-        setup.n_levels,
-        |rank, plan, transport, flight, monitor| {
-            let ctx = RankCtx::new(
-                rank,
-                op,
-                setup.n_levels,
-                &setup.dof_level,
-                plan,
-                sources,
-                rank_sources(plan, setup, sources),
-                dt,
-                transport,
-                flight,
-                monitor,
-                *cfg,
-            );
-            run_rank_loop(ctx, (u0.to_vec(), v0.to_vec()), n_steps)
-        },
-    );
-    let outcomes = outcomes
-        .into_iter()
-        .map(|o| o.map(|((u, v), st)| (u, v, st)))
-        .collect();
-    (outcomes, plans, recordings)
-}
-
-/// One rank's result with its statistics, or its failure.
-type Outcome<R> = Result<(R, RankStats), RuntimeError>;
-
-/// A rank's `(u, v)`.
-type Fields = (Vec<f64>, Vec<f64>);
-
-/// The rank-thread driver: runs `rank_main(rank, world, endpoint, flight
-/// recorder, monitor)` on one scoped thread per rank, every recorder on one
-/// epoch so the recordings share a time axis. All threads are joined
-/// before anything propagates: a failed rank's endpoint closes, which
-/// unblocks any peer still waiting in recv (goodbye cascade). A panicked
-/// rank yields [`RuntimeError::RankPanicked`] and an empty recording. The
-/// monitor's λ gauges are then stamped into every surviving registry.
-fn run_rank_threads<W: Send, R: Send>(
-    worlds: Vec<W>,
-    endpoints: Vec<Box<dyn Transport>>,
-    cfg: &DistributedConfig,
-    n_levels: usize,
-    rank_main: impl Fn(
-            usize,
-            W,
-            Box<dyn Transport>,
-            FlightRecorder,
-            Option<RankMonitor>,
-        ) -> (Outcome<R>, RankRecording)
-        + Sync,
-) -> (Vec<Outcome<R>>, Vec<RankRecording>) {
-    let n_ranks = endpoints.len();
-    let endpoints = apply_fault_plan(endpoints, cfg.fault);
+    let cfg = &spec.cfg;
+    let n_levels = worlds.first().map_or(1, |w| w.n_levels);
     let monitor = cfg
         .stall_monitor
-        .map(|mc| StallMonitor::new(mc, n_ranks, n_levels));
+        .map(|mc| StallMonitor::new(mc, endpoints.len(), n_levels));
     let epoch = Instant::now();
-    let (rank_main, monitor_ref) = (&rank_main, &monitor);
-    let (mut outcomes, recordings): (Vec<Outcome<R>>, Vec<RankRecording>) =
+    let monitor_ref = &monitor;
+    let (mut outcomes, recordings): (Vec<RankRun>, Vec<RankRecording>) =
         std::thread::scope(|scope| {
             let handles: Vec<_> = worlds
                 .into_iter()
@@ -897,7 +735,7 @@ fn run_rank_threads<W: Send, R: Send>(
                     scope.spawn(move || {
                         let flight = FlightRecorder::with_epoch(cfg.flight_capacity, epoch);
                         let mon = monitor_ref.clone().map(|s| RankMonitor::new(s, rank));
-                        rank_main(rank, world, transport, flight, mon)
+                        step_rank(rank, world, transport, flight, mon, spec)
                     })
                 })
                 .collect();
@@ -925,56 +763,10 @@ fn run_rank_threads<W: Send, R: Send>(
     (outcomes, recordings)
 }
 
-/// Run ONE rank of a globally-replicated distributed run on an
-/// already-connected endpoint, returning its flight recording on success
-/// *and* failure — the building block of the multi-process runner:
-/// `wave-lts worker` rebuilds its mesh and exchange plan deterministically,
-/// dials the coordinator, calls this with the resulting
-/// [`crate::transport::socket::SocketTransport`], and ships the recording
-/// back as a [`crate::transport::codec::Frame::Flight`] so multi-process
-/// post-mortems causally align with in-process ones. The recorder gets its
-/// own epoch here (one per OS process); the causal merge never compares raw
-/// timestamps across ranks.
-///
-/// The online stall monitor needs shared-memory aggregation across ranks,
-/// so it is not run here regardless of `cfg.stall_monitor`; the
-/// deterministic counters and busy/wait histograms are recorded as usual.
-#[allow(clippy::too_many_arguments)]
-pub fn run_rank_endpoint_recorded<O: Operator>(
-    op: &O,
-    setup: &LtsSetup,
-    plan: &RankPlan,
-    rank: usize,
-    dt: f64,
-    u0: &[f64],
-    v0: &[f64],
-    n_steps: usize,
-    cfg: &DistributedConfig,
-    sources: &[Source],
-    transport: Box<dyn Transport>,
-) -> (RankRun, RankRecording) {
-    let ctx = RankCtx::new(
-        rank,
-        op,
-        setup.n_levels,
-        &setup.dof_level,
-        plan,
-        sources,
-        rank_sources(plan, setup, sources),
-        dt,
-        transport,
-        FlightRecorder::new(cfg.flight_capacity),
-        None,
-        *cfg,
-    );
-    let (run, rec) = run_rank_loop(ctx, (u0.to_vec(), v0.to_vec()), n_steps);
-    (run.map(|((u, v), st)| (u, v, st)), rec)
-}
-
-/// One rank's complete owned world for the distributed-memory runner
-/// (see [`crate::local`]): a private operator, plan and state in rank-local
-/// numbering.
-pub struct LocalRank<O: Operator> {
+/// One rank's complete owned world: a private operator over its own
+/// elements, its plan, level metadata, state and sources, all in rank-local
+/// numbering (see [`crate::local`]).
+pub(crate) struct LocalRank<O: Operator> {
     pub op: O,
     pub n_levels: usize,
     pub dof_level: Vec<u8>,
@@ -987,54 +779,217 @@ pub struct LocalRank<O: Operator> {
     pub global_of_local: Vec<u32>,
 }
 
-/// One rank's outcome from [`run_rank_contexts_recorded`].
-pub type RankContextRun = Outcome<RankResult>;
+/// The global `(u, v)` over `ndof` DOFs from every rank's final fields, in
+/// rank order: the lowest rank holding a DOF provides it. The in-process
+/// run and the multi-process coordinator both assemble through here.
+pub(crate) fn assemble_fields<'r>(
+    ndof: usize,
+    ranks: impl DoubleEndedIterator<Item = &'r RankFields>,
+) -> (Vec<f64>, Vec<f64>) {
+    let mut u = vec![0.0; ndof];
+    let mut v = vec![0.0; ndof];
+    // highest rank first, so the lowest holder writes each DOF last
+    for f in ranks.rev() {
+        for (l, &g) in f.global_of_local.iter().enumerate() {
+            u[g as usize] = f.u[l];
+            v[g as usize] = f.v[l];
+        }
+    }
+    (u, v)
+}
 
-/// Spawn one thread per pre-built [`LocalRank`] world and run `n_steps` over
-/// the configured transport backend, returning **each rank's own outcome**
-/// — its final `(u, v, global_of_local)` plus statistics — and its flight
-/// recording. On failure the recordings are exactly the material a crash
-/// report needs, and the λ gauges are already stamped into every surviving
-/// rank's registry.
-pub fn run_rank_contexts_recorded<O: Operator + Send>(
-    ranks: Vec<LocalRank<O>>,
+/// What one run decomposes and steps, besides the problem itself.
+#[derive(Clone, Copy)]
+pub struct RunSpec<'a> {
+    /// Each element's LTS level.
+    pub elem_level: &'a [u8],
+    /// Each element's rank.
+    pub partition: &'a [u32],
+    /// The global (coarsest) step `Δt`.
+    pub dt: f64,
+    /// Initial global `u` and `v`.
+    pub u0: &'a [f64],
+    pub v0: &'a [f64],
+    pub n_steps: usize,
+    /// Point sources, on global DOFs; each rank holding a source's DOF
+    /// injects it, so interface DOFs stay consistent.
+    pub sources: &'a [Source],
+    pub cfg: DistributedConfig,
+}
+
+/// What an in-process run returns.
+#[derive(Debug)]
+pub struct RunOutput {
+    /// Each rank's own outcome: its statistics, or its failure.
+    pub ranks: Vec<Result<RankStats, RuntimeError>>,
+    /// Each rank's drained flight-recorder ring, on success and failure
+    /// alike: the material of a crash report.
+    pub recordings: Vec<RankRecording>,
+    /// The assembled global `(u, v)`, when every rank succeeded.
+    pub fields: Option<(Vec<f64>, Vec<f64>)>,
+}
+
+impl RunOutput {
+    /// Fields and per-rank statistics, or the lowest failed rank's error
+    /// (rank order, so deterministic across runs).
+    pub fn into_result(self) -> RunResult {
+        let stats = self.ranks.into_iter().collect::<Result<Vec<_>, _>>()?;
+        let (u, v) = self.fields.ok_or(RuntimeError::MissingRank { rank: 0 })?;
+        Ok((u, v, stats))
+    }
+}
+
+/// Run `spec` on `cfg.n_ranks` in-process ranks, each a thread stepping
+/// its own local world.
+///
+/// Builds the global setup, mass and plans once (the decomposer phase a
+/// real code runs before its ranks start), hands each rank only its slice
+/// of the world, and drops the global operator before stepping. The ranks
+/// exchange over `endpoints` when given — one per rank, e.g. wrapped to
+/// inject faults or latency — and otherwise over a fresh `cfg.transport`
+/// cluster. The phases are recorded as spans in `host`
+/// (`decompose.discretize`, `decompose.build_worlds`, `run.steps`), and
+/// every successful rank's registry is folded into it.
+pub fn run<P: Decompose>(
+    problem: &P,
+    spec: &RunSpec<'_>,
+    endpoints: Option<Vec<Box<dyn Transport>>>,
+    host: &mut MetricsRegistry,
+) -> RunOutput {
+    let n_ranks = spec.cfg.n_ranks;
+    let endpoints =
+        endpoints.unwrap_or_else(|| transport::make_cluster(spec.cfg.transport, n_ranks));
+    assert_eq!(endpoints.len(), n_ranks, "one endpoint per rank");
+    let ndof = spec.u0.len();
+    let discretize = host.start_span("decompose.discretize", None);
+    let d = decompose(problem, spec);
+    drop(discretize);
+    host.set_gauge("ndof", ndof as f64);
+    host.set_gauge("n_ranks", n_ranks as f64);
+    let worlds_span = host.start_span("decompose.build_worlds", None);
+    let worlds = local_worlds(problem, spec, d);
+    drop(worlds_span);
+    let run_span = host.start_span("run.steps", None);
+    let (outcomes, recordings) = run_rank_threads(worlds, endpoints, spec);
+    drop(run_span);
+    let fields = outcomes
+        .iter()
+        .map(|o| o.as_ref().ok().map(|(f, _)| f))
+        .collect::<Option<Vec<_>>>()
+        .map(|all| assemble_fields(ndof, all.into_iter()));
+    let ranks: Vec<_> = outcomes.into_iter().map(|o| o.map(|(_, st)| st)).collect();
+    for st in ranks.iter().flatten() {
+        host.merge_from(&st.registry);
+    }
+    RunOutput {
+        ranks,
+        recordings,
+        fields,
+    }
+}
+
+/// Run rank `rank` of `spec` alone, on an endpoint already connected to
+/// its peers — what each `wave-lts worker` process runs. It discretizes
+/// and plans the whole problem like [`run`], builds only its own world,
+/// drops the global operator, and steps through the same rank body as the
+/// in-process threads. Returns the rank's fields in its own numbering and
+/// its flight recording, on failure too.
+///
+/// The recorder gets its own epoch (one per OS process); the causal merge
+/// never compares raw timestamps across ranks. The online stall monitor
+/// needs shared memory across ranks, so it does not run here.
+pub fn run_rank<P: Decompose>(
+    problem: &P,
+    spec: &RunSpec<'_>,
+    rank: usize,
+    transport: Box<dyn Transport>,
+) -> (RankRun, RankRecording) {
+    let world = rank_world(problem, spec, &decompose(problem, spec), rank);
+    let flight = FlightRecorder::new(spec.cfg.flight_capacity);
+    step_rank(rank, world, transport, flight, None, spec)
+}
+
+/// [`run`] on the acoustic SEM of `mesh` at `order`, returning
+/// [`RunResult`]; the decomposer phases are recorded in `host`.
+#[allow(clippy::too_many_arguments)]
+pub fn run_distributed_local_acoustic_observed(
+    mesh: &HexMesh,
+    levels: &Levels,
+    order: usize,
+    partition: &[u32],
     dt: f64,
+    u0: &[f64],
+    v0: &[f64],
     n_steps: usize,
     cfg: &DistributedConfig,
     sources: &[Source],
-) -> (Vec<RankContextRun>, Vec<RankRecording>) {
-    let n_levels = ranks.first().map_or(1, |r| r.n_levels);
-    let endpoints = transport::make_cluster(cfg.transport, ranks.len());
-    run_rank_threads(
-        ranks,
-        endpoints,
-        cfg,
-        n_levels,
-        |rank, world, transport, flight, monitor| {
-            let LocalRank {
-                op,
-                n_levels,
-                dof_level,
-                plan,
-                u,
-                v,
-                my_sources,
-                global_of_local,
-            } = world;
-            let ctx = RankCtx::new(
-                rank, &op, n_levels, &dof_level, &plan, sources, my_sources, dt, transport, flight,
-                monitor, *cfg,
-            );
-            let (run, rec) = run_rank_loop(ctx, (u, v), n_steps);
-            (run.map(|((u, v), st)| ((u, v, global_of_local), st)), rec)
-        },
+    host: &mut MetricsRegistry,
+) -> RunResult {
+    run_distributed_local_acoustic_flight(
+        mesh, levels, order, partition, dt, u0, v0, n_steps, cfg, sources, host,
     )
+    .0
+}
+
+/// [`run_distributed_local_acoustic_observed`] that also returns every
+/// rank's flight recording, on the `Err` side too.
+#[allow(clippy::too_many_arguments)]
+pub fn run_distributed_local_acoustic_flight(
+    mesh: &HexMesh,
+    levels: &Levels,
+    order: usize,
+    partition: &[u32],
+    dt: f64,
+    u0: &[f64],
+    v0: &[f64],
+    n_steps: usize,
+    cfg: &DistributedConfig,
+    sources: &[Source],
+    host: &mut MetricsRegistry,
+) -> (RunResult, Vec<RankRecording>) {
+    let spec = RunSpec {
+        elem_level: &levels.elem_level,
+        partition,
+        dt,
+        u0,
+        v0,
+        n_steps,
+        sources,
+        cfg: *cfg,
+    };
+    let mut out = run(&Acoustic { mesh, order }, &spec, None, host);
+    let recordings = std::mem::take(&mut out.recordings);
+    (out.into_result(), recordings)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use lts_core::{Chain1d, LtsNewmark, LtsSetup};
+
+    /// [`run`] on the chain `c` with zero initial velocity and no sources.
+    fn run_chain(
+        c: &Chain1d,
+        setup: &LtsSetup,
+        partition: &[u32],
+        dt: f64,
+        u0: &[f64],
+        n_steps: usize,
+        cfg: &DistributedConfig,
+    ) -> RunOutput {
+        let v0 = vec![0.0; u0.len()];
+        let spec = RunSpec {
+            elem_level: &setup.elem_level,
+            partition,
+            dt,
+            u0,
+            v0: &v0,
+            n_steps,
+            sources: &[],
+            cfg: *cfg,
+        };
+        run(c, &spec, None, &mut MetricsRegistry::new())
+    }
 
     fn serial(
         c: &Chain1d,
@@ -1064,8 +1019,9 @@ mod tests {
         let (us, vs) = serial(&c, &setup, 0.5, &u0, 30);
         let part: Vec<u32> = (0..16).map(|e| u32::from(e >= 8)).collect();
         let cfg = DistributedConfig::new(2);
-        let (ud, vd, stats) =
-            run_distributed(&c, &setup, &part, 0.5, &u0, &[0.0; 17], 30, &cfg).unwrap();
+        let (ud, vd, stats) = run_chain(&c, &setup, &part, 0.5, &u0, 30, &cfg)
+            .into_result()
+            .unwrap();
         for i in 0..17 {
             assert_eq!(us[i], ud[i], "u[{i}]");
             assert_eq!(vs[i], vd[i], "v[{i}]");
@@ -1092,7 +1048,9 @@ mod tests {
         let (us, _) = serial(&c, &setup, dt, &u0, 20);
         let part: Vec<u32> = (0..24).map(|e| (e / 6) as u32).collect();
         let cfg = DistributedConfig::new(4);
-        let (ud, _, _) = run_distributed(&c, &setup, &part, dt, &u0, &[0.0; 25], 20, &cfg).unwrap();
+        let (ud, _, _) = run_chain(&c, &setup, &part, dt, &u0, 20, &cfg)
+            .into_result()
+            .unwrap();
         for i in 0..25 {
             assert!(
                 (us[i] - ud[i]).abs() < 1e-13,
@@ -1117,7 +1075,9 @@ mod tests {
         // interleaved ownership → many interfaces
         let part: Vec<u32> = (0..12).map(|e| (e % 3) as u32).collect();
         let cfg = DistributedConfig::new(3);
-        let (ud, _, _) = run_distributed(&c, &setup, &part, dt, &u0, &[0.0; 13], 15, &cfg).unwrap();
+        let (ud, _, _) = run_chain(&c, &setup, &part, dt, &u0, 15, &cfg)
+            .into_result()
+            .unwrap();
         for i in 0..13 {
             assert!((us[i] - ud[i]).abs() < 1e-13, "u[{i}]");
         }
@@ -1130,8 +1090,9 @@ mod tests {
         let u0 = gaussian(9);
         let (us, _) = serial(&c, &setup, 0.5, &u0, 10);
         let cfg = DistributedConfig::new(1);
-        let (ud, _, stats) =
-            run_distributed(&c, &setup, &[0; 8], 0.5, &u0, &[0.0; 9], 10, &cfg).unwrap();
+        let (ud, _, stats) = run_chain(&c, &setup, &[0; 8], 0.5, &u0, 10, &cfg)
+            .into_result()
+            .unwrap();
         assert_eq!(us, ud);
         assert_eq!(stats[0].n_exchanges, 0);
     }
@@ -1159,10 +1120,12 @@ mod tests {
             overlap: true,
             ..blocking
         };
-        let (ub, vb, sb) =
-            run_distributed(&c, &setup, &part, dt, &u0, &[0.0; 25], 20, &blocking).unwrap();
-        let (uo, vo, so) =
-            run_distributed(&c, &setup, &part, dt, &u0, &[0.0; 25], 20, &overlapped).unwrap();
+        let (ub, vb, sb) = run_chain(&c, &setup, &part, dt, &u0, 20, &blocking)
+            .into_result()
+            .unwrap();
+        let (uo, vo, so) = run_chain(&c, &setup, &part, dt, &u0, 20, &overlapped)
+            .into_result()
+            .unwrap();
         for i in 0..25 {
             assert_eq!(ub[i].to_bits(), uo[i].to_bits(), "u[{i}]");
             assert_eq!(vb[i].to_bits(), vo[i].to_bits(), "v[{i}]");
@@ -1194,15 +1157,17 @@ mod tests {
                 overlap,
                 ..DistributedConfig::new(3)
             };
-            let (uc, vc, sc) =
-                run_distributed(&c, &setup, &part, dt, &u0, &[0.0; 13], 15, &base).unwrap();
+            let (uc, vc, sc) = run_chain(&c, &setup, &part, dt, &u0, 15, &base)
+                .into_result()
+                .unwrap();
             for kind in [TransportKind::SharedRing, TransportKind::UnixSocket] {
                 let cfg = DistributedConfig {
                     transport: kind,
                     ..base
                 };
-                let (u, v, st) =
-                    run_distributed(&c, &setup, &part, dt, &u0, &[0.0; 13], 15, &cfg).unwrap();
+                let (u, v, st) = run_chain(&c, &setup, &part, dt, &u0, 15, &cfg)
+                    .into_result()
+                    .unwrap();
                 for i in 0..13 {
                     assert_eq!(uc[i].to_bits(), u[i].to_bits(), "{kind:?} u[{i}]");
                     assert_eq!(vc[i].to_bits(), v[i].to_bits(), "{kind:?} v[{i}]");
@@ -1253,8 +1218,9 @@ mod tests {
             ..DistributedConfig::new(2)
         };
         let u0 = gaussian(17);
-        let (_, _, stats) =
-            run_distributed(&c, &setup, &part, dt, &u0, &[0.0; 17], 50, &cfg).unwrap();
+        let (_, _, stats) = run_chain(&c, &setup, &part, dt, &u0, 50, &cfg)
+            .into_result()
+            .unwrap();
         // rank 0 (coarse only) waits more than rank 1
         assert!(
             stats[0].wait_s > stats[1].wait_s,
@@ -1288,8 +1254,9 @@ mod tests {
             ..DistributedConfig::new(2)
         };
         let u0 = gaussian(17);
-        let (_, _, stats) =
-            run_distributed(&c, &setup, &part, 0.5, &u0, &[0.0; 17], 60, &cfg).unwrap();
+        let (_, _, stats) = run_chain(&c, &setup, &part, 0.5, &u0, 60, &cfg)
+            .into_result()
+            .unwrap();
         let posthoc = lambda_from_stats(&stats);
         assert!(!posthoc.is_empty());
         for &(l, lam) in &posthoc {
@@ -1349,10 +1316,12 @@ mod tests {
             flight_capacity: 0,
             ..on
         };
-        let (u1, v1, s1) =
-            run_distributed(&c, &setup, &part, dt, &u0, &[0.0; 25], 20, &on).unwrap();
-        let (u0r, v0r, s0) =
-            run_distributed(&c, &setup, &part, dt, &u0, &[0.0; 25], 20, &off).unwrap();
+        let (u1, v1, s1) = run_chain(&c, &setup, &part, dt, &u0, 20, &on)
+            .into_result()
+            .unwrap();
+        let (u0r, v0r, s0) = run_chain(&c, &setup, &part, dt, &u0, 20, &off)
+            .into_result()
+            .unwrap();
         for i in 0..25 {
             assert_eq!(u1[i].to_bits(), u0r[i].to_bits(), "u[{i}]");
             assert_eq!(v1[i].to_bits(), v0r[i].to_bits(), "v[{i}]");
@@ -1392,19 +1361,8 @@ mod tests {
             )),
             ..DistributedConfig::new(3)
         };
-        let endpoints = transport::make_cluster(cfg.transport, 3);
-        let (outcomes, recs) = run_distributed_endpoints_recorded(
-            &c,
-            &setup,
-            &part,
-            dt,
-            &u0,
-            &[0.0; 13],
-            15,
-            &cfg,
-            &[],
-            endpoints,
-        );
+        let out = run_chain(&c, &setup, &part, dt, &u0, 15, &cfg);
+        let (outcomes, recs) = (out.ranks, out.recordings);
         for (rank, o) in outcomes.iter().enumerate() {
             assert!(o.is_err(), "rank {rank} should fail after the cascade");
         }
@@ -1427,8 +1385,9 @@ mod tests {
             transport: TransportKind::SharedRing,
             ..DistributedConfig::new(2)
         };
-        let (_, _, stats) =
-            run_distributed(&c, &setup, &part, 0.5, &u0, &[0.0; 9], 5, &cfg).unwrap();
+        let (_, _, stats) = run_chain(&c, &setup, &part, 0.5, &u0, 5, &cfg)
+            .into_result()
+            .unwrap();
         for st in &stats {
             let msgs = st
                 .registry

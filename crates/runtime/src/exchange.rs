@@ -18,14 +18,13 @@ pub struct RankPlan {
     pub my_boundary_elems: Vec<Vec<u32>>,
     /// …and the rest, computable while messages are in flight.
     pub my_interior_elems: Vec<Vec<u32>>,
-    /// `setup.touched[l] ∩ my_dofs` — force-buffer entries to zero.
+    /// `setup.touched[l]` restricted to the rank's DOFs (those of its
+    /// elements) — force-buffer entries to zero.
     pub my_zero: Vec<Vec<u32>>,
-    /// `setup.active[l] ∩ my_dofs`.
+    /// `setup.active[l]` restricted to the rank's DOFs.
     pub my_active: Vec<Vec<u32>>,
-    /// `setup.leaf[l] ∩ my_dofs`.
+    /// `setup.leaf[l]` restricted to the rank's DOFs.
     pub my_leaf: Vec<Vec<u32>>,
-    /// All DOFs of owned elements.
-    pub my_dofs: Vec<u32>,
     /// Per level: peers this rank exchanges with (sorted).
     pub peers: Vec<Vec<usize>>,
     /// Per level, aligned with `peers`: the ascending DOF list sent to (and
@@ -149,7 +148,6 @@ fn empty_plans(n_ranks: usize, nl: usize) -> Vec<RankPlan> {
             my_zero: vec![Vec::new(); nl],
             my_active: vec![Vec::new(); nl],
             my_leaf: vec![Vec::new(); nl],
-            my_dofs: Vec::new(),
             peers: vec![Vec::new(); nl],
             pair_dofs: vec![Vec::new(); nl],
             shared: vec![SharedDofs::default(); nl],
@@ -181,16 +179,9 @@ pub fn build_plans<T: DofTopology>(
     assert_eq!(partition.len(), topo.n_elems());
     assert!(n_ranks >= 1);
     assert!(partition.iter().all(|&p| (p as usize) < n_ranks));
-    let ndof = topo.n_dofs();
     let nl = setup.n_levels;
     let sets = RankSets::build(topo, &elems_by_rank(partition, n_ranks));
     let mut plans = empty_plans(n_ranks, nl);
-
-    for d in 0..ndof as u32 {
-        for &r in sets.of(d) {
-            plans[r as usize].my_dofs.push(d);
-        }
-    }
     // per-level element lists, split boundary/interior for overlap
     let mut dofs = Vec::new();
     for (l, elems_l) in setup.elems.iter().enumerate() {
@@ -272,11 +263,6 @@ mod tests {
             v.sort_unstable();
         }
         let mut plans = empty_plans(n_ranks, nl);
-        for d in 0..ndof as u32 {
-            for &r in &dof_ranks[d as usize] {
-                plans[r as usize].my_dofs.push(d);
-            }
-        }
         for (l, elems_l) in setup.elems.iter().enumerate() {
             for &e in elems_l {
                 plans[partition[e as usize] as usize].my_elems[l].push(e);
@@ -439,6 +425,6 @@ mod tests {
         let plans = build_plans(&c, &setup, &[0; 6], 1);
         assert!(plans[0].peers[0].is_empty());
         assert_eq!(plans[0].my_elems[0].len(), 6);
-        assert_eq!(plans[0].my_dofs.len(), 7);
+        assert_eq!(plans[0].my_leaf[0].len(), 7);
     }
 }

@@ -1,9 +1,10 @@
 //! A message-passing runtime for partitioned LTS-Newmark.
 //!
-//! Each rank is an OS thread with private state vectors; the only
-//! communication is the *assembly exchange* of partial force contributions on
-//! interface DOFs after every masked operator application — exactly the MPI
-//! pattern of SPECFEM3D (Sec. III). A force at level `k` is exchanged `2^k`
+//! Each rank is an OS thread (or a `wave-lts worker` process) holding only
+//! its own partition in rank-local numbering; the only communication is
+//! the *assembly exchange* of partial force contributions on interface
+//! DOFs after every masked operator application — exactly the MPI pattern
+//! of SPECFEM3D (Sec. III). A force at level `k` is exchanged `2^k`
 //! times per LTS cycle, which is why an unbalanced partition stalls at every
 //! sub-step (the paper's Fig. 1); per-rank busy/wait accounting makes that
 //! stall measurable.
@@ -27,16 +28,12 @@ pub mod stats;
 pub mod transport;
 
 pub use distributed::{
-    flight_capacity_from_env, run_distributed, run_distributed_endpoints,
-    run_distributed_endpoints_recorded, run_distributed_with_sources, run_rank_endpoint_recorded,
-    DistributedConfig, RankRun,
+    flight_capacity_from_env, run, run_distributed_local_acoustic_flight,
+    run_distributed_local_acoustic_observed, run_rank, DistributedConfig, RankFields, RankRun,
+    RunOutput, RunResult, RunSpec,
 };
 pub use error::RuntimeError;
-pub use local::{
-    run_distributed_local_acoustic, run_distributed_local_acoustic_flight,
-    run_distributed_local_acoustic_observed, run_distributed_local_elastic,
-    run_distributed_local_elastic_flight, run_distributed_local_elastic_observed,
-};
+pub use local::{Acoustic, Decompose, Elastic};
 pub use monitor::{eq21_lambda, MonitorConfig, StallMonitor, StallWarning};
 pub use postmortem::CrashReport;
 pub use stats::{

@@ -1,310 +1,136 @@
-//! Distributed-*memory* execution: each rank builds a compact local
-//! sub-operator over its own elements ([`lts_sem::UnstructuredAcoustic`]),
-//! so per-rank state scales with the partition size instead of the mesh —
-//! the actual memory model of an MPI code like SPECFEM3D.
+//! Rank decomposition: the decomposer discretizes a problem once (mass,
+//! DOF topology, level sets, exchange plans) and cuts it into rank-local
+//! worlds. Each rank's world holds its own elements' operator — a compact
+//! sub-operator such as [`lts_sem::UnstructuredAcoustic`] or a sub-chain —
+//! with its plan, level metadata, state and sources translated to
+//! rank-local numbering, so per-rank state scales with the partition size
+//! instead of the mesh: the memory model of an MPI code like SPECFEM3D.
 //!
-//! The stepping and exchange logic is the shared [`crate::distributed`]
-//! rank context; only the index spaces change (everything is translated to
-//! rank-local DOF/element numbering up front). Verified bitwise against the
-//! serial stepper.
+//! [`local_worlds`] builds every rank's world, calling the per-rank builder
+//! [`rank_world`] with one shared [`LocalIndex`]; a `wave-lts worker`
+//! process calls [`rank_world`] for its own rank alone. Verified bitwise
+//! against the serial stepper.
 
-use crate::distributed::{
-    run_rank_contexts_recorded, DistributedConfig, LocalRank, RankContextRun, RankResult, RunResult,
-};
+use crate::distributed::{LocalRank, RunSpec};
 use crate::exchange::{build_plans, elems_by_rank, RankPlan, SharedDofs};
-use crate::stats::RankStats;
-use crate::RuntimeError;
-use lts_core::{DofTopology, LtsSetup, Operator, Source};
-use lts_mesh::{HexMesh, Levels};
-use lts_obs::{MetricsRegistry, RankRecording};
+use lts_core::{Chain1d, DofTopology, LtsSetup, Operator};
+use lts_mesh::HexMesh;
 use lts_sem::{AcousticOperator, ElasticOperator, UnstructuredAcoustic, UnstructuredElastic};
 
-/// A SEM operator a rank builds over its own elements, paired with the
-/// global operator the decomposer discretizes first.
-trait LocalOperator: Operator + Send + Sized {
-    /// The global discretization (mass and level sets).
+/// A problem the decomposer can cut into rank-local worlds: discretized
+/// once globally, then rebuilt per rank over that rank's elements.
+pub trait Decompose: Sync {
+    /// The global discretization (mass, DOF topology, level sets).
     type Global: Operator + DofTopology;
-    /// DOF components per GLL node (global DOF = components·node + comp).
+    /// One rank's operator over its own elements, in local numbering.
+    type Local: Operator + Send;
+    /// DOF components per node (global DOF = components·node + comp).
     const COMPONENTS: u32;
-    fn global(mesh: &HexMesh, order: usize) -> Self::Global;
-    /// The local operator over `elems` and its local→global node map,
-    /// numbered through `node_map` (see
-    /// [`UnstructuredAcoustic::from_subset_in`]).
-    fn from_subset_in(
-        mesh: &HexMesh,
-        order: usize,
+    fn global(&self) -> Self::Global;
+    /// The local operator over `elems` (ascending) with masses gathered
+    /// from `global`, and the global node of each local node. `node_map` is
+    /// a dense global→local node array, every entry
+    /// [`lts_sem::unstructured::UNMAPPED`] on entry and again on return.
+    fn local(
+        &self,
+        global: &Self::Global,
         elems: &[u32],
-        node_mass: &dyn Fn(u32) -> f64,
         node_map: &mut [u32],
-    ) -> (Self, Vec<u32>);
+    ) -> (Self::Local, Vec<u32>);
 }
 
-impl LocalOperator for UnstructuredAcoustic {
+/// The acoustic SEM of `mesh` at polynomial `order`.
+#[derive(Clone, Copy)]
+pub struct Acoustic<'m> {
+    pub mesh: &'m HexMesh,
+    pub order: usize,
+}
+
+/// The elastic (Poisson solid) SEM of `mesh` at polynomial `order`.
+#[derive(Clone, Copy)]
+pub struct Elastic<'m> {
+    pub mesh: &'m HexMesh,
+    pub order: usize,
+}
+
+impl Decompose for Acoustic<'_> {
     type Global = AcousticOperator;
+    type Local = UnstructuredAcoustic;
     const COMPONENTS: u32 = 1;
-    fn global(mesh: &HexMesh, order: usize) -> AcousticOperator {
-        AcousticOperator::new(mesh, order)
+    fn global(&self) -> AcousticOperator {
+        AcousticOperator::new(self.mesh, self.order)
     }
-    fn from_subset_in(
-        mesh: &HexMesh,
-        order: usize,
+    fn local(
+        &self,
+        global: &AcousticOperator,
         elems: &[u32],
-        node_mass: &dyn Fn(u32) -> f64,
         node_map: &mut [u32],
-    ) -> (Self, Vec<u32>) {
-        UnstructuredAcoustic::from_subset_in(mesh, order, elems, Some(node_mass), node_map)
+    ) -> (UnstructuredAcoustic, Vec<u32>) {
+        let mass = |g: u32| global.mass()[g as usize];
+        UnstructuredAcoustic::from_subset_in(self.mesh, self.order, elems, Some(&mass), node_map)
     }
 }
 
-impl LocalOperator for UnstructuredElastic {
+impl Decompose for Elastic<'_> {
     type Global = ElasticOperator;
+    type Local = UnstructuredElastic;
     const COMPONENTS: u32 = 3;
-    fn global(mesh: &HexMesh, order: usize) -> ElasticOperator {
-        ElasticOperator::poisson(mesh, order)
+    fn global(&self) -> ElasticOperator {
+        ElasticOperator::poisson(self.mesh, self.order)
     }
-    fn from_subset_in(
-        mesh: &HexMesh,
-        order: usize,
+    fn local(
+        &self,
+        global: &ElasticOperator,
         elems: &[u32],
-        node_mass: &dyn Fn(u32) -> f64,
         node_map: &mut [u32],
-    ) -> (Self, Vec<u32>) {
-        UnstructuredElastic::from_subset_in(mesh, order, elems, Some(node_mass), node_map)
+    ) -> (UnstructuredElastic, Vec<u32>) {
+        let mass = |g: u32| global.mass()[3 * g as usize];
+        UnstructuredElastic::from_subset_in(self.mesh, self.order, elems, Some(&mass), node_map)
     }
 }
 
-/// Run partitioned LTS with per-rank local memory on the acoustic SEM.
-///
-/// Builds the global setup and mass once (as a real code would during its
-/// mesher/decomposer phase), then hands each rank only its own slice of the
-/// world. Returns the assembled global `(u, v)` and per-rank statistics.
-#[allow(clippy::too_many_arguments)]
-pub fn run_distributed_local_acoustic(
-    mesh: &HexMesh,
-    levels: &Levels,
-    order: usize,
-    partition: &[u32],
-    dt: f64,
-    u0: &[f64],
-    v0: &[f64],
-    n_steps: usize,
-    cfg: &DistributedConfig,
-    sources: &[Source],
-) -> RunResult {
-    let host = &mut MetricsRegistry::new();
-    run_local::<UnstructuredAcoustic>(
-        mesh, levels, order, partition, dt, u0, v0, n_steps, cfg, sources, host,
-    )
-    .0
-}
-
-/// [`run_distributed_local_acoustic`] recording the decomposer phases
-/// (`decompose.discretize`, `decompose.build_worlds`, `run.steps`) as spans
-/// in `host`, and folding every rank's registry into it so `host` ends with
-/// the global counter totals.
-#[allow(clippy::too_many_arguments)]
-pub fn run_distributed_local_acoustic_observed(
-    mesh: &HexMesh,
-    levels: &Levels,
-    order: usize,
-    partition: &[u32],
-    dt: f64,
-    u0: &[f64],
-    v0: &[f64],
-    n_steps: usize,
-    cfg: &DistributedConfig,
-    sources: &[Source],
-    host: &mut MetricsRegistry,
-) -> RunResult {
-    run_local::<UnstructuredAcoustic>(
-        mesh, levels, order, partition, dt, u0, v0, n_steps, cfg, sources, host,
-    )
-    .0
-}
-
-/// [`run_distributed_local_acoustic_observed`] that additionally returns
-/// every rank's drained flight-recorder ring. Recordings come back on the
-/// `Err` side too — that is the whole point: they are the crash-report
-/// material when a rank dies mid-run (the error is the lowest failed
-/// rank's, matching the non-flight variants).
-#[allow(clippy::too_many_arguments)]
-pub fn run_distributed_local_acoustic_flight(
-    mesh: &HexMesh,
-    levels: &Levels,
-    order: usize,
-    partition: &[u32],
-    dt: f64,
-    u0: &[f64],
-    v0: &[f64],
-    n_steps: usize,
-    cfg: &DistributedConfig,
-    sources: &[Source],
-    host: &mut MetricsRegistry,
-) -> (RunResult, Vec<RankRecording>) {
-    run_local::<UnstructuredAcoustic>(
-        mesh, levels, order, partition, dt, u0, v0, n_steps, cfg, sources, host,
-    )
-}
-
-/// [`run_distributed_local_acoustic`] for the elastic operator: local node
-/// numbering with three interleaved components per node.
-#[allow(clippy::too_many_arguments)]
-pub fn run_distributed_local_elastic(
-    mesh: &HexMesh,
-    levels: &Levels,
-    order: usize,
-    partition: &[u32],
-    dt: f64,
-    u0: &[f64],
-    v0: &[f64],
-    n_steps: usize,
-    cfg: &DistributedConfig,
-    sources: &[Source],
-) -> RunResult {
-    let host = &mut MetricsRegistry::new();
-    run_local::<UnstructuredElastic>(
-        mesh, levels, order, partition, dt, u0, v0, n_steps, cfg, sources, host,
-    )
-    .0
-}
-
-/// [`run_distributed_local_elastic`] with decomposer-phase spans and global
-/// counter totals recorded into `host` (see the acoustic observed variant).
-#[allow(clippy::too_many_arguments)]
-pub fn run_distributed_local_elastic_observed(
-    mesh: &HexMesh,
-    levels: &Levels,
-    order: usize,
-    partition: &[u32],
-    dt: f64,
-    u0: &[f64],
-    v0: &[f64],
-    n_steps: usize,
-    cfg: &DistributedConfig,
-    sources: &[Source],
-    host: &mut MetricsRegistry,
-) -> RunResult {
-    run_local::<UnstructuredElastic>(
-        mesh, levels, order, partition, dt, u0, v0, n_steps, cfg, sources, host,
-    )
-    .0
-}
-
-/// [`run_distributed_local_elastic_observed`] returning the flight-recorder
-/// rings alongside the result (see the acoustic flight variant).
-#[allow(clippy::too_many_arguments)]
-pub fn run_distributed_local_elastic_flight(
-    mesh: &HexMesh,
-    levels: &Levels,
-    order: usize,
-    partition: &[u32],
-    dt: f64,
-    u0: &[f64],
-    v0: &[f64],
-    n_steps: usize,
-    cfg: &DistributedConfig,
-    sources: &[Source],
-    host: &mut MetricsRegistry,
-) -> (RunResult, Vec<RankRecording>) {
-    run_local::<UnstructuredElastic>(
-        mesh, levels, order, partition, dt, u0, v0, n_steps, cfg, sources, host,
-    )
-}
-
-/// The one body behind the six `run_distributed_local_*` entry points:
-/// discretize globally, build plans and rank worlds, run the ranks, and
-/// assemble the global fields from each DOF's lowest owning rank.
-#[allow(clippy::too_many_arguments)]
-fn run_local<L: LocalOperator>(
-    mesh: &HexMesh,
-    levels: &Levels,
-    order: usize,
-    partition: &[u32],
-    dt: f64,
-    u0: &[f64],
-    v0: &[f64],
-    n_steps: usize,
-    cfg: &DistributedConfig,
-    sources: &[Source],
-    host: &mut MetricsRegistry,
-) -> (RunResult, Vec<RankRecording>) {
-    let n_ranks = cfg.n_ranks;
-    // global discretization (mass + level sets), as the decomposer computes
-    let discretize = host.start_span("decompose.discretize", None);
-    let global_op = L::global(mesh, order);
-    let setup = LtsSetup::new(&global_op, &levels.elem_level);
-    let ndof = Operator::ndof(&global_op);
-    assert_eq!(u0.len(), ndof);
-    let plans = build_plans(&global_op, &setup, partition, n_ranks);
-    drop(discretize);
-    host.set_gauge("ndof", ndof as f64);
-    host.set_gauge("n_ranks", n_ranks as f64);
-
-    // per-rank local worlds
-    let worlds_span = host.start_span("decompose.build_worlds", None);
-    let ranks = local_worlds::<L>(
-        mesh,
-        order,
-        partition,
-        &setup,
-        &plans,
-        global_op.mass(),
-        (u0, v0),
-        sources,
-    );
-    drop(worlds_span);
-
-    let run_span = host.start_span("run.steps", None);
-    let (outcomes, recordings) = run_rank_contexts_recorded(ranks, dt, n_steps, cfg, sources);
-    drop(run_span);
-    let (results, stats) = match split_outcomes(outcomes) {
-        Ok(pair) => pair,
-        Err(e) => return (Err(e), recordings),
-    };
-    for s in &stats {
-        host.merge_from(&s.registry);
+impl Decompose for Chain1d {
+    type Global = Chain1d;
+    type Local = Chain1d;
+    const COMPONENTS: u32 = 1;
+    fn global(&self) -> Chain1d {
+        self.clone()
     }
-
-    // assemble: lowest owning rank provides each dof
-    let mut owner = vec![u32::MAX; ndof];
-    for (rank, plan) in plans.iter().enumerate() {
-        for &d in &plan.my_dofs {
-            owner[d as usize] = owner[d as usize].min(rank as u32);
-        }
+    fn local(&self, global: &Chain1d, elems: &[u32], node_map: &mut [u32]) -> (Chain1d, Vec<u32>) {
+        global.subset(elems, node_map)
     }
-    let mut u = vec![0.0; ndof];
-    let mut v = vec![0.0; ndof];
-    for (rank, (u_local, v_local, global_of_local)) in results.into_iter().enumerate() {
-        for (l, &g) in global_of_local.iter().enumerate() {
-            if owner[g as usize] == rank as u32 {
-                u[g as usize] = u_local[l];
-                v[g as usize] = v_local[l];
-            }
-        }
-    }
-    (Ok((u, v, stats)), recordings)
 }
 
-/// Flatten per-rank outcomes: all `Ok` → `(results, stats)`, otherwise the
-/// lowest failed rank's error (ID order — deterministic across runs).
-fn split_outcomes(
-    outcomes: Vec<RankContextRun>,
-) -> Result<(Vec<RankResult>, Vec<RankStats>), RuntimeError> {
-    let mut results = Vec::with_capacity(outcomes.len());
-    let mut stats = Vec::with_capacity(outcomes.len());
-    for o in outcomes {
-        let (res, st) = o?;
-        results.push(res);
-        stats.push(st);
+/// The decomposer's output: the global discretization and every rank's
+/// plan and elements (ascending).
+pub(crate) struct Decomposition<G> {
+    global: G,
+    setup: LtsSetup,
+    plans: Vec<RankPlan>,
+    by_rank: Vec<Vec<u32>>,
+}
+
+/// Discretize `problem` globally and plan every rank's exchanges.
+pub(crate) fn decompose<P: Decompose>(problem: &P, spec: &RunSpec<'_>) -> Decomposition<P::Global> {
+    let global = problem.global();
+    let setup = LtsSetup::new(&global, spec.elem_level);
+    assert_eq!(spec.u0.len(), Operator::ndof(&global));
+    let n_ranks = spec.cfg.n_ranks;
+    let plans = build_plans(&global, &setup, spec.partition, n_ranks);
+    let by_rank = elems_by_rank(spec.partition, n_ranks);
+    Decomposition {
+        global,
+        setup,
+        plans,
+        by_rank,
     }
-    Ok((results, stats))
 }
 
 /// Global → rank-local index, one rank at a time: a dense array over the
 /// global range, loaded with the current rank's ids and cleared after it.
 /// Localizing every rank costs O(global + Σ local), with no hashing and no
-/// search per lookup. While unloaded, the array also serves `from_subset_in`
-/// as its node map.
+/// search per lookup. While unloaded, the array also serves
+/// [`Decompose::local`] as its node map.
 struct LocalIndex {
     local: Vec<u32>,
 }
@@ -344,13 +170,8 @@ impl LocalIndex {
 }
 
 /// `plan` in rank-local numbering: elements through `elem`, DOFs through
-/// `dof`; the rank's DOFs are `0..n_local_dofs`.
-fn localize_plan(
-    plan: &RankPlan,
-    n_local_dofs: usize,
-    elem: impl Fn(u32) -> u32,
-    dof: impl Fn(u32) -> u32,
-) -> RankPlan {
+/// `dof`.
+fn localize_plan(plan: &RankPlan, elem: impl Fn(u32) -> u32, dof: impl Fn(u32) -> u32) -> RankPlan {
     let elems = |lists: &[Vec<u32>]| -> Vec<Vec<u32>> {
         lists
             .iter()
@@ -370,7 +191,6 @@ fn localize_plan(
         my_zero: dofs(&plan.my_zero),
         my_active: dofs(&plan.my_active),
         my_leaf: dofs(&plan.my_leaf),
-        my_dofs: (0..n_local_dofs as u32).collect(),
         peers: plan.peers.clone(),
         pair_dofs: plan.pair_dofs.iter().map(|pp| dofs(pp)).collect(),
         shared: plan
@@ -389,71 +209,97 @@ fn gather<T: Copy>(global: &[T], idx: &[u32]) -> Vec<T> {
     idx.iter().map(|&g| global[g as usize]).collect()
 }
 
-/// Each rank's world: its local operator over its own elements, its plan,
-/// level metadata, initial fields and sources in local numbering. Local
-/// DOFs interleave `L::COMPONENTS` components per local node.
-#[allow(clippy::too_many_arguments)]
-fn local_worlds<L: LocalOperator>(
-    mesh: &HexMesh,
-    order: usize,
-    partition: &[u32],
-    setup: &LtsSetup,
-    plans: &[RankPlan],
-    global_mass: &[f64],
-    (u0, v0): (&[f64], &[f64]),
-    sources: &[Source],
-) -> Vec<LocalRank<L>> {
-    let c = L::COMPONENTS;
-    let nl = setup.n_levels;
-    let by_rank = elems_by_rank(partition, plans.len());
-    let mut elem_index = LocalIndex::new(mesh.n_elems());
-    let mut node_index = LocalIndex::new(u0.len() / c as usize);
-    let mut ranks = Vec::with_capacity(plans.len());
-    for (plan, my_elems_global) in plans.iter().zip(&by_rank) {
-        let (local_op, node_of_local) = L::from_subset_in(
-            mesh,
-            order,
-            my_elems_global,
-            &|g| global_mass[(c * g) as usize],
-            &mut node_index.local,
-        );
-        elem_index.load(my_elems_global);
-        node_index.load(&node_of_local);
-        let local_dof = |g: u32| c * node_index.of(g / c) + g % c;
-        let n_local_dofs = c as usize * node_of_local.len();
-        let localized = localize_plan(plan, n_local_dofs, |e| elem_index.of(e), local_dof);
-        let mut my_sources: Vec<Vec<(usize, u32)>> = vec![Vec::new(); nl];
-        for (si, src) in sources.iter().enumerate() {
-            if let Some(ln) = node_index.owned(src.dof / c) {
-                let ld = c * ln + src.dof % c;
-                my_sources[setup.leaf_level[src.dof as usize] as usize].push((si, ld));
-            }
+/// The dense element and node indices the per-rank builder localizes
+/// through, sized to the global mesh once and shared by every rank.
+struct Indices {
+    elem: LocalIndex,
+    node: LocalIndex,
+}
+
+impl Indices {
+    fn new<P: Decompose>(d: &Decomposition<P::Global>) -> Self {
+        Indices {
+            elem: LocalIndex::new(d.global.n_elems()),
+            node: LocalIndex::new(d.global.n_dofs() / P::COMPONENTS as usize),
         }
-        elem_index.unload(my_elems_global);
-        node_index.unload(&node_of_local);
-        let global_of_local: Vec<u32> = (0..n_local_dofs as u32)
-            .map(|ld| c * node_of_local[(ld / c) as usize] + ld % c)
-            .collect();
-        ranks.push(LocalRank {
-            op: local_op,
-            n_levels: nl,
-            dof_level: gather(&setup.dof_level, &global_of_local),
-            plan: localized,
-            u: gather(u0, &global_of_local),
-            v: gather(v0, &global_of_local),
-            my_sources,
-            global_of_local,
-        });
     }
-    ranks
+}
+
+/// Every rank's world, in rank order. Consumes the decomposition, so the
+/// global operator is gone before any rank steps.
+pub(crate) fn local_worlds<P: Decompose>(
+    problem: &P,
+    spec: &RunSpec<'_>,
+    d: Decomposition<P::Global>,
+) -> Vec<LocalRank<P::Local>> {
+    let mut index = Indices::new::<P>(&d);
+    (0..d.plans.len())
+        .map(|rank| build_world(problem, spec, &d, rank, &mut index))
+        .collect()
+}
+
+/// Rank `rank`'s world alone, as a `wave-lts worker` builds it.
+pub(crate) fn rank_world<P: Decompose>(
+    problem: &P,
+    spec: &RunSpec<'_>,
+    d: &Decomposition<P::Global>,
+    rank: usize,
+) -> LocalRank<P::Local> {
+    build_world(problem, spec, d, rank, &mut Indices::new::<P>(d))
+}
+
+/// The per-rank builder: rank `rank`'s local operator over its own
+/// elements, its plan, level metadata, initial fields and sources in local
+/// numbering. Local DOFs interleave `P::COMPONENTS` components per local
+/// node. `index` is left unloaded for the next rank.
+fn build_world<P: Decompose>(
+    problem: &P,
+    spec: &RunSpec<'_>,
+    d: &Decomposition<P::Global>,
+    rank: usize,
+    index: &mut Indices,
+) -> LocalRank<P::Local> {
+    let c = P::COMPONENTS;
+    let nl = d.setup.n_levels;
+    let my_elems = &d.by_rank[rank];
+    let (op, node_of_local) = problem.local(&d.global, my_elems, &mut index.node.local);
+    index.elem.load(my_elems);
+    index.node.load(&node_of_local);
+    let (elem_index, node_index) = (&index.elem, &index.node);
+    let local_dof = |g: u32| c * node_index.of(g / c) + g % c;
+    let n_local_dofs = c as usize * node_of_local.len();
+    let plan = localize_plan(&d.plans[rank], |e| elem_index.of(e), local_dof);
+    let mut my_sources: Vec<Vec<(usize, u32)>> = vec![Vec::new(); nl];
+    for (si, src) in spec.sources.iter().enumerate() {
+        if let Some(ln) = node_index.owned(src.dof / c) {
+            let ld = c * ln + src.dof % c;
+            my_sources[d.setup.leaf_level[src.dof as usize] as usize].push((si, ld));
+        }
+    }
+    index.elem.unload(my_elems);
+    index.node.unload(&node_of_local);
+    let global_of_local: Vec<u32> = (0..n_local_dofs as u32)
+        .map(|ld| c * node_of_local[(ld / c) as usize] + ld % c)
+        .collect();
+    LocalRank {
+        op,
+        n_levels: nl,
+        dof_level: gather(&d.setup.dof_level, &global_of_local),
+        plan,
+        u: gather(spec.u0, &global_of_local),
+        v: gather(spec.v0, &global_of_local),
+        my_sources,
+        global_of_local,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lts_core::LtsNewmark;
-    use lts_mesh::BenchmarkMesh;
-    use lts_mesh::MeshKind;
+    use crate::distributed::{run, DistributedConfig, RunResult};
+    use lts_core::{LtsNewmark, Source};
+    use lts_mesh::{BenchmarkMesh, Levels, MeshKind};
+    use lts_obs::MetricsRegistry;
     use lts_partition::{partition_mesh, Strategy};
     use lts_sem::gll::cfl_dt_scale;
 
@@ -475,6 +321,32 @@ mod tests {
         u
     }
 
+    /// A spec from zero initial velocity, with `cfg`.
+    fn spec<'a>(
+        levels: &'a Levels,
+        partition: &'a [u32],
+        dt: f64,
+        (u0, v0): (&'a [f64], &'a [f64]),
+        n_steps: usize,
+        sources: &'a [Source],
+        cfg: DistributedConfig,
+    ) -> RunSpec<'a> {
+        RunSpec {
+            elem_level: &levels.elem_level,
+            partition,
+            dt,
+            u0,
+            v0,
+            n_steps,
+            sources,
+            cfg,
+        }
+    }
+
+    fn run_local<P: Decompose>(problem: &P, spec: &RunSpec<'_>) -> RunResult {
+        run(problem, spec, None, &mut MetricsRegistry::new()).into_result()
+    }
+
     #[test]
     fn local_memory_matches_serial() {
         let b = BenchmarkMesh::build(MeshKind::Trench, 600);
@@ -487,20 +359,11 @@ mod tests {
 
         let n_ranks = 3;
         let part = partition_mesh(&b.mesh, &b.levels, n_ranks, Strategy::ScotchP, 1);
+        let v0 = vec![0.0; ndof];
         let cfg = DistributedConfig::new(n_ranks);
-        let (u, _, stats) = run_distributed_local_acoustic(
-            &b.mesh,
-            &b.levels,
-            order,
-            &part,
-            dt,
-            &u0,
-            &vec![0.0; ndof],
-            4,
-            &cfg,
-            &[],
-        )
-        .unwrap();
+        let spec = spec(&b.levels, &part, dt, (&u0, &v0), 4, &[], cfg);
+        let mesh = &b.mesh;
+        let (u, _, stats) = run_local(&Acoustic { mesh, order }, &spec).unwrap();
         let scale = reference.iter().fold(1.0f64, |m, &x| m.max(x.abs()));
         for i in 0..ndof {
             assert!(
@@ -532,19 +395,10 @@ mod tests {
             ..DistributedConfig::new(n_ranks)
         };
         let srcs = mk();
-        let (u, _, _) = run_distributed_local_acoustic(
-            &b.mesh,
-            &b.levels,
-            order,
-            &part,
-            dt,
-            &vec![0.0; ndof],
-            &vec![0.0; ndof],
-            5,
-            &cfg,
-            &srcs,
-        )
-        .unwrap();
+        let zero = vec![0.0; ndof];
+        let spec = spec(&b.levels, &part, dt, (&zero, &zero), 5, &srcs, cfg);
+        let mesh = &b.mesh;
+        let (u, _, _) = run_local(&Acoustic { mesh, order }, &spec).unwrap();
         let scale = reference.iter().fold(1e-30f64, |m, &x| m.max(x.abs()));
         for i in 0..ndof {
             assert!(
@@ -561,7 +415,7 @@ mod tests {
         let b = BenchmarkMesh::build(MeshKind::Trench, 400);
         let order = 2;
         let dt = b.levels.dt_global * cfl_dt_scale(order, 3);
-        let op = lts_sem::ElasticOperator::poisson(&b.mesh, order);
+        let op = ElasticOperator::poisson(&b.mesh, order);
         let setup = LtsSetup::new(&op, &b.levels.elem_level);
         let ndof = Operator::ndof(&op);
         let u0: Vec<f64> = (0..ndof).map(|i| ((i as f64) * 0.05).sin()).collect();
@@ -572,20 +426,11 @@ mod tests {
 
         let n_ranks = 3;
         let part = partition_mesh(&b.mesh, &b.levels, n_ranks, Strategy::ScotchP, 1);
+        let v0 = vec![0.0; ndof];
         let cfg = DistributedConfig::new(n_ranks);
-        let (u, _, _) = run_distributed_local_elastic(
-            &b.mesh,
-            &b.levels,
-            order,
-            &part,
-            dt,
-            &u0,
-            &vec![0.0; ndof],
-            3,
-            &cfg,
-            &[],
-        )
-        .unwrap();
+        let spec = spec(&b.levels, &part, dt, (&u0, &v0), 3, &[], cfg);
+        let mesh = &b.mesh;
+        let (u, _, _) = run_local(&Elastic { mesh, order }, &spec).unwrap();
         let scale = u_ref.iter().fold(1.0f64, |m, &x| m.max(x.abs()));
         for i in 0..ndof {
             assert!(
@@ -597,21 +442,51 @@ mod tests {
         }
     }
 
+    /// Initial fields `u0 = v0 = DOF index` and five sources on DOFs
+    /// `src_dof(i, ndof)`, for localization checks.
+    fn inputs<P: Decompose>(
+        problem: &P,
+        src_dof: impl Fn(usize, usize) -> u32,
+    ) -> (Vec<f64>, Vec<Source>) {
+        let ndof = Operator::ndof(&problem.global());
+        let u0: Vec<f64> = (0..ndof).map(|i| i as f64).collect();
+        let sources = (0..5)
+            .map(|i| Source::ricker(src_dof(i, ndof), 0.3, 1.0, 1.0))
+            .collect();
+        (u0, sources)
+    }
+
     /// Maps every localized list of every rank back to global ids — elements
     /// through the rank's ascending element list, DOFs through
     /// `global_of_local` — and checks the result is the global plan, along
-    /// with the gathered level metadata, fields and sources.
-    fn assert_worlds_match_plans<O: Operator>(
-        worlds: &[LocalRank<O>],
-        plans: &[RankPlan],
-        partition: &[u32],
-        setup: &LtsSetup,
-        u0: &[f64],
-        sources: &[Source],
+    /// with the rank's DOF set (every DOF of its elements, ascending), the
+    /// gathered level metadata, fields and sources.
+    fn assert_worlds_match_plans<P: Decompose>(
+        problem: &P,
+        elem_level: &[u8],
+        part: &[u32],
+        k: usize,
+        src_dof: impl Fn(usize, usize) -> u32,
     ) {
-        let by_rank = elems_by_rank(partition, plans.len());
+        let (u0, sources) = inputs(problem, src_dof);
+        let spec = RunSpec {
+            elem_level,
+            partition: part,
+            dt: 1.0,
+            u0: &u0,
+            v0: &u0,
+            n_steps: 0,
+            sources: &sources,
+            cfg: DistributedConfig::new(k),
+        };
+        let global = problem.global();
+        let setup = LtsSetup::new(&global, elem_level);
+        let plans = build_plans(&global, &setup, part, k);
+        let worlds = local_worlds(problem, &spec, decompose(problem, &spec));
+        let by_rank = elems_by_rank(part, k);
         assert_eq!(worlds.len(), plans.len());
-        for (r, (w, plan)) in worlds.iter().zip(plans).enumerate() {
+        let mut buf = Vec::new();
+        for (r, (w, plan)) in worlds.iter().zip(&plans).enumerate() {
             let g = &w.global_of_local;
             let elems = &by_rank[r];
             let back_elems = |lists: &[Vec<u32>]| -> Vec<Vec<u32>> {
@@ -633,7 +508,6 @@ mod tests {
                 my_zero: back_dofs(&w.plan.my_zero),
                 my_active: back_dofs(&w.plan.my_active),
                 my_leaf: back_dofs(&w.plan.my_leaf),
-                my_dofs: w.plan.my_dofs.iter().map(|&d| g[d as usize]).collect(),
                 peers: w.plan.peers.clone(),
                 pair_dofs: w.plan.pair_dofs.iter().map(|pp| back_dofs(pp)).collect(),
                 shared: w
@@ -648,6 +522,15 @@ mod tests {
                     .collect(),
             };
             assert_eq!(&back, plan, "rank {r}");
+            let mut my_dofs = Vec::new();
+            for &e in elems {
+                global.elem_dofs(e, &mut buf);
+                my_dofs.extend_from_slice(&buf);
+            }
+            my_dofs.sort_unstable();
+            my_dofs.dedup();
+            assert_eq!(g, &my_dofs, "rank {r}");
+            assert_eq!(Operator::ndof(&w.op), g.len(), "rank {r}");
             let levels: Vec<u8> = g.iter().map(|&d| setup.dof_level[d as usize]).collect();
             assert_eq!(w.dof_level, levels, "rank {r}");
             let u: Vec<f64> = g.iter().map(|&d| u0[d as usize]).collect();
@@ -661,59 +544,98 @@ mod tests {
             }
             mine.sort_unstable();
             let owned: Vec<usize> = (0..sources.len())
-                .filter(|&si| plan.my_dofs.binary_search(&sources[si].dof).is_ok())
+                .filter(|&si| my_dofs.binary_search(&sources[si].dof).is_ok())
                 .collect();
             assert_eq!(mine, owned, "rank {r}");
         }
     }
 
+    /// The 3-level 24-element chain.
+    fn three_level_chain() -> (Chain1d, Vec<u8>) {
+        let c = Chain1d::with_velocities(
+            (0..24)
+                .map(|i| match i {
+                    20.. => 4.0,
+                    17.. => 2.0,
+                    _ => 1.0,
+                })
+                .collect(),
+            1.0,
+        );
+        let (lv, _) = c.assign_levels(0.5, 3);
+        (c, lv)
+    }
+
     #[test]
     fn localized_worlds_map_back_to_global_plans() {
         let b = BenchmarkMesh::build(MeshKind::Trench, 500);
-        let order = 2;
-        let acoustic = AcousticOperator::new(&b.mesh, order);
-        let elastic = ElasticOperator::poisson(&b.mesh, order);
+        let (mesh, order) = (&b.mesh, 2);
+        let lv = &b.levels.elem_level;
+        let (chain, chain_lv) = three_level_chain();
         for k in [1usize, 3, 8] {
             let part = partition_mesh(&b.mesh, &b.levels, k, Strategy::ScotchP, 1);
-
-            let setup = LtsSetup::new(&acoustic, &b.levels.elem_level);
-            let ndof = Operator::ndof(&acoustic);
-            let u0: Vec<f64> = (0..ndof).map(|i| i as f64).collect();
-            let sources: Vec<Source> = (0..5)
-                .map(|i| Source::ricker((i * ndof / 5) as u32, 0.3, 1.0, 1.0))
-                .collect();
-            let plans = build_plans(&acoustic, &setup, &part, k);
-            let worlds = local_worlds::<UnstructuredAcoustic>(
-                &b.mesh,
-                order,
-                &part,
-                &setup,
-                &plans,
-                acoustic.mass(),
-                (&u0, &u0),
-                &sources,
-            );
-            assert_worlds_match_plans(&worlds, &plans, &part, &setup, &u0, &sources);
-
-            let setup = LtsSetup::new(&elastic, &b.levels.elem_level);
-            let ndof = Operator::ndof(&elastic);
-            let u0: Vec<f64> = (0..ndof).map(|i| i as f64).collect();
-            let sources: Vec<Source> = (0..5)
-                .map(|i| Source::ricker((i * ndof / 5 + i) as u32, 0.3, 1.0, 1.0))
-                .collect();
-            let plans = build_plans(&elastic, &setup, &part, k);
-            let worlds = local_worlds::<UnstructuredElastic>(
-                &b.mesh,
-                order,
-                &part,
-                &setup,
-                &plans,
-                elastic.mass(),
-                (&u0, &u0),
-                &sources,
-            );
-            assert_worlds_match_plans(&worlds, &plans, &part, &setup, &u0, &sources);
+            let acoustic = Acoustic { mesh, order };
+            assert_worlds_match_plans(&acoustic, lv, &part, k, |i, n| (i * n / 5) as u32);
+            let elastic = Elastic { mesh, order };
+            assert_worlds_match_plans(&elastic, lv, &part, k, |i, n| (i * n / 5 + i) as u32);
+            // scrambled: every rank owns scattered elements
+            let scrambled: Vec<u32> = (0..24u32).map(|e| (e * 7 + e / 5) % k as u32).collect();
+            assert_worlds_match_plans(&chain, &chain_lv, &scrambled, k, |i, n| (i * n / 5) as u32);
         }
+    }
+
+    /// The per-rank builder a worker runs gives rank `r` the same world as
+    /// entry `r` of the all-ranks builder: plan, metadata, fields, sources,
+    /// and an operator with the same mass and product bits.
+    fn assert_rank_world_is_entry<P: Decompose>(
+        problem: &P,
+        elem_level: &[u8],
+        part: &[u32],
+        k: usize,
+    ) {
+        let (u0, sources) = inputs(problem, |i, n| ((i * n / 5 + i) % n) as u32);
+        let spec = RunSpec {
+            elem_level,
+            partition: part,
+            dt: 1.0,
+            u0: &u0,
+            v0: &u0,
+            n_steps: 0,
+            sources: &sources,
+            cfg: DistributedConfig::new(k),
+        };
+        let worlds = local_worlds(problem, &spec, decompose(problem, &spec));
+        for (r, all) in worlds.iter().enumerate() {
+            let alone = rank_world(problem, &spec, &decompose(problem, &spec), r);
+            assert_eq!(alone.n_levels, all.n_levels, "rank {r}");
+            assert_eq!(alone.plan, all.plan, "rank {r}");
+            assert_eq!(alone.dof_level, all.dof_level, "rank {r}");
+            assert_eq!(alone.u, all.u, "rank {r}");
+            assert_eq!(alone.v, all.v, "rank {r}");
+            assert_eq!(alone.my_sources, all.my_sources, "rank {r}");
+            assert_eq!(alone.global_of_local, all.global_of_local, "rank {r}");
+            let bits = |x: &[f64]| x.iter().map(|y| y.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(alone.op.mass()), bits(all.op.mass()), "rank {r}");
+            let n = Operator::ndof(&all.op);
+            let x: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.31).sin()).collect();
+            let (mut a, mut b) = (vec![0.0; n], vec![0.0; n]);
+            alone.op.apply(&x, &mut a);
+            all.op.apply(&x, &mut b);
+            assert_eq!(bits(&a), bits(&b), "rank {r}");
+        }
+    }
+
+    #[test]
+    fn rank_world_equals_entry_of_all_ranks_builder() {
+        let b = BenchmarkMesh::build(MeshKind::Trench, 400);
+        let (mesh, order) = (&b.mesh, 2);
+        let lv = &b.levels.elem_level;
+        let part = partition_mesh(&b.mesh, &b.levels, 3, Strategy::ScotchP, 1);
+        assert_rank_world_is_entry(&Acoustic { mesh, order }, lv, &part, 3);
+        assert_rank_world_is_entry(&Elastic { mesh, order }, lv, &part, 3);
+        let (chain, chain_lv) = three_level_chain();
+        let interleaved: Vec<u32> = (0..24).map(|e| (e % 3) as u32).collect();
+        assert_rank_world_is_entry(&chain, &chain_lv, &interleaved, 3);
     }
 
     #[test]

@@ -5,18 +5,21 @@
 //! rank, and plays the same star-router role the in-process socket fabric
 //! uses ([`crate::transport::socket`]): each worker dials in, identifies
 //! itself with a `Hello` frame, and from then on its `Halo` frames are
-//! relayed verbatim between ranks. Because workers rebuild their mesh,
-//! partition and plan deterministically from the same CLI parameters, and
-//! payload `f64`s cross the wire as raw bit patterns, a multi-process run
-//! reproduces the in-process fields *bitwise* and its deterministic
-//! counters exactly — asserted by `tests/multiprocess_integration.rs`.
+//! relayed verbatim between ranks. Each worker rebuilds the mesh,
+//! partition and plans deterministically from the same CLI parameters,
+//! builds only its own rank-local world and steps it through
+//! [`crate::distributed::run_rank`] — the rank body the in-process threads
+//! run. Payload `f64`s cross the wire as raw bit patterns, so a
+//! multi-process run reproduces the in-process fields *bitwise* and its
+//! deterministic counters exactly — asserted by
+//! `tests/multiprocess_integration.rs`.
 //!
 //! End-of-run results travel out of band: each worker opens a second,
 //! short-lived connection and writes a `Stats` frame (its metrics in wire
 //! form) followed by a `Done` frame (final fields in rank-local numbering
 //! plus the local→global DOF map), then exits. The coordinator assembles
-//! the global fields from the `Done` frames — lowest owning rank wins,
-//! matching [`crate::distributed::run_distributed`] — and rebuilds
+//! the global fields from the `Done` frames through the same function as
+//! the in-process run (lowest owning rank wins) and rebuilds
 //! [`RankStats`] views from the `Stats` frames.
 //!
 //! A worker that dies mid-run takes its halo connection with it; the router
@@ -25,7 +28,7 @@
 //! reports the first casualty as [`RuntimeError::RankPanicked`]. Nothing
 //! deadlocks: the coordinator polls child liveness while it waits.
 
-use crate::distributed::RunResult;
+use crate::distributed::{assemble_fields, RankFields, RunResult};
 use crate::error::RuntimeError;
 use crate::stats::RankStats;
 use crate::transport::codec::{self, Frame, StreamError, WireStats};
@@ -84,30 +87,16 @@ pub fn worker_connect(
 }
 
 /// Report a finished worker's results on a fresh connection: one `Stats`
-/// frame, one `Done` frame, then a clean shutdown. `u`/`v` are in
-/// rank-local numbering, positionally matching `global_of_local`.
+/// frame, the drained flight-recorder ring as a `Flight` frame (so the
+/// coordinator's merged post-mortem view covers real OS processes too),
+/// one `Done` frame with the fields in rank-local numbering, then a clean
+/// shutdown.
 pub fn worker_report(
     path: &Path,
     rank: usize,
     stats: &RankStats,
-    u: &[f64],
-    v: &[f64],
-    global_of_local: &[u32],
-) -> std::io::Result<()> {
-    worker_report_flight(path, rank, stats, u, v, global_of_local, None)
-}
-
-/// [`worker_report`] also shipping the rank's drained flight-recorder ring
-/// as a `Flight` frame (between `Stats` and `Done`), so the coordinator's
-/// merged post-mortem view covers real OS processes too.
-pub fn worker_report_flight(
-    path: &Path,
-    rank: usize,
-    stats: &RankStats,
-    u: &[f64],
-    v: &[f64],
-    global_of_local: &[u32],
-    recording: Option<&RankRecording>,
+    fields: RankFields,
+    recording: &RankRecording,
 ) -> std::io::Result<()> {
     let mut stream = UnixStream::connect(path)?;
     codec::write_frame(
@@ -117,21 +106,19 @@ pub fn worker_report_flight(
             stats: WireStats::from_rank_stats(stats),
         },
     )?;
-    if let Some(rec) = recording {
-        codec::write_frame(
-            &mut stream,
-            &Frame::Flight {
-                recording: rec.clone(),
-            },
-        )?;
-    }
+    codec::write_frame(
+        &mut stream,
+        &Frame::Flight {
+            recording: recording.clone(),
+        },
+    )?;
     codec::write_frame(
         &mut stream,
         &Frame::Done {
             rank: rank as u32,
-            u: u.to_vec(),
-            v: v.to_vec(),
-            global_of_local: global_of_local.to_vec(),
+            u: fields.u,
+            v: fields.v,
+            global_of_local: fields.global_of_local,
         },
     )?;
     stream.shutdown(std::net::Shutdown::Write)
@@ -154,16 +141,12 @@ pub fn worker_report_crash(path: &Path, recording: &RankRecording) -> std::io::R
 
 /// Spawn `n_ranks` worker processes, route their halo traffic, collect
 /// their results, and assemble the global `(u, v)` plus per-rank stats.
-pub fn run_coordinator(spec: &ProcSpec) -> RunResult {
-    run_coordinator_flight(spec).0
-}
-
-/// [`run_coordinator`] also returning whatever flight recordings the fleet
-/// shipped over the wire — index-aligned with ranks, empty for a rank whose
-/// recording never arrived. Recordings come back on the `Err` side too:
-/// after a casualty the coordinator holds the accept loop open briefly so
-/// surviving (and dying) workers can land their crash `Flight` frames.
-pub fn run_coordinator_flight(spec: &ProcSpec) -> (RunResult, Vec<RankRecording>) {
+/// Also returns whatever flight recordings the fleet shipped over the wire
+/// — index-aligned with ranks, empty for a rank whose recording never
+/// arrived. Recordings come back on the `Err` side too: after a casualty
+/// the coordinator holds the accept loop open briefly so surviving (and
+/// dying) workers can land their crash `Flight` frames.
+pub fn run_coordinator(spec: &ProcSpec) -> (RunResult, Vec<RankRecording>) {
     let n = spec.n_ranks;
     let mut flight: Vec<Option<RankRecording>> = vec![None; n];
     let result = coordinate(spec, &mut flight);
@@ -248,7 +231,7 @@ fn drain_crash_reports(
 ) {
     let grace = Instant::now() + Duration::from_millis(800);
     let mut stats: Vec<Option<WireStats>> = vec![None; flight.len()];
-    let mut done: Vec<Option<DoneFrame>> = vec![None; flight.len()];
+    let mut done: Vec<Option<RankFields>> = vec![None; flight.len()];
     let mut halo: Vec<Option<UnixStream>> = (0..flight.len()).map(|_| None).collect();
     loop {
         let all_exited = children
@@ -282,9 +265,8 @@ fn reap(children: &mut [Child]) {
     }
 }
 
-type DoneFrame = (Vec<f64>, Vec<f64>, Vec<u32>);
 /// What [`collect`] gathers from the fleet's out-of-band result streams.
-type Collected = (Vec<Option<WireStats>>, Vec<Option<DoneFrame>>);
+type Collected = (Vec<Option<WireStats>>, Vec<Option<RankFields>>);
 
 fn collect(
     listener: &UnixListener,
@@ -297,7 +279,7 @@ fn collect(
     let mut halo: Vec<Option<UnixStream>> = (0..n).map(|_| None).collect();
     let mut routers_started = false;
     let mut stats: Vec<Option<WireStats>> = vec![None; n];
-    let mut done: Vec<Option<DoneFrame>> = vec![None; n];
+    let mut done: Vec<Option<RankFields>> = vec![None; n];
     loop {
         if stats.iter().all(|s| s.is_some()) && done.iter().all(|d| d.is_some()) {
             return Ok((stats, done));
@@ -343,7 +325,7 @@ fn handle_conn(
     deadline: Instant,
     halo: &mut [Option<UnixStream>],
     stats: &mut [Option<WireStats>],
-    done: &mut [Option<DoneFrame>],
+    done: &mut [Option<RankFields>],
     flight: &mut [Option<RankRecording>],
 ) -> Result<(), RuntimeError> {
     if let Err(e) = stream.set_nonblocking(false) {
@@ -382,7 +364,7 @@ fn handle_conn(
 fn stash(
     frame: Frame,
     stats: &mut [Option<WireStats>],
-    done: &mut [Option<DoneFrame>],
+    done: &mut [Option<RankFields>],
     flight: &mut [Option<RankRecording>],
 ) -> Result<(), RuntimeError> {
     match frame {
@@ -415,7 +397,11 @@ fn stash(
             if u.len() != global_of_local.len() || v.len() != global_of_local.len() {
                 return Err(coord_io(format!("rank {rank}: done frame length mismatch")));
             }
-            done[rank] = Some((u, v, global_of_local));
+            done[rank] = Some(RankFields {
+                u,
+                v,
+                global_of_local,
+            });
         }
         // goodbyes and stray halos on a report connection are harmless
         _ => {}
@@ -448,36 +434,19 @@ fn start_routers(halo: &mut [Option<UnixStream>]) -> Result<(), RuntimeError> {
 }
 
 /// Rebuild per-rank stats and assemble the global fields: lowest owning
-/// rank wins each DOF, exactly like the in-process runners.
-fn assemble(stats: Vec<Option<WireStats>>, done: Vec<Option<DoneFrame>>) -> RunResult {
-    let mut ndof = 0usize;
-    for d in done.iter().flatten() {
-        for &g in &d.2 {
-            ndof = ndof.max(g as usize + 1);
-        }
-    }
-    let mut owner = vec![u32::MAX; ndof];
-    for (rank, d) in done.iter().enumerate() {
-        if let Some((_, _, map)) = d {
-            for &g in map {
-                let o = &mut owner[g as usize];
-                *o = (*o).min(rank as u32);
-            }
-        }
-    }
-    let mut u = vec![0.0; ndof];
-    let mut v = vec![0.0; ndof];
+/// rank wins each DOF, exactly like the in-process run.
+fn assemble(stats: Vec<Option<WireStats>>, done: Vec<Option<RankFields>>) -> RunResult {
+    let mut fields = Vec::with_capacity(done.len());
     for (rank, d) in done.into_iter().enumerate() {
-        let Some((ur, vr, map)) = d else {
-            return Err(RuntimeError::MissingRank { rank });
-        };
-        for (i, &g) in map.iter().enumerate() {
-            if owner[g as usize] == rank as u32 {
-                u[g as usize] = ur[i];
-                v[g as usize] = vr[i];
-            }
-        }
+        fields.push(d.ok_or(RuntimeError::MissingRank { rank })?);
     }
+    let ndof = fields
+        .iter()
+        .flat_map(|f| f.global_of_local.iter())
+        .map(|&g| g as usize + 1)
+        .max()
+        .unwrap_or(0);
+    let (u, v) = assemble_fields(ndof, fields.iter());
     let mut out = Vec::with_capacity(stats.len());
     for (rank, s) in stats.into_iter().enumerate() {
         let Some(ws) = s else {

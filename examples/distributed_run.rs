@@ -8,9 +8,10 @@
 
 use wave_lts::lts::LtsSetup;
 use wave_lts::mesh::{BenchmarkMesh, MeshKind};
+use wave_lts::obs::MetricsRegistry;
 use wave_lts::partition::{partition_mesh, Strategy};
 use wave_lts::runtime::stats::ascii_timeline;
-use wave_lts::runtime::{run_distributed, DistributedConfig};
+use wave_lts::runtime::{run, Acoustic, DistributedConfig, RunSpec};
 use wave_lts::sem::AcousticOperator;
 
 fn main() {
@@ -33,17 +34,23 @@ fn main() {
 
     for strategy in [Strategy::ScotchBaseline, Strategy::ScotchP] {
         let part = partition_mesh(&bench.mesh, &bench.levels, n_ranks, strategy, 1);
-        let (u, _, stats) = run_distributed(
-            &op,
-            &setup,
-            &part,
-            bench.levels.dt_global,
-            &u0,
-            &v0,
-            steps,
-            &cfg,
-        )
-        .expect("distributed run failed");
+        let spec = RunSpec {
+            elem_level: &bench.levels.elem_level,
+            partition: &part,
+            dt: bench.levels.dt_global,
+            u0: &u0,
+            v0: &v0,
+            n_steps: steps,
+            sources: &[],
+            cfg,
+        };
+        let problem = Acoustic {
+            mesh: &bench.mesh,
+            order: 3,
+        };
+        let (u, _, stats) = run(&problem, &spec, None, &mut MetricsRegistry::new())
+            .into_result()
+            .expect("distributed run failed");
         println!(
             "== {} on {n_ranks} ranks, {steps} global steps ==",
             strategy.name()

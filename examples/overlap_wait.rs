@@ -25,13 +25,12 @@
 //! (elements, global steps, repetitions, wire latency in µs — all optional)
 
 use std::time::Duration;
-use wave_lts::lts::LtsSetup;
 use wave_lts::mesh::{BenchmarkMesh, MeshKind};
+use wave_lts::obs::MetricsRegistry;
 use wave_lts::partition::{partition_mesh, Strategy};
 use wave_lts::runtime::stats::names;
 use wave_lts::runtime::transport::channel::channel_cluster_with_latency;
-use wave_lts::runtime::{run_distributed_endpoints, DistributedConfig};
-use wave_lts::sem::AcousticOperator;
+use wave_lts::runtime::{run, Acoustic, DistributedConfig, RunSpec};
 
 const RANKS: usize = 8;
 
@@ -44,8 +43,6 @@ fn arg(n: usize, default: usize) -> usize {
 
 struct World {
     bench: BenchmarkMesh,
-    op: AcousticOperator,
-    setup: LtsSetup,
     part: Vec<u32>,
     u0: Vec<f64>,
     v0: Vec<f64>,
@@ -73,31 +70,39 @@ fn measure(w: &World, overlap: bool, latency: Duration, reps: usize) -> Cell {
     let mut norm_bits = 0u64;
     for _ in 0..reps {
         let endpoints = channel_cluster_with_latency(RANKS, latency);
+        let spec = RunSpec {
+            elem_level: &w.bench.levels.elem_level,
+            partition: &w.part,
+            dt: w.bench.levels.dt_global,
+            u0: &w.u0,
+            v0: &w.v0,
+            n_steps: w.steps,
+            sources: &[],
+            cfg,
+        };
+        let problem = Acoustic {
+            mesh: &w.bench.mesh,
+            order: 2,
+        };
         let started = std::time::Instant::now();
-        let outcomes = run_distributed_endpoints(
-            &w.op,
-            &w.setup,
-            &w.part,
-            w.bench.levels.dt_global,
-            &w.u0,
-            &w.v0,
-            w.steps,
-            &cfg,
-            &[],
-            endpoints,
+        let out = run(
+            &problem,
+            &spec,
+            Some(endpoints),
+            &mut MetricsRegistry::new(),
         );
         wall_sum += started.elapsed().as_secs_f64();
         let (mut busy, mut wait) = (0.0, 0.0);
         let (mut ready, mut partials) = (0u64, 0u64);
-        let mut norm2 = 0.0;
-        for (rank, out) in outcomes.into_iter().enumerate() {
-            let (u, _, stats) = out.unwrap_or_else(|e| panic!("rank {rank}: {e}"));
+        for (rank, st) in out.ranks.into_iter().enumerate() {
+            let stats = st.unwrap_or_else(|e| panic!("rank {rank}: {e}"));
             busy += stats.busy_s;
             wait += stats.wait_s;
             ready += stats.registry.counter_total(names::EXCHANGE_READY);
             partials += stats.msgs_sent;
-            norm2 += u.iter().map(|x| x * x).sum::<f64>();
         }
+        let (u, _) = out.fields.expect("every rank succeeded");
+        let norm2: f64 = u.iter().map(|x| x * x).sum();
         frac_sum += wait / (busy + wait);
         wait_sums += wait;
         ready_sum += ready as f64 / partials.max(1) as f64;
@@ -119,9 +124,7 @@ fn main() {
     let latency_us = arg(4, 300) as u64;
 
     let bench = BenchmarkMesh::build(MeshKind::Trench, elements);
-    let op = AcousticOperator::new(&bench.mesh, 2);
-    let setup = LtsSetup::new(&op, &bench.levels.elem_level);
-    let ndof = op.dofmap.n_nodes();
+    let ndof = bench.mesh.n_gll_nodes(2);
     let part = partition_mesh(&bench.mesh, &bench.levels, RANKS, Strategy::ScotchP, 1);
     let u0: Vec<f64> = (0..ndof).map(|i| ((i as f64) * 0.013).sin()).collect();
     let v0 = vec![0.0; ndof];
@@ -129,12 +132,10 @@ fn main() {
         "trench {} elems, order 2, {} levels, {RANKS} ranks (scotch-p), \
          {steps} steps x {reps} reps per cell\n",
         bench.mesh.n_elems(),
-        setup.n_levels,
+        bench.levels.n_levels,
     );
     let w = World {
         bench,
-        op,
-        setup,
         part,
         u0,
         v0,

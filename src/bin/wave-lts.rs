@@ -34,28 +34,67 @@ use wave_lts::lts::{LtsNewmark, LtsSetup, Newmark, Operator};
 use wave_lts::mesh::io as mesh_io;
 use wave_lts::mesh::{BenchmarkMesh, MeshKind};
 use wave_lts::partition::{edge_cut, load_imbalance, mpi_volume, partition_mesh, Strategy};
+use wave_lts::runtime::{
+    run, Acoustic, Decompose, DistributedConfig, Elastic, MonitorConfig, RunSpec,
+};
 use wave_lts::sem::gll::cfl_dt_scale;
 use wave_lts::sem::{AcousticOperator, ElasticOperator};
 
-fn parse_args(argv: &[String]) -> HashMap<String, String> {
+const MESH_FLAGS: &[&str] = &["mesh", "elements", "geometry"];
+const PARTITION_FLAGS: &[&str] = &["parts", "seed", "strategy", "out"];
+/// What `simulate` passes on to every `worker` process (besides the mesh).
+const RUN_FLAGS: &[&str] = &[
+    "order", "steps", "elastic", "strategy", "seed", "threads", "overlap", "flight",
+];
+const FAULT_FLAGS: &[&str] = &[
+    "fault-rank",
+    "fault-die-at-level",
+    "fault-die-after-k",
+    "fault-recv-timeout-ms",
+    "fault-drop-every",
+    "fault-send-delay-us",
+];
+const SIMULATE_FLAGS: &[&str] = &["compare", "ranks", "transport", "crash-report", "trace-out"];
+const WORKER_FLAGS: &[&str] = &["dt-bits", "u0-bits", "socket", "rank", "ranks"];
+const EXPORT_FLAGS: &[&str] = &["out"];
+const POSTMORTEM_FLAGS: &[&str] = &["file", "trace-out"];
+
+#[cold]
+fn usage_error(msg: &str) -> ! {
+    eprintln!("wave-lts: {msg}");
+    std::process::exit(2);
+}
+
+/// Parse `--key value` pairs; a flag outside `accepted`, a flag without a
+/// value, or a stray word is a usage error (exit 2).
+fn parse_args(cmd: &str, argv: &[String], accepted: &[&[&str]]) -> HashMap<String, String> {
     let mut map = HashMap::new();
-    let mut i = 0;
-    while i < argv.len() {
-        if let Some(k) = argv[i].strip_prefix("--") {
-            if i + 1 < argv.len() {
-                map.insert(k.to_string(), argv[i + 1].clone());
-                i += 2;
-                continue;
-            }
+    let mut rest = argv.iter();
+    while let Some(arg) = rest.next() {
+        let Some(key) = arg.strip_prefix("--") else {
+            usage_error(&format!("{cmd}: unexpected argument {arg:?}"));
+        };
+        if !accepted.iter().any(|list| list.contains(&key)) {
+            usage_error(&format!("{cmd}: unknown flag --{key}"));
         }
-        eprintln!("ignoring argument {:?}", argv[i]);
-        i += 1;
+        let Some(value) = rest.next() else {
+            usage_error(&format!("{cmd}: --{key} needs a value"));
+        };
+        map.insert(key.to_string(), value.clone());
     }
     map
 }
 
+/// `--k` parsed as `T`, if given; an unparsable value is a usage error.
+fn opt<T: std::str::FromStr>(m: &HashMap<String, String>, k: &str) -> Option<T> {
+    m.get(k).map(|v| {
+        v.parse()
+            .unwrap_or_else(|_| usage_error(&format!("invalid value {v:?} for --{k}")))
+    })
+}
+
 fn get<T: std::str::FromStr>(m: &HashMap<String, String>, k: &str, default: T) -> T {
-    m.get(k).and_then(|v| v.parse().ok()).unwrap_or(default)
+    opt(m, k).unwrap_or(default)
 }
 
 fn mesh_kind(name: &str) -> MeshKind {
@@ -102,10 +141,10 @@ fn transport_kind(name: &str) -> wave_lts::runtime::TransportKind {
 fn fault_from_args(m: &HashMap<String, String>) -> Option<(usize, wave_lts::runtime::FaultPlan)> {
     let plan = wave_lts::runtime::FaultPlan {
         send_delay_us: get(m, "fault-send-delay-us", 0),
-        drop_every: m.get("fault-drop-every").and_then(|v| v.parse().ok()),
-        die_on_send_at_level: m.get("fault-die-at-level").and_then(|v| v.parse().ok()),
-        die_after_sends: m.get("fault-die-after-k").and_then(|v| v.parse().ok()),
-        recv_timeout_ms: m.get("fault-recv-timeout-ms").and_then(|v| v.parse().ok()),
+        drop_every: opt(m, "fault-drop-every"),
+        die_on_send_at_level: opt(m, "fault-die-at-level"),
+        die_after_sends: opt(m, "fault-die-after-k"),
+        recv_timeout_ms: opt(m, "fault-recv-timeout-ms"),
     };
     let armed = plan.send_delay_us > 0
         || plan.drop_every.is_some()
@@ -118,9 +157,7 @@ fn fault_from_args(m: &HashMap<String, String>) -> Option<(usize, wave_lts::runt
 /// `--flight N` overrides the recorder ring capacity; otherwise the
 /// `LTS_FLIGHT` environment default applies.
 fn flight_from_args(m: &HashMap<String, String>) -> usize {
-    m.get("flight")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(wave_lts::runtime::flight_capacity_from_env)
+    opt(m, "flight").unwrap_or_else(wave_lts::runtime::flight_capacity_from_env)
 }
 
 /// The tail of every failed `simulate --ranks` run: write the crash-report
@@ -227,10 +264,13 @@ fn cmd_simulate(m: &HashMap<String, String>) {
         if elastic { "elastic" } else { "acoustic" }
     );
     let transport_name: String = get(m, "transport", "channel".into());
+    let mesh = &b.mesh;
     if ranks > 0 && transport_name == "process" {
-        run_sim_multiprocess(m, &b, order, dt, steps, elastic, ranks, threads);
+        run_sim_multiprocess(m, dt, ranks);
+    } else if ranks > 0 && elastic {
+        run_sim_distributed(m, &b, &Elastic { mesh, order }, dt, steps, ranks, threads);
     } else if ranks > 0 {
-        run_sim_distributed(m, &b, order, dt, steps, elastic, ranks, threads);
+        run_sim_distributed(m, &b, &Acoustic { mesh, order }, dt, steps, ranks, threads);
     } else if elastic {
         let op = ElasticOperator::poisson(&b.mesh, order);
         run_sim(&op, &b, dt, steps, compare, threads);
@@ -240,26 +280,27 @@ fn cmd_simulate(m: &HashMap<String, String>) {
     }
 }
 
+/// The smooth initial displacement `sin(amp·i)` over the problem's DOFs,
+/// shared by the in-process run and every worker process.
+fn initial_u<P: Decompose>(b: &BenchmarkMesh, order: usize, amp: f64) -> Vec<f64> {
+    let ndof = P::COMPONENTS as usize * b.mesh.n_gll_nodes(order);
+    (0..ndof).map(|i| ((i as f64) * amp).sin()).collect()
+}
+
 /// `simulate --ranks N`: partition, run the threaded message-passing
 /// runtime with the live stall monitor, print the Fig. 1 busy/stall bars and
 /// per-level Eq. 21 λ, and optionally dump a Chrome trace (`--trace-out`).
-#[allow(clippy::too_many_arguments)]
-fn run_sim_distributed(
+fn run_sim_distributed<P: Decompose>(
     m: &HashMap<String, String>,
     b: &BenchmarkMesh,
-    order: usize,
+    problem: &P,
     dt: f64,
     steps: usize,
-    elastic: bool,
     ranks: usize,
     threads: usize,
 ) {
     use wave_lts::obs::MetricsRegistry;
     use wave_lts::runtime::stats::{ascii_timeline, chrome_trace, lambda_from_stats};
-    use wave_lts::runtime::{
-        run_distributed_local_acoustic_flight, run_distributed_local_elastic_flight,
-        DistributedConfig, MonitorConfig,
-    };
 
     let s = strategy(&get::<String>(m, "strategy", "scotch-p".into()));
     let seed: u64 = get(m, "seed", 1);
@@ -275,45 +316,22 @@ fn run_sim_distributed(
         fault: fault_from_args(m),
         ..DistributedConfig::new(ranks)
     };
-    let ndof = if elastic {
-        Operator::ndof(&ElasticOperator::poisson(&b.mesh, order))
-    } else {
-        Operator::ndof(&AcousticOperator::new(&b.mesh, order))
+    let u0 = initial_u::<P>(b, get(m, "order", 4), 0.003);
+    let v0 = vec![0.0; u0.len()];
+    let spec = RunSpec {
+        elem_level: &b.levels.elem_level,
+        partition: &part,
+        dt,
+        u0: &u0,
+        v0: &v0,
+        n_steps: steps,
+        sources: &[],
+        cfg,
     };
-    let u0: Vec<f64> = (0..ndof).map(|i| ((i as f64) * 0.003).sin()).collect();
-    let v0 = vec![0.0; ndof];
-    let mut host = MetricsRegistry::new();
     let t0 = std::time::Instant::now();
-    let (result, recordings) = if elastic {
-        run_distributed_local_elastic_flight(
-            &b.mesh,
-            &b.levels,
-            order,
-            &part,
-            dt,
-            &u0,
-            &v0,
-            steps,
-            &cfg,
-            &[],
-            &mut host,
-        )
-    } else {
-        run_distributed_local_acoustic_flight(
-            &b.mesh,
-            &b.levels,
-            order,
-            &part,
-            dt,
-            &u0,
-            &v0,
-            steps,
-            &cfg,
-            &[],
-            &mut host,
-        )
-    };
-    let (u, _, stats) = match result {
+    let mut out = run(problem, &spec, None, &mut MetricsRegistry::new());
+    let recordings = std::mem::take(&mut out.recordings);
+    let (u, _, stats) = match out.into_result() {
         Ok(t) => t,
         Err(e) => die_with_crash_report(m, &e, recordings),
     };
@@ -340,65 +358,23 @@ fn run_sim_distributed(
 
 /// `simulate --ranks N --transport process`: spawn one `wave-lts worker`
 /// OS process per rank, route halo frames over Unix sockets, and print the
-/// same summary as the in-process runner. Workers rebuild the mesh and
-/// partition deterministically from the parameters echoed below, and `Δt`
-/// crosses as raw bits, so results are bitwise identical to the
-/// in-process transports.
-#[allow(clippy::too_many_arguments)]
-fn run_sim_multiprocess(
-    m: &HashMap<String, String>,
-    b: &BenchmarkMesh,
-    order: usize,
-    dt: f64,
-    steps: usize,
-    elastic: bool,
-    ranks: usize,
-    threads: usize,
-) {
-    use wave_lts::runtime::process::{run_coordinator_flight, ProcSpec};
+/// same summary as the in-process runner. Every mesh, run and fault flag
+/// given is forwarded verbatim, so workers rebuild the mesh and partition
+/// deterministically with the same defaults; `Δt` crosses as raw bits, so
+/// results are bitwise identical to the in-process transports.
+fn run_sim_multiprocess(m: &HashMap<String, String>, dt: f64, ranks: usize) {
+    use wave_lts::runtime::process::{run_coordinator, ProcSpec};
     use wave_lts::runtime::stats::{ascii_timeline, lambda_from_stats};
 
     let bin = std::env::current_exe().expect("current exe");
-    let mut args: Vec<String> = [
-        "worker",
-        "--mesh",
-        &get::<String>(m, "mesh", "trench".into()),
-        "--elements",
-        &get::<usize>(m, "elements", 20_000).to_string(),
-        "--geometry",
-        &get::<String>(m, "geometry", "inclusion".into()),
-        "--order",
-        &order.to_string(),
-        "--steps",
-        &steps.to_string(),
-        "--elastic",
-        &elastic.to_string(),
-        "--strategy",
-        &get::<String>(m, "strategy", "scotch-p".into()),
-        "--seed",
-        &get::<u64>(m, "seed", 1).to_string(),
-        "--threads",
-        &threads.max(1).to_string(),
-        "--overlap",
-        &get::<bool>(m, "overlap", false).to_string(),
-        "--dt-bits",
-        &dt.to_bits().to_string(),
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
-    // forward the fault and recorder flags verbatim — the worker whose rank
-    // matches `--fault-rank` wraps its own endpoint
-    for key in [
-        "fault-rank",
-        "fault-die-at-level",
-        "fault-die-after-k",
-        "fault-recv-timeout-ms",
-        "fault-drop-every",
-        "fault-send-delay-us",
-        "flight",
-    ] {
-        if let Some(v) = m.get(key) {
+    let mut args = vec![
+        "worker".to_string(),
+        "--dt-bits".to_string(),
+        dt.to_bits().to_string(),
+    ];
+    // the worker whose rank matches `--fault-rank` wraps its own endpoint
+    for key in MESH_FLAGS.iter().chain(RUN_FLAGS).chain(FAULT_FLAGS) {
+        if let Some(v) = m.get(*key) {
             args.push(format!("--{key}"));
             args.push(v.clone());
         }
@@ -410,7 +386,7 @@ fn run_sim_multiprocess(
         timeout: std::time::Duration::from_secs(600),
     };
     let t0 = std::time::Instant::now();
-    let (result, recordings) = run_coordinator_flight(&spec);
+    let (result, recordings) = run_coordinator(&spec);
     let (u, _, stats) = match result {
         Ok(t) => t,
         Err(e) => die_with_crash_report(m, &e, recordings),
@@ -431,70 +407,70 @@ fn run_sim_multiprocess(
             Err(e) => eprintln!("could not write {trace_out}: {e}"),
         }
     }
-    let _ = b;
 }
 
 /// The internal per-rank process behind `--transport process`. Rebuilds
-/// the world deterministically from the same parameters the coordinator
-/// used, dials `--socket`, runs its rank, and reports Stats + Done frames
-/// on a second connection. Exits nonzero if the rank fails, which the
-/// coordinator surfaces as `RankPanicked`.
+/// the mesh and partition deterministically from the same parameters the
+/// coordinator used, dials `--socket`, builds and steps only its own rank's
+/// world, and reports Stats + Flight + Done frames on a second connection.
+/// Exits nonzero if the rank fails, which the coordinator surfaces as
+/// `RankPanicked`.
 fn cmd_worker(m: &HashMap<String, String>) {
-    let socket: String = get(m, "socket", String::new());
-    let rank: usize = get(m, "rank", usize::MAX);
-    let ranks: usize = get(m, "ranks", 0);
-    if socket.is_empty() || rank == usize::MAX || ranks == 0 || rank >= ranks {
-        eprintln!("worker: --socket, --rank and --ranks are required");
-        std::process::exit(2);
+    let (Some(socket), Some(rank), Some(ranks)) =
+        (m.get("socket"), opt(m, "rank"), opt(m, "ranks"))
+    else {
+        usage_error("worker: --socket, --rank and --ranks are required");
+    };
+    if rank >= ranks {
+        usage_error(&format!("worker: --rank {rank} out of --ranks {ranks}"));
     }
     let b = build(m);
     let order: usize = get(m, "order", 4);
-    let elastic: bool = get(m, "elastic", false);
-    if elastic {
-        let op = ElasticOperator::poisson(&b.mesh, order);
-        worker_run(m, &b, &op, rank, ranks, order);
+    let mesh = &b.mesh;
+    let path = std::path::Path::new(socket);
+    if get(m, "elastic", false) {
+        worker_run(m, &b, &Elastic { mesh, order }, path, rank, ranks);
     } else {
-        let op = AcousticOperator::new(&b.mesh, order);
-        worker_run(m, &b, &op, rank, ranks, order);
+        worker_run(m, &b, &Acoustic { mesh, order }, path, rank, ranks);
     }
 }
 
-fn worker_run<O: Operator + wave_lts::lts::DofTopology>(
+fn worker_run<P: Decompose>(
     m: &HashMap<String, String>,
     b: &BenchmarkMesh,
-    op: &O,
+    problem: &P,
+    path: &std::path::Path,
     rank: usize,
     ranks: usize,
-    order: usize,
 ) {
-    use wave_lts::runtime::exchange::build_plans;
-    use wave_lts::runtime::process::{worker_connect, worker_report_crash, worker_report_flight};
-    use wave_lts::runtime::transport::faulty;
-    use wave_lts::runtime::{run_rank_endpoint_recorded, DistributedConfig, TransportKind};
+    use wave_lts::runtime::process::{worker_connect, worker_report, worker_report_crash};
+    use wave_lts::runtime::{run_rank, TransportKind};
 
-    let steps: usize = get(m, "steps", 20);
-    let threads: usize = get(m, "threads", 1);
-    let seed: u64 = get(m, "seed", 1);
+    let order: usize = get(m, "order", 4);
     let s = strategy(&get::<String>(m, "strategy", "scotch-p".into()));
-    let part = partition_mesh(&b.mesh, &b.levels, ranks, s, seed);
+    let part = partition_mesh(&b.mesh, &b.levels, ranks, s, get(m, "seed", 1));
     let default_dt = b.levels.dt_global * cfl_dt_scale(order, 3);
-    let dt = f64::from_bits(get::<u64>(m, "dt-bits", default_dt.to_bits()));
-    let amp = f64::from_bits(get::<u64>(m, "u0-bits", 0.003f64.to_bits()));
-    let setup = LtsSetup::new(op, &b.levels.elem_level);
-    let ndof = Operator::ndof(op);
-    let u0: Vec<f64> = (0..ndof).map(|i| ((i as f64) * amp).sin()).collect();
-    let v0 = vec![0.0; ndof];
-    let plans = build_plans(op, &setup, &part, ranks);
-    let plan = &plans[rank];
-    let cfg = DistributedConfig {
-        overlap: get(m, "overlap", false),
-        threads_per_rank: threads.max(1),
-        transport: TransportKind::UnixSocket,
-        flight_capacity: flight_from_args(m),
-        ..DistributedConfig::new(ranks)
+    let dt = f64::from_bits(get(m, "dt-bits", default_dt.to_bits()));
+    let amp = f64::from_bits(get(m, "u0-bits", 0.003f64.to_bits()));
+    let u0 = initial_u::<P>(b, order, amp);
+    let v0 = vec![0.0; u0.len()];
+    let spec = RunSpec {
+        elem_level: &b.levels.elem_level,
+        partition: &part,
+        dt,
+        u0: &u0,
+        v0: &v0,
+        n_steps: get(m, "steps", 20),
+        sources: &[],
+        cfg: DistributedConfig {
+            overlap: get(m, "overlap", false),
+            threads_per_rank: get(m, "threads", 1usize).max(1),
+            transport: TransportKind::UnixSocket,
+            flight_capacity: flight_from_args(m),
+            fault: fault_from_args(m),
+            ..DistributedConfig::new(ranks)
+        },
     };
-    let socket = socket_arg(m);
-    let path = std::path::Path::new(&socket);
     let transport = match worker_connect(path, rank, ranks) {
         Ok(t) => t,
         Err(e) => {
@@ -502,38 +478,10 @@ fn worker_run<O: Operator + wave_lts::lts::DofTopology>(
             std::process::exit(3);
         }
     };
-    let mut endpoint: Box<dyn wave_lts::runtime::Transport> = Box::new(transport);
-    if let Some((fault_rank, fault_plan)) = fault_from_args(m) {
-        if fault_rank == rank {
-            endpoint = faulty::wrap(endpoint, fault_plan);
-        }
-    }
-    let (outcome, recording) = run_rank_endpoint_recorded(
-        op,
-        &setup,
-        plan,
-        rank,
-        dt,
-        &u0,
-        &v0,
-        steps,
-        &cfg,
-        &[],
-        endpoint,
-    );
+    let (outcome, recording) = run_rank(problem, &spec, rank, Box::new(transport));
     match outcome {
-        Ok((u, v, stats)) => {
-            let ul: Vec<f64> = plan.my_dofs.iter().map(|&d| u[d as usize]).collect();
-            let vl: Vec<f64> = plan.my_dofs.iter().map(|&d| v[d as usize]).collect();
-            if let Err(e) = worker_report_flight(
-                path,
-                rank,
-                &stats,
-                &ul,
-                &vl,
-                &plan.my_dofs,
-                Some(&recording),
-            ) {
+        Ok((fields, stats)) => {
+            if let Err(e) = worker_report(path, rank, &stats, fields, &recording) {
                 eprintln!("worker rank {rank}: report: {e}");
                 std::process::exit(3);
             }
@@ -548,10 +496,6 @@ fn worker_run<O: Operator + wave_lts::lts::DofTopology>(
             std::process::exit(3);
         }
     }
-}
-
-fn socket_arg(m: &HashMap<String, String>) -> String {
-    get(m, "socket", String::new())
 }
 
 fn run_sim<O: Operator + wave_lts::lts::DofTopology>(
@@ -651,22 +595,26 @@ fn cmd_export(m: &HashMap<String, String>) {
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = argv.first() else {
-        eprintln!("usage: wave-lts <info|partition|simulate|export|postmortem> [--key value ...]");
-        std::process::exit(2);
+        usage_error(
+            "usage: wave-lts <info|partition|simulate|export|postmortem> [--key value ...]",
+        );
     };
-    let args = parse_args(&argv[1..]);
-    match cmd.as_str() {
-        "info" => cmd_info(&args),
-        "partition" => cmd_partition(&args),
-        "simulate" => cmd_simulate(&args),
-        "export" => cmd_export(&args),
-        "worker" => cmd_worker(&args),
-        "postmortem" => cmd_postmortem(&args),
-        other => {
-            eprintln!(
-                "unknown command {other:?}; expected info|partition|simulate|export|postmortem|worker"
-            );
-            std::process::exit(2);
-        }
-    }
+    let (run, accepted): (fn(&_), &[&[&str]]) = match cmd.as_str() {
+        "info" => (cmd_info, &[MESH_FLAGS]),
+        "partition" => (cmd_partition, &[MESH_FLAGS, PARTITION_FLAGS]),
+        "simulate" => (
+            cmd_simulate,
+            &[MESH_FLAGS, RUN_FLAGS, FAULT_FLAGS, SIMULATE_FLAGS],
+        ),
+        "export" => (cmd_export, &[MESH_FLAGS, EXPORT_FLAGS]),
+        "worker" => (
+            cmd_worker,
+            &[MESH_FLAGS, RUN_FLAGS, FAULT_FLAGS, WORKER_FLAGS],
+        ),
+        "postmortem" => (cmd_postmortem, &[POSTMORTEM_FLAGS]),
+        other => usage_error(&format!(
+            "unknown command {other:?}; expected info|partition|simulate|export|postmortem|worker"
+        )),
+    };
+    run(&parse_args(cmd, &argv[1..], accepted));
 }

@@ -1,12 +1,43 @@
 //! The threaded message-passing runtime must agree with the serial stepper
 //! on the real 3-D SEM, across partitioning strategies.
 
-use wave_lts::lts::{LtsNewmark, LtsSetup};
+use wave_lts::lts::{LtsNewmark, LtsSetup, Source};
 use wave_lts::mesh::{BenchmarkMesh, MeshKind};
+use wave_lts::obs::MetricsRegistry;
 use wave_lts::partition::{partition_mesh, Strategy};
-use wave_lts::runtime::{run_distributed, DistributedConfig};
+use wave_lts::runtime::{run, Acoustic, DistributedConfig, RunResult, RunSpec};
 use wave_lts::sem::gll::cfl_dt_scale;
 use wave_lts::sem::AcousticOperator;
+
+/// The acoustic SEM of `b` on the in-process runtime from `u0` and zero
+/// velocity.
+#[allow(clippy::too_many_arguments)] // one knob per axis of the cases below
+fn run_ranks(
+    b: &BenchmarkMesh,
+    order: usize,
+    part: &[u32],
+    dt: f64,
+    u0: &[f64],
+    steps: usize,
+    cfg: DistributedConfig,
+    sources: &[Source],
+) -> RunResult {
+    let spec = RunSpec {
+        elem_level: &b.levels.elem_level,
+        partition: part,
+        dt,
+        u0,
+        v0: &vec![0.0; u0.len()],
+        n_steps: steps,
+        sources,
+        cfg,
+    };
+    let problem = Acoustic {
+        mesh: &b.mesh,
+        order,
+    };
+    run(&problem, &spec, None, &mut MetricsRegistry::new()).into_result()
+}
 
 fn serial_run(
     op: &AcousticOperator,
@@ -41,8 +72,7 @@ fn distributed_sem_matches_serial_all_strategies() {
         let n_ranks = 3;
         let part = partition_mesh(&b.mesh, &b.levels, n_ranks, strategy, 1);
         let cfg = DistributedConfig::new(n_ranks);
-        let (u, _, stats) =
-            run_distributed(&op, &setup, &part, dt, &u0, &vec![0.0; ndof], 4, &cfg).unwrap();
+        let (u, _, stats) = run_ranks(&b, order, &part, dt, &u0, 4, cfg, &[]).unwrap();
         let scale = reference.iter().fold(1.0f64, |m, &x| m.max(x.abs()));
         for i in 0..ndof {
             assert!(
@@ -71,8 +101,7 @@ fn distributed_scales_to_many_ranks() {
     for n_ranks in [2usize, 6, 8] {
         let part = partition_mesh(&b.mesh, &b.levels, n_ranks, Strategy::ScotchP, 1);
         let cfg = DistributedConfig::new(n_ranks);
-        let (u, _, _) =
-            run_distributed(&op, &setup, &part, dt, &u0, &vec![0.0; ndof], 3, &cfg).unwrap();
+        let (u, _, _) = run_ranks(&b, order, &part, dt, &u0, 3, cfg, &[]).unwrap();
         let scale = reference.iter().fold(1.0f64, |m, &x| m.max(x.abs()));
         let max_dev = (0..ndof)
             .map(|i| (u[i] - reference[i]).abs())
@@ -86,8 +115,6 @@ fn distributed_scales_to_many_ranks() {
 
 #[test]
 fn distributed_with_sources_matches_serial() {
-    use wave_lts::lts::Source;
-    use wave_lts::runtime::distributed::run_distributed_with_sources;
     let b = BenchmarkMesh::build(MeshKind::Trench, 600);
     let order = 2;
     let op = AcousticOperator::new(&b.mesh, order);
@@ -113,18 +140,7 @@ fn distributed_with_sources_matches_serial() {
     let part = partition_mesh(&b.mesh, &b.levels, n_ranks, Strategy::ScotchP, 1);
     let cfg = DistributedConfig::new(n_ranks);
     let srcs = mk();
-    let (u, _, _) = run_distributed_with_sources(
-        &op,
-        &setup,
-        &part,
-        dt,
-        &vec![0.0; ndof],
-        &vec![0.0; ndof],
-        steps,
-        &cfg,
-        &srcs,
-    )
-    .unwrap();
+    let (u, _, _) = run_ranks(&b, order, &part, dt, &vec![0.0; ndof], steps, cfg, &srcs).unwrap();
     let scale = u_ref.iter().fold(1e-30f64, |m, &x| m.max(x.abs()));
     for i in 0..ndof {
         assert!(
@@ -146,12 +162,38 @@ fn distributed_with_sources_matches_serial() {
 use std::time::Duration;
 use wave_lts::lts::Chain1d;
 use wave_lts::runtime::transport::{self, faulty, TransportKind};
-use wave_lts::runtime::{run_distributed_endpoints, RuntimeError};
+use wave_lts::runtime::RuntimeError;
+
+/// [`run`] of the chain world on caller-built `endpoints`: each rank's own
+/// outcome and its flight recording.
+fn run_chain_on(
+    endpoints: Vec<Box<dyn transport::Transport>>,
+    cfg: DistributedConfig,
+) -> (
+    Vec<Result<wave_lts::runtime::RankStats, RuntimeError>>,
+    Vec<wave_lts::obs::RankRecording>,
+) {
+    let (c, lv, part, dt) = chain_world();
+    let ndof = 25;
+    let u0: Vec<f64> = (0..ndof).map(|i| ((i as f64) * 0.37).sin()).collect();
+    let spec = RunSpec {
+        elem_level: &lv,
+        partition: &part,
+        dt,
+        u0: &u0,
+        v0: &vec![0.0; ndof],
+        n_steps: 10,
+        sources: &[],
+        cfg,
+    };
+    let out = run(&c, &spec, Some(endpoints), &mut MetricsRegistry::new());
+    (out.ranks, out.recordings)
+}
 
 /// A 3-level chain with an interleaved partition: every rank owns elements
 /// at every level and talks to every other rank, so a victim has sends to
 /// die on at any level.
-fn chain_world() -> (Chain1d, LtsSetup, Vec<u32>, f64) {
+fn chain_world() -> (Chain1d, Vec<u8>, Vec<u32>, f64) {
     let mut vel = vec![1.0; 24];
     for (i, v) in vel.iter_mut().enumerate() {
         if i >= 20 {
@@ -162,10 +204,9 @@ fn chain_world() -> (Chain1d, LtsSetup, Vec<u32>, f64) {
     }
     let c = Chain1d::with_velocities(vel, 1.0);
     let (lv, dt) = c.assign_levels(0.5, 3);
-    let setup = LtsSetup::new(&c, &lv);
-    assert_eq!(setup.n_levels, 3);
+    assert_eq!(LtsSetup::new(&c, &lv).n_levels, 3);
     let part: Vec<u32> = (0..24).map(|e| (e % 3) as u32).collect();
-    (c, setup, part, dt)
+    (c, lv, part, dt)
 }
 
 /// Run a 3-rank chain with rank 1's endpoint wrapped in the given fault
@@ -176,12 +217,9 @@ fn run_with_faults(
     overlap: bool,
     victim_plan: faulty::FaultPlan,
     all_plan: Option<faulty::FaultPlan>,
-) -> Vec<wave_lts::runtime::RankRun> {
+) -> Vec<Result<wave_lts::runtime::RankStats, RuntimeError>> {
     let (tx, rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
-        let (c, setup, part, dt) = chain_world();
-        let ndof = 25;
-        let u0: Vec<f64> = (0..ndof).map(|i| ((i as f64) * 0.37).sin()).collect();
         let mut endpoints = transport::make_cluster(kind, 3);
         if let Some(plan) = all_plan {
             endpoints = endpoints
@@ -195,19 +233,7 @@ fn run_with_faults(
             overlap,
             ..DistributedConfig::new(3)
         };
-        let outcomes = run_distributed_endpoints(
-            &c,
-            &setup,
-            &part,
-            dt,
-            &u0,
-            &vec![0.0; ndof],
-            10,
-            &cfg,
-            &[],
-            endpoints,
-        );
-        let _ = tx.send(outcomes);
+        let _ = tx.send(run_chain_on(endpoints, cfg).0);
     });
     rx.recv_timeout(Duration::from_secs(60))
         .unwrap_or_else(|_| panic!("{kind:?} overlap={overlap}: runtime deadlocked"))
@@ -313,25 +339,22 @@ fn dropped_messages_with_recv_timeout_error_instead_of_hanging() {
 // causally-ordered event stream and survive a JSON round trip.
 
 mod crash_reports {
-    use super::chain_world;
+    use super::run_chain_on;
     use std::time::Duration;
     use wave_lts::obs::{merge_recordings, EventKind, Json, RankRecording};
     use wave_lts::runtime::postmortem::{reason_for, CrashReport};
     use wave_lts::runtime::transport::{self, faulty, TransportKind};
-    use wave_lts::runtime::{run_distributed_endpoints_recorded, DistributedConfig, RankRun};
+    use wave_lts::runtime::{DistributedConfig, RankStats, RuntimeError};
 
-    /// `run_with_faults`, but through the recorded entry point so the
-    /// drained flight rings come back alongside the outcomes.
+    /// `run_with_faults`, keeping the drained flight rings that come back
+    /// alongside the outcomes.
     fn run_recorded(
         kind: TransportKind,
         victim_plan: faulty::FaultPlan,
         all_plan: Option<faulty::FaultPlan>,
-    ) -> (Vec<RankRun>, Vec<RankRecording>) {
+    ) -> (Vec<Result<RankStats, RuntimeError>>, Vec<RankRecording>) {
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
-            let (c, setup, part, dt) = chain_world();
-            let ndof = 25;
-            let u0: Vec<f64> = (0..ndof).map(|i| ((i as f64) * 0.37).sin()).collect();
             let mut endpoints = transport::make_cluster(kind, 3);
             if let Some(plan) = all_plan {
                 endpoints = endpoints
@@ -345,19 +368,7 @@ mod crash_reports {
                 flight_capacity: 512,
                 ..DistributedConfig::new(3)
             };
-            let out = run_distributed_endpoints_recorded(
-                &c,
-                &setup,
-                &part,
-                dt,
-                &u0,
-                &vec![0.0; ndof],
-                10,
-                &cfg,
-                &[],
-                endpoints,
-            );
-            let _ = tx.send(out);
+            let _ = tx.send(run_chain_on(endpoints, cfg));
         });
         rx.recv_timeout(Duration::from_secs(60))
             .unwrap_or_else(|_| panic!("{kind:?}: runtime deadlocked"))
@@ -507,8 +518,7 @@ fn work_accounting_matches_partition() {
     let part = partition_mesh(&b.mesh, &b.levels, n_ranks, Strategy::ScotchP, 1);
     let cfg = DistributedConfig::new(n_ranks);
     let steps = 2;
-    let (_, _, stats) =
-        run_distributed(&op, &setup, &part, dt, &u0, &vec![0.0; ndof], steps, &cfg).unwrap();
+    let (_, _, stats) = run_ranks(&b, 2, &part, dt, &u0, steps, cfg, &[]).unwrap();
     // total distributed element-ops = serial masked ops
     let total: u64 = stats.iter().map(|s| s.elem_ops).sum();
     assert_eq!(total, steps as u64 * setup.lts_elem_ops());

@@ -1,25 +1,22 @@
 //! Golden fields: FNV-1a hashes of the final `u`/`v` bits of LTS-Newmark
-//! runs, serial (`LtsNewmark`) and on the local-decomposition runtime at two
-//! ranks, for both physics at orders 2–4 on small trench and trench-big
-//! meshes with one Ricker source. Further cases pin the replicated runtime,
-//! the local runtime with comm/compute overlap and two threads per rank,
-//! and single-level runs (every element on level 0). A memory or speed
-//! change to the gather, kernel or stepping code must leave every bit of
-//! every field as it is, so any drift here is a behaviour change.
+//! runs, serial (`LtsNewmark`) and on the rank runtime at two ranks, for
+//! both physics at orders 2–4 on small trench and trench-big meshes with
+//! one Ricker source. Further cases pin the runtime with comm/compute
+//! overlap and two threads per rank, single-level runs (every element on
+//! level 0) and 1-D chain runs. A memory or speed change to the gather,
+//! kernel or stepping code must leave every bit of every field as it is,
+//! so any drift here is a behaviour change.
 //!
 //! The two benchmark-size cases are `#[ignore]`d to keep the debug test run
 //! fast; run them with
 //! `cargo test --release --test field_golden -- --include-ignored`.
 
-use wave_lts::lts::{Chain1d, DofTopology, LtsNewmark, LtsSetup, Operator, Source};
+use wave_lts::lts::{Chain1d, LtsNewmark, LtsSetup, Operator, Source};
 use wave_lts::mesh::{BenchmarkMesh, Levels, MeshKind};
+use wave_lts::obs::MetricsRegistry;
 use wave_lts::partition::{partition_mesh, Strategy};
-use wave_lts::runtime::{
-    run_distributed_local_acoustic, run_distributed_local_elastic, run_distributed_with_sources,
-    DistributedConfig, RankStats, RuntimeError,
-};
+use wave_lts::runtime::{run, Acoustic, Decompose, DistributedConfig, Elastic, RunSpec};
 use wave_lts::sem::gll::cfl_dt_scale;
-use wave_lts::sem::{AcousticOperator, ElasticOperator};
 
 /// FNV-1a (64-bit) over the bytes of `u` then `v`, via `to_bits`.
 fn fnv1a(u: &[f64], v: &[f64]) -> u64 {
@@ -40,14 +37,11 @@ enum Physics {
 #[derive(Clone, Copy, Debug)]
 enum Path {
     Serial,
-    /// `run_distributed_local_*` at two ranks (SCOTCH-P partition).
+    /// The rank runtime at two ranks (SCOTCH-P partition).
     LocalR2,
     /// [`LocalR2`](Path::LocalR2) with comm/compute overlap and two worker
     /// threads per rank.
     LocalR2OverlapT2,
-    /// `run_distributed_with_sources` (globally replicated state) at two
-    /// ranks.
-    ReplicatedR2,
 }
 
 /// Run `steps` global steps from a smooth initial displacement, zero
@@ -79,68 +73,30 @@ fn run_case(
         b.levels.clone()
     };
     let dt = levels.dt_global * cfl_dt_scale(order, 3);
+    let mesh = &b.mesh;
     match physics {
-        Physics::Acoustic => {
-            let op = AcousticOperator::new(&b.mesh, order);
-            solve(
-                &op,
-                &b,
-                &levels,
-                path,
-                order,
-                dt,
-                steps,
-                run_distributed_local_acoustic,
-            )
-        }
-        Physics::Elastic => {
-            let op = ElasticOperator::poisson(&b.mesh, order);
-            solve(
-                &op,
-                &b,
-                &levels,
-                path,
-                order,
-                dt,
-                steps,
-                run_distributed_local_elastic,
-            )
-        }
+        Physics::Acoustic => solve(&Acoustic { mesh, order }, &b, &levels, path, dt, steps),
+        Physics::Elastic => solve(&Elastic { mesh, order }, &b, &levels, path, dt, steps),
     }
 }
 
-type LocalRunner = fn(
-    &wave_lts::mesh::HexMesh,
-    &wave_lts::mesh::Levels,
-    usize,
-    &[u32],
-    f64,
-    &[f64],
-    &[f64],
-    usize,
-    &DistributedConfig,
-    &[Source],
-) -> Result<(Vec<f64>, Vec<f64>, Vec<RankStats>), RuntimeError>;
-
-#[allow(clippy::too_many_arguments)]
-fn solve<O: Operator + DofTopology + Sync>(
-    op: &O,
+fn solve<P: Decompose>(
+    problem: &P,
     b: &BenchmarkMesh,
     levels: &Levels,
     path: Path,
-    order: usize,
     dt: f64,
     steps: usize,
-    local: LocalRunner,
 ) -> u64 {
-    let setup = LtsSetup::new(op, &levels.elem_level);
-    let ndof = Operator::ndof(op);
+    let ndof = Operator::ndof(&problem.global());
     let mut u: Vec<f64> = (0..ndof).map(|i| ((i as f64) * 0.07).sin()).collect();
     let mut v = vec![0.0; ndof];
     let sources = [Source::ricker((ndof / 3) as u32, 0.3, 1.0, 1.0)];
     match path {
         Path::Serial => {
-            let mut lts = LtsNewmark::new(op, &setup, dt);
+            let op = problem.global();
+            let setup = LtsSetup::new(&op, &levels.elem_level);
+            let mut lts = LtsNewmark::new(&op, &setup, dt);
             lts.run(&mut u, &mut v, 0.0, steps, &sources);
             fnv1a(&u, &v)
         }
@@ -154,18 +110,19 @@ fn solve<O: Operator + DofTopology + Sync>(
                 },
                 _ => DistributedConfig::new(2),
             };
-            let (u, v, _) = local(
-                &b.mesh, levels, order, &part, dt, &u, &v, steps, &cfg, &sources,
-            )
-            .expect("local runtime");
-            fnv1a(&u, &v)
-        }
-        Path::ReplicatedR2 => {
-            let part = partition_mesh(&b.mesh, levels, 2, Strategy::ScotchP, 1);
-            let cfg = DistributedConfig::new(2);
-            let (u, v, _) =
-                run_distributed_with_sources(op, &setup, &part, dt, &u, &v, steps, &cfg, &sources)
-                    .expect("replicated runtime");
+            let spec = RunSpec {
+                elem_level: &levels.elem_level,
+                partition: &part,
+                dt,
+                u0: &u,
+                v0: &v,
+                n_steps: steps,
+                sources: &sources,
+                cfg,
+            };
+            let (u, v, _) = run(problem, &spec, None, &mut MetricsRegistry::new())
+                .into_result()
+                .expect("rank runtime");
             fnv1a(&u, &v)
         }
     }
@@ -210,15 +167,10 @@ const BENCH_SIZE: &[Golden] = &[
     (Physics::Acoustic, Path::LocalR2, MeshKind::Trench, 8_788, 4, 2, 0x12c0_53b7_dc79_4c7b),
 ];
 
-/// The replicated runtime, and the local runtime with overlap and two
-/// threads per rank; recorded before the serial and rank steppers shared
-/// one recursion.
+/// The runtime with overlap and two threads per rank; recorded before the
+/// serial and rank steppers shared one recursion.
 #[rustfmt::skip]
 const RUNTIME_VARIANTS: &[Golden] = &[
-    (Physics::Acoustic, Path::ReplicatedR2, MeshKind::Trench, 300, 2, 2, 0xd0e9_7af4_b341_a71e),
-    (Physics::Acoustic, Path::ReplicatedR2, MeshKind::Trench, 300, 4, 2, 0x0fdd_f0d4_e091_16ec),
-    (Physics::Acoustic, Path::ReplicatedR2, MeshKind::TrenchBig, 864, 3, 2, 0x8eb7_4c9c_bf19_7a04),
-    (Physics::Elastic, Path::ReplicatedR2, MeshKind::Trench, 300, 2, 2, 0xa61c_be75_b72e_1e33),
     (Physics::Acoustic, Path::LocalR2OverlapT2, MeshKind::Trench, 300, 2, 2, 0xd0e9_7af4_b341_a71e),
     (Physics::Acoustic, Path::LocalR2OverlapT2, MeshKind::Trench, 300, 4, 2, 0x0fdd_f0d4_e091_16ec),
     (Physics::Acoustic, Path::LocalR2OverlapT2, MeshKind::TrenchBig, 864, 2, 2, 0xcafb_4c6b_a423_8f12),
@@ -235,7 +187,6 @@ const SINGLE_LEVEL: &[Golden] = &[
     (Physics::Acoustic, Path::LocalR2, MeshKind::Trench, 300, 2, 3, 0x7442_4120_568e_b055),
     (Physics::Acoustic, Path::LocalR2, MeshKind::Trench, 300, 4, 3, 0xfbc9_93a8_8eef_ff64),
     (Physics::Elastic, Path::LocalR2, MeshKind::Trench, 300, 3, 3, 0x6369_6637_f287_6f0b),
-    (Physics::Acoustic, Path::ReplicatedR2, MeshKind::Trench, 300, 2, 3, 0x7442_4120_568e_b055),
 ];
 
 fn check(cases: &[Golden], single_level: bool) {
@@ -308,7 +259,6 @@ fn chain_case(case: ChainCase) -> u64 {
     let ne = vel.len();
     let c = Chain1d::with_velocities(vel, 1.0);
     let (lv, dt) = c.assign_levels(0.5, max_levels);
-    let setup = LtsSetup::new(&c, &lv);
     let n = ne + 1;
     let (u0, sources, part, overlap) = match case {
         ChainCase::Interleaved { overlap } => {
@@ -335,30 +285,36 @@ fn chain_case(case: ChainCase) -> u64 {
             (u0, Vec::new(), part, false)
         }
     };
-    let cfg = DistributedConfig {
-        overlap,
-        ..DistributedConfig::new(ranks)
-    };
-    let (u, v, _) = run_distributed_with_sources(
-        &c,
-        &setup,
-        &part,
+    let spec = RunSpec {
+        elem_level: &lv,
+        partition: &part,
         dt,
-        &u0,
-        &vec![0.0; n],
-        steps,
-        &cfg,
-        &sources,
-    )
-    .expect("chain runtime");
+        u0: &u0,
+        v0: &vec![0.0; n],
+        n_steps: steps,
+        sources: &sources,
+        cfg: DistributedConfig {
+            overlap,
+            ..DistributedConfig::new(ranks)
+        },
+    };
+    let (u, v, _) = run(&c, &spec, None, &mut MetricsRegistry::new())
+        .into_result()
+        .expect("chain runtime");
     fnv1a(&u, &v)
 }
 
 /// Recorded on the globally replicated runtime, before the chain ran
 /// through the rank-local builder.
 const CHAINS: &[(ChainCase, u64)] = &[
-    (ChainCase::Interleaved { overlap: false }, 0xb79f_bb6a_8405_5f07),
-    (ChainCase::Interleaved { overlap: true }, 0xb79f_bb6a_8405_5f07),
+    (
+        ChainCase::Interleaved { overlap: false },
+        0xb79f_bb6a_8405_5f07,
+    ),
+    (
+        ChainCase::Interleaved { overlap: true },
+        0xb79f_bb6a_8405_5f07,
+    ),
     (ChainCase::Fig1 { balanced: false }, 0xda93_7523_15c5_457b),
     (ChainCase::Fig1 { balanced: true }, 0xda93_7523_15c5_457b),
 ];

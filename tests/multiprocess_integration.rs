@@ -1,19 +1,20 @@
 //! The multi-process backend against the in-process reference: real
 //! `wave-lts worker` OS processes, spawned through the coordinator, must
-//! reproduce the channel-transport fields **bitwise** and the deterministic
-//! counters **exactly** — the payload `f64`s cross the wire as raw bit
-//! patterns and the workers rebuild the same plans, so nothing may differ.
+//! reproduce the in-process channel-transport run's fields **bitwise** and
+//! its deterministic counters **exactly** — each worker builds the same
+//! rank-local world as the in-process rank threads and steps it through
+//! the same rank body, and payload `f64`s cross the wire as raw bit
+//! patterns, so nothing may differ.
 
 #![cfg(unix)]
 
 use std::time::Duration;
-use wave_lts::lts::{LtsSetup, Operator};
 use wave_lts::mesh::{BenchmarkMesh, MeshKind};
+use wave_lts::obs::MetricsRegistry;
 use wave_lts::partition::{partition_mesh, Strategy};
 use wave_lts::runtime::process::{run_coordinator, ProcSpec};
-use wave_lts::runtime::{run_distributed, DistributedConfig};
+use wave_lts::runtime::{run, Acoustic, DistributedConfig, RunSpec};
 use wave_lts::sem::gll::cfl_dt_scale;
-use wave_lts::sem::AcousticOperator;
 
 const ELEMENTS: usize = 600;
 const ORDER: usize = 2;
@@ -49,9 +50,7 @@ fn worker_args(dt: f64, overlap: bool) -> Vec<String> {
 #[test]
 fn worker_processes_match_in_process_bitwise() {
     let b = BenchmarkMesh::build(MeshKind::Trench, ELEMENTS);
-    let op = AcousticOperator::new(&b.mesh, ORDER);
-    let setup = LtsSetup::new(&op, &b.levels.elem_level);
-    let ndof = Operator::ndof(&op);
+    let ndof = b.mesh.n_gll_nodes(ORDER);
     let dt = b.levels.dt_global * cfl_dt_scale(ORDER, 3);
     // must match the worker's --u0-bits initial condition
     let u0: Vec<f64> = (0..ndof).map(|i| ((i as f64) * 0.003).sin()).collect();
@@ -59,20 +58,35 @@ fn worker_processes_match_in_process_bitwise() {
 
     for (ranks, overlap) in [(2usize, false), (3, true)] {
         let part = partition_mesh(&b.mesh, &b.levels, ranks, Strategy::ScotchP, 1);
-        let cfg = DistributedConfig {
-            overlap,
-            ..DistributedConfig::new(ranks)
+        let spec = RunSpec {
+            elem_level: &b.levels.elem_level,
+            partition: &part,
+            dt,
+            u0: &u0,
+            v0: &v0,
+            n_steps: STEPS,
+            sources: &[],
+            cfg: DistributedConfig {
+                overlap,
+                ..DistributedConfig::new(ranks)
+            },
         };
-        let (u_ref, v_ref, stats_ref) =
-            run_distributed(&op, &setup, &part, dt, &u0, &v0, STEPS, &cfg).unwrap();
+        let problem = Acoustic {
+            mesh: &b.mesh,
+            order: ORDER,
+        };
+        let (u_ref, v_ref, stats_ref) = run(&problem, &spec, None, &mut MetricsRegistry::new())
+            .into_result()
+            .unwrap();
 
-        let spec = ProcSpec {
+        let fleet = ProcSpec {
             bin: env!("CARGO_BIN_EXE_wave-lts").into(),
             args: worker_args(dt, overlap),
             n_ranks: ranks,
             timeout: Duration::from_secs(300),
         };
-        let (u, v, stats) = run_coordinator(&spec)
+        let (u, v, stats) = run_coordinator(&fleet)
+            .0
             .unwrap_or_else(|e| panic!("{ranks} ranks overlap={overlap}: {e}"));
 
         assert_eq!(u.len(), ndof, "{ranks} ranks: assembled field size");
@@ -108,5 +122,5 @@ fn coordinator_reports_worker_failure_cleanly() {
         n_ranks: 2,
         timeout: Duration::from_secs(60),
     };
-    assert!(run_coordinator(&spec).is_err());
+    assert!(run_coordinator(&spec).0.is_err());
 }

@@ -129,10 +129,10 @@ proptest! {
     /// run bit for bit, with identical deterministic counters.
     #[test]
     fn transports_agree_bitwise_on_random_chains((vel, u0) in chain_strategy()) {
-        use wave_lts::runtime::{run_distributed, DistributedConfig, TransportKind};
+        use wave_lts::obs::MetricsRegistry;
+        use wave_lts::runtime::{run, DistributedConfig, RunSpec, TransportKind};
         let c = Chain1d::with_velocities(vel, 1.0);
         let (lv, dt) = c.assign_levels(0.4, 3);
-        let setup = LtsSetup::new(&c, &lv);
         let nelem = c.h.len();
         let n = u0.len();
         let n_ranks = 2 + nelem % 2; // 2 or 3 ranks, interleaved ownership
@@ -140,7 +140,10 @@ proptest! {
         let run = |kind: TransportKind, overlap: bool| {
             let cfg = DistributedConfig { transport: kind, overlap,
                 ..DistributedConfig::new(n_ranks) };
-            run_distributed(&c, &setup, &part, dt, &u0, &vec![0.0; n], 6, &cfg)
+            let spec = RunSpec { elem_level: &lv, partition: &part, dt, u0: &u0,
+                v0: &vec![0.0; n], n_steps: 6, sources: &[], cfg };
+            run(&c, &spec, None, &mut MetricsRegistry::new())
+                .into_result()
                 .expect("distributed run")
         };
         let (ur, vr, sr) = run(TransportKind::Channel, false);

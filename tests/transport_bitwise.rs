@@ -4,12 +4,11 @@
 //! Anything weaker would let a backend silently reorder the interface
 //! assembly.
 
-use wave_lts::lts::{LtsSetup, Operator};
 use wave_lts::mesh::{BenchmarkMesh, MeshKind};
+use wave_lts::obs::MetricsRegistry;
 use wave_lts::partition::{partition_mesh, Strategy};
-use wave_lts::runtime::{run_distributed, DistributedConfig, RankStats, TransportKind};
+use wave_lts::runtime::{run, Acoustic, DistributedConfig, RankStats, RunSpec, TransportKind};
 use wave_lts::sem::gll::cfl_dt_scale;
-use wave_lts::sem::AcousticOperator;
 
 const BACKENDS: [TransportKind; 3] = [
     TransportKind::Channel,
@@ -19,8 +18,8 @@ const BACKENDS: [TransportKind; 3] = [
 
 #[allow(clippy::too_many_arguments)] // a test harness knob per axis beats a one-use config struct
 fn run_case(
-    op: &AcousticOperator,
-    setup: &LtsSetup,
+    b: &BenchmarkMesh,
+    order: usize,
     part: &[u32],
     dt: f64,
     u0: &[f64],
@@ -29,12 +28,26 @@ fn run_case(
     kind: TransportKind,
     overlap: bool,
 ) -> (Vec<f64>, Vec<f64>, Vec<RankStats>) {
-    let cfg = DistributedConfig {
-        transport: kind,
-        overlap,
-        ..DistributedConfig::new(ranks)
+    let spec = RunSpec {
+        elem_level: &b.levels.elem_level,
+        partition: part,
+        dt,
+        u0,
+        v0: &vec![0.0; u0.len()],
+        n_steps: steps,
+        sources: &[],
+        cfg: DistributedConfig {
+            transport: kind,
+            overlap,
+            ..DistributedConfig::new(ranks)
+        },
     };
-    run_distributed(op, setup, part, dt, u0, &vec![0.0; u0.len()], steps, &cfg)
+    let problem = Acoustic {
+        mesh: &b.mesh,
+        order,
+    };
+    run(&problem, &spec, None, &mut MetricsRegistry::new())
+        .into_result()
         .unwrap_or_else(|e| panic!("{kind:?} overlap={overlap} ranks={ranks}: {e}"))
 }
 
@@ -71,16 +84,14 @@ fn assert_identical(
 
 fn sweep(elements: usize, order: usize, rank_counts: &[usize], steps: usize) {
     let b = BenchmarkMesh::build(MeshKind::Trench, elements);
-    let op = AcousticOperator::new(&b.mesh, order);
-    let setup = LtsSetup::new(&op, &b.levels.elem_level);
-    let ndof = Operator::ndof(&op);
+    let ndof = b.mesh.n_gll_nodes(order);
     let dt = b.levels.dt_global * cfl_dt_scale(order, 3);
     let u0: Vec<f64> = (0..ndof).map(|i| ((i as f64) * 0.07).sin()).collect();
     for &ranks in rank_counts {
         let part = partition_mesh(&b.mesh, &b.levels, ranks, Strategy::ScotchP, 1);
         let reference = run_case(
-            &op,
-            &setup,
+            &b,
+            order,
             &part,
             dt,
             &u0,
@@ -95,7 +106,7 @@ fn sweep(elements: usize, order: usize, rank_counts: &[usize], steps: usize) {
                 if kind == TransportKind::Channel && !overlap {
                     continue; // that's the reference itself
                 }
-                let got = run_case(&op, &setup, &part, dt, &u0, steps, ranks, kind, overlap);
+                let got = run_case(&b, order, &part, dt, &u0, steps, ranks, kind, overlap);
                 assert_identical(
                     &format!("order {order}, {ranks} ranks, {kind:?}, overlap={overlap}"),
                     &reference,

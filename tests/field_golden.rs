@@ -1,9 +1,10 @@
 //! Golden fields: FNV-1a hashes of the final `u`/`v` bits of LTS-Newmark
 //! runs, serial (`LtsNewmark`) and on the rank runtime at two ranks, for
 //! both physics at orders 2–4 on small trench and trench-big meshes with
-//! one Ricker source. Further cases pin the runtime with comm/compute
-//! overlap and two threads per rank, single-level runs (every element on
-//! level 0) and 1-D chain runs. A memory or speed change to the gather,
+//! one Ricker source. Further cases pin the serial stepper with two
+//! threads, a source on the finest leaf level, the runtime with
+//! comm/compute overlap and two threads per rank, single-level runs (every
+//! element on level 0) and 1-D chain runs, serial and on ranks. A memory or speed change to the gather,
 //! kernel or stepping code must leave every bit of every field as it is,
 //! so any drift here is a behaviour change.
 //!
@@ -37,6 +38,8 @@ enum Physics {
 #[derive(Clone, Copy, Debug)]
 enum Path {
     Serial,
+    /// [`Serial`](Path::Serial) with two worker threads.
+    SerialT2,
     /// The rank runtime at two ranks (SCOTCH-P partition).
     LocalR2,
     /// [`LocalR2`](Path::LocalR2) with comm/compute overlap and two worker
@@ -44,11 +47,21 @@ enum Path {
     LocalR2OverlapT2,
 }
 
+/// Where the one Ricker source sits.
+#[derive(Clone, Copy, Debug)]
+enum Src {
+    /// DOF `ndof / 3`.
+    Third,
+    /// The middle DOF of `setup.leaf[L − 1]`, the finest leaf level.
+    Finest,
+}
+
 /// Run `steps` global steps from a smooth initial displacement, zero
-/// velocity and one Ricker source at DOF `ndof / 3`; return the
-/// hash of the final fields. With `single_level`, every element is put on
+/// velocity and one Ricker source at `src`; return the hash of the final
+/// fields. With `single_level`, every element is put on
 /// level 0 and the global step shrinks to the mesh's finest one,
 /// `dt_global / 2^(n_levels − 1)`.
+#[allow(clippy::too_many_arguments)]
 fn run_case(
     physics: Physics,
     path: Path,
@@ -57,6 +70,7 @@ fn run_case(
     order: usize,
     steps: usize,
     single_level: bool,
+    src: Src,
 ) -> u64 {
     let b = BenchmarkMesh::build(kind, elements);
     assert!(
@@ -75,8 +89,8 @@ fn run_case(
     let dt = levels.dt_global * cfl_dt_scale(order, 3);
     let mesh = &b.mesh;
     match physics {
-        Physics::Acoustic => solve(&Acoustic { mesh, order }, &b, &levels, path, dt, steps),
-        Physics::Elastic => solve(&Elastic { mesh, order }, &b, &levels, path, dt, steps),
+        Physics::Acoustic => solve(&Acoustic { mesh, order }, &b, &levels, path, dt, steps, src),
+        Physics::Elastic => solve(&Elastic { mesh, order }, &b, &levels, path, dt, steps, src),
     }
 }
 
@@ -87,16 +101,27 @@ fn solve<P: Decompose>(
     path: Path,
     dt: f64,
     steps: usize,
+    src: Src,
 ) -> u64 {
-    let ndof = Operator::ndof(&problem.global());
+    let op = problem.global();
+    let setup = LtsSetup::new(&op, &levels.elem_level);
+    let ndof = Operator::ndof(&op);
     let mut u: Vec<f64> = (0..ndof).map(|i| ((i as f64) * 0.07).sin()).collect();
     let mut v = vec![0.0; ndof];
-    let sources = [Source::ricker((ndof / 3) as u32, 0.3, 1.0, 1.0)];
+    let src_dof = match src {
+        Src::Third => (ndof / 3) as u32,
+        Src::Finest => {
+            let finest = &setup.leaf[setup.n_levels - 1];
+            finest[finest.len() / 2]
+        }
+    };
+    let sources = [Source::ricker(src_dof, 0.3, 1.0, 1.0)];
     match path {
-        Path::Serial => {
-            let op = problem.global();
-            let setup = LtsSetup::new(&op, &levels.elem_level);
+        Path::Serial | Path::SerialT2 => {
             let mut lts = LtsNewmark::new(&op, &setup, dt);
+            if matches!(path, Path::SerialT2) {
+                lts.threads = 2;
+            }
             lts.run(&mut u, &mut v, 0.0, steps, &sources);
             fnv1a(&u, &v)
         }
@@ -189,10 +214,40 @@ const SINGLE_LEVEL: &[Golden] = &[
     (Physics::Elastic, Path::LocalR2, MeshKind::Trench, 300, 3, 3, 0x6369_6637_f287_6f0b),
 ];
 
-fn check(cases: &[Golden], single_level: bool) {
+/// The serial stepper with two worker threads; recorded before the steppers
+/// numbered their DOFs by level.
+#[rustfmt::skip]
+const SERIAL_THREADS: &[Golden] = &[
+    (Physics::Acoustic, Path::SerialT2, MeshKind::Trench, 300, 2, 2, 0xb117_031e_6413_2fb2),
+    (Physics::Acoustic, Path::SerialT2, MeshKind::Trench, 300, 4, 2, 0x01a5_bb97_085e_de63),
+    (Physics::Acoustic, Path::SerialT2, MeshKind::TrenchBig, 864, 3, 2, 0xaed7_17af_4a9a_263d),
+];
+
+/// The source on a DOF of the finest leaf level; recorded before the
+/// steppers numbered their DOFs by level.
+#[rustfmt::skip]
+const FINEST_SOURCE: &[Golden] = &[
+    (Physics::Acoustic, Path::Serial, MeshKind::Trench, 300, 2, 2, 0x8ad2_4b2e_b987_1def),
+    (Physics::Acoustic, Path::Serial, MeshKind::TrenchBig, 864, 3, 2, 0xf0d7_558f_34c4_c41b),
+    (Physics::Acoustic, Path::LocalR2, MeshKind::Trench, 300, 2, 2, 0x7f40_6614_e2e9_75e0),
+    (Physics::Acoustic, Path::LocalR2, MeshKind::TrenchBig, 864, 3, 2, 0x53b3_ec1e_0a6f_d3bd),
+    (Physics::Elastic, Path::Serial, MeshKind::Trench, 300, 3, 2, 0x72f2_67e1_9c14_3a0f),
+    (Physics::Elastic, Path::LocalR2, MeshKind::Trench, 300, 3, 2, 0xf166_b566_6de4_589f),
+];
+
+fn check(cases: &[Golden], single_level: bool, src: Src) {
     let mut drift = Vec::new();
     for &(physics, path, kind, elements, order, steps, want) in cases {
-        let got = run_case(physics, path, kind, elements, order, steps, single_level);
+        let got = run_case(
+            physics,
+            path,
+            kind,
+            elements,
+            order,
+            steps,
+            single_level,
+            src,
+        );
         if got != want {
             drift.push(format!(
                 "{physics:?} {path:?} {kind:?} {elements} p{order} {steps} steps: \
@@ -205,23 +260,33 @@ fn check(cases: &[Golden], single_level: bool) {
 
 #[test]
 fn small_fields_match_golden_hashes() {
-    check(SMALL, false);
+    check(SMALL, false, Src::Third);
 }
 
 #[test]
 fn runtime_variant_fields_match_golden_hashes() {
-    check(RUNTIME_VARIANTS, false);
+    check(RUNTIME_VARIANTS, false, Src::Third);
+}
+
+#[test]
+fn serial_thread_fields_match_golden_hashes() {
+    check(SERIAL_THREADS, false, Src::Third);
+}
+
+#[test]
+fn finest_source_fields_match_golden_hashes() {
+    check(FINEST_SOURCE, false, Src::Finest);
 }
 
 #[test]
 fn single_level_fields_match_golden_hashes() {
-    check(SINGLE_LEVEL, true);
+    check(SINGLE_LEVEL, true, Src::Third);
 }
 
 #[test]
 #[ignore = "benchmark-size; run in release with --include-ignored"]
 fn benchmark_size_fields_match_golden_hashes() {
-    check(BENCH_SIZE, false);
+    check(BENCH_SIZE, false, Src::Third);
 }
 
 /// A 1-D chain run at `ranks` ranks on `part`: the 3-level 24-element
@@ -232,6 +297,9 @@ enum ChainCase {
     /// Three levels, `e % 3` at three ranks, one Ricker source on the
     /// finest level; `overlap` toggles comm/compute overlap.
     Interleaved { overlap: bool },
+    /// The chain, source and steps of `Interleaved`, on the serial
+    /// `LtsNewmark`.
+    Serial,
     /// Fig. 1: eight fine elements in a 16-element chain; `balanced`
     /// splits each level evenly, otherwise the geometric split at 10.
     Fig1 { balanced: bool },
@@ -239,7 +307,7 @@ enum ChainCase {
 
 fn chain_case(case: ChainCase) -> u64 {
     let (vel, max_levels, steps, ranks) = match case {
-        ChainCase::Interleaved { .. } => {
+        ChainCase::Interleaved { .. } | ChainCase::Serial => {
             let vel: Vec<f64> = (0..24)
                 .map(|i| match i {
                     20.. => 4.0,
@@ -261,10 +329,11 @@ fn chain_case(case: ChainCase) -> u64 {
     let (lv, dt) = c.assign_levels(0.5, max_levels);
     let n = ne + 1;
     let (u0, sources, part, overlap) = match case {
-        ChainCase::Interleaved { overlap } => {
+        ChainCase::Interleaved { .. } | ChainCase::Serial => {
             let u0: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.37).sin()).collect();
             let sources = vec![Source::ricker(21, 0.3, 1.0, 1.0)];
             let part: Vec<u32> = (0..ne).map(|e| (e % 3) as u32).collect();
+            let overlap = matches!(case, ChainCase::Interleaved { overlap: true });
             (u0, sources, part, overlap)
         }
         ChainCase::Fig1 { balanced } => {
@@ -285,6 +354,12 @@ fn chain_case(case: ChainCase) -> u64 {
             (u0, Vec::new(), part, false)
         }
     };
+    if let ChainCase::Serial = case {
+        let setup = LtsSetup::new(&c, &lv);
+        let (mut u, mut v) = (u0, vec![0.0; n]);
+        LtsNewmark::new(&c, &setup, dt).run(&mut u, &mut v, 0.0, steps, &sources);
+        return fnv1a(&u, &v);
+    }
     let spec = RunSpec {
         elem_level: &lv,
         partition: &part,
@@ -305,7 +380,8 @@ fn chain_case(case: ChainCase) -> u64 {
 }
 
 /// Recorded on the globally replicated runtime, before the chain ran
-/// through the rank-local builder.
+/// through the rank-local builder; the serial row was recorded before the
+/// steppers numbered their DOFs by level.
 const CHAINS: &[(ChainCase, u64)] = &[
     (
         ChainCase::Interleaved { overlap: false },
@@ -315,6 +391,7 @@ const CHAINS: &[(ChainCase, u64)] = &[
         ChainCase::Interleaved { overlap: true },
         0xb79f_bb6a_8405_5f07,
     ),
+    (ChainCase::Serial, 0xb79f_bb6a_8405_5f07),
     (ChainCase::Fig1 { balanced: false }, 0xda93_7523_15c5_457b),
     (ChainCase::Fig1 { balanced: true }, 0xda93_7523_15c5_457b),
 ];

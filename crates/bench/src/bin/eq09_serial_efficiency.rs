@@ -4,7 +4,8 @@
 //! implementation relative to the ideal speed-up model. Here both are
 //! measured on the real SEM operator: wall-clock LTS vs non-LTS (at
 //! `Δt/p_max`), compared with the Eq. 9 model and with the masked-work
-//! element-operation counts.
+//! element-operation counts. The stepper groups DOFs by p-level
+//! (Sec. IV-D) internally, as every LTS stepper here does.
 
 use lts_bench::{Args, Table};
 use lts_core::{LtsNewmark, LtsSetup, Newmark};
@@ -17,24 +18,16 @@ fn main() {
     let elements: usize = args.get("elements", 3_000);
     let order: usize = args.get("order", 4);
     let cycles: usize = args.get("cycles", 3);
-    let grouped: bool = args.get("grouped", true);
     let b = BenchmarkMesh::build(MeshKind::Trench, elements);
-    let mut op = AcousticOperator::new(&b.mesh, order);
-    let mut setup = LtsSetup::new(&op, &b.levels.elem_level);
-    if grouped {
-        // the paper's Sec. IV-D optimization: group DOFs by p-level
-        let perm = setup.grouping_permutation();
-        op.set_permutation(&perm);
-        setup = LtsSetup::new(&op, &b.levels.elem_level);
-    }
+    let op = AcousticOperator::new(&b.mesh, order);
+    let setup = LtsSetup::new(&op, &b.levels.elem_level);
     let ndof = op.dofmap.n_nodes();
     eprintln!(
-        "# trench {} elements, order {} → {} DOF, {} levels, p-level grouping {}",
+        "# trench {} elements, order {} → {} DOF, {} levels",
         b.mesh.n_elems(),
         order,
         ndof,
         setup.n_levels,
-        if grouped { "ON" } else { "OFF" }
     );
 
     let u0: Vec<f64> = (0..ndof).map(|i| ((i as f64) * 0.37).sin()).collect();

@@ -11,47 +11,82 @@ pub mod scaling;
 
 use lts_mesh::{BenchmarkMesh, MeshKind};
 
-/// Minimal flag parser: `--key value` pairs.
+/// Minimal flag parser: `--key value` pairs. Strict: a stray word, a flag
+/// without a value or a value that does not parse is a usage error, which
+/// [`Args::parse`], [`Args::get`] and [`Args::get_list`] report naming the
+/// argument before exiting with status 2.
 pub struct Args {
     pairs: Vec<(String, String)>,
 }
 
+/// Print a usage error and exit with status 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2)
+}
+
 impl Args {
     pub fn parse() -> Self {
-        let argv: Vec<String> = std::env::args().skip(1).collect();
+        Self::from_argv(std::env::args().skip(1)).unwrap_or_else(|e| usage_error(&e))
+    }
+
+    /// Parse `argv` (without the program name).
+    pub fn from_argv(argv: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut pairs = Vec::new();
-        let mut i = 0;
-        while i < argv.len() {
-            if let Some(key) = argv[i].strip_prefix("--") {
-                if i + 1 < argv.len() {
-                    pairs.push((key.to_string(), argv[i + 1].clone()));
-                    i += 2;
-                    continue;
-                }
-            }
-            eprintln!("ignoring argument {:?}", argv[i]);
-            i += 1;
+        let mut argv = argv.into_iter();
+        while let Some(arg) = argv.next() {
+            let Some(key) = arg.strip_prefix("--") else {
+                return Err(format!("unexpected argument {arg:?}"));
+            };
+            let value = argv
+                .next()
+                .ok_or_else(|| format!("flag --{key} needs a value"))?;
+            pairs.push((key.to_string(), value));
         }
-        Args { pairs }
+        Ok(Args { pairs })
     }
 
+    fn value(&self, key: &str) -> Option<&str> {
+        self.pairs
+            .iter()
+            .rev()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.as_str())
+    }
+
+    /// The value of `--key`, or `default` when the flag is absent.
+    pub fn try_get<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        match self.value(key) {
+            Some(v) => v
+                .parse()
+                .map_err(|_| format!("invalid value {v:?} for --{key}")),
+            None => Ok(default),
+        }
+    }
+
+    /// [`Args::try_get`], exiting with status 2 on an unparsable value.
     pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.pairs
-            .iter()
-            .rev()
-            .find(|(k, _)| k == key)
-            .and_then(|(_, v)| v.parse().ok())
-            .unwrap_or(default)
+        self.try_get(key, default)
+            .unwrap_or_else(|e| usage_error(&e))
     }
 
-    /// Comma-separated list (e.g. `--parts 16,32,64`).
+    /// Comma-separated list (e.g. `--parts 16,32,64`), or `default` when the
+    /// flag is absent.
+    pub fn try_get_list(&self, key: &str, default: &[usize]) -> Result<Vec<usize>, String> {
+        match self.value(key) {
+            Some(v) => v
+                .split(',')
+                .map(|s| s.trim().parse().ok())
+                .collect::<Option<Vec<usize>>>()
+                .ok_or_else(|| format!("invalid list {v:?} for --{key}")),
+            None => Ok(default.to_vec()),
+        }
+    }
+
+    /// [`Args::try_get_list`], exiting with status 2 on an unparsable list.
     pub fn get_list(&self, key: &str, default: &[usize]) -> Vec<usize> {
-        self.pairs
-            .iter()
-            .rev()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.split(',').filter_map(|s| s.trim().parse().ok()).collect())
-            .unwrap_or_else(|| default.to_vec())
+        self.try_get_list(key, default)
+            .unwrap_or_else(|e| usage_error(&e))
     }
 }
 
@@ -139,6 +174,32 @@ mod tests {
         assert_eq!(sci(1.4e6), "1.4e6");
         assert_eq!(sci(0.0), "0");
         assert_eq!(sci(3.0e7), "3.0e7");
+    }
+
+    fn argv(words: &[&str]) -> Result<Args, String> {
+        Args::from_argv(words.iter().map(|w| w.to_string()))
+    }
+
+    #[test]
+    fn args_parse_pairs_last_wins() {
+        let a = argv(&["--elements", "500", "--parts", "2,4", "--elements", "700"]).unwrap();
+        assert_eq!(a.try_get("elements", 1usize), Ok(700));
+        assert_eq!(a.try_get("seed", 9u64), Ok(9));
+        assert_eq!(a.try_get_list("parts", &[1]), Ok(vec![2, 4]));
+        assert_eq!(a.try_get_list("nodes", &[8, 16]), Ok(vec![8, 16]));
+    }
+
+    #[test]
+    fn args_reject_stray_words_and_bad_values() {
+        let e = argv(&["--elements", "500", "extra"]).err().unwrap();
+        assert!(e.contains("\"extra\""), "{e}");
+        let e = argv(&["--elements"]).err().unwrap();
+        assert!(e.contains("--elements"), "{e}");
+        let a = argv(&["--elements", "5k", "--parts", "4,x"]).unwrap();
+        let e = a.try_get("elements", 1usize).unwrap_err();
+        assert!(e.contains("--elements") && e.contains("5k"), "{e}");
+        let e = a.try_get_list("parts", &[1]).unwrap_err();
+        assert!(e.contains("--parts") && e.contains("4,x"), "{e}");
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::operator::{DofTopology, Operator};
 
 /// Interval elements, each coupling the two DOFs of its node pair: `n`
 /// elements and `n+1` DOFs, element `e` on DOFs `e`, `e+1`, until a
-/// renumbering or a sub-chain changes the pairs.
+/// sub-chain changes the pairs.
 #[derive(Debug, Clone)]
 pub struct Chain1d {
     /// Element lengths.
@@ -62,32 +62,24 @@ impl Chain1d {
         self.h.len()
     }
 
-    /// Renumber the DOFs with `new = perm[old]` (see
-    /// [`crate::setup::LtsSetup::grouping_permutation`]); all vectors the
-    /// operator touches are in the new numbering afterwards.
-    pub fn set_permutation(&mut self, perm: &[u32]) {
-        assert_eq!(perm.len(), self.mass.len());
-        let mut mass = vec![0.0; self.mass.len()];
-        for (old, &new) in perm.iter().enumerate() {
-            mass[new as usize] = self.mass[old];
-        }
-        self.mass = mass;
-        for pair in &mut self.nodes {
-            *pair = pair.map(|d| perm[d as usize]);
-        }
-    }
-
     /// The sub-chain over `elems` (ascending), with its DOFs numbered
-    /// compactly in ascending global order, and the global DOF of each
+    /// compactly in the level-grouped order of
+    /// [`crate::setup::level_order`] over the leaf levels `leaf_of(g)`
+    /// (ascending global DOF within a level), and the global DOF of each
     /// local one. Masses are this chain's, so the sub-chain's masked
     /// product does the same arithmetic on the DOFs it holds.
     /// `local_of_global` is a dense map over this chain's DOFs, every entry
     /// `u32::MAX` on entry and again on return.
-    pub fn subset(&self, elems: &[u32], local_of_global: &mut [u32]) -> (Chain1d, Vec<u32>) {
-        let mut global_of_local: Vec<u32> =
-            elems.iter().flat_map(|&e| self.nodes[e as usize]).collect();
-        global_of_local.sort_unstable();
-        global_of_local.dedup();
+    pub fn subset(
+        &self,
+        elems: &[u32],
+        leaf_of: &dyn Fn(u32) -> u8,
+        local_of_global: &mut [u32],
+    ) -> (Chain1d, Vec<u32>) {
+        let mut dofs: Vec<u32> = elems.iter().flat_map(|&e| self.nodes[e as usize]).collect();
+        dofs.sort_unstable();
+        dofs.dedup();
+        let global_of_local = crate::setup::grouped(&dofs, leaf_of);
         for (l, &g) in global_of_local.iter().enumerate() {
             local_of_global[g as usize] = l as u32;
         }
@@ -175,18 +167,19 @@ impl Operator for Chain1d {
         self.mass.len()
     }
 
-    fn apply_ws(&self, u: &[f64], out: &mut [f64], _ws: &mut crate::Workspace) {
+    fn apply_ws(&self, u: &[f64], out: &mut [f64], ws: &mut crate::Workspace) {
         debug_assert_eq!(u.len(), self.mass.len());
+        let at = internal(ws.order());
         out.fill(0.0);
         for (e, &[l, r]) in self.nodes.iter().enumerate() {
-            let (l, r) = (l as usize, r as usize);
+            let (l, r) = (at(l), at(r));
             let k = self.mu[e] / self.h[e];
             let d = k * (u[l] - u[r]);
             out[l] += d;
             out[r] -= d;
         }
-        for (o, m) in out.iter_mut().zip(&self.mass) {
-            *o /= m;
+        for (g, m) in self.mass.iter().enumerate() {
+            out[at(g as u32)] /= m;
         }
     }
 
@@ -197,23 +190,30 @@ impl Operator for Chain1d {
         elems: &[u32],
         dof_level: &[u8],
         level: u8,
-        _ws: &mut crate::Workspace,
+        ws: &mut crate::Workspace,
     ) {
+        let at = internal(ws.order());
         for &e in elems {
             let e = e as usize;
-            let [l, r] = self.nodes[e].map(|d| d as usize);
+            let [gl, gr] = self.nodes[e];
+            let (l, r) = (at(gl), at(gr));
             let ul = if dof_level[l] == level { u[l] } else { 0.0 };
             let ur = if dof_level[r] == level { u[r] } else { 0.0 };
             let k = self.mu[e] / self.h[e];
             let d = k * (ul - ur);
-            out[l] += d / self.mass[l];
-            out[r] -= d / self.mass[r];
+            out[l] += d / self.mass[gl as usize];
+            out[r] -= d / self.mass[gr as usize];
         }
     }
 
     fn mass(&self) -> &[f64] {
         &self.mass
     }
+}
+
+/// Where caller DOF `d` sits under the workspace order `pos`.
+fn internal(pos: Option<&[u32]>) -> impl Fn(u32) -> usize + '_ {
+    move |d| pos.map_or(d, |p| p[d as usize]) as usize
 }
 
 #[cfg(test)]

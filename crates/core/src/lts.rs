@@ -23,10 +23,18 @@
 //! [`LevelForce`] hook that evaluates one level's force. [`LtsNewmark`] is
 //! the serial instance; each distributed rank of `lts-runtime` is the other,
 //! adding the assembly exchange of interface DOFs after its masked product.
+//!
+//! Both step DOFs in the level-grouped numbering of
+//! [`crate::setup::level_order`] (the paper's Sec. IV-D): finest leaf
+//! level first, so every level's active set is a prefix of the vector, its
+//! leaf set a range, and its buffers hold that prefix alone. A rank is
+//! numbered this way when it is built; the serial stepper keeps the
+//! caller's numbering and installs the order in its [`Workspace`].
 
 use crate::operator::{Operator, Source, Workspace};
-use crate::setup::LtsSetup;
+use crate::setup::{level_order, LtsSetup};
 use std::convert::Infallible;
+use std::ops::Range;
 
 /// Work counters for the Eq. 9 efficiency accounting.
 #[derive(Debug, Clone, Copy, Default)]
@@ -41,7 +49,7 @@ pub struct LtsStats {
 /// distributed rank do differently.
 pub trait LevelForce {
     type Error;
-    /// `f = A P_l state` on this stepper's entries of `f`: zero them, apply
+    /// `f = A P_l state` over the level's active prefix: zero `f`, apply
     /// the level's masked product, and (distributed) assemble the totals of
     /// interface DOFs.
     fn force(&mut self, l: usize, state: &[f64], f: &mut [f64]) -> Result<(), Self::Error>;
@@ -49,84 +57,107 @@ pub trait LevelForce {
     fn inject(&self, l: usize, target: &mut [f64], dt: f64, t: f64, half: f64);
 }
 
-/// The DOF sets the recursion walks: an [`LtsSetup`]'s, or a rank's share
-/// of them in its own numbering. Level 0 integrates the whole vector.
-#[derive(Debug, Clone, Copy)]
-pub struct LevelSets<'s> {
-    /// `active[l]` for every level `l ≥ 1` (`active[0]` is not read).
-    pub active: &'s [Vec<u32>],
-    /// `leaf[l]` for every level.
-    pub leaf: &'s [Vec<u32>],
+/// The DOF sets the recursion walks, in a level-grouped numbering:
+/// `active(l) = 0..a[l]` and `leaf(l) = a[l+1]..a[l]`, where `a[l]` counts
+/// the DOFs of leaf level `≥ l` (so `a[0]` is every DOF).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LevelSets {
+    /// `a[l]` for every level, then a closing 0.
+    ends: Vec<usize>,
 }
 
-/// A DOF set of the recursion: the whole vector, or a list.
-#[derive(Clone, Copy)]
-enum Dofs<'s> {
-    All,
-    List(&'s [u32]),
-}
-
-impl Dofs<'_> {
-    #[inline]
-    fn each(self, n: usize, mut f: impl FnMut(usize)) {
-        match self {
-            Dofs::All => (0..n).for_each(f),
-            Dofs::List(ds) => ds.iter().for_each(|&i| f(i as usize)),
+impl LevelSets {
+    /// The prefix ends of items with leaf levels `leaf`, over `n_levels`
+    /// levels.
+    pub fn of_leaf_levels(leaf: impl IntoIterator<Item = u8>, n_levels: usize) -> Self {
+        let mut ends = vec![0usize; n_levels + 1];
+        for l in leaf {
+            ends[l as usize] += 1;
         }
+        for l in (0..n_levels).rev() {
+            ends[l] += ends[l + 1];
+        }
+        LevelSets { ends }
+    }
+
+    pub fn n_levels(&self) -> usize {
+        self.ends.len() - 1
+    }
+
+    /// `a[l]`, the length of level `l`'s active prefix.
+    pub fn end(&self, l: usize) -> usize {
+        self.ends[l]
+    }
+
+    /// DOFs integrated by level `l`'s auxiliary system (`l = 0`: all).
+    pub fn active(&self, l: usize) -> Range<usize> {
+        0..self.ends[l]
+    }
+
+    /// DOFs whose own sub-stepping happens at level `l`.
+    pub fn leaf(&self, l: usize) -> Range<usize> {
+        self.ends[l + 1]..self.ends[l]
     }
 }
 
-/// The per-level buffers of the recursion: auxiliary displacement and
-/// velocity of every level ≥ 1 (level 0 steps `u`/`v` directly, so
-/// `uts[0]`/`vts[0]` stay unallocated) and every level's force.
+/// The per-level buffers of the recursion, each level's holding its active
+/// prefix alone: auxiliary displacement and velocity of every level ≥ 1
+/// (level 0 steps `u`/`v` directly, so `uts[0]`/`vts[0]` stay unallocated)
+/// and every level's force.
 pub struct LevelState {
+    sets: LevelSets,
     uts: Vec<Vec<f64>>,
     vts: Vec<Vec<f64>>,
     fs: Vec<Vec<f64>>,
 }
 
 impl LevelState {
-    /// Buffers for `levels` levels over `n` DOFs.
-    pub fn new(n: usize, levels: usize) -> Self {
+    /// Buffers for the levels of `sets`, the auxiliary ones from level 1.
+    pub fn new(sets: LevelSets) -> Self {
+        let bufs = |from: usize| -> Vec<Vec<f64>> {
+            let len = |l: usize| if l < from { 0 } else { sets.end(l) };
+            (0..sets.n_levels()).map(|l| vec![0.0; len(l)]).collect()
+        };
         LevelState {
-            uts: aux_levels(n, levels),
-            vts: aux_levels(n, levels),
-            fs: vec![vec![0.0; n]; levels],
+            uts: bufs(1),
+            vts: bufs(1),
+            fs: bufs(0),
+            sets,
         }
     }
 
-    /// Advance one global step `dt` from time `t` (`u = uⁿ`, `v = vⁿ⁻¹ᐟ²`),
-    /// evaluating every force through `hook`.
+    /// Values the level buffers hold (their total capacity).
+    pub fn buffer_len(&self) -> usize {
+        let bufs = self.uts.iter().chain(&self.vts).chain(&self.fs);
+        bufs.map(Vec::capacity).sum()
+    }
+
+    /// Advance one global step `dt` from time `t` (`u = uⁿ`, `v = vⁿ⁻¹ᐟ²`,
+    /// both in the grouped numbering), evaluating every force through
+    /// `hook`.
     pub fn step<F: LevelForce>(
         &mut self,
         hook: &mut F,
-        sets: LevelSets<'_>,
         dt: f64,
         u: &mut [f64],
         v: &mut [f64],
         t: f64,
     ) -> Result<(), F::Error> {
         let (uts, vts) = (&mut self.uts[1..], &mut self.vts[1..]);
-        advance(hook, sets, &mut self.fs, 0, dt, t, (u, v), (uts, vts))
+        let ends = &self.sets.ends;
+        advance(hook, ends, &mut self.fs, 0, dt, t, (u, v), (uts, vts))
     }
-}
-
-/// Per-level auxiliary buffers of length `n` for levels `1..levels`; level 0
-/// gets an empty, unallocated slot (it steps the global `u`/`v`).
-fn aux_levels(n: usize, levels: usize) -> Vec<Vec<f64>> {
-    (0..levels)
-        .map(|l| if l == 0 { Vec::new() } else { vec![0.0; n] })
-        .collect()
 }
 
 /// Integrate level `l`: at level 0, one step of `Δt` continuing `(u, v)`;
 /// at level `l ≥ 1`, the auxiliary system over `Δt_{l−1}` — two sub-steps
 /// of `Δt_l` from the state already copied into `u_l`, with zero velocity.
-/// `finer_u`/`finer_v` hold the buffers of levels `l+1..`.
+/// `u_l`/`v_l` hold the active prefix `0..a[l]`; `finer_u`/`finer_v` hold
+/// the buffers of levels `l+1..`.
 #[allow(clippy::too_many_arguments)]
 fn advance<F: LevelForce>(
     hook: &mut F,
-    sets: LevelSets<'_>,
+    ends: &[usize],
     fs: &mut [Vec<f64>],
     l: usize,
     dt: f64,
@@ -135,19 +166,10 @@ fn advance<F: LevelForce>(
     (finer_u, finer_v): (&mut [Vec<f64>], &mut [Vec<f64>]),
 ) -> Result<(), F::Error> {
     let dt_l = dt / (1u64 << l) as f64;
-    let n = u_l.len();
-    let active = if l == 0 {
-        Dofs::All
-    } else {
-        Dofs::List(&sets.active[l])
-    };
-    // DOFs this level steps itself: all of its active ones at the innermost
-    // level, otherwise those whose force stays constant while the child runs
-    let own = if finer_u.is_empty() {
-        active
-    } else {
-        Dofs::List(&sets.leaf[l])
-    };
+    // active(l) = 0..n and active(l+1) = 0..inner: this level steps
+    // inner..n itself (all of its active DOFs at the innermost level, where
+    // inner = 0), the finer levels the rest
+    let (n, inner) = (ends[l], ends[l + 1]);
     for m in 0..if l == 0 { 1 } else { 2 } {
         // level 0 continues vⁿ⁻¹ᐟ²; an auxiliary level starts from rest
         let first = l > 0 && m == 0;
@@ -158,12 +180,10 @@ fn advance<F: LevelForce>(
         if let (Some((child_u, deeper_u)), Some((child_v, deeper_v))) =
             (finer_u.split_first_mut(), finer_v.split_first_mut())
         {
-            for &i in &sets.active[l + 1] {
-                child_u[i as usize] = u_l[i as usize];
-            }
+            child_u.copy_from_slice(&u_l[..inner]);
             advance(
                 hook,
-                sets,
+                ends,
                 fs,
                 l + 1,
                 dt,
@@ -173,7 +193,7 @@ fn advance<F: LevelForce>(
             )?;
         }
         // leap-frog with force Σ_{j≤l} f_j
-        own.each(n, |i| {
+        for i in inner..n {
             let mut f = 0.0;
             for fj in fs[..=l].iter() {
                 f += fj[i];
@@ -183,33 +203,43 @@ fn advance<F: LevelForce>(
             } else {
                 v_l[i] -= dt_l * f;
             }
-        });
+        }
         hook.inject(l, v_l, dt_l, tm, if first { 0.5 } else { 1.0 });
         // active(l+1): velocity recovery from the child's displacement
         if let Some(child_u) = finer_u.first() {
-            for &i in &sets.active[l + 1] {
-                let i = i as usize;
-                let d = (child_u[i] - u_l[i]) / dt_l;
+            for (v, (&c, &u)) in v_l.iter_mut().zip(child_u.iter().zip(&*u_l)) {
+                let d = (c - u) / dt_l;
                 if first {
-                    v_l[i] = d;
+                    *v = d;
                 } else {
-                    v_l[i] += 2.0 * d;
+                    *v += 2.0 * d;
                 }
             }
         }
-        active.each(n, |i| u_l[i] += dt_l * v_l[i]);
+        for (u, &v) in u_l.iter_mut().zip(&*v_l) {
+            *u += dt_l * v;
+        }
     }
     Ok(())
 }
 
 /// Multi-level LTS-Newmark stepper: the serial instance of the recursion.
+///
+/// Fields enter and leave in the caller's numbering. Inside, the stepper
+/// runs in the level-grouped numbering: `run` and `step` permute `u`/`v`
+/// into it in place and back at the end, and the operator sees the order
+/// through the stepper's [`Workspace`] (see [`Operator`]). When the
+/// caller's numbering already is grouped, no order is installed.
 pub struct LtsNewmark<'a, O: Operator> {
     pub op: &'a O,
     pub setup: &'a LtsSetup,
     /// The global (coarsest) step `Δt`.
     pub dt: f64,
     levels: LevelState,
+    /// Operator scratch, carrying the order `pos[caller DOF] = grouped DOF`.
     ws: Workspace,
+    /// `setup.dof_level` in the grouped numbering (empty without an order).
+    dof_level: Vec<u8>,
     /// Intra-rank worker threads for the masked products (1 = serial; the
     /// threaded path is bitwise-identical to serial by construction).
     pub threads: usize,
@@ -221,6 +251,7 @@ pub struct LtsNewmark<'a, O: Operator> {
 struct SerialForce<'a, 'w, O: Operator> {
     op: &'a O,
     setup: &'a LtsSetup,
+    dof_level: &'w [u8],
     sources: &'w [Source],
     ws: &'w mut Workspace,
     threads: usize,
@@ -231,28 +262,29 @@ impl<O: Operator> LevelForce for SerialForce<'_, '_, O> {
     type Error = Infallible;
 
     fn force(&mut self, l: usize, state: &[f64], f: &mut [f64]) -> Result<(), Infallible> {
-        let s = self.setup;
-        for &i in &s.touched[l] {
-            f[i as usize] = 0.0;
-        }
+        // entries outside `touched[l]` are never written, so already 0.0
+        f.fill(0.0);
+        let elems = &self.setup.elems[l];
         self.op.apply_masked_threads(
             state,
             f,
-            &s.elems[l],
-            &s.dof_level,
+            elems,
+            self.dof_level,
             l as u8,
             self.ws,
             self.threads,
         );
-        self.stats.elem_ops += s.elems[l].len() as u64;
+        self.stats.elem_ops += elems.len() as u64;
         Ok(())
     }
 
     fn inject(&self, l: usize, target: &mut [f64], dt: f64, t: f64, half: f64) {
+        let pos = self.ws.order();
         for src in self.sources {
             let d = src.dof as usize;
             if self.setup.leaf_level[d] as usize == l {
-                target[d] += half * dt * (src.amplitude)(t) / self.op.mass()[d];
+                let i = pos.map_or(d, |p| p[d] as usize);
+                target[i] += half * dt * (src.amplitude)(t) / self.op.mass()[d];
             }
         }
     }
@@ -263,12 +295,23 @@ impl<'a, O: Operator> LtsNewmark<'a, O> {
         assert!(dt > 0.0);
         let n = op.ndof();
         assert_eq!(n, setup.dof_level.len());
+        let (pos, sets) = level_order(&setup.leaf_level, setup.n_levels);
+        let (ws, dof_level) = if pos.iter().enumerate().all(|(i, &p)| i == p as usize) {
+            (Workspace::new(), Vec::new())
+        } else {
+            let mut grouped = vec![0u8; n];
+            for (&p, &l) in pos.iter().zip(&setup.dof_level) {
+                grouped[p as usize] = l;
+            }
+            (Workspace::with_order(pos), grouped)
+        };
         LtsNewmark {
             op,
             setup,
             dt,
-            levels: LevelState::new(n, setup.n_levels),
-            ws: Workspace::new(),
+            levels: LevelState::new(sets),
+            ws,
+            dof_level,
             threads: 1,
             stats: LtsStats::default(),
         }
@@ -281,22 +324,9 @@ impl<'a, O: Operator> LtsNewmark<'a, O> {
 
     /// Advance one global step from time `t` (`u = uⁿ`, `v = vⁿ⁻¹ᐟ²`).
     pub fn step(&mut self, u: &mut [f64], v: &mut [f64], t: f64, sources: &[Source]) {
-        let s = self.setup;
-        let mut hook = SerialForce {
-            op: self.op,
-            setup: s,
-            sources,
-            ws: &mut self.ws,
-            threads: self.threads,
-            stats: &mut self.stats,
-        };
-        let sets = LevelSets {
-            active: &s.active,
-            leaf: &s.leaf,
-        };
-        // qualified, so the call graph of `crates/lint` links this `step` only
-        let Ok(()) = LevelState::step(&mut self.levels, &mut hook, sets, self.dt, u, v, t);
-        self.stats.n_steps += 1;
+        self.permute(u, v, true);
+        self.step_grouped(u, v, t, sources);
+        self.permute(u, v, false);
     }
 
     /// Run `n` global steps starting at `t0`; returns the end time.
@@ -308,12 +338,53 @@ impl<'a, O: Operator> LtsNewmark<'a, O> {
         n: usize,
         sources: &[Source],
     ) -> f64 {
+        self.permute(u, v, true);
         let mut t = t0;
         for _ in 0..n {
-            self.step(u, v, t, sources);
+            self.step_grouped(u, v, t, sources);
             t += self.dt;
         }
+        self.permute(u, v, false);
         t
+    }
+
+    /// One global step on fields in the grouped numbering.
+    fn step_grouped(&mut self, u: &mut [f64], v: &mut [f64], t: f64, sources: &[Source]) {
+        let dof_level = if self.ws.order().is_some() {
+            &self.dof_level
+        } else {
+            &self.setup.dof_level
+        };
+        let mut hook = SerialForce {
+            op: self.op,
+            setup: self.setup,
+            dof_level,
+            sources,
+            ws: &mut self.ws,
+            threads: self.threads,
+            stats: &mut self.stats,
+        };
+        // qualified, so the call graph of `crates/lint` links this `step` only
+        let Ok(()) = LevelState::step(&mut self.levels, &mut hook, self.dt, u, v, t);
+        self.stats.n_steps += 1;
+    }
+
+    /// Move `u` and `v` into the grouped numbering (`into`) or back out of
+    /// it, through level 0's force buffer: it holds `n` values and is
+    /// rewritten before it is read at every step.
+    fn permute(&mut self, u: &mut [f64], v: &mut [f64], into: bool) {
+        let Some(pos) = self.ws.order() else { return };
+        let scratch = &mut self.levels.fs[0];
+        for x in [u, v] {
+            scratch.copy_from_slice(x);
+            for (i, &p) in pos.iter().enumerate() {
+                if into {
+                    x[p as usize] = scratch[i];
+                } else {
+                    x[i] = scratch[p as usize];
+                }
+            }
+        }
     }
 }
 
@@ -347,10 +418,11 @@ mod tests {
         }
     }
 
-    /// Level 0 steps `u`/`v` in place, so its auxiliary buffers are never
-    /// allocated, before or after stepping.
+    /// Level `l`'s buffers hold its active prefix alone: length and
+    /// capacity `a[l]`, before and after stepping; level 0 steps `u`/`v` in
+    /// place, so its auxiliary buffers are never allocated.
     #[test]
-    fn level0_aux_buffers_have_zero_capacity() {
+    fn level_buffers_hold_their_prefix() {
         let c = Chain1d::with_velocities(vec![1.0, 1.0, 1.0, 2.0, 4.0], 1.0);
         let (lv, dt) = c.assign_levels(0.5, 3);
         let setup = LtsSetup::new(&c, &lv);
@@ -358,13 +430,52 @@ mod tests {
         let mut u: Vec<f64> = (0..6).map(|i| (i as f64 * 0.9).cos()).collect();
         let mut v = vec![0.0; 6];
         let mut lts = LtsNewmark::new(&c, &setup, dt);
-        lts.run(&mut u, &mut v, 0.0, 4, &[]);
-        assert_eq!(lts.levels.uts[0].capacity(), 0);
-        assert_eq!(lts.levels.vts[0].capacity(), 0);
-        for l in 1..3 {
-            assert_eq!(lts.levels.uts[l].len(), 6);
-            assert_eq!(lts.levels.vts[l].len(), 6);
+        for stepped in [false, true] {
+            let st = &lts.levels;
+            let a = |l: usize| st.sets.end(l);
+            assert_eq!(a(0), 6);
+            assert!(a(1) < 6 && a(2) < a(1), "{:?}", st.sets);
+            assert_eq!(st.uts[0].capacity(), 0);
+            assert_eq!(st.vts[0].capacity(), 0);
+            for l in 0..3 {
+                assert_eq!(st.fs[l].len(), a(l), "stepped {stepped}");
+                assert_eq!(st.fs[l].capacity(), a(l), "stepped {stepped}");
+                if l > 0 {
+                    for buf in [&st.uts[l], &st.vts[l]] {
+                        assert_eq!(buf.len(), a(l), "stepped {stepped}");
+                        assert_eq!(buf.capacity(), a(l), "stepped {stepped}");
+                    }
+                }
+            }
+            lts.run(&mut u, &mut v, 0.0, 4, &[]);
         }
+    }
+
+    /// `run`/`step` move the fields into the grouped numbering and back.
+    #[test]
+    fn permutations_round_trip() {
+        let mut vel = vec![1.0; 12];
+        vel[8] = 4.0;
+        let c = Chain1d::with_velocities(vel, 1.0);
+        let (lv, dt) = c.assign_levels(0.5, 3);
+        let setup = LtsSetup::new(&c, &lv);
+        let mut lts = LtsNewmark::new(&c, &setup, dt);
+        let pos = lts.ws.order().expect("a fine region inside needs an order");
+        let pos = pos.to_vec();
+        assert_eq!(&pos[6..12], &[4, 0, 1, 2, 3, 5]);
+        let x0: Vec<f64> = (0..13).map(|i| i as f64).collect();
+        let (mut x, mut y) = (x0.clone(), x0.clone());
+        lts.permute(&mut x, &mut y, true);
+        for i in 0..13 {
+            assert_eq!(x[pos[i] as usize], x0[i]);
+            assert_eq!(y[pos[i] as usize], x0[i]);
+        }
+        lts.permute(&mut x, &mut y, false);
+        assert_eq!(x, x0);
+        assert_eq!(y, x0);
+        let single = LtsSetup::new(&c, &[0u8; 12]);
+        let lts = LtsNewmark::new(&c, &single, dt);
+        assert!(lts.ws.order().is_none(), "single level needs no order");
     }
 
     /// Two-level LTS must match the hand-derived Diaz–Grote two-level

@@ -23,9 +23,12 @@ pub trait DofTopology {
 /// SEM internals. One `Workspace` belongs to one (operator, level
 /// assignment) pair for the duration of a run; steppers own one and thread
 /// it through every `apply_*_ws` call.
+/// It may also carry a DOF order, fixed at construction (see the order
+/// contract of [`Operator`]); a fresh workspace has none.
 #[derive(Default)]
 pub struct Workspace {
     slots: Vec<Box<dyn std::any::Any + Send>>,
+    order: Option<Vec<u32>>,
 }
 
 impl Workspace {
@@ -33,12 +36,27 @@ impl Workspace {
         Workspace::default()
     }
 
+    /// A workspace whose products run in the numbering `pos[d]` of every
+    /// caller DOF `d`.
+    pub fn with_order(pos: Vec<u32>) -> Self {
+        Workspace {
+            slots: Vec::new(),
+            order: Some(pos),
+        }
+    }
+
+    /// The DOF order, if any: `pos[caller DOF] = internal DOF`.
+    pub fn order(&self) -> Option<&[u32]> {
+        self.order.as_deref()
+    }
+
     /// Fetch the unique slot of type `T`, creating it with `init` on first
-    /// use. Lookup is a linear scan over a handful of slots.
+    /// use, along with the DOF order (which `init` is lent too). Lookup is a
+    /// linear scan over a handful of slots.
     pub fn get_or_insert_with<T: std::any::Any + Send>(
         &mut self,
-        init: impl FnOnce() -> T,
-    ) -> &mut T {
+        init: impl FnOnce(Option<&[u32]>) -> T,
+    ) -> (&mut T, Option<&[u32]>) {
         let pos = self
             .slots
             .iter()
@@ -46,11 +64,12 @@ impl Workspace {
         let pos = match pos {
             Some(p) => p,
             None => {
-                self.slots.push(Box::new(init()));
+                self.slots.push(Box::new(init(self.order.as_deref())));
                 self.slots.len() - 1
             }
         };
-        self.slots[pos].downcast_mut::<T>().expect("slot type")
+        let slot = self.slots[pos].downcast_mut::<T>().expect("slot type");
+        (slot, self.order.as_deref())
     }
 }
 
@@ -58,6 +77,7 @@ impl std::fmt::Debug for Workspace {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Workspace")
             .field("slots", &self.slots.len())
+            .field("ordered", &self.order.is_some())
             .finish()
     }
 }
@@ -68,6 +88,16 @@ impl std::fmt::Debug for Workspace {
 /// keep scratch and compiled gather lists across calls; the plain
 /// `apply`/`apply_masked` wrappers spin up a throwaway workspace for
 /// one-shot callers (reference solvers, tests).
+///
+/// **Order contract.** Through a workspace with an order `pos`, every
+/// DOF-indexed slice a product receives — `u`, `out`, `dof_level` — is in
+/// the internal numbering: caller DOF `d` sits at `pos[d]` (an order keeps
+/// a node's components adjacent). Element ids and [`Operator::mass`] stay
+/// in the caller's numbering. The product must equal the caller-numbered
+/// product, permuted, bit for bit, and a masked product may be handed
+/// prefixes of `u` and `out` that hold every DOF of its elements: the LTS
+/// stepper numbers DOFs finest leaf level first and passes level `l` only
+/// the DOFs it integrates.
 pub trait Operator: Sync {
     fn ndof(&self) -> usize;
 
@@ -171,14 +201,19 @@ mod tests {
     #[test]
     fn workspace_slots_are_typed_and_persistent() {
         let mut ws = Workspace::new();
-        let v = ws.get_or_insert_with(|| vec![0.0f64; 4]);
+        let (v, order) = ws.get_or_insert_with(|_| vec![0.0f64; 4]);
+        assert!(order.is_none());
         v[2] = 7.0;
         // same type → same slot, state survives
-        assert_eq!(ws.get_or_insert_with(Vec::<f64>::new)[2], 7.0);
+        assert_eq!(ws.get_or_insert_with(|_| Vec::<f64>::new()).0[2], 7.0);
         // different type → independent slot
-        *ws.get_or_insert_with(|| 0u64) += 3;
-        assert_eq!(*ws.get_or_insert_with(|| 100u64), 3);
-        assert_eq!(ws.get_or_insert_with(Vec::<f64>::new).len(), 4);
+        *ws.get_or_insert_with(|_| 0u64).0 += 3;
+        assert_eq!(*ws.get_or_insert_with(|_| 100u64).0, 3);
+        assert_eq!(ws.get_or_insert_with(|_| Vec::<f64>::new()).0.len(), 4);
+        // an ordered workspace lends its order to `init` and every caller
+        let mut ws = Workspace::with_order(vec![1, 0]);
+        let (n, order) = ws.get_or_insert_with(|order| order.map_or(0, <[u32]>::len));
+        assert_eq!((*n, order), (2, Some(&[1u32, 0][..])));
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! * `touched[k]` — DOFs written by the masked product (those of `elems[k]`),
 //!   the entries of the force buffer that must be re-zeroed per sub-step.
 
+use crate::lts::LevelSets;
 use crate::operator::DofTopology;
 
 /// Precomputed level structure for a discretization + element level map.
@@ -138,28 +139,6 @@ impl LtsSetup {
         }
     }
 
-    /// The paper's cache optimization (Sec. IV-D): "the nodal degrees of
-    /// freedom are grouped by p-level in order to utilize vector operations,
-    /// which additionally improves cache performance." Returns the
-    /// permutation `new_id = perm[old_id]` that orders DOFs by leaf level
-    /// (coarsest first, stable within a level), making every per-level index
-    /// set of this setup a contiguous ascending run.
-    ///
-    /// Apply it to the discretization (e.g.
-    /// [`set_permutation`](`crate::chain1d::Chain1d::set_permutation`)) and
-    /// rebuild the `LtsSetup`; the stepper then streams through consecutive
-    /// memory in every sub-step update.
-    pub fn grouping_permutation(&self) -> Vec<u32> {
-        let n = self.dof_level.len();
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_by_key(|&d| (self.leaf_level[d as usize], d));
-        let mut perm = vec![0u32; n];
-        for (new, &old) in order.iter().enumerate() {
-            perm[old as usize] = new as u32;
-        }
-        perm
-    }
-
     /// Element-operations per global `Δt` performed by the masked LTS
     /// stepper: level `k`'s product runs `2^k` times over `elems[k]`.
     pub fn lts_elem_ops(&self) -> u64 {
@@ -179,6 +158,36 @@ impl LtsSetup {
     pub fn global_elem_ops(&self) -> u64 {
         (self.elem_level.len() as u64) << (self.n_levels - 1)
     }
+}
+
+/// The level-grouped numbering (Sec. IV-D: "the nodal degrees of freedom
+/// are grouped by p-level"): items ordered by leaf level, finest first,
+/// stable within a level, so each level keeps the order its items already
+/// had. Returns each item's position in that order (`pos[old] = new`) and
+/// the order's prefix ends, over which every level's active and leaf set is
+/// a range.
+pub fn level_order(leaf_level: &[u8], n_levels: usize) -> (Vec<u32>, LevelSets) {
+    let sets = LevelSets::of_leaf_levels(leaf_level.iter().copied(), n_levels);
+    let mut next: Vec<u32> = (1..=n_levels).map(|l| sets.end(l) as u32).collect();
+    let mut pos = Vec::with_capacity(leaf_level.len());
+    for &l in leaf_level {
+        pos.push(next[l as usize]);
+        next[l as usize] += 1;
+    }
+    (pos, sets)
+}
+
+/// `ids` in the level-grouped order of [`level_order`], the leaf level of
+/// each id given by `level_of`.
+pub fn grouped(ids: &[u32], level_of: impl Fn(u32) -> u8) -> Vec<u32> {
+    let levels: Vec<u8> = ids.iter().map(|&g| level_of(g)).collect();
+    let n_levels = levels.iter().max().map_or(1, |&m| m as usize + 1);
+    let (pos, _) = level_order(&levels, n_levels);
+    let mut out = vec![0u32; ids.len()];
+    for (&p, &g) in pos.iter().zip(ids) {
+        out[p as usize] = g;
+    }
+    out
 }
 
 #[cfg(test)]
@@ -258,6 +267,58 @@ mod tests {
         assert_eq!(s.model_elem_ops(), 11);
         assert_eq!(s.lts_elem_ops(), 13);
         assert_eq!(s.global_elem_ops(), 16);
+    }
+
+    #[test]
+    fn level_order_groups_finest_first_and_stable() {
+        let leaf = [0u8, 2, 1, 0, 2, 1, 1];
+        let (pos, sets) = level_order(&leaf, 3);
+        assert_eq!(pos, vec![5, 0, 2, 6, 1, 3, 4]);
+        assert_eq!(sets.n_levels(), 3);
+        assert_eq!(sets.active(0), 0..7);
+        assert_eq!(sets.active(1), 0..5);
+        assert_eq!(sets.active(2), 0..2);
+        assert_eq!(sets.leaf(0), 5..7);
+        assert_eq!(sets.leaf(1), 2..5);
+        assert_eq!(sets.leaf(2), 0..2);
+        assert_eq!(grouped(&[10, 11, 12], |g| (g % 2) as u8), vec![11, 10, 12]);
+    }
+
+    /// Under the grouped order every active and leaf set of the setup is
+    /// the prefix or range the ends name.
+    #[test]
+    fn grouped_sets_are_prefixes() {
+        let c = Chain1d::with_velocities(
+            (0..24)
+                .map(|i| match i {
+                    20.. => 4.0,
+                    17.. => 2.0,
+                    _ => 1.0,
+                })
+                .collect(),
+            1.0,
+        );
+        let (lv, _) = c.assign_levels(0.5, 3);
+        let s = LtsSetup::new(&c, &lv);
+        let (pos, sets) = level_order(&s.leaf_level, s.n_levels);
+        let range = |set: &[u32]| {
+            let mut r: Vec<usize> = set.iter().map(|&d| pos[d as usize] as usize).collect();
+            r.sort_unstable();
+            r
+        };
+        for l in 0..s.n_levels {
+            assert_eq!(
+                range(&s.leaf[l]),
+                sets.leaf(l).collect::<Vec<_>>(),
+                "leaf {l}"
+            );
+            if l > 0 {
+                let active = sets.active(l).collect::<Vec<_>>();
+                assert_eq!(range(&s.active[l]), active, "active {l}");
+            }
+            let touched = range(&s.touched[l]);
+            assert!(touched.iter().all(|&d| d < sets.end(l)), "touched {l}");
+        }
     }
 
     #[test]

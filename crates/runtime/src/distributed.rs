@@ -521,14 +521,9 @@ impl<'a, O: Operator> RankCtx<'a, O> {
     ) -> Result<(), RuntimeError> {
         self.flight
             .record(EventKind::StepBegin, NO_LEVEL, self.step_idx, NO_PEER, 0);
-        let plan = self.plan;
-        let sets = LevelSets {
-            active: &plan.my_active,
-            leaf: &plan.my_leaf,
-        };
         let dt = self.dt;
         // qualified, so the call graph of `crates/lint` links this `step` only
-        LevelState::step(levels, self, sets, dt, u, v, t)?;
+        LevelState::step(levels, self, dt, u, v, t)?;
         self.flight
             .record(EventKind::StepEnd, NO_LEVEL, self.step_idx, NO_PEER, 0);
         self.step_idx += 1;
@@ -551,10 +546,9 @@ impl<O: Operator> LevelForce for RankCtx<'_, O> {
     fn force(&mut self, l: usize, state: &[f64], f: &mut [f64]) -> Result<(), RuntimeError> {
         self.flight
             .record(EventKind::LevelBegin, l as u8, self.step_idx, NO_PEER, 0);
-        // zero my entries
-        for &i in &self.plan.my_zero[l] {
-            f[i as usize] = 0.0;
-        }
+        // the level's active prefix; entries the product and the assembly
+        // never write are already 0.0
+        f.fill(0.0);
         let has_peers = !self.plan.peers[l].is_empty();
         if !self.plan.my_boundary_elems[l].is_empty() {
             self.op.apply_masked_threads(
@@ -628,7 +622,7 @@ fn step_rank<O: Operator>(
     };
     let LocalRank {
         op,
-        n_levels,
+        sets,
         dof_level,
         plan,
         mut u,
@@ -639,7 +633,7 @@ fn step_rank<O: Operator>(
     let mut ctx = RankCtx::new(
         rank,
         &op,
-        n_levels,
+        sets.n_levels(),
         &dof_level,
         &plan,
         spec.sources,
@@ -650,7 +644,7 @@ fn step_rank<O: Operator>(
         monitor,
         spec.cfg,
     );
-    let mut levels = LevelState::new(u.len(), n_levels);
+    let mut levels = LevelState::new(sets);
     ctx.precompile();
     ctx.busy_since = Instant::now();
     for step in 0..spec.n_steps {
@@ -719,7 +713,7 @@ fn run_rank_threads<O: Operator + Send>(
     spec: &RunSpec<'_>,
 ) -> (Vec<RankRun>, Vec<RankRecording>) {
     let cfg = &spec.cfg;
-    let n_levels = worlds.first().map_or(1, |w| w.n_levels);
+    let n_levels = worlds.first().map_or(1, |w| w.sets.n_levels());
     let monitor = cfg
         .stall_monitor
         .map(|mc| StallMonitor::new(mc, endpoints.len(), n_levels));
@@ -764,11 +758,12 @@ fn run_rank_threads<O: Operator + Send>(
 }
 
 /// One rank's complete owned world: a private operator over its own
-/// elements, its plan, level metadata, state and sources, all in rank-local
-/// numbering (see [`crate::local`]).
+/// elements, its plan, level sets and metadata, state and sources, all in
+/// the grouped rank-local numbering (see [`crate::local`]).
 pub(crate) struct LocalRank<O: Operator> {
     pub op: O,
-    pub n_levels: usize,
+    /// The prefix ends of the rank's level sets.
+    pub sets: LevelSets,
     pub dof_level: Vec<u8>,
     pub plan: RankPlan,
     pub u: Vec<f64>,

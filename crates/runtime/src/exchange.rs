@@ -18,13 +18,6 @@ pub struct RankPlan {
     pub my_boundary_elems: Vec<Vec<u32>>,
     /// …and the rest, computable while messages are in flight.
     pub my_interior_elems: Vec<Vec<u32>>,
-    /// `setup.touched[l]` restricted to the rank's DOFs (those of its
-    /// elements) — force-buffer entries to zero.
-    pub my_zero: Vec<Vec<u32>>,
-    /// `setup.active[l]` restricted to the rank's DOFs.
-    pub my_active: Vec<Vec<u32>>,
-    /// `setup.leaf[l]` restricted to the rank's DOFs.
-    pub my_leaf: Vec<Vec<u32>>,
     /// Per level: peers this rank exchanges with (sorted).
     pub peers: Vec<Vec<usize>>,
     /// Per level, aligned with `peers`: the ascending DOF list sent to (and
@@ -145,9 +138,6 @@ fn empty_plans(n_ranks: usize, nl: usize) -> Vec<RankPlan> {
             my_elems: vec![Vec::new(); nl],
             my_boundary_elems: vec![Vec::new(); nl],
             my_interior_elems: vec![Vec::new(); nl],
-            my_zero: vec![Vec::new(); nl],
-            my_active: vec![Vec::new(); nl],
-            my_leaf: vec![Vec::new(); nl],
             peers: vec![Vec::new(); nl],
             pair_dofs: vec![Vec::new(); nl],
             shared: vec![SharedDofs::default(); nl],
@@ -197,21 +187,6 @@ pub fn build_plans<T: DofTopology>(
         }
     }
     for l in 0..nl {
-        for &d in &setup.touched[l] {
-            for &r in sets.of(d) {
-                plans[r as usize].my_zero[l].push(d);
-            }
-        }
-        for &d in &setup.active[l] {
-            for &r in sets.of(d) {
-                plans[r as usize].my_active[l].push(d);
-            }
-        }
-        for &d in &setup.leaf[l] {
-            for &r in sets.of(d) {
-                plans[r as usize].my_leaf[l].push(d);
-            }
-        }
         // shared dofs and pair lists (ascending dof order by construction)
         for &d in &setup.touched[l] {
             let ranks = sets.of(d);
@@ -281,21 +256,6 @@ mod tests {
             }
         }
         for l in 0..nl {
-            for &d in &setup.touched[l] {
-                for &r in &dof_ranks[d as usize] {
-                    plans[r as usize].my_zero[l].push(d);
-                }
-            }
-            for &d in &setup.active[l] {
-                for &r in &dof_ranks[d as usize] {
-                    plans[r as usize].my_active[l].push(d);
-                }
-            }
-            for &d in &setup.leaf[l] {
-                for &r in &dof_ranks[d as usize] {
-                    plans[r as usize].my_leaf[l].push(d);
-                }
-            }
             for &d in &setup.touched[l] {
                 let ranks = &dof_ranks[d as usize];
                 if ranks.len() < 2 {
@@ -407,15 +367,26 @@ mod tests {
         let setup = LtsSetup::new(&c, &[0u8; 10]);
         let part: Vec<u32> = (0..10).map(|e| (e / 4) as u32).collect(); // 3 ranks
         let plans = build_plans(&c, &setup, &part, 3);
-        // every leaf dof is covered by at least one rank; shared dofs by several
+        // every dof is a dof of at least one rank's elements; shared dofs
+        // of several
         let mut coverage = [0usize; 11];
+        let mut dofs = Vec::new();
         for p in &plans {
-            for &d in &p.my_leaf[0] {
+            let mut mine: Vec<u32> = Vec::new();
+            for &e in &p.my_elems[0] {
+                c.elem_dofs(e, &mut dofs);
+                mine.extend_from_slice(&dofs);
+            }
+            mine.sort_unstable();
+            mine.dedup();
+            for d in mine {
                 coverage[d as usize] += 1;
             }
         }
         assert!(coverage.iter().all(|&c| c >= 1));
         assert_eq!(coverage[4], 2); // interface dof owned by ranks 0 and 1
+        let shared: Vec<(u32, &[u32])> = plans[0].shared[0].entries().collect();
+        assert_eq!(shared, vec![(4, &[0u32, 1][..])]);
     }
 
     #[test]
@@ -425,6 +396,6 @@ mod tests {
         let plans = build_plans(&c, &setup, &[0; 6], 1);
         assert!(plans[0].peers[0].is_empty());
         assert_eq!(plans[0].my_elems[0].len(), 6);
-        assert_eq!(plans[0].my_leaf[0].len(), 7);
+        assert!(plans[0].shared[0].dofs.is_empty());
     }
 }

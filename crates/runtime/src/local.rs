@@ -6,6 +6,11 @@
 //! rank-local numbering, so per-rank state scales with the partition size
 //! instead of the mesh: the memory model of an MPI code like SPECFEM3D.
 //!
+//! The rank-local numbering is level-grouped
+//! ([`lts_core::setup::level_order`]): local nodes finest leaf level first,
+//! ascending global id within a level. Every level's active set is then a
+//! prefix of the rank's vectors ([`LevelSets`]), with no per-rank lists.
+//!
 //! [`local_worlds`] builds every rank's world, calling the per-rank builder
 //! [`rank_world`] with one shared [`LocalIndex`]; a `wave-lts worker`
 //! process calls [`rank_world`] for its own rank alone. Verified bitwise
@@ -13,7 +18,7 @@
 
 use crate::distributed::{LocalRank, RunSpec};
 use crate::exchange::{build_plans, elems_by_rank, RankPlan, SharedDofs};
-use lts_core::{Chain1d, DofTopology, LtsSetup, Operator};
+use lts_core::{Chain1d, DofTopology, LevelSets, LtsSetup, Operator};
 use lts_mesh::HexMesh;
 use lts_sem::{AcousticOperator, ElasticOperator, UnstructuredAcoustic, UnstructuredElastic};
 
@@ -28,13 +33,16 @@ pub trait Decompose: Sync {
     const COMPONENTS: u32;
     fn global(&self) -> Self::Global;
     /// The local operator over `elems` (ascending) with masses gathered
-    /// from `global`, and the global node of each local node. `node_map` is
-    /// a dense global→local node array, every entry
+    /// from `global`, and the global node of each local node, local nodes
+    /// grouped by the leaf level `leaf_of(g)` of each global node, finest
+    /// first (ascending global node within a level). `node_map` is a dense
+    /// global→local node array, every entry
     /// [`lts_sem::unstructured::UNMAPPED`] on entry and again on return.
     fn local(
         &self,
         global: &Self::Global,
         elems: &[u32],
+        leaf_of: &dyn Fn(u32) -> u8,
         node_map: &mut [u32],
     ) -> (Self::Local, Vec<u32>);
 }
@@ -64,10 +72,12 @@ impl Decompose for Acoustic<'_> {
         &self,
         global: &AcousticOperator,
         elems: &[u32],
+        leaf_of: &dyn Fn(u32) -> u8,
         node_map: &mut [u32],
     ) -> (UnstructuredAcoustic, Vec<u32>) {
         let mass = |g: u32| global.mass()[g as usize];
-        UnstructuredAcoustic::from_subset_in(self.mesh, self.order, elems, Some(&mass), node_map)
+        let (mesh, order) = (self.mesh, self.order);
+        UnstructuredAcoustic::from_subset_in(mesh, order, elems, Some(&mass), leaf_of, node_map)
     }
 }
 
@@ -82,10 +92,12 @@ impl Decompose for Elastic<'_> {
         &self,
         global: &ElasticOperator,
         elems: &[u32],
+        leaf_of: &dyn Fn(u32) -> u8,
         node_map: &mut [u32],
     ) -> (UnstructuredElastic, Vec<u32>) {
         let mass = |g: u32| global.mass()[3 * g as usize];
-        UnstructuredElastic::from_subset_in(self.mesh, self.order, elems, Some(&mass), node_map)
+        let (mesh, order) = (self.mesh, self.order);
+        UnstructuredElastic::from_subset_in(mesh, order, elems, Some(&mass), leaf_of, node_map)
     }
 }
 
@@ -96,8 +108,14 @@ impl Decompose for Chain1d {
     fn global(&self) -> Chain1d {
         self.clone()
     }
-    fn local(&self, global: &Chain1d, elems: &[u32], node_map: &mut [u32]) -> (Chain1d, Vec<u32>) {
-        global.subset(elems, node_map)
+    fn local(
+        &self,
+        global: &Chain1d,
+        elems: &[u32],
+        leaf_of: &dyn Fn(u32) -> u8,
+        node_map: &mut [u32],
+    ) -> (Chain1d, Vec<u32>) {
+        global.subset(elems, leaf_of, node_map)
     }
 }
 
@@ -188,9 +206,6 @@ fn localize_plan(plan: &RankPlan, elem: impl Fn(u32) -> u32, dof: impl Fn(u32) -
         my_elems: elems(&plan.my_elems),
         my_boundary_elems: elems(&plan.my_boundary_elems),
         my_interior_elems: elems(&plan.my_interior_elems),
-        my_zero: dofs(&plan.my_zero),
-        my_active: dofs(&plan.my_active),
-        my_leaf: dofs(&plan.my_leaf),
         peers: plan.peers.clone(),
         pair_dofs: plan.pair_dofs.iter().map(|pp| dofs(pp)).collect(),
         shared: plan
@@ -249,9 +264,9 @@ pub(crate) fn rank_world<P: Decompose>(
 }
 
 /// The per-rank builder: rank `rank`'s local operator over its own
-/// elements, its plan, level metadata, initial fields and sources in local
-/// numbering. Local DOFs interleave `P::COMPONENTS` components per local
-/// node. `index` is left unloaded for the next rank.
+/// elements, its plan, level sets and metadata, initial fields and sources
+/// in the grouped local numbering. Local DOFs interleave `P::COMPONENTS`
+/// components per local node. `index` is left unloaded for the next rank.
 fn build_world<P: Decompose>(
     problem: &P,
     spec: &RunSpec<'_>,
@@ -262,7 +277,9 @@ fn build_world<P: Decompose>(
     let c = P::COMPONENTS;
     let nl = d.setup.n_levels;
     let my_elems = &d.by_rank[rank];
-    let (op, node_of_local) = problem.local(&d.global, my_elems, &mut index.node.local);
+    let leaf_level = &d.setup.leaf_level;
+    let leaf_of = |g: u32| leaf_level[(c * g) as usize];
+    let (op, node_of_local) = problem.local(&d.global, my_elems, &leaf_of, &mut index.node.local);
     index.elem.load(my_elems);
     index.node.load(&node_of_local);
     let (elem_index, node_index) = (&index.elem, &index.node);
@@ -281,9 +298,11 @@ fn build_world<P: Decompose>(
     let global_of_local: Vec<u32> = (0..n_local_dofs as u32)
         .map(|ld| c * node_of_local[(ld / c) as usize] + ld % c)
         .collect();
+    let sets =
+        LevelSets::of_leaf_levels(global_of_local.iter().map(|&g| leaf_level[g as usize]), nl);
     LocalRank {
         op,
-        n_levels: nl,
+        sets,
         dof_level: gather(&d.setup.dof_level, &global_of_local),
         plan,
         u: gather(spec.u0, &global_of_local),
@@ -297,7 +316,7 @@ fn build_world<P: Decompose>(
 mod tests {
     use super::*;
     use crate::distributed::{run, DistributedConfig, RunResult};
-    use lts_core::{LtsNewmark, Source};
+    use lts_core::{LevelState, LtsNewmark, Source};
     use lts_mesh::{BenchmarkMesh, Levels, MeshKind};
     use lts_obs::MetricsRegistry;
     use lts_partition::{partition_mesh, Strategy};
@@ -344,7 +363,28 @@ mod tests {
     }
 
     fn run_local<P: Decompose>(problem: &P, spec: &RunSpec<'_>) -> RunResult {
+        assert_level_buffers_fit(problem, spec);
         run(problem, spec, None, &mut MetricsRegistry::new()).into_result()
+    }
+
+    /// Every rank's level buffers hold at most `n_local + 3·Σ_{l≥1} a[l]`
+    /// values — level 0's force and three prefix buffers per finer level —
+    /// which is below the `n_local` per buffer a full-length layout needs.
+    fn assert_level_buffers_fit<P: Decompose>(problem: &P, spec: &RunSpec<'_>) {
+        for (r, w) in local_worlds(problem, spec, decompose(problem, spec))
+            .into_iter()
+            .enumerate()
+        {
+            let n_local = w.u.len();
+            let nl = w.sets.n_levels();
+            assert_eq!(w.sets.end(0), n_local, "rank {r}");
+            let finer: usize = (1..nl).map(|l| w.sets.end(l)).sum();
+            let held = LevelState::new(w.sets).buffer_len();
+            assert!(held <= n_local + 3 * finer, "rank {r}: {held} values");
+            if nl > 1 {
+                assert!(held < n_local * (1 + 3 * (nl - 1)), "rank {r}");
+            }
+        }
     }
 
     #[test]
@@ -505,9 +545,6 @@ mod tests {
                 my_elems: back_elems(&w.plan.my_elems),
                 my_boundary_elems: back_elems(&w.plan.my_boundary_elems),
                 my_interior_elems: back_elems(&w.plan.my_interior_elems),
-                my_zero: back_dofs(&w.plan.my_zero),
-                my_active: back_dofs(&w.plan.my_active),
-                my_leaf: back_dofs(&w.plan.my_leaf),
                 peers: w.plan.peers.clone(),
                 pair_dofs: w.plan.pair_dofs.iter().map(|pp| back_dofs(pp)).collect(),
                 shared: w
@@ -529,7 +566,40 @@ mod tests {
             }
             my_dofs.sort_unstable();
             my_dofs.dedup();
-            assert_eq!(g, &my_dofs, "rank {r}");
+            let mut sorted = g.clone();
+            sorted.sort_unstable();
+            assert_eq!(sorted, my_dofs, "rank {r}");
+            // grouped: finest leaf level first, ascending within a level
+            let key = |d: u32| (std::cmp::Reverse(setup.leaf_level[d as usize]), d);
+            assert!(g.windows(2).all(|p| key(p[0]) < key(p[1])), "rank {r}");
+            // every level set is the rank's share of the global one, as a
+            // prefix or range
+            let mine = |set: &[u32]| -> Vec<u32> {
+                set.iter()
+                    .copied()
+                    .filter(|d| my_dofs.binary_search(d).is_ok())
+                    .collect()
+            };
+            let back = |range: std::ops::Range<usize>| -> Vec<u32> {
+                let mut v: Vec<u32> = g[range].to_vec();
+                v.sort_unstable();
+                v
+            };
+            assert_eq!(w.sets.n_levels(), setup.n_levels, "rank {r}");
+            for l in 0..setup.n_levels {
+                assert_eq!(
+                    back(w.sets.leaf(l)),
+                    mine(&setup.leaf[l]),
+                    "rank {r} leaf {l}"
+                );
+                if l > 0 {
+                    let active = back(w.sets.active(l));
+                    assert_eq!(active, mine(&setup.active[l]), "rank {r} active {l}");
+                }
+                let touched = mine(&setup.touched[l]);
+                let prefix = back(w.sets.active(l));
+                assert!(touched.iter().all(|d| prefix.binary_search(d).is_ok()));
+            }
             assert_eq!(Operator::ndof(&w.op), g.len(), "rank {r}");
             let levels: Vec<u8> = g.iter().map(|&d| setup.dof_level[d as usize]).collect();
             assert_eq!(w.dof_level, levels, "rank {r}");
@@ -607,7 +677,7 @@ mod tests {
         let worlds = local_worlds(problem, &spec, decompose(problem, &spec));
         for (r, all) in worlds.iter().enumerate() {
             let alone = rank_world(problem, &spec, &decompose(problem, &spec), r);
-            assert_eq!(alone.n_levels, all.n_levels, "rank {r}");
+            assert_eq!(alone.sets, all.sets, "rank {r}");
             assert_eq!(alone.plan, all.plan, "rank {r}");
             assert_eq!(alone.dof_level, all.dof_level, "rank {r}");
             assert_eq!(alone.u, all.u, "rank {r}");

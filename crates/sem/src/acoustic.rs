@@ -7,10 +7,10 @@
 //! and [`lts_core::DofTopology`] so both Newmark and LTS-Newmark drive it
 //! directly.
 
-use crate::compiled::{AcousticEngine, GatherCache, LevelMask, OpWs, ScalarScratch, FULL_LEVEL};
+use crate::compiled::{self, AcousticEngine, CompiledOp, LevelMask, OpWs, ScalarScratch};
 use crate::dofmap::DofMap;
 use crate::gll::GllBasis;
-use lts_core::{DofTopology, Operator, Workspace};
+use lts_core::DofTopology;
 use lts_mesh::HexMesh;
 
 /// Matrix-free SEM operator for the scalar wave equation.
@@ -23,17 +23,11 @@ pub struct AcousticOperator {
     hz: Vec<f64>,
     /// Per-element stiffness coefficient `μ_e = ρ_e c_e²`.
     mu: Vec<f64>,
-    /// Global diagonal mass (in the external numbering).
+    /// Global diagonal mass.
     mass: Vec<f64>,
     /// Reciprocal mass, so the scatter multiplies instead of divides.
     inv_mass: Vec<f64>,
-    /// Optional DOF renumbering `new = perm[natural]` (p-level grouping,
-    /// Sec. IV-D).
-    perm: Option<Vec<u32>>,
 }
-
-/// Workspace slot of the structured acoustic operator.
-struct AcousticWs(OpWs<ScalarScratch>);
 
 impl AcousticOperator {
     pub fn new(mesh: &HexMesh, order: usize) -> Self {
@@ -74,30 +68,6 @@ impl AcousticOperator {
             mu,
             mass,
             inv_mass,
-            perm: None,
-        }
-    }
-
-    /// Renumber the DOFs with `new = perm[natural]` (see
-    /// `LtsSetup::grouping_permutation`); the mass diagonal and all
-    /// gather/scatter indices switch to the new numbering.
-    pub fn set_permutation(&mut self, perm: &[u32]) {
-        assert_eq!(perm.len(), self.dofmap.n_nodes());
-        assert!(self.perm.is_none(), "permutation already set");
-        let mut mass = vec![0.0; self.mass.len()];
-        for (old, &new) in perm.iter().enumerate() {
-            mass[new as usize] = self.mass[old];
-        }
-        self.mass = mass;
-        self.inv_mass = self.mass.iter().map(|&m| 1.0 / m).collect();
-        self.perm = Some(perm.to_vec());
-    }
-
-    #[inline]
-    fn gid(&self, natural: u32) -> usize {
-        match &self.perm {
-            Some(p) => p[natural as usize] as usize,
-            None => natural as usize,
         }
     }
 
@@ -129,7 +99,7 @@ impl AcousticOperator {
         for c in 0..np {
             for b in 0..np {
                 for a in 0..np {
-                    let g = self.gid(self.dofmap.elem_node(ei, ej, ek, a, b, c));
+                    let g = self.dofmap.elem_node(ei, ej, ek, a, b, c) as usize;
                     out[g] += tmp[li] * self.inv_mass[g];
                     li += 1;
                 }
@@ -161,52 +131,50 @@ impl AcousticOperator {
         for c in 0..np {
             for b in 0..np {
                 for a in 0..np {
-                    loc[li] = u[self.gid(self.dofmap.elem_node(ei, ej, ek, a, b, c))];
+                    loc[li] = u[self.dofmap.elem_node(ei, ej, ek, a, b, c) as usize];
                     li += 1;
                 }
             }
         }
     }
+}
 
-    /// Fetch or compile the colour-major gather entry for `(level, elems)`.
-    fn compiled_entry(
+impl CompiledOp for AcousticOperator {
+    type Scratch = ScalarScratch;
+    const COMPS: usize = 1;
+
+    fn npe(&self) -> usize {
+        self.dofmap.nodes_per_elem()
+    }
+
+    fn ids_of(&self, e: u32, out: &mut Vec<u32>) {
+        self.dofmap.elem_nodes(e, out);
+    }
+
+    fn inv_mass(&self) -> &[f64] {
+        &self.inv_mass
+    }
+
+    fn run_compiled(
         &self,
-        cache: &mut GatherCache,
-        key_level: u16,
-        elems: &[u32],
+        st: &mut OpWs<ScalarScratch>,
+        i: usize,
+        threads: usize,
         mask: Option<LevelMask>,
-    ) -> usize {
-        cache.get_or_build(
-            key_level,
-            elems,
-            self.dofmap.n_nodes(),
-            &mut |e, out| DofTopology::elem_dofs(self, e, out),
-            mask,
-            1,
-        )
-    }
-
-    /// This operator's workspace slot.
-    fn ws<'w>(&self, ws: &'w mut Workspace) -> &'w mut OpWs<ScalarScratch> {
-        let npe = self.dofmap.nodes_per_elem();
-        &mut ws.get_or_insert_with(|| AcousticWs(OpWs::new(npe))).0
-    }
-
-    /// The shared execution engine over this operator's geometry.
-    fn engine<'a>(
-        &'a self,
-        mask: Option<LevelMask<'a>>,
-    ) -> AcousticEngine<'a, impl Fn(u32) -> (f64, f64, f64, f64) + Sync + 'a> {
-        AcousticEngine {
+        u: &[f64],
+        out: &mut [f64],
+    ) {
+        let engine = |inv_mass: Option<_>| AcousticEngine {
             mask,
             basis: &self.basis,
-            inv_mass: &self.inv_mass,
+            inv_mass: inv_mass.unwrap_or(&self.inv_mass),
             npe: self.dofmap.nodes_per_elem(),
             geom: move |e: u32| {
                 let (ei, ej, ek) = self.dofmap.elem_ijk(e);
                 (self.hx[ei], self.hy[ej], self.hz[ek], self.mu[e as usize])
             },
-        }
+        };
+        st.run_entry(i, threads, engine, u, out);
     }
 }
 
@@ -221,77 +189,15 @@ impl DofTopology for AcousticOperator {
 
     fn elem_dofs(&self, e: u32, out: &mut Vec<u32>) {
         self.dofmap.elem_nodes(e, out);
-        if self.perm.is_some() {
-            for d in out.iter_mut() {
-                *d = self.gid(*d) as u32;
-            }
-        }
     }
 }
 
-impl Operator for AcousticOperator {
-    fn ndof(&self) -> usize {
-        self.dofmap.n_nodes()
-    }
-
-    fn apply_ws(&self, u: &[f64], out: &mut [f64], ws: &mut Workspace) {
-        out.fill(0.0);
-        let st = self.ws(ws);
-        let i = st.prepare(self.dofmap.nodes_per_elem(), 1, |c| {
-            c.find(FULL_LEVEL, &[]).unwrap_or_else(|| {
-                let all: Vec<u32> = (0..self.dofmap.n_elems() as u32).collect();
-                self.compiled_entry(c, FULL_LEVEL, &all, None)
-            })
-        });
-        st.run_entry(i, 1, &self.engine(None), u, out);
-    }
-
-    fn apply_masked_ws(
-        &self,
-        u: &[f64],
-        out: &mut [f64],
-        elems: &[u32],
-        dof_level: &[u8],
-        level: u8,
-        ws: &mut Workspace,
-    ) {
-        self.apply_masked_threads(u, out, elems, dof_level, level, ws, 1);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn apply_masked_threads(
-        &self,
-        u: &[f64],
-        out: &mut [f64],
-        elems: &[u32],
-        dof_level: &[u8],
-        level: u8,
-        ws: &mut Workspace,
-        threads: usize,
-    ) {
-        let mask = Some(LevelMask { dof_level, level });
-        let st = self.ws(ws);
-        let i = st.prepare(self.dofmap.nodes_per_elem(), threads, |c| {
-            self.compiled_entry(c, level as u16, elems, mask)
-        });
-        st.run_entry(i, threads, &self.engine(mask), u, out);
-    }
-
-    fn precompile_masked(&self, elems: &[u32], dof_level: &[u8], level: u8, ws: &mut Workspace) {
-        let mask = Some(LevelMask { dof_level, level });
-        self.ws(ws).prepare(self.dofmap.nodes_per_elem(), 1, |c| {
-            self.compiled_entry(c, level as u16, elems, mask)
-        });
-    }
-
-    fn mass(&self) -> &[f64] {
-        &self.mass
-    }
-}
+compiled::compiled_operator!(AcousticOperator);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lts_core::{Operator, Workspace};
 
     fn small_op(order: usize) -> (HexMesh, AcousticOperator) {
         let m = HexMesh::uniform(2, 2, 2, 1.5, 1.2);
@@ -455,7 +361,7 @@ mod tests {
             for l in 0..setup.n_levels {
                 let mut ws = Workspace::new();
                 op.precompile_masked(&setup.elems[l], &setup.dof_level, l as u8, &mut ws);
-                let st = op.ws(&mut ws);
+                let (st, _) = compiled::op_state(&op, &mut ws);
                 st.cache.ensure_plan(0, npe, variant);
                 let en = st.cache.entry(0);
                 let n_elems = setup.elems[l].len();

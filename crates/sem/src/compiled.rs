@@ -20,13 +20,17 @@
 //!
 //! Entries live in a [`GatherCache`] stashed in the stepper's
 //! [`lts_core::Workspace`], so each `(level, element set)` pair is compiled
-//! exactly once per run.
+//! exactly once per run. A workspace with a DOF order is served at compile
+//! time alone: the gathered ids are mapped into the order as they are
+//! baked, and the workspace state keeps the reciprocal mass in the order,
+//! so the hot loops are the same with or without one.
 
 use crate::gll::GllBasis;
 use crate::parallel::ElementColoring;
 use crate::simd::{
     batch_elastic_stiffness, batch_scalar_stiffness, AcousticLanes, ElasticLanes, KernelVariant,
 };
+use lts_core::{DofTopology, Workspace};
 
 /// Sentinel `level` for the unmasked full-mesh product.
 pub(crate) const FULL_LEVEL: u16 = u16::MAX;
@@ -207,8 +211,11 @@ impl GatherCache {
     ///
     /// `targets_of` yields an element's gathered ids, which are also its
     /// scatter targets: they drive the greedy colouring and fill the flat
-    /// `idx` table in colour-major order. With a `mask`, each element's pure
-    /// flag is derived from its `idx` row, `comps` DOFs per gathered id.
+    /// `idx` table in colour-major order. With a `dof_order`, each id `g`
+    /// (`comps` DOFs `comps·g + c` each) is stored as `dof_order[comps·g] /
+    /// comps`; the colouring does not depend on the labels. With a `mask`,
+    /// each element's pure flag is derived from its stored `idx` row.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn get_or_build(
         &mut self,
         level: u16,
@@ -217,6 +224,7 @@ impl GatherCache {
         targets_of: &mut dyn FnMut(u32, &mut Vec<u32>),
         mask: Option<LevelMask>,
         comps: usize,
+        dof_order: Option<&[u32]>,
     ) -> usize {
         if let Some(i) = self.find(level, elems) {
             return i;
@@ -246,6 +254,11 @@ impl GatherCache {
         let mut ids = Vec::new();
         for &e in &order {
             targets_of(e, &mut ids);
+            if let Some(pos) = dof_order {
+                for id in ids.iter_mut() {
+                    *id = pos[comps * *id as usize] / comps as u32;
+                }
+            }
             if idx.is_empty() {
                 idx.reserve_exact(ids.len() * order.len());
             }
@@ -384,20 +397,32 @@ pub(crate) trait Engine<S: Send>: Sync {
     }
 }
 
-/// Workspace state of an operator: compiled entries plus serial and
-/// per-thread element scratch.
+/// Workspace state of an operator: compiled entries, serial and per-thread
+/// element scratch, and — under a workspace DOF order — the operator's
+/// reciprocal mass in that order.
 pub(crate) struct OpWs<S> {
     pub(crate) cache: GatherCache,
     serial: S,
     par: Vec<S>,
+    inv_mass: Option<Vec<f64>>,
 }
 
 impl<S: EngineScratch> OpWs<S> {
-    pub(crate) fn new(npe: usize) -> Self {
+    /// State for an operator with reciprocal mass `inv_mass`, under the
+    /// workspace's DOF `order` (`order[caller DOF] = internal DOF`).
+    pub(crate) fn new(npe: usize, order: Option<&[u32]>, inv_mass: &[f64]) -> Self {
+        let inv_mass = order.map(|pos| {
+            let mut ordered = vec![0.0; inv_mass.len()];
+            for (&p, &m) in pos.iter().zip(inv_mass) {
+                ordered[p as usize] = m;
+            }
+            ordered
+        });
         OpWs {
             cache: GatherCache::default(),
             serial: S::new(npe),
             par: Vec::new(),
+            inv_mass,
         }
     }
 
@@ -426,23 +451,193 @@ impl<S: EngineScratch> OpWs<S> {
         i
     }
 
-    /// Run prepared entry `i` on `threads` workers.
-    pub(crate) fn run_entry(
-        &mut self,
+    /// Run prepared entry `i` on `threads` workers through the engine
+    /// `engine` builds from the ordered reciprocal mass, if this state
+    /// holds one.
+    pub(crate) fn run_entry<'s, E: Engine<S>>(
+        &'s mut self,
         i: usize,
         threads: usize,
-        engine: &impl Engine<S>,
+        engine: impl FnOnce(Option<&'s [f64]>) -> E,
         u: &[f64],
         out: &mut [f64],
     ) {
-        let entry = self.cache.entry(i);
+        let OpWs {
+            cache,
+            serial,
+            par,
+            inv_mass,
+        } = self;
+        let engine = engine(inv_mass.as_deref());
+        let entry = cache.entry(i);
         if threads <= 1 {
-            engine.run_serial(entry, u, &mut self.serial, out);
+            engine.run_serial(entry, u, serial, out);
         } else {
-            engine.run_threads(entry, u, &mut self.par[..threads], out);
+            engine.run_threads(entry, u, &mut par[..threads], out);
         }
     }
 }
+
+/// What a SEM operator supplies to run its products through compiled
+/// entries. The rest — workspace state, compile on first use, prepare, run —
+/// is shared by all four operators: [`apply_full`], [`apply_masked`] and
+/// [`precompile`].
+pub(crate) trait CompiledOp: DofTopology + Sync + Sized + 'static {
+    type Scratch: EngineScratch;
+    /// DOFs per gathered id (DOF `COMPS·id + c`).
+    const COMPS: usize;
+    fn npe(&self) -> usize;
+    /// Element `e`'s gathered ids (cleared first).
+    fn ids_of(&self, e: u32, out: &mut Vec<u32>);
+    fn inv_mass(&self) -> &[f64];
+    /// Run prepared entry `i` of `st` through this operator's engine.
+    #[allow(clippy::too_many_arguments)]
+    fn run_compiled(
+        &self,
+        st: &mut OpWs<Self::Scratch>,
+        i: usize,
+        threads: usize,
+        mask: Option<LevelMask>,
+        u: &[f64],
+        out: &mut [f64],
+    );
+}
+
+/// The workspace slot of operator type `O`.
+struct OpSlot<O: CompiledOp>(OpWs<O::Scratch>, std::marker::PhantomData<fn() -> O>);
+
+/// `op`'s workspace state and the workspace's DOF order.
+pub(crate) fn op_state<'w, O: CompiledOp>(
+    op: &O,
+    ws: &'w mut Workspace,
+) -> (&'w mut OpWs<O::Scratch>, Option<&'w [u32]>) {
+    let (slot, order) = ws.get_or_insert_with(|order| {
+        OpSlot::<O>(
+            OpWs::new(op.npe(), order, op.inv_mass()),
+            Default::default(),
+        )
+    });
+    (&mut slot.0, order)
+}
+
+/// Fetch or compile `op`'s entry for `(level, elems)` under the DOF `order`.
+fn compile<O: CompiledOp>(
+    op: &O,
+    cache: &mut GatherCache,
+    level: u16,
+    elems: &[u32],
+    mask: Option<LevelMask>,
+    order: Option<&[u32]>,
+) -> usize {
+    let ids_of = &mut |e, out: &mut Vec<u32>| op.ids_of(e, out);
+    let n_ids = op.n_dofs() / O::COMPS;
+    cache.get_or_build(level, elems, n_ids, ids_of, mask, O::COMPS, order)
+}
+
+/// `out = A u` over the whole mesh.
+pub(crate) fn apply_full<O: CompiledOp>(op: &O, u: &[f64], out: &mut [f64], ws: &mut Workspace) {
+    out.fill(0.0);
+    let (st, order) = op_state(op, ws);
+    let i = st.prepare(op.npe(), 1, |c| {
+        c.find(FULL_LEVEL, &[]).unwrap_or_else(|| {
+            let all: Vec<u32> = (0..op.n_elems() as u32).collect();
+            compile(op, c, FULL_LEVEL, &all, None, order)
+        })
+    });
+    op.run_compiled(st, i, 1, None, u, out);
+}
+
+/// `out += A (P_level u)` over `elems` on `threads` workers.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn apply_masked<O: CompiledOp>(
+    op: &O,
+    u: &[f64],
+    out: &mut [f64],
+    elems: &[u32],
+    dof_level: &[u8],
+    level: u8,
+    ws: &mut Workspace,
+    threads: usize,
+) {
+    let mask = Some(LevelMask { dof_level, level });
+    let (st, order) = op_state(op, ws);
+    let i = st.prepare(op.npe(), threads, |c| {
+        compile(op, c, level as u16, elems, mask, order)
+    });
+    op.run_compiled(st, i, threads, mask, u, out);
+}
+
+/// Compile and warm the masked entry of `(level, elems)`.
+pub(crate) fn precompile<O: CompiledOp>(
+    op: &O,
+    elems: &[u32],
+    dof_level: &[u8],
+    level: u8,
+    ws: &mut Workspace,
+) {
+    let mask = Some(LevelMask { dof_level, level });
+    let (st, order) = op_state(op, ws);
+    st.prepare(op.npe(), 1, |c| {
+        compile(op, c, level as u16, elems, mask, order)
+    });
+}
+
+/// `impl lts_core::Operator` for a [`CompiledOp`] type: every product runs
+/// through the shared compiled path.
+macro_rules! compiled_operator {
+    ($op:ty) => {
+        impl lts_core::Operator for $op {
+            fn ndof(&self) -> usize {
+                lts_core::DofTopology::n_dofs(self)
+            }
+
+            fn apply_ws(&self, u: &[f64], out: &mut [f64], ws: &mut lts_core::Workspace) {
+                $crate::compiled::apply_full(self, u, out, ws);
+            }
+
+            fn apply_masked_ws(
+                &self,
+                u: &[f64],
+                out: &mut [f64],
+                elems: &[u32],
+                dof_level: &[u8],
+                level: u8,
+                ws: &mut lts_core::Workspace,
+            ) {
+                $crate::compiled::apply_masked(self, u, out, elems, dof_level, level, ws, 1);
+            }
+
+            #[allow(clippy::too_many_arguments)]
+            fn apply_masked_threads(
+                &self,
+                u: &[f64],
+                out: &mut [f64],
+                elems: &[u32],
+                dof_level: &[u8],
+                level: u8,
+                ws: &mut lts_core::Workspace,
+                threads: usize,
+            ) {
+                $crate::compiled::apply_masked(self, u, out, elems, dof_level, level, ws, threads);
+            }
+
+            fn precompile_masked(
+                &self,
+                elems: &[u32],
+                dof_level: &[u8],
+                level: u8,
+                ws: &mut lts_core::Workspace,
+            ) {
+                $crate::compiled::precompile(self, elems, dof_level, level, ws);
+            }
+
+            fn mass(&self) -> &[f64] {
+                &self.mass
+            }
+        }
+    };
+}
+pub(crate) use compiled_operator;
 
 /// The shared acoustic execution engine: one scalar per-element path and one
 /// SIMD unit path over a compiled entry, parameterized on a geometry lookup
@@ -742,7 +937,7 @@ mod tests {
         let mut cache = GatherCache::default();
         let elems: Vec<u32> = (0..6).collect();
         for _ in 0..3 {
-            let i = cache.get_or_build(0, &elems, 7, &mut targets, None, 1);
+            let i = cache.get_or_build(0, &elems, 7, &mut targets, None, 1, None);
             assert_eq!(i, 0);
         }
         assert_eq!(
@@ -755,10 +950,10 @@ mod tests {
         assert_eq!(en.idx, want, "idx rows follow the colour-major order");
         // a different list is a different entry
         let sub: Vec<u32> = vec![1, 3];
-        let j = cache.get_or_build(0, &sub, 7, &mut targets, None, 1);
+        let j = cache.get_or_build(0, &sub, 7, &mut targets, None, 1, None);
         assert_eq!(j, 1);
         // the full-mesh sentinel matches without a key comparison
-        let k = cache.get_or_build(FULL_LEVEL, &elems, 7, &mut targets, None, 1);
+        let k = cache.get_or_build(FULL_LEVEL, &elems, 7, &mut targets, None, 1, None);
         assert_eq!(cache.find(FULL_LEVEL, &[]), Some(k));
     }
 
@@ -815,7 +1010,7 @@ mod tests {
         };
         let elems: Vec<u32> = (0..8).collect();
         let mut cache = GatherCache::default();
-        let i = cache.get_or_build(0, &elems, 4, &mut targets, None, 1);
+        let i = cache.get_or_build(0, &elems, 4, &mut targets, None, 1, None);
         let en = cache.entry(i);
         assert_eq!(en.color_off, vec![0, 4, 8]);
         assert_eq!(en.order, vec![0, 2, 4, 6, 1, 3, 5, 7]);
@@ -840,7 +1035,7 @@ mod tests {
         };
         let elems: Vec<u32> = (0..6).collect();
         let mut cache = GatherCache::default();
-        let i = cache.get_or_build(1, &elems, 7, &mut targets, Some(mask), 1);
+        let i = cache.get_or_build(1, &elems, 7, &mut targets, Some(mask), 1, None);
         let en = cache.entry(i);
         for (pos, &e) in en.order.iter().enumerate() {
             assert_eq!(en.pure[pos], u8::from(e < 3), "element {e}");

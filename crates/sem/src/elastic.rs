@@ -5,10 +5,10 @@
 //! (`dof = 3·node + comp`), so the LTS level machinery applies per-DOF with
 //! no special cases.
 
-use crate::compiled::{ElasticEngine, EngineScratch, GatherCache, LevelMask, OpWs, FULL_LEVEL};
+use crate::compiled::{self, CompiledOp, ElasticEngine, EngineScratch, LevelMask, OpWs};
 use crate::dofmap::DofMap;
 use crate::gll::GllBasis;
-use lts_core::{DofTopology, Operator, Workspace};
+use lts_core::DofTopology;
 use lts_mesh::HexMesh;
 
 /// Matrix-free SEM operator for the elastic wave equation.
@@ -20,17 +20,11 @@ pub struct ElasticOperator {
     hz: Vec<f64>,
     lambda: Vec<f64>,
     mu: Vec<f64>,
-    /// Diagonal mass, one entry per *DOF* (3 per node), external numbering.
+    /// Diagonal mass, one entry per *DOF* (3 per node).
     mass: Vec<f64>,
     /// Reciprocal mass, so the scatter multiplies instead of divides.
     inv_mass: Vec<f64>,
-    /// Optional node renumbering (p-level grouping); DOF `3g+c` maps to
-    /// `3·node_perm[g]+c`.
-    node_perm: Option<Vec<u32>>,
 }
-
-/// Workspace slot of the structured elastic operator.
-struct ElasticWs(OpWs<Scratch>);
 
 /// `out[a,b,c] = Σ_m D[a][m] f[m,b,c]` (ξ-derivative).
 fn deriv_x(d: &[f64], np: usize, f: &[f64], out: &mut [f64]) {
@@ -286,38 +280,6 @@ impl ElasticOperator {
             mu,
             mass,
             inv_mass,
-            node_perm: None,
-        }
-    }
-
-    /// Renumber the DOFs with a `grouping_permutation` over the 3n DOFs.
-    /// All three components of a node share a leaf level, so the DOF
-    /// permutation factors through a node permutation — asserted here.
-    pub fn set_permutation(&mut self, perm: &[u32]) {
-        let nn = self.dofmap.n_nodes();
-        assert_eq!(perm.len(), 3 * nn);
-        assert!(self.node_perm.is_none(), "permutation already set");
-        let mut node_perm = vec![0u32; nn];
-        for g in 0..nn {
-            assert_eq!(perm[3 * g] % 3, 0, "permutation does not factor over nodes");
-            assert_eq!(perm[3 * g + 1], perm[3 * g] + 1);
-            assert_eq!(perm[3 * g + 2], perm[3 * g] + 2);
-            node_perm[g] = perm[3 * g] / 3;
-        }
-        let mut mass = vec![0.0; self.mass.len()];
-        for (old, &new) in perm.iter().enumerate() {
-            mass[new as usize] = self.mass[old];
-        }
-        self.mass = mass;
-        self.inv_mass = self.mass.iter().map(|&m| 1.0 / m).collect();
-        self.node_perm = Some(node_perm);
-    }
-
-    #[inline]
-    fn gid(&self, natural: u32) -> usize {
-        match &self.node_perm {
-            Some(p) => p[natural as usize] as usize,
-            None => natural as usize,
         }
     }
 
@@ -325,67 +287,45 @@ impl ElasticOperator {
     pub fn poisson(mesh: &HexMesh, order: usize) -> Self {
         Self::new(mesh, order, 1.0 / 3.0f64.sqrt())
     }
+}
 
-    /// Post-permutation global node ids of element `e`, `a`-fastest.
-    fn elem_gids(&self, e: u32, out: &mut Vec<u32>) {
-        out.clear();
-        let np = self.basis.n_points();
-        let (ei, ej, ek) = self.dofmap.elem_ijk(e);
-        for c in 0..np {
-            for b in 0..np {
-                for a in 0..np {
-                    out.push(self.gid(self.dofmap.elem_node(ei, ej, ek, a, b, c)) as u32);
-                }
-            }
-        }
+impl CompiledOp for ElasticOperator {
+    type Scratch = Scratch;
+    const COMPS: usize = 3;
+
+    fn npe(&self) -> usize {
+        self.dofmap.nodes_per_elem()
     }
 
-    /// Fetch or compile the colour-major gather entry for `(level, elems)`.
-    /// `idx` holds node ids (3 DOFs each, one per component).
-    fn compiled_entry(
+    fn ids_of(&self, e: u32, out: &mut Vec<u32>) {
+        self.dofmap.elem_nodes(e, out);
+    }
+
+    fn inv_mass(&self) -> &[f64] {
+        &self.inv_mass
+    }
+
+    fn run_compiled(
         &self,
-        cache: &mut GatherCache,
-        key_level: u16,
-        elems: &[u32],
+        st: &mut OpWs<Scratch>,
+        i: usize,
+        threads: usize,
         mask: Option<LevelMask>,
-    ) -> usize {
-        cache.get_or_build(
-            key_level,
-            elems,
-            self.dofmap.n_nodes(),
-            &mut |e, out| self.elem_gids(e, out),
-            mask,
-            3,
-        )
-    }
-
-    /// This operator's workspace slot.
-    fn ws<'w>(&self, ws: &'w mut Workspace) -> &'w mut OpWs<Scratch> {
-        let npe = self.dofmap.nodes_per_elem();
-        &mut ws.get_or_insert_with(|| ElasticWs(OpWs::new(npe))).0
-    }
-
-    /// The shared execution engine over this operator's geometry.
-    fn engine<'a>(
-        &'a self,
-        mask: Option<LevelMask<'a>>,
-    ) -> ElasticEngine<'a, impl Fn(u32) -> (f64, f64, f64, f64, f64) + Sync + 'a> {
-        ElasticEngine {
+        u: &[f64],
+        out: &mut [f64],
+    ) {
+        let engine = |inv_mass: Option<_>| ElasticEngine {
             mask,
             basis: &self.basis,
-            inv_mass: &self.inv_mass,
+            inv_mass: inv_mass.unwrap_or(&self.inv_mass),
             npe: self.dofmap.nodes_per_elem(),
             geom: move |e: u32| {
                 let (ei, ej, ek) = self.dofmap.elem_ijk(e);
-                (
-                    self.hx[ei],
-                    self.hy[ej],
-                    self.hz[ek],
-                    self.lambda[e as usize],
-                    self.mu[e as usize],
-                )
+                let (lam, mu) = (self.lambda[e as usize], self.mu[e as usize]);
+                (self.hx[ei], self.hy[ej], self.hz[ek], lam, mu)
             },
-        }
+        };
+        st.run_entry(i, threads, engine, u, out);
     }
 }
 
@@ -405,7 +345,7 @@ impl DofTopology for ElasticOperator {
         for c in 0..np {
             for b in 0..np {
                 for a in 0..np {
-                    let gn = self.gid(self.dofmap.elem_node(ei, ej, ek, a, b, c)) as u32;
+                    let gn = self.dofmap.elem_node(ei, ej, ek, a, b, c);
                     out.push(3 * gn);
                     out.push(3 * gn + 1);
                     out.push(3 * gn + 2);
@@ -415,69 +355,12 @@ impl DofTopology for ElasticOperator {
     }
 }
 
-impl Operator for ElasticOperator {
-    fn ndof(&self) -> usize {
-        3 * self.dofmap.n_nodes()
-    }
-
-    fn apply_ws(&self, u: &[f64], out: &mut [f64], ws: &mut Workspace) {
-        out.fill(0.0);
-        let st = self.ws(ws);
-        let i = st.prepare(self.dofmap.nodes_per_elem(), 1, |c| {
-            c.find(FULL_LEVEL, &[]).unwrap_or_else(|| {
-                let all: Vec<u32> = (0..self.dofmap.n_elems() as u32).collect();
-                self.compiled_entry(c, FULL_LEVEL, &all, None)
-            })
-        });
-        st.run_entry(i, 1, &self.engine(None), u, out);
-    }
-
-    fn apply_masked_ws(
-        &self,
-        u: &[f64],
-        out: &mut [f64],
-        elems: &[u32],
-        dof_level: &[u8],
-        level: u8,
-        ws: &mut Workspace,
-    ) {
-        self.apply_masked_threads(u, out, elems, dof_level, level, ws, 1);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn apply_masked_threads(
-        &self,
-        u: &[f64],
-        out: &mut [f64],
-        elems: &[u32],
-        dof_level: &[u8],
-        level: u8,
-        ws: &mut Workspace,
-        threads: usize,
-    ) {
-        let mask = Some(LevelMask { dof_level, level });
-        let st = self.ws(ws);
-        let i = st.prepare(self.dofmap.nodes_per_elem(), threads, |c| {
-            self.compiled_entry(c, level as u16, elems, mask)
-        });
-        st.run_entry(i, threads, &self.engine(mask), u, out);
-    }
-
-    fn precompile_masked(&self, elems: &[u32], dof_level: &[u8], level: u8, ws: &mut Workspace) {
-        let mask = Some(LevelMask { dof_level, level });
-        self.ws(ws).prepare(self.dofmap.nodes_per_elem(), 1, |c| {
-            self.compiled_entry(c, level as u16, elems, mask)
-        });
-    }
-
-    fn mass(&self) -> &[f64] {
-        &self.mass
-    }
-}
+compiled::compiled_operator!(ElasticOperator);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lts_core::Operator;
 
     fn op() -> ElasticOperator {
         let m = HexMesh::uniform(2, 2, 2, 2.0, 1.3);

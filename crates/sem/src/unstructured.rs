@@ -16,21 +16,22 @@
 //! bitwise-identical.
 
 use crate::compiled::{
-    AcousticEngine, ElasticEngine, GatherCache, LevelMask, OpWs, ScalarScratch, FULL_LEVEL,
+    self, AcousticEngine, CompiledOp, ElasticEngine, LevelMask, OpWs, ScalarScratch,
 };
 use crate::dofmap::DofMap;
 use crate::elastic::Scratch;
 use crate::gll::GllBasis;
-use lts_core::{DofTopology, Operator, Workspace};
+use lts_core::DofTopology;
 use lts_mesh::HexMesh;
 
 /// Entry of an idle global → local node map (see
 /// [`UnstructuredAcoustic::from_subset_in`]).
 pub const UNMAPPED: u32 = u32::MAX;
 
-/// Compact local numbering of the nodes of `elems` (ascending global ids).
-/// Returns each element's node list in local ids, `npe` per element, and
-/// `global_of_local`.
+/// Compact local numbering of the nodes of `elems`: the level-grouped order
+/// of [`lts_core::setup::level_order`] over the leaf levels `leaf_of(g)`,
+/// ascending global id within a level. Returns each element's node list in
+/// local ids, `npe` per element, and `global_of_local`.
 ///
 /// `local_of_global` is a dense map over all global nodes, every entry
 /// [`UNMAPPED`] on entry and again on return, so one array serves any
@@ -38,6 +39,7 @@ pub const UNMAPPED: u32 = u32::MAX;
 fn local_numbering(
     dofmap: &DofMap,
     elems: &[u32],
+    leaf_of: &dyn Fn(u32) -> u8,
     local_of_global: &mut [u32],
 ) -> (Vec<u32>, Vec<u32>) {
     debug_assert_eq!(local_of_global.len(), dofmap.n_nodes());
@@ -56,6 +58,7 @@ fn local_numbering(
         elem_nodes.extend_from_slice(&buf);
     }
     global_of_local.sort_unstable();
+    let global_of_local = lts_core::setup::grouped(&global_of_local, leaf_of);
     for (l, &g) in global_of_local.iter().enumerate() {
         local_of_global[g as usize] = l as u32;
     }
@@ -83,9 +86,6 @@ pub struct UnstructuredAcoustic {
     ndof: usize,
 }
 
-/// Workspace slot of the gather-list acoustic operator.
-struct UAcousticWs(OpWs<ScalarScratch>);
-
 impl UnstructuredAcoustic {
     /// Build over a subset of a structured mesh's elements, with compact
     /// local DOF numbering (ascending global order). Returns the operator
@@ -102,10 +102,12 @@ impl UnstructuredAcoustic {
         full_mass_of: Option<&dyn Fn(u32) -> f64>,
     ) -> (Self, Vec<u32>) {
         let mut map = vec![UNMAPPED; DofMap::new(mesh, order).n_nodes()];
-        Self::from_subset_in(mesh, order, elems, full_mass_of, &mut map)
+        Self::from_subset_in(mesh, order, elems, full_mass_of, &|_| 0, &mut map)
     }
 
-    /// [`Self::from_subset`] numbering through a caller-owned dense map over
+    /// [`Self::from_subset`] with the local DOFs grouped by the leaf level
+    /// `leaf_of(g)` of each global node, finest first (ascending global
+    /// order within a level), numbered through a caller-owned dense map over
     /// the mesh's global GLL nodes. Every entry must be [`UNMAPPED`], and is
     /// again on return, so one map serves every rank of a decomposition
     /// without a per-rank pass over the whole mesh.
@@ -114,12 +116,14 @@ impl UnstructuredAcoustic {
         order: usize,
         elems: &[u32],
         full_mass_of: Option<&dyn Fn(u32) -> f64>,
+        leaf_of: &dyn Fn(u32) -> u8,
         local_of_global: &mut [u32],
     ) -> (Self, Vec<u32>) {
         let dofmap = DofMap::new(mesh, order);
         let basis = GllBasis::new(order);
         let npe = dofmap.nodes_per_elem();
-        let (elem_dofs, global_of_local) = local_numbering(&dofmap, elems, local_of_global);
+        let (elem_dofs, global_of_local) =
+            local_numbering(&dofmap, elems, leaf_of, local_of_global);
 
         let mut elem_geom = Vec::with_capacity(elems.len());
         for &e in elems {
@@ -185,45 +189,47 @@ impl UnstructuredAcoustic {
         debug_assert!(map.iter().enumerate().all(|(l, &g)| l as u32 == g));
         op
     }
+}
 
-    /// Fetch or compile the colour-major gather entry for `(level, elems)`.
-    fn compiled_entry(
+impl CompiledOp for UnstructuredAcoustic {
+    type Scratch = ScalarScratch;
+    const COMPS: usize = 1;
+
+    fn npe(&self) -> usize {
+        self.npe
+    }
+
+    fn ids_of(&self, e: u32, out: &mut Vec<u32>) {
+        out.clear();
+        let base = e as usize * self.npe;
+        out.extend_from_slice(&self.elem_dofs[base..base + self.npe]);
+    }
+
+    fn inv_mass(&self) -> &[f64] {
+        &self.inv_mass
+    }
+
+    fn run_compiled(
         &self,
-        cache: &mut GatherCache,
-        key_level: u16,
-        elems: &[u32],
+        st: &mut OpWs<ScalarScratch>,
+        i: usize,
+        threads: usize,
         mask: Option<LevelMask>,
-    ) -> usize {
-        cache.get_or_build(
-            key_level,
-            elems,
-            self.ndof,
-            &mut |e, out| DofTopology::elem_dofs(self, e, out),
-            mask,
-            1,
-        )
-    }
-
-    /// This operator's workspace slot.
-    fn ws<'w>(&self, ws: &'w mut Workspace) -> &'w mut OpWs<ScalarScratch> {
-        let npe = self.npe;
-        &mut ws.get_or_insert_with(|| UAcousticWs(OpWs::new(npe))).0
-    }
-
-    /// The shared execution engine over this operator's geometry.
-    fn engine<'a>(
-        &'a self,
-        mask: Option<LevelMask<'a>>,
-    ) -> AcousticEngine<'a, impl Fn(u32) -> (f64, f64, f64, f64) + Sync + 'a> {
-        AcousticEngine {
+        u: &[f64],
+        out: &mut [f64],
+    ) {
+        let engine = |inv_mass: Option<_>| AcousticEngine {
             mask,
             basis: &self.basis,
-            inv_mass: &self.inv_mass,
+            inv_mass: inv_mass.unwrap_or(&self.inv_mass),
             npe: self.npe,
             geom: move |e: u32| self.elem_geom[e as usize],
-        }
+        };
+        st.run_entry(i, threads, engine, u, out);
     }
 }
+
+compiled::compiled_operator!(UnstructuredAcoustic);
 
 impl DofTopology for UnstructuredAcoustic {
     fn n_dofs(&self) -> usize {
@@ -238,66 +244,6 @@ impl DofTopology for UnstructuredAcoustic {
         out.clear();
         let base = e as usize * self.npe;
         out.extend_from_slice(&self.elem_dofs[base..base + self.npe]);
-    }
-}
-
-impl Operator for UnstructuredAcoustic {
-    fn ndof(&self) -> usize {
-        self.ndof
-    }
-
-    fn apply_ws(&self, u: &[f64], out: &mut [f64], ws: &mut Workspace) {
-        out.fill(0.0);
-        let st = self.ws(ws);
-        let i = st.prepare(self.npe, 1, |c| {
-            c.find(FULL_LEVEL, &[]).unwrap_or_else(|| {
-                let all: Vec<u32> = (0..self.elem_geom.len() as u32).collect();
-                self.compiled_entry(c, FULL_LEVEL, &all, None)
-            })
-        });
-        st.run_entry(i, 1, &self.engine(None), u, out);
-    }
-
-    fn apply_masked_ws(
-        &self,
-        u: &[f64],
-        out: &mut [f64],
-        elems: &[u32],
-        dof_level: &[u8],
-        level: u8,
-        ws: &mut Workspace,
-    ) {
-        self.apply_masked_threads(u, out, elems, dof_level, level, ws, 1);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn apply_masked_threads(
-        &self,
-        u: &[f64],
-        out: &mut [f64],
-        elems: &[u32],
-        dof_level: &[u8],
-        level: u8,
-        ws: &mut Workspace,
-        threads: usize,
-    ) {
-        let mask = Some(LevelMask { dof_level, level });
-        let st = self.ws(ws);
-        let i = st.prepare(self.npe, threads, |c| {
-            self.compiled_entry(c, level as u16, elems, mask)
-        });
-        st.run_entry(i, threads, &self.engine(mask), u, out);
-    }
-
-    fn precompile_masked(&self, elems: &[u32], dof_level: &[u8], level: u8, ws: &mut Workspace) {
-        let mask = Some(LevelMask { dof_level, level });
-        self.ws(ws).prepare(self.npe, 1, |c| {
-            self.compiled_entry(c, level as u16, elems, mask)
-        });
-    }
-
-    fn mass(&self) -> &[f64] {
-        &self.mass
     }
 }
 
@@ -317,9 +263,6 @@ pub struct UnstructuredElastic {
     n_nodes: usize,
 }
 
-/// Workspace slot of the gather-list elastic operator.
-struct UElasticWs(OpWs<Scratch>);
-
 impl UnstructuredElastic {
     /// Build over a subset of elements with compact local node numbering
     /// (Poisson solid: `λ = μ`, `vs/vp = 1/√3`). Returns the operator and
@@ -331,22 +274,24 @@ impl UnstructuredElastic {
         full_mass_of: Option<&dyn Fn(u32) -> f64>,
     ) -> (Self, Vec<u32>) {
         let mut map = vec![UNMAPPED; DofMap::new(mesh, order).n_nodes()];
-        Self::from_subset_in(mesh, order, elems, full_mass_of, &mut map)
+        Self::from_subset_in(mesh, order, elems, full_mass_of, &|_| 0, &mut map)
     }
 
-    /// [`Self::from_subset`] through a caller-owned node map, as in
-    /// [`UnstructuredAcoustic::from_subset_in`].
+    /// [`Self::from_subset`] with grouped local nodes, through a
+    /// caller-owned node map, as in [`UnstructuredAcoustic::from_subset_in`].
     pub fn from_subset_in(
         mesh: &HexMesh,
         order: usize,
         elems: &[u32],
         full_mass_of: Option<&dyn Fn(u32) -> f64>,
+        leaf_of: &dyn Fn(u32) -> u8,
         local_of_global: &mut [u32],
     ) -> (Self, Vec<u32>) {
         let dofmap = DofMap::new(mesh, order);
         let basis = GllBasis::new(order);
         let npe = dofmap.nodes_per_elem();
-        let (elem_nodes, global_of_local) = local_numbering(&dofmap, elems, local_of_global);
+        let (elem_nodes, global_of_local) =
+            local_numbering(&dofmap, elems, leaf_of, local_of_global);
         let mut elem_geom = Vec::with_capacity(elems.len());
         let vs_over_vp = 1.0 / 3.0f64.sqrt();
         for &e in elems {
@@ -417,50 +362,47 @@ impl UnstructuredElastic {
         let all: Vec<u32> = (0..mesh.n_elems() as u32).collect();
         Self::from_subset(mesh, order, &all, None).0
     }
+}
 
-    /// Fetch or compile the colour-major gather entry for `(level, elems)`.
-    /// `idx` holds local node ids (3 DOFs each, one per component).
-    fn compiled_entry(
+impl CompiledOp for UnstructuredElastic {
+    type Scratch = Scratch;
+    const COMPS: usize = 3;
+
+    fn npe(&self) -> usize {
+        self.npe
+    }
+
+    fn ids_of(&self, e: u32, out: &mut Vec<u32>) {
+        out.clear();
+        let base = e as usize * self.npe;
+        out.extend_from_slice(&self.elem_nodes[base..base + self.npe]);
+    }
+
+    fn inv_mass(&self) -> &[f64] {
+        &self.inv_mass
+    }
+
+    fn run_compiled(
         &self,
-        cache: &mut GatherCache,
-        key_level: u16,
-        elems: &[u32],
+        st: &mut OpWs<Scratch>,
+        i: usize,
+        threads: usize,
         mask: Option<LevelMask>,
-    ) -> usize {
-        cache.get_or_build(
-            key_level,
-            elems,
-            self.n_nodes,
-            &mut |e, out| {
-                out.clear();
-                let base = e as usize * self.npe;
-                out.extend_from_slice(&self.elem_nodes[base..base + self.npe]);
-            },
-            mask,
-            3,
-        )
-    }
-
-    /// This operator's workspace slot.
-    fn ws<'w>(&self, ws: &'w mut Workspace) -> &'w mut OpWs<Scratch> {
-        let npe = self.npe;
-        &mut ws.get_or_insert_with(|| UElasticWs(OpWs::new(npe))).0
-    }
-
-    /// The shared execution engine over this operator's geometry.
-    fn engine<'a>(
-        &'a self,
-        mask: Option<LevelMask<'a>>,
-    ) -> ElasticEngine<'a, impl Fn(u32) -> (f64, f64, f64, f64, f64) + Sync + 'a> {
-        ElasticEngine {
+        u: &[f64],
+        out: &mut [f64],
+    ) {
+        let engine = |inv_mass: Option<_>| ElasticEngine {
             mask,
             basis: &self.basis,
-            inv_mass: &self.inv_mass,
+            inv_mass: inv_mass.unwrap_or(&self.inv_mass),
             npe: self.npe,
             geom: move |e: u32| self.elem_geom[e as usize],
-        }
+        };
+        st.run_entry(i, threads, engine, u, out);
     }
 }
+
+compiled::compiled_operator!(UnstructuredElastic);
 
 impl DofTopology for UnstructuredElastic {
     fn n_dofs(&self) -> usize {
@@ -482,70 +424,11 @@ impl DofTopology for UnstructuredElastic {
     }
 }
 
-impl Operator for UnstructuredElastic {
-    fn ndof(&self) -> usize {
-        3 * self.n_nodes
-    }
-
-    fn apply_ws(&self, u: &[f64], out: &mut [f64], ws: &mut Workspace) {
-        out.fill(0.0);
-        let st = self.ws(ws);
-        let i = st.prepare(self.npe, 1, |c| {
-            c.find(FULL_LEVEL, &[]).unwrap_or_else(|| {
-                let all: Vec<u32> = (0..self.elem_geom.len() as u32).collect();
-                self.compiled_entry(c, FULL_LEVEL, &all, None)
-            })
-        });
-        st.run_entry(i, 1, &self.engine(None), u, out);
-    }
-
-    fn apply_masked_ws(
-        &self,
-        u: &[f64],
-        out: &mut [f64],
-        elems: &[u32],
-        dof_level: &[u8],
-        level: u8,
-        ws: &mut Workspace,
-    ) {
-        self.apply_masked_threads(u, out, elems, dof_level, level, ws, 1);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn apply_masked_threads(
-        &self,
-        u: &[f64],
-        out: &mut [f64],
-        elems: &[u32],
-        dof_level: &[u8],
-        level: u8,
-        ws: &mut Workspace,
-        threads: usize,
-    ) {
-        let mask = Some(LevelMask { dof_level, level });
-        let st = self.ws(ws);
-        let i = st.prepare(self.npe, threads, |c| {
-            self.compiled_entry(c, level as u16, elems, mask)
-        });
-        st.run_entry(i, threads, &self.engine(mask), u, out);
-    }
-
-    fn precompile_masked(&self, elems: &[u32], dof_level: &[u8], level: u8, ws: &mut Workspace) {
-        let mask = Some(LevelMask { dof_level, level });
-        self.ws(ws).prepare(self.npe, 1, |c| {
-            self.compiled_entry(c, level as u16, elems, mask)
-        });
-    }
-
-    fn mass(&self) -> &[f64] {
-        &self.mass
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::acoustic::AcousticOperator;
+    use lts_core::Operator;
 
     fn mesh() -> HexMesh {
         let mut m = HexMesh::uniform(4, 3, 2, 1.0, 1.2);
@@ -634,12 +517,14 @@ mod tests {
         let mut map = vec![UNMAPPED; DofMap::new(&m, order).n_nodes()];
         for elems in [vec![0u32, 1, 4, 5], vec![2, 3, 6, 7, 14], vec![23]] {
             let (a, ga) = UnstructuredAcoustic::from_subset(&m, order, &elems, None);
-            let (b, gb) = UnstructuredAcoustic::from_subset_in(&m, order, &elems, None, &mut map);
+            let (b, gb) =
+                UnstructuredAcoustic::from_subset_in(&m, order, &elems, None, &|_| 0, &mut map);
             assert_eq!((a.elem_dofs, a.mass), (b.elem_dofs, b.mass));
             assert_eq!(ga, gb);
             assert!(map.iter().all(|&l| l == UNMAPPED));
             let (a, ga) = UnstructuredElastic::from_subset(&m, order, &elems, None);
-            let (b, gb) = UnstructuredElastic::from_subset_in(&m, order, &elems, None, &mut map);
+            let (b, gb) =
+                UnstructuredElastic::from_subset_in(&m, order, &elems, None, &|_| 0, &mut map);
             assert_eq!((a.elem_nodes, a.mass), (b.elem_nodes, b.mass));
             assert_eq!(ga, gb);
             assert!(map.iter().all(|&l| l == UNMAPPED));

@@ -284,43 +284,6 @@ mod tests {
         assert_eq!(grouped(&[10, 11, 12], |g| (g % 2) as u8), vec![11, 10, 12]);
     }
 
-    /// Under the grouped order every active and leaf set of the setup is
-    /// the prefix or range the ends name.
-    #[test]
-    fn grouped_sets_are_prefixes() {
-        let c = Chain1d::with_velocities(
-            (0..24)
-                .map(|i| match i {
-                    20.. => 4.0,
-                    17.. => 2.0,
-                    _ => 1.0,
-                })
-                .collect(),
-            1.0,
-        );
-        let (lv, _) = c.assign_levels(0.5, 3);
-        let s = LtsSetup::new(&c, &lv);
-        let (pos, sets) = level_order(&s.leaf_level, s.n_levels);
-        let range = |set: &[u32]| {
-            let mut r: Vec<usize> = set.iter().map(|&d| pos[d as usize] as usize).collect();
-            r.sort_unstable();
-            r
-        };
-        for l in 0..s.n_levels {
-            assert_eq!(
-                range(&s.leaf[l]),
-                sets.leaf(l).collect::<Vec<_>>(),
-                "leaf {l}"
-            );
-            if l > 0 {
-                let active = sets.active(l).collect::<Vec<_>>();
-                assert_eq!(range(&s.active[l]), active, "active {l}");
-            }
-            let touched = range(&s.touched[l]);
-            assert!(touched.iter().all(|&d| d < sets.end(l)), "touched {l}");
-        }
-    }
-
     #[test]
     fn uniform_single_level() {
         let c = Chain1d::uniform(4, 1.0, 1.0);

@@ -4,13 +4,15 @@
 //! every fine sub-step; a per-level (SCOTCH-P-style) split removes the stall.
 //!
 //! Runs the *real* threaded message-passing runtime with amplified
-//! per-element work and prints measured busy/stall bars.
+//! per-element work and prints measured busy/stall bars. `--trace-out`
+//! renders both runs' flight recordings side by side, one pid per
+//! partition; the ring size comes from `LTS_FLIGHT`.
 
-use lts_bench::Args;
+use lts_bench::{usage_error, Args};
 use lts_core::Chain1d;
-use lts_obs::{Json, MetricsRegistry};
-use lts_runtime::stats::{ascii_timeline, chrome_trace, lambda_from_stats, profile_json};
-use lts_runtime::{run, DistributedConfig, MonitorConfig, RunSpec};
+use lts_obs::{flight_chrome_trace, Json, MetricsRegistry, RankRecording};
+use lts_runtime::stats::{ascii_timeline, lambda_from_stats, profile_json};
+use lts_runtime::{flight_capacity_from_env, run, DistributedConfig, MonitorConfig, RunSpec};
 
 fn main() {
     let args = Args::parse();
@@ -50,15 +52,18 @@ fn main() {
         .collect();
 
     let cfg = DistributedConfig {
-        record_timeline: true,
         work_amplify: amplify,
         // live stall detection: warn when a rank waits through half a window
         stall_monitor: Some(MonitorConfig::default()),
         threads_per_rank: threads.max(1),
+        flight_capacity: flight_capacity_from_env().unwrap_or_else(|e| usage_error(&e)),
         ..DistributedConfig::new(2)
     };
+    if !trace_path.is_empty() && cfg.flight_capacity == 0 {
+        usage_error("--trace-out needs the flight recorder, which LTS_FLIGHT=0 disables");
+    }
     let mut runs: Vec<Json> = Vec::new();
-    let mut traced: Vec<(String, Vec<lts_runtime::RankStats>)> = Vec::new();
+    let mut traced: Vec<(&str, Vec<RankRecording>)> = Vec::new();
     for (name, part) in [
         ("standard partition (level-oblivious)", &naive),
         ("p-level balanced partition", &balanced),
@@ -76,9 +81,9 @@ fn main() {
             sources: &[],
             cfg,
         };
-        let (_, _, stats) = run(&c, &spec, None, &mut MetricsRegistry::new())
-            .into_result()
-            .expect("distributed run failed");
+        let mut out = run(&c, &spec, None, &mut MetricsRegistry::new());
+        traced.push((name, std::mem::take(&mut out.recordings)));
+        let (_, _, stats) = out.into_result().expect("distributed run failed");
         println!("\n== {name} (fine elements per rank: {fine_per_rank:?}) ==");
         print!("{}", ascii_timeline(&stats, 48));
         let worst = stats
@@ -102,7 +107,6 @@ fn main() {
             ),
             ("profile".to_string(), profile_json(&stats)),
         ]));
-        traced.push((name.to_string(), stats));
     }
     let doc = Json::Obj(vec![
         ("figure".to_string(), Json::str("fig01_timeline")),
@@ -116,11 +120,16 @@ fn main() {
         Err(e) => eprintln!("\ncould not write {profile_path}: {e}"),
     }
     if !trace_path.is_empty() {
-        let borrowed: Vec<(&str, &[lts_runtime::RankStats])> = traced
-            .iter()
-            .map(|(n, s)| (n.as_str(), s.as_slice()))
-            .collect();
-        match std::fs::write(&trace_path, chrome_trace(&borrowed).render()) {
+        let evicted: u64 = traced.iter().flat_map(|(_, r)| r).map(|r| r.dropped).sum();
+        if evicted > 0 {
+            eprintln!(
+                "trace: the flight rings evicted {evicted} events, so {trace_path} holds only \
+                 each rank's latest ones; LTS_FLIGHT=N keeps more"
+            );
+        }
+        let runs: Vec<(&str, &[RankRecording])> =
+            traced.iter().map(|(n, r)| (*n, r.as_slice())).collect();
+        match std::fs::write(&trace_path, flight_chrome_trace(&runs).render()) {
             Ok(()) => println!("wrote Chrome trace (chrome://tracing, Perfetto) to {trace_path}"),
             Err(e) => eprintln!("could not write {trace_path}: {e}"),
         }

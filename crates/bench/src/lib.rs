@@ -20,7 +20,7 @@ pub struct Args {
 }
 
 /// Print a usage error and exit with status 2.
-fn usage_error(msg: &str) -> ! {
+pub fn usage_error(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(2)
 }

@@ -1,19 +1,16 @@
-//! Chrome Trace Format exporter.
+//! Chrome Trace Format builder.
 //!
-//! Renders metrics/trace data as `trace_event` JSON loadable in
-//! `chrome://tracing` or [Perfetto](https://ui.perfetto.dev): a
-//! `{"traceEvents": [...]}` document of complete (`"X"`) slices, counter
-//! (`"C"`) tracks and metadata (`"M"`) records. The convention across this
-//! workspace is **pid = run, tid = rank**, with one category per LTS level
-//! (`"level0"`, `"level1"`, …) so Perfetto can filter a single level's
-//! slices. Timestamps are microseconds.
+//! Renders `trace_event` JSON loadable in `chrome://tracing` or
+//! [Perfetto](https://ui.perfetto.dev): a `{"traceEvents": [...]}` document
+//! of complete (`"X"`) slices and metadata (`"M"`) records. The convention
+//! across this workspace is **pid = run, tid = rank**, with one category per
+//! LTS level (`"level0"`, `"level1"`, …) so Perfetto can filter a single
+//! level's slices. Timestamps are microseconds.
 //!
-//! The builder is plain data over [`Json`]; callers that own richer
-//! structures (the runtime's per-rank timelines) convert themselves — see
-//! `lts_runtime::stats::chrome_trace`.
+//! The builder is plain data over [`Json`]. Its one producer is
+//! [`crate::flight_chrome_trace`], which renders flight-recorder rings.
 
 use crate::export::Json;
-use crate::registry::MetricsRegistry;
 
 /// Category string for an LTS level (`None` → the run-wide category).
 pub fn level_category(level: Option<u8>) -> String {
@@ -95,79 +92,6 @@ impl ChromeTrace {
             fields.push(("args".to_string(), Json::Obj(args)));
         }
         self.events.push(Json::Obj(fields));
-    }
-
-    /// A counter (`"C"`) sample: each `(series, value)` becomes one line of
-    /// the counter track named `name`.
-    pub fn counter(&mut self, pid: u64, tid: u64, name: &str, ts_us: f64, series: &[(&str, f64)]) {
-        self.events.push(Json::Obj(vec![
-            ("name".to_string(), Json::str(name)),
-            ("ph".to_string(), Json::str("C")),
-            ("ts".to_string(), Json::Num(ts_us)),
-            ("pid".to_string(), Json::UInt(pid)),
-            ("tid".to_string(), Json::UInt(tid)),
-            (
-                "args".to_string(),
-                Json::Obj(
-                    series
-                        .iter()
-                        .map(|(k, v)| (k.to_string(), Json::Num(*v)))
-                        .collect(),
-                ),
-            ),
-        ]));
-    }
-
-    /// Emit a registry's structured span trace as complete events on
-    /// `(pid, tid)` — one slice per [`crate::TraceEvent`], categorized by LTS
-    /// level. Spans complete in `seq` order but *start* out of order (nested
-    /// spans), which Perfetto handles; `ts` is the recorded start time.
-    pub fn add_registry_spans(&mut self, reg: &MetricsRegistry, pid: u64, tid: u64) {
-        for ev in reg.trace() {
-            self.complete(
-                pid,
-                tid,
-                ev.name,
-                &level_category(ev.level),
-                ev.start_s * 1e6,
-                ev.dur_s * 1e6,
-                vec![("seq".to_string(), Json::UInt(ev.seq))],
-            );
-        }
-    }
-
-    /// Emit every histogram in a registry as a p50/p95/p99 counter track on
-    /// `(pid, tid)` — plain counters and gauges already get tracks through
-    /// the callers' counter samples; this gives distribution metrics (busy,
-    /// wait) the same visibility. One `"C"` event per histogram at `ts_us`,
-    /// named `"<name> q"` (level-suffixed for level-scoped keys) with three
-    /// series lines.
-    pub fn add_registry_histograms(
-        &mut self,
-        reg: &MetricsRegistry,
-        pid: u64,
-        tid: u64,
-        ts_us: f64,
-    ) {
-        for (key, metric) in reg.iter() {
-            let crate::registry::Metric::Histogram(h) = metric else {
-                continue;
-            };
-            if h.count == 0 {
-                continue;
-            }
-            let name = match key.level {
-                Some(l) => format!("{} q (level {l})", key.name),
-                None => format!("{} q", key.name),
-            };
-            self.counter(
-                pid,
-                tid,
-                &name,
-                ts_us,
-                &[("p50", h.p50()), ("p95", h.p95()), ("p99", h.p99())],
-            );
-        }
     }
 
     /// The `trace_event` document.
@@ -256,11 +180,10 @@ mod tests {
             2.5,
             vec![("step".to_string(), Json::UInt(3))],
         );
-        t.counter(1, 0, "elem_ops rank0", 12.5, &[("elem_ops", 128.0)]);
         let rendered = t.render();
         let doc = Json::parse(&rendered).expect("valid JSON");
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
-        assert_eq!(events.len(), 5);
+        assert_eq!(events.len(), 4);
         assert_eq!(events[0].get("ph").unwrap().as_str(), Some("M"));
         assert_eq!(
             events[0].get("args").unwrap().get("name").unwrap().as_str(),
@@ -272,7 +195,7 @@ mod tests {
             events[3].get("args").unwrap().get("step").unwrap().as_u64(),
             Some(3)
         );
-        assert_eq!(validate_trace(&rendered), Ok(5));
+        assert_eq!(validate_trace(&rendered), Ok(4));
     }
 
     #[test]
@@ -304,65 +227,5 @@ mod tests {
         let no_dur = r#"{"traceEvents":[{"name":"x","ph":"X","ts":0,"pid":1,"tid":0}]}"#;
         assert!(validate_trace(no_dur).unwrap_err().contains("without dur"));
         assert!(validate_trace("[]").is_err());
-    }
-
-    /// Histogram quantiles become counter tracks, and the whole document —
-    /// slices + quantile counters — still round-trips `validate_trace`.
-    #[test]
-    fn histogram_quantiles_become_counter_tracks_and_round_trip() {
-        let mut reg = MetricsRegistry::new();
-        for v in [0.001, 0.002, 0.004, 0.100] {
-            reg.observe("busy", Some(1), v);
-        }
-        reg.observe("wait", None, 0.5);
-        reg.inc("not_a_histogram", 3); // counters must not produce q tracks
-        let mut t = ChromeTrace::new();
-        t.complete(2, 5, "busy", "level1", 0.0, 10.0, vec![]);
-        t.add_registry_histograms(&reg, 2, 5, 10.0);
-        let rendered = t.render();
-        let n = validate_trace(&rendered).expect("valid trace_event JSON");
-        assert_eq!(n, 3, "1 slice + 2 histogram counter events");
-        let doc = Json::parse(&rendered).unwrap();
-        let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
-        let busy_q = events
-            .iter()
-            .find(|e| e.get("name").and_then(|n| n.as_str()) == Some("busy q (level 1)"))
-            .expect("level-scoped quantile track");
-        assert_eq!(busy_q.get("ph").unwrap().as_str(), Some("C"));
-        let args = busy_q.get("args").unwrap();
-        for q in ["p50", "p95", "p99"] {
-            let v = args.get(q).and_then(|v| v.as_f64()).expect(q);
-            assert!(v > 0.0, "{q} = {v}");
-        }
-        // p99 ≥ p50, and both clamped into the observed range
-        let p50 = args.get("p50").unwrap().as_f64().unwrap();
-        let p99 = args.get("p99").unwrap().as_f64().unwrap();
-        assert!(p99 >= p50);
-        assert!((0.001..=0.100).contains(&p50));
-        assert!(events
-            .iter()
-            .any(|e| e.get("name").and_then(|n| n.as_str()) == Some("wait q")));
-        assert!(!rendered.contains("not_a_histogram q"));
-    }
-
-    #[test]
-    fn registry_spans_become_slices() {
-        let mut reg = MetricsRegistry::with_trace();
-        {
-            let _s = reg.start_span("decompose", None);
-        }
-        {
-            let _s = reg.start_span("force", Some(2));
-        }
-        let mut t = ChromeTrace::new();
-        t.add_registry_spans(&reg, 3, 9);
-        let doc = t.to_json();
-        let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].get("cat").unwrap().as_str(), Some("run"));
-        assert_eq!(events[1].get("cat").unwrap().as_str(), Some("level2"));
-        assert_eq!(events[1].get("pid").unwrap().as_u64(), Some(3));
-        assert_eq!(events[1].get("tid").unwrap().as_u64(), Some(9));
-        assert_eq!(validate_trace(&t.render()), Ok(2));
     }
 }

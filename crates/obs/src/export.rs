@@ -3,8 +3,7 @@
 //! The build environment has no serde, so this module carries a tiny JSON
 //! document model ([`Json`]) with a spec-compliant renderer, plus converters
 //! from a [`MetricsRegistry`] to JSON and CSV. Output is deterministic: the
-//! registry's `BTreeMap` ordering fixes metric order, the trace is in
-//! completion order.
+//! registry's `BTreeMap` ordering fixes metric order.
 
 use std::fmt::Write as _;
 
@@ -448,8 +447,8 @@ fn histogram_json(h: &Histogram) -> Json {
     Json::Obj(fields)
 }
 
-/// Convert a registry into a JSON object with `counters`, `gauges`,
-/// `histograms` and `trace` arrays. Each entry carries its full key.
+/// Convert a registry into a JSON object with `counters`, `gauges` and
+/// `histograms` arrays. Each entry carries its full key.
 pub fn registry_to_json(reg: &MetricsRegistry) -> Json {
     let mut counters = Vec::new();
     let mut gauges = Vec::new();
@@ -475,24 +474,10 @@ pub fn registry_to_json(reg: &MetricsRegistry) -> Json {
             }
         }
     }
-    let trace = reg
-        .trace()
-        .iter()
-        .map(|ev| {
-            Json::Obj(vec![
-                ("seq".to_string(), Json::UInt(ev.seq)),
-                ("name".to_string(), Json::str(ev.name)),
-                ("level".to_string(), level_json(ev.level)),
-                ("start_s".to_string(), Json::Num(ev.start_s)),
-                ("dur_s".to_string(), Json::Num(ev.dur_s)),
-            ])
-        })
-        .collect();
     Json::Obj(vec![
         ("counters".to_string(), Json::Arr(counters)),
         ("gauges".to_string(), Json::Arr(gauges)),
         ("histograms".to_string(), Json::Arr(histograms)),
-        ("trace".to_string(), Json::Arr(trace)),
     ])
 }
 
@@ -590,7 +575,7 @@ mod tests {
 
     #[test]
     fn registry_json_roundtrip_structure() {
-        let mut r = MetricsRegistry::with_trace();
+        let mut r = MetricsRegistry::new();
         r.inc_level("elem_ops", 0, 12);
         r.set_gauge("imbalance_pct", 6.25);
         {
@@ -599,8 +584,8 @@ mod tests {
         let json = registry_to_json(&r).render();
         assert!(json.contains(r#""counters":[{"name":"elem_ops","level":0,"value":12}]"#));
         assert!(json.contains(r#""name":"imbalance_pct","level":null,"value":6.25"#));
-        assert!(json.contains(r#""name":"busy","level":1"#));
-        assert!(json.contains(r#""trace":[{"seq":0,"name":"busy","level":1"#));
+        assert!(json.contains(r#""histograms":[{"name":"busy","level":1"#));
+        assert!(!json.contains("trace"));
     }
 
     #[test]

@@ -677,66 +677,70 @@ pub fn critical_path(recs: &[RankRecording]) -> Result<CriticalPath, MergeError>
     })
 }
 
-/// Render recordings as a Chrome trace on the workspace convention
-/// (pid 1, tid = rank): step and level slices, exchange-wait slices,
-/// zero-width send/recv markers carrying their sequence numbers, and
-/// stall-warning/fault instants. Timestamps are each rank's own `t_ns`
-/// (µs) — aligned across ranks only for shared-epoch in-process runs.
-pub fn flight_chrome_trace(recs: &[RankRecording]) -> ChromeTrace {
+/// Render labelled runs of recordings as one Chrome trace: **pid = run**
+/// (1-based, named by its label), **tid = rank**, one category per LTS
+/// level. Each rank track carries step and level slices, exchange-wait
+/// slices, zero-width send/recv markers with their sequence numbers, and
+/// stall-warning/fault instants. Timestamps are each rank's own `t_ns` (µs)
+/// — aligned across ranks only for shared-epoch in-process runs.
+pub fn flight_chrome_trace(runs: &[(&str, &[RankRecording])]) -> ChromeTrace {
     let mut t = ChromeTrace::new();
-    t.process_name(1, "flight recorder");
-    for rec in recs {
-        let tid = rec.rank as u64;
-        t.thread_name(1, tid, &format!("rank {}", rec.rank));
-        // Match every Begin to its End up front so slices can be emitted
-        // at their begin time (keeps ts monotone per tid in emission order).
-        let pairs: [(EventKind, EventKind, &str); 3] = [
-            (EventKind::StepBegin, EventKind::StepEnd, "step"),
-            (EventKind::LevelBegin, EventKind::LevelEnd, "level"),
-            (EventKind::ExchangeBegin, EventKind::ExchangeEnd, "wait"),
-        ];
-        for (i, ev) in rec.events.iter().enumerate() {
-            let ts_us = ev.t_ns as f64 / 1e3;
-            let cat = if ev.level == NO_LEVEL {
-                level_category(None)
-            } else {
-                level_category(Some(ev.level))
-            };
-            let base_args = |ev: &FlightEvent| {
-                vec![
-                    ("step".to_string(), Json::UInt(ev.step as u64)),
-                    ("kind".to_string(), Json::str(ev.kind.name())),
-                ]
-            };
-            match ev.kind {
-                EventKind::StepBegin | EventKind::LevelBegin | EventKind::ExchangeBegin => {
-                    let (end_kind, name) = pairs
-                        .iter()
-                        .find(|(b, _, _)| *b == ev.kind)
-                        .map(|(_, e, n)| (*e, *n))
-                        .unwrap_or((EventKind::StepEnd, "step"));
-                    if let Some(end) = rec.events[i + 1..].iter().find(|e| {
-                        e.kind == end_kind
-                            && (end_kind == EventKind::StepEnd || e.level == ev.level)
-                    }) {
-                        let dur_us = end.t_ns.saturating_sub(ev.t_ns) as f64 / 1e3;
-                        t.complete(1, tid, name, &cat, ts_us, dur_us, base_args(ev));
-                    }
-                }
-                EventKind::Send | EventKind::Recv => {
-                    let mut args = base_args(ev);
-                    args.push(("peer".to_string(), Json::UInt(ev.peer as u64)));
-                    args.push(("seq".to_string(), Json::UInt(ev.seq)));
-                    t.complete(1, tid, ev.kind.name(), &cat, ts_us, 0.0, args);
-                }
-                EventKind::StallWarning | EventKind::Fault => {
-                    t.complete(1, tid, ev.kind.name(), &cat, ts_us, 0.0, base_args(ev));
-                }
-                EventKind::StepEnd | EventKind::LevelEnd | EventKind::ExchangeEnd => {}
-            }
+    for (run, (label, recs)) in runs.iter().enumerate() {
+        let pid = run as u64 + 1;
+        t.process_name(pid, label);
+        for rec in recs.iter() {
+            add_rank_track(&mut t, pid, rec);
         }
     }
     t
+}
+
+/// One rank's recording as the `(pid, rank)` track of `t`.
+fn add_rank_track(t: &mut ChromeTrace, pid: u64, rec: &RankRecording) {
+    let tid = rec.rank as u64;
+    t.thread_name(pid, tid, &format!("rank {}", rec.rank));
+    // Match every Begin to its End up front so slices can be emitted at
+    // their begin time (keeps ts monotone per tid in emission order).
+    let pairs: [(EventKind, EventKind, &str); 3] = [
+        (EventKind::StepBegin, EventKind::StepEnd, "step"),
+        (EventKind::LevelBegin, EventKind::LevelEnd, "level"),
+        (EventKind::ExchangeBegin, EventKind::ExchangeEnd, "wait"),
+    ];
+    let base_args = |ev: &FlightEvent| {
+        vec![
+            ("step".to_string(), Json::UInt(ev.step as u64)),
+            ("kind".to_string(), Json::str(ev.kind.name())),
+        ]
+    };
+    for (i, ev) in rec.events.iter().enumerate() {
+        let ts_us = ev.t_ns as f64 / 1e3;
+        let cat = level_category((ev.level != NO_LEVEL).then_some(ev.level));
+        match ev.kind {
+            EventKind::StepBegin | EventKind::LevelBegin | EventKind::ExchangeBegin => {
+                let (end_kind, name) = pairs
+                    .iter()
+                    .find(|(b, _, _)| *b == ev.kind)
+                    .map(|(_, e, n)| (*e, *n))
+                    .unwrap_or((EventKind::StepEnd, "step"));
+                if let Some(end) = rec.events[i + 1..].iter().find(|e| {
+                    e.kind == end_kind && (end_kind == EventKind::StepEnd || e.level == ev.level)
+                }) {
+                    let dur_us = end.t_ns.saturating_sub(ev.t_ns) as f64 / 1e3;
+                    t.complete(pid, tid, name, &cat, ts_us, dur_us, base_args(ev));
+                }
+            }
+            EventKind::Send | EventKind::Recv => {
+                let mut args = base_args(ev);
+                args.push(("peer".to_string(), Json::UInt(ev.peer as u64)));
+                args.push(("seq".to_string(), Json::UInt(ev.seq)));
+                t.complete(pid, tid, ev.kind.name(), &cat, ts_us, 0.0, args);
+            }
+            EventKind::StallWarning | EventKind::Fault => {
+                t.complete(pid, tid, ev.kind.name(), &cat, ts_us, 0.0, base_args(ev));
+            }
+            EventKind::StepEnd | EventKind::LevelEnd | EventKind::ExchangeEnd => {}
+        }
+    }
 }
 
 #[cfg(test)]
@@ -979,12 +983,24 @@ mod tests {
                 ev(130, EventKind::StepEnd, NO_LEVEL, NO_PEER, 0),
             ],
         };
-        let t = flight_chrome_trace(&[rec]);
+        let recs = [rec];
+        let t = flight_chrome_trace(&[("run", &recs)]);
         let rendered = t.render();
         let n = crate::validate_trace(&rendered).expect("valid trace");
         // 2 metadata + step + level + wait slices + send + recv + warning
         assert_eq!(n, 2 + 3 + 3);
         assert!(rendered.contains("\"seq\":7"));
         assert!(rendered.contains("stall_warning"));
+        // a second labelled run lands on its own pid, same tid
+        let two = flight_chrome_trace(&[("a", &recs), ("b", &recs)]);
+        let doc = Json::parse(&two.render()).unwrap();
+        let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
+        let on = |pid: u64| {
+            events
+                .iter()
+                .filter(|e| e.get("pid").and_then(|p| p.as_u64()) == Some(pid))
+                .count()
+        };
+        assert_eq!((on(1), on(2)), (n, n));
     }
 }

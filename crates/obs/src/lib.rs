@@ -11,20 +11,19 @@
 //!   which makes them usable as test oracles (see `tests/obs_integration.rs`
 //!   and `tests/proptest_obs.rs` at the workspace root).
 //! * [`span!`] — scoped timing of a phase, recorded as a histogram
-//!   observation and (when tracing is enabled) a [`TraceEvent`] in a
-//!   structured trace.
+//!   observation.
 //! * [`export`] — hand-rolled JSON and CSV serialization *and parsing* (the
 //!   environment has no serde), so bench binaries emit — and `bench-compare`
 //!   re-reads — machine-readable profiles.
-//! * [`chrome`] — a Chrome Trace Format (`trace_event`) builder: the
-//!   runtime's per-rank timelines render into a file loadable in
-//!   `chrome://tracing`/Perfetto (pid = run, tid = rank, one category per
-//!   LTS level).
 //! * [`flight`] — the distributed flight recorder: fixed-capacity
 //!   allocation-free per-rank event rings with monotone send/recv sequence
 //!   numbers, a causal cross-rank merge (happens-before via matched seqs)
-//!   and a critical-path analyzer — the substrate of post-mortem crash
-//!   reports.
+//!   and a critical-path analyzer. The rings are the one per-event record
+//!   of a run: every timeline, trace and crash report is derived from them.
+//! * [`chrome`] — a Chrome Trace Format (`trace_event`) builder and
+//!   checker. [`flight_chrome_trace`] is its one producer: labelled runs of
+//!   recordings render into a file loadable in `chrome://tracing`/Perfetto
+//!   (pid = run, tid = rank, one category per LTS level).
 //!
 //! The registry is deliberately *single-owner* (`&mut self` everywhere): the
 //! runtime gives each rank its own registry on its own thread and merges
@@ -47,4 +46,4 @@ pub use flight::{
     NO_LEVEL, NO_PEER,
 };
 pub use registry::{Histogram, Key, Metric, MetricsRegistry, HIST_BUCKETS};
-pub use span::{Span, TraceEvent};
+pub use span::Span;

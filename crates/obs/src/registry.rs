@@ -1,8 +1,7 @@
 //! The metrics registry: typed counters, gauges and histogram timers.
 
-use crate::span::{Span, TraceEvent};
+use crate::span::Span;
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 /// Metric identity: a static name plus optional LTS-level and free-form
 /// labels. Ordering is derived so exports are stable.
@@ -140,58 +139,14 @@ pub enum Metric {
 /// All mutation is `&mut self`; cross-thread aggregation is an explicit
 /// [`MetricsRegistry::merge_from`] after the threads join, keeping the hot
 /// path free of synchronization.
-#[derive(Debug)]
+#[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     metrics: BTreeMap<Key, Metric>,
-    trace: Vec<TraceEvent>,
-    trace_enabled: bool,
-    epoch: Instant,
-    seq: u64,
-}
-
-impl Default for MetricsRegistry {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Clone for MetricsRegistry {
-    fn clone(&self) -> Self {
-        MetricsRegistry {
-            metrics: self.metrics.clone(),
-            trace: self.trace.clone(),
-            trace_enabled: self.trace_enabled,
-            epoch: self.epoch,
-            seq: self.seq,
-        }
-    }
 }
 
 impl MetricsRegistry {
     pub fn new() -> Self {
-        MetricsRegistry {
-            metrics: BTreeMap::new(),
-            trace: Vec::new(),
-            trace_enabled: false,
-            epoch: Instant::now(),
-            seq: 0,
-        }
-    }
-
-    /// A registry that also records every span into the structured trace.
-    pub fn with_trace() -> Self {
-        let mut r = Self::new();
-        r.trace_enabled = true;
-        r
-    }
-
-    pub fn trace_enabled(&self) -> bool {
-        self.trace_enabled
-    }
-
-    /// Seconds since this registry was created (trace time origin).
-    pub fn elapsed_s(&self) -> f64 {
-        self.epoch.elapsed().as_secs_f64()
+        Self::default()
     }
 
     // ---- counters ---------------------------------------------------------
@@ -350,27 +305,16 @@ impl MetricsRegistry {
             .sum()
     }
 
-    /// Start a scoped span; the guard records a histogram observation (and a
-    /// trace event when tracing is on) when dropped. Prefer the [`crate::span!`]
-    /// macro at call sites.
+    /// Start a scoped span; the guard records a histogram observation when
+    /// dropped. Prefer the [`crate::span!`] macro at call sites.
     pub fn start_span(&mut self, name: &'static str, level: Option<u8>) -> Span<'_> {
         Span::new(self, name, level)
-    }
-
-    pub(crate) fn push_trace(&mut self, mut ev: TraceEvent) {
-        ev.seq = self.seq;
-        self.seq += 1;
-        self.trace.push(ev);
-    }
-
-    pub fn trace(&self) -> &[TraceEvent] {
-        &self.trace
     }
 
     // ---- aggregation ------------------------------------------------------
 
     /// Fold `other` into `self`: counters add, histograms merge, gauges take
-    /// `other`'s value, traces concatenate (re-sequenced).
+    /// `other`'s value.
     pub fn merge_from(&mut self, other: &MetricsRegistry) {
         for (k, m) in other.metrics.iter() {
             match m {
@@ -392,9 +336,6 @@ impl MetricsRegistry {
                 }
             }
         }
-        for ev in &other.trace {
-            self.push_trace(ev.clone());
-        }
     }
 
     pub fn iter(&self) -> impl Iterator<Item = (&Key, &Metric)> {
@@ -402,7 +343,7 @@ impl MetricsRegistry {
     }
 
     pub fn is_empty(&self) -> bool {
-        self.metrics.is_empty() && self.trace.is_empty()
+        self.metrics.is_empty()
     }
 }
 
@@ -493,8 +434,8 @@ mod tests {
     }
 
     #[test]
-    fn span_records_histogram_and_trace() {
-        let mut r = MetricsRegistry::with_trace();
+    fn span_records_histogram() {
+        let mut r = MetricsRegistry::new();
         {
             let _s = r.start_span("phase.coarsen", Some(1));
             std::hint::black_box(0u64);
@@ -504,9 +445,6 @@ mod tests {
             .expect("span histogram");
         assert_eq!(h.count, 1);
         assert!(h.sum >= 0.0);
-        assert_eq!(r.trace().len(), 1);
-        assert_eq!(r.trace()[0].name, "phase.coarsen");
-        assert_eq!(r.trace()[0].level, Some(1));
     }
 
     #[test]

@@ -2,29 +2,14 @@
 //!
 //! A [`Span`] is an RAII guard: created via
 //! [`MetricsRegistry::start_span`](crate::MetricsRegistry::start_span) or the
-//! [`span!`] macro, it measures wall time until drop, records the duration
-//! into the histogram keyed by `(name, level)`, and — when tracing is enabled
-//! on the registry — appends a [`TraceEvent`] to the structured trace.
+//! [`span!`] macro, it measures wall time until drop and records the
+//! duration into the histogram keyed by `(name, level)`. Per-event timelines
+//! are the flight recorder's job ([`crate::flight`]); a span keeps only the
+//! aggregate.
 
 use std::time::Instant;
 
 use crate::registry::MetricsRegistry;
-
-/// One completed span in the structured trace, with timestamps relative to
-/// the registry's epoch (its creation instant).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceEvent {
-    /// Phase name (e.g. `"force"`, `"exchange_wait"`, `"coarsen"`).
-    pub name: &'static str,
-    /// LTS level the phase ran at, if level-scoped.
-    pub level: Option<u8>,
-    /// Seconds since registry epoch when the span started.
-    pub start_s: f64,
-    /// Span duration in seconds.
-    pub dur_s: f64,
-    /// Monotonic sequence number (order of completion within the registry).
-    pub seq: u64,
-}
 
 /// RAII timing guard. Records on drop; use [`Span::cancel`] to discard.
 #[must_use = "a Span records its duration when dropped; binding it to `_` drops immediately"]
@@ -33,19 +18,16 @@ pub struct Span<'a> {
     name: &'static str,
     level: Option<u8>,
     start: Instant,
-    start_s: f64,
     cancelled: bool,
 }
 
 impl<'a> Span<'a> {
     pub(crate) fn new(reg: &'a mut MetricsRegistry, name: &'static str, level: Option<u8>) -> Self {
-        let start_s = reg.elapsed_s();
         Span {
             reg,
             name,
             level,
             start: Instant::now(),
-            start_s,
             cancelled: false,
         }
     }
@@ -74,16 +56,6 @@ impl Drop for Span<'_> {
         }
         let dur_s = self.start.elapsed().as_secs_f64();
         self.reg.observe(self.name, self.level, dur_s);
-        if self.reg.trace_enabled() {
-            let ev = TraceEvent {
-                name: self.name,
-                level: self.level,
-                start_s: self.start_s,
-                dur_s,
-                seq: 0, // assigned by push_trace
-            };
-            self.reg.push_trace(ev);
-        }
     }
 }
 
@@ -106,8 +78,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn span_records_histogram_and_trace() {
-        let mut reg = MetricsRegistry::with_trace();
+    fn span_records_histogram() {
+        let mut reg = MetricsRegistry::new();
         {
             let _s = reg.start_span("phase_a", Some(2));
         }
@@ -119,30 +91,15 @@ mod tests {
         }
         let h = reg.histogram("phase_a", Some(2)).expect("histogram exists");
         assert_eq!(h.count, 2);
-        assert!(reg.histogram("no_level", None).is_some());
-        let trace = reg.trace();
-        assert_eq!(trace.len(), 3);
-        // seq strictly increasing, start times non-decreasing.
-        assert!(trace.windows(2).all(|w| w[0].seq < w[1].seq));
-        assert!(trace.windows(2).all(|w| w[0].start_s <= w[1].start_s));
+        assert_eq!(reg.histogram("no_level", None).unwrap().count, 1);
     }
 
     #[test]
     fn cancel_discards() {
-        let mut reg = MetricsRegistry::with_trace();
+        let mut reg = MetricsRegistry::new();
         let s = reg.start_span("phase_b", None);
         s.cancel();
         assert!(reg.histogram("phase_b", None).is_none());
-        assert!(reg.trace().is_empty());
-    }
-
-    #[test]
-    fn trace_disabled_still_observes() {
-        let mut reg = MetricsRegistry::new();
-        {
-            let _s = reg.start_span("phase_c", Some(0));
-        }
-        assert_eq!(reg.histogram("phase_c", Some(0)).unwrap().count, 1);
-        assert!(reg.trace().is_empty());
+        assert!(reg.is_empty());
     }
 }

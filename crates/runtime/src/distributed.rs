@@ -30,7 +30,7 @@ pub type RunResult = Result<(Vec<f64>, Vec<f64>, Vec<RankStats>), RuntimeError>;
 use crate::exchange::RankPlan;
 use crate::local::{decompose, local_worlds, rank_world, Acoustic, Decompose};
 use crate::monitor::{MonitorConfig, RankMonitor, StallMonitor};
-use crate::stats::{names, RankStats, TimelineEvent};
+use crate::stats::{names, RankStats};
 use crate::transport::faulty::{self, FaultPlan};
 use crate::transport::{self, Recv, Transport, TransportError, TransportKind};
 use lts_core::{LevelForce, LevelSets, LevelState, Operator, Source, Workspace};
@@ -49,8 +49,6 @@ const EXCHANGE_WATCHDOG: Duration = Duration::from_secs(60);
 #[derive(Debug, Clone, Copy)]
 pub struct DistributedConfig {
     pub n_ranks: usize,
-    /// Record a fine-grained per-exchange timeline (Fig. 1).
-    pub record_timeline: bool,
     /// Artificial extra work per element-operation (spin iterations) — makes
     /// load imbalance visible on problems too small to measure otherwise.
     pub work_amplify: u32,
@@ -72,9 +70,10 @@ pub struct DistributedConfig {
     pub transport: TransportKind,
     /// Flight-recorder ring capacity per rank, in events. `0` disables
     /// recording (seeded from the `LTS_FLIGHT` env var, default
-    /// [`FlightRecorder::DEFAULT_CAPACITY`]). The recorder is proven
-    /// bitwise-neutral: fields and deterministic counters are identical
-    /// with it on or off.
+    /// [`FlightRecorder::DEFAULT_CAPACITY`]). The ring is the run's one
+    /// per-event record: its timeline, trace and crash report. The recorder
+    /// is proven bitwise-neutral: fields and deterministic counters are
+    /// identical with it on or off.
     pub flight_capacity: usize,
     /// Inject a transport fault on one rank: the rank it names wraps its
     /// endpoint in a [`crate::transport::faulty::FaultyTransport`] with the
@@ -83,12 +82,17 @@ pub struct DistributedConfig {
 }
 
 /// `LTS_FLIGHT` env override for the flight-recorder ring capacity: `0`
-/// disables it, any other integer sets the per-rank capacity in events.
-/// Unset or unparsable → the default.
-pub fn flight_capacity_from_env() -> usize {
+/// disables it, any other integer sets the per-rank capacity in events;
+/// unset → [`FlightRecorder::DEFAULT_CAPACITY`]. Any other value is an
+/// error naming the variable.
+pub fn flight_capacity_from_env() -> Result<usize, String> {
     match std::env::var("LTS_FLIGHT") {
-        Ok(v) => v.trim().parse().unwrap_or(FlightRecorder::DEFAULT_CAPACITY),
-        Err(_) => FlightRecorder::DEFAULT_CAPACITY,
+        Ok(v) => v
+            .trim()
+            .parse()
+            .map_err(|_| format!("invalid value {v:?} for LTS_FLIGHT")),
+        Err(std::env::VarError::NotPresent) => Ok(FlightRecorder::DEFAULT_CAPACITY),
+        Err(e) => Err(format!("invalid LTS_FLIGHT: {e}")),
     }
 }
 
@@ -96,14 +100,14 @@ impl DistributedConfig {
     pub fn new(n_ranks: usize) -> Self {
         DistributedConfig {
             n_ranks,
-            record_timeline: false,
             work_amplify: 0,
             amplify_rank: None,
             overlap: false,
             stall_monitor: None,
             threads_per_rank: 1,
             transport: TransportKind::Channel,
-            flight_capacity: flight_capacity_from_env(),
+            // a library default: the `wave-lts` CLI refuses a bad value
+            flight_capacity: flight_capacity_from_env().unwrap_or(FlightRecorder::DEFAULT_CAPACITY),
             fault: None,
         }
     }
@@ -152,7 +156,6 @@ struct RankCtx<'a, O: Operator> {
     pool: Vec<Vec<f64>>,
     /// Per-rank metrics; merged into [`RankStats`] views after the join.
     reg: MetricsRegistry,
-    timeline: Vec<TimelineEvent>,
     monitor: Option<RankMonitor>,
     cfg: DistributedConfig,
     /// Operator scratch + compiled gather lists, reused across all steps.
@@ -265,7 +268,6 @@ impl<'a, O: Operator> RankCtx<'a, O> {
             cursors: Vec::new(),
             pool: Vec::new(),
             reg: MetricsRegistry::new(),
-            timeline: Vec::new(),
             monitor,
             cfg,
             ws: Workspace::new(),
@@ -463,16 +465,6 @@ impl<'a, O: Operator> RankCtx<'a, O> {
                 self.flight
                     .record(EventKind::StallWarning, l as u8, self.step_idx, NO_PEER, 0);
             }
-        }
-        if self.cfg.record_timeline {
-            self.timeline.push(TimelineEvent {
-                level: l as u8,
-                step: self.step_idx,
-                busy_s,
-                wait_s,
-                elem_ops: self.reg.counter_total(names::ELEM_OPS),
-                dofs_sent: self.reg.counter_total(names::DOFS_SENT),
-            });
         }
         // assemble in ascending-rank order for bitwise consistency
         self.cursors.clear();
@@ -672,7 +664,7 @@ fn step_rank<O: Operator>(
         .set_gauge_labeled(names::TRANSPORT_BYTES, backend, tm.bytes_sent as f64);
     ctx.transport.close();
     let rec = ctx.flight.snapshot(rank as u32);
-    let stats = RankStats::from_registry(rank, ctx.reg, ctx.timeline);
+    let stats = RankStats::from_registry(rank, ctx.reg);
     let fields = RankFields {
         u,
         v,
@@ -1208,14 +1200,14 @@ mod tests {
         let setup = LtsSetup::new(&c, &lv);
         let part: Vec<u32> = (0..16).map(|e| u32::from(e >= 8)).collect(); // rank 1 has all fine
         let cfg = DistributedConfig {
-            record_timeline: true,
             work_amplify: 20_000,
+            flight_capacity: FlightRecorder::DEFAULT_CAPACITY,
             ..DistributedConfig::new(2)
         };
         let u0 = gaussian(17);
-        let (_, _, stats) = run_chain(&c, &setup, &part, dt, &u0, 50, &cfg)
-            .into_result()
-            .unwrap();
+        let mut out = run_chain(&c, &setup, &part, dt, &u0, 50, &cfg);
+        let recordings = std::mem::take(&mut out.recordings);
+        let (_, _, stats) = out.into_result().unwrap();
         // rank 0 (coarse only) waits more than rank 1
         assert!(
             stats[0].wait_s > stats[1].wait_s,
@@ -1223,7 +1215,15 @@ mod tests {
             stats[0].wait_s,
             stats[1].wait_s
         );
-        assert!(!stats[0].timeline.is_empty());
+        // rank 0's ring holds one exchange end per exchange it awaited
+        let ends = recordings[0]
+            .events
+            .iter()
+            .filter(|e| e.kind == EventKind::ExchangeEnd)
+            .count() as u64;
+        assert_eq!(recordings[0].dropped, 0);
+        assert!(ends > 0);
+        assert_eq!(ends, stats[0].n_exchanges);
     }
 
     #[test]
@@ -1238,7 +1238,6 @@ mod tests {
         let setup = LtsSetup::new(&c, &[0u8; 16]);
         let part: Vec<u32> = (0..16).map(|e| u32::from(e >= 8)).collect();
         let cfg = DistributedConfig {
-            record_timeline: true,
             work_amplify: 60_000,
             amplify_rank: Some(1),
             stall_monitor: Some(MonitorConfig {

@@ -36,9 +36,6 @@ pub use error::RuntimeError;
 pub use local::{Acoustic, Decompose, Elastic};
 pub use monitor::{eq21_lambda, MonitorConfig, StallMonitor, StallWarning};
 pub use postmortem::CrashReport;
-pub use stats::{
-    ascii_timeline, chrome_trace, lambda_from_stats, profile_json, LevelStats, RankStats,
-    TimelineEvent,
-};
+pub use stats::{ascii_timeline, lambda_from_stats, profile_json, LevelStats, RankStats};
 pub use transport::faulty::FaultPlan;
 pub use transport::{Transport, TransportError, TransportKind};

@@ -263,7 +263,8 @@ impl CrashReport {
             .map_err(|e| format!("write {}: {e}", json_path.display()))?;
         std::fs::write(&txt_path, self.render_text())
             .map_err(|e| format!("write {}: {e}", txt_path.display()))?;
-        std::fs::write(&trace_path, flight_chrome_trace(&self.recordings).render())
+        let trace = flight_chrome_trace(&[("crash report", &self.recordings)]);
+        std::fs::write(&trace_path, trace.render())
             .map_err(|e| format!("write {}: {e}", trace_path.display()))?;
         Ok([json_path, txt_path, trace_path])
     }

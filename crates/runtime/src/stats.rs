@@ -1,14 +1,16 @@
-//! Per-rank busy/stall accounting and timelines (the measurements behind the
-//! paper's Fig. 1 runtime profile).
+//! Per-rank busy/stall accounting (the aggregates behind the paper's Fig. 1
+//! runtime profile).
 //!
-//! The runtime records everything into a per-rank [`MetricsRegistry`]
+//! The runtime records every aggregate into a per-rank [`MetricsRegistry`]
 //! (crate `lts-obs`); [`RankStats`] is a *view* materialized from that
 //! registry after the run. The deterministic counters (element-operations,
 //! exchange message counts, DOF send volumes) are exact integers independent
 //! of timing, so integration tests can assert them against closed-form
-//! oracles.
+//! oracles. Per-event timelines are not kept here: each rank's flight ring
+//! ([`lts_obs::FlightRecorder`]) is the one event record, and
+//! [`lts_obs::flight_chrome_trace`] renders it.
 
-use lts_obs::{level_category, ChromeTrace, Json, MetricsRegistry};
+use lts_obs::{Json, MetricsRegistry};
 
 /// Metric names the runtime records per rank. Level-scoped keys use
 /// `Some(level)`; the end-of-run busy tail is recorded level-less.
@@ -63,24 +65,6 @@ pub mod names {
     pub const TRANSPORT_BYTES: &str = "transport.bytes";
 }
 
-/// One recorded exchange point of one rank.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TimelineEvent {
-    /// LTS level of the force exchange.
-    pub level: u8,
-    /// Global step index.
-    pub step: u32,
-    /// Seconds spent computing since the previous event.
-    pub busy_s: f64,
-    /// Seconds spent blocked waiting for peers at this exchange.
-    pub wait_s: f64,
-    /// Cumulative masked element products on this rank at this exchange
-    /// (drives the Chrome-trace counter track).
-    pub elem_ops: u64,
-    /// Cumulative interface DOF values sent by this rank at this exchange.
-    pub dofs_sent: u64,
-}
-
 /// Per-LTS-level slice of one rank's accounting.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LevelStats {
@@ -117,19 +101,13 @@ pub struct RankStats {
     pub msgs_sent: u64,
     /// Interface DOF values sent (sum of message payload lengths).
     pub dofs_sent: u64,
-    /// Optional fine-grained timeline (populated when requested).
-    pub timeline: Vec<TimelineEvent>,
     /// The raw per-rank metrics this view was materialized from.
     pub registry: MetricsRegistry,
 }
 
 impl RankStats {
     /// Materialize the aggregate view from a rank's registry.
-    pub fn from_registry(
-        rank: usize,
-        mut registry: MetricsRegistry,
-        timeline: Vec<TimelineEvent>,
-    ) -> Self {
+    pub fn from_registry(rank: usize, mut registry: MetricsRegistry) -> Self {
         let busy_s = registry.histogram_sum_total(names::BUSY);
         let elem_ops = registry.counter_total(names::ELEM_OPS);
         if busy_s > 0.0 {
@@ -143,7 +121,6 @@ impl RankStats {
             n_exchanges: registry.counter_total(names::EXCHANGES),
             msgs_sent: registry.counter_total(names::MSGS_SENT),
             dofs_sent: registry.counter_total(names::DOFS_SENT),
-            timeline,
             registry,
         }
     }
@@ -208,20 +185,6 @@ pub fn profile_json(stats: &[RankStats]) -> Json {
                     ])
                 })
                 .collect();
-            let timeline = s
-                .timeline
-                .iter()
-                .map(|ev| {
-                    Json::Obj(vec![
-                        ("level".to_string(), Json::UInt(ev.level as u64)),
-                        ("step".to_string(), Json::UInt(ev.step as u64)),
-                        ("busy_s".to_string(), Json::Num(ev.busy_s)),
-                        ("wait_s".to_string(), Json::Num(ev.wait_s)),
-                        ("elem_ops".to_string(), Json::UInt(ev.elem_ops)),
-                        ("dofs_sent".to_string(), Json::UInt(ev.dofs_sent)),
-                    ])
-                })
-                .collect();
             Json::Obj(vec![
                 ("rank".to_string(), Json::UInt(s.rank as u64)),
                 ("busy_s".to_string(), Json::Num(s.busy_s)),
@@ -232,7 +195,6 @@ pub fn profile_json(stats: &[RankStats]) -> Json {
                 ("msgs_sent".to_string(), Json::UInt(s.msgs_sent)),
                 ("dofs_sent".to_string(), Json::UInt(s.dofs_sent)),
                 ("levels".to_string(), Json::Arr(levels)),
-                ("timeline".to_string(), Json::Arr(timeline)),
             ])
         })
         .collect();
@@ -269,62 +231,6 @@ pub fn lambda_from_stats(stats: &[RankStats]) -> Vec<(u8, f64)> {
             (l, crate::monitor::eq21_lambda(&loads))
         })
         .collect()
-}
-
-/// Render one or more runs' per-rank timelines as a Chrome trace:
-/// **pid = run** (1-based, named by its label), **tid = rank**, one category
-/// per LTS level. Each [`TimelineEvent`] becomes a `busy` slice, a `wait`
-/// slice and a zero-width `exchange` marker, plus cumulative
-/// `elem_ops`/`dofs_sent` counter samples. Any structured spans recorded in a
-/// rank's registry (tracing-enabled runs) ride along on the same track.
-pub fn chrome_trace(runs: &[(&str, &[RankStats])]) -> ChromeTrace {
-    let mut t = ChromeTrace::new();
-    for (run_idx, (label, stats)) in runs.iter().enumerate() {
-        let pid = run_idx as u64 + 1;
-        t.process_name(pid, label);
-        for s in stats.iter() {
-            let tid = s.rank as u64;
-            t.thread_name(pid, tid, &format!("rank {}", s.rank));
-            let mut ts_us = 0.0f64;
-            for ev in &s.timeline {
-                let cat = level_category(Some(ev.level));
-                let args = vec![
-                    ("step".to_string(), Json::UInt(ev.step as u64)),
-                    ("level".to_string(), Json::UInt(ev.level as u64)),
-                ];
-                let busy_us = ev.busy_s * 1e6;
-                let wait_us = ev.wait_s * 1e6;
-                t.complete(pid, tid, "busy", &cat, ts_us, busy_us, args.clone());
-                t.complete(
-                    pid,
-                    tid,
-                    "wait",
-                    &cat,
-                    ts_us + busy_us,
-                    wait_us,
-                    args.clone(),
-                );
-                ts_us += busy_us + wait_us;
-                t.complete(pid, tid, "exchange", &cat, ts_us, 0.0, args);
-                t.counter(
-                    pid,
-                    tid,
-                    &format!("elem_ops rank{}", s.rank),
-                    ts_us,
-                    &[("elem_ops", ev.elem_ops as f64)],
-                );
-                t.counter(
-                    pid,
-                    tid,
-                    &format!("dofs_sent rank{}", s.rank),
-                    ts_us,
-                    &[("dofs_sent", ev.dofs_sent as f64)],
-                );
-            }
-            t.add_registry_spans(&s.registry, pid, tid);
-        }
-    }
-    t
 }
 
 /// Render per-rank busy/wait bars as ASCII (the Fig. 1 bottom panel). Each
@@ -440,7 +346,7 @@ mod tests {
         reg.observe(names::BUSY, Some(1), 0.5);
         reg.observe(names::BUSY, None, 0.25); // end-of-run tail
         reg.observe(names::WAIT, Some(1), 0.125);
-        let s = RankStats::from_registry(3, reg, Vec::new());
+        let s = RankStats::from_registry(3, reg);
         assert_eq!(s.rank, 3);
         assert_eq!(s.elem_ops, 32);
         assert_eq!(s.n_exchanges, 4);
@@ -464,24 +370,13 @@ mod tests {
         reg.inc_level(names::DOFS_SENT, 0, 10);
         reg.observe(names::BUSY, Some(0), 0.5);
         reg.observe(names::WAIT, Some(0), 0.25);
-        let s = RankStats::from_registry(
-            0,
-            reg,
-            vec![TimelineEvent {
-                level: 0,
-                step: 2,
-                busy_s: 0.5,
-                wait_s: 0.25,
-                elem_ops: 5,
-                dofs_sent: 10,
-            }],
-        );
+        let s = RankStats::from_registry(0, reg);
         let json = profile_json(&[s]).render();
         assert!(json.contains(r#""rank":0"#));
         assert!(json.contains(r#""elem_ops":5"#));
         assert!(json.contains(r#""dofs_sent":10"#));
         assert!(json.contains(r#""levels":[{"level":0"#));
-        assert!(json.contains(r#""timeline":[{"level":0,"step":2"#));
+        assert!(!json.contains("timeline"));
     }
 
     fn timed_rank(rank: usize, busy: &[(u8, f64)], wait: &[(u8, f64)]) -> RankStats {
@@ -492,7 +387,7 @@ mod tests {
         for &(l, w) in wait {
             reg.observe(names::WAIT, Some(l), w);
         }
-        RankStats::from_registry(rank, reg, Vec::new())
+        RankStats::from_registry(rank, reg)
     }
 
     #[test]
@@ -506,53 +401,5 @@ mod tests {
         assert_eq!(lam[0].0, 0);
         assert!((lam[0].1 - 0.5).abs() < 1e-12); // (4−2)/4
         assert_eq!(lam[1], (1, 1.0)); // level 1 busy only on rank 0
-    }
-
-    #[test]
-    fn chrome_trace_has_monotone_ts_per_tid_and_round_trips() {
-        let mk = |rank: usize| {
-            let mut reg = MetricsRegistry::new();
-            reg.observe(names::BUSY, Some(0), 0.3);
-            let timeline = vec![
-                TimelineEvent {
-                    level: 0,
-                    step: 0,
-                    busy_s: 0.1,
-                    wait_s: 0.05,
-                    elem_ops: 8,
-                    dofs_sent: 4,
-                },
-                TimelineEvent {
-                    level: 1,
-                    step: 0,
-                    busy_s: 0.2,
-                    wait_s: 0.0,
-                    elem_ops: 24,
-                    dofs_sent: 12,
-                },
-            ];
-            RankStats::from_registry(rank, reg, timeline)
-        };
-        let stats = vec![mk(0), mk(1)];
-        let trace = chrome_trace(&[("run A", &stats)]);
-        let rendered = trace.render();
-        // the exporter's own validator parses the JSON back and checks that
-        // ts never rewinds within a (pid, tid) track
-        let n = lts_obs::validate_trace(&rendered).expect("valid trace_event JSON");
-        // 1 process_name + per rank: 1 thread_name + 2·(3 slices + 2 counters)
-        assert_eq!(n, 1 + 2 * (1 + 2 * 5));
-        let doc = Json::parse(&rendered).unwrap();
-        let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
-        let busy0: Vec<&Json> = events
-            .iter()
-            .filter(|e| {
-                e.get("name").and_then(|n| n.as_str()) == Some("busy")
-                    && e.get("tid").and_then(|t| t.as_u64()) == Some(0)
-            })
-            .collect();
-        assert_eq!(busy0.len(), 2);
-        assert_eq!(busy0[0].get("cat").unwrap().as_str(), Some("level0"));
-        assert_eq!(busy0[1].get("cat").unwrap().as_str(), Some("level1"));
-        assert_eq!(busy0[1].get("ts").unwrap().as_f64(), Some(0.15e6));
     }
 }

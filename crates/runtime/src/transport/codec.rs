@@ -8,7 +8,7 @@
 //! ```text
 //! offset  size  field
 //!      0     4  magic      0x5754_4C53 ("SLTW" on the wire, LE)
-//!      4     2  version    2
+//!      4     2  version    3
 //!      6     1  kind       0 Hello · 1 Halo · 2 Goodbye · 3 Stats · 4 Done
 //!                          · 5 Flight
 //!      7     1  reserved   0
@@ -20,19 +20,21 @@
 //! so the star router's destination peek is layout-stable) and adds the
 //! `Flight` frame carrying a rank's drained flight-recorder ring, so
 //! recordings from real OS processes causally align with in-process runs.
+//! Version 3 drops the exchange-timeline section from the `Stats` body: the
+//! `Flight` frame is a rank's one per-event record.
 //!
 //! Payload `f64`s travel as raw IEEE-754 bit patterns (`to_bits`, LE), so a
 //! multi-process run reproduces in-process fields *bitwise* — including NaN
 //! payloads, signed zeros and subnormals. Decoding never panics: every read
 //! is bounds-checked and malformed input surfaces a [`CodecError`].
 
-use crate::stats::{names, RankStats, TimelineEvent};
+use crate::stats::{names, RankStats};
 use lts_obs::{
     EventKind, FlightEvent, Histogram, Key, MetricsRegistry, RankRecording, HIST_BUCKETS,
 };
 
 pub const MAGIC: u32 = 0x5754_4C53;
-pub const VERSION: u16 = 2;
+pub const VERSION: u16 = 3;
 /// Upper bound on `body_len`: rejects absurd allocations from corrupt
 /// headers before any buffer is sized.
 pub const MAX_BODY: u32 = 1 << 28;
@@ -70,9 +72,9 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// A rank's metrics in wire form: the runtime's fixed metric table (id ↔
-/// name) plus the optional exchange timeline. Only metrics in the table
-/// cross the wire; free-form keys stay process-local.
+/// A rank's metrics in wire form, by the runtime's fixed metric table
+/// (id ↔ name). Only metrics in the table cross the wire; free-form keys
+/// stay process-local.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct WireStats {
     /// `(metric id, level | 255, value)`
@@ -81,7 +83,6 @@ pub struct WireStats {
     pub hists: Vec<(u8, u8, Histogram)>,
     /// `(metric id, level | 255, value)`
     pub gauges: Vec<(u8, u8, f64)>,
-    pub timeline: Vec<TimelineEvent>,
 }
 
 /// The fixed metric-id tables. `Key.name` is `&'static str`, so wire-decoded
@@ -126,10 +127,7 @@ fn key_level(wire: u8) -> Option<u8> {
 impl WireStats {
     /// Capture the table-known metrics of one rank's view.
     pub fn from_rank_stats(stats: &RankStats) -> WireStats {
-        let mut out = WireStats {
-            timeline: stats.timeline.clone(),
-            ..WireStats::default()
-        };
+        let mut out = WireStats::default();
         for (key, metric) in stats.registry.iter() {
             if key.label.is_some() {
                 continue;
@@ -192,7 +190,7 @@ impl WireStats {
                 }
             }
         }
-        RankStats::from_registry(rank, reg, self.timeline)
+        RankStats::from_registry(rank, reg)
     }
 }
 
@@ -313,15 +311,6 @@ pub fn encode(frame: &Frame, out: &mut Vec<u8>) {
                 out.push(id);
                 out.push(lvl);
                 put_f64(out, g);
-            }
-            put_u32(out, stats.timeline.len() as u32);
-            for ev in &stats.timeline {
-                out.push(ev.level);
-                put_u32(out, ev.step);
-                put_f64(out, ev.busy_s);
-                put_f64(out, ev.wait_s);
-                put_u64(out, ev.elem_ops);
-                put_u64(out, ev.dofs_sent);
             }
         }
         Frame::Done {
@@ -527,16 +516,6 @@ pub fn decode_body(kind: u8, body: &[u8]) -> Result<Frame, CodecError> {
             for _ in 0..r.count(10)? {
                 stats.gauges.push((r.u8()?, r.u8()?, r.f64()?));
             }
-            for _ in 0..r.count(1 + 4 + 4 * 8)? {
-                stats.timeline.push(TimelineEvent {
-                    level: r.u8()?,
-                    step: r.u32()?,
-                    busy_s: r.f64()?,
-                    wait_s: r.f64()?,
-                    elem_ops: r.u64()?,
-                    dofs_sent: r.u64()?,
-                });
-            }
             Frame::Stats { rank, stats }
         }
         4 => {
@@ -709,14 +688,6 @@ mod tests {
                     counters: vec![(0, 0, 42), (3, 255, 9)],
                     hists: vec![(1, 2, h)],
                     gauges: vec![(1, 0, 0.75)],
-                    timeline: vec![TimelineEvent {
-                        level: 1,
-                        step: 9,
-                        busy_s: 0.25,
-                        wait_s: 0.125,
-                        elem_ops: 77,
-                        dofs_sent: 12,
-                    }],
                 },
             },
             Frame::Done {
@@ -785,6 +756,10 @@ mod tests {
         let mut bad = bytes.clone();
         bad[4] = 0x7f;
         assert!(matches!(decode(&bad), Err(CodecError::BadVersion(_))));
+        // a version-2 peer (Stats body with a timeline section) is refused
+        let mut bad = bytes.clone();
+        bad[4..6].copy_from_slice(&2u16.to_le_bytes());
+        assert_eq!(decode(&bad).unwrap_err(), CodecError::BadVersion(2));
         let mut bad = bytes.clone();
         bad[6] = 250;
         assert!(matches!(decode(&bad), Err(CodecError::UnknownKind(250))));
@@ -837,7 +812,7 @@ mod tests {
         reg.observe(names::BUSY, None, 0.25);
         reg.observe(names::WAIT, Some(0), 0.0625);
         reg.set_gauge_level(names::STALL_LAMBDA, 0, 0.5);
-        let stats = RankStats::from_registry(3, reg, Vec::new());
+        let stats = RankStats::from_registry(3, reg);
         let wire = WireStats::from_rank_stats(&stats);
         let back = wire.into_rank_stats(3);
         assert_eq!(back.elem_ops, 123);

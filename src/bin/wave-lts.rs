@@ -7,6 +7,7 @@
 //!                    [--threads 4]   # intra-rank workers; results stay bitwise identical
 //!                    [--ranks 8] [--transport channel|shm-ring|unix-socket|process]
 //!                    [--overlap true]   # comm/compute overlap; bitwise identical
+//!                    [--trace-out t.json]   # Chrome trace of the flight rings
 //! ```
 //!
 //! `--transport process` spawns one `wave-lts worker` OS process per rank
@@ -33,9 +34,11 @@ use std::fs::File;
 use wave_lts::lts::{LtsNewmark, LtsSetup, Newmark, Operator};
 use wave_lts::mesh::io as mesh_io;
 use wave_lts::mesh::{BenchmarkMesh, MeshKind};
+use wave_lts::obs::{flight_chrome_trace, RankRecording};
 use wave_lts::partition::{edge_cut, load_imbalance, mpi_volume, partition_mesh, Strategy};
+use wave_lts::runtime::stats::{ascii_timeline, lambda_from_stats};
 use wave_lts::runtime::{
-    run, Acoustic, Decompose, DistributedConfig, Elastic, MonitorConfig, RunSpec,
+    run, Acoustic, Decompose, DistributedConfig, Elastic, MonitorConfig, RankStats, RunSpec,
 };
 use wave_lts::sem::gll::cfl_dt_scale;
 use wave_lts::sem::{AcousticOperator, ElasticOperator};
@@ -154,10 +157,12 @@ fn fault_from_args(m: &HashMap<String, String>) -> Option<(usize, wave_lts::runt
     armed.then(|| (get(m, "fault-rank", 0usize), plan))
 }
 
-/// `--flight N` overrides the recorder ring capacity; otherwise the
-/// `LTS_FLIGHT` environment default applies.
+/// `--flight N` overrides the recorder ring capacity; otherwise `LTS_FLIGHT`
+/// applies, and a value of it that does not parse is a usage error.
 fn flight_from_args(m: &HashMap<String, String>) -> usize {
-    opt(m, "flight").unwrap_or_else(wave_lts::runtime::flight_capacity_from_env)
+    opt(m, "flight").unwrap_or_else(|| {
+        wave_lts::runtime::flight_capacity_from_env().unwrap_or_else(|e| usage_error(&e))
+    })
 }
 
 /// The tail of every failed `simulate --ranks` run: write the crash-report
@@ -247,12 +252,23 @@ fn cmd_partition(m: &HashMap<String, String>) {
 }
 
 fn cmd_simulate(m: &HashMap<String, String>) {
+    let ranks: usize = get(m, "ranks", 0);
+    // the trace is rendered from the flight rings: without them it is empty
+    if ranks > 0 && flight_from_args(m) == 0 && m.contains_key("trace-out") {
+        let off = if m.contains_key("flight") {
+            "--flight 0"
+        } else {
+            "LTS_FLIGHT=0"
+        };
+        usage_error(&format!(
+            "simulate: --trace-out needs the flight recorder, which {off} disables"
+        ));
+    }
     let b = build(m);
     let order: usize = get(m, "order", 4);
     let steps: usize = get(m, "steps", 20);
     let elastic: bool = get(m, "elastic", false);
     let compare: bool = get(m, "compare", false);
-    let ranks: usize = get(m, "ranks", 0);
     let threads: usize = get(m, "threads", 1);
     let dt = b.levels.dt_global * cfl_dt_scale(order, 3);
     println!(
@@ -287,9 +303,42 @@ fn initial_u<P: Decompose>(b: &BenchmarkMesh, order: usize, amp: f64) -> Vec<f64
     (0..ndof).map(|i| ((i as f64) * amp).sin()).collect()
 }
 
+/// The tail of every successful `simulate --ranks N` run, whatever its
+/// transport: the Fig. 1 busy/stall bars, Eq. 21 λ per level and, with
+/// `--trace-out`, the Chrome trace of the ranks' flight recordings.
+fn report_distributed(
+    m: &HashMap<String, String>,
+    run: &str,
+    wall: std::time::Duration,
+    u: &[f64],
+    stats: &[RankStats],
+    recordings: &[RankRecording],
+) {
+    let norm: f64 = u.iter().map(|x| x * x).sum::<f64>().sqrt();
+    println!("distributed : {run}, {wall:.2?}, ‖u‖ = {norm:.6e}");
+    print!("{}", ascii_timeline(stats, 48));
+    for (l, lam) in lambda_from_stats(stats) {
+        println!("  level {l}: Eq. 21 λ = {lam:.2}");
+    }
+    let Some(trace_out) = m.get("trace-out") else {
+        return;
+    };
+    let evicted: u64 = recordings.iter().map(|r| r.dropped).sum();
+    if evicted > 0 {
+        eprintln!(
+            "trace: the flight rings evicted {evicted} events, so {trace_out} holds only \
+             each rank's latest ones; --flight N keeps more"
+        );
+    }
+    let trace = flight_chrome_trace(&[("simulate", recordings)]);
+    match std::fs::write(trace_out, trace.render()) {
+        Ok(()) => println!("Chrome trace (chrome://tracing, Perfetto): {trace_out}"),
+        Err(e) => eprintln!("could not write {trace_out}: {e}"),
+    }
+}
+
 /// `simulate --ranks N`: partition, run the threaded message-passing
-/// runtime with the live stall monitor, print the Fig. 1 busy/stall bars and
-/// per-level Eq. 21 λ, and optionally dump a Chrome trace (`--trace-out`).
+/// runtime with the live stall monitor, and report it.
 fn run_sim_distributed<P: Decompose>(
     m: &HashMap<String, String>,
     b: &BenchmarkMesh,
@@ -300,14 +349,12 @@ fn run_sim_distributed<P: Decompose>(
     threads: usize,
 ) {
     use wave_lts::obs::MetricsRegistry;
-    use wave_lts::runtime::stats::{ascii_timeline, chrome_trace, lambda_from_stats};
 
     let s = strategy(&get::<String>(m, "strategy", "scotch-p".into()));
     let seed: u64 = get(m, "seed", 1);
     let part = partition_mesh(&b.mesh, &b.levels, ranks, s, seed);
     let transport = transport_kind(&get::<String>(m, "transport", "channel".into()));
     let cfg = DistributedConfig {
-        record_timeline: true,
         stall_monitor: Some(MonitorConfig::default()),
         threads_per_rank: threads.max(1),
         overlap: get(m, "overlap", false),
@@ -335,36 +382,23 @@ fn run_sim_distributed<P: Decompose>(
         Ok(t) => t,
         Err(e) => die_with_crash_report(m, &e, recordings),
     };
-    let wall = t0.elapsed();
-    let norm: f64 = u.iter().map(|x| x * x).sum::<f64>().sqrt();
-    println!(
-        "distributed : {ranks} ranks ({}, {}{}), {wall:.2?}, ‖u‖ = {norm:.6e}",
+    let run = format!(
+        "{ranks} ranks ({}, {}{})",
         s.name(),
         transport.name(),
         if cfg.overlap { ", overlap" } else { "" }
     );
-    print!("{}", ascii_timeline(&stats, 48));
-    for (l, lam) in lambda_from_stats(&stats) {
-        println!("  level {l}: Eq. 21 λ = {lam:.2}");
-    }
-    if let Some(trace_out) = m.get("trace-out") {
-        let runs = [("simulate", stats.as_slice())];
-        match std::fs::write(trace_out, chrome_trace(&runs).render()) {
-            Ok(()) => println!("Chrome trace (chrome://tracing, Perfetto): {trace_out}"),
-            Err(e) => eprintln!("could not write {trace_out}: {e}"),
-        }
-    }
+    report_distributed(m, &run, t0.elapsed(), &u, &stats, &recordings);
 }
 
 /// `simulate --ranks N --transport process`: spawn one `wave-lts worker`
 /// OS process per rank, route halo frames over Unix sockets, and print the
-/// same summary as the in-process runner. Every mesh, run and fault flag
+/// same report as the in-process runner. Every mesh, run and fault flag
 /// given is forwarded verbatim, so workers rebuild the mesh and partition
 /// deterministically with the same defaults; `Δt` crosses as raw bits, so
 /// results are bitwise identical to the in-process transports.
 fn run_sim_multiprocess(m: &HashMap<String, String>, dt: f64, ranks: usize) {
     use wave_lts::runtime::process::{run_coordinator, ProcSpec};
-    use wave_lts::runtime::stats::{ascii_timeline, lambda_from_stats};
 
     let bin = std::env::current_exe().expect("current exe");
     let mut args = vec![
@@ -391,22 +425,9 @@ fn run_sim_multiprocess(m: &HashMap<String, String>, dt: f64, ranks: usize) {
         Ok(t) => t,
         Err(e) => die_with_crash_report(m, &e, recordings),
     };
-    let wall = t0.elapsed();
-    let norm: f64 = u.iter().map(|x| x * x).sum::<f64>().sqrt();
-    println!("distributed : {ranks} worker processes (unix-socket), {wall:.2?}, ‖u‖ = {norm:.6e}");
-    print!("{}", ascii_timeline(&stats, 48));
-    for (l, lam) in lambda_from_stats(&stats) {
-        println!("  level {l}: Eq. 21 λ = {lam:.2}");
-    }
-    // the workers shipped their flight rings over the wire; merge them into
-    // one Chrome trace instead of dropping remote ranks on the floor
-    if let Some(trace_out) = m.get("trace-out") {
-        let trace = wave_lts::obs::flight_chrome_trace(&recordings);
-        match std::fs::write(trace_out, trace.render()) {
-            Ok(()) => println!("Chrome trace (merged from {ranks} workers): {trace_out}"),
-            Err(e) => eprintln!("could not write {trace_out}: {e}"),
-        }
-    }
+    // the workers shipped their flight rings over the wire
+    let run = format!("{ranks} worker processes (unix-socket)");
+    report_distributed(m, &run, t0.elapsed(), &u, &stats, &recordings);
 }
 
 /// The internal per-rank process behind `--transport process`. Rebuilds
@@ -562,7 +583,7 @@ fn cmd_postmortem(m: &HashMap<String, String>) {
     };
     print!("{}", rep.render_text());
     if let Some(out) = m.get("trace-out") {
-        let trace = wave_lts::obs::flight_chrome_trace(&rep.recordings);
+        let trace = flight_chrome_trace(&[(file.as_str(), &rep.recordings)]);
         match std::fs::write(out, trace.render()) {
             Ok(()) => println!("Chrome trace: {out}"),
             Err(e) => {

@@ -272,21 +272,24 @@ fn deterministic_counters_are_run_to_run_identical() {
     }
 }
 
+/// The flight exporter renders exactly what the run did: one `wait` slice
+/// per awaited exchange and one `send` marker per posted message, on the
+/// right rank's track, and one pid per labelled run.
 #[test]
 fn chrome_trace_round_trips_and_matches_timeline() {
-    use wave_lts::obs::{validate_trace, Json};
-    use wave_lts::runtime::stats::chrome_trace;
+    use wave_lts::obs::{flight_chrome_trace, validate_trace, Json};
+    use wave_lts::runtime::run_distributed_local_acoustic_flight;
 
     let f = fixture();
     let n_ranks = 2;
     let part = partition_mesh(&f.mesh, &f.levels, n_ranks, Strategy::ScotchP, 1);
     let cfg = DistributedConfig {
-        record_timeline: true,
+        flight_capacity: 4096,
         ..DistributedConfig::new(n_ranks)
     };
     let v0 = vec![0.0; f.ndof];
     let mut host = MetricsRegistry::new();
-    let (_, _, stats) = run_distributed_local_acoustic_observed(
+    let (result, recordings) = run_distributed_local_acoustic_flight(
         &f.mesh,
         &f.levels,
         ORDER,
@@ -298,47 +301,39 @@ fn chrome_trace_round_trips_and_matches_timeline() {
         &cfg,
         &[],
         &mut host,
-    )
-    .unwrap();
-    let rendered = chrome_trace(&[("integration", &stats)]).render();
+    );
+    let (_, _, stats) = result.unwrap();
+    assert!(recordings.iter().all(|r| r.dropped == 0), "ring evicted");
+    let rendered = flight_chrome_trace(&[("integration", &recordings)]).render();
     // the exporter's own parser/validator must accept its output
     let n_events = validate_trace(&rendered).expect("structurally valid trace");
-    assert!(n_events > 0);
     let doc = Json::parse(&rendered).expect("round-trip");
     let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
     assert_eq!(events.len(), n_events);
-    // one busy slice per timeline event, on the right rank's track
-    let timeline_total: usize = stats.iter().map(|s| s.timeline.len()).sum();
-    let busy_slices = events
-        .iter()
-        .filter(|e| e.get("name").and_then(|n| n.as_str()) == Some("busy"))
-        .count();
-    assert_eq!(busy_slices, timeline_total);
-    for (r, s) in stats.iter().enumerate() {
-        let on_track = events
+    let on_track = |rank: usize, name: &str| {
+        events
             .iter()
             .filter(|e| {
-                e.get("tid").and_then(|t| t.as_u64()) == Some(r as u64)
-                    && e.get("name").and_then(|n| n.as_str()) == Some("exchange")
+                e.get("tid").and_then(|t| t.as_u64()) == Some(rank as u64)
+                    && e.get("name").and_then(|n| n.as_str()) == Some(name)
             })
-            .count();
-        assert_eq!(on_track as u64, s.n_exchanges, "exchange markers rank {r}");
+            .count() as u64
+    };
+    for s in &stats {
+        assert!(s.n_exchanges > 0, "rank {} never exchanged", s.rank);
+        assert_eq!(on_track(s.rank, "wait"), s.n_exchanges, "rank {}", s.rank);
+        assert_eq!(on_track(s.rank, "send"), s.msgs_sent, "rank {}", s.rank);
     }
-    // counter tracks carry the cumulative deterministic counters
-    let last_elem_ops = events
-        .iter()
-        .rev()
-        .find(|e| {
-            e.get("ph").and_then(|p| p.as_str()) == Some("C")
-                && e.get("name")
-                    .and_then(|n| n.as_str())
-                    .is_some_and(|n| n.starts_with("elem_ops"))
-        })
-        .expect("elem_ops counter track");
-    let v = last_elem_ops
-        .get("args")
-        .and_then(|a| a.get("elem_ops"))
-        .and_then(|x| x.as_f64())
-        .unwrap();
-    assert!(v > 0.0);
+    // two labelled runs render as two pids, each with the whole run
+    let two = flight_chrome_trace(&[("a", &recordings), ("b", &recordings)]).render();
+    assert_eq!(validate_trace(&two), Ok(2 * n_events));
+    let doc = Json::parse(&two).unwrap();
+    let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
+    for pid in [1, 2] {
+        let n = events
+            .iter()
+            .filter(|e| e.get("pid").and_then(|p| p.as_u64()) == Some(pid))
+            .count();
+        assert_eq!(n, n_events, "pid {pid}");
+    }
 }

@@ -4,15 +4,16 @@
 //! one Ricker source. Further cases pin the serial stepper with two
 //! threads, a source on the finest leaf level, the runtime with
 //! comm/compute overlap and two threads per rank, single-level runs (every
-//! element on level 0) and 1-D chain runs, serial and on ranks. A memory or speed change to the gather,
-//! kernel or stepping code must leave every bit of every field as it is,
-//! so any drift here is a behaviour change.
+//! element on level 0), 1-D chain runs, serial and on ranks, and
+//! two-level chains at sub-step ratios 1–5. A memory or speed change to
+//! the gather, kernel or stepping code must leave every bit of every field
+//! as it is, so any drift here is a behaviour change.
 //!
 //! The two benchmark-size cases are `#[ignore]`d to keep the debug test run
 //! fast; run them with
 //! `cargo test --release --test field_golden -- --include-ignored`.
 
-use wave_lts::lts::{Chain1d, LtsNewmark, LtsSetup, Operator, Source};
+use wave_lts::lts::{Chain1d, LtsNewmark, LtsSetup, Operator, Source, TwoLevelLts};
 use wave_lts::mesh::{BenchmarkMesh, Levels, MeshKind};
 use wave_lts::obs::MetricsRegistry;
 use wave_lts::partition::{partition_mesh, Strategy};
@@ -403,6 +404,78 @@ fn chain_fields_match_golden_hashes() {
         let got = chain_case(case);
         if got != want {
             drift.push(format!("{case:?}: {got:#018x}, golden {want:#018x}"));
+        }
+    }
+    assert!(drift.is_empty(), "field drift:\n{}", drift.join("\n"));
+}
+
+/// A two-level chain stepped with `p` fine sub-steps per global step.
+#[derive(Clone, Copy, Debug)]
+enum RatioCase {
+    /// The `verification` binary's p-sweep chain: 20 elements, velocity 3
+    /// from element 14, `Δt = 0.85`, 500 steps, no source (blows up at
+    /// p < 3).
+    Sweep,
+    /// 16 elements, velocity 3 from element 10, `Δt = 0.3`, 40 steps, one
+    /// Ricker source on a coarse and one on a fine DOF.
+    Sourced,
+}
+
+fn ratio_case(case: RatioCase, p: usize) -> u64 {
+    let (ne, fine_from, dt, steps) = match case {
+        RatioCase::Sweep => (20, 14, 0.85, 500),
+        RatioCase::Sourced => (16, 10, 0.3, 40),
+    };
+    let vel: Vec<f64> = (0..ne)
+        .map(|e| if e >= fine_from { 3.0 } else { 1.0 })
+        .collect();
+    let c = Chain1d::with_velocities(vel, 1.0);
+    let lv: Vec<u8> = (0..ne).map(|e| u8::from(e >= fine_from)).collect();
+    let setup = LtsSetup::new(&c, &lv);
+    let n = ne + 1;
+    let (mut u, sources): (Vec<f64>, Vec<Source>) = match case {
+        RatioCase::Sweep => (
+            (0..n)
+                .map(|i| (-((i as f64 - 7.0) / 2.0f64).powi(2)).exp())
+                .collect(),
+            Vec::new(),
+        ),
+        RatioCase::Sourced => (
+            (0..n).map(|i| ((i as f64) * 0.37).sin()).collect(),
+            vec![
+                Source::ricker(4, 0.3, 1.0, 1.0),
+                Source::ricker(13, 0.5, 2.0, 0.5),
+            ],
+        ),
+    };
+    let mut v = vec![0.0; n];
+    TwoLevelLts::new(&c, &setup, dt, p).run(&mut u, &mut v, 0.0, steps, &sources);
+    fnv1a(&u, &v)
+}
+
+/// `(case, p, hash)`; recorded on the hand-written two-level stepper.
+#[rustfmt::skip]
+const RATIOS: &[(RatioCase, usize, u64)] = &[
+    (RatioCase::Sweep, 1, 0x7cf3_5372_8be9_0915),
+    (RatioCase::Sweep, 2, 0x7cf3_5372_8be9_0915),
+    (RatioCase::Sweep, 3, 0xb2da_3327_f203_7783),
+    (RatioCase::Sweep, 4, 0xb94f_4e3b_c2dd_4fa5),
+    (RatioCase::Sourced, 1, 0x635a_6170_3d9d_1568),
+    (RatioCase::Sourced, 2, 0xd794_95f9_bd1a_8802),
+    (RatioCase::Sourced, 3, 0x7dc9_7453_fab5_4f01),
+    (RatioCase::Sourced, 4, 0xdc59_2ecd_2009_e920),
+    (RatioCase::Sourced, 5, 0x8a77_cc89_dc58_cf6a),
+];
+
+#[test]
+fn ratio_fields_match_golden_hashes() {
+    let mut drift = Vec::new();
+    for &(case, p, want) in RATIOS {
+        let got = ratio_case(case, p);
+        if got != want {
+            drift.push(format!(
+                "{case:?} p = {p}: {got:#018x}, golden {want:#018x}"
+            ));
         }
     }
     assert!(drift.is_empty(), "field drift:\n{}", drift.join("\n"));

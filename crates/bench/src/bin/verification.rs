@@ -4,7 +4,7 @@
 
 use lts_bench::{Args, Table};
 use lts_core::spectral::{exact_stable_dt, is_stable_at};
-use lts_core::{Chain1d, LtsNewmark, LtsSetup, Newmark, TwoLevelLts};
+use lts_core::{Chain1d, LtsNewmark, LtsSetup, Newmark};
 use lts_obs::{registry_to_json, MetricsRegistry};
 
 /// Exporter keys: the refinement index / config index / sub-step count `p`
@@ -113,8 +113,8 @@ fn stability_table(reg: &mut MetricsRegistry) {
     println!();
 }
 
-fn two_level_p_sweep(reg: &mut MetricsRegistry) {
-    // ratio-3 refinement: the general-p two-level scheme runs p = 3 exactly,
+fn ratio_sweep(reg: &mut MetricsRegistry) {
+    // ratio-3 refinement: two levels at a general p run p = 3 exactly,
     // while restricting to powers of two forces p = 4 (extra work)
     let mut vel = vec![1.0; 20];
     for v in vel.iter_mut().skip(14) {
@@ -131,8 +131,8 @@ fn two_level_p_sweep(reg: &mut MetricsRegistry) {
             .map(|i| (-((i as f64 - 7.0) / 2.0f64).powi(2)).exp())
             .collect();
         let mut v = vec![0.0; n];
-        let mut two = TwoLevelLts::new(&c, &setup, dt, p);
-        two.run(&mut u, &mut v, 0.0, 500, &[]);
+        let mut lts = LtsNewmark::with_ratio(&c, &setup, dt, p);
+        lts.run(&mut u, &mut v, 0.0, 500, &[]);
         let norm: f64 = u.iter().map(|x| x * x).sum::<f64>().sqrt();
         reg.set_gauge_level(names::P_SWEEP_NORM, p as u8, norm);
         t.row(vec![
@@ -157,7 +157,7 @@ fn main() {
     let mut reg = MetricsRegistry::new();
     convergence_table(&mut reg);
     stability_table(&mut reg);
-    two_level_p_sweep(&mut reg);
+    ratio_sweep(&mut reg);
     match std::fs::write(&json_path, registry_to_json(&reg).render_pretty()) {
         Ok(()) => println!("\nwrote verification metrics to {json_path}"),
         Err(e) => eprintln!("\ncould not write {json_path}: {e}"),

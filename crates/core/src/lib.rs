@@ -6,10 +6,12 @@
 //!
 //! * [`newmark`] — the classic explicit Newmark / leap-frog scheme (Eq. 5–6),
 //!   the non-LTS reference that must step at `Δt / p_max`;
-//! * [`setup`] — the per-level DOF sets of the LTS scheme: `P_k` selections,
-//!   halo ("gray node") sets, masked element lists;
-//! * [`lts`] — the production multi-level LTS-Newmark stepper (Algorithm 1
-//!   generalised recursively), performing only the masked work a
+//! * [`setup`] — the level structure of the LTS scheme: DOF levels (`P_k`
+//!   selections), leaf levels (with the "gray node" halos), masked element
+//!   lists, and the level-grouped DOF order;
+//! * [`lts`] — the one LTS-Newmark recursion (Algorithm 1 generalised
+//!   recursively, sub-step ratio 2 per level, or any ratio `p` on two
+//!   levels as in Sec. II-A), performing only the masked work a
 //!   high-performance implementation does;
 //! * [`reference`](crate::reference) — a literal, full-vector transcription of the scheme used
 //!   to validate the masked implementation to round-off;
@@ -26,14 +28,10 @@ pub mod newmark;
 pub mod operator;
 pub mod reference;
 pub mod setup;
-pub mod simulation;
 pub mod spectral;
-pub mod two_level;
 
 pub use chain1d::Chain1d;
 pub use lts::{LevelForce, LevelSets, LevelState, LtsNewmark, LtsStats};
 pub use newmark::Newmark;
 pub use operator::{DofTopology, Operator, Source, Workspace};
 pub use setup::LtsSetup;
-pub use simulation::{Integrator, RunReport, Simulation, StepView};
-pub use two_level::TwoLevelLts;

@@ -12,12 +12,18 @@
 //! ```
 //!
 //! where `aux(k, ·)` integrates the level-`k` auxiliary system (Eq. 11/17)
-//! with `ṽ(0) = 0` over two sub-steps of `Δt_k = Δt/2^k`, recomputing its own
+//! with `ṽ(0) = 0` over `p` sub-steps of `Δt_k = Δt/p^k`, recomputing its own
 //! contribution `f_k = A P_k ũ_m` each sub-step, delegating the finer levels
 //! recursively, and recovering velocities from displacement differences.
 //! DOFs whose force is constant during a child's integration (the
 //! `leaf` sets) take plain leap-frog sub-steps — analytically identical to
 //! the recovery (validated against [`crate::reference`] to round-off).
+//!
+//! The sub-step ratio `p` is 2 at every level, the nested ratio the CFL
+//! level assignment builds. On at most two levels it may be any `p ≥ 1`
+//! ([`LtsNewmark::with_ratio`]): that is the two-level scheme of Sec. II-A
+//! (Eqs. 10–14) for a general `p`, so a refinement ratio of 3 steps at
+//! `p = 3` instead of over-stepping at 4.
 //!
 //! The recursion is written once, in [`LevelState::step`], over a
 //! [`LevelForce`] hook that evaluates one level's force. [`LtsNewmark`] is
@@ -106,13 +112,16 @@ impl LevelSets {
 /// and every level's force.
 pub struct LevelState {
     sets: LevelSets,
+    /// Sub-steps of level `l ≥ 1` per step of level `l − 1`.
+    ratio: usize,
     uts: Vec<Vec<f64>>,
     vts: Vec<Vec<f64>>,
     fs: Vec<Vec<f64>>,
 }
 
 impl LevelState {
-    /// Buffers for the levels of `sets`, the auxiliary ones from level 1.
+    /// Buffers for the levels of `sets`, the auxiliary ones from level 1,
+    /// at sub-step ratio 2.
     pub fn new(sets: LevelSets) -> Self {
         let bufs = |from: usize| -> Vec<Vec<f64>> {
             let len = |l: usize| if l < from { 0 } else { sets.end(l) };
@@ -123,6 +132,7 @@ impl LevelState {
             vts: bufs(1),
             fs: bufs(0),
             sets,
+            ratio: 2,
         }
     }
 
@@ -145,19 +155,22 @@ impl LevelState {
     ) -> Result<(), F::Error> {
         let (uts, vts) = (&mut self.uts[1..], &mut self.vts[1..]);
         let ends = &self.sets.ends;
-        advance(hook, ends, &mut self.fs, 0, dt, t, (u, v), (uts, vts))
+        let (ratio, fs) = (self.ratio, &mut self.fs);
+        advance(hook, ends, ratio, fs, 0, dt, t, (u, v), (uts, vts))
     }
 }
 
 /// Integrate level `l`: at level 0, one step of `Δt` continuing `(u, v)`;
-/// at level `l ≥ 1`, the auxiliary system over `Δt_{l−1}` — two sub-steps
-/// of `Δt_l` from the state already copied into `u_l`, with zero velocity.
+/// at level `l ≥ 1`, the auxiliary system over `Δt_{l−1}` — `ratio`
+/// sub-steps of `Δt_l = Δt/ratio^l` from the state already copied into
+/// `u_l`, with zero velocity.
 /// `u_l`/`v_l` hold the active prefix `0..a[l]`; `finer_u`/`finer_v` hold
 /// the buffers of levels `l+1..`.
 #[allow(clippy::too_many_arguments)]
 fn advance<F: LevelForce>(
     hook: &mut F,
     ends: &[usize],
+    ratio: usize,
     fs: &mut [Vec<f64>],
     l: usize,
     dt: f64,
@@ -165,12 +178,12 @@ fn advance<F: LevelForce>(
     (u_l, v_l): (&mut [f64], &mut [f64]),
     (finer_u, finer_v): (&mut [Vec<f64>], &mut [Vec<f64>]),
 ) -> Result<(), F::Error> {
-    let dt_l = dt / (1u64 << l) as f64;
+    let dt_l = dt / (ratio as u64).pow(l as u32) as f64;
     // active(l) = 0..n and active(l+1) = 0..inner: this level steps
     // inner..n itself (all of its active DOFs at the innermost level, where
     // inner = 0), the finer levels the rest
     let (n, inner) = (ends[l], ends[l + 1]);
-    for m in 0..if l == 0 { 1 } else { 2 } {
+    for m in 0..if l == 0 { 1 } else { ratio } {
         // level 0 continues vⁿ⁻¹ᐟ²; an auxiliary level starts from rest
         let first = l > 0 && m == 0;
         let tm = t0 + m as f64 * dt_l;
@@ -184,6 +197,7 @@ fn advance<F: LevelForce>(
             advance(
                 hook,
                 ends,
+                ratio,
                 fs,
                 l + 1,
                 dt,
@@ -262,7 +276,8 @@ impl<O: Operator> LevelForce for SerialForce<'_, '_, O> {
     type Error = Infallible;
 
     fn force(&mut self, l: usize, state: &[f64], f: &mut [f64]) -> Result<(), Infallible> {
-        // entries outside `touched[l]` are never written, so already 0.0
+        // entries no `elems[l]` element holds are never written, so
+        // already 0.0
         f.fill(0.0);
         let elems = &self.setup.elems[l];
         self.op.apply_masked_threads(
@@ -292,6 +307,19 @@ impl<O: Operator> LevelForce for SerialForce<'_, '_, O> {
 
 impl<'a, O: Operator> LtsNewmark<'a, O> {
     pub fn new(op: &'a O, setup: &'a LtsSetup, dt: f64) -> Self {
+        Self::with_ratio(op, setup, dt, 2)
+    }
+
+    /// A stepper taking `p` sub-steps of the finer level per step of the
+    /// coarser one (Sec. II-A's general `p`); `p` other than 2 needs a
+    /// setup of at most two levels.
+    pub fn with_ratio(op: &'a O, setup: &'a LtsSetup, dt: f64, p: usize) -> Self {
+        assert!(p >= 1, "sub-step ratio must be at least 1, got {p}");
+        assert!(
+            p == 2 || setup.n_levels <= 2,
+            "sub-step ratio {p} needs at most 2 levels, the setup has {}",
+            setup.n_levels
+        );
         assert!(dt > 0.0);
         let n = op.ndof();
         assert_eq!(n, setup.dof_level.len());
@@ -309,17 +337,15 @@ impl<'a, O: Operator> LtsNewmark<'a, O> {
             op,
             setup,
             dt,
-            levels: LevelState::new(sets),
+            levels: LevelState {
+                ratio: p,
+                ..LevelState::new(sets)
+            },
             ws,
             dof_level,
             threads: 1,
             stats: LtsStats::default(),
         }
-    }
-
-    /// Staggered start, as in [`crate::newmark::Newmark::stagger_velocity`].
-    pub fn stagger_velocity(op: &O, dt: f64, u0: &[f64], v0: &mut [f64], sources: &[Source]) {
-        crate::newmark::Newmark::stagger_velocity(op, dt, u0, v0, sources);
     }
 
     /// Advance one global step from time `t` (`u = uⁿ`, `v = vⁿ⁻¹ᐟ²`).
@@ -622,6 +648,137 @@ mod tests {
         // at CFL 0.25 they agree to a few percent (the convergence-order
         // integration test quantifies the rate)
         assert!(err < 0.1, "LTS vs fine Newmark deviation {err}");
+    }
+
+    /// Two levels: velocity 1, and `ratio` from element `fine_from` on.
+    fn fine_tail_chain(ratio: f64, n: usize, fine_from: usize) -> (Chain1d, Vec<u8>) {
+        let mut vel = vec![1.0; n];
+        for v in vel.iter_mut().skip(fine_from) {
+            *v = ratio;
+        }
+        let c = Chain1d::with_velocities(vel, 1.0);
+        let lv: Vec<u8> = (0..n).map(|e| u8::from(e >= fine_from)).collect();
+        (c, lv)
+    }
+
+    /// At `p = 1` the fine level steps with `Δt` too: plain Newmark, bit
+    /// for bit on one level and to round-off on two, where the fine DOFs
+    /// take their step through the velocity recovery.
+    #[test]
+    fn ratio_one_equals_newmark() {
+        let dt = 0.5;
+        let u0: Vec<f64> = (0..11).map(|i| (i as f64 * 0.6).sin()).collect();
+        for fine_from in [10, 7] {
+            let (c, lv) = fine_tail_chain(1.0, 10, fine_from);
+            let setup = LtsSetup::new(&c, &lv);
+            assert_eq!(setup.n_levels, if fine_from < 10 { 2 } else { 1 });
+            let (mut u1, mut v1) = (u0.clone(), vec![0.0; 11]);
+            let (mut u2, mut v2) = (u0.clone(), vec![0.0; 11]);
+            let mut lts = LtsNewmark::with_ratio(&c, &setup, dt, 1);
+            let mut nm = Newmark::new(&c, dt);
+            for s in 0..15 {
+                lts.step(&mut u1, &mut v1, s as f64 * dt, &[]);
+                nm.step(&mut u2, &mut v2, s as f64 * dt, &[]);
+            }
+            for i in 0..11 {
+                if setup.n_levels == 1 {
+                    assert_eq!(u1[i].to_bits(), u2[i].to_bits(), "u dof {i}");
+                    assert_eq!(v1[i].to_bits(), v2[i].to_bits(), "v dof {i}");
+                } else {
+                    assert!((u1[i] - u2[i]).abs() < 1e-12, "u dof {i}");
+                    assert!((v1[i] - v2[i]).abs() < 1e-12, "v dof {i}");
+                }
+            }
+        }
+    }
+
+    /// Velocity ratio 3: `p = 2` under-steps the fine region, `p = 3` is
+    /// exactly right.
+    #[test]
+    fn ratio_three_is_stable_where_two_is_not() {
+        let (c, lv) = fine_tail_chain(3.0, 16, 11);
+        let setup = LtsSetup::new(&c, &lv);
+        // the lumped P1 limit of the coarse region is Δt = h/c = 1
+        let dt = 0.85;
+        let norm_after = |p: usize| -> f64 {
+            let mut u: Vec<f64> = (0..17)
+                .map(|i| (-((i as f64 - 5.0) / 2.0f64).powi(2)).exp())
+                .collect();
+            let mut v = vec![0.0; 17];
+            LtsNewmark::with_ratio(&c, &setup, dt, p).run(&mut u, &mut v, 0.0, 400, &[]);
+            u.iter().map(|x| x * x).sum::<f64>().sqrt()
+        };
+        let (with_p2, with_p3) = (norm_after(2), norm_after(3));
+        assert!(
+            with_p3.is_finite() && with_p3 < 100.0,
+            "p = 3 should be stable: {with_p3}"
+        );
+        assert!(
+            with_p2.is_nan() || with_p2 >= 1e3,
+            "p = 2 should be unstable at ratio 3: {with_p2}"
+        );
+    }
+
+    /// At an odd ratio the scheme still converges at second order.
+    #[test]
+    fn odd_ratio_converges_second_order() {
+        let (c, lv) = fine_tail_chain(3.0, 12, 8);
+        let setup = LtsSetup::new(&c, &lv);
+        let n = 13;
+        let u0: Vec<f64> = (0..n)
+            .map(|i| (-((i as f64 - 4.0) / 1.5f64).powi(2)).exp())
+            .collect();
+        let fine_dt = 0.4 / 64.0;
+        let mut u_ref = u0.clone();
+        let mut v_ref = vec![0.0; n];
+        Newmark::stagger_velocity(&c, fine_dt, &u_ref, &mut v_ref, &[]);
+        Newmark::new(&c, fine_dt).run(&mut u_ref, &mut v_ref, 0.0, 8 * 64, &[]);
+
+        let mut errs = Vec::new();
+        for halvings in 0..3 {
+            let dt = 0.4 / (1 << halvings) as f64;
+            let mut u = u0.clone();
+            let mut v = vec![0.0; n];
+            Newmark::stagger_velocity(&c, dt, &u, &mut v, &[]);
+            let mut lts = LtsNewmark::with_ratio(&c, &setup, dt, 3);
+            lts.run(&mut u, &mut v, 0.0, 8 << halvings, &[]);
+            let err: f64 = (0..n).map(|i| (u[i] - u_ref[i]).abs()).fold(0.0, f64::max);
+            errs.push(err);
+        }
+        assert!(errs[0] / errs[1] > 3.0, "errors {errs:?}");
+        assert!(errs[1] / errs[2] > 2.5, "errors {errs:?}");
+    }
+
+    /// A step at ratio `p` runs the fine product `p` times, still less work
+    /// than stepping every element at the fine step.
+    #[test]
+    fn ratio_sets_fine_products_per_step() {
+        let (c, lv) = fine_tail_chain(5.0, 12, 9);
+        let setup = LtsSetup::new(&c, &lv);
+        let mut lts = LtsNewmark::with_ratio(&c, &setup, 0.2, 5);
+        let (mut u, mut v) = (vec![0.0; 13], vec![0.0; 13]);
+        lts.step(&mut u, &mut v, 0.0, &[]);
+        let want = setup.elems[0].len() + 5 * setup.elems[1].len();
+        assert_eq!(lts.stats.elem_ops, want as u64);
+        assert!(want < 12 * 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "sub-step ratio 3 needs at most 2 levels")]
+    fn ratio_other_than_two_needs_two_levels() {
+        let c = Chain1d::with_velocities(vec![1.0, 1.0, 2.0, 4.0], 1.0);
+        let (lv, dt) = c.assign_levels(0.5, 3);
+        let setup = LtsSetup::new(&c, &lv);
+        assert_eq!(setup.n_levels, 3);
+        LtsNewmark::with_ratio(&c, &setup, dt, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "sub-step ratio must be at least 1")]
+    fn ratio_zero_is_refused() {
+        let c = Chain1d::uniform(4, 1.0, 1.0);
+        let setup = LtsSetup::new(&c, &[0u8; 4]);
+        LtsNewmark::with_ratio(&c, &setup, 0.5, 0);
     }
 
     #[test]

@@ -7,12 +7,15 @@
 //! * `elems[k]` — elements containing at least one level-`k` DOF: the
 //!   element list over which `A·P_k·u` must be assembled (level-`k` elements
 //!   plus their coarser neighbours);
-//! * `active[k]` — DOFs integrated by the level-`k` auxiliary system: DOFs
-//!   of level ≥ `k` plus the "gray" halo (DOFs sharing an element with one);
-//! * `leaf[k]` — DOFs whose *own* sub-stepping happens at level `k`
-//!   (`active[k] \ active[k+1]`); every DOF is in exactly one leaf set;
-//! * `touched[k]` — DOFs written by the masked product (those of `elems[k]`),
-//!   the entries of the force buffer that must be re-zeroed per sub-step.
+//! * the *active* set of `k` — DOFs integrated by the level-`k` auxiliary
+//!   system: DOFs of level ≥ `k` plus the "gray" halo (DOFs sharing an
+//!   element with one), i.e. every DOF of `elems[j]` for `j ≥ k`;
+//! * `leaf[k]` — DOFs whose *own* sub-stepping happens at level `k` (active
+//!   at `k` but not at `k + 1`); every DOF is in exactly one leaf set.
+//!
+//! The steppers hold no active list: a DOF's leaf level alone places it,
+//! and in the level-grouped order of [`level_order`] every active set is a
+//! prefix ([`LevelSets`]) that holds every DOF a level's product writes.
 
 use crate::lts::LevelSets;
 use crate::operator::DofTopology;
@@ -28,16 +31,10 @@ pub struct LtsSetup {
     pub elem_level: Vec<u8>,
     /// `elems[k]`: elements containing ≥ 1 DOF of level exactly `k`.
     pub elems: Vec<Vec<u32>>,
-    /// `active[k]`: DOFs integrated by level `k`'s auxiliary system
-    /// (`active[0]` is the full DOF range and is stored empty as a
-    /// sentinel).
-    pub active: Vec<Vec<u32>>,
-    /// `leaf[k] = active[k] \ active[k+1]`.
+    /// `leaf[k]`: the DOFs of leaf level `k`, ascending.
     pub leaf: Vec<Vec<u32>>,
-    /// `touched[k]`: union of DOFs of `elems[k]`.
-    pub touched: Vec<Vec<u32>>,
     /// Per-DOF leaf level: the level whose sub-stepping integrates this DOF
-    /// (the largest `k` with the DOF in `active[k]`, 0 otherwise).
+    /// (the largest `k` with the DOF active at `k`).
     pub leaf_level: Vec<u8>,
 }
 
@@ -64,9 +61,10 @@ impl LtsSetup {
             }
         }
 
-        // max DOF level within each element (element + finer neighbours)
-        let mut elem_max_dof = vec![0u8; topo.n_elems()];
+        // elems[k] from the DOF levels present in each element; a DOF's
+        // leaf level is the largest max DOF level of any element holding it
         let mut elems: Vec<Vec<u32>> = vec![Vec::new(); n_levels];
+        let mut leaf_level = vec![0u8; ndof];
         for e in 0..topo.n_elems() as u32 {
             topo.elem_dofs(e, &mut dofs);
             let mut present = [false; 16];
@@ -76,55 +74,18 @@ impl LtsSetup {
                 present[l as usize] = true;
                 maxl = maxl.max(l);
             }
-            elem_max_dof[e as usize] = maxl;
             for (k, elems_k) in elems.iter_mut().enumerate() {
                 if present[k] {
                     elems_k.push(e);
                 }
             }
-        }
-
-        // active[k]: DOFs of elements whose max DOF level ≥ k
-        let mut active: Vec<Vec<u32>> = vec![Vec::new(); n_levels];
-        let mut mark = vec![0u8; ndof];
-        for k in (1..n_levels).rev() {
-            for e in 0..topo.n_elems() as u32 {
-                if elem_max_dof[e as usize] >= k as u8 {
-                    topo.elem_dofs(e, &mut dofs);
-                    for &d in &dofs {
-                        if mark[d as usize] < k as u8 {
-                            mark[d as usize] = k as u8;
-                        }
-                    }
-                }
+            for &d in &dofs {
+                leaf_level[d as usize] = leaf_level[d as usize].max(maxl);
             }
         }
-        for (d, &m) in mark.iter().enumerate() {
-            for lvl in active.iter_mut().take(m as usize + 1).skip(1) {
-                lvl.push(d as u32);
-            }
-        }
-
-        // leaf[k] = active[k] \ active[k+1]  (leaf[0] = complement of active[1])
         let mut leaf: Vec<Vec<u32>> = vec![Vec::new(); n_levels];
-        for d in 0..ndof as u32 {
-            let m = mark[d as usize] as usize;
-            leaf[m].push(d);
-        }
-
-        // touched[k] = DOFs of elems[k]
-        let mut touched: Vec<Vec<u32>> = vec![Vec::new(); n_levels];
-        let mut stamp = vec![u32::MAX; ndof];
-        for (k, (elems_k, touched_k)) in elems.iter().zip(touched.iter_mut()).enumerate() {
-            for &e in elems_k {
-                topo.elem_dofs(e, &mut dofs);
-                for &d in &dofs {
-                    if stamp[d as usize] != k as u32 {
-                        stamp[d as usize] = k as u32;
-                        touched_k.push(d);
-                    }
-                }
-            }
+        for (d, &l) in leaf_level.iter().enumerate() {
+            leaf[l as usize].push(d as u32);
         }
 
         LtsSetup {
@@ -132,15 +93,14 @@ impl LtsSetup {
             dof_level,
             elem_level: elem_level.to_vec(),
             elems,
-            active,
             leaf,
-            touched,
-            leaf_level: mark,
+            leaf_level,
         }
     }
 
     /// Element-operations per global `Δt` performed by the masked LTS
-    /// stepper: level `k`'s product runs `2^k` times over `elems[k]`.
+    /// stepper at ratio 2: level `k`'s product runs `2^k` times over
+    /// `elems[k]`.
     pub fn lts_elem_ops(&self) -> u64 {
         self.elems
             .iter()
@@ -195,6 +155,19 @@ mod tests {
     use super::*;
     use crate::chain1d::Chain1d;
 
+    /// The active set of level `k` from the element lists: every DOF of
+    /// `elems[j]` for `j ≥ k`, ascending.
+    fn active(s: &LtsSetup, topo: &impl DofTopology, k: usize) -> Vec<u32> {
+        let (mut dofs, mut out) = (Vec::new(), Vec::new());
+        for &e in s.elems[k..].iter().flatten() {
+            topo.elem_dofs(e, &mut dofs);
+            out.extend_from_slice(&dofs);
+        }
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
     /// 8-element chain, elements 5..8 at level 1.
     fn chain() -> (Chain1d, Vec<u8>) {
         let c = Chain1d::uniform(8, 1.0, 1.0);
@@ -226,8 +199,15 @@ mod tests {
     fn active_includes_halo() {
         let (c, lv) = chain();
         let s = LtsSetup::new(&c, &lv);
-        // active[1]: dofs of elements with a level-1 dof = dofs 4..=8
-        assert_eq!(s.active[1], vec![4, 5, 6, 7, 8]);
+        // active at 1: dofs of elements with a level-1 dof = dofs 4..=8
+        assert_eq!(active(&s, &c, 1), vec![4, 5, 6, 7, 8]);
+        // the leaf level is the finest level a DOF is active at
+        for k in 0..s.n_levels {
+            let by_leaf: Vec<u32> = (0..9)
+                .filter(|&d| s.leaf_level[d as usize] as usize >= k)
+                .collect();
+            assert_eq!(active(&s, &c, k), by_leaf, "level {k}");
+        }
     }
 
     #[test]
@@ -248,8 +228,9 @@ mod tests {
         let s = LtsSetup::new(&c, &lv);
         assert_eq!(s.n_levels, 3);
         // active sets are nested
-        for d in &s.active[2] {
-            assert!(s.active[1].contains(d));
+        let (a1, a2) = (active(&s, &c, 1), active(&s, &c, 2));
+        for d in &a2 {
+            assert!(a1.contains(d));
         }
         // element lists: level 2 dofs are 6..=9 → elements 5..=8
         assert_eq!(s.elems[2], vec![5, 6, 7, 8]);

@@ -2,9 +2,12 @@
 //! rank pairs at each LTS level.
 //!
 //! A DOF's *rank set* is every rank owning an element containing it. After a
-//! masked product at level `l`, all DOFs in `touched[l]` with two or more
-//! ranks exchange partials among their rank set and re-assemble the total in
-//! ascending-rank order — making every rank's copy bitwise identical.
+//! masked product at level `l`, each `elems[l]` DOF with two or more ranks
+//! exchanges partials among them and re-assembles the total in ascending-rank
+//! order — making every rank's copy bitwise identical. Per level, shared
+//! DOFs come in *first-touch* order: the order in which a walk over
+//! `setup.elems[l]` through `elem_dofs` first meets them (not ascending on a
+//! hex mesh).
 
 use lts_core::{DofTopology, LtsSetup};
 
@@ -20,11 +23,11 @@ pub struct RankPlan {
     pub my_interior_elems: Vec<Vec<u32>>,
     /// Per level: peers this rank exchanges with (sorted).
     pub peers: Vec<Vec<usize>>,
-    /// Per level, aligned with `peers`: the ascending DOF list sent to (and
-    /// received from) that peer.
+    /// Per level, aligned with `peers`: the DOFs sent to (and received
+    /// from) that peer, in first-touch order.
     pub pair_dofs: Vec<Vec<Vec<u32>>>,
-    /// Per level: all shared DOFs of this rank (ascending) with their full
-    /// ascending rank sets.
+    /// Per level: all shared DOFs of this rank, in first-touch order, with
+    /// their full ascending rank sets.
     pub shared: Vec<SharedDofs>,
 }
 
@@ -55,7 +58,7 @@ impl SharedDofs {
         self.offsets.push(self.ranks.len() as u32);
     }
 
-    /// `(dof, ascending rank set)` in ascending DOF order.
+    /// `(dof, ascending rank set)` in the stored (first-touch) order.
     pub fn entries(&self) -> impl Iterator<Item = (u32, &[u32])> + '_ {
         self.dofs
             .iter()
@@ -172,10 +175,12 @@ pub fn build_plans<T: DofTopology>(
     let nl = setup.n_levels;
     let sets = RankSets::build(topo, &elems_by_rank(partition, n_ranks));
     let mut plans = empty_plans(n_ranks, nl);
-    // per-level element lists, split boundary/interior for overlap
     let mut dofs = Vec::new();
+    // the level each DOF was last met at, so each is listed once per level
+    let mut stamp = vec![u8::MAX; topo.n_dofs()];
     for (l, elems_l) in setup.elems.iter().enumerate() {
         for &e in elems_l {
+            // per-level element lists, split boundary/interior for overlap
             let plan = &mut plans[partition[e as usize] as usize];
             plan.my_elems[l].push(e);
             topo.elem_dofs(e, &mut dofs);
@@ -184,21 +189,23 @@ pub fn build_plans<T: DofTopology>(
             } else {
                 plan.my_interior_elems[l].push(e);
             }
-        }
-    }
-    for l in 0..nl {
-        // shared dofs and pair lists (ascending dof order by construction)
-        for &d in &setup.touched[l] {
-            let ranks = sets.of(d);
-            if ranks.len() < 2 {
-                continue;
-            }
-            for &r in ranks {
-                let plan = &mut plans[r as usize];
-                plan.shared[l].push(d, ranks);
-                for &p in ranks {
-                    if p != r {
-                        push_pair_dof(plan, l, p as usize, d);
+            // shared DOFs and pair lists, in first-touch order
+            for &d in &dofs {
+                if stamp[d as usize] == l as u8 {
+                    continue;
+                }
+                stamp[d as usize] = l as u8;
+                let ranks = sets.of(d);
+                if ranks.len() < 2 {
+                    continue;
+                }
+                for &r in ranks {
+                    let plan = &mut plans[r as usize];
+                    plan.shared[l].push(d, ranks);
+                    for &p in ranks {
+                        if p != r {
+                            push_pair_dof(plan, l, p as usize, d);
+                        }
                     }
                 }
             }
@@ -211,6 +218,21 @@ pub fn build_plans<T: DofTopology>(
 mod tests {
     use super::*;
     use lts_core::Chain1d;
+
+    /// The DOFs of `setup.elems[l]` in first-touch order.
+    fn first_touch<T: DofTopology>(topo: &T, setup: &LtsSetup, l: usize) -> Vec<u32> {
+        let mut seen = vec![false; topo.n_dofs()];
+        let (mut dofs, mut out) = (Vec::new(), Vec::new());
+        for &e in &setup.elems[l] {
+            topo.elem_dofs(e, &mut dofs);
+            for &d in &dofs {
+                if !std::mem::replace(&mut seen[d as usize], true) {
+                    out.push(d);
+                }
+            }
+        }
+        out
+    }
 
     /// Reference plan builder with one `Vec` rank set per DOF: the oracle of
     /// [`build_plans`].
@@ -256,7 +278,7 @@ mod tests {
             }
         }
         for l in 0..nl {
-            for &d in &setup.touched[l] {
+            for d in first_touch(topo, setup, l) {
                 let ranks = &dof_ranks[d as usize];
                 if ranks.len() < 2 {
                     continue;
@@ -325,6 +347,41 @@ mod tests {
                 .map(|e| (e.wrapping_mul(2_654_435_761) >> 7) % k as u32)
                 .collect();
             assert_plans_match_reference(&op, &setup, &scrambled, k);
+        }
+    }
+
+    /// A topology given by its element DOF lists.
+    struct Lists(Vec<Vec<u32>>, usize);
+
+    impl DofTopology for Lists {
+        fn n_dofs(&self) -> usize {
+            self.1
+        }
+        fn n_elems(&self) -> usize {
+            self.0.len()
+        }
+        fn elem_dofs(&self, e: u32, out: &mut Vec<u32>) {
+            out.clear();
+            out.extend_from_slice(&self.0[e as usize]);
+        }
+    }
+
+    /// Shared DOFs and pair lists come in the order a walk over
+    /// `elems[l]` first meets them, not ascending.
+    #[test]
+    fn shared_dofs_come_in_first_touch_order() {
+        let topo = Lists(vec![vec![5, 2], vec![2, 7, 0], vec![0, 9, 5]], 10);
+        let setup = LtsSetup::new(&topo, &[0, 0, 0]);
+        let plans = build_plans(&topo, &setup, &[0, 1, 0], 2);
+        // first touch meets 5, 2, 7, 0, 9; DOFs 2 and 0 lie on both ranks
+        for (r, plan) in plans.iter().enumerate() {
+            let shared: Vec<(u32, &[u32])> = plan.shared[0].entries().collect();
+            assert_eq!(
+                shared,
+                vec![(2, &[0u32, 1][..]), (0, &[0, 1][..])],
+                "rank {r}"
+            );
+            assert_eq!(plan.pair_dofs[0], vec![vec![2, 0]], "rank {r}");
         }
     }
 

@@ -70,73 +70,6 @@ impl AcousticOperator {
             inv_mass,
         }
     }
-
-    /// `out[g] += (K_e loc)_g / mass[g]` for one element's local values.
-    #[allow(clippy::too_many_arguments)]
-    fn elem_stiffness_scatter(
-        &self,
-        e: u32,
-        loc: &[f64],
-        tmp: &mut [f64],
-        der: &mut [f64],
-        out: &mut [f64],
-    ) {
-        let np = self.basis.n_points();
-        let (ei, ej, ek) = self.dofmap.elem_ijk(e);
-        let (hx, hy, hz) = (self.hx[ei], self.hy[ej], self.hz[ek]);
-        crate::kernel::scalar_stiffness(
-            &self.basis,
-            hx,
-            hy,
-            hz,
-            self.mu[e as usize],
-            loc,
-            tmp,
-            der,
-        );
-        // scatter with M⁻¹
-        let mut li = 0usize;
-        for c in 0..np {
-            for b in 0..np {
-                for a in 0..np {
-                    let g = self.dofmap.elem_node(ei, ej, ek, a, b, c) as usize;
-                    out[g] += tmp[li] * self.inv_mass[g];
-                    li += 1;
-                }
-            }
-        }
-    }
-
-    /// Public wrapper for the coloured parallel driver.
-    pub(crate) fn gather_pub(&self, e: u32, u: &[f64], loc: &mut [f64]) {
-        self.gather(e, u, loc);
-    }
-
-    /// Public wrapper for the coloured parallel driver.
-    pub(crate) fn elem_stiffness_scatter_pub(
-        &self,
-        e: u32,
-        loc: &[f64],
-        tmp: &mut [f64],
-        der: &mut [f64],
-        out: &mut [f64],
-    ) {
-        self.elem_stiffness_scatter(e, loc, tmp, der, out);
-    }
-
-    fn gather(&self, e: u32, u: &[f64], loc: &mut [f64]) {
-        let np = self.basis.n_points();
-        let (ei, ej, ek) = self.dofmap.elem_ijk(e);
-        let mut li = 0usize;
-        for c in 0..np {
-            for b in 0..np {
-                for a in 0..np {
-                    loc[li] = u[self.dofmap.elem_node(ei, ej, ek, a, b, c) as usize];
-                    li += 1;
-                }
-            }
-        }
-    }
 }
 
 impl CompiledOp for AcousticOperator {

@@ -37,6 +37,6 @@ pub use boundary::Sponge;
 pub use dofmap::DofMap;
 pub use elastic::ElasticOperator;
 pub use gll::GllBasis;
-pub use parallel::{apply_parallel, ElementColoring};
+pub use parallel::ElementColoring;
 pub use record::SeismogramRecorder;
 pub use unstructured::{UnstructuredAcoustic, UnstructuredElastic};

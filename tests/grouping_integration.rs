@@ -5,7 +5,7 @@
 //! every level set is a prefix or a range.
 
 use wave_lts::lts::setup::level_order;
-use wave_lts::lts::{Chain1d, LtsNewmark, LtsSetup, Operator};
+use wave_lts::lts::{Chain1d, DofTopology, LtsNewmark, LtsSetup, Operator};
 use wave_lts::mesh::{BenchmarkMesh, MeshKind};
 use wave_lts::sem::gll::cfl_dt_scale;
 use wave_lts::sem::unstructured::UNMAPPED;
@@ -19,7 +19,7 @@ fn scramble(g: u32) -> u8 {
 
 /// Run `steps` LTS steps of `op` from `u0` (zero velocity) and return the
 /// final `(u, v)` and the element-operations done.
-fn run<O: Operator + wave_lts::lts::DofTopology>(
+fn run<O: Operator + DofTopology>(
     op: &O,
     elem_level: &[u8],
     dt: f64,
@@ -58,18 +58,30 @@ fn grouped_sets_are_contiguous_runs() {
         r.sort_unstable();
         r
     };
+    // the DOFs of `elems[j]` for `j` in `levels`, ascending
+    let dofs_of = |levels: &[Vec<u32>]| -> Vec<u32> {
+        let (mut buf, mut out) = (Vec::new(), Vec::new());
+        for &e in levels.iter().flatten() {
+            op.elem_dofs(e, &mut buf);
+            out.extend_from_slice(&buf);
+        }
+        out.sort_unstable();
+        out.dedup();
+        out
+    };
     assert_eq!(sets.end(0), op.dofmap.n_nodes());
     for l in 0..setup.n_levels {
         assert_eq!(grouped(&setup.leaf[l]), sets.leaf(l).collect::<Vec<_>>());
         if l >= 1 {
-            // active[l] is a prefix of the grouped DOF range
+            // the active set of l is a prefix of the grouped DOF range
             assert_eq!(
-                grouped(&setup.active[l]),
+                grouped(&dofs_of(&setup.elems[l..])),
                 sets.active(l).collect::<Vec<_>>()
             );
         }
         // every DOF a level-l product writes lies in its prefix
-        assert!(grouped(&setup.touched[l]).iter().all(|&d| d < sets.end(l)));
+        let touched = dofs_of(&setup.elems[l..=l]);
+        assert!(grouped(&touched).iter().all(|&d| d < sets.end(l)));
     }
 }
 

@@ -99,10 +99,22 @@ proptest! {
             }
         }
         prop_assert!(seen.iter().all(|&s| s == 1), "leaf sets not a partition: {:?}", seen);
-        // active sets nest
+        // active sets nest: the active set of `k` is every DOF of
+        // `elems[j]`, `j ≥ k`
+        let active = |k: usize| -> Vec<u32> {
+            let (mut dofs, mut out) = (Vec::new(), Vec::new());
+            for &e in setup.elems[k..].iter().flatten() {
+                wave_lts::lts::DofTopology::elem_dofs(&c, e, &mut dofs);
+                out.extend_from_slice(&dofs);
+            }
+            out.sort_unstable();
+            out.dedup();
+            out
+        };
         for k in 2..setup.n_levels {
-            for d in &setup.active[k] {
-                prop_assert!(setup.active[k - 1].contains(d));
+            let outer = active(k - 1);
+            for d in &active(k) {
+                prop_assert!(outer.contains(d));
             }
         }
         // masked products sum to the full apply

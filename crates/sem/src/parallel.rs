@@ -7,7 +7,7 @@
 //! result is deterministic (within a colour every DOF receives
 //! contributions from exactly one element). The compiled masked products
 //! (`compiled.rs`) run their colour-major element order through
-//! [`par_colored`].
+//! `par_colored`.
 //!
 //! This is the per-node parallelism of the paper's platform (8 cores per
 //! node under MPI); combined with `lts-runtime` it gives the familiar

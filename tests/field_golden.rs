@@ -1,6 +1,6 @@
 //! Golden fields: FNV-1a hashes of the final `u`/`v` bits of LTS-Newmark
 //! runs, serial (`LtsNewmark`) and on the rank runtime at two ranks, for
-//! both physics at orders 2–4 on small trench and trench-big meshes with
+//! both physics at orders 1–5 on small trench and trench-big meshes with
 //! one Ricker source. Further cases pin the serial stepper with two
 //! threads, a source on the finest leaf level, the runtime with
 //! comm/compute overlap and two threads per rank, single-level runs (every
@@ -236,6 +236,20 @@ const FINEST_SOURCE: &[Golden] = &[
     (Physics::Elastic, Path::LocalR2, MeshKind::Trench, 300, 3, 2, 0xf166_b566_6de4_589f),
 ];
 
+/// Orders 1 and 5, each its own instantiation of the batched kernels;
+/// recorded before the kernels were specialised per order.
+#[rustfmt::skip]
+const ORDERS_1_5: &[Golden] = &[
+    (Physics::Acoustic, Path::Serial, MeshKind::Trench, 300, 1, 2, 0xbe27_e443_0ca4_8ab5),
+    (Physics::Acoustic, Path::Serial, MeshKind::Trench, 300, 5, 2, 0x0095_88c3_5cff_6f9a),
+    (Physics::Acoustic, Path::LocalR2, MeshKind::Trench, 300, 1, 2, 0x0c8b_96be_f4de_dfe5),
+    (Physics::Acoustic, Path::LocalR2, MeshKind::Trench, 300, 5, 2, 0x7412_df26_6d67_b396),
+    (Physics::Elastic, Path::Serial, MeshKind::Trench, 300, 1, 2, 0xd335_713e_d477_5170),
+    (Physics::Elastic, Path::Serial, MeshKind::Trench, 300, 5, 2, 0xa3e1_0175_ab77_b6e9),
+    (Physics::Elastic, Path::LocalR2, MeshKind::Trench, 300, 1, 2, 0xdb2a_648c_0051_cffd),
+    (Physics::Elastic, Path::LocalR2, MeshKind::Trench, 300, 5, 2, 0x314d_2b89_fd93_c03a),
+];
+
 fn check(cases: &[Golden], single_level: bool, src: Src) {
     let mut drift = Vec::new();
     for &(physics, path, kind, elements, order, steps, want) in cases {
@@ -262,6 +276,11 @@ fn check(cases: &[Golden], single_level: bool, src: Src) {
 #[test]
 fn small_fields_match_golden_hashes() {
     check(SMALL, false, Src::Third);
+}
+
+#[test]
+fn order_1_and_5_fields_match_golden_hashes() {
+    check(ORDERS_1_5, false, Src::Third);
 }
 
 #[test]

@@ -3,7 +3,9 @@
 //! product serial vs the colored `apply_masked_threads` at 2 and 4 workers,
 //! and the paper's Sec. V cache-utilization sweep — element throughput of
 //! the scalar vs batched-SIMD stiffness product at orders 1–4
-//! (`simd_stiffness/p{order}/{variant}`, reported in elements/second).
+//! (`simd_stiffness/p{order}/{variant}`, reported in elements/second) and
+//! at p=4 on the benchmark's 8,788-element mesh
+//! (`simd_stiffness/p4_e8788/{variant}`).
 //!
 //! Every threaded or vectorized variant is asserted **bitwise identical**
 //! to the serial scalar path before the first timed iteration — a
@@ -110,59 +112,65 @@ fn bench_masked_threads(c: &mut Criterion) {
 
 /// Sec. V cache-utilization sweep: serial masked stiffness product over a
 /// single-level trench mesh at orders 1–4, once per kernel variant the
-/// host supports. Criterion's `Throughput::Elements` turns the measured
-/// time directly into `elem_ops_per_sec`; the acceptance target is the
-/// widest variant reaching ≥5× the scalar throughput at p=4.
+/// host supports (`simd_stiffness/p{order}/{variant}`), and the same p=4
+/// product on the benchmark's 8,788-element trench
+/// (`simd_stiffness/p4_e8788/{variant}`), so one run shows the gap between
+/// the small mesh and mesh scale. Criterion's `Throughput::Elements` turns
+/// the measured time directly into `elem_ops_per_sec`; the acceptance
+/// target is the widest variant reaching ≥5× the scalar throughput at p=4.
 fn bench_simd_stiffness(c: &mut Criterion) {
-    let b = BenchmarkMesh::build(MeshKind::Trench, 1_000);
-    // one level: the sweep times raw element throughput, not LTS masking
-    let levels = Levels::assign(&b.mesh, 0.5, 1);
     eprintln!("# host features: {}", cpu_features());
     let mut g = c.benchmark_group("simd_stiffness");
     g.sample_size(20);
-    for order in 1usize..=4 {
-        let op = AcousticOperator::new(&b.mesh, order);
-        let setup = LtsSetup::new(&op, &levels.elem_level);
-        let elems = &setup.elems[0];
-        let n = Operator::ndof(&op);
-        let u: Vec<f64> = (0..n).map(|i| (i as f64 * 0.1).sin()).collect();
-        let mut reference = vec![0.0; n];
-        {
-            let _sc = ForceVariant::new(KernelVariant::Scalar);
-            let mut ws = Workspace::new();
-            op.apply_masked_ws(&u, &mut reference, elems, &setup.dof_level, 0, &mut ws);
-        }
-        g.throughput(Throughput::Elements(elems.len() as u64));
-        for v in supported_variants() {
-            let _force = ForceVariant::new(v);
-            let mut ws = Workspace::new();
-            let mut out = vec![0.0; n];
-            op.apply_masked_ws(&u, &mut out, elems, &setup.dof_level, 0, &mut ws);
-            for i in 0..n {
-                assert_eq!(
-                    out[i].to_bits(),
-                    reference[i].to_bits(),
-                    "{} must be bitwise identical to scalar before timing",
-                    v.name()
+    for (elements, orders, suffix) in [(1_000, 1usize..=4, ""), (8_788, 4..=4, "_e8788")] {
+        let b = BenchmarkMesh::build(MeshKind::Trench, elements);
+        // one level: the sweep times raw element throughput, not LTS masking
+        let levels = Levels::assign(&b.mesh, 0.5, 1);
+        for order in orders {
+            let op = AcousticOperator::new(&b.mesh, order);
+            let setup = LtsSetup::new(&op, &levels.elem_level);
+            let elems = &setup.elems[0];
+            let n = Operator::ndof(&op);
+            let u: Vec<f64> = (0..n).map(|i| (i as f64 * 0.1).sin()).collect();
+            let mut reference = vec![0.0; n];
+            {
+                let _sc = ForceVariant::new(KernelVariant::Scalar);
+                let mut ws = Workspace::new();
+                op.apply_masked_ws(&u, &mut reference, elems, &setup.dof_level, 0, &mut ws);
+            }
+            g.throughput(Throughput::Elements(elems.len() as u64));
+            for v in supported_variants() {
+                let _force = ForceVariant::new(v);
+                let mut ws = Workspace::new();
+                let mut out = vec![0.0; n];
+                op.apply_masked_ws(&u, &mut out, elems, &setup.dof_level, 0, &mut ws);
+                for i in 0..n {
+                    assert_eq!(
+                        out[i].to_bits(),
+                        reference[i].to_bits(),
+                        "{} on {elements} elements must be bitwise identical to scalar \
+                         before timing",
+                        v.name()
+                    );
+                }
+                g.bench_with_input(
+                    BenchmarkId::new(format!("p{order}{suffix}"), v.name()),
+                    &order,
+                    |bch, _| {
+                        bch.iter(|| {
+                            op.apply_masked_ws(
+                                black_box(&u),
+                                &mut out,
+                                elems,
+                                &setup.dof_level,
+                                0,
+                                &mut ws,
+                            );
+                            black_box(&out);
+                        })
+                    },
                 );
             }
-            g.bench_with_input(
-                BenchmarkId::new(format!("p{order}"), v.name()),
-                &order,
-                |bch, _| {
-                    bch.iter(|| {
-                        op.apply_masked_ws(
-                            black_box(&u),
-                            &mut out,
-                            elems,
-                            &setup.dof_level,
-                            0,
-                            &mut ws,
-                        );
-                        black_box(&out);
-                    })
-                },
-            );
         }
     }
     g.finish();

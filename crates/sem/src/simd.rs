@@ -248,6 +248,10 @@ pub(crate) struct ElasticLanes {
 /// interior pointer arithmetic is bounds-guarded by the `debug_assert!`
 /// length checks at each kernel's entry, which mirror the slice sizes the
 /// engines in `compiled.rs` allocate.
+///
+/// The kernels are generic over `NP`, the GLL points per axis, so every
+/// loop bound and stride is a compile-time constant; [`batch_scalar_stiffness`]
+/// and [`batch_elastic_stiffness`] pick the instantiation with one `match`.
 #[cfg(any(
     all(feature = "simd", target_arch = "x86_64"),
     all(feature = "simd", target_arch = "aarch64")
@@ -285,185 +289,210 @@ macro_rules! simd_kernel_mod {
                 $store(s.as_mut_ptr().add(o), v)
             }
 
+            /// `D` splatted once per call: `dv[a][m]` holds `d[a·NP + m]`
+            /// in every lane.
+            ///
+            /// # Safety
+            /// Dispatch precondition.
+            #[target_feature(enable = $feat)]
+            #[inline]
+            unsafe fn splat_d<const NP: usize>(d: &[f64]) -> [[$vec; NP]; NP] {
+                let d = &d[..NP * NP];
+                let mut dv = [[$splat(0.0); NP]; NP];
+                for a in 0..NP {
+                    for m in 0..NP {
+                        dv[a][m] = $splat(d[a * NP + m]);
+                    }
+                }
+                dv
+            }
+
+            /// SoA offset of node `(a, b, c)`.
+            #[inline(always)]
+            fn at<const NP: usize>(a: usize, b: usize, c: usize) -> usize {
+                (a + NP * (b + NP * c)) * LANES
+            }
+
             /// Batched twin of [`crate::kernel::scalar_stiffness`]: lane `l`
-            /// computes `tmp_l = K_e tmp` for element `l` with the scalar
+            /// computes `tmp_l = K_e loc_l` for element `l` with the scalar
             /// kernel's exact operation sequence (separate mul + add, no
-            /// FMA), on `q·LANES + l` SoA buffers of length `np³ · LANES`.
-            /// `cf` carries per-lane `μJ gᵢ²` coefficients.
+            /// FMA, every sum from `0.0 +`), on `q·LANES + l` SoA buffers of
+            /// length `NP³ · LANES`. `cf` carries per-lane `μJ gᵢ²`
+            /// coefficients.
+            ///
+            /// Each axis runs line by line: a line's `NP` derivatives stay
+            /// in registers for the transposed contraction of the same
+            /// line, which needs no other. Every node of `tmp` still gets
+            /// its x, y and z sums in that order, and the x pass stores
+            /// `0.0 + s` — the scalar kernel's zero fill followed by `+=`.
             ///
             /// # Safety
             /// CPU supports the module's instruction set — guaranteed by the
             /// [`crate::simd::KernelVariant`] dispatch in
             /// [`crate::simd::batch_scalar_stiffness`]. Buffer lengths are
-            /// `np³·LANES` (asserted below).
+            /// `NP³·LANES` (asserted below).
             // lint: hot-path
             #[target_feature(enable = $feat)]
-            #[allow(clippy::too_many_arguments)]
-            pub(crate) unsafe fn scalar_stiffness_batch(
-                np: usize,
+            pub(crate) unsafe fn scalar_stiffness_batch<const NP: usize>(
                 d: &[f64],
                 w3: &[f64],
                 cf: &AcousticLanes,
                 loc: &[f64],
                 tmp: &mut [f64],
-                der: &mut [f64],
             ) {
-                let npe = np * np * np;
-                debug_assert!(loc.len() >= npe * LANES);
-                debug_assert!(tmp.len() >= npe * LANES);
-                debug_assert!(der.len() >= npe * LANES);
-                let idx = |a: usize, b: usize, c: usize| (a + np * (b + np * c)) * LANES;
-                let sidx = |a: usize, b: usize, c: usize| a + np * (b + np * c);
-                tmp[..npe * LANES].fill(0.0);
+                let w3 = &w3[..NP * NP * NP];
+                debug_assert!(loc.len() >= NP * NP * NP * LANES);
+                debug_assert!(tmp.len() >= NP * NP * NP * LANES);
+                let dv = splat_d::<NP>(d);
+                let zero = $splat(0.0);
+                let mut der = [zero; NP];
 
+                // x: lines along a, fixed (b, c)
                 let cxv = ld(&cf.cx, 0);
-                for c in 0..np {
-                    for b in 0..np {
-                        for a in 0..np {
-                            let mut s = $splat(0.0);
-                            for m in 0..np {
-                                s = $add(s, $mul($splat(d[a * np + m]), ld(loc, idx(m, b, c))));
+                for c in 0..NP {
+                    for b in 0..NP {
+                        for a in 0..NP {
+                            let mut s = zero;
+                            for m in 0..NP {
+                                s = $add(s, $mul(dv[a][m], ld(loc, at::<NP>(m, b, c))));
                             }
-                            let cw = $mul(cxv, $splat(w3[sidx(a, b, c)]));
-                            st(der, idx(a, b, c), $mul(s, cw));
+                            let cw = $mul(cxv, $splat(w3[a + NP * (b + NP * c)]));
+                            der[a] = $mul(s, cw);
                         }
-                    }
-                }
-                for c in 0..np {
-                    for b in 0..np {
-                        for i in 0..np {
-                            let mut s = $splat(0.0);
-                            for a in 0..np {
-                                s = $add(s, $mul($splat(d[a * np + i]), ld(der, idx(a, b, c))));
+                        for i in 0..NP {
+                            let mut s = zero;
+                            for a in 0..NP {
+                                s = $add(s, $mul(dv[a][i], der[a]));
                             }
-                            let o = idx(i, b, c);
-                            st(tmp, o, $add(ld(tmp, o), s));
+                            st(tmp, at::<NP>(i, b, c), $add(zero, s));
                         }
                     }
                 }
 
+                // y: lines along b, fixed (a, c)
                 let cyv = ld(&cf.cy, 0);
-                for c in 0..np {
-                    for b in 0..np {
-                        for a in 0..np {
-                            let mut s = $splat(0.0);
-                            for m in 0..np {
-                                s = $add(s, $mul($splat(d[b * np + m]), ld(loc, idx(a, m, c))));
+                for c in 0..NP {
+                    for a in 0..NP {
+                        for b in 0..NP {
+                            let mut s = zero;
+                            for m in 0..NP {
+                                s = $add(s, $mul(dv[b][m], ld(loc, at::<NP>(a, m, c))));
                             }
-                            let cw = $mul(cyv, $splat(w3[sidx(a, b, c)]));
-                            st(der, idx(a, b, c), $mul(s, cw));
+                            let cw = $mul(cyv, $splat(w3[a + NP * (b + NP * c)]));
+                            der[b] = $mul(s, cw);
                         }
-                    }
-                }
-                for c in 0..np {
-                    for i in 0..np {
-                        for a in 0..np {
-                            let mut s = $splat(0.0);
-                            for b in 0..np {
-                                s = $add(s, $mul($splat(d[b * np + i]), ld(der, idx(a, b, c))));
+                        for i in 0..NP {
+                            let mut s = zero;
+                            for b in 0..NP {
+                                s = $add(s, $mul(dv[b][i], der[b]));
                             }
-                            let o = idx(a, i, c);
+                            let o = at::<NP>(a, i, c);
                             st(tmp, o, $add(ld(tmp, o), s));
                         }
                     }
                 }
 
+                // z: lines along c, fixed (a, b)
                 let czv = ld(&cf.cz, 0);
-                for c in 0..np {
-                    for b in 0..np {
-                        for a in 0..np {
-                            let mut s = $splat(0.0);
-                            for m in 0..np {
-                                s = $add(s, $mul($splat(d[c * np + m]), ld(loc, idx(a, b, m))));
+                for b in 0..NP {
+                    for a in 0..NP {
+                        for c in 0..NP {
+                            let mut s = zero;
+                            for m in 0..NP {
+                                s = $add(s, $mul(dv[c][m], ld(loc, at::<NP>(a, b, m))));
                             }
-                            let cw = $mul(czv, $splat(w3[sidx(a, b, c)]));
-                            st(der, idx(a, b, c), $mul(s, cw));
+                            let cw = $mul(czv, $splat(w3[a + NP * (b + NP * c)]));
+                            der[c] = $mul(s, cw);
                         }
-                    }
-                }
-                for i in 0..np {
-                    for b in 0..np {
-                        for a in 0..np {
-                            let mut s = $splat(0.0);
-                            for c in 0..np {
-                                s = $add(s, $mul($splat(d[c * np + i]), ld(der, idx(a, b, c))));
+                        for i in 0..NP {
+                            let mut s = zero;
+                            for c in 0..NP {
+                                s = $add(s, $mul(dv[c][i], der[c]));
                             }
-                            let o = idx(a, b, i);
+                            let o = at::<NP>(a, b, i);
                             st(tmp, o, $add(ld(tmp, o), s));
                         }
                     }
                 }
             }
 
-            /// `out[base+i] += Σ_a d[a·np+i] f[base+a]` per lane (transposed
-            /// ξ-contraction on SoA buffers).
+            /// `out[i,b,c] (+)= Σ_a D[a][i] f[a,b,c]` per lane (transposed
+            /// ξ-contraction on SoA buffers). With `INIT` the sum is stored
+            /// as `0.0 + s`, the scalar path's zero fill followed by `+=`.
             ///
             /// # Safety
-            /// Dispatch precondition; `f`/`out` hold `np³·LANES` doubles.
+            /// Dispatch precondition; `f`/`out` hold `NP³·LANES` doubles.
             #[target_feature(enable = $feat)]
-            unsafe fn deriv_x_t_add(np: usize, d: &[f64], f: &[f64], out: &mut [f64]) {
-                for c in 0..np {
-                    for b in 0..np {
-                        let base = np * (b + np * c);
-                        for i in 0..np {
+            #[inline]
+            unsafe fn deriv_x_t_add<const NP: usize, const INIT: bool>(
+                dv: &[[$vec; NP]; NP],
+                f: &[f64],
+                out: &mut [f64],
+            ) {
+                for c in 0..NP {
+                    for b in 0..NP {
+                        for i in 0..NP {
                             let mut s = $splat(0.0);
-                            for a in 0..np {
-                                s = $add(s, $mul($splat(d[a * np + i]), ld(f, (base + a) * LANES)));
+                            for a in 0..NP {
+                                s = $add(s, $mul(dv[a][i], ld(f, at::<NP>(a, b, c))));
                             }
-                            let o = (base + i) * LANES;
-                            st(out, o, $add(ld(out, o), s));
+                            let o = at::<NP>(i, b, c);
+                            let prev = if INIT { $splat(0.0) } else { ld(out, o) };
+                            st(out, o, $add(prev, s));
                         }
                     }
                 }
             }
 
-            /// Transposed η-contraction, per lane.
+            /// Transposed η-contraction, per lane (`INIT` as for
+            /// [`deriv_x_t_add`]).
             ///
             /// # Safety
-            /// Dispatch precondition; `f`/`out` hold `np³·LANES` doubles.
+            /// Dispatch precondition; `f`/`out` hold `NP³·LANES` doubles.
             #[target_feature(enable = $feat)]
-            unsafe fn deriv_y_t_add(np: usize, d: &[f64], f: &[f64], out: &mut [f64]) {
-                for c in 0..np {
-                    for i in 0..np {
-                        for a in 0..np {
+            #[inline]
+            unsafe fn deriv_y_t_add<const NP: usize, const INIT: bool>(
+                dv: &[[$vec; NP]; NP],
+                f: &[f64],
+                out: &mut [f64],
+            ) {
+                for c in 0..NP {
+                    for i in 0..NP {
+                        for a in 0..NP {
                             let mut s = $splat(0.0);
-                            for b in 0..np {
-                                s = $add(
-                                    s,
-                                    $mul(
-                                        $splat(d[b * np + i]),
-                                        ld(f, (a + np * (b + np * c)) * LANES),
-                                    ),
-                                );
+                            for b in 0..NP {
+                                s = $add(s, $mul(dv[b][i], ld(f, at::<NP>(a, b, c))));
                             }
-                            let o = (a + np * (i + np * c)) * LANES;
-                            st(out, o, $add(ld(out, o), s));
+                            let o = at::<NP>(a, i, c);
+                            let prev = if INIT { $splat(0.0) } else { ld(out, o) };
+                            st(out, o, $add(prev, s));
                         }
                     }
                 }
             }
 
-            /// Transposed ζ-contraction, per lane.
+            /// Transposed ζ-contraction, per lane (`INIT` as for
+            /// [`deriv_x_t_add`]).
             ///
             /// # Safety
-            /// Dispatch precondition; `f`/`out` hold `np³·LANES` doubles.
+            /// Dispatch precondition; `f`/`out` hold `NP³·LANES` doubles.
             #[target_feature(enable = $feat)]
-            unsafe fn deriv_z_t_add(np: usize, d: &[f64], f: &[f64], out: &mut [f64]) {
-                for i in 0..np {
-                    for b in 0..np {
-                        for a in 0..np {
+            #[inline]
+            unsafe fn deriv_z_t_add<const NP: usize, const INIT: bool>(
+                dv: &[[$vec; NP]; NP],
+                f: &[f64],
+                out: &mut [f64],
+            ) {
+                for i in 0..NP {
+                    for b in 0..NP {
+                        for a in 0..NP {
                             let mut s = $splat(0.0);
-                            for c in 0..np {
-                                s = $add(
-                                    s,
-                                    $mul(
-                                        $splat(d[c * np + i]),
-                                        ld(f, (a + np * (b + np * c)) * LANES),
-                                    ),
-                                );
+                            for c in 0..NP {
+                                s = $add(s, $mul(dv[c][i], ld(f, at::<NP>(a, b, c))));
                             }
-                            let o = (a + np * (b + np * i)) * LANES;
-                            st(out, o, $add(ld(out, o), s));
+                            let o = at::<NP>(a, b, i);
+                            let prev = if INIT { $splat(0.0) } else { ld(out, o) };
+                            st(out, o, $add(prev, s));
                         }
                     }
                 }
@@ -472,10 +501,13 @@ macro_rules! simd_kernel_mod {
             /// Batched twin of [`crate::elastic::elastic_stiffness`]: lane
             /// `l` runs the scalar elastic kernel's exact operation sequence
             /// for element `l`. `u`/`out` are component-major
-            /// (`comp·np³·LANES + q·LANES + l`), `grad` is `(3·comp+axis)`-
+            /// (`comp·NP³·LANES + q·LANES + l`), `grad` is `(3·comp+axis)`-
             /// major. The gradient scaling by `g[axis]` is folded into the
             /// derivative store (`(Σ…)·g`, the same product the scalar
-            /// kernel's separate scale pass computes).
+            /// kernel's separate scale pass computes). The first
+            /// contraction into each component of `out` (the diagonal
+            /// stress) stores `0.0 + s`, the scalar zero fill followed by
+            /// `+=`.
             ///
             /// # Safety
             /// CPU supports the module's instruction set — guaranteed by the
@@ -485,8 +517,7 @@ macro_rules! simd_kernel_mod {
             // lint: hot-path
             #[target_feature(enable = $feat)]
             #[allow(clippy::too_many_arguments)]
-            pub(crate) unsafe fn elastic_stiffness_batch(
-                np: usize,
+            pub(crate) unsafe fn elastic_stiffness_batch<const NP: usize>(
                 d: &[f64],
                 w3: &[f64],
                 cf: &ElasticLanes,
@@ -495,12 +526,14 @@ macro_rules! simd_kernel_mod {
                 flux: &mut [f64],
                 out: &mut [f64],
             ) {
-                let npe = np * np * np;
+                let npe = NP * NP * NP;
                 let n = npe * LANES;
+                let w3 = &w3[..npe];
                 debug_assert!(u.len() >= 3 * n);
                 debug_assert!(grad.len() >= 9 * n);
                 debug_assert!(flux.len() >= n);
                 debug_assert!(out.len() >= 3 * n);
+                let dv = splat_d::<NP>(d);
                 let jacv = ld(&cf.jac, 0);
                 let gv = [ld(&cf.g[0], 0), ld(&cf.g[1], 0), ld(&cf.g[2], 0)];
                 let lamv = ld(&cf.lam, 0);
@@ -511,60 +544,42 @@ macro_rules! simd_kernel_mod {
                 for comp in 0..3 {
                     let ub = comp * n;
                     let gx = (3 * comp) * n;
-                    for c in 0..np {
-                        for b in 0..np {
-                            let base = np * (b + np * c);
-                            for a in 0..np {
+                    let gy = gx + n;
+                    let gz = gy + n;
+                    for c in 0..NP {
+                        for b in 0..NP {
+                            for a in 0..NP {
                                 let mut s = $splat(0.0);
-                                for m in 0..np {
-                                    s = $add(
-                                        s,
-                                        $mul($splat(d[a * np + m]), ld(u, ub + (base + m) * LANES)),
-                                    );
+                                for m in 0..NP {
+                                    s = $add(s, $mul(dv[a][m], ld(u, ub + at::<NP>(m, b, c))));
                                 }
-                                st(grad, gx + (base + a) * LANES, $mul(s, gv[0]));
+                                st(grad, gx + at::<NP>(a, b, c), $mul(s, gv[0]));
                             }
                         }
                     }
-                    let gy = (3 * comp + 1) * n;
-                    for c in 0..np {
-                        for b in 0..np {
-                            for a in 0..np {
+                    for c in 0..NP {
+                        for b in 0..NP {
+                            for a in 0..NP {
                                 let mut s = $splat(0.0);
-                                for m in 0..np {
-                                    s = $add(
-                                        s,
-                                        $mul(
-                                            $splat(d[b * np + m]),
-                                            ld(u, ub + (a + np * (m + np * c)) * LANES),
-                                        ),
-                                    );
+                                for m in 0..NP {
+                                    s = $add(s, $mul(dv[b][m], ld(u, ub + at::<NP>(a, m, c))));
                                 }
-                                st(grad, gy + (a + np * (b + np * c)) * LANES, $mul(s, gv[1]));
+                                st(grad, gy + at::<NP>(a, b, c), $mul(s, gv[1]));
                             }
                         }
                     }
-                    let gz = (3 * comp + 2) * n;
-                    for c in 0..np {
-                        for b in 0..np {
-                            for a in 0..np {
+                    for c in 0..NP {
+                        for b in 0..NP {
+                            for a in 0..NP {
                                 let mut s = $splat(0.0);
-                                for m in 0..np {
-                                    s = $add(
-                                        s,
-                                        $mul(
-                                            $splat(d[c * np + m]),
-                                            ld(u, ub + (a + np * (b + np * m)) * LANES),
-                                        ),
-                                    );
+                                for m in 0..NP {
+                                    s = $add(s, $mul(dv[c][m], ld(u, ub + at::<NP>(a, b, m))));
                                 }
-                                st(grad, gz + (a + np * (b + np * c)) * LANES, $mul(s, gv[2]));
+                                st(grad, gz + at::<NP>(a, b, c), $mul(s, gv[2]));
                             }
                         }
                     }
                 }
-
-                out[..3 * n].fill(0.0);
 
                 // diagonal stresses: σ_ii = λ tr + 2μ G[i][i]
                 for comp in 0..3 {
@@ -578,10 +593,11 @@ macro_rules! simd_kernel_mod {
                         let wq = $mul($splat(w3[q]), jacv);
                         st(flux, o, $mul($mul(wq, gv[comp]), sii));
                     }
+                    let oc = &mut out[comp * n..(comp + 1) * n];
                     match comp {
-                        0 => deriv_x_t_add(np, d, flux, &mut out[..n]),
-                        1 => deriv_y_t_add(np, d, flux, &mut out[n..2 * n]),
-                        _ => deriv_z_t_add(np, d, flux, &mut out[2 * n..3 * n]),
+                        0 => deriv_x_t_add::<NP, true>(&dv, flux, oc),
+                        1 => deriv_y_t_add::<NP, true>(&dv, flux, oc),
+                        _ => deriv_z_t_add::<NP, true>(&dv, flux, oc),
                     }
                 }
                 // shear stresses σ_ij = μ (G[i][j] + G[j][i]), i ≠ j
@@ -595,9 +611,10 @@ macro_rules! simd_kernel_mod {
                         let wq = $mul($splat(w3[q]), jacv);
                         st(flux, o, $mul($mul(wq, gv[j]), sij));
                     }
+                    let oi = &mut out[i * n..(i + 1) * n];
                     match j {
-                        1 => deriv_y_t_add(np, d, flux, &mut out[i * n..(i + 1) * n]),
-                        _ => deriv_z_t_add(np, d, flux, &mut out[i * n..(i + 1) * n]),
+                        1 => deriv_y_t_add::<NP, false>(&dv, flux, oi),
+                        _ => deriv_z_t_add::<NP, false>(&dv, flux, oi),
                     }
                     for q in 0..npe {
                         let o = q * LANES;
@@ -608,9 +625,10 @@ macro_rules! simd_kernel_mod {
                         let wq = $mul($splat(w3[q]), jacv);
                         st(flux, o, $mul($mul(wq, gv[i]), sij));
                     }
+                    let oj = &mut out[j * n..(j + 1) * n];
                     match i {
-                        0 => deriv_x_t_add(np, d, flux, &mut out[j * n..(j + 1) * n]),
-                        _ => deriv_y_t_add(np, d, flux, &mut out[j * n..(j + 1) * n]),
+                        0 => deriv_x_t_add::<NP, false>(&dv, flux, oj),
+                        _ => deriv_y_t_add::<NP, false>(&dv, flux, oj),
                     }
                 }
             }
@@ -657,13 +675,171 @@ simd_kernel_mod!(
     core::arch::aarch64::vmulq_f64
 );
 
-/// Dispatch one acoustic batch to `v`'s kernel. Returns `false` when `v` has
-/// no batched kernel (scalar variant, or a build without the matching ISA) —
-/// the caller then falls back to the per-element path.
+/// The AVX-512 gather and scatter of full units: each row of 8
+/// transposed ids (node `q` of the unit's 8 elements) is one `vgatherdpd`
+/// and, on the way out, one gather–mul–add–`vscatterdpd`. Lane `l` does
+/// the scalar loop's `out[g] += v · m[g]` for its id, so the result is
+/// bitwise the same; the scatter is exact only because the 8 ids of a row
+/// are distinct (8 elements of one colour share no DOF).
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+mod unit512 {
+    use core::arch::x86_64::*;
+
+    /// The 8 ids at `ids[r..]` as `i32` gather offsets.
+    ///
+    /// # Safety
+    /// The CPU supports AVX-512F; `r + 8 <= ids.len()`.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn row(ids: &[u32], r: usize) -> __m256i {
+        debug_assert!(r + 8 <= ids.len());
+        _mm256_loadu_si256(ids.as_ptr().add(r).cast())
+    }
+
+    /// `dst[i] = src[ids[i]]` for `i < ids.len()`.
+    ///
+    /// # Safety
+    /// The CPU supports AVX-512F; `ids.len()` is a multiple of 8 and at
+    /// most `dst.len()`; every id is below `src.len()` and below 2³¹ (the
+    /// gather's `i32` offsets).
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn gather(ids: &[u32], src: &[f64], dst: &mut [f64]) {
+        debug_assert!(ids.len().is_multiple_of(8) && dst.len() >= ids.len());
+        for r in (0..ids.len()).step_by(8) {
+            let v = _mm512_i32gather_pd::<8>(row(ids, r), src.as_ptr());
+            _mm512_storeu_pd(dst.as_mut_ptr().add(r), v);
+        }
+    }
+
+    /// `out[g] += vals[i] · scale[g]`, `g = ids[i]`, for `i < ids.len()`.
+    ///
+    /// # Safety
+    /// The CPU supports AVX-512F; `ids.len()` is a multiple of 8 and at
+    /// most `vals.len()`; every id is below `out.len()`, `scale.len()` and
+    /// 2³¹; the 8 ids of each row `ids[8j..8j + 8]` are distinct.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn scatter_add(ids: &[u32], vals: &[f64], scale: &[f64], out: &mut [f64]) {
+        debug_assert!(ids.len().is_multiple_of(8) && vals.len() >= ids.len());
+        for r in (0..ids.len()).step_by(8) {
+            let k = row(ids, r);
+            let o = _mm512_i32gather_pd::<8>(k, out.as_ptr());
+            let m = _mm512_i32gather_pd::<8>(k, scale.as_ptr());
+            let v = _mm512_loadu_pd(vals.as_ptr().add(r));
+            _mm512_i32scatter_pd::<8>(out.as_mut_ptr(), k, _mm512_add_pd(o, _mm512_mul_pd(v, m)));
+        }
+    }
+}
+
+/// One past the largest id a vector gather can address: its offsets are
+/// `i32`.
+pub(crate) const VECTOR_ID_END: usize = 1 << 31;
+
+/// Gather a full unit, `dst[i] = src[ids[i]]`, by vector when `v` has a
+/// vector gather (AVX-512). Returns `false`, having done nothing, when it
+/// has not — the caller then runs its scalar loop.
+///
+/// # Safety
+/// `ids.len()` is a multiple of `v.lanes()` and at most `dst.len()`;
+/// every id is below `src.len()` and below [`VECTOR_ID_END`].
 // lint: hot-path
 #[inline]
 #[must_use]
-#[allow(clippy::too_many_arguments)]
+pub(crate) unsafe fn gather_unit(
+    v: KernelVariant,
+    ids: &[u32],
+    src: &[f64],
+    dst: &mut [f64],
+) -> bool {
+    match v {
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        KernelVariant::Avx512 => {
+            // SAFETY: `v == Avx512` only arises from runtime feature
+            // detection or a support-clamped override, so the CPU has
+            // AVX-512F; 8 lanes, so `ids.len()` is a multiple of 8; the
+            // bounds are this function's own contract.
+            unsafe { unit512::gather(ids, src, dst) };
+            true
+        }
+        _ => {
+            let _ = (ids, src, dst);
+            false
+        }
+    }
+}
+
+/// Scatter a full unit, `out[g] += vals[i] · scale[g]` with `g = ids[i]`,
+/// by vector when `v` has a vector scatter (AVX-512). Returns `false`,
+/// having done nothing, when it has not.
+///
+/// # Safety
+/// `ids.len()` is a multiple of `v.lanes()` and at most `vals.len()`;
+/// every id is below `out.len()`, `scale.len()` and [`VECTOR_ID_END`];
+/// each row of `v.lanes()` ids is distinct.
+// lint: hot-path
+#[inline]
+#[must_use]
+pub(crate) unsafe fn scatter_add_unit(
+    v: KernelVariant,
+    ids: &[u32],
+    vals: &[f64],
+    scale: &[f64],
+    out: &mut [f64],
+) -> bool {
+    match v {
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        KernelVariant::Avx512 => {
+            // SAFETY: `v == Avx512` only arises from runtime feature
+            // detection or a support-clamped override, so the CPU has
+            // AVX-512F; 8 lanes, so each row is 8 ids, distinct by this
+            // function's contract, as are the bounds.
+            unsafe { unit512::scatter_add(ids, vals, scale, out) };
+            true
+        }
+        _ => {
+            let _ = (ids, vals, scale, out);
+            false
+        }
+    }
+}
+
+/// Calls `$module::$kernel::<NP>($args)` for the runtime point count
+/// `$np`, one arm per order [`crate::gll::GllBasis::new`] accepts
+/// (`NP = order + 1`, 2..=17); any other `$np` yields `false`.
+#[cfg(any(
+    all(feature = "simd", target_arch = "x86_64"),
+    all(feature = "simd", target_arch = "aarch64")
+))]
+macro_rules! by_np {
+    ($np:expr, $module:ident :: $kernel:ident ($($arg:expr),*)) => {
+        match $np {
+            2 => $module::$kernel::<2>($($arg),*),
+            3 => $module::$kernel::<3>($($arg),*),
+            4 => $module::$kernel::<4>($($arg),*),
+            5 => $module::$kernel::<5>($($arg),*),
+            6 => $module::$kernel::<6>($($arg),*),
+            7 => $module::$kernel::<7>($($arg),*),
+            8 => $module::$kernel::<8>($($arg),*),
+            9 => $module::$kernel::<9>($($arg),*),
+            10 => $module::$kernel::<10>($($arg),*),
+            11 => $module::$kernel::<11>($($arg),*),
+            12 => $module::$kernel::<12>($($arg),*),
+            13 => $module::$kernel::<13>($($arg),*),
+            14 => $module::$kernel::<14>($($arg),*),
+            15 => $module::$kernel::<15>($($arg),*),
+            16 => $module::$kernel::<16>($($arg),*),
+            17 => $module::$kernel::<17>($($arg),*),
+            _ => return false,
+        }
+    };
+}
+
+/// Dispatch one acoustic batch of `np`-point elements to `v`'s kernel.
+/// Returns `false` when `v` has no batched kernel (scalar variant, or a
+/// build without the matching ISA) — the caller then falls back to the
+/// per-element path.
+// lint: hot-path
+#[inline]
+#[must_use]
 pub(crate) fn batch_scalar_stiffness(
     v: KernelVariant,
     np: usize,
@@ -672,7 +848,6 @@ pub(crate) fn batch_scalar_stiffness(
     cf: &AcousticLanes,
     loc: &[f64],
     tmp: &mut [f64],
-    der: &mut [f64],
 ) -> bool {
     match v {
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
@@ -680,34 +855,32 @@ pub(crate) fn batch_scalar_stiffness(
             // SAFETY: `v == Avx2` only arises from runtime feature detection
             // or a support-clamped override, so the CPU has AVX2 — the
             // kernel's dispatch precondition.
-            unsafe { avx2::scalar_stiffness_batch(np, d, w3, cf, loc, tmp, der) }
-            true
+            unsafe { by_np!(np, avx2::scalar_stiffness_batch(d, w3, cf, loc, tmp)) }
         }
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         KernelVariant::Avx512 => {
             // SAFETY: `v == Avx512` only arises from runtime feature
             // detection or a support-clamped override, so the CPU has
             // AVX-512F — the kernel's dispatch precondition.
-            unsafe { avx512::scalar_stiffness_batch(np, d, w3, cf, loc, tmp, der) }
-            true
+            unsafe { by_np!(np, avx512::scalar_stiffness_batch(d, w3, cf, loc, tmp)) }
         }
         #[cfg(all(feature = "simd", target_arch = "aarch64"))]
         KernelVariant::Neon => {
             // SAFETY: `v == Neon` only arises from runtime feature detection
             // or a support-clamped override, so the CPU has NEON — the
             // kernel's dispatch precondition.
-            unsafe { neon::scalar_stiffness_batch(np, d, w3, cf, loc, tmp, der) }
-            true
+            unsafe { by_np!(np, neon::scalar_stiffness_batch(d, w3, cf, loc, tmp)) }
         }
         _ => {
-            let _ = (np, d, w3, cf, loc, tmp, der);
-            false
+            let _ = (np, d, w3, cf, loc, tmp);
+            return false;
         }
     }
+    true
 }
 
-/// Dispatch one elastic batch to `v`'s kernel; `false` = no batched kernel
-/// for `v`, use the per-element path.
+/// Dispatch one elastic batch of `np`-point elements to `v`'s kernel;
+/// `false` = no batched kernel for `v`, use the per-element path.
 // lint: hot-path
 #[inline]
 #[must_use]
@@ -729,30 +902,43 @@ pub(crate) fn batch_elastic_stiffness(
             // SAFETY: `v == Avx2` only arises from runtime feature detection
             // or a support-clamped override, so the CPU has AVX2 — the
             // kernel's dispatch precondition.
-            unsafe { avx2::elastic_stiffness_batch(np, d, w3, cf, u, grad, flux, out) }
-            true
+            unsafe {
+                by_np!(
+                    np,
+                    avx2::elastic_stiffness_batch(d, w3, cf, u, grad, flux, out)
+                )
+            }
         }
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         KernelVariant::Avx512 => {
             // SAFETY: `v == Avx512` only arises from runtime feature
             // detection or a support-clamped override, so the CPU has
             // AVX-512F — the kernel's dispatch precondition.
-            unsafe { avx512::elastic_stiffness_batch(np, d, w3, cf, u, grad, flux, out) }
-            true
+            unsafe {
+                by_np!(
+                    np,
+                    avx512::elastic_stiffness_batch(d, w3, cf, u, grad, flux, out)
+                )
+            }
         }
         #[cfg(all(feature = "simd", target_arch = "aarch64"))]
         KernelVariant::Neon => {
             // SAFETY: `v == Neon` only arises from runtime feature detection
             // or a support-clamped override, so the CPU has NEON — the
             // kernel's dispatch precondition.
-            unsafe { neon::elastic_stiffness_batch(np, d, w3, cf, u, grad, flux, out) }
-            true
+            unsafe {
+                by_np!(
+                    np,
+                    neon::elastic_stiffness_batch(d, w3, cf, u, grad, flux, out)
+                )
+            }
         }
         _ => {
             let _ = (np, d, w3, cf, u, grad, flux, out);
-            false
+            return false;
         }
     }
+    true
 }
 
 #[cfg(test)]
@@ -799,6 +985,25 @@ mod tests {
         }
     }
 
+    /// The field of lane `l` of a bitwise test: lane 0 is all `-0.0`, lane
+    /// 1 is `±0.0` with seeded signs, and the other lanes are seeded values
+    /// with a `±0.0` at every 7th entry. The signed zeros catch a kernel
+    /// whose sums do not start from `0.0 +` and whose first pass into an
+    /// output stores them bare; either alone leaves every bit as it is, as
+    /// `x + ±0.0 == x` and a sum from `0.0 +` is never `-0.0`.
+    fn lane_field(seed: u64, l: usize, buf: &mut [f64]) {
+        fill(seed + l as u64, buf);
+        for (i, v) in buf.iter_mut().enumerate() {
+            let zero = if *v < 0.0 { -0.0 } else { 0.0 };
+            *v = match l {
+                0 => -0.0,
+                1 => zero,
+                _ if i % 7 == 3 => zero,
+                _ => *v,
+            };
+        }
+    }
+
     #[test]
     fn acoustic_batch_is_bitwise_equal_to_scalar() {
         for v in supported_variants() {
@@ -806,7 +1011,7 @@ mod tests {
             if w == 1 {
                 continue;
             }
-            for order in 1..=4usize {
+            for order in 1..=16usize {
                 let basis = GllBasis::new(order);
                 let np = basis.n_points();
                 let npe = np * np * np;
@@ -824,7 +1029,7 @@ mod tests {
                 let mut lanes_loc = vec![0.0; npe * w];
                 let mut scalar_loc = vec![vec![0.0; npe]; w];
                 for (l, sl) in scalar_loc.iter_mut().enumerate() {
-                    fill(41 * order as u64 + l as u64, sl);
+                    lane_field(41 * order as u64, l, sl);
                     for q in 0..npe {
                         lanes_loc[q * w + l] = sl[q];
                     }
@@ -836,8 +1041,9 @@ mod tests {
                     cf.cy[l] = mu * jac * (2.0 / hy) * (2.0 / hy);
                     cf.cz[l] = mu * jac * (2.0 / hz) * (2.0 / hz);
                 }
+                // junk in the output: the kernel must initialise all of it
                 let mut vtmp = vec![0.0; npe * w];
-                let mut vder = vec![0.0; npe * w];
+                fill(7 * order as u64, &mut vtmp);
                 assert!(batch_scalar_stiffness(
                     v,
                     np,
@@ -846,7 +1052,6 @@ mod tests {
                     &cf,
                     &lanes_loc,
                     &mut vtmp,
-                    &mut vder,
                 ));
                 for (l, &(hx, hy, hz, mu)) in geoms.iter().enumerate() {
                     let mut tmp = vec![0.0; npe];
@@ -880,7 +1085,7 @@ mod tests {
             if w == 1 {
                 continue;
             }
-            for order in 1..=4usize {
+            for order in 1..=16usize {
                 let basis = GllBasis::new(order);
                 let np = basis.n_points();
                 let npe = np * np * np;
@@ -899,7 +1104,7 @@ mod tests {
                 let mut vu = vec![0.0; 3 * n];
                 let mut scalar_u = vec![vec![0.0; 3 * npe]; w];
                 for (l, su) in scalar_u.iter_mut().enumerate() {
-                    fill(97 * order as u64 + l as u64, su);
+                    lane_field(97 * order as u64, l, su);
                     for comp in 0..3 {
                         for q in 0..npe {
                             vu[comp * n + q * w + l] = su[comp * npe + q];
@@ -916,9 +1121,14 @@ mod tests {
                     cf.mu[l] = mu;
                     cf.tmu[l] = 2.0 * mu;
                 }
+                // junk in the scratch and output: the kernel must
+                // initialise all of it
                 let mut vgrad = vec![0.0; 9 * n];
                 let mut vflux = vec![0.0; n];
                 let mut vout = vec![0.0; 3 * n];
+                fill(5 * order as u64, &mut vgrad);
+                fill(11 * order as u64, &mut vflux);
+                fill(13 * order as u64, &mut vout);
                 assert!(batch_elastic_stiffness(
                     v,
                     np,

@@ -28,6 +28,13 @@ echo "== golden fields (serial + 2-rank local runtime, incl. the benchmark-size 
 # memory or speed change to gathers, kernels or stepping must not move one.
 cargo test -q --release --test field_golden -- --include-ignored
 
+echo "== golden fields on the other kernel paths (LTS_SIMD=avx2, LTS_SIMD=scalar)"
+# The hashes are the same on every kernel variant by contract; LTS_SIMD is
+# clamped to what the host supports, so each leg pins every path it has.
+for simd in avx2 scalar; do
+  LTS_SIMD="$simd" cargo test -q --release --test field_golden -- --include-ignored
+done
+
 echo "== transport conformance (channel / shm-ring / unix-socket / faulty)"
 cargo test -q --test transport_conformance
 

@@ -28,8 +28,7 @@
 use crate::gll::GllBasis;
 use crate::parallel::ElementColoring;
 use crate::simd::{
-    batch_elastic_stiffness, batch_scalar_stiffness, gather_unit, scatter_add_unit, AcousticLanes,
-    ElasticLanes, KernelVariant, VECTOR_ID_END,
+    batch_elastic_stiffness, batch_scalar_stiffness, AcousticLanes, ElasticLanes, KernelVariant,
 };
 use lts_core::{DofTopology, Workspace};
 
@@ -75,11 +74,6 @@ pub(crate) struct CompiledGather {
     /// level (gather with no mask), 0 when mixed; empty for the unmasked
     /// full product.
     pub(crate) pure: Vec<u8>,
-    /// One past the largest DOF any element gathers (`comps·id + comps`
-    /// for its largest id; 0 when the list is empty). A product asserts it
-    /// against its slices once, so the vector gather and scatter of full
-    /// units need no per-index check.
-    pub(crate) dof_end: usize,
     /// SIMD batching plan for the active [`KernelVariant`]; `None` on the
     /// scalar variant (lanes = 1). Rebuilt by [`GatherCache::ensure_plan`]
     /// when the active lane width changes.
@@ -258,16 +252,12 @@ impl GatherCache {
         let mut idx = Vec::new();
         let mut pure = Vec::with_capacity(if mask.is_some() { order.len() } else { 0 });
         let mut ids = Vec::new();
-        let mut dof_end = 0;
         for &e in &order {
             targets_of(e, &mut ids);
             if let Some(pos) = dof_order {
                 for id in ids.iter_mut() {
                     *id = pos[comps * *id as usize] / comps as u32;
                 }
-            }
-            if let Some(&max) = ids.iter().max() {
-                dof_end = dof_end.max(comps * (max as usize + 1));
             }
             if idx.is_empty() {
                 idx.reserve_exact(ids.len() * order.len());
@@ -284,7 +274,6 @@ impl GatherCache {
             color_off,
             idx,
             pure,
-            dof_end,
             simd: None,
         });
         self.entries.len() - 1
@@ -359,12 +348,7 @@ pub(crate) trait Engine<S: Send>: Sync {
     fn elem(&self, entry: &CompiledGather, pos: usize, u: &[f64], sc: &mut S, out: &mut [f64]);
 
     /// Process unit `unit` of `entry`'s SIMD plan.
-    ///
-    /// # Safety
-    /// `entry.dof_end` is at most `u.len()`, `out.len()` and
-    /// `self.inv_mass().len()`: full units gather and scatter without a
-    /// per-index bounds check. [`Self::check_bounds`] asserts it.
-    unsafe fn unit(
+    fn unit(
         &self,
         entry: &CompiledGather,
         plan: &SimdPlan,
@@ -374,36 +358,14 @@ pub(crate) trait Engine<S: Send>: Sync {
         out: &mut [f64],
     );
 
-    /// The reciprocal mass the scatter multiplies by.
-    fn inv_mass(&self) -> &[f64];
-
-    /// Panic unless every DOF `entry` gathers indexes `u`, `out` and the
-    /// reciprocal mass: the precondition of [`Self::unit`], checked once
-    /// per product.
-    fn check_bounds(&self, entry: &CompiledGather, u: &[f64], out: &[f64]) {
-        let end = entry.dof_end;
-        let m = self.inv_mass().len();
-        // lint: allow(hot-path-panic) — once per product, not per unit: an
-        // entry that gathers past its slices is a caller bug, refused here
-        // because the vector gather and scatter do not check
-        assert!(
-            end <= u.len() && end <= out.len() && end <= m,
-            "compiled entry gathers {end} DOFs; u, out and inv_mass hold {}, {} and {m}",
-            u.len(),
-            out.len()
-        );
-    }
-
     /// Serial walk of an entry, batch-wise when a plan is attached. Both
     /// walks visit colours in order and touch every scatter target once per
     /// colour, so they produce bitwise-identical sums.
     fn run_serial(&self, entry: &CompiledGather, u: &[f64], sc: &mut S, out: &mut [f64]) {
         match entry.simd.as_ref() {
             Some(plan) => {
-                self.check_bounds(entry, u, out);
                 for unit in 0..plan.unit_base.len() {
-                    // SAFETY: `check_bounds` passed for this `u` and `out`.
-                    unsafe { self.unit(entry, plan, unit, u, sc, out) };
+                    self.unit(entry, plan, unit, u, sc, out);
                 }
             }
             None => {
@@ -419,11 +381,8 @@ pub(crate) trait Engine<S: Send>: Sync {
     fn run_threads(&self, entry: &CompiledGather, u: &[f64], par: &mut [S], out: &mut [f64]) {
         match entry.simd.as_ref() {
             Some(plan) => {
-                self.check_bounds(entry, u, out);
                 crate::parallel::par_colored(out, &plan.unit_off, par, |unit, sc, o| {
-                    // SAFETY: `check_bounds` passed for `u` and `out`, and
-                    // every worker's `o` is the whole of `out`.
-                    unsafe { self.unit(entry, plan, unit, u, sc, o) };
+                    self.unit(entry, plan, unit, u, sc, o);
                 });
             }
             None => {
@@ -736,21 +695,12 @@ impl<G: Fn(u32) -> (f64, f64, f64, f64) + Sync> Engine<ScalarScratch> for Acoust
         }
     }
 
-    fn inv_mass(&self) -> &[f64] {
-        self.inv_mass
-    }
-
     /// Process unit `unit` of a plan: SoA gather through the transposed
     /// (lane-padded) tables, one batched kernel call, SoA scatter of the
-    /// first `unit_len` lanes. A full unit that needs no mask gathers and
-    /// scatters by vector where the variant can. Any variant the build
-    /// lacks a kernel for falls back to [`Self::elem`].
-    ///
-    /// # Safety
-    /// As [`Engine::unit`]: `entry.dof_end` bounds `u`, `out` and
-    /// `inv_mass`.
+    /// first `unit_len` lanes. Any variant the build lacks a kernel for
+    /// falls back to [`Self::elem`].
     // lint: hot-path
-    unsafe fn unit(
+    fn unit(
         &self,
         entry: &CompiledGather,
         plan: &SimdPlan,
@@ -765,23 +715,16 @@ impl<G: Fn(u32) -> (f64, f64, f64, f64) + Sync> Engine<ScalarScratch> for Acoust
         let npe = self.npe;
         let toff = plan.unit_toff[unit] as usize;
         let ids = &plan.tidx[toff..toff + npe * w];
-        let mixed = self.mask.is_some() && plan.unit_pure[unit] == 0;
-        let full = len == w && !mixed && entry.dof_end <= VECTOR_ID_END;
-        // SAFETY: `ids` is whole rows of `w` ids and `vloc` holds `npe·w`
-        // doubles; every id is below `entry.dof_end`, which is at most
-        // `VECTOR_ID_END` here and at most `u.len()` by this fn's contract.
-        if !(full && unsafe { gather_unit(plan.variant, ids, u, &mut sc.vloc) }) {
-            match self.mask {
-                Some(m) if mixed => {
-                    for (i, &id) in ids.iter().enumerate() {
-                        let g = id as usize;
-                        sc.vloc[i] = u[g] * m.factor(g);
-                    }
+        match self.mask {
+            Some(m) if plan.unit_pure[unit] == 0 => {
+                for (i, &id) in ids.iter().enumerate() {
+                    let g = id as usize;
+                    sc.vloc[i] = u[g] * m.factor(g);
                 }
-                _ => {
-                    for (i, &id) in ids.iter().enumerate() {
-                        sc.vloc[i] = u[id as usize];
-                    }
+            }
+            _ => {
+                for (i, &id) in ids.iter().enumerate() {
+                    sc.vloc[i] = u[id as usize];
                 }
             }
         }
@@ -807,13 +750,6 @@ impl<G: Fn(u32) -> (f64, f64, f64, f64) + Sync> Engine<ScalarScratch> for Acoust
             for pos in base..base + len {
                 self.elem(entry, pos, u, sc, out);
             }
-            return;
-        }
-        // SAFETY: as for the gather, with `out` and `inv_mass` bounded by
-        // this fn's contract; the `w` ids of a row of a full unit belong to
-        // `w` elements of one colour, which share no DOF, so they are
-        // distinct.
-        if full && unsafe { scatter_add_unit(plan.variant, ids, &sc.vtmp, self.inv_mass, out) } {
             return;
         }
         if len == w {
@@ -893,19 +829,11 @@ impl<G: Fn(u32) -> (f64, f64, f64, f64, f64) + Sync> Engine<crate::elastic::Scra
         }
     }
 
-    fn inv_mass(&self) -> &[f64] {
-        self.inv_mass
-    }
-
     /// Process unit `unit` of a plan (SoA gather through the lane-padded
     /// tables → batched kernel → SoA scatter of the first `unit_len`
     /// lanes), falling back to [`Self::elem`] on variants without a kernel.
-    ///
-    /// # Safety
-    /// None beyond [`Engine::unit`]'s: this engine gathers and scatters
-    /// with checked indexing.
     // lint: hot-path
-    unsafe fn unit(
+    fn unit(
         &self,
         entry: &CompiledGather,
         plan: &SimdPlan,
@@ -1062,7 +990,6 @@ mod tests {
             color_off,
             idx,
             pure,
-            dof_end: 80,
             simd: None,
         });
         cache.ensure_plan(0, npe, KernelVariant::Avx2);
@@ -1119,97 +1046,5 @@ mod tests {
         };
         assert!(m3.covers(&[0], 3));
         assert!(!m3.covers(&[0, 1], 3));
-    }
-
-    /// On AVX-512, full units that need no mask gather and scatter by
-    /// vector; tails and mixed units keep the scalar loops. Both must give
-    /// the scalar loops' bits, unit by unit and over the whole product.
-    #[test]
-    fn vector_gather_and_scatter_match_the_scalar_loops() {
-        use crate::simd::ForceVariant;
-        use crate::AcousticOperator;
-        use lts_core::{LtsSetup, Operator};
-        use lts_mesh::{HexMesh, Levels};
-        if !KernelVariant::Avx512.is_supported() {
-            return;
-        }
-        let mut m = HexMesh::uniform(7, 5, 3, 1.0, 1.0);
-        m.paint_box((5, 7), (0, 5), (0, 3), 2.0, 1.0);
-        let lv = Levels::assign(&m, 0.5, 4);
-        let op = AcousticOperator::new(&m, 2);
-        let setup = LtsSetup::new(&op, &lv.elem_level);
-        let n = Operator::ndof(&op);
-        let npe = 27;
-        let u: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.37).sin()).collect();
-        let scale: Vec<f64> = (0..n).map(|i| 1.0 + ((i as f64) * 0.11).cos()).collect();
-        let elems = &setup.elems[0];
-
-        // unit by unit, on the AVX-512 plan of the coarsest level's entry
-        let mut ws = Workspace::new();
-        op.precompile_masked(elems, &setup.dof_level, 0, &mut ws);
-        let (st, _) = op_state(&op, &mut ws);
-        st.cache.ensure_plan(0, npe, KernelVariant::Avx512);
-        let en = st.cache.entry(0);
-        let plan = en.simd.as_ref().unwrap();
-        let (mut full, mut tail, mut mixed) = (0, 0, 0);
-        for unit in 0..plan.unit_base.len() {
-            let len = plan.unit_len[unit] as usize;
-            if plan.unit_pure[unit] == 0 {
-                mixed += 1;
-            }
-            if len < 8 {
-                tail += 1;
-                continue;
-            }
-            full += 1;
-            let toff = plan.unit_toff[unit] as usize;
-            let ids = &plan.tidx[toff..toff + npe * 8];
-            let vals: Vec<f64> = (0..ids.len()).map(|i| (i as f64 * 0.7).sin()).collect();
-            let mut got = vec![0.0; ids.len()];
-            let mut out = u.clone();
-            assert!(en.dof_end <= n && en.dof_end <= VECTOR_ID_END);
-            // SAFETY: every id is below `en.dof_end`, at most `n` and
-            // `VECTOR_ID_END`; `ids` is whole rows of 8 ids of 8 elements of
-            // one colour, so each row is distinct.
-            unsafe {
-                assert!(gather_unit(plan.variant, ids, &u, &mut got));
-                assert!(scatter_add_unit(plan.variant, ids, &vals, &scale, &mut out));
-            }
-            let mut want_out = u.clone();
-            for (i, &id) in ids.iter().enumerate() {
-                let g = id as usize;
-                assert_eq!(got[i].to_bits(), u[g].to_bits(), "unit {unit} gather {i}");
-                want_out[g] += vals[i] * scale[g];
-            }
-            for (g, (a, b)) in out.iter().zip(&want_out).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "unit {unit} scatter to {g}");
-            }
-        }
-        assert!(
-            full > 0 && tail > 0 && mixed > 0,
-            "{full} full, {tail} tail and {mixed} mixed units"
-        );
-
-        // the whole masked product against the scalar path
-        let product = |v: KernelVariant| {
-            let _force = ForceVariant::new(v);
-            let mut out = vec![0.0; n];
-            op.apply_masked_ws(
-                &u,
-                &mut out,
-                elems,
-                &setup.dof_level,
-                0,
-                &mut Workspace::new(),
-            );
-            out
-        };
-        let (vector, scalar) = (
-            product(KernelVariant::Avx512),
-            product(KernelVariant::Scalar),
-        );
-        for g in 0..n {
-            assert_eq!(vector[g].to_bits(), scalar[g].to_bits(), "dof {g}");
-        }
     }
 }

@@ -675,133 +675,6 @@ simd_kernel_mod!(
     core::arch::aarch64::vmulq_f64
 );
 
-/// The AVX-512 gather and scatter of full units: each row of 8
-/// transposed ids (node `q` of the unit's 8 elements) is one `vgatherdpd`
-/// and, on the way out, one gather–mul–add–`vscatterdpd`. Lane `l` does
-/// the scalar loop's `out[g] += v · m[g]` for its id, so the result is
-/// bitwise the same; the scatter is exact only because the 8 ids of a row
-/// are distinct (8 elements of one colour share no DOF).
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod unit512 {
-    use core::arch::x86_64::*;
-
-    /// The 8 ids at `ids[r..]` as `i32` gather offsets.
-    ///
-    /// # Safety
-    /// The CPU supports AVX-512F; `r + 8 <= ids.len()`.
-    #[target_feature(enable = "avx512f")]
-    #[inline]
-    unsafe fn row(ids: &[u32], r: usize) -> __m256i {
-        debug_assert!(r + 8 <= ids.len());
-        _mm256_loadu_si256(ids.as_ptr().add(r).cast())
-    }
-
-    /// `dst[i] = src[ids[i]]` for `i < ids.len()`.
-    ///
-    /// # Safety
-    /// The CPU supports AVX-512F; `ids.len()` is a multiple of 8 and at
-    /// most `dst.len()`; every id is below `src.len()` and below 2³¹ (the
-    /// gather's `i32` offsets).
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn gather(ids: &[u32], src: &[f64], dst: &mut [f64]) {
-        debug_assert!(ids.len().is_multiple_of(8) && dst.len() >= ids.len());
-        for r in (0..ids.len()).step_by(8) {
-            let v = _mm512_i32gather_pd::<8>(row(ids, r), src.as_ptr());
-            _mm512_storeu_pd(dst.as_mut_ptr().add(r), v);
-        }
-    }
-
-    /// `out[g] += vals[i] · scale[g]`, `g = ids[i]`, for `i < ids.len()`.
-    ///
-    /// # Safety
-    /// The CPU supports AVX-512F; `ids.len()` is a multiple of 8 and at
-    /// most `vals.len()`; every id is below `out.len()`, `scale.len()` and
-    /// 2³¹; the 8 ids of each row `ids[8j..8j + 8]` are distinct.
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn scatter_add(ids: &[u32], vals: &[f64], scale: &[f64], out: &mut [f64]) {
-        debug_assert!(ids.len().is_multiple_of(8) && vals.len() >= ids.len());
-        for r in (0..ids.len()).step_by(8) {
-            let k = row(ids, r);
-            let o = _mm512_i32gather_pd::<8>(k, out.as_ptr());
-            let m = _mm512_i32gather_pd::<8>(k, scale.as_ptr());
-            let v = _mm512_loadu_pd(vals.as_ptr().add(r));
-            _mm512_i32scatter_pd::<8>(out.as_mut_ptr(), k, _mm512_add_pd(o, _mm512_mul_pd(v, m)));
-        }
-    }
-}
-
-/// One past the largest id a vector gather can address: its offsets are
-/// `i32`.
-pub(crate) const VECTOR_ID_END: usize = 1 << 31;
-
-/// Gather a full unit, `dst[i] = src[ids[i]]`, by vector when `v` has a
-/// vector gather (AVX-512). Returns `false`, having done nothing, when it
-/// has not — the caller then runs its scalar loop.
-///
-/// # Safety
-/// `ids.len()` is a multiple of `v.lanes()` and at most `dst.len()`;
-/// every id is below `src.len()` and below [`VECTOR_ID_END`].
-// lint: hot-path
-#[inline]
-#[must_use]
-pub(crate) unsafe fn gather_unit(
-    v: KernelVariant,
-    ids: &[u32],
-    src: &[f64],
-    dst: &mut [f64],
-) -> bool {
-    match v {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        KernelVariant::Avx512 => {
-            // SAFETY: `v == Avx512` only arises from runtime feature
-            // detection or a support-clamped override, so the CPU has
-            // AVX-512F; 8 lanes, so `ids.len()` is a multiple of 8; the
-            // bounds are this function's own contract.
-            unsafe { unit512::gather(ids, src, dst) };
-            true
-        }
-        _ => {
-            let _ = (ids, src, dst);
-            false
-        }
-    }
-}
-
-/// Scatter a full unit, `out[g] += vals[i] · scale[g]` with `g = ids[i]`,
-/// by vector when `v` has a vector scatter (AVX-512). Returns `false`,
-/// having done nothing, when it has not.
-///
-/// # Safety
-/// `ids.len()` is a multiple of `v.lanes()` and at most `vals.len()`;
-/// every id is below `out.len()`, `scale.len()` and [`VECTOR_ID_END`];
-/// each row of `v.lanes()` ids is distinct.
-// lint: hot-path
-#[inline]
-#[must_use]
-pub(crate) unsafe fn scatter_add_unit(
-    v: KernelVariant,
-    ids: &[u32],
-    vals: &[f64],
-    scale: &[f64],
-    out: &mut [f64],
-) -> bool {
-    match v {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        KernelVariant::Avx512 => {
-            // SAFETY: `v == Avx512` only arises from runtime feature
-            // detection or a support-clamped override, so the CPU has
-            // AVX-512F; 8 lanes, so each row is 8 ids, distinct by this
-            // function's contract, as are the bounds.
-            unsafe { unit512::scatter_add(ids, vals, scale, out) };
-            true
-        }
-        _ => {
-            let _ = (ids, vals, scale, out);
-            false
-        }
-    }
-}
-
 /// Calls `$module::$kernel::<NP>($args)` for the runtime point count
 /// `$np`, one arm per order [`crate::gll::GllBasis::new`] accepts
 /// (`NP = order + 1`, 2..=17); any other `$np` yields `false`.

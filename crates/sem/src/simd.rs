@@ -516,7 +516,6 @@ macro_rules! simd_kernel_mod {
             /// asserted below.
             // lint: hot-path
             #[target_feature(enable = $feat)]
-            #[allow(clippy::too_many_arguments)]
             pub(crate) unsafe fn elastic_stiffness_batch<const NP: usize>(
                 d: &[f64],
                 w3: &[f64],

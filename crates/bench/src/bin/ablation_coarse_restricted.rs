@@ -11,7 +11,7 @@ use lts_partition::restricted::{largest_cluster_work, partition_coarse_restricte
 use lts_partition::{partition_mesh, Strategy};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["elements", "seed", "parts"]);
     let elements: usize = args.get("elements", 30_000);
     let seed: u64 = args.get("seed", 1);
     let parts = args.get_list("parts", &[4, 16, 64, 256]);

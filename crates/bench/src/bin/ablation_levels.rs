@@ -11,7 +11,7 @@ use lts_mesh::levels::{Levels, DEFAULT_CFL};
 use lts_mesh::{BenchmarkMesh, MeshKind};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["elements"]);
     let elements: usize = args.get("elements", 120_000);
     // build once with the full level budget to fix the mesh
     let b = BenchmarkMesh::build(MeshKind::TrenchBig, elements);

@@ -8,7 +8,7 @@ use lts_partition::metrics::{edge_cut, load_imbalance, mpi_volume};
 use lts_partition::scotch_p::{partition_scotch_p_with, MappingMethod};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["elements", "seed", "parts"]);
     let elements: usize = args.get("elements", 40_000);
     let seed: u64 = args.get("seed", 1);
     let parts = args.get_list("parts", &[8, 16, 32, 64]);

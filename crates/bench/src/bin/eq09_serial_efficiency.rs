@@ -14,7 +14,7 @@ use lts_sem::AcousticOperator;
 use std::time::Instant;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["elements", "order", "cycles"]);
     let elements: usize = args.get("elements", 3_000);
     let order: usize = args.get("order", 4);
     let cycles: usize = args.get("cycles", 3);

@@ -15,7 +15,7 @@ use lts_runtime::stats::{ascii_timeline, lambda_from_stats, profile_json};
 use lts_runtime::{flight_capacity_from_env, run, DistributedConfig, MonitorConfig, RunSpec};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["steps", "amplify", "threads", "profile", "trace-out"]);
     let steps: usize = args.get("steps", 60);
     let amplify: u32 = args.get("amplify", 1_500_000);
     let threads: usize = args.get("threads", 1);

@@ -11,6 +11,7 @@ use lts_mesh::hypergraph::NodalHypergraph;
 use lts_mesh::quad::QuadMesh;
 
 fn main() {
+    lts_bench::Args::parse(&[]);
     // ---- Fig. 2: 4 columns × 1 row, order-2 (9-node) elements; the right
     // two columns are p = 2.
     let m = QuadMesh::new(4, 1);

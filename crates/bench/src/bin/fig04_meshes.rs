@@ -44,7 +44,7 @@ fn slice_x(b: &BenchmarkMesh) -> String {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["elements"]);
     let elements: usize = args.get("elements", 30_000);
     for kind in [MeshKind::Trench, MeshKind::Embedding, MeshKind::Crust] {
         let b = build_mesh(kind, elements);

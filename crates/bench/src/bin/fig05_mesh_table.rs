@@ -9,7 +9,7 @@ use lts_bench::{Args, Table};
 use lts_mesh::{BenchmarkMesh, MeshKind};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["scale"]);
     let scale: f64 = args.get("scale", 1.0);
     let kinds = [
         MeshKind::Trench,

@@ -50,7 +50,7 @@ fn write_partition_ppm(b: &lts_mesh::BenchmarkMesh, part: &[u32], name: &str) {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["elements", "parts", "seed"]);
     let elements: usize = args.get("elements", 20_000);
     let k: usize = args.get("parts", 4);
     let seed: u64 = args.get("seed", 1);

@@ -11,7 +11,7 @@ use lts_obs::{registry_to_csv, MetricsRegistry};
 use lts_partition::{load_imbalance, partition_mesh, partition_mesh_observed, Strategy};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["elements", "seed", "parts", "csv"]);
     let elements: usize = args.get("elements", 100_000);
     let seed: u64 = args.get("seed", 1);
     let parts = args.get_list("parts", &[16, 32, 64]);

@@ -10,7 +10,7 @@ use lts_mesh::MeshKind;
 use lts_partition::{edge_cut, mpi_volume, partition_mesh, Strategy};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["elements", "seed", "parts"]);
     let elements: usize = args.get("elements", 100_000);
     let seed: u64 = args.get("seed", 1);
     let parts = args.get_list("parts", &[16, 32, 64]);

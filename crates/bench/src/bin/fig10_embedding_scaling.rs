@@ -11,7 +11,7 @@ use lts_partition::Strategy;
 use lts_perfmodel::cluster::MachineModel;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["elements", "seed", "nodes"]);
     let elements: usize = args.get("elements", 100_000);
     let seed: u64 = args.get("seed", 1);
     let nodes = args.get_list("nodes", &[16, 32, 64, 128]);

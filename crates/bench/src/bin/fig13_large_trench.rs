@@ -11,7 +11,7 @@ use lts_partition::Strategy;
 use lts_perfmodel::cluster::MachineModel;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["elements", "seed", "nodes"]);
     // 1/50th of paper scale by default; --elements 26000000 for full size
     let elements: usize = args.get("elements", 520_000);
     let seed: u64 = args.get("seed", 1);

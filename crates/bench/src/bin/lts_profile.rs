@@ -31,7 +31,9 @@ fn read_doc(path: &str) -> Json {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[
+        "mode", "smoke", "out", "file", "baseline", "current", "timings", "tol",
+    ]);
     let mode: String = args.get("mode", "run".to_string());
     match mode.as_str() {
         "run" => {

@@ -152,7 +152,7 @@ fn ratio_sweep(reg: &mut MetricsRegistry) {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["json"]);
     let json_path: String = args.get("json", "verification_metrics.json".to_string());
     let mut reg = MetricsRegistry::new();
     convergence_table(&mut reg);

@@ -11,12 +11,14 @@ pub mod scaling;
 
 use lts_mesh::{BenchmarkMesh, MeshKind};
 
-/// Minimal flag parser: `--key value` pairs. Strict: a stray word, a flag
-/// without a value or a value that does not parse is a usage error, which
-/// [`Args::parse`], [`Args::get`] and [`Args::get_list`] report naming the
-/// argument before exiting with status 2.
+/// Minimal flag parser: `--key value` pairs. Strict: a flag the binary does
+/// not accept, a stray word, a flag without a value or a value that does
+/// not parse is a usage error, which [`Args::parse`], [`Args::get`] and
+/// [`Args::get_list`] report naming the argument before exiting with
+/// status 2.
 pub struct Args {
     pairs: Vec<(String, String)>,
+    accepted: &'static [&'static str],
 }
 
 /// Print a usage error and exit with status 2.
@@ -26,27 +28,45 @@ pub fn usage_error(msg: &str) -> ! {
 }
 
 impl Args {
-    pub fn parse() -> Self {
-        Self::from_argv(std::env::args().skip(1)).unwrap_or_else(|e| usage_error(&e))
+    /// Parse the process arguments against the flag names (without `--`)
+    /// the binary reads.
+    pub fn parse(accepted: &'static [&'static str]) -> Self {
+        Self::from_argv(std::env::args().skip(1), accepted).unwrap_or_else(|e| usage_error(&e))
     }
 
-    /// Parse `argv` (without the program name).
-    pub fn from_argv(argv: impl IntoIterator<Item = String>) -> Result<Self, String> {
+    /// Parse `argv` (without the program name) against `accepted`.
+    pub fn from_argv(
+        argv: impl IntoIterator<Item = String>,
+        accepted: &'static [&'static str],
+    ) -> Result<Self, String> {
         let mut pairs = Vec::new();
         let mut argv = argv.into_iter();
         while let Some(arg) = argv.next() {
             let Some(key) = arg.strip_prefix("--") else {
                 return Err(format!("unexpected argument {arg:?}"));
             };
+            if !accepted.contains(&key) {
+                let names: Vec<String> = accepted.iter().map(|k| format!("--{k}")).collect();
+                let names = if names.is_empty() {
+                    "none".to_string()
+                } else {
+                    names.join(", ")
+                };
+                return Err(format!("unknown flag --{key}; accepted: {names}"));
+            }
             let value = argv
                 .next()
                 .ok_or_else(|| format!("flag --{key} needs a value"))?;
             pairs.push((key.to_string(), value));
         }
-        Ok(Args { pairs })
+        Ok(Args { pairs, accepted })
     }
 
     fn value(&self, key: &str) -> Option<&str> {
+        debug_assert!(
+            self.accepted.contains(&key),
+            "--{key} is read but missing from the accepted flags"
+        );
         self.pairs
             .iter()
             .rev()
@@ -176,8 +196,10 @@ mod tests {
         assert_eq!(sci(3.0e7), "3.0e7");
     }
 
+    const FLAGS: &[&str] = &["elements", "parts", "seed", "nodes"];
+
     fn argv(words: &[&str]) -> Result<Args, String> {
-        Args::from_argv(words.iter().map(|w| w.to_string()))
+        Args::from_argv(words.iter().map(|w| w.to_string()), FLAGS)
     }
 
     #[test]
@@ -200,6 +222,19 @@ mod tests {
         assert!(e.contains("--elements") && e.contains("5k"), "{e}");
         let e = a.try_get_list("parts", &[1]).unwrap_err();
         assert!(e.contains("--parts") && e.contains("4,x"), "{e}");
+    }
+
+    #[test]
+    fn args_reject_a_flag_the_binary_does_not_read() {
+        let e = argv(&["--elements", "500", "--elemnts", "700"])
+            .err()
+            .unwrap();
+        assert!(e.contains("--elemnts"), "{e}");
+        assert!(e.contains("--elements, --parts, --seed, --nodes"), "{e}");
+        let e = Args::from_argv(["--elements".to_string(), "5".to_string()], &[])
+            .err()
+            .unwrap();
+        assert!(e.contains("accepted: none"), "{e}");
     }
 
     #[test]

@@ -1125,8 +1125,8 @@ mod tests {
         }
     }
 
-    /// Pluggable means interchangeable: every backend must produce the same
-    /// field bits and the same deterministic counters as the channel
+    /// Pluggable means interchangeable: the socket backend must produce the
+    /// same field bits and the same deterministic counters as the channel
     /// reference, in both communication modes.
     #[test]
     fn every_transport_matches_channel_bitwise() {
@@ -1147,24 +1147,22 @@ mod tests {
             let (uc, vc, sc) = run_chain(&c, &setup, &part, dt, &u0, 15, &base)
                 .into_result()
                 .unwrap();
-            for kind in [TransportKind::SharedRing, TransportKind::UnixSocket] {
-                let cfg = DistributedConfig {
-                    transport: kind,
-                    ..base
-                };
-                let (u, v, st) = run_chain(&c, &setup, &part, dt, &u0, 15, &cfg)
-                    .into_result()
-                    .unwrap();
-                for i in 0..13 {
-                    assert_eq!(uc[i].to_bits(), u[i].to_bits(), "{kind:?} u[{i}]");
-                    assert_eq!(vc[i].to_bits(), v[i].to_bits(), "{kind:?} v[{i}]");
-                }
-                for (a, b) in sc.iter().zip(&st) {
-                    assert_eq!(a.elem_ops, b.elem_ops, "{kind:?}");
-                    assert_eq!(a.n_exchanges, b.n_exchanges, "{kind:?}");
-                    assert_eq!(a.msgs_sent, b.msgs_sent, "{kind:?}");
-                    assert_eq!(a.dofs_sent, b.dofs_sent, "{kind:?}");
-                }
+            let cfg = DistributedConfig {
+                transport: TransportKind::UnixSocket,
+                ..base
+            };
+            let (u, v, st) = run_chain(&c, &setup, &part, dt, &u0, 15, &cfg)
+                .into_result()
+                .unwrap();
+            for i in 0..13 {
+                assert_eq!(uc[i].to_bits(), u[i].to_bits(), "u[{i}]");
+                assert_eq!(vc[i].to_bits(), v[i].to_bits(), "v[{i}]");
+            }
+            for (a, b) in sc.iter().zip(&st) {
+                assert_eq!(a.elem_ops, b.elem_ops);
+                assert_eq!(a.n_exchanges, b.n_exchanges);
+                assert_eq!(a.msgs_sent, b.msgs_sent);
+                assert_eq!(a.dofs_sent, b.dofs_sent);
             }
         }
     }
@@ -1375,22 +1373,19 @@ mod tests {
         let setup = LtsSetup::new(&c, &[0u8; 8]);
         let u0 = gaussian(9);
         let part: Vec<u32> = (0..8).map(|e| u32::from(e >= 4)).collect();
-        let cfg = DistributedConfig {
-            transport: TransportKind::SharedRing,
-            ..DistributedConfig::new(2)
-        };
+        let cfg = DistributedConfig::new(2);
         let (_, _, stats) = run_chain(&c, &setup, &part, 0.5, &u0, 5, &cfg)
             .into_result()
             .unwrap();
         for st in &stats {
             let msgs = st
                 .registry
-                .gauge_labeled(names::TRANSPORT_MSGS, "shm-ring")
+                .gauge_labeled(names::TRANSPORT_MSGS, "channel")
                 .expect("transport msgs gauge");
             assert_eq!(msgs as u64, st.msgs_sent);
             assert!(st
                 .registry
-                .gauge_labeled(names::TRANSPORT_SEND_BLOCK_S, "shm-ring")
+                .gauge_labeled(names::TRANSPORT_SEND_BLOCK_S, "channel")
                 .is_some());
         }
     }

@@ -1,90 +1,190 @@
-//! The original in-process backend: one unbounded crossbeam channel per
-//! receiving rank, every peer holding a sender clone.
+//! The in-process backend: bounded rings with doorbells.
 //!
-//! This is the PR-4 fabric with one correction: channel closure alone never
-//! produced a reliable disconnect signal (every receiver kept live senders
-//! from its *other* peers, so a dead rank left the survivors blocked in
-//! `recv` forever). The [`super::Recv::Goodbye`] protocol fixes that — a
-//! dropped endpoint posts an explicit goodbye to every peer, FIFO-after its
-//! earlier messages, and the rank loop errors only when a peer it still
-//! awaits is gone.
+//! One bounded ring of payload slots per *directed* rank pair plus a per-rank
+//! doorbell, which is the shape of a real shared-memory MPI fabric: senders
+//! copy into a bounded segment and block on backpressure when the consumer
+//! lags; receivers sleep on their doorbell instead of polling n−1 rings.
+//!
+//! Slots are recycled through a per-ring free list, so the steady-state hot
+//! path allocates nothing (see `lint/hotpaths.toml`). Disconnects follow the
+//! module-level goodbye protocol: closing an endpoint marks every inbound
+//! ring closed (waking any peer blocked in `send` with an error) and rings
+//! every peer's doorbell with a goodbye bell, FIFO-after its earlier bells.
+//!
+//! A cluster may also shape *delivery* with a link latency: every message
+//! is stamped `ready_at = post + latency` and its bell stays unanswered
+//! until then, like an in-flight MPI message. The sender is not held up by
+//! the wire (only by a full ring), unlike the `FaultyTransport` send delay
+//! which stalls the sending rank. The comm/compute-overlap experiments use
+//! it to expose the latency hiding the paper's asynchronous exchange
+//! provides, even on hosts without real parallelism.
 
 use super::{bad_peer, Recv, Transport, TransportError, TransportMetrics};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::collections::VecDeque;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-enum Wire {
-    Halo {
-        from: usize,
-        level: u8,
-        seq: u64,
-        payload: Vec<f64>,
-        /// Maturation instant for link-latency shaping: the receiver may
-        /// not observe this message before `ready_at` (`None` = immediate).
-        ready_at: Option<Instant>,
-    },
-    Goodbye {
-        from: usize,
-    },
+/// Slots per directed pair. Small enough that an imbalanced run actually
+/// exercises backpressure, large enough that a balanced run never blocks.
+pub const DEFAULT_CAPACITY: usize = 8;
+
+/// Poison-tolerant lock: a panicking peer thread must degrade into the
+/// goodbye/disconnect path, not propagate panics through the fabric.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    match m.lock() {
+        Ok(g) => g,
+        Err(poisoned) => poisoned.into_inner(),
+    }
 }
 
-/// One rank's endpoint of the channel fabric.
+struct RingBuf {
+    queue: VecDeque<(u8, u64, Vec<f64>)>,
+    free: Vec<Vec<f64>>,
+    closed: bool,
+}
+
+/// One directed sender→receiver ring.
+struct PairRing {
+    buf: Mutex<RingBuf>,
+    not_full: Condvar,
+    cap: usize,
+}
+
+enum Bell {
+    /// A message from `from`, deliverable from `ready_at` on (`None` =
+    /// immediately).
+    Msg {
+        from: usize,
+        ready_at: Option<Instant>,
+    },
+    Bye(usize),
+}
+
+/// A rank's wake-up queue: one bell per inbound message or goodbye.
+struct Doorbell {
+    bells: Mutex<VecDeque<Bell>>,
+    ready: Condvar,
+}
+
+struct ClusterState {
+    /// Flat `[from * n + to]`; the diagonal is never used.
+    rings: Vec<PairRing>,
+    doorbells: Vec<Doorbell>,
+    n: usize,
+    /// Emulated wire latency (zero = immediate delivery).
+    latency: Duration,
+}
+
+impl ClusterState {
+    fn ring(&self, from: usize, to: usize) -> &PairRing {
+        &self.rings[from * self.n + to]
+    }
+}
+
+/// One rank's endpoint of the in-process fabric.
 pub struct ChannelTransport {
     rank: usize,
-    n: usize,
-    /// `tx[p]` posts into peer `p`'s inbox; `tx[rank]` is unused.
-    tx: Vec<Sender<Wire>>,
-    rx: Receiver<Wire>,
-    /// A popped-but-immature message parked by `try_recv_into` (channels
-    /// cannot peek); every receive path consumes this before the channel.
-    staged: Option<Wire>,
+    state: Arc<ClusterState>,
     closed: bool,
-    /// Emulated wire latency: messages are stamped `now + latency` at send
-    /// and mature at the receiver (zero = classic immediate delivery).
-    latency: Duration,
     metrics: TransportMetrics,
 }
 
-/// Build `n` fully connected endpoints.
+/// Build `n` fully connected endpoints with [`DEFAULT_CAPACITY`] slots per
+/// directed pair and immediate delivery.
 pub fn channel_cluster(n: usize) -> Vec<Box<dyn Transport>> {
-    channel_cluster_with_latency(n, Duration::ZERO)
+    channel_cluster_with(n, DEFAULT_CAPACITY, Duration::ZERO)
 }
 
-/// Build `n` fully connected endpoints whose messages take `latency` to
-/// "cross the wire": a send is visible to the receiver only `latency`
-/// after it was posted, like an in-flight MPI message. The sender is never
-/// blocked — this shapes *delivery*, unlike the `FaultyTransport` send
-/// delay which stalls the sending rank. Used by the comm/compute-overlap
-/// experiments to expose the latency-hiding the paper's asynchronous
-/// exchange provides, even on hosts without real parallelism.
-pub fn channel_cluster_with_latency(n: usize, latency: Duration) -> Vec<Box<dyn Transport>> {
-    let mut txs = Vec::with_capacity(n);
-    let mut rxs = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = unbounded();
-        txs.push(tx);
-        rxs.push(rx);
-    }
-    rxs.into_iter()
-        .enumerate()
-        .map(|(rank, rx)| {
+/// Build `n` endpoints over rings of `capacity` slots each (at least one)
+/// whose messages take `latency` to "cross the wire". The conformance suite
+/// uses a tiny `capacity` to force the backpressure path.
+pub fn channel_cluster_with(
+    n: usize,
+    capacity: usize,
+    latency: Duration,
+) -> Vec<Box<dyn Transport>> {
+    let cap = capacity.max(1);
+    let rings = (0..n * n)
+        .map(|_| PairRing {
+            buf: Mutex::new(RingBuf {
+                queue: VecDeque::with_capacity(cap),
+                free: Vec::with_capacity(cap),
+                closed: false,
+            }),
+            not_full: Condvar::new(),
+            cap,
+        })
+        .collect();
+    let doorbells = (0..n)
+        .map(|_| Doorbell {
+            bells: Mutex::new(VecDeque::new()),
+            ready: Condvar::new(),
+        })
+        .collect();
+    let state = Arc::new(ClusterState {
+        rings,
+        doorbells,
+        n,
+        latency,
+    });
+    (0..n)
+        .map(|rank| {
             Box::new(ChannelTransport {
                 rank,
-                n,
-                tx: txs.clone(),
-                rx,
-                staged: None,
+                state: Arc::clone(&state),
                 closed: false,
-                latency,
                 metrics: TransportMetrics::default(),
             }) as Box<dyn Transport>
         })
         .collect()
 }
 
-/// Granularity of the timed-receive poll; the shim channel (std `mpsc`
-/// underneath) has no native `recv_timeout`.
-const POLL: Duration = Duration::from_micros(200);
+#[cold]
+fn desync() -> TransportError {
+    TransportError::Io(String::from("ring/doorbell desync"))
+}
+
+/// Pop the front bell if it is deliverable now. Otherwise report when it
+/// will be: `Err(Some(t))` for a message still on the wire until `t`,
+/// `Err(None)` for an empty doorbell. Bells are answered strictly in order,
+/// so a maturing message holds back everything rung after it (per-sender
+/// FIFO, goodbye after drain).
+fn pop_ready(bells: &mut VecDeque<Bell>) -> Result<Bell, Option<Instant>> {
+    if let Some(Bell::Msg {
+        ready_at: Some(ready),
+        ..
+    }) = bells.front()
+    {
+        if *ready > Instant::now() {
+            return Err(Some(*ready));
+        }
+    }
+    bells.pop_front().ok_or(None)
+}
+
+impl ChannelTransport {
+    /// Turn a popped doorbell into the received message/goodbye, recycling
+    /// the ring slot and waking a sender blocked on backpressure.
+    fn consume_bell(&mut self, bell: Bell, buf: &mut Vec<f64>) -> Result<Recv, TransportError> {
+        match bell {
+            Bell::Bye(from) => Ok(Recv::Goodbye { from }),
+            Bell::Msg { from, .. } => {
+                let ring = self.state.ring(from, self.rank);
+                let mut rb = lock(&ring.buf);
+                let Some((level, seq, slot)) = rb.queue.pop_front() else {
+                    return Err(desync());
+                };
+                buf.extend_from_slice(&slot);
+                if rb.free.len() < ring.cap {
+                    rb.free.push(slot);
+                }
+                drop(rb);
+                ring.not_full.notify_one();
+                Ok(Recv::Msg { from, level, seq })
+            }
+        }
+    }
+}
 
 impl Transport for ChannelTransport {
     fn rank(&self) -> usize {
@@ -92,7 +192,7 @@ impl Transport for ChannelTransport {
     }
 
     fn n_ranks(&self) -> usize {
-        self.n
+        self.state.n
     }
 
     fn backend(&self) -> &'static str {
@@ -109,27 +209,41 @@ impl Transport for ChannelTransport {
         if self.closed {
             return Err(TransportError::Closed);
         }
-        if peer == self.rank || peer >= self.n {
+        if peer == self.rank || peer >= self.state.n {
             return Err(bad_peer(peer));
         }
+        let ring = self.state.ring(self.rank, peer);
+        let mut buf = lock(&ring.buf);
+        while buf.queue.len() >= ring.cap && !buf.closed {
+            let t0 = Instant::now();
+            // lint: allow(lock-block) — backpressure by design: a full ring
+            // must stall the producer, and a dead peer closes the ring
+            buf = match ring.not_full.wait(buf) {
+                Ok(g) => g,
+                Err(poisoned) => poisoned.into_inner(),
+            };
+            self.metrics.send_block_s += t0.elapsed().as_secs_f64();
+        }
+        if buf.closed {
+            return Err(TransportError::Disconnected { peer });
+        }
+        let mut slot = buf.free.pop().unwrap_or_default();
+        slot.clear();
+        slot.extend_from_slice(payload);
+        buf.queue.push_back((level, seq, slot));
+        drop(buf);
         self.metrics.msgs_sent += 1;
         self.metrics.doubles_sent += payload.len() as u64;
-        let ready_at = if self.latency.is_zero() {
-            None
-        } else {
-            Some(Instant::now() + self.latency)
-        };
-        self.tx[peer]
-            .send(Wire::Halo {
-                from: self.rank,
-                level,
-                seq,
-                // lint: allow(hot-path-alloc) — ownership must cross the
-                // channel; the ring/socket backends reuse slot buffers
-                payload: payload.to_vec(),
-                ready_at,
-            })
-            .map_err(|_| TransportError::Disconnected { peer })
+        self.metrics.bytes_sent += 8 * payload.len() as u64;
+        let latency = self.state.latency;
+        let ready_at = (!latency.is_zero()).then(|| Instant::now() + latency);
+        let db = &self.state.doorbells[peer];
+        lock(&db.bells).push_back(Bell::Msg {
+            from: self.rank,
+            ready_at,
+        });
+        db.ready.notify_one();
+        Ok(())
     }
 
     fn recv_into_timeout(
@@ -138,88 +252,54 @@ impl Transport for ChannelTransport {
         timeout: Option<Duration>,
     ) -> Result<Recv, TransportError> {
         buf.clear();
-        let wire = match self.staged.take() {
-            Some(w) => w,
-            None => match timeout {
+        let db = &self.state.doorbells[self.rank];
+        let deadline = timeout.map(|t| Instant::now() + t);
+        let mut bells = lock(&db.bells);
+        let bell = loop {
+            let landing = match pop_ready(&mut bells) {
+                Ok(b) => break b,
+                Err(landing) => landing,
+            };
+            // sleep until the front message lands, a new bell rings or the
+            // deadline passes, whichever comes first
+            let wake = match (landing, deadline) {
+                (Some(l), Some(d)) => Some(l.min(d)),
+                (l, d) => l.or(d),
+            };
+            bells = match wake {
                 // lint: allow(lock-block) — the None deadline means block
                 // by contract; the exchange loop passes a watchdog
-                None => self.rx.recv().map_err(|_| TransportError::Closed)?,
-                Some(t) => {
-                    let deadline = Instant::now() + t;
-                    loop {
-                        match self.rx.try_recv() {
-                            Ok(w) => break w,
-                            Err(_) => {
-                                if Instant::now() >= deadline {
-                                    return Err(TransportError::Timeout);
-                                }
-                                std::thread::sleep(POLL);
-                            }
-                        }
-                    }
-                }
-            },
-        };
-        match wire {
-            Wire::Halo {
-                from,
-                level,
-                seq,
-                payload,
-                ready_at,
-            } => {
-                // link-latency maturation: pop order (per-sender FIFO) is
-                // unaffected, the message just isn't visible until its
-                // stamp — exactly an in-flight wire message
-                if let Some(ready) = ready_at {
+                None => match db.ready.wait(bells) {
+                    Ok(g) => g,
+                    Err(poisoned) => poisoned.into_inner(),
+                },
+                Some(w) => {
                     let now = Instant::now();
-                    if ready > now {
-                        std::thread::sleep(ready - now);
+                    if deadline.is_some_and(|d| now >= d) {
+                        return Err(TransportError::Timeout);
+                    }
+                    if w <= now {
+                        continue;
+                    }
+                    match db.ready.wait_timeout(bells, w - now) {
+                        Ok((g, _)) => g,
+                        Err(poisoned) => poisoned.into_inner().0,
                     }
                 }
-                buf.extend_from_slice(&payload);
-                Ok(Recv::Msg { from, level, seq })
-            }
-            Wire::Goodbye { from } => Ok(Recv::Goodbye { from }),
-        }
+            };
+        };
+        drop(bells);
+        self.consume_bell(bell, buf)
     }
 
     fn try_recv_into(&mut self, buf: &mut Vec<f64>) -> Result<Option<Recv>, TransportError> {
         buf.clear();
-        let wire = match self.staged.take() {
-            Some(w) => w,
-            // an empty *or* disconnected channel is "nothing ready now";
-            // the blocking path reports closure properly
-            None => match self.rx.try_recv() {
-                Ok(w) => w,
-                Err(_) => return Ok(None),
-            },
+        let db = &self.state.doorbells[self.rank];
+        let bell = match pop_ready(&mut lock(&db.bells)) {
+            Ok(b) => b,
+            Err(_) => return Ok(None),
         };
-        // an immature shaped message is still in flight: park it (FIFO —
-        // every receive path drains `staged` first) and report nothing
-        if let Wire::Halo {
-            ready_at: Some(ready),
-            ..
-        } = &wire
-        {
-            if *ready > Instant::now() {
-                self.staged = Some(wire);
-                return Ok(None);
-            }
-        }
-        match wire {
-            Wire::Halo {
-                from,
-                level,
-                seq,
-                payload,
-                ..
-            } => {
-                buf.extend_from_slice(&payload);
-                Ok(Some(Recv::Msg { from, level, seq }))
-            }
-            Wire::Goodbye { from } => Ok(Some(Recv::Goodbye { from })),
-        }
+        self.consume_bell(bell, buf).map(Some)
     }
 
     fn metrics(&self) -> TransportMetrics {
@@ -231,11 +311,18 @@ impl Transport for ChannelTransport {
             return;
         }
         self.closed = true;
-        for (peer, tx) in self.tx.iter().enumerate() {
-            if peer != self.rank {
-                // best effort: a peer that is itself gone no longer cares
-                let _ = tx.send(Wire::Goodbye { from: self.rank });
+        for peer in 0..self.state.n {
+            if peer == self.rank {
+                continue;
             }
+            // wake peers blocked sending to us: their ring is now closed
+            let inbound = self.state.ring(peer, self.rank);
+            lock(&inbound.buf).closed = true;
+            inbound.not_full.notify_all();
+            // and ring their doorbell with the goodbye (after our messages)
+            let db = &self.state.doorbells[peer];
+            lock(&db.bells).push_back(Bell::Bye(self.rank));
+            db.ready.notify_one();
         }
     }
 }
@@ -283,7 +370,7 @@ mod tests {
     #[test]
     fn link_latency_delays_delivery_but_not_the_sender() {
         let lat = Duration::from_millis(30);
-        let mut eps = channel_cluster_with_latency(2, lat);
+        let mut eps = channel_cluster_with(2, DEFAULT_CAPACITY, lat);
         let mut b = eps.pop().unwrap();
         let mut a = eps.pop().unwrap();
         let posted = Instant::now();
@@ -294,6 +381,7 @@ mod tests {
             "sends must not block on the emulated wire"
         );
         let mut buf = Vec::new();
+        assert_eq!(b.try_recv_into(&mut buf).unwrap(), None, "seen in flight");
         assert_eq!(
             b.recv_into(&mut buf).unwrap(),
             Recv::Msg {
@@ -305,12 +393,12 @@ mod tests {
         assert!(posted.elapsed() >= lat, "message visible before maturation");
         // FIFO survives shaping, and an already-matured message is free
         assert_eq!(
-            b.recv_into(&mut buf).unwrap(),
-            Recv::Msg {
+            b.try_recv_into(&mut buf).unwrap(),
+            Some(Recv::Msg {
                 from: 0,
                 level: 1,
                 seq: 1
-            }
+            })
         );
         assert_eq!(buf, vec![2.0]);
     }
@@ -322,5 +410,70 @@ mod tests {
         let mut buf = Vec::new();
         let r = a.recv_into_timeout(&mut buf, Some(Duration::from_millis(20)));
         assert_eq!(r, Err(TransportError::Timeout));
+    }
+
+    #[test]
+    fn timed_recv_times_out_on_a_message_still_in_flight() {
+        let mut eps = channel_cluster_with(2, DEFAULT_CAPACITY, Duration::from_millis(200));
+        let mut b = eps.pop().unwrap();
+        let mut a = eps.pop().unwrap();
+        a.send(1, 0, 0, &[1.0]).unwrap();
+        let mut buf = Vec::new();
+        let r = b.recv_into_timeout(&mut buf, Some(Duration::from_millis(20)));
+        assert_eq!(r, Err(TransportError::Timeout));
+        // the timeout lost nothing: the message lands later
+        assert_eq!(
+            b.recv_into(&mut buf).unwrap(),
+            Recv::Msg {
+                from: 0,
+                level: 0,
+                seq: 0
+            }
+        );
+        assert_eq!(buf, vec![1.0]);
+    }
+
+    #[test]
+    fn bounded_ring_blocks_then_delivers_everything() {
+        let mut eps = channel_cluster_with(2, 2, Duration::ZERO);
+        let mut b = eps.pop().unwrap();
+        let mut a = eps.pop().unwrap();
+        let sender = std::thread::spawn(move || {
+            for i in 0..50u32 {
+                a.send(1, 0, u64::from(i), &[f64::from(i)]).unwrap();
+            }
+            a.metrics()
+        });
+        std::thread::sleep(Duration::from_millis(30));
+        let mut buf = Vec::new();
+        for i in 0..50u32 {
+            assert_eq!(
+                b.recv_into(&mut buf).unwrap(),
+                Recv::Msg {
+                    from: 0,
+                    level: 0,
+                    seq: u64::from(i)
+                }
+            );
+            assert_eq!(buf, vec![f64::from(i)]);
+        }
+        let m = sender.join().unwrap();
+        assert_eq!(m.msgs_sent, 50);
+        assert!(m.send_block_s > 0.0, "2-slot ring never backpressured");
+    }
+
+    #[test]
+    fn close_unblocks_a_sender_with_disconnect() {
+        let mut eps = channel_cluster_with(2, 1, Duration::ZERO);
+        let mut b = eps.pop().unwrap();
+        let mut a = eps.pop().unwrap();
+        a.send(1, 0, 0, &[1.0]).unwrap();
+        let sender = std::thread::spawn(move || a.send(1, 0, 1, &[2.0]));
+        std::thread::sleep(Duration::from_millis(20));
+        b.close();
+        assert_eq!(
+            sender.join().unwrap(),
+            Err(TransportError::Disconnected { peer: 1 })
+        );
     }
 }

@@ -2,14 +2,14 @@
 //!
 //! The distributed stepper ([`crate::distributed`]) speaks to its peers only
 //! through the [`Transport`] trait: post a level-tagged partial-force payload
-//! to a peer, receive the next incoming payload. Three backends implement the
+//! to a peer, receive the next incoming payload. Two backends implement the
 //! contract:
 //!
-//! * [`channel::ChannelTransport`] — the original in-process crossbeam
-//!   channels (unbounded FIFO per sender);
-//! * [`ring::RingTransport`] — bounded shared-memory ring segments per
-//!   directed rank pair, with condvar-based backpressure (the shape of a
-//!   real shared-memory MPI fabric);
+//! * [`channel::ChannelTransport`] — the in-process fabric: one bounded ring
+//!   of recycled payload slots per directed rank pair, a condvar doorbell
+//!   per rank and backpressure on a full ring (the shape of a real
+//!   shared-memory MPI fabric), with optional link-latency shaping of
+//!   delivery ([`channel::channel_cluster_with`]);
 //! * [`socket::SocketTransport`] — length-prefixed frames over Unix domain
 //!   sockets through a star router, the same wire codec the multi-process
 //!   `wave-lts worker` runner uses (see [`crate::process`]).
@@ -31,7 +31,6 @@ pub mod channel;
 pub mod codec;
 pub mod conformance;
 pub mod faulty;
-pub mod ring;
 #[cfg(unix)]
 pub mod socket;
 
@@ -41,10 +40,8 @@ use std::time::Duration;
 /// Which backend the runtime should build for an in-process run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportKind {
-    /// Unbounded in-process channels (the default).
+    /// Bounded in-process rings per directed rank pair (the default).
     Channel,
-    /// Bounded shared-memory rings per directed rank pair.
-    SharedRing,
     /// Unix-socket star router speaking the versioned wire codec.
     UnixSocket,
 }
@@ -53,17 +50,14 @@ impl TransportKind {
     pub fn name(self) -> &'static str {
         match self {
             TransportKind::Channel => "channel",
-            TransportKind::SharedRing => "shm-ring",
             TransportKind::UnixSocket => "unix-socket",
         }
     }
 
-    /// Parse a CLI spelling (`channel` | `shm` | `shm-ring` | `socket` |
-    /// `unix-socket`).
+    /// Parse a CLI spelling (`channel` | `socket` | `unix-socket` | `unix`).
     pub fn parse(s: &str) -> Option<TransportKind> {
         match s {
             "channel" => Some(TransportKind::Channel),
-            "shm" | "shm-ring" | "ring" => Some(TransportKind::SharedRing),
             "socket" | "unix-socket" | "unix" => Some(TransportKind::UnixSocket),
             _ => None,
         }
@@ -131,7 +125,7 @@ pub struct TransportMetrics {
     pub msgs_sent: u64,
     /// Total `f64` values posted.
     pub doubles_sent: u64,
-    /// Payload bytes put on the wire (0 for by-reference backends).
+    /// Payload bytes copied into ring slots or put on the wire.
     pub bytes_sent: u64,
     /// Seconds this endpoint spent blocked in `send` on backpressure.
     pub send_block_s: f64,
@@ -266,7 +260,6 @@ impl Transport for Box<dyn Transport> {
 pub fn make_cluster(kind: TransportKind, n: usize) -> Vec<Box<dyn Transport>> {
     match kind {
         TransportKind::Channel => channel::channel_cluster(n),
-        TransportKind::SharedRing => ring::ring_cluster(n, ring::DEFAULT_CAPACITY),
         #[cfg(unix)]
         TransportKind::UnixSocket => match socket::in_process_cluster(n) {
             Ok(eps) => eps,
@@ -285,14 +278,13 @@ mod tests {
 
     #[test]
     fn kind_parse_round_trips() {
-        for kind in [
-            TransportKind::Channel,
-            TransportKind::SharedRing,
-            TransportKind::UnixSocket,
-        ] {
+        for kind in [TransportKind::Channel, TransportKind::UnixSocket] {
             assert_eq!(TransportKind::parse(kind.name()), Some(kind));
         }
-        assert_eq!(TransportKind::parse("shm"), Some(TransportKind::SharedRing));
+        // the retired shared-memory ring spellings name no backend now
+        for retired in ["shm", "shm-ring", "ring"] {
+            assert_eq!(TransportKind::parse(retired), None);
+        }
         assert_eq!(
             TransportKind::parse("socket"),
             Some(TransportKind::UnixSocket)
@@ -302,11 +294,7 @@ mod tests {
 
     #[test]
     fn make_cluster_builds_every_kind() {
-        for kind in [
-            TransportKind::Channel,
-            TransportKind::SharedRing,
-            TransportKind::UnixSocket,
-        ] {
+        for kind in [TransportKind::Channel, TransportKind::UnixSocket] {
             let eps = make_cluster(kind, 3);
             assert_eq!(eps.len(), 3);
             for (r, ep) in eps.iter().enumerate() {

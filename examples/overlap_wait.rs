@@ -9,8 +9,8 @@
 //!   time-sharing (the busy sums equal the wall clock), so overlap cannot
 //!   move it; this run documents the floor.
 //! * **emulated wire latency** — messages mature `T` after they were
-//!   posted ([`channel_cluster_with_latency`]), like an in-flight MPI
-//!   message; the sender is never blocked. In blocking mode every rank
+//!   posted ([`channel_cluster_with`]), like an in-flight MPI message;
+//!   the sender is not held up by the wire. In blocking mode every rank
 //!   posts at the end of its apply and the whole fabric idles while the
 //!   last partials mature; with overlap they are posted before the
 //!   interior apply and mature *during* it. This is exactly the latency
@@ -29,7 +29,7 @@ use wave_lts::mesh::{BenchmarkMesh, MeshKind};
 use wave_lts::obs::MetricsRegistry;
 use wave_lts::partition::{partition_mesh, Strategy};
 use wave_lts::runtime::stats::names;
-use wave_lts::runtime::transport::channel::channel_cluster_with_latency;
+use wave_lts::runtime::transport::channel::{channel_cluster_with, DEFAULT_CAPACITY};
 use wave_lts::runtime::{run, Acoustic, DistributedConfig, RunSpec};
 
 const RANKS: usize = 8;
@@ -69,7 +69,7 @@ fn measure(w: &World, overlap: bool, latency: Duration, reps: usize) -> Cell {
     let (mut frac_sum, mut wall_sum, mut wait_sums, mut ready_sum) = (0.0, 0.0, 0.0, 0.0);
     let mut norm_bits = 0u64;
     for _ in 0..reps {
-        let endpoints = channel_cluster_with_latency(RANKS, latency);
+        let endpoints = channel_cluster_with(RANKS, DEFAULT_CAPACITY, latency);
         let spec = RunSpec {
             elem_level: &w.bench.levels.elem_level,
             partition: &w.part,

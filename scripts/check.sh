@@ -35,7 +35,7 @@ for simd in avx2 scalar; do
   LTS_SIMD="$simd" cargo test -q --release --test field_golden -- --include-ignored
 done
 
-echo "== transport conformance (channel / shm-ring / unix-socket / faulty)"
+echo "== transport conformance (channel: default, tiny ring, latency, both / unix-socket / faulty)"
 cargo test -q --test transport_conformance
 
 echo "== multi-process smoke (wave-lts worker over unix sockets)"
@@ -48,7 +48,7 @@ echo "== crash-report gate (die-at-level on every transport → postmortem parse
 cargo build --release -q --bin wave-lts
 crash_dir="$(mktemp -d /tmp/wlts_crash.XXXXXX)"
 trap 'rm -rf "$crash_dir"' EXIT
-for transport in channel shm-ring unix-socket process; do
+for transport in channel unix-socket process; do
   report="$crash_dir/$transport.json"
   status=0
   ./target/release/wave-lts simulate --mesh trench --elements 600 --steps 4 \

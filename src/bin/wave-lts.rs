@@ -5,7 +5,7 @@
 //! wave-lts partition --mesh trench --elements 50000 --parts 16 --strategy scotch-p
 //! wave-lts simulate  --mesh crust  --elements 20000 --steps 100 [--order 4] [--elastic true]
 //!                    [--threads 4]   # intra-rank workers; results stay bitwise identical
-//!                    [--ranks 8] [--transport channel|shm-ring|unix-socket|process]
+//!                    [--ranks 8] [--transport channel|unix-socket|process]
 //!                    [--overlap true]   # comm/compute overlap; bitwise identical
 //!                    [--trace-out t.json]   # Chrome trace of the flight rings
 //! ```
@@ -133,7 +133,7 @@ fn transport_kind(name: &str) -> wave_lts::runtime::TransportKind {
     match wave_lts::runtime::TransportKind::parse(name) {
         Some(k) => k,
         None => {
-            eprintln!("unknown transport {name:?}; expected channel|shm-ring|unix-socket|process");
+            eprintln!("unknown transport {name:?}; expected channel|unix-socket|process");
             std::process::exit(2);
         }
     }
@@ -264,6 +264,11 @@ fn cmd_simulate(m: &HashMap<String, String>) {
             "simulate: --trace-out needs the flight recorder, which {off} disables"
         ));
     }
+    // refuse an unknown transport before building anything
+    let transport_name: String = get(m, "transport", "channel".into());
+    if transport_name != "process" {
+        transport_kind(&transport_name);
+    }
     let b = build(m);
     let order: usize = get(m, "order", 4);
     let steps: usize = get(m, "steps", 20);
@@ -279,7 +284,6 @@ fn cmd_simulate(m: &HashMap<String, String>) {
         b.mesh.n_elems(),
         if elastic { "elastic" } else { "acoustic" }
     );
-    let transport_name: String = get(m, "transport", "channel".into());
     let mesh = &b.mesh;
     if ranks > 0 && transport_name == "process" {
         run_sim_multiprocess(m, dt, ranks);

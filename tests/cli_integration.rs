@@ -75,6 +75,21 @@ fn flag_of_another_subcommand_is_rejected() {
     assert!(stderr.contains("--ranks"), "stderr: {stderr}");
 }
 
+/// The shared-memory ring folded into the one in-process `channel`
+/// backend; its spellings are no transport now.
+#[test]
+fn retired_ring_transport_is_a_usage_error() {
+    for name in ["shm-ring", "shm", "ring"] {
+        let (code, stderr) = wave_lts(&["simulate", "--ranks", "2", "--transport", name]);
+        assert_eq!(code, Some(2), "{name}: {stderr}");
+        assert!(stderr.contains(&format!("{name:?}")), "{name}: {stderr}");
+        assert!(
+            stderr.contains("channel|unix-socket|process"),
+            "{name}: {stderr}"
+        );
+    }
+}
+
 #[test]
 fn bad_lts_flight_is_a_usage_error() {
     let trace = trace_path("bad_env");

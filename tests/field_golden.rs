@@ -5,9 +5,12 @@
 //! threads, a source on the finest leaf level, the runtime with
 //! comm/compute overlap and two threads per rank, single-level runs (every
 //! element on level 0), 1-D chain runs, serial and on ranks, and
-//! two-level chains at sub-step ratios 1–5. A memory or speed change to
-//! the gather, kernel or stepping code must leave every bit of every field
-//! as it is, so any drift here is a behaviour change.
+//! two-level chains at sub-step ratios 1–5. The runtime at one rank (every
+//! element on rank 0, with one and two threads) carries the serial rows'
+//! hashes, so a one-rank world steps bit for bit as the serial stepper
+//! does. A memory or speed change to the gather, kernel or stepping code
+//! must leave every bit of every field as it is, so any drift here is a
+//! behaviour change.
 //!
 //! The two benchmark-size cases are `#[ignore]`d to keep the debug test run
 //! fast; run them with
@@ -46,6 +49,12 @@ enum Path {
     /// [`LocalR2`](Path::LocalR2) with comm/compute overlap and two worker
     /// threads per rank.
     LocalR2OverlapT2,
+    /// The rank runtime at one rank, every element on rank 0: a one-rank
+    /// world, which must reproduce the [`Serial`](Path::Serial) hashes.
+    LocalR1,
+    /// [`LocalR1`](Path::LocalR1) with two worker threads, against
+    /// [`SerialT2`](Path::SerialT2).
+    LocalR1T2,
 }
 
 /// Where the one Ricker source sits.
@@ -126,15 +135,24 @@ fn solve<P: Decompose>(
             lts.run(&mut u, &mut v, 0.0, steps, &sources);
             fnv1a(&u, &v)
         }
-        Path::LocalR2 | Path::LocalR2OverlapT2 => {
-            let part = partition_mesh(&b.mesh, levels, 2, Strategy::ScotchP, 1);
+        Path::LocalR2 | Path::LocalR2OverlapT2 | Path::LocalR1 | Path::LocalR1T2 => {
             let cfg = match path {
+                Path::LocalR1 => DistributedConfig::new(1),
+                Path::LocalR1T2 => DistributedConfig {
+                    threads_per_rank: 2,
+                    ..DistributedConfig::new(1)
+                },
                 Path::LocalR2OverlapT2 => DistributedConfig {
                     overlap: true,
                     threads_per_rank: 2,
                     ..DistributedConfig::new(2)
                 },
                 _ => DistributedConfig::new(2),
+            };
+            let part = if cfg.n_ranks == 1 {
+                vec![0; b.mesh.n_elems()]
+            } else {
+                partition_mesh(&b.mesh, levels, 2, Strategy::ScotchP, 1)
             };
             let spec = RunSpec {
                 elem_level: &levels.elem_level,
@@ -166,6 +184,12 @@ const SMALL: &[Golden] = &[
     (Physics::Acoustic, Path::Serial, MeshKind::TrenchBig, 864, 2, 2, 0xdb5d_83d7_3013_5e42),
     (Physics::Acoustic, Path::Serial, MeshKind::TrenchBig, 864, 3, 2, 0xaed7_17af_4a9a_263d),
     (Physics::Acoustic, Path::Serial, MeshKind::TrenchBig, 864, 4, 2, 0xb740_2246_2fab_75b3),
+    (Physics::Acoustic, Path::LocalR1, MeshKind::Trench, 300, 2, 2, 0xb117_031e_6413_2fb2),
+    (Physics::Acoustic, Path::LocalR1, MeshKind::Trench, 300, 3, 2, 0xb68e_73c3_b2fc_a814),
+    (Physics::Acoustic, Path::LocalR1, MeshKind::Trench, 300, 4, 2, 0x01a5_bb97_085e_de63),
+    (Physics::Acoustic, Path::LocalR1, MeshKind::TrenchBig, 864, 2, 2, 0xdb5d_83d7_3013_5e42),
+    (Physics::Acoustic, Path::LocalR1, MeshKind::TrenchBig, 864, 3, 2, 0xaed7_17af_4a9a_263d),
+    (Physics::Acoustic, Path::LocalR1, MeshKind::TrenchBig, 864, 4, 2, 0xb740_2246_2fab_75b3),
     (Physics::Acoustic, Path::LocalR2, MeshKind::Trench, 300, 2, 2, 0xd0e9_7af4_b341_a71e),
     (Physics::Acoustic, Path::LocalR2, MeshKind::Trench, 300, 3, 2, 0xce7a_a461_a665_8352),
     (Physics::Acoustic, Path::LocalR2, MeshKind::Trench, 300, 4, 2, 0x0fdd_f0d4_e091_16ec),
@@ -178,6 +202,12 @@ const SMALL: &[Golden] = &[
     (Physics::Elastic, Path::Serial, MeshKind::TrenchBig, 864, 2, 2, 0x0bcb_ec38_bef9_48e7),
     (Physics::Elastic, Path::Serial, MeshKind::TrenchBig, 864, 3, 2, 0x05ca_ddea_ad62_f843),
     (Physics::Elastic, Path::Serial, MeshKind::TrenchBig, 864, 4, 2, 0x917c_1aaa_06bd_8788),
+    (Physics::Elastic, Path::LocalR1, MeshKind::Trench, 300, 2, 2, 0x4a62_9a09_c7a2_51e5),
+    (Physics::Elastic, Path::LocalR1, MeshKind::Trench, 300, 3, 2, 0x6cbc_6260_5f12_26b6),
+    (Physics::Elastic, Path::LocalR1, MeshKind::Trench, 300, 4, 2, 0xea9d_e50f_d0a5_3229),
+    (Physics::Elastic, Path::LocalR1, MeshKind::TrenchBig, 864, 2, 2, 0x0bcb_ec38_bef9_48e7),
+    (Physics::Elastic, Path::LocalR1, MeshKind::TrenchBig, 864, 3, 2, 0x05ca_ddea_ad62_f843),
+    (Physics::Elastic, Path::LocalR1, MeshKind::TrenchBig, 864, 4, 2, 0x917c_1aaa_06bd_8788),
     (Physics::Elastic, Path::LocalR2, MeshKind::Trench, 300, 2, 2, 0xa61c_be75_b72e_1e33),
     (Physics::Elastic, Path::LocalR2, MeshKind::Trench, 300, 3, 2, 0x8d27_24e5_ba3d_52ac),
     (Physics::Elastic, Path::LocalR2, MeshKind::Trench, 300, 4, 2, 0x874e_4942_70ff_d3df),
@@ -190,6 +220,7 @@ const SMALL: &[Golden] = &[
 #[rustfmt::skip]
 const BENCH_SIZE: &[Golden] = &[
     (Physics::Acoustic, Path::Serial, MeshKind::Trench, 8_788, 4, 2, 0xd97b_7cb2_3578_7bf6),
+    (Physics::Acoustic, Path::LocalR1, MeshKind::Trench, 8_788, 4, 2, 0xd97b_7cb2_3578_7bf6),
     (Physics::Acoustic, Path::LocalR2, MeshKind::Trench, 8_788, 4, 2, 0x12c0_53b7_dc79_4c7b),
 ];
 
@@ -210,6 +241,9 @@ const SINGLE_LEVEL: &[Golden] = &[
     (Physics::Acoustic, Path::Serial, MeshKind::Trench, 300, 2, 3, 0x80ed_5dde_6cb5_cf63),
     (Physics::Acoustic, Path::Serial, MeshKind::Trench, 300, 4, 3, 0x2bf1_af8e_008e_524e),
     (Physics::Elastic, Path::Serial, MeshKind::Trench, 300, 3, 3, 0x654f_596c_370b_58e3),
+    (Physics::Acoustic, Path::LocalR1, MeshKind::Trench, 300, 2, 3, 0x80ed_5dde_6cb5_cf63),
+    (Physics::Acoustic, Path::LocalR1, MeshKind::Trench, 300, 4, 3, 0x2bf1_af8e_008e_524e),
+    (Physics::Elastic, Path::LocalR1, MeshKind::Trench, 300, 3, 3, 0x654f_596c_370b_58e3),
     (Physics::Acoustic, Path::LocalR2, MeshKind::Trench, 300, 2, 3, 0x7442_4120_568e_b055),
     (Physics::Acoustic, Path::LocalR2, MeshKind::Trench, 300, 4, 3, 0xfbc9_93a8_8eef_ff64),
     (Physics::Elastic, Path::LocalR2, MeshKind::Trench, 300, 3, 3, 0x6369_6637_f287_6f0b),
@@ -222,6 +256,9 @@ const SERIAL_THREADS: &[Golden] = &[
     (Physics::Acoustic, Path::SerialT2, MeshKind::Trench, 300, 2, 2, 0xb117_031e_6413_2fb2),
     (Physics::Acoustic, Path::SerialT2, MeshKind::Trench, 300, 4, 2, 0x01a5_bb97_085e_de63),
     (Physics::Acoustic, Path::SerialT2, MeshKind::TrenchBig, 864, 3, 2, 0xaed7_17af_4a9a_263d),
+    (Physics::Acoustic, Path::LocalR1T2, MeshKind::Trench, 300, 2, 2, 0xb117_031e_6413_2fb2),
+    (Physics::Acoustic, Path::LocalR1T2, MeshKind::Trench, 300, 4, 2, 0x01a5_bb97_085e_de63),
+    (Physics::Acoustic, Path::LocalR1T2, MeshKind::TrenchBig, 864, 3, 2, 0xaed7_17af_4a9a_263d),
 ];
 
 /// The source on a DOF of the finest leaf level; recorded before the
@@ -230,9 +267,12 @@ const SERIAL_THREADS: &[Golden] = &[
 const FINEST_SOURCE: &[Golden] = &[
     (Physics::Acoustic, Path::Serial, MeshKind::Trench, 300, 2, 2, 0x8ad2_4b2e_b987_1def),
     (Physics::Acoustic, Path::Serial, MeshKind::TrenchBig, 864, 3, 2, 0xf0d7_558f_34c4_c41b),
+    (Physics::Acoustic, Path::LocalR1, MeshKind::Trench, 300, 2, 2, 0x8ad2_4b2e_b987_1def),
+    (Physics::Acoustic, Path::LocalR1, MeshKind::TrenchBig, 864, 3, 2, 0xf0d7_558f_34c4_c41b),
     (Physics::Acoustic, Path::LocalR2, MeshKind::Trench, 300, 2, 2, 0x7f40_6614_e2e9_75e0),
     (Physics::Acoustic, Path::LocalR2, MeshKind::TrenchBig, 864, 3, 2, 0x53b3_ec1e_0a6f_d3bd),
     (Physics::Elastic, Path::Serial, MeshKind::Trench, 300, 3, 2, 0x72f2_67e1_9c14_3a0f),
+    (Physics::Elastic, Path::LocalR1, MeshKind::Trench, 300, 3, 2, 0x72f2_67e1_9c14_3a0f),
     (Physics::Elastic, Path::LocalR2, MeshKind::Trench, 300, 3, 2, 0xf166_b566_6de4_589f),
 ];
 
@@ -242,10 +282,14 @@ const FINEST_SOURCE: &[Golden] = &[
 const ORDERS_1_5: &[Golden] = &[
     (Physics::Acoustic, Path::Serial, MeshKind::Trench, 300, 1, 2, 0xbe27_e443_0ca4_8ab5),
     (Physics::Acoustic, Path::Serial, MeshKind::Trench, 300, 5, 2, 0x0095_88c3_5cff_6f9a),
+    (Physics::Acoustic, Path::LocalR1, MeshKind::Trench, 300, 1, 2, 0xbe27_e443_0ca4_8ab5),
+    (Physics::Acoustic, Path::LocalR1, MeshKind::Trench, 300, 5, 2, 0x0095_88c3_5cff_6f9a),
     (Physics::Acoustic, Path::LocalR2, MeshKind::Trench, 300, 1, 2, 0x0c8b_96be_f4de_dfe5),
     (Physics::Acoustic, Path::LocalR2, MeshKind::Trench, 300, 5, 2, 0x7412_df26_6d67_b396),
     (Physics::Elastic, Path::Serial, MeshKind::Trench, 300, 1, 2, 0xd335_713e_d477_5170),
     (Physics::Elastic, Path::Serial, MeshKind::Trench, 300, 5, 2, 0xa3e1_0175_ab77_b6e9),
+    (Physics::Elastic, Path::LocalR1, MeshKind::Trench, 300, 1, 2, 0xd335_713e_d477_5170),
+    (Physics::Elastic, Path::LocalR1, MeshKind::Trench, 300, 5, 2, 0xa3e1_0175_ab77_b6e9),
     (Physics::Elastic, Path::LocalR2, MeshKind::Trench, 300, 1, 2, 0xdb2a_648c_0051_cffd),
     (Physics::Elastic, Path::LocalR2, MeshKind::Trench, 300, 5, 2, 0x314d_2b89_fd93_c03a),
 ];

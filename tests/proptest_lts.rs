@@ -159,7 +159,7 @@ proptest! {
                 .expect("distributed run")
         };
         let (ur, vr, sr) = run(TransportKind::Channel, false);
-        for kind in [TransportKind::Channel, TransportKind::SharedRing, TransportKind::UnixSocket] {
+        for kind in [TransportKind::Channel, TransportKind::UnixSocket] {
             for overlap in [false, true] {
                 if kind == TransportKind::Channel && !overlap { continue; }
                 let (u, v, s) = run(kind, overlap);

@@ -10,11 +10,7 @@ use wave_lts::partition::{partition_mesh, Strategy};
 use wave_lts::runtime::{run, Acoustic, DistributedConfig, RankStats, RunSpec, TransportKind};
 use wave_lts::sem::gll::cfl_dt_scale;
 
-const BACKENDS: [TransportKind; 3] = [
-    TransportKind::Channel,
-    TransportKind::SharedRing,
-    TransportKind::UnixSocket,
-];
+const BACKENDS: [TransportKind; 2] = [TransportKind::Channel, TransportKind::UnixSocket];
 
 #[allow(clippy::too_many_arguments)] // a test harness knob per axis beats a one-use config struct
 fn run_case(

@@ -6,9 +6,14 @@
 //! including a fault-wrapped fabric whose injected delays must not change
 //! any observable semantics.
 
+use std::time::Duration;
+use wave_lts::runtime::transport::channel::{self, channel_cluster_with};
 use wave_lts::runtime::transport::conformance::{run_suite, Checks};
 use wave_lts::runtime::transport::faulty::{wrap, FaultPlan};
-use wave_lts::runtime::transport::{channel, make_cluster, ring, Transport, TransportKind};
+use wave_lts::runtime::transport::{make_cluster, Transport, TransportKind};
+
+/// The link latency of the shaped cases: about one rank's sub-step.
+const LATENCY: Duration = Duration::from_micros(500);
 
 #[test]
 fn channel_backend_conforms() {
@@ -18,19 +23,14 @@ fn channel_backend_conforms() {
     );
 }
 
-#[test]
-fn shm_ring_backend_conforms() {
-    run_suite(
-        |n| make_cluster(TransportKind::SharedRing, n),
-        Checks::default(),
-    );
-}
-
 /// A deliberately tiny ring (2 slots) forces the backpressure path through
 /// the whole battery, not just the backpressure check.
 #[test]
-fn shm_ring_backend_conforms_under_tiny_capacity() {
-    run_suite(|n| ring::ring_cluster(n, 2), Checks::default());
+fn channel_backend_conforms_under_tiny_capacity() {
+    run_suite(
+        |n| channel_cluster_with(n, 2, Duration::ZERO),
+        Checks::default(),
+    );
 }
 
 #[cfg(unix)]
@@ -48,9 +48,16 @@ fn unix_socket_backend_conforms() {
 #[test]
 fn latency_shaped_channel_conforms() {
     run_suite(
-        |n| channel::channel_cluster_with_latency(n, std::time::Duration::from_micros(500)),
+        |n| channel_cluster_with(n, channel::DEFAULT_CAPACITY, LATENCY),
         Checks::default(),
     );
+}
+
+/// Backpressure and latency together: messages still on the wire hold
+/// their slots, so a 2-slot ring stalls the sender until they land.
+#[test]
+fn latency_shaped_channel_conforms_under_tiny_capacity() {
+    run_suite(|n| channel_cluster_with(n, 2, LATENCY), Checks::default());
 }
 
 /// Injected send delays shape timing only; every conformance property must
@@ -77,8 +84,10 @@ fn delay_injecting_wrapper_changes_nothing() {
 /// recv matching the wrong send) are not — asserted per backend via the
 /// causal merge's lamport ordering.
 mod seq_integrity {
+    use std::time::Duration;
+    use wave_lts::runtime::transport::channel::channel_cluster_with;
     use wave_lts::runtime::transport::conformance::seq_integrity_under_faults;
-    use wave_lts::runtime::transport::{make_cluster, ring, TransportKind};
+    use wave_lts::runtime::transport::{make_cluster, TransportKind};
 
     #[test]
     fn channel_seqs_survive_faults() {
@@ -86,8 +95,8 @@ mod seq_integrity {
     }
 
     #[test]
-    fn shm_ring_seqs_survive_faults() {
-        seq_integrity_under_faults(|n| ring::ring_cluster(n, 4));
+    fn channel_seqs_survive_faults_at_small_capacity() {
+        seq_integrity_under_faults(|n| channel_cluster_with(n, 4, Duration::ZERO));
     }
 
     #[cfg(unix)]

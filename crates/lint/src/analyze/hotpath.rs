@@ -1,11 +1,10 @@
 //! Transitive hot-path purity: any allocation or panic-capable construct
 //! inside a function reachable from a hot root is a violation, no matter
-//! how many calls deep. Replaces the tag-scoped `hot-path-alloc` body scan
-//! and the blanket textual `no-panic` rule for reachable code.
+//! how many calls deep.
 
 use crate::graph::{BlameHop, FnId, Workspace};
 use crate::parse::{HitKind, ParsedFile};
-use crate::rules::{Diagnostic, Severity, RULE_HOT_INDEX, RULE_HOT_PANIC, RULE_HOT_PATH};
+use crate::rules::{Diagnostic, RULE_HOT_PANIC, RULE_HOT_PATH, RULE_NO_PANIC};
 use std::collections::BTreeMap;
 
 pub fn check(
@@ -20,22 +19,16 @@ pub fn check(
             continue;
         };
         for h in &n.f.hits {
-            let (rule, severity, verb) = match h.kind {
-                HitKind::Alloc => (RULE_HOT_PATH, Severity::Error, "allocates"),
-                HitKind::Panic => (RULE_HOT_PANIC, Severity::Error, "can panic"),
-                HitKind::Index => (
-                    RULE_HOT_INDEX,
-                    Severity::Warning,
-                    "may panic (indexing without `get`)",
-                ),
+            let (rule, verb) = match h.kind {
+                HitKind::Alloc => (RULE_HOT_PATH, "allocates"),
+                HitKind::Panic => (RULE_HOT_PANIC, "can panic"),
                 HitKind::Det => continue,
             };
-            // a legacy `allow(no-panic)` escape covers the same construct
-            // the semantic panic rule re-finds — honor it rather than
-            // forcing every justified escape to be rewritten
+            // an `allow(no-panic)` escape covers the same construct the
+            // reachability rule re-finds — honor it rather than forcing
+            // every justified escape to name both rules
             if super::allowed(pf, h.line, rule)
-                || (rule == RULE_HOT_PANIC
-                    && super::allowed(pf, h.line, crate::rules::RULE_NO_PANIC))
+                || (rule == RULE_HOT_PANIC && super::allowed(pf, h.line, RULE_NO_PANIC))
             {
                 continue;
             }
@@ -56,7 +49,6 @@ pub fn check(
                     ws.qualified(id)
                 ),
             );
-            d.severity = severity;
             d.chain = chain;
             diags.push(d);
         }

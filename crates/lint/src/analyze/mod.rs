@@ -66,16 +66,9 @@ pub fn validate_config(ws: &Workspace, cfg: &LintConfig, diags: &mut Vec<Diagnos
         .collect();
     let excl_ids = resolve_list(&excl_entries, &cfg.exclude_lines, "[[exclude]]");
     roots.stops.extend(excl_ids);
-    // inline `// lint: hot-path` tags still seed roots (back-compat with the
-    // lexer tier's convention)
-    for (id, n) in ws.fns.iter().enumerate() {
-        if n.f.tagged_hot {
-            roots.hot.push(id);
-        }
-        if n.f.is_cold {
-            roots.stops.insert(id);
-        }
-    }
+    roots
+        .stops
+        .extend((0..ws.fns.len()).filter(|&id| ws.fns[id].f.is_cold));
     roots.hot.sort_unstable();
     roots.hot.dedup();
     roots

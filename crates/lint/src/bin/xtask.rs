@@ -13,11 +13,11 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(task) = args.first() else {
         eprintln!("usage: cargo xtask lint [flags] (--help for details)");
-        return ExitCode::FAILURE;
+        return ExitCode::from(2);
     };
     if task != "lint" {
         eprintln!("unknown task `{task}` (available: lint)");
-        return ExitCode::FAILURE;
+        return ExitCode::from(2);
     }
     match u8::try_from(lts_lint::cli::main(&args[1..])) {
         Ok(code) => ExitCode::from(code),

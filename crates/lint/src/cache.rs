@@ -1,9 +1,8 @@
 //! Per-file parse cache so the semantic gate stays fast in CI: parsing is
 //! re-done only for files whose (mtime, size, content hash) changed. The
-//! cache stores each file's [`ParsedFile`] facts *and* its legacy
-//! lexer-tier diagnostics, because both are pure functions of the file
-//! text; the call graph and semantic analyses are global and always run
-//! fresh. A policy-file or lint-version change busts the whole cache via
+//! cache stores each file's [`ParsedFile`] facts *and* its per-file rule
+//! diagnostics, because both are pure functions of the file text; the
+//! call graph and its analyses are global and always run fresh. A policy-file or lint-version change busts the whole cache via
 //! the header key.
 //!
 //! The format is line-oriented text under `target/` — corrupt or
@@ -16,13 +15,14 @@ use std::io;
 use std::path::Path;
 
 /// Bump when the serialized schema or any parser/rule semantics change.
-const SCHEMA: u32 = 2;
+const SCHEMA: u32 = 3;
 
 /// What one cached file contributes back to the driver.
 #[derive(Debug, Clone, Default)]
 pub struct FileSummary {
     pub parsed: ParsedFile,
-    pub legacy: Vec<Diagnostic>,
+    /// Findings of the per-file rules ([`crate::rules::check_file`]).
+    pub diags: Vec<Diagnostic>,
 }
 
 struct Entry {
@@ -173,7 +173,7 @@ impl Cache {
                 ));
                 true
             }
-            Some("f") if parts.len() == 6 => {
+            Some("f") if parts.len() == 5 => {
                 let Some((_, e)) = cur.as_mut() else {
                     return false;
                 };
@@ -185,7 +185,6 @@ impl Cache {
                     impl_type: (parts[3] != "-").then(|| unesc(parts[3])),
                     line,
                     is_cold: parts[4] == "1",
-                    tagged_hot: parts[5] == "1",
                     calls: Vec::new(),
                     hits: Vec::new(),
                     locks: Vec::new(),
@@ -228,7 +227,6 @@ impl Cache {
                     match parts[2] {
                         "A" => Some(HitKind::Alloc),
                         "P" => Some(HitKind::Panic),
-                        "I" => Some(HitKind::Index),
                         "D" => Some(HitKind::Det),
                         _ => None,
                     },
@@ -311,7 +309,7 @@ impl Cache {
                     return false;
                 };
                 e.summary
-                    .legacy
+                    .diags
                     .push(Diagnostic::new(rel.clone(), line, rule, unesc(parts[3])));
                 true
             }
@@ -361,12 +359,11 @@ impl Cache {
             ));
             for f in &e.summary.parsed.fns {
                 out.push_str(&format!(
-                    "f {} {} {} {} {}\n",
+                    "f {} {} {} {}\n",
                     esc(&f.name),
                     f.line,
                     f.impl_type.as_deref().map_or("-".to_string(), esc),
-                    u8::from(f.is_cold),
-                    u8::from(f.tagged_hot)
+                    u8::from(f.is_cold)
                 ));
                 for c in &f.calls {
                     out.push_str(&format!(
@@ -385,7 +382,6 @@ impl Cache {
                     let k = match h.kind {
                         HitKind::Alloc => "A",
                         HitKind::Panic => "P",
-                        HitKind::Index => "I",
                         HitKind::Det => "D",
                     };
                     out.push_str(&format!("h {} {} {}\n", h.line, k, esc(&h.token)));
@@ -413,7 +409,7 @@ impl Cache {
                     u8::from(a.justified)
                 ));
             }
-            for d in &e.summary.legacy {
+            for d in &e.summary.diags {
                 out.push_str(&format!("d {} {} {}\n", d.line, esc(d.rule), esc(&d.msg)));
             }
         }
@@ -427,9 +423,8 @@ mod tests {
     use crate::source::Scrubbed;
 
     #[test]
-    fn round_trips_a_parsed_file_and_legacy_diags() {
+    fn round_trips_a_parsed_file_and_its_diags() {
         let src = "\
-// lint: hot-path
 fn hot(v: &[f64]) {
     let g = lock(&s.buf);
     let h = s.bells.lock();
@@ -443,7 +438,7 @@ fn hot(v: &[f64]) {
 fn cold_fn() {}
 ";
         let parsed = crate::parse::parse_file(&Scrubbed::new(src));
-        let legacy = vec![Diagnostic::new(
+        let diags = vec![Diagnostic::new(
             "crates/a/src/lib.rs",
             6,
             crate::rules::RULE_NO_PANIC,
@@ -457,7 +452,7 @@ fn cold_fn() {}
             crate::fnv64(src.as_bytes()),
             FileSummary {
                 parsed: parsed.clone(),
-                legacy: legacy.clone(),
+                diags: diags.clone(),
             },
         );
         let dir = std::env::temp_dir().join(format!("lint-cache-test-{}", std::process::id()));
@@ -502,7 +497,7 @@ fn cold_fn() {}
         );
         assert!(got.parsed.fns[1].is_cold);
         assert_eq!(got.parsed.allows.len(), parsed.allows.len());
-        assert_eq!(got.legacy, legacy);
+        assert_eq!(got.diags, diags);
         // stale stamp misses
         assert!(loaded
             .get("crates/a/src/lib.rs", 1, src.len() as u64, 0)

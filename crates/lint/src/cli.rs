@@ -2,11 +2,16 @@
 //! `cargo xtask lint` alias. Parses flags, runs the requested mode, prints
 //! the human report, and returns the process exit code.
 
-use crate::{analyze, build_model, run, Options, Tier};
+use crate::{analyze, build_model, run, Options};
 use std::path::PathBuf;
 
 pub const HELP: &str = "\
-lts-lint — call-graph semantic lint for the wave-LTS workspace
+lts-lint — call-graph lint for the wave-LTS workspace
+
+One pass over one parsed model of the workspace: the call-graph analyses
+(hot-path-alloc, hot-path-panic, determinism, lock-order, lock-block,
+protocol) from the roots in lint/hotpaths.toml, and the per-file rules
+(no-panic, unsafe-safety, float-eq). Every finding is an error.
 
 USAGE:
     lts-lint [FLAGS]
@@ -19,21 +24,21 @@ FLAGS:
                                          round-trips through its own parser
                         wire-fingerprint print the lint/wire.fingerprint
                                          content for the current wire shape
-    --tier <tier>       all (default) | semantic | lexer
     --sarif <path>      also write diagnostics as SARIF 2.1.0 (self-validated)
     --verbose           print resolved root sets and reachability sizes
     --no-cache          ignore and do not write target/lint-parse.cache
     --help              this text
 
 EXIT STATUS:
-    0 on success / no errors; 1 on any error-severity diagnostic or failure.
-    Warnings (e.g. hot-path-index) are reported but do not fail the gate.
+    0 no findings; 1 any finding, or the lint could not run;
+    2 usage error (unknown flag or mode, missing value).
 
 ESCAPES:
     // lint: allow(<rule>) — <one-line justification>
-    on the offending line or the line above. The justification is mandatory;
-    every allow is counted in the summary. Roots and traversal stops live in
-    lint/hotpaths.toml ([[hotpath]], [[kernel]], [[exclude]] + reason).
+    trailing the offending line, or on the comment lines directly above it.
+    The justification is mandatory; every allow is counted in the summary. Roots and traversal stops live
+    only in lint/hotpaths.toml ([[hotpath]], [[kernel]], [[exclude]] +
+    reason).
 ";
 
 /// Default root: two levels above this crate's manifest.
@@ -73,12 +78,6 @@ pub fn main(args: &[String]) -> i32 {
                 Some(v) => mode = v,
                 None => return usage_error("--mode needs a value"),
             },
-            "--tier" => match value(&mut it).as_deref() {
-                Some("all") => opts.tier = Tier::All,
-                Some("semantic") => opts.tier = Tier::Semantic,
-                Some("lexer") => opts.tier = Tier::Lexer,
-                _ => return usage_error("--tier must be all|semantic|lexer"),
-            },
             "--sarif" => match value(&mut it) {
                 Some(v) => opts.sarif = Some(PathBuf::from(v)),
                 None => return usage_error("--sarif needs a path"),
@@ -100,7 +99,7 @@ pub fn main(args: &[String]) -> i32 {
 
 fn usage_error(msg: &str) -> i32 {
     eprintln!("lts-lint: {msg}\n\n{HELP}");
-    1
+    2
 }
 
 fn run_check(opts: &Options) -> i32 {
@@ -110,11 +109,7 @@ fn run_check(opts: &Options) -> i32 {
                 eprintln!("lint: {line}");
             }
             for d in &report.diags {
-                let tag = match d.severity {
-                    crate::rules::Severity::Error => "",
-                    crate::rules::Severity::Warning => "warning: ",
-                };
-                eprintln!("{tag}{d}");
+                eprintln!("{d}");
                 let chain = d.render_chain();
                 if !chain.is_empty() {
                     eprintln!("{chain}");
@@ -132,17 +127,16 @@ fn run_check(opts: &Options) -> i32 {
                 format!(" ({})", per.join(", "))
             };
             eprintln!(
-                "lint: {} files ({} cached), {} fns, {} call edges; {} error(s), {} warning(s), {} allow(s){}",
+                "lint: {} files ({} cached), {} fns, {} call edges; {} finding(s), {} allow(s){}",
                 report.n_files,
                 report.n_cached,
                 report.n_fns,
                 report.n_edges,
-                report.errors(),
-                report.warnings(),
+                report.diags.len(),
                 n_allows,
                 allow_detail
             );
-            i32::from(report.errors() > 0)
+            i32::from(!report.diags.is_empty())
         }
         Err(e) => {
             eprintln!("lint: {e}");
@@ -197,5 +191,21 @@ fn run_wire_fingerprint(opts: &Options) -> i32 {
             );
             1
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(a: &[&str]) -> Vec<String> {
+        a.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn usage_errors_exit_2() {
+        assert_eq!(main(&args(&["--tier", "lexer"])), 2);
+        assert_eq!(main(&args(&["--root"])), 2);
+        assert_eq!(main(&args(&["--mode", "nope"])), 2);
     }
 }

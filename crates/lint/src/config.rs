@@ -1,5 +1,6 @@
-//! Parser for `lint/hotpaths.toml`: the root sets and escape lists the
-//! semantic analyses are driven by.
+//! Parser for `lint/hotpaths.toml`: the one list of the call-graph
+//! analyses' roots and traversal stops. No function becomes a root any
+//! other way.
 //!
 //! The accepted grammar is the tiny TOML subset the file actually uses (a
 //! real TOML crate is unavailable offline):
@@ -44,22 +45,7 @@ pub struct LintConfig {
     pub exclude_lines: Vec<usize>,
 }
 
-/// Back-compat alias: the legacy lexer rule only sees the hot list.
-pub type HotPathConfig = LintConfig;
-
 impl LintConfig {
-    /// Is `(file, function)` a hot-path root? (Legacy rule + root seeding.)
-    pub fn contains(&self, file: &str, function: &str) -> bool {
-        self.hot.iter().any(|(f, g)| f == file && g == function)
-    }
-
-    pub fn is_excluded(&self, file: &str, function: &str) -> Option<&str> {
-        self.excludes
-            .iter()
-            .find(|(f, g, _)| f == file && g == function)
-            .map(|(_, _, r)| r.as_str())
-    }
-
     pub fn parse(text: &str) -> Result<LintConfig, String> {
         #[derive(Clone, Copy, PartialEq)]
         enum Table {
@@ -172,12 +158,13 @@ mod tests {
         .unwrap();
         assert_eq!(cfg.hot, vec![("a/b.rs".into(), "f".into())]);
         assert_eq!(cfg.kernels, vec![("c.rs".into(), "k".into())]);
-        assert_eq!(cfg.excludes.len(), 1);
-        assert!(cfg.contains("a/b.rs", "f"));
-        assert!(!cfg.contains("c.rs", "k"), "kernels are not hot roots");
         assert_eq!(
-            cfg.is_excluded("d.rs", "setup"),
-            Some("amortized one-time table build")
+            cfg.excludes,
+            vec![(
+                "d.rs".into(),
+                "setup".into(),
+                "amortized one-time table build".into()
+            )]
         );
         assert_eq!(cfg.hot_lines, vec![3]);
     }

@@ -1,12 +1,12 @@
-//! Hand-rolled workspace lint for the wave-LTS codebase.
+//! Hand-rolled workspace lint for the wave-LTS codebase, motivated by
+//! production incidents waiting to happen in a numerical hot loop (see
+//! `DESIGN.md` §11 Semantic analysis).
 //!
-//! Two tiers, both motivated by production incidents waiting to happen in a
-//! numerical hot loop (see `DESIGN.md` §11 Semantic analysis):
-//!
-//! **Semantic tier** (the default gate): a parsed workspace model — symbol
-//! table + conservative call graph over every crate — with root sets from
-//! `lint/hotpaths.toml`, runs four analyses with blame chains
-//! (root → … → offending call):
+//! One pass over one parsed model: every governed file is scrubbed and
+//! parsed once ([`parse`]), the parses become a symbol table and a
+//! conservative call graph over every crate ([`graph`]), and the roots come
+//! from one list, `lint/hotpaths.toml`. Every finding is an error. The
+//! call-graph analyses report a blame chain (root → … → offending call):
 //!
 //! 1. **hot-path-alloc / hot-path-panic** — transitive purity: no
 //!    allocation or panic-capable construct *reachable* from a hot root;
@@ -20,9 +20,9 @@
 //!    encode+decode arms, and wire-shape changes bump `codec::VERSION`
 //!    (checked against the committed fingerprint).
 //!
-//! **Lexer tier** (fallback): the original textual rules — `no-panic` in
-//! runtime/sem (catches code the call graph can't prove reachable),
-//! `unsafe-safety`, `float-eq`.
+//! Three rules are decided per file in the same pass ([`rules`]):
+//! `no-panic` in runtime/sem (catches panics the call graph cannot prove
+//! reachable), `unsafe-safety` and `float-eq`.
 //!
 //! Per-line escape: `// lint: allow(<rule>) — <justification>`; the
 //! justification is mandatory (an unjustified allow is itself an error)
@@ -44,14 +44,11 @@ pub mod sarif;
 pub mod source;
 
 use cache::{Cache, FileSummary};
-use config::{HotPathConfig, LintConfig};
-use rules::{Diagnostic, Severity};
+use config::LintConfig;
+use rules::Diagnostic;
 use source::Scrubbed;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
-
-/// Crates whose non-test code falls under the `no-panic` rule.
-const NO_PANIC_SCOPES: &[&str] = &["crates/runtime/src", "crates/sem/src"];
 
 /// FNV-1a 64-bit — content hashing for the parse cache and the wire
 /// fingerprint.
@@ -64,22 +61,10 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Which analyses run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Tier {
-    /// Semantic + lexer fallback (the gate default).
-    All,
-    /// Call-graph analyses only.
-    Semantic,
-    /// The original textual rules only.
-    Lexer,
-}
-
 /// Driver options (what the CLI flags map to).
 #[derive(Debug, Clone)]
 pub struct Options {
     pub root: PathBuf,
-    pub tier: Tier,
     pub verbose: bool,
     pub sarif: Option<PathBuf>,
     pub no_cache: bool,
@@ -89,7 +74,6 @@ impl Options {
     pub fn new(root: impl Into<PathBuf>) -> Options {
         Options {
             root: root.into(),
-            tier: Tier::All,
             verbose: false,
             sarif: None,
             no_cache: false,
@@ -106,43 +90,10 @@ pub struct Report {
     pub n_edges: usize,
     /// `(rule, count)` of `// lint: allow(rule)` escapes in force.
     pub allows: BTreeMap<String, usize>,
-    /// Sorted by (file, line, rule); errors and warnings together.
+    /// Every finding, sorted by (file, line, rule).
     pub diags: Vec<Diagnostic>,
     /// `--verbose` lines: resolved root sets, reach sizes.
     pub verbose_lines: Vec<String>,
-}
-
-impl Report {
-    pub fn errors(&self) -> usize {
-        self.diags
-            .iter()
-            .filter(|d| d.severity == Severity::Error)
-            .count()
-    }
-
-    pub fn warnings(&self) -> usize {
-        self.diags.len() - self.errors()
-    }
-}
-
-/// Lint one file's contents with the lexer tier. `rel` is the
-/// workspace-relative path with forward slashes (used for rule scoping and
-/// `hotpaths.toml` matching).
-pub fn lint_source(rel: &str, src: &str, cfg: &HotPathConfig) -> Vec<Diagnostic> {
-    let s = Scrubbed::new(src);
-    lint_scrubbed(rel, &s, cfg)
-}
-
-fn lint_scrubbed(rel: &str, s: &Scrubbed, cfg: &HotPathConfig) -> Vec<Diagnostic> {
-    let path = Path::new(rel);
-    let mut diags = Vec::new();
-    rules::check_hot_path(path, rel, s, cfg, &mut diags);
-    if NO_PANIC_SCOPES.iter().any(|p| rel.starts_with(p)) {
-        rules::check_no_panic(path, s, &mut diags);
-    }
-    rules::check_unsafe(path, s, &mut diags);
-    rules::check_float_eq(path, s, &mut diags);
-    diags
 }
 
 /// Recursively collect the `.rs` files the lint governs: the root package's
@@ -254,15 +205,6 @@ pub fn crate_deps(root: &Path) -> BTreeMap<String, BTreeSet<String>> {
     out
 }
 
-fn load_config(root: &Path) -> std::io::Result<LintConfig> {
-    let cfg_path = root.join("lint/hotpaths.toml");
-    if cfg_path.is_file() {
-        LintConfig::parse(&std::fs::read_to_string(&cfg_path)?).map_err(std::io::Error::other)
-    } else {
-        Ok(LintConfig::default())
-    }
-}
-
 /// The parsed workspace: per-file facts plus the assembled call graph.
 pub struct Model {
     pub cfg: LintConfig,
@@ -275,8 +217,13 @@ pub struct Model {
 /// Read, scrub and parse every workspace file (through the cache unless
 /// disabled) and build the call graph.
 pub fn build_model(root: &Path, use_cache: bool) -> std::io::Result<Model> {
-    let cfg = load_config(root)?;
-    let cfg_text = std::fs::read_to_string(root.join("lint/hotpaths.toml")).unwrap_or_default();
+    let cfg_path = root.join(analyze::CONFIG_REL);
+    let cfg_text = if cfg_path.is_file() {
+        std::fs::read_to_string(&cfg_path)?
+    } else {
+        String::new()
+    };
+    let cfg = LintConfig::parse(&cfg_text).map_err(std::io::Error::other)?;
     let cache_path = root.join("target/lint-parse.cache");
     let mut cache = if use_cache {
         Cache::load(&cache_path, fnv64(cfg_text.as_bytes()))
@@ -298,16 +245,10 @@ pub fn build_model(root: &Path, use_cache: bool) -> std::io::Result<Model> {
             Some(s) => s,
             None => {
                 let s = Scrubbed::new(&src);
-                let legacy: Vec<Diagnostic> = lint_scrubbed(&rel, &s, &cfg)
-                    .into_iter()
-                    .map(|mut d| {
-                        d.file = PathBuf::from(&rel);
-                        d
-                    })
-                    .collect();
+                let parsed = parse::parse_file(&s);
                 let summary = FileSummary {
-                    parsed: parse::parse_file(&s),
-                    legacy,
+                    diags: rules::check_file(&rel, &s, &parsed),
+                    parsed,
                 };
                 cache.put(&rel, mtime, size, hash, summary.clone());
                 summary
@@ -334,7 +275,7 @@ pub fn build_model(root: &Path, use_cache: bool) -> std::io::Result<Model> {
     })
 }
 
-/// Run a full lint pass.
+/// Run the lint: every analysis and every per-file rule, in one pass.
 pub fn run(opts: &Options) -> std::io::Result<Report> {
     let model = build_model(&opts.root, !opts.no_cache)?;
     let mut report = Report {
@@ -350,61 +291,54 @@ pub fn run(opts: &Options) -> std::io::Result<Report> {
         .map(|(rel, s)| (rel.clone(), s.parsed.clone()))
         .collect();
 
-    let mut diags: Vec<Diagnostic> = Vec::new();
-    if opts.tier != Tier::Lexer {
-        let sem = analyze::run_semantic(&opts.root, &model.ws, &model.cfg, &parsed_only);
-        if opts.verbose {
-            let names = |ids: &[graph::FnId]| -> Vec<String> {
-                ids.iter()
-                    .map(|&id| {
-                        format!(
-                            "{} ({}:{})",
-                            model.ws.qualified(id),
-                            model.ws.fns[id].file,
-                            model.ws.fns[id].f.line
-                        )
-                    })
-                    .collect()
-            };
-            report
-                .verbose_lines
-                .push(format!("hot roots: {}", names(&sem.roots.hot).join(", ")));
-            report.verbose_lines.push(format!(
-                "kernel roots: {}",
-                names(&sem.roots.kernels).join(", ")
-            ));
-            report.verbose_lines.push(format!(
-                "reach: {} fns from hot roots, {} from kernel roots; {} stops",
-                sem.hot_reached,
-                sem.kernel_reached,
-                sem.roots.stops.len()
-            ));
-        }
-        diags.extend(sem.diags);
+    let sem = analyze::run_semantic(&opts.root, &model.ws, &model.cfg, &parsed_only);
+    if opts.verbose {
+        let names = |ids: &[graph::FnId]| -> Vec<String> {
+            ids.iter()
+                .map(|&id| {
+                    format!(
+                        "{} ({}:{})",
+                        model.ws.qualified(id),
+                        model.ws.fns[id].file,
+                        model.ws.fns[id].f.line
+                    )
+                })
+                .collect()
+        };
+        report
+            .verbose_lines
+            .push(format!("hot roots: {}", names(&sem.roots.hot).join(", ")));
+        report.verbose_lines.push(format!(
+            "kernel roots: {}",
+            names(&sem.roots.kernels).join(", ")
+        ));
+        report.verbose_lines.push(format!(
+            "reach: {} fns from hot roots, {} from kernel roots; {} stops",
+            sem.hot_reached,
+            sem.kernel_reached,
+            sem.roots.stops.len()
+        ));
     }
-    if opts.tier != Tier::Semantic {
-        let semantic_panics: std::collections::BTreeSet<(PathBuf, usize)> = diags
-            .iter()
-            .filter(|d| d.rule == rules::RULE_HOT_PANIC)
-            .map(|d| (d.file.clone(), d.line))
-            .collect();
-        for summary in model.files.values() {
-            for d in &summary.legacy {
-                if opts.tier == Tier::All {
-                    // the semantic tier subsumes the tag-scoped alloc scan and
-                    // any textual panic finding it already reported with a chain
-                    if d.rule == rules::RULE_HOT_PATH {
-                        continue;
-                    }
-                    if d.rule == rules::RULE_NO_PANIC
-                        && semantic_panics.contains(&(d.file.clone(), d.line))
-                    {
-                        continue;
-                    }
-                }
-                diags.push(d.clone());
-            }
-        }
+    // a `no-panic` site the reachability rule already reported with a
+    // chain is not reported twice
+    let hot_panics: BTreeSet<(PathBuf, usize)> = sem
+        .diags
+        .iter()
+        .filter(|d| d.rule == rules::RULE_HOT_PANIC)
+        .map(|d| (d.file.clone(), d.line))
+        .collect();
+    let mut diags = sem.diags;
+    for summary in model.files.values() {
+        diags.extend(
+            summary
+                .diags
+                .iter()
+                .filter(|d| {
+                    d.rule != rules::RULE_NO_PANIC
+                        || !hot_panics.contains(&(d.file.clone(), d.line))
+                })
+                .cloned(),
+        );
     }
 
     // allow audit: count escapes, reject unjustified or unknown-rule ones
@@ -449,37 +383,9 @@ pub fn run(opts: &Options) -> std::io::Result<Report> {
     Ok(report)
 }
 
-/// Back-compat wrapper: lint the whole workspace with the default tier.
-/// Returns the number of files checked and all diagnostics.
-pub fn lint_workspace(root: &Path) -> std::io::Result<(usize, Vec<Diagnostic>)> {
-    let report = run(&Options::new(root))?;
-    Ok((report.n_files, report.diags))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scoping_applies_no_panic_only_to_runtime_and_sem() {
-        let cfg = HotPathConfig::default();
-        let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
-        assert_eq!(lint_source("crates/runtime/src/a.rs", src, &cfg).len(), 1);
-        assert_eq!(lint_source("crates/sem/src/a.rs", src, &cfg).len(), 1);
-        assert!(lint_source("crates/mesh/src/a.rs", src, &cfg).is_empty());
-        assert!(lint_source("src/bin/a.rs", src, &cfg).is_empty());
-    }
-
-    #[test]
-    fn diagnostics_render_file_line_rule() {
-        let cfg = HotPathConfig::default();
-        let d = lint_source(
-            "crates/sem/src/a.rs",
-            "fn f() { None::<u32>.unwrap(); }\n",
-            &cfg,
-        );
-        assert_eq!(format!("{}", d[0]), "crates/sem/src/a.rs:1: [no-panic] `.unwrap()` in non-test code (return a Result instead)");
-    }
 
     #[test]
     fn fnv64_is_stable() {

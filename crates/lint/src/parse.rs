@@ -1,6 +1,6 @@
 //! Item-level parsing of one Rust source file into the facts the semantic
 //! analyses consume: function items with impl context, call sites, construct
-//! hits (allocation / panic / determinism / indexing), lock acquisitions
+//! hits (allocation / panic / determinism), lock acquisitions
 //! with held-lock context, and blocking-wait sites.
 //!
 //! `syn` is unavailable offline, so this is a purpose-built structural
@@ -22,8 +22,6 @@ pub enum HitKind {
     Alloc,
     /// Panic-capable construct (`unwrap`, `panic!`, `assert!`, …).
     Panic,
-    /// Slice/array indexing without `get` — panic-capable, warning tier.
-    Index,
     /// Run-nondeterminism hazard (`HashMap` iteration order, `Instant::now`,
     /// FMA / horizontal-reduction intrinsics, thread identity).
     Det,
@@ -82,8 +80,6 @@ pub struct ParsedFn {
     /// Carries `#[cold]` — treated as a terminal error path by the hot-path
     /// purity analysis.
     pub is_cold: bool,
-    /// Tagged `// lint: hot-path` in the comment block above.
-    pub tagged_hot: bool,
     pub calls: Vec<CallSite>,
     pub hits: Vec<Hit>,
     pub locks: Vec<LockAcq>,
@@ -113,7 +109,7 @@ pub struct ParsedFile {
     pub allows: Vec<Allow>,
 }
 
-fn is_ident(c: char) -> bool {
+pub(crate) fn is_ident(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
@@ -342,31 +338,6 @@ fn raw_fns(code: &str, cs: &[char]) -> Vec<RawFn> {
     out
 }
 
-/// Does the contiguous comment/attribute block directly above `fn_line0`
-/// contain a comment line starting with `marker`?
-fn block_above_prefix(
-    code_lines: &[&str],
-    comment_lines: &[&str],
-    fn_line0: usize,
-    marker: &str,
-) -> bool {
-    let mut l = fn_line0;
-    while l > 0 {
-        l -= 1;
-        let code_t = code_lines.get(l).map_or("", |s| s.trim());
-        let com_t = comment_lines.get(l).map_or("", |s| s.trim());
-        if com_t.starts_with(marker) {
-            return true;
-        }
-        let is_attr = code_t.starts_with("#[") || code_t.starts_with("#![");
-        let is_comment_only = code_t.is_empty() && !com_t.is_empty();
-        if !(is_attr || is_comment_only) {
-            return false;
-        }
-    }
-    false
-}
-
 /// Does the attribute block above (or on the `fn` line itself) carry
 /// `#[attr]`?
 fn has_attr_above(code_lines: &[&str], fn_line0: usize, attr: &str) -> bool {
@@ -478,25 +449,6 @@ fn walk_body(
                 depth -= 1;
                 // leaving a block drops every guard declared inside it
                 guards.retain(|g| g.depth <= depth);
-                i += 1;
-                continue;
-            }
-            '[' => {
-                // expression indexing: `[` directly after an ident/`)`/`]`
-                let mut k = i;
-                while k > span.start && cs[k - 1].is_whitespace() {
-                    k -= 1;
-                }
-                if k > span.start && (is_ident(cs[k - 1]) || cs[k - 1] == ')' || cs[k - 1] == ']') {
-                    // attribute `#[...]` has `#` before; type `[f64; 4]` has
-                    // none of these; `ident[` in expression position panics
-                    // on out-of-range
-                    f.hits.push(Hit {
-                        kind: HitKind::Index,
-                        token: "[]".into(),
-                        line: line_of(code, i),
-                    });
-                }
                 i += 1;
                 continue;
             }
@@ -800,7 +752,6 @@ pub fn fn_body_span(s: &Scrubbed, name: &str) -> Option<std::ops::Range<usize>> 
 pub fn parse_file(s: &Scrubbed) -> ParsedFile {
     let cs: Vec<char> = s.code.chars().collect();
     let code_lines: Vec<&str> = s.code.lines().collect();
-    let comment_lines: Vec<&str> = s.comments.lines().collect();
     let impls = impl_spans(&cs);
     let raws = raw_fns(&s.code, &cs);
     let mut out = ParsedFile {
@@ -819,12 +770,6 @@ pub fn parse_file(s: &Scrubbed) -> ParsedFile {
             impl_type,
             line: fn_line0 + 1,
             is_cold: has_attr_above(&code_lines, fn_line0, "cold"),
-            tagged_hot: block_above_prefix(
-                &code_lines,
-                &comment_lines,
-                fn_line0,
-                "// lint: hot-path",
-            ),
             calls: Vec::new(),
             hits: Vec::new(),
             locks: Vec::new(),
@@ -931,17 +876,6 @@ mod tests {
     }
 
     #[test]
-    fn indexing_is_a_warning_hit_but_types_are_not() {
-        let p = parse("fn f(v: &[f64; 4], i: usize) -> f64 { let x: [f64; 2] = [0.0; 2]; v[i] }\n");
-        let idx: Vec<&Hit> = p.fns[0]
-            .hits
-            .iter()
-            .filter(|h| h.kind == HitKind::Index)
-            .collect();
-        assert_eq!(idx.len(), 1, "{idx:?}");
-    }
-
-    #[test]
     fn lock_edges_and_guard_release() {
         let src = "\
 fn f(a: &M, b: &M) {
@@ -1001,19 +935,16 @@ fn f(cv: &Condvar, g: G, rx: &Rx, t: &mut T, buf: &mut Vec<f64>) {
     }
 
     #[test]
-    fn cold_and_hot_tags() {
+    fn cold_attribute_is_detected() {
         let src = "\
 #[cold]
 fn cold_fn() {}
 
-// lint: hot-path
 #[inline]
-fn hot_fn() {}
+fn warm_fn() {}
 ";
         let p = parse(src);
         assert!(p.fns[0].is_cold);
-        assert!(!p.fns[0].tagged_hot);
-        assert!(p.fns[1].tagged_hot);
         assert!(!p.fns[1].is_cold);
     }
 

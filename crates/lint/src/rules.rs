@@ -1,24 +1,25 @@
-//! The four lint rules.
+//! The diagnostic every analysis reports through, and the three rules
+//! decided file by file.
 //!
-//! Every rule works on a [`Scrubbed`] view pair, reports `file:line`
-//! diagnostics, and honours a per-line escape hatch: a comment
-//! `// lint: allow(<rule>)` on the flagged line or the line directly above
-//! suppresses that rule there (use sparingly, with a justification in the
-//! same comment).
+//! The per-file rules run in the same pass that parses a file for the call
+//! graph: `no-panic` reads the parsed function bodies
+//! ([`ParsedFn::hits`](crate::parse::ParsedFn::hits)), while
+//! `unsafe-safety` and `float-eq` are token patterns over the [`Scrubbed`]
+//! code view. All three honour the parser's one escape matcher,
+//! [`analyze::allowed`]: a `// lint: allow(<rule>) — <reason>` comment
+//! trailing the flagged line, or on the comment lines directly above it.
 
-use crate::config::HotPathConfig;
+use crate::analyze;
+use crate::parse::{is_ident, word_positions, HitKind, ParsedFile};
 use crate::source::{line_of, Scrubbed};
 use std::fmt;
-use std::ops::Range;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 pub const RULE_HOT_PATH: &str = "hot-path-alloc";
 pub const RULE_NO_PANIC: &str = "no-panic";
 pub const RULE_UNSAFE: &str = "unsafe-safety";
 pub const RULE_FLOAT_EQ: &str = "float-eq";
-// semantic (call-graph) tier rules, reported through the same Diagnostic
 pub const RULE_HOT_PANIC: &str = "hot-path-panic";
-pub const RULE_HOT_INDEX: &str = "hot-path-index";
 pub const RULE_DETERMINISM: &str = "determinism";
 pub const RULE_LOCK_ORDER: &str = "lock-order";
 pub const RULE_LOCK_BLOCK: &str = "lock-block";
@@ -33,7 +34,6 @@ pub const ALL_RULES: &[&str] = &[
     RULE_UNSAFE,
     RULE_FLOAT_EQ,
     RULE_HOT_PANIC,
-    RULE_HOT_INDEX,
     RULE_DETERMINISM,
     RULE_LOCK_ORDER,
     RULE_LOCK_BLOCK,
@@ -42,15 +42,22 @@ pub const ALL_RULES: &[&str] = &[
     RULE_ALLOW_AUDIT,
 ];
 
-/// Diagnostic severity: only `Error` fails the gate; `Warning` is reported
-/// in the summary (and SARIF) without failing CI.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
-    Error,
-    Warning,
-}
+/// Crates whose non-test code falls under the `no-panic` rule.
+const NO_PANIC_SCOPES: &[&str] = &["crates/runtime/src", "crates/sem/src"];
 
-/// One violation, printable as `path:line: [rule] message`. Semantic-tier
+/// The panic hits `no-panic` flags. The parser also records `assert!`,
+/// `assert_eq!` and `assert_ne!` as panics (for `hot-path-panic`), but a
+/// stated invariant is out of this rule's scope.
+const NO_PANIC_TOKENS: &[&str] = &[
+    ".unwrap()",
+    ".expect()",
+    "panic!",
+    "unreachable!",
+    "todo!",
+    "unimplemented!",
+];
+
+/// One violation, printable as `path:line: [rule] message`. Call-graph
 /// diagnostics additionally carry a blame chain (root -> ... -> offender).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
@@ -58,7 +65,6 @@ pub struct Diagnostic {
     pub line: usize,
     pub rule: &'static str,
     pub msg: String,
-    pub severity: Severity,
     pub chain: Vec<crate::graph::BlameHop>,
 }
 
@@ -74,20 +80,7 @@ impl Diagnostic {
             line,
             rule,
             msg,
-            severity: Severity::Error,
             chain: Vec::new(),
-        }
-    }
-
-    pub fn warning(
-        file: impl Into<PathBuf>,
-        line: usize,
-        rule: &'static str,
-        msg: String,
-    ) -> Diagnostic {
-        Diagnostic {
-            severity: Severity::Warning,
-            ..Diagnostic::new(file, line, rule, msg)
         }
     }
 
@@ -118,161 +111,52 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Calls the hot-path policy bans: anything that heap-allocates or clones
-/// on the per-element path. Token patterns, matched against scrubbed code.
-const ALLOC_TOKENS: &[&str] = &[
-    "Vec::new",
-    "vec!",
-    ".to_vec()",
-    ".clone()",
-    ".collect()",
-    ".collect::",
-    "Box::new",
-    "String::new",
-    ".to_string()",
-    ".to_owned()",
-    "with_capacity",
-    "format!",
-];
-
-const PANIC_TOKENS: &[&str] = &[
-    ".unwrap()",
-    ".expect(",
-    "panic!(",
-    "unreachable!(",
-    "todo!(",
-    "unimplemented!(",
-];
-
-/// `lint: allow(<rule>)` on the same or previous line.
-fn allowed(comment_lines: &[&str], line0: usize, rule: &str) -> bool {
-    let pat = format!("lint: allow({rule})");
-    let here = comment_lines.get(line0).is_some_and(|l| l.contains(&pat));
-    let above = line0 > 0 && comment_lines[line0 - 1].contains(&pat);
-    here || above
-}
-
-fn is_ident(c: char) -> bool {
-    c.is_alphanumeric() || c == '_'
-}
-
-/// Word-boundary occurrences of `word` in `text` (char offsets).
-fn word_positions(text: &str, word: &str) -> Vec<usize> {
-    let cs: Vec<char> = text.chars().collect();
-    let w: Vec<char> = word.chars().collect();
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i + w.len() <= cs.len() {
-        if cs[i..i + w.len()] == w[..]
-            && (i == 0 || !is_ident(cs[i - 1]))
-            && (i + w.len() == cs.len() || !is_ident(cs[i + w.len()]))
-        {
-            out.push(i);
-        }
-        i += 1;
+/// Run the per-file rules over one file: `rel` is its workspace-relative
+/// path (it scopes `no-panic`), `s` its scrubbed views and `pf` its parse.
+pub fn check_file(rel: &str, s: &Scrubbed, pf: &ParsedFile) -> Vec<Diagnostic> {
+    let mut diags = Vec::new();
+    if NO_PANIC_SCOPES.iter().any(|p| rel.starts_with(p)) {
+        no_panic(rel, pf, &mut diags);
     }
-    out
+    unsafe_safety(rel, s, pf, &mut diags);
+    float_eq(rel, s, pf, &mut diags);
+    diags
 }
 
-/// A function item found in scrubbed code: name, the line its `fn` token is
-/// on (0-based), and the char range of its `{ … }` body.
-#[derive(Debug)]
-pub struct FnSpan {
-    pub name: String,
-    pub fn_line0: usize,
-    pub body: Range<usize>,
-}
-
-/// Find all function items with bodies. Token-level: `fn <ident> … {` with
-/// the first `{` at paren depth 0 taken as the body opener; trait-method
-/// declarations (ending in `;`) are skipped.
-pub fn functions(code: &str) -> Vec<FnSpan> {
-    let cs: Vec<char> = code.chars().collect();
-    let mut out = Vec::new();
-    for start in word_positions(code, "fn") {
-        // identifier after `fn`
-        let mut j = start + 2;
-        while j < cs.len() && cs[j].is_whitespace() {
-            j += 1;
-        }
-        let name_start = j;
-        while j < cs.len() && is_ident(cs[j]) {
-            j += 1;
-        }
-        if j == name_start {
-            continue; // `fn` of a closure type like `impl Fn(...)` — no name
-        }
-        let name: String = cs[name_start..j].iter().collect();
-        // scan to body `{` at paren depth 0, or `;` (no body)
-        let mut depth = 0i32;
-        let mut body_open = None;
-        while j < cs.len() {
-            match cs[j] {
-                '(' | '[' => depth += 1,
-                ')' | ']' => depth -= 1,
-                '{' if depth == 0 => {
-                    body_open = Some(j);
-                    break;
-                }
-                ';' if depth == 0 => break,
-                _ => {}
+/// `no-panic`: no `unwrap`/`expect`/`panic!` family in the non-test code
+/// of the scoped crates, reachable from a hot root or not.
+fn no_panic(rel: &str, pf: &ParsedFile, diags: &mut Vec<Diagnostic>) {
+    for f in &pf.fns {
+        for h in &f.hits {
+            if h.kind == HitKind::Panic
+                && NO_PANIC_TOKENS.contains(&h.token.as_str())
+                && !analyze::allowed(pf, h.line, RULE_NO_PANIC)
+            {
+                diags.push(Diagnostic::new(
+                    rel,
+                    h.line,
+                    RULE_NO_PANIC,
+                    format!("`{}` in non-test code (return a Result instead)", h.token),
+                ));
             }
-            j += 1;
         }
-        let Some(open) = body_open else { continue };
-        let mut brace = 0i32;
-        let mut k = open;
-        while k < cs.len() {
-            match cs[k] {
-                '{' => brace += 1,
-                '}' => {
-                    brace -= 1;
-                    if brace == 0 {
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            k += 1;
-        }
-        out.push(FnSpan {
-            name,
-            fn_line0: line_of(code, start) - 1,
-            body: open..k.min(cs.len()),
-        });
     }
-    out
-}
-
-/// How a marker must appear in a comment line for [`block_above_contains`].
-enum Match {
-    /// Anywhere in the comment text (Safety sections in prose docs).
-    Contains,
-    /// The whole trimmed comment line must start with the marker — so prose
-    /// that merely *mentions* `// lint: hot-path` (like this lint's own
-    /// docs) does not tag the function below it.
-    LinePrefix,
 }
 
 /// Does the contiguous comment/attribute block directly above line
-/// `fn_line0` contain `marker`?
+/// `line0` mention any of `markers`?
 fn block_above_contains(
     code_lines: &[&str],
     comment_lines: &[&str],
-    fn_line0: usize,
-    marker: &str,
-    how: Match,
+    line0: usize,
+    markers: &[&str],
 ) -> bool {
-    let mut l = fn_line0;
+    let mut l = line0;
     while l > 0 {
         l -= 1;
         let code_t = code_lines.get(l).map_or("", |s| s.trim());
         let com_t = comment_lines.get(l).map_or("", |s| s.trim());
-        let hit = match how {
-            Match::Contains => com_t.contains(marker),
-            Match::LinePrefix => com_t.starts_with(marker),
-        };
-        if hit {
+        if markers.iter().any(|m| com_t.contains(m)) {
             return true;
         }
         let is_attr = code_t.starts_with("#[") || code_t.starts_with("#![");
@@ -284,79 +168,17 @@ fn block_above_contains(
     false
 }
 
-/// Rule 1: no allocation in hot-path functions (tagged inline with
-/// `// lint: hot-path` or listed in `lint/hotpaths.toml`).
-pub fn check_hot_path(
-    file: &Path,
-    rel: &str,
-    s: &Scrubbed,
-    cfg: &HotPathConfig,
-    diags: &mut Vec<Diagnostic>,
-) {
-    let code_lines = s.code_lines();
-    let comment_lines = s.comment_lines();
-    let cs: Vec<char> = s.code.chars().collect();
-    for f in functions(&s.code) {
-        let tagged = block_above_contains(
-            &code_lines,
-            &comment_lines,
-            f.fn_line0,
-            "// lint: hot-path",
-            Match::LinePrefix,
-        );
-        let listed = cfg.contains(rel, &f.name);
-        if !tagged && !listed {
-            continue;
-        }
-        let body: String = cs[f.body.clone()].iter().collect();
-        for tok in ALLOC_TOKENS {
-            let mut from = 0;
-            while let Some(p) = body[from..].find(tok) {
-                let pos = from + p;
-                let line0 = line_of(&s.code, f.body.start) - 1 + line_of(&body, pos) - 1;
-                if !allowed(&comment_lines, line0, RULE_HOT_PATH) {
-                    diags.push(Diagnostic::new(
-                        file,
-                        line0 + 1,
-                        RULE_HOT_PATH,
-                        format!("`{}` allocates in hot-path fn `{}`", tok, f.name),
-                    ));
-                }
-                from = pos + tok.len();
-            }
-        }
-    }
-}
-
-/// Rule 2: no `unwrap`/`expect`/`panic!` family in non-test code of the
-/// crates this rule is scoped to (`lts-runtime`, `lts-sem`).
-pub fn check_no_panic(file: &Path, s: &Scrubbed, diags: &mut Vec<Diagnostic>) {
-    let comment_lines = s.comment_lines();
-    for (line0, line) in s.code.lines().enumerate() {
-        for tok in PANIC_TOKENS {
-            if line.contains(tok) && !allowed(&comment_lines, line0, RULE_NO_PANIC) {
-                diags.push(Diagnostic::new(
-                    file,
-                    line0 + 1,
-                    RULE_NO_PANIC,
-                    format!("`{tok}` in non-test code (return a Result instead)"),
-                ));
-            }
-        }
-    }
-}
-
-/// Rule 3: every `unsafe` must carry a justification. Blocks need a
+/// `unsafe-safety`: every `unsafe` must carry a justification. Blocks need a
 /// `SAFETY:` comment on the same line or within the 5 lines above;
 /// `unsafe fn`/`unsafe impl`/`unsafe trait` items accept a `Safety` section
 /// anywhere in their attached doc block.
-pub fn check_unsafe(file: &Path, s: &Scrubbed, diags: &mut Vec<Diagnostic>) {
+fn unsafe_safety(rel: &str, s: &Scrubbed, pf: &ParsedFile, diags: &mut Vec<Diagnostic>) {
     let code_lines = s.code_lines();
     let comment_lines = s.comment_lines();
     let cs: Vec<char> = s.code.chars().collect();
     for pos in word_positions(&s.code, "unsafe") {
         let line0 = line_of(&s.code, pos) - 1;
-        if allowed(&comment_lines, line0, RULE_UNSAFE) {
+        if analyze::allowed(pf, line0 + 1, RULE_UNSAFE) {
             continue;
         }
         // item or block?
@@ -368,26 +190,14 @@ pub fn check_unsafe(file: &Path, s: &Scrubbed, diags: &mut Vec<Diagnostic>) {
         let is_item =
             rest.starts_with("fn") || rest.starts_with("impl") || rest.starts_with("trait");
         let justified = if is_item {
-            block_above_contains(
-                &code_lines,
-                &comment_lines,
-                line0,
-                "SAFETY",
-                Match::Contains,
-            ) || block_above_contains(
-                &code_lines,
-                &comment_lines,
-                line0,
-                "Safety",
-                Match::Contains,
-            )
+            block_above_contains(&code_lines, &comment_lines, line0, &["SAFETY", "Safety"])
         } else {
             let lo = line0.saturating_sub(5);
             (lo..=line0).any(|l| comment_lines.get(l).is_some_and(|c| c.contains("SAFETY")))
         };
         if !justified {
             diags.push(Diagnostic::new(
-                file,
+                rel,
                 line0 + 1,
                 RULE_UNSAFE,
                 if is_item {
@@ -419,13 +229,12 @@ fn float_token(tok: &str) -> bool {
     tok.contains('.') || tok.contains("f64") || tok.contains("f32") || tok.contains('e')
 }
 
-/// Rule 4: no `==`/`!=` against a float literal (compare `to_bits()`, use a
+/// `float-eq`: no `==`/`!=` against a float literal (compare `to_bits()`, use a
 /// tolerance, or annotate an exact-zero guard with `lint: allow(float-eq)`).
-/// Type inference is out of reach for a lexical lint, so this flags the
+/// Type inference is out of reach for this lint, so it flags the
 /// decidable case: a floating-point *literal* (or `f64::` const) as either
 /// operand.
-pub fn check_float_eq(file: &Path, s: &Scrubbed, diags: &mut Vec<Diagnostic>) {
-    let comment_lines = s.comment_lines();
+fn float_eq(rel: &str, s: &Scrubbed, pf: &ParsedFile, diags: &mut Vec<Diagnostic>) {
     for (line0, line) in s.code.lines().enumerate() {
         if line.contains(".to_bits()") {
             continue;
@@ -462,10 +271,10 @@ pub fn check_float_eq(file: &Path, s: &Scrubbed, diags: &mut Vec<Diagnostic>) {
                 }
                 let left: String = cs[l..le].iter().collect();
                 if (float_token(&right) || float_token(&left))
-                    && !allowed(&comment_lines, line0, RULE_FLOAT_EQ)
+                    && !analyze::allowed(pf, line0 + 1, RULE_FLOAT_EQ)
                 {
                     diags.push(Diagnostic::new(
-                        file,
+                        rel,
                         line0 + 1,
                         RULE_FLOAT_EQ,
                         format!(
@@ -488,83 +297,10 @@ mod tests {
 
     fn diags_for(src: &str, rule: &str) -> Vec<Diagnostic> {
         let s = Scrubbed::new(src);
-        let mut d = Vec::new();
-        let p = Path::new("x.rs");
-        match rule {
-            RULE_NO_PANIC => check_no_panic(p, &s, &mut d),
-            RULE_UNSAFE => check_unsafe(p, &s, &mut d),
-            RULE_FLOAT_EQ => check_float_eq(p, &s, &mut d),
-            RULE_HOT_PATH => check_hot_path(p, "x.rs", &s, &HotPathConfig::default(), &mut d),
-            _ => unreachable!(),
-        }
-        d
-    }
-
-    #[test]
-    fn hot_path_flags_alloc_in_tagged_fn_only() {
-        let src = "\
-// lint: hot-path
-fn hot(v: &[f64]) -> Vec<f64> {
-    v.to_vec()
-}
-
-fn cold(v: &[f64]) -> Vec<f64> {
-    v.to_vec()
-}
-";
-        let d = diags_for(src, RULE_HOT_PATH);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].line, 3);
-        assert!(d[0].msg.contains("hot"));
-    }
-
-    #[test]
-    fn hot_path_tag_works_through_attributes() {
-        let src = "\
-// lint: hot-path
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn hot() {
-    let v: Vec<u32> = (0..4).collect();
-    let _ = v;
-}
-";
-        let d = diags_for(src, RULE_HOT_PATH);
-        assert_eq!(d.len(), 1, "{d:?}");
-    }
-
-    #[test]
-    fn hot_path_config_listing() {
-        let cfg = HotPathConfig {
-            hot: vec![("a/b.rs".into(), "listed".into())],
-            ..HotPathConfig::default()
-        };
-        let s = Scrubbed::new("fn listed() { x.clone(); }\nfn other() { y.clone(); }\n");
-        let mut d = Vec::new();
-        check_hot_path(Path::new("a/b.rs"), "a/b.rs", &s, &cfg, &mut d);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert!(d[0].msg.contains("listed"));
-    }
-
-    #[test]
-    fn no_panic_skips_tests_strings_and_allows() {
-        let src = "\
-fn f(x: Option<u32>) -> u32 {
-    let s = \"don't .unwrap() me\";
-    // lint: allow(no-panic) — structural invariant, cannot fail
-    x.expect(s)
-}
-fn g(x: Option<u32>) -> u32 {
-    x.unwrap()
-}
-#[cfg(test)]
-mod tests {
-    fn t() { None::<u32>.unwrap(); }
-}
-";
-        let d = diags_for(src, RULE_NO_PANIC);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].line, 7);
+        check_file("crates/sem/src/x.rs", &s, &crate::parse::parse_file(&s))
+            .into_iter()
+            .filter(|d| d.rule == rule)
+            .collect()
     }
 
     #[test]
@@ -671,13 +407,5 @@ fn dispatch(x: *const f64, supported: bool) {
             RULE_FLOAT_EQ
         )
         .is_empty());
-    }
-
-    #[test]
-    fn function_extraction_finds_bodies() {
-        let code = Scrubbed::new("fn a() { 1; }\ntrait T { fn decl(&self); }\nfn b() {}\n");
-        let fns = functions(&code.code);
-        let names: Vec<&str> = fns.iter().map(|f| f.name.as_str()).collect();
-        assert_eq!(names, ["a", "b"]);
     }
 }

@@ -4,7 +4,7 @@
 //! silently break CI ingestion, so `check.sh`'s artifact is verified at
 //! write time.
 
-use crate::rules::{Diagnostic, Severity};
+use crate::rules::Diagnostic;
 use std::fmt::Write as _;
 
 fn esc(s: &str) -> String {
@@ -64,12 +64,8 @@ pub fn to_sarif(diags: &[Diagnostic]) -> String {
                 format!(",\"relatedLocations\":[{}]", related.join(","))
             };
             format!(
-                "{{\"ruleId\":\"{}\",\"level\":\"{}\",\"message\":{{\"text\":\"{}\"}},\"locations\":[{}]{}}}",
+                "{{\"ruleId\":\"{}\",\"level\":\"error\",\"message\":{{\"text\":\"{}\"}},\"locations\":[{}]{}}}",
                 esc(d.rule),
-                match d.severity {
-                    Severity::Error => "error",
-                    Severity::Warning => "warning",
-                },
                 esc(&d.msg),
                 location(&d.file.to_string_lossy(), d.line),
                 related
@@ -237,17 +233,17 @@ mod tests {
                 what: "`vec!`".into(),
             },
         ];
-        let w = Diagnostic::warning(
+        let q = Diagnostic::new(
             "b.rs",
             2,
-            "hot-path-index",
+            "float-eq",
             "msg with \"quotes\"\nand newline".into(),
         );
-        let text = to_sarif(&[d, w]);
+        let text = to_sarif(&[d, q]);
         validate_json(&text).expect("valid sarif json");
         assert!(text.contains("\"version\":\"2.1.0\""));
         assert!(text.contains("relatedLocations"));
-        assert!(text.contains("\"level\":\"warning\""));
+        assert!(text.contains("\"level\":\"error\""));
     }
 
     #[test]

@@ -1,12 +1,12 @@
-//! End-to-end fixtures for the semantic tier: each seeded violation must
-//! produce exactly one diagnostic with the expected blame chain, and a
-//! clean workspace must produce none. Every test drives the real
+//! End-to-end fixtures for the lint pass: each seeded violation must
+//! produce exactly one diagnostic (with the expected blame chain where the
+//! rule has one), and a clean workspace must produce none. Every test drives the real
 //! [`lts_lint::run`] entry point against a throwaway workspace under the
 //! system temp dir — the same code path `cargo xtask lint` takes.
 
 use lts_lint::analyze::protocol::fingerprint_file_text;
-use lts_lint::rules::{Diagnostic, Severity};
-use lts_lint::{run, Options, Report, Tier};
+use lts_lint::rules::Diagnostic;
+use lts_lint::{run, Options, Report};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -30,9 +30,8 @@ impl Fixture {
         fs::write(path, text).expect("write fixture file");
     }
 
-    fn run(&self, tier: Tier) -> Report {
+    fn run(&self) -> Report {
         let opts = Options {
-            tier,
             no_cache: true,
             ..Options::new(&self.root)
         };
@@ -75,10 +74,9 @@ fn transitive_alloc_two_calls_deep_is_blamed_to_the_root() {
         "lint/hotpaths.toml",
         "[[hotpath]]\nfile = \"crates/core/src/lib.rs\"\nfunction = \"root\"\n",
     );
-    let report = fx.run(Tier::Semantic);
+    let report = fx.run();
     let d = the_one(&report);
     assert_eq!(d.rule, "hot-path-alloc");
-    assert_eq!(d.severity, Severity::Error);
     assert_eq!(d.file, Path::new("crates/core/src/lib.rs"));
     assert_eq!(d.line, 3);
     assert_eq!(chain(d), vec!["root", "mid", "leaf", "`vec!`"]);
@@ -97,7 +95,7 @@ fn transitive_panic_is_an_error_with_a_chain() {
         "lint/hotpaths.toml",
         "[[hotpath]]\nfile = \"crates/core/src/lib.rs\"\nfunction = \"root\"\n",
     );
-    let report = fx.run(Tier::Semantic);
+    let report = fx.run();
     let d = the_one(&report);
     assert_eq!(d.rule, "hot-path-panic");
     assert_eq!(d.line, 3);
@@ -117,10 +115,10 @@ fn hashmap_reachable_from_kernel_root_breaks_determinism() {
         "lint/hotpaths.toml",
         "[[kernel]]\nfile = \"crates/sem/src/kernel.rs\"\nfunction = \"kernel\"\n",
     );
-    let report = fx.run(Tier::Semantic);
+    let report = fx.run();
     // `touch`'s HashMap type is also reachable, so assert on the first;
     // both findings are the same hazard class
-    assert!(report.errors() >= 1, "{:#?}", report.diags);
+    assert!(!report.diags.is_empty(), "{:#?}", report.diags);
     let d = report
         .diags
         .iter()
@@ -148,7 +146,7 @@ fn opposite_lock_orders_in_transport_are_a_cycle() {
          \x20   drop(gb);\n\
          }\n",
     );
-    let report = fx.run(Tier::Semantic);
+    let report = fx.run();
     let d = the_one(&report);
     assert_eq!(d.rule, "lock-order");
     assert!(
@@ -170,7 +168,7 @@ fn unbounded_wait_reachable_from_hot_root_is_flagged() {
         "lint/hotpaths.toml",
         "[[hotpath]]\nfile = \"crates/runtime/src/transport/mod.rs\"\nfunction = \"pump\"\n",
     );
-    let report = fx.run(Tier::Semantic);
+    let report = fx.run();
     let d = the_one(&report);
     assert_eq!(d.rule, "lock-block");
     assert!(d.msg.contains("Condvar::wait"), "{}", d.msg);
@@ -231,7 +229,7 @@ fn complete_codec_with_committed_fingerprint_is_clean() {
     let fx = Fixture::new("protocol-clean");
     fx.write(CODEC_REL, CODEC_OK);
     commit_fingerprint(&fx);
-    let report = fx.run(Tier::Semantic);
+    let report = fx.run();
     assert_eq!(report.diags.len(), 0, "{:#?}", report.diags);
 }
 
@@ -242,7 +240,7 @@ fn missing_decode_arm_is_exactly_one_protocol_error() {
     // version) is unchanged, so the committed fingerprint still matches
     fx.write(CODEC_REL, &CODEC_OK.replace("        2 => {}\n", ""));
     commit_fingerprint(&fx);
-    let report = fx.run(Tier::Semantic);
+    let report = fx.run();
     let d = the_one(&report);
     assert_eq!(d.rule, "protocol");
     assert!(
@@ -262,12 +260,12 @@ fn wire_shape_change_without_version_bump_is_rejected() {
     let fx = Fixture::new("protocol-bump");
     fx.write(CODEC_REL, CODEC_OK);
     commit_fingerprint(&fx);
-    assert_eq!(fx.run(Tier::Semantic).errors(), 0);
+    assert_eq!(fx.run().diags.len(), 0);
 
     // grow Halo's wire shape without touching VERSION
     let changed = CODEC_OK.replace("Halo { payload: f64 }", "Halo { payload: f64, seq: u32 }");
     fx.write(CODEC_REL, &changed);
-    let report = fx.run(Tier::Semantic);
+    let report = fx.run();
     let d = the_one(&report);
     assert_eq!(d.rule, "protocol");
     assert!(
@@ -282,7 +280,7 @@ fn wire_shape_change_without_version_bump_is_rejected() {
         &changed.replace("VERSION: u32 = 1", "VERSION: u32 = 2"),
     );
     commit_fingerprint(&fx);
-    assert_eq!(fx.run(Tier::Semantic).errors(), 0);
+    assert_eq!(fx.run().diags.len(), 0);
 }
 
 #[test]
@@ -293,7 +291,7 @@ fn stale_hotpaths_entry_is_a_config_error_at_its_line() {
         "lint/hotpaths.toml",
         "# roots\n[[hotpath]]\nfile = \"crates/core/src/lib.rs\"\nfunction = \"gone\"\n",
     );
-    let report = fx.run(Tier::Semantic);
+    let report = fx.run();
     let d = the_one(&report);
     assert_eq!(d.rule, "config");
     assert_eq!(d.file, Path::new("lint/hotpaths.toml"));
@@ -317,8 +315,8 @@ fn justified_allow_suppresses_and_is_counted() {
         "lint/hotpaths.toml",
         "[[hotpath]]\nfile = \"crates/core/src/lib.rs\"\nfunction = \"root\"\n",
     );
-    let report = fx.run(Tier::Semantic);
-    assert_eq!(report.errors(), 0, "{:#?}", report.diags);
+    let report = fx.run();
+    assert_eq!(report.diags.len(), 0, "{:#?}", report.diags);
     assert_eq!(report.allows.get("hot-path-alloc"), Some(&1));
 }
 
@@ -332,7 +330,7 @@ fn unjustified_allow_is_itself_an_error() {
          \x20   x == 0.0\n\
          }\n",
     );
-    let report = fx.run(Tier::Semantic);
+    let report = fx.run();
     let d = the_one(&report);
     assert_eq!(d.rule, "allow-audit");
     assert!(d.msg.contains("unjustified"), "{}", d.msg);
@@ -350,7 +348,7 @@ fn clean_workspace_produces_zero_diagnostics() {
         "lint/hotpaths.toml",
         "[[hotpath]]\nfile = \"crates/core/src/lib.rs\"\nfunction = \"root\"\n",
     );
-    let report = fx.run(Tier::All);
+    let report = fx.run();
     assert_eq!(report.diags.len(), 0, "{:#?}", report.diags);
     assert_eq!(report.n_fns, 2);
     assert_eq!(report.n_edges, 1);
@@ -370,6 +368,83 @@ fn exclude_entry_stops_traversal_into_amortized_setup() {
         "[[hotpath]]\nfile = \"crates/core/src/lib.rs\"\nfunction = \"root\"\n\n\
          [[exclude]]\nfile = \"crates/core/src/lib.rs\"\nfunction = \"setup\"\nreason = \"amortized: runs once before the first step\"\n",
     );
-    let report = fx.run(Tier::Semantic);
+    let report = fx.run();
     assert_eq!(report.diags.len(), 0, "{:#?}", report.diags);
+}
+
+/// One `.unwrap()` that no hot root reaches.
+const UNWRAP_SRC: &str = "pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
+
+#[test]
+fn scoping_applies_no_panic_only_to_runtime_and_sem() {
+    for (rel, in_scope) in [
+        ("crates/runtime/src/a.rs", true),
+        ("crates/sem/src/a.rs", true),
+        ("crates/mesh/src/a.rs", false),
+        ("src/bin/a.rs", false),
+    ] {
+        let fx = Fixture::new("nopanic-scope");
+        fx.write(rel, UNWRAP_SRC);
+        let report = fx.run();
+        if in_scope {
+            let d = the_one(&report);
+            assert_eq!((d.rule, d.line), ("no-panic", 1), "{rel}");
+            assert!(d.chain.is_empty(), "no hot root reaches it");
+        } else {
+            assert_eq!(report.diags.len(), 0, "{rel}: {:#?}", report.diags);
+        }
+    }
+}
+
+#[test]
+fn assert_in_runtime_is_not_a_no_panic_finding() {
+    let fx = Fixture::new("nopanic-assert");
+    fx.write(
+        "crates/runtime/src/a.rs",
+        "pub fn f(x: u32) {\n\
+         \x20   assert!(x > 0, \"x must be positive\");\n\
+         \x20   assert_eq!(x % 2, 1);\n\
+         }\n",
+    );
+    let report = fx.run();
+    assert_eq!(report.diags.len(), 0, "{:#?}", report.diags);
+}
+
+#[test]
+fn no_panic_skips_tests_strings_and_allows() {
+    let fx = Fixture::new("nopanic-skips");
+    fx.write(
+        "crates/sem/src/a.rs",
+        "fn f(x: Option<u32>) -> u32 {\n\
+         \x20   let s = \"don't .unwrap() me\";\n\
+         \x20   // lint: allow(no-panic) — structural invariant, cannot fail\n\
+         \x20   x.expect(s)\n\
+         }\n\
+         fn g(x: Option<u32>) -> u32 {\n\
+         \x20   x.unwrap()\n\
+         }\n\
+         fn h(x: Option<u32>) -> u32 {\n\
+         \x20   x.unwrap() // lint: allow(no-panic) — checked by the caller\n\
+         }\n\
+         #[cfg(test)]\n\
+         mod tests {\n\
+         \x20   fn t() { None::<u32>.unwrap(); }\n\
+         }\n",
+    );
+    let report = fx.run();
+    let d = the_one(&report);
+    assert_eq!(d.rule, "no-panic");
+    assert_eq!(d.line, 7);
+    assert_eq!(report.allows.get("no-panic"), Some(&2));
+}
+
+#[test]
+fn diagnostics_render_file_line_rule() {
+    let fx = Fixture::new("nopanic-render");
+    fx.write("crates/sem/src/a.rs", "fn f() { None::<u32>.unwrap(); }\n");
+    let report = fx.run();
+    assert_eq!(
+        format!("{}", the_one(&report)),
+        "crates/sem/src/a.rs:1: [no-panic] `.unwrap()` in non-test code (return a Result instead)"
+    );
 }

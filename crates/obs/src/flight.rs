@@ -123,8 +123,8 @@ pub struct FlightEvent {
 }
 
 /// Fixed-capacity ring of [`FlightEvent`]s. Allocation happens once, at
-/// construction; `record` never allocates (a `lint: hot-path` requirement
-/// of its runtime call sites).
+/// construction; `record` never allocates: its runtime call sites are
+/// reachable from the hot roots in `lint/hotpaths.toml`.
 #[derive(Debug)]
 pub struct FlightRecorder {
     epoch: Instant,

@@ -652,7 +652,6 @@ pub(crate) struct AcousticEngine<'a, G: Fn(u32) -> (f64, f64, f64, f64) + Sync> 
 impl<G: Fn(u32) -> (f64, f64, f64, f64) + Sync> Engine<ScalarScratch> for AcousticEngine<'_, G> {
     /// Process position `pos` of a compiled entry: gather (masked only when
     /// the element is mixed), stiffness kernel, multiply-by-`M⁻¹` scatter.
-    // lint: hot-path
     #[inline]
     fn elem(
         &self,
@@ -699,7 +698,6 @@ impl<G: Fn(u32) -> (f64, f64, f64, f64) + Sync> Engine<ScalarScratch> for Acoust
     /// (lane-padded) tables, one batched kernel call, SoA scatter of the
     /// first `unit_len` lanes. Any variant the build lacks a kernel for
     /// falls back to [`Self::elem`].
-    // lint: hot-path
     fn unit(
         &self,
         entry: &CompiledGather,
@@ -786,7 +784,6 @@ impl<G: Fn(u32) -> (f64, f64, f64, f64, f64) + Sync> Engine<crate::elastic::Scra
     for ElasticEngine<'_, G>
 {
     /// Process position `pos` of a compiled entry.
-    // lint: hot-path
     #[inline]
     fn elem(
         &self,
@@ -832,7 +829,6 @@ impl<G: Fn(u32) -> (f64, f64, f64, f64, f64) + Sync> Engine<crate::elastic::Scra
     /// Process unit `unit` of a plan (SoA gather through the lane-padded
     /// tables → batched kernel → SoA scatter of the first `unit_len`
     /// lanes), falling back to [`Self::elem`] on variants without a kernel.
-    // lint: hot-path
     fn unit(
         &self,
         entry: &CompiledGather,

@@ -116,7 +116,6 @@ fn deriv_z_t_add(d: &[f64], np: usize, f: &[f64], out: &mut [f64]) {
 
 /// `s.out = K_e · s.u` for one brick element of the isotropic elastic
 /// operator (shared by the structured and unstructured variants).
-// lint: hot-path
 pub(crate) fn elastic_stiffness(
     basis: &GllBasis,
     hx: f64,

@@ -9,7 +9,6 @@ use crate::gll::GllBasis;
 /// `tmp = K_e loc` for a brick of dimensions `(hx, hy, hz)` and stiffness
 /// coefficient `mu` (`= ρc²`). `loc`, `tmp`, `der` are `(order+1)³` scratch
 /// arrays in `a`-fastest layout.
-// lint: hot-path
 #[allow(clippy::too_many_arguments)]
 pub fn scalar_stiffness(
     basis: &GllBasis,

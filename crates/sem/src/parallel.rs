@@ -104,7 +104,6 @@ pub fn chunk_range(lo: usize, hi: usize, threads: usize, tid: usize) -> (usize, 
 /// the accumulation order per DOF is exactly the colour order — the result
 /// is bitwise identical to a serial walk of the same compiled order, at any
 /// thread count.
-// lint: hot-path
 pub(crate) fn par_colored<S: Send>(
     out: &mut [f64],
     color_off: &[u32],

@@ -331,7 +331,6 @@ macro_rules! simd_kernel_mod {
             /// [`crate::simd::KernelVariant`] dispatch in
             /// [`crate::simd::batch_scalar_stiffness`]. Buffer lengths are
             /// `NP³·LANES` (asserted below).
-            // lint: hot-path
             #[target_feature(enable = $feat)]
             pub(crate) unsafe fn scalar_stiffness_batch<const NP: usize>(
                 d: &[f64],
@@ -514,7 +513,6 @@ macro_rules! simd_kernel_mod {
             /// [`crate::simd::KernelVariant`] dispatch in
             /// [`crate::simd::batch_elastic_stiffness`]. Buffer lengths are
             /// asserted below.
-            // lint: hot-path
             #[target_feature(enable = $feat)]
             pub(crate) unsafe fn elastic_stiffness_batch<const NP: usize>(
                 d: &[f64],
@@ -709,7 +707,6 @@ macro_rules! by_np {
 /// Returns `false` when `v` has no batched kernel (scalar variant, or a
 /// build without the matching ISA) — the caller then falls back to the
 /// per-element path.
-// lint: hot-path
 #[inline]
 #[must_use]
 pub(crate) fn batch_scalar_stiffness(
@@ -753,7 +750,6 @@ pub(crate) fn batch_scalar_stiffness(
 
 /// Dispatch one elastic batch of `np`-point elements to `v`'s kernel;
 /// `false` = no batched kernel for `v`, use the per-element path.
-// lint: hot-path
 #[inline]
 #[must_use]
 #[allow(clippy::too_many_arguments)]

@@ -12,7 +12,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo fmt --check"
 cargo fmt --check
 
-echo "== cargo xtask lint (semantic call-graph tier + lexer fallback, SARIF to target/lint.sarif)"
+echo "== cargo xtask lint (one pass: call-graph analyses + per-file rules, SARIF to target/lint.sarif)"
 cargo xtask lint --sarif target/lint.sarif
 
 echo "== lts-check (structural invariants over the four benchmark meshes)"

@@ -24,9 +24,7 @@ FLAGS:
                                          round-trips through its own parser
                         wire-fingerprint print the lint/wire.fingerprint
                                          content for the current wire shape
-    --sarif <path>      also write diagnostics as SARIF 2.1.0 (self-validated)
     --verbose           print resolved root sets and reachability sizes
-    --no-cache          ignore and do not write target/lint-parse.cache
     --help              this text
 
 EXIT STATUS:
@@ -78,12 +76,7 @@ pub fn main(args: &[String]) -> i32 {
                 Some(v) => mode = v,
                 None => return usage_error("--mode needs a value"),
             },
-            "--sarif" => match value(&mut it) {
-                Some(v) => opts.sarif = Some(PathBuf::from(v)),
-                None => return usage_error("--sarif needs a path"),
-            },
             "--verbose" | "-v" => opts.verbose = true,
-            "--no-cache" => opts.no_cache = true,
             other => return usage_error(&format!("unknown argument `{other}`")),
         }
     }
@@ -127,9 +120,8 @@ fn run_check(opts: &Options) -> i32 {
                 format!(" ({})", per.join(", "))
             };
             eprintln!(
-                "lint: {} files ({} cached), {} fns, {} call edges; {} finding(s), {} allow(s){}",
+                "lint: {} files, {} fns, {} call edges; {} finding(s), {} allow(s){}",
                 report.n_files,
-                report.n_cached,
                 report.n_fns,
                 report.n_edges,
                 report.diags.len(),
@@ -153,7 +145,7 @@ fn print_ignoring_pipe(text: &str) {
 }
 
 fn run_graph_dump(opts: &Options) -> i32 {
-    match build_model(&opts.root, !opts.no_cache) {
+    match build_model(&opts.root) {
         Ok(model) => {
             print_ignoring_pipe(&model.ws.dump());
             match model.ws.dump_round_trips() {
@@ -207,5 +199,7 @@ mod tests {
         assert_eq!(main(&args(&["--tier", "lexer"])), 2);
         assert_eq!(main(&args(&["--root"])), 2);
         assert_eq!(main(&args(&["--mode", "nope"])), 2);
+        assert_eq!(main(&args(&["--no-cache"])), 2);
+        assert_eq!(main(&args(&["--sarif", "x"])), 2);
     }
 }

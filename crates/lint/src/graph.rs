@@ -75,7 +75,7 @@ impl Workspace {
     /// Assemble the model from parsed files: intern every function, then
     /// resolve every call site against the symbol table. Without dependency
     /// information — cross-crate candidates are unrestricted.
-    pub fn build(files: &[(String, ParsedFile)]) -> Workspace {
+    pub fn build(files: &BTreeMap<String, ParsedFile>) -> Workspace {
         Workspace::build_with_deps(files, BTreeMap::new())
     }
 
@@ -85,7 +85,7 @@ impl Workspace {
     /// the method-name collisions that would otherwise link runtime code
     /// into crates nothing depends on (the lint crate itself, benches).
     pub fn build_with_deps(
-        files: &[(String, ParsedFile)],
+        files: &BTreeMap<String, ParsedFile>,
         deps: BTreeMap<String, BTreeSet<String>>,
     ) -> Workspace {
         let mut ws = Workspace {
@@ -399,7 +399,7 @@ mod tests {
     use crate::source::Scrubbed;
 
     fn ws(files: &[(&str, &str)]) -> Workspace {
-        let parsed: Vec<(String, ParsedFile)> = files
+        let parsed: BTreeMap<String, ParsedFile> = files
             .iter()
             .map(|(rel, src)| (rel.to_string(), parse_file(&Scrubbed::new(src))))
             .collect();
@@ -444,7 +444,7 @@ mod tests {
 
     #[test]
     fn dep_map_restricts_cross_crate_edges() {
-        let parsed: Vec<(String, ParsedFile)> = [
+        let parsed: BTreeMap<String, ParsedFile> = [
             (
                 "crates/a/src/lib.rs",
                 "fn f(t: &T) { t.send(); }\nimpl X { fn send(&self) {} }\n",

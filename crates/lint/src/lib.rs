@@ -29,29 +29,26 @@
 //! and every allow is counted in the summary.
 //!
 //! Run as `cargo xtask lint` (alias in `.cargo/config.toml`); CI runs it
-//! from `scripts/check.sh` with `--sarif target/lint.sarif`.
+//! from `scripts/check.sh`. Every run parses every governed file and
+//! reports to the terminal only; it writes no file.
 
 #![forbid(unsafe_code)]
 
 pub mod analyze;
-pub mod cache;
 pub mod cli;
 pub mod config;
 pub mod graph;
 pub mod parse;
 pub mod rules;
-pub mod sarif;
 pub mod source;
 
-use cache::{Cache, FileSummary};
 use config::LintConfig;
 use rules::Diagnostic;
 use source::Scrubbed;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
-/// FNV-1a 64-bit — content hashing for the parse cache and the wire
-/// fingerprint.
+/// FNV-1a 64-bit — content hashing for the wire fingerprint.
 pub fn fnv64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -66,8 +63,6 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 pub struct Options {
     pub root: PathBuf,
     pub verbose: bool,
-    pub sarif: Option<PathBuf>,
-    pub no_cache: bool,
 }
 
 impl Options {
@@ -75,8 +70,6 @@ impl Options {
         Options {
             root: root.into(),
             verbose: false,
-            sarif: None,
-            no_cache: false,
         }
     }
 }
@@ -85,7 +78,6 @@ impl Options {
 #[derive(Debug, Default)]
 pub struct Report {
     pub n_files: usize,
-    pub n_cached: usize,
     pub n_fns: usize,
     pub n_edges: usize,
     /// `(rule, count)` of `// lint: allow(rule)` escapes in force.
@@ -208,15 +200,16 @@ pub fn crate_deps(root: &Path) -> BTreeMap<String, BTreeSet<String>> {
 /// The parsed workspace: per-file facts plus the assembled call graph.
 pub struct Model {
     pub cfg: LintConfig,
-    pub files: BTreeMap<String, FileSummary>,
+    /// Every governed file's parse, keyed by its root-relative path.
+    pub files: BTreeMap<String, parse::ParsedFile>,
+    /// Findings of the per-file rules ([`rules::check_file`]).
+    pub file_diags: Vec<Diagnostic>,
     pub ws: graph::Workspace,
-    pub n_files: usize,
-    pub n_cached: usize,
 }
 
-/// Read, scrub and parse every workspace file (through the cache unless
-/// disabled) and build the call graph.
-pub fn build_model(root: &Path, use_cache: bool) -> std::io::Result<Model> {
+/// Read, scrub and parse every workspace file, run the per-file rules on
+/// each, and build the call graph.
+pub fn build_model(root: &Path) -> std::io::Result<Model> {
     let cfg_path = root.join(analyze::CONFIG_REL);
     let cfg_text = if cfg_path.is_file() {
         std::fs::read_to_string(&cfg_path)?
@@ -224,74 +217,39 @@ pub fn build_model(root: &Path, use_cache: bool) -> std::io::Result<Model> {
         String::new()
     };
     let cfg = LintConfig::parse(&cfg_text).map_err(std::io::Error::other)?;
-    let cache_path = root.join("target/lint-parse.cache");
-    let mut cache = if use_cache {
-        Cache::load(&cache_path, fnv64(cfg_text.as_bytes()))
-    } else {
-        Cache::empty(fnv64(cfg_text.as_bytes()))
-    };
-    let paths = workspace_files(root)?;
-    let mut files: BTreeMap<String, FileSummary> = BTreeMap::new();
-    for file in &paths {
+    let mut files = BTreeMap::new();
+    let mut file_diags = Vec::new();
+    for file in workspace_files(root)? {
         let rel = file
             .strip_prefix(root)
-            .unwrap_or(file)
+            .unwrap_or(&file)
             .to_string_lossy()
             .replace('\\', "/");
-        let src = std::fs::read_to_string(file)?;
-        let hash = fnv64(src.as_bytes());
-        let (mtime, size) = cache::file_stamp(file)?;
-        let summary = match cache.get(&rel, mtime, size, hash) {
-            Some(s) => s,
-            None => {
-                let s = Scrubbed::new(&src);
-                let parsed = parse::parse_file(&s);
-                let summary = FileSummary {
-                    diags: rules::check_file(&rel, &s, &parsed),
-                    parsed,
-                };
-                cache.put(&rel, mtime, size, hash, summary.clone());
-                summary
-            }
-        };
-        files.insert(rel, summary);
+        let s = Scrubbed::new(&std::fs::read_to_string(&file)?);
+        let parsed = parse::parse_file(&s);
+        file_diags.extend(rules::check_file(&rel, &s, &parsed));
+        files.insert(rel, parsed);
     }
-    let n_cached = cache.hits;
-    if use_cache {
-        // best-effort: a read-only target/ must not fail the lint
-        let _ = cache.save(&cache_path);
-    }
-    let parsed: Vec<(String, parse::ParsedFile)> = files
-        .iter()
-        .map(|(rel, s)| (rel.clone(), s.parsed.clone()))
-        .collect();
-    let ws = graph::Workspace::build_with_deps(&parsed, crate_deps(root));
+    let ws = graph::Workspace::build_with_deps(&files, crate_deps(root));
     Ok(Model {
         cfg,
         files,
+        file_diags,
         ws,
-        n_files: paths.len(),
-        n_cached,
     })
 }
 
 /// Run the lint: every analysis and every per-file rule, in one pass.
 pub fn run(opts: &Options) -> std::io::Result<Report> {
-    let model = build_model(&opts.root, !opts.no_cache)?;
+    let model = build_model(&opts.root)?;
     let mut report = Report {
-        n_files: model.n_files,
-        n_cached: model.n_cached,
+        n_files: model.files.len(),
         n_fns: model.ws.fns.len(),
         n_edges: model.ws.edges.len(),
         ..Report::default()
     };
-    let parsed_only: BTreeMap<String, parse::ParsedFile> = model
-        .files
-        .iter()
-        .map(|(rel, s)| (rel.clone(), s.parsed.clone()))
-        .collect();
 
-    let sem = analyze::run_semantic(&opts.root, &model.ws, &model.cfg, &parsed_only);
+    let sem = analyze::run_semantic(&opts.root, &model.ws, &model.cfg, &model.files);
     if opts.verbose {
         let names = |ids: &[graph::FnId]| -> Vec<String> {
             ids.iter()
@@ -328,22 +286,13 @@ pub fn run(opts: &Options) -> std::io::Result<Report> {
         .map(|d| (d.file.clone(), d.line))
         .collect();
     let mut diags = sem.diags;
-    for summary in model.files.values() {
-        diags.extend(
-            summary
-                .diags
-                .iter()
-                .filter(|d| {
-                    d.rule != rules::RULE_NO_PANIC
-                        || !hot_panics.contains(&(d.file.clone(), d.line))
-                })
-                .cloned(),
-        );
-    }
+    diags.extend(model.file_diags.into_iter().filter(|d| {
+        d.rule != rules::RULE_NO_PANIC || !hot_panics.contains(&(d.file.clone(), d.line))
+    }));
 
     // allow audit: count escapes, reject unjustified or unknown-rule ones
-    for (rel, summary) in &model.files {
-        for a in &summary.parsed.allows {
+    for (rel, parsed) in &model.files {
+        for a in &parsed.allows {
             *report.allows.entry(a.rule.clone()).or_default() += 1;
             if !rules::ALL_RULES.contains(&a.rule.as_str()) {
                 diags.push(Diagnostic::new(
@@ -370,16 +319,6 @@ pub fn run(opts: &Options) -> std::io::Result<Report> {
     diags.dedup();
     report.diags = diags;
 
-    if let Some(sarif_path) = &opts.sarif {
-        let text = sarif::to_sarif(&report.diags);
-        sarif::validate_json(&text).map_err(|e| {
-            std::io::Error::other(format!("generated SARIF failed self-validation: {e}"))
-        })?;
-        if let Some(dir) = sarif_path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        std::fs::write(sarif_path, text)?;
-    }
     Ok(report)
 }
 
@@ -389,7 +328,7 @@ mod tests {
 
     #[test]
     fn fnv64_is_stable() {
-        // pinned: the wire fingerprint and cache key depend on these values
+        // pinned: the wire fingerprint depends on these values
         assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
     }

@@ -31,11 +31,7 @@ impl Fixture {
     }
 
     fn run(&self) -> Report {
-        let opts = Options {
-            no_cache: true,
-            ..Options::new(&self.root)
-        };
-        run(&opts).expect("lint run")
+        run(&Options::new(&self.root)).expect("lint run")
     }
 }
 

@@ -1282,11 +1282,12 @@ mod tests {
         }
     }
 
-    /// The tentpole's neutrality contract: recorder on vs. off must produce
-    /// bitwise-identical fields and exactly identical deterministic
-    /// counters — recording is observation, never perturbation.
+    /// The observers' neutrality contract: the flight recorder and the
+    /// stall monitor both on vs. both off must produce bitwise-identical
+    /// fields and exactly identical deterministic counters — observation,
+    /// never perturbation.
     #[test]
-    fn recorder_on_off_is_bitwise_neutral() {
+    fn observers_on_off_are_bitwise_neutral() {
         let mut vel = vec![1.0; 24];
         for (i, vx) in vel.iter_mut().enumerate() {
             if i >= 20 {
@@ -1302,15 +1303,26 @@ mod tests {
         let part: Vec<u32> = (0..24).map(|e| (e / 6) as u32).collect();
         let on = DistributedConfig {
             flight_capacity: 512,
+            stall_monitor: Some(MonitorConfig {
+                window_exchanges: 4,
+                log_warnings: false,
+                ..MonitorConfig::default()
+            }),
             ..DistributedConfig::new(4)
         };
         let off = DistributedConfig {
             flight_capacity: 0,
+            stall_monitor: None,
             ..on
         };
         let (u1, v1, s1) = run_chain(&c, &setup, &part, dt, &u0, 20, &on)
             .into_result()
             .unwrap();
+        let windows: u64 = s1
+            .iter()
+            .map(|s| s.registry.counter_total(names::STALL_WINDOWS))
+            .sum();
+        assert!(windows > 0, "the stall monitor closed no window");
         let (u0r, v0r, s0) = run_chain(&c, &setup, &part, dt, &u0, 20, &off)
             .into_result()
             .unwrap();

@@ -2,12 +2,14 @@
 //! 8 ranks: sends posted after the full apply (blocking) vs. between the
 //! boundary and interior applies (overlap).
 //!
-//! Two regimes, each repeated and averaged:
+//! Two regimes, each repeated and averaged; each repetition runs both
+//! modes, and the mode that runs first alternates from one repetition to
+//! the next, so warm-up and order effects fall on both modes alike:
 //!
-//! * **zero-latency** — raw in-process channels. On a single-CPU host the
-//!   aggregate wait fraction is pinned near `(ranks-1)/ranks` by
-//!   time-sharing (the busy sums equal the wall clock), so overlap cannot
-//!   move it; this run documents the floor.
+//! * **zero-latency** — raw in-process channels. On a host with fewer CPUs
+//!   than ranks, time-sharing pins the aggregate wait fraction near a
+//!   floor (on one CPU near `(ranks-1)/ranks`: the busy sums equal the
+//!   wall clock), so overlap cannot move it; this run documents the floor.
 //! * **emulated wire latency** — messages mature `T` after they were
 //!   posted ([`channel_cluster_with`]), like an in-flight MPI message;
 //!   the sender is not held up by the wire. In blocking mode every rank
@@ -49,6 +51,8 @@ struct World {
     steps: usize,
 }
 
+/// Sums over repetitions of one mode's measurements.
+#[derive(Default)]
 struct Cell {
     wait_fraction: f64,
     wait_sum_s: f64,
@@ -60,61 +64,63 @@ struct Cell {
     norm_bits: u64,
 }
 
-/// Run one configuration `reps` times; means over the repetitions.
-fn measure(w: &World, overlap: bool, latency: Duration, reps: usize) -> Cell {
+impl Cell {
+    fn mean(&self, reps: usize) -> Cell {
+        let n = reps as f64;
+        Cell {
+            wait_fraction: self.wait_fraction / n,
+            wait_sum_s: self.wait_sum_s / n,
+            wall_s: self.wall_s / n,
+            ready_fraction: self.ready_fraction / n,
+            norm_bits: self.norm_bits,
+        }
+    }
+}
+
+/// Run one configuration once and add its measurements to `cell`.
+fn measure(w: &World, overlap: bool, latency: Duration, cell: &mut Cell) {
     let cfg = DistributedConfig {
         overlap,
         ..DistributedConfig::new(RANKS)
     };
-    let (mut frac_sum, mut wall_sum, mut wait_sums, mut ready_sum) = (0.0, 0.0, 0.0, 0.0);
-    let mut norm_bits = 0u64;
-    for _ in 0..reps {
-        let endpoints = channel_cluster_with(RANKS, DEFAULT_CAPACITY, latency);
-        let spec = RunSpec {
-            elem_level: &w.bench.levels.elem_level,
-            partition: &w.part,
-            dt: w.bench.levels.dt_global,
-            u0: &w.u0,
-            v0: &w.v0,
-            n_steps: w.steps,
-            sources: &[],
-            cfg,
-        };
-        let problem = Acoustic {
-            mesh: &w.bench.mesh,
-            order: 2,
-        };
-        let started = std::time::Instant::now();
-        let out = run(
-            &problem,
-            &spec,
-            Some(endpoints),
-            &mut MetricsRegistry::new(),
-        );
-        wall_sum += started.elapsed().as_secs_f64();
-        let (mut busy, mut wait) = (0.0, 0.0);
-        let (mut ready, mut partials) = (0u64, 0u64);
-        for (rank, st) in out.ranks.into_iter().enumerate() {
-            let stats = st.unwrap_or_else(|e| panic!("rank {rank}: {e}"));
-            busy += stats.busy_s;
-            wait += stats.wait_s;
-            ready += stats.registry.counter_total(names::EXCHANGE_READY);
-            partials += stats.msgs_sent;
-        }
-        let (u, _) = out.fields.expect("every rank succeeded");
-        let norm2: f64 = u.iter().map(|x| x * x).sum();
-        frac_sum += wait / (busy + wait);
-        wait_sums += wait;
-        ready_sum += ready as f64 / partials.max(1) as f64;
-        norm_bits = norm2.sqrt().to_bits();
+    let endpoints = channel_cluster_with(RANKS, DEFAULT_CAPACITY, latency);
+    let spec = RunSpec {
+        elem_level: &w.bench.levels.elem_level,
+        partition: &w.part,
+        dt: w.bench.levels.dt_global,
+        u0: &w.u0,
+        v0: &w.v0,
+        n_steps: w.steps,
+        sources: &[],
+        cfg,
+    };
+    let problem = Acoustic {
+        mesh: &w.bench.mesh,
+        order: 2,
+    };
+    let started = std::time::Instant::now();
+    let out = run(
+        &problem,
+        &spec,
+        Some(endpoints),
+        &mut MetricsRegistry::new(),
+    );
+    cell.wall_s += started.elapsed().as_secs_f64();
+    let (mut busy, mut wait) = (0.0, 0.0);
+    let (mut ready, mut partials) = (0u64, 0u64);
+    for (rank, st) in out.ranks.into_iter().enumerate() {
+        let stats = st.unwrap_or_else(|e| panic!("rank {rank}: {e}"));
+        busy += stats.busy_s;
+        wait += stats.wait_s;
+        ready += stats.registry.counter_total(names::EXCHANGE_READY);
+        partials += stats.msgs_sent;
     }
-    Cell {
-        wait_fraction: frac_sum / reps as f64,
-        wait_sum_s: wait_sums / reps as f64,
-        wall_s: wall_sum / reps as f64,
-        ready_fraction: ready_sum / reps as f64,
-        norm_bits,
-    }
+    let (u, _) = out.fields.expect("every rank succeeded");
+    let norm2: f64 = u.iter().map(|x| x * x).sum();
+    cell.wait_fraction += wait / (busy + wait);
+    cell.wait_sum_s += wait;
+    cell.ready_fraction += ready as f64 / partials.max(1) as f64;
+    cell.norm_bits = norm2.sqrt().to_bits();
 }
 
 fn main() {
@@ -145,12 +151,19 @@ fn main() {
     for latency_case in [0u64, latency_us] {
         let latency = Duration::from_micros(latency_case);
         let label = if latency_case == 0 {
-            "zero-latency (single-CPU time-sharing floor)".to_string()
+            "zero-latency (time-sharing floor)".to_string()
         } else {
             format!("emulated {latency_case} us wire latency")
         };
-        let bl = measure(&w, false, latency, reps);
-        let ov = measure(&w, true, latency, reps);
+        let (mut bl, mut ov) = (Cell::default(), Cell::default());
+        for rep in 0..reps {
+            // alternate which mode runs first
+            for overlap in [rep % 2 == 1, rep % 2 == 0] {
+                let cell = if overlap { &mut ov } else { &mut bl };
+                measure(&w, overlap, latency, cell);
+            }
+        }
+        let (bl, ov) = (bl.mean(reps), ov.mean(reps));
         assert_eq!(
             bl.norm_bits, ov.norm_bits,
             "{label}: overlap changed the solution"

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repository lint gate: clippy clean under -D warnings, formatting canonical,
-# and the bench-smoke regression gate (deterministic counters vs the
-# committed BENCH_lts.json baseline; timings are skipped — hosts differ).
+# and the bench-smoke regression gate (scenario parameters and
+# deterministic counters vs the committed BENCH_lts.json baseline, exact).
 # Run from anywhere; operates on the workspace this script lives in.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -12,8 +12,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo fmt --check"
 cargo fmt --check
 
-echo "== cargo xtask lint (one pass: call-graph analyses + per-file rules, SARIF to target/lint.sarif)"
-cargo xtask lint --sarif target/lint.sarif
+echo "== cargo xtask lint (one pass: call-graph analyses + per-file rules)"
+cargo xtask lint
 
 echo "== lts-check (structural invariants over the four benchmark meshes)"
 cargo run -q --release -p lts-check
@@ -85,13 +85,13 @@ trap 'rm -f "$smoke_out" "$scalar_out" "$flight_off"; rm -rf "$crash_dir"' EXIT
 ./target/release/lts-profile --mode run --smoke true --out "$smoke_out" >/dev/null
 ./target/release/lts-profile --mode validate --file "$smoke_out"
 ./target/release/lts-profile --mode compare \
-  --baseline BENCH_lts.json --current "$smoke_out" --timings false
+  --baseline BENCH_lts.json --current "$smoke_out"
 
 echo "== bench smoke, forced-scalar kernel (counters must be SIMD-invariant)"
 LTS_SIMD=scalar ./target/release/lts-profile --mode run --smoke true \
   --out "$scalar_out" >/dev/null
 ./target/release/lts-profile --mode compare \
-  --baseline "$smoke_out" --current "$scalar_out" --timings false
+  --baseline "$smoke_out" --current "$scalar_out"
 
 echo "== recorder-overhead smoke (flight recorder off: counters must be identical)"
 # LTS_FLIGHT=0 disables the flight recorder entirely; every deterministic
@@ -100,6 +100,6 @@ echo "== recorder-overhead smoke (flight recorder off: counters must be identica
 LTS_FLIGHT=0 ./target/release/lts-profile --mode run --smoke true \
   --out "$flight_off" >/dev/null
 ./target/release/lts-profile --mode compare \
-  --baseline "$smoke_out" --current "$flight_off" --timings false
+  --baseline "$smoke_out" --current "$flight_off"
 
 echo "ok"

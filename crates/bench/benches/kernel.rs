@@ -5,7 +5,8 @@
 //! the scalar vs batched-SIMD stiffness product at orders 1–4
 //! (`simd_stiffness/p{order}/{variant}`, reported in elements/second) and
 //! at p=4 on the benchmark's 8,788-element mesh
-//! (`simd_stiffness/p4_e8788/{variant}`).
+//! (`simd_stiffness/p4_e8788/{variant}`), and the compile of one masked
+//! gather entry per level of that mesh (`gather_compile/p4_e8788/l{level}`).
 //!
 //! Every threaded or vectorized variant is asserted **bitwise identical**
 //! to the serial scalar path before the first timed iteration — a
@@ -17,7 +18,7 @@ use lts_mesh::{BenchmarkMesh, Levels, MeshKind};
 use lts_sem::gll::GllBasis;
 use lts_sem::kernel::scalar_stiffness;
 use lts_sem::simd::{cpu_features, supported_variants, ForceVariant, KernelVariant};
-use lts_sem::{AcousticOperator, ElasticOperator};
+use lts_sem::{AcousticOperator, ElasticOperator, ElementColoring};
 use std::hint::black_box;
 
 fn bench_scalar_stiffness(c: &mut Criterion) {
@@ -219,11 +220,45 @@ fn bench_simd_elastic(c: &mut Criterion) {
     g.finish();
 }
 
+/// The compile of one masked entry per LTS level of the benchmark's
+/// order-4, 8,788-element trench (`gather_compile/p4_e8788/l{level}`): the
+/// corner colouring plus the one lane-transposed id table at the active
+/// variant, into a fresh workspace each iteration. Before timing, every
+/// level's corner classes are asserted equal to the classes of colouring
+/// over all gathered ids.
+fn bench_gather_compile(c: &mut Criterion) {
+    let b = BenchmarkMesh::build(MeshKind::Trench, 8_788);
+    let op = AcousticOperator::new(&b.mesh, 4);
+    let setup = LtsSetup::new(&op, &b.levels.elem_level);
+    let (np, n_nodes) = (op.basis.n_points(), op.dofmap.n_nodes());
+    let mut g = c.benchmark_group("gather_compile");
+    g.sample_size(15);
+    for (l, elems) in setup.elems.iter().enumerate() {
+        let mut ids_of = |e: u32, out: &mut Vec<u32>| op.dofmap.elem_nodes(e, out);
+        let all = ElementColoring::greedy(elems, n_nodes, &mut ids_of);
+        let corners = ElementColoring::greedy_corners(elems, n_nodes, np, &mut ids_of);
+        assert_eq!(
+            corners.classes, all.classes,
+            "level {l}: corner classes must equal all-id classes before timing"
+        );
+        g.throughput(Throughput::Elements(elems.len() as u64));
+        g.bench_function(BenchmarkId::new("p4_e8788", format!("l{l}")), |bch| {
+            bch.iter(|| {
+                let mut ws = Workspace::new();
+                op.precompile_masked(elems, &setup.dof_level, l as u8, &mut ws);
+                black_box(ws)
+            })
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_scalar_stiffness,
     bench_masked_threads,
     bench_simd_stiffness,
-    bench_simd_elastic
+    bench_simd_elastic,
+    bench_gather_compile
 );
 criterion_main!(benches);

@@ -170,17 +170,20 @@ pub fn check_coloring(
     out
 }
 
-/// Colour every level's masked element list with the executor's own greedy
-/// colourer and verify the result — end-to-end over the exact lists
-/// [`LtsSetup`] hands the threaded scatter.
+/// Colour every level's masked element list through the executor's own
+/// corner path ([`ElementColoring::greedy_corners`] over the `np³` ids
+/// `targets_of` yields in lattice order) and verify the result over all
+/// gathered ids — end-to-end over the exact lists [`LtsSetup`] hands the
+/// threaded scatter.
 pub fn check_level_colorings(
     setup: &LtsSetup,
     n_targets: usize,
+    np: usize,
     targets_of: &mut dyn FnMut(u32, &mut Vec<u32>),
 ) -> Vec<Violation> {
     let mut out = Vec::new();
     for (level, elems) in setup.elems.iter().enumerate() {
-        let coloring = ElementColoring::greedy(elems, n_targets, targets_of);
+        let coloring = ElementColoring::greedy_corners(elems, n_targets, np, targets_of);
         out.extend(check_coloring(
             &coloring.classes,
             elems,
@@ -366,7 +369,12 @@ pub fn check_all(
 
     let mut out = Vec::new();
     out.extend(check_levels(levels));
-    out.extend(check_level_colorings(&setup, n_targets, &mut targets));
+    out.extend(check_level_colorings(
+        &setup,
+        n_targets,
+        order + 1,
+        &mut targets,
+    ));
     out.extend(check_dof_levels(&setup, mesh.n_elems(), &mut targets));
     out.extend(check_balance(levels, part, k, tolerance_pct));
     out.extend(check_volume(mesh, levels, part));

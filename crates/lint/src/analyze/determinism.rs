@@ -17,7 +17,7 @@ pub fn check(
 ) {
     for &id in parents.keys() {
         let n = &ws.fns[id];
-        let Some(pf) = files.get(&n.file) else {
+        let Some(pf) = files.get(n.file) else {
             continue;
         };
         for h in &n.f.hits {
@@ -30,12 +30,12 @@ pub fn check(
             let mut chain = ws.blame_chain(parents, id);
             let root = chain.first().map_or_else(String::new, |r| r.what.clone());
             chain.push(BlameHop {
-                file: n.file.clone(),
+                file: n.file.to_string(),
                 line: h.line,
                 what: format!("`{}`", h.token),
             });
             let mut d = Diagnostic::new(
-                &n.file,
+                n.file,
                 h.line,
                 RULE_DETERMINISM,
                 format!(

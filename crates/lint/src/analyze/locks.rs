@@ -83,7 +83,7 @@ pub fn check(
             witness(
                 held,
                 acquired,
-                &n.file,
+                n.file,
                 *acq_line,
                 format!(
                     "`{}` acquires `{acquired}` while holding `{held}`",
@@ -105,7 +105,7 @@ pub fn check(
                         witness(
                             held,
                             inner,
-                            &n.file,
+                            n.file,
                             call.line,
                             format!(
                                 "`{}` calls `{}` (which acquires `{inner}`) while holding `{held}`",
@@ -166,7 +166,7 @@ pub fn check(
     // unbounded blocking reachable from the hot roots (the exchange loop)
     for &id in hot_parents.keys() {
         let n = &ws.fns[id];
-        let Some(pf) = files.get(&n.file) else {
+        let Some(pf) = files.get(n.file) else {
             continue;
         };
         for w in &n.f.waits {
@@ -176,12 +176,12 @@ pub fn check(
             let mut chain = ws.blame_chain(hot_parents, id);
             let root = chain.first().map_or_else(String::new, |r| r.what.clone());
             chain.push(BlameHop {
-                file: n.file.clone(),
+                file: n.file.to_string(),
                 line: w.line,
                 what: format!("`{}`", w.what),
             });
             let mut d = Diagnostic::new(
-                &n.file,
+                n.file,
                 w.line,
                 RULE_LOCK_BLOCK,
                 format!(

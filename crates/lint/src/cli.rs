@@ -147,13 +147,14 @@ fn print_ignoring_pipe(text: &str) {
 fn run_graph_dump(opts: &Options) -> i32 {
     match build_model(&opts.root) {
         Ok(model) => {
-            print_ignoring_pipe(&model.ws.dump());
-            match model.ws.dump_round_trips() {
+            let ws = crate::graph::Workspace::build_with_deps(&model.files, model.deps);
+            print_ignoring_pipe(&ws.dump());
+            match ws.dump_round_trips() {
                 Ok(()) => {
                     eprintln!(
                         "graph-dump: {} nodes, {} edges, round-trip ok",
-                        model.ws.fns.len(),
-                        model.ws.edges.len()
+                        ws.fns.len(),
+                        ws.edges.len()
                     );
                     0
                 }

@@ -20,14 +20,15 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Index into [`Workspace::fns`].
 pub type FnId = usize;
 
-/// One symbol-table entry: a function plus its location and parsed facts.
+/// One symbol-table entry: a function plus its location and parsed facts,
+/// borrowed from the parsed files the model was built from.
 #[derive(Debug, Clone)]
-pub struct FnNode {
+pub struct FnNode<'a> {
     /// Workspace-relative file with forward slashes.
-    pub file: String,
+    pub file: &'a str,
     /// Crate key: `"crates/runtime"`, `"src"` (root package), …
     pub krate: String,
-    pub f: crate::parse::ParsedFn,
+    pub f: &'a crate::parse::ParsedFn,
 }
 
 /// One resolved call-graph edge.
@@ -39,10 +40,10 @@ pub struct Edge {
     pub line: usize,
 }
 
-/// The whole-workspace model.
+/// The whole-workspace model over a set of parsed files.
 #[derive(Debug, Default)]
-pub struct Workspace {
-    pub fns: Vec<FnNode>,
+pub struct Workspace<'a> {
+    pub fns: Vec<FnNode<'a>>,
     pub edges: Vec<Edge>,
     /// name → candidate FnIds (all files).
     by_name: BTreeMap<String, Vec<FnId>>,
@@ -71,11 +72,11 @@ fn crate_of(rel: &str) -> String {
     }
 }
 
-impl Workspace {
+impl<'a> Workspace<'a> {
     /// Assemble the model from parsed files: intern every function, then
     /// resolve every call site against the symbol table. Without dependency
     /// information — cross-crate candidates are unrestricted.
-    pub fn build(files: &BTreeMap<String, ParsedFile>) -> Workspace {
+    pub fn build(files: &'a BTreeMap<String, ParsedFile>) -> Workspace<'a> {
         Workspace::build_with_deps(files, BTreeMap::new())
     }
 
@@ -85,9 +86,9 @@ impl Workspace {
     /// the method-name collisions that would otherwise link runtime code
     /// into crates nothing depends on (the lint crate itself, benches).
     pub fn build_with_deps(
-        files: &BTreeMap<String, ParsedFile>,
+        files: &'a BTreeMap<String, ParsedFile>,
         deps: BTreeMap<String, BTreeSet<String>>,
-    ) -> Workspace {
+    ) -> Workspace<'a> {
         let mut ws = Workspace {
             deps,
             ..Workspace::default()
@@ -95,9 +96,9 @@ impl Workspace {
         for (rel, pf) in files {
             for f in &pf.fns {
                 ws.fns.push(FnNode {
-                    file: rel.clone(),
+                    file: rel,
                     krate: crate_of(rel),
-                    f: f.clone(),
+                    f,
                 });
             }
         }
@@ -184,7 +185,7 @@ impl Workspace {
                 .copied()
                 .filter(|&id| {
                     let n = &self.fns[id];
-                    n.f.impl_type.as_deref() == Some(qual.as_str()) || module_stem(&n.file) == qual
+                    n.f.impl_type.as_deref() == Some(qual.as_str()) || module_stem(n.file) == qual
                 })
                 .collect();
             // no workspace symbol matches the qualifier (e.g. `Vec::new`):
@@ -288,7 +289,7 @@ impl Workspace {
             .map(|(fid, _)| {
                 let n = &self.fns[fid];
                 BlameHop {
-                    file: n.file.clone(),
+                    file: n.file.to_string(),
                     line: n.f.line,
                     what: self.qualified(fid),
                 }
@@ -398,20 +399,20 @@ mod tests {
     use crate::parse::parse_file;
     use crate::source::Scrubbed;
 
-    fn ws(files: &[(&str, &str)]) -> Workspace {
-        let parsed: BTreeMap<String, ParsedFile> = files
+    fn parsed(files: &[(&str, &str)]) -> BTreeMap<String, ParsedFile> {
+        files
             .iter()
             .map(|(rel, src)| (rel.to_string(), parse_file(&Scrubbed::new(src))))
-            .collect();
-        Workspace::build(&parsed)
+            .collect()
     }
 
     #[test]
     fn bare_calls_prefer_same_file_then_same_crate() {
-        let w = ws(&[
+        let p = parsed(&[
             ("crates/a/src/lib.rs", "fn f() { g(); }\nfn g() {}\n"),
             ("crates/b/src/lib.rs", "fn g() {}\n"),
         ]);
+        let w = Workspace::build(&p);
         let f = w.lookup("crates/a/src/lib.rs", "f")[0];
         let g_same = w.lookup("crates/a/src/lib.rs", "g")[0];
         let callees: Vec<FnId> = w
@@ -425,13 +426,14 @@ mod tests {
 
     #[test]
     fn method_calls_link_to_every_candidate() {
-        let w = ws(&[
+        let p = parsed(&[
             (
                 "crates/a/src/lib.rs",
                 "impl X { fn send(&self) {} }\nfn f(t: &T) { t.send(); }\n",
             ),
             ("crates/b/src/lib.rs", "impl Y { fn send(&self) {} }\n"),
         ]);
+        let w = Workspace::build(&p);
         let f = w.lookup("crates/a/src/lib.rs", "f")[0];
         let callees: Vec<FnId> = w
             .edges
@@ -470,10 +472,11 @@ mod tests {
 
     #[test]
     fn qualified_calls_filter_by_impl_target() {
-        let w = ws(&[(
+        let p = parsed(&[(
             "crates/a/src/lib.rs",
             "impl A { fn new() {} }\nimpl B { fn new() {} }\nfn f() { A::new(); }\n",
         )]);
+        let w = Workspace::build(&p);
         let f = w.lookup("crates/a/src/lib.rs", "f")[0];
         let callees: Vec<String> = w
             .edges
@@ -486,10 +489,11 @@ mod tests {
 
     #[test]
     fn self_resolves_to_own_impl_target() {
-        let w = ws(&[(
+        let p = parsed(&[(
             "crates/a/src/lib.rs",
             "impl A { fn go(&self) { Self::helper(); } fn helper() {} }\nimpl B { fn helper() {} }\n",
         )]);
+        let w = Workspace::build(&p);
         let go = w.lookup("crates/a/src/lib.rs", "go")[0];
         let callees: Vec<String> = w
             .edges
@@ -502,10 +506,11 @@ mod tests {
 
     #[test]
     fn reach_and_blame_two_deep() {
-        let w = ws(&[(
+        let p = parsed(&[(
             "crates/a/src/lib.rs",
             "fn root() { mid(); }\nfn mid() { leaf(); }\nfn leaf() {}\nfn island() {}\n",
         )]);
+        let w = Workspace::build(&p);
         let root = w.lookup("crates/a/src/lib.rs", "root")[0];
         let leaf = w.lookup("crates/a/src/lib.rs", "leaf")[0];
         let island = w.lookup("crates/a/src/lib.rs", "island")[0];
@@ -519,10 +524,11 @@ mod tests {
 
     #[test]
     fn stop_set_terminates_traversal() {
-        let w = ws(&[(
+        let p = parsed(&[(
             "crates/a/src/lib.rs",
             "fn root() { mid(); }\nfn mid() { leaf(); }\nfn leaf() {}\n",
         )]);
+        let w = Workspace::build(&p);
         let root = w.lookup("crates/a/src/lib.rs", "root")[0];
         let mid = w.lookup("crates/a/src/lib.rs", "mid")[0];
         let leaf = w.lookup("crates/a/src/lib.rs", "leaf")[0];
@@ -535,10 +541,11 @@ mod tests {
 
     #[test]
     fn dump_round_trips() {
-        let w = ws(&[(
+        let p = parsed(&[(
             "crates/a/src/lib.rs",
             "fn root() { mid(); }\nfn mid() { leaf(); }\nfn leaf() {}\n",
         )]);
+        let w = Workspace::build(&p);
         w.dump_round_trips().expect("round trip");
         // and corruption is caught
         let text = w.dump().replace("edge 0 1", "edge 0 2");

@@ -197,18 +197,21 @@ pub fn crate_deps(root: &Path) -> BTreeMap<String, BTreeSet<String>> {
     out
 }
 
-/// The parsed workspace: per-file facts plus the assembled call graph.
+/// The parsed workspace: per-file facts and the crate dependencies the call
+/// graph is built along ([`graph::Workspace::build_with_deps`], which
+/// borrows every parsed function from `files`).
 pub struct Model {
     pub cfg: LintConfig,
     /// Every governed file's parse, keyed by its root-relative path.
     pub files: BTreeMap<String, parse::ParsedFile>,
     /// Findings of the per-file rules ([`rules::check_file`]).
     pub file_diags: Vec<Diagnostic>,
-    pub ws: graph::Workspace,
+    /// Crate key → transitive workspace dependencies.
+    pub deps: BTreeMap<String, BTreeSet<String>>,
 }
 
 /// Read, scrub and parse every workspace file, run the per-file rules on
-/// each, and build the call graph.
+/// each, and read the crate dependencies.
 pub fn build_model(root: &Path) -> std::io::Result<Model> {
     let cfg_path = root.join(analyze::CONFIG_REL);
     let cfg_text = if cfg_path.is_file() {
@@ -230,35 +233,40 @@ pub fn build_model(root: &Path) -> std::io::Result<Model> {
         file_diags.extend(rules::check_file(&rel, &s, &parsed));
         files.insert(rel, parsed);
     }
-    let ws = graph::Workspace::build_with_deps(&files, crate_deps(root));
     Ok(Model {
         cfg,
         files,
         file_diags,
-        ws,
+        deps: crate_deps(root),
     })
 }
 
 /// Run the lint: every analysis and every per-file rule, in one pass.
 pub fn run(opts: &Options) -> std::io::Result<Report> {
-    let model = build_model(&opts.root)?;
+    let Model {
+        cfg,
+        files,
+        file_diags,
+        deps,
+    } = build_model(&opts.root)?;
+    let ws = graph::Workspace::build_with_deps(&files, deps);
     let mut report = Report {
-        n_files: model.files.len(),
-        n_fns: model.ws.fns.len(),
-        n_edges: model.ws.edges.len(),
+        n_files: files.len(),
+        n_fns: ws.fns.len(),
+        n_edges: ws.edges.len(),
         ..Report::default()
     };
 
-    let sem = analyze::run_semantic(&opts.root, &model.ws, &model.cfg, &model.files);
+    let sem = analyze::run_semantic(&opts.root, &ws, &cfg, &files);
     if opts.verbose {
         let names = |ids: &[graph::FnId]| -> Vec<String> {
             ids.iter()
                 .map(|&id| {
                     format!(
                         "{} ({}:{})",
-                        model.ws.qualified(id),
-                        model.ws.fns[id].file,
-                        model.ws.fns[id].f.line
+                        ws.qualified(id),
+                        ws.fns[id].file,
+                        ws.fns[id].f.line
                     )
                 })
                 .collect()
@@ -286,12 +294,12 @@ pub fn run(opts: &Options) -> std::io::Result<Report> {
         .map(|d| (d.file.clone(), d.line))
         .collect();
     let mut diags = sem.diags;
-    diags.extend(model.file_diags.into_iter().filter(|d| {
+    diags.extend(file_diags.into_iter().filter(|d| {
         d.rule != rules::RULE_NO_PANIC || !hot_panics.contains(&(d.file.clone(), d.line))
     }));
 
     // allow audit: count escapes, reject unjustified or unknown-rule ones
-    for (rel, parsed) in &model.files {
+    for (rel, parsed) in &files {
         for a in &parsed.allows {
             *report.allows.entry(a.rule.clone()).or_default() += 1;
             if !rules::ALL_RULES.contains(&a.rule.as_str()) {

@@ -76,8 +76,8 @@ impl CompiledOp for AcousticOperator {
     type Scratch = ScalarScratch;
     const COMPS: usize = 1;
 
-    fn npe(&self) -> usize {
-        self.dofmap.nodes_per_elem()
+    fn np(&self) -> usize {
+        self.basis.n_points()
     }
 
     fn ids_of(&self, e: u32, out: &mut Vec<u32>) {
@@ -274,10 +274,11 @@ mod tests {
     }
 
     /// A compiled masked entry stores no f64 per gathered node: its heap is
-    /// the `u32` order, colour offsets and index tables plus one pure-flag
-    /// byte per element (scalar walk) and per SIMD unit.
+    /// one `u32` per gathered node-lane of its one id table, the `u32`
+    /// key, order and unit offsets, and one pure-flag byte per unit.
     #[test]
     fn compiled_masked_entry_holds_no_f64_per_gathered_node() {
+        use crate::simd::ForceVariant;
         use lts_core::LtsSetup;
         use lts_mesh::Levels;
         let mut m = HexMesh::uniform(6, 3, 3, 1.0, 1.0);
@@ -287,31 +288,69 @@ mod tests {
         let setup = LtsSetup::new(&op, &lv.elem_level);
         assert!(setup.n_levels > 1);
         let npe = op.dofmap.nodes_per_elem();
-        for variant in [
-            crate::simd::KernelVariant::Scalar,
-            crate::simd::KernelVariant::Avx2,
-        ] {
+        for variant in crate::simd::supported_variants() {
+            let _force = ForceVariant::new(variant);
             for l in 0..setup.n_levels {
                 let mut ws = Workspace::new();
                 op.precompile_masked(&setup.elems[l], &setup.dof_level, l as u8, &mut ws);
                 let (st, _) = compiled::op_state(&op, &mut ws);
-                st.cache.ensure_plan(0, npe, variant);
                 let en = st.cache.entry(0);
                 let n_elems = setup.elems[l].len();
-                let gathered = n_elems * npe;
-                assert_eq!(en.idx.len(), gathered);
-                assert_eq!(en.pure.len(), n_elems);
-                // key + order + idx + colour offsets, as u32; one flag per element
-                let mut want = 4 * (2 * n_elems + gathered + en.color_off.len()) + n_elems;
-                if let Some(plan) = &en.simd {
-                    let units = plan.unit_base.len();
-                    let tidx = units * npe * plan.lanes;
-                    assert_eq!(plan.tidx.len(), tidx);
-                    want += 4 * (plan.unit_off.len() + 3 * units + tidx) + units;
+                let units = en.n_units();
+                assert_eq!(en.lanes, crate::simd::batch_lanes(variant, 4));
+                assert!(units >= n_elems.div_ceil(en.lanes));
+                if en.lanes == 1 {
+                    assert_eq!(units, n_elems);
                 }
+                let node_lanes = units * npe * en.lanes;
+                assert_eq!(en.tidx.len(), node_lanes);
+                assert_eq!(en.unit_pure.len(), units);
+                // key + order, unit offsets and the id table as u32; one
+                // flag per unit
+                let want = 4 * (2 * n_elems + en.unit_off.len() + units + 1 + node_lanes) + units;
                 assert_eq!(en.heap_bytes(), want, "level {l}, {variant:?}");
             }
         }
+    }
+
+    /// Switching the kernel variant on one workspace rebuilds the entry's
+    /// table in place at the new width, and the fields stay bitwise equal.
+    #[test]
+    fn variant_switch_rebuilds_the_table_and_keeps_fields() {
+        use crate::simd::{ForceVariant, KernelVariant};
+        use lts_core::LtsSetup;
+        use lts_mesh::Levels;
+        let mut m = HexMesh::uniform(6, 3, 3, 1.0, 1.0);
+        m.paint_box((4, 6), (0, 3), (0, 3), 2.0, 1.0);
+        let lv = Levels::assign(&m, 0.5, 4);
+        let op = AcousticOperator::new(&m, 4);
+        let setup = LtsSetup::new(&op, &lv.elem_level);
+        let n = op.dofmap.n_nodes();
+        let u: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.37).sin()).collect();
+        let level = setup.n_levels - 1;
+        let elems = &setup.elems[level];
+        let mut ws = Workspace::new();
+        let mut fields = Vec::new();
+        for v in [
+            KernelVariant::Avx512,
+            KernelVariant::Scalar,
+            KernelVariant::Avx512,
+        ] {
+            let _force = ForceVariant::new(v);
+            let mut out = vec![0.0; n];
+            op.apply_masked_ws(&u, &mut out, elems, &setup.dof_level, level as u8, &mut ws);
+            let (st, _) = compiled::op_state(&op, &mut ws);
+            let en = st.cache.entry(0);
+            assert_eq!(en.variant, crate::simd::active());
+            assert_eq!(en.lanes, crate::simd::batch_lanes(en.variant, 5));
+            assert_eq!(
+                en.tidx.len(),
+                en.n_units() * op.dofmap.nodes_per_elem() * en.lanes
+            );
+            assert!(st.cache.find(level as u16, elems) == Some(0));
+            fields.push(out.iter().map(|x| x.to_bits()).collect::<Vec<u64>>());
+        }
+        assert!(fields.iter().all(|f| *f == fields[0]));
     }
 
     #[test]

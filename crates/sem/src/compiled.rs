@@ -1,29 +1,40 @@
 //! Level-compiled gather lists: the element list of a masked product, baked
-//! once per `(level, element list)` into flat index tables, ordered
-//! colour-major by a greedy conflict-free colouring.
+//! once per `(level, element list)` into one lane-transposed id table,
+//! ordered colour-major by a greedy conflict-free colouring.
+//!
+//! The colouring runs over each element's eight corner ids, which on a
+//! conforming hex mesh gives the classes of colouring over all `np³` ids
+//! ([`ElementColoring::greedy_corners`]). The colour-major order is cut
+//! into *units* of up to `lanes` elements that never straddle a colour; the
+//! one id table holds each unit's ids transposed, node `q` of all lanes one
+//! contiguous run. `lanes` is the active [`KernelVariant`]'s width where a
+//! batched kernel exists for the order, else 1: a 1-lane table's rows are
+//! the plain per-element id lists the scalar kernel walks.
 //!
 //! The level mask itself is never stored. A masked product zeroes every
 //! gathered DOF whose `dof_level` differs from the product's level; at
-//! compile time each element (scalar walk) and each SIMD unit gets a
-//! one-byte *pure* flag, set when every gathered DOF already lies on the
-//! level. Pure elements and units gather plainly; mixed ones multiply by the
-//! factor `[0.0, 1.0][(dof_level[g] == level) as usize]` derived per DOF —
-//! the exact 0/1 factor a stored mask would hold, and `x·1.0 == x`, so both
+//! compile time each unit gets a one-byte *pure* flag, set when every
+//! gathered DOF of its elements already lies on the level. Pure units
+//! gather plainly; mixed ones multiply by the factor
+//! `[0.0, 1.0][(dof_level[g] == level) as usize]` derived per DOF — the
+//! exact 0/1 factor a stored mask would hold, and `x·1.0 == x`, so both
 //! paths are bitwise equal to a masked gather.
 //!
 //! The colour-major order gives the threaded executor its race-freedom
 //! invariant for free: within one colour no two elements share a scatter
-//! target, so any interleaving of a colour's elements produces
+//! target, so any interleaving of a colour's units produces
 //! bitwise-identical sums. The *serial* path walks the same colour-major
 //! order, which is what makes the threaded product bitwise equal to the
-//! serial one.
+//! serial one, and the batched kernels are bitwise equal to the scalar one
+//! lane by lane, so every width gives the same fields.
 //!
 //! Entries live in a [`GatherCache`] stashed in the stepper's
 //! [`lts_core::Workspace`], so each `(level, element set)` pair is compiled
-//! exactly once per run. A workspace with a DOF order is served at compile
-//! time alone: the gathered ids are mapped into the order as they are
-//! baked, and the workspace state keeps the reciprocal mass in the order,
-//! so the hot loops are the same with or without one.
+//! exactly once per run; a change of the active variant rebuilds an entry's
+//! table in place from its order. A workspace with a DOF order is served at
+//! compile time alone: the gathered ids are mapped into the order as they
+//! are baked, and the workspace state keeps the reciprocal mass in the
+//! order, so the hot loops are the same with or without one.
 
 use crate::gll::GllBasis;
 use crate::parallel::ElementColoring;
@@ -58,131 +69,141 @@ impl LevelMask<'_> {
     }
 }
 
-/// One compiled `(level, element list)` entry.
-pub(crate) struct CompiledGather {
-    level: u16,
-    /// The element list this entry was compiled for (cache key).
-    key: Vec<u32>,
-    /// Element ids in colour-major order.
-    pub(crate) order: Vec<u32>,
-    /// Prefix offsets into `order`, one span per colour (`n_colours + 1`).
-    pub(crate) color_off: Vec<u32>,
-    /// Per ordered element: its `npe` scatter-target ids (global nodes or
-    /// local DOFs, whatever the operator gathers from).
-    pub(crate) idx: Vec<u32>,
-    /// Per ordered element: 1 when every gathered DOF lies on the entry's
-    /// level (gather with no mask), 0 when mixed; empty for the unmasked
-    /// full product.
-    pub(crate) pure: Vec<u8>,
-    /// SIMD batching plan for the active [`KernelVariant`]; `None` on the
-    /// scalar variant (lanes = 1). Rebuilt by [`GatherCache::ensure_plan`]
-    /// when the active lane width changes.
-    pub(crate) simd: Option<SimdPlan>,
+/// An operator's gathered ids, as a compile reads them.
+pub(crate) struct IdSource<'a> {
+    /// GLL points per axis: element `e` gathers `np³` ids in lattice order.
+    pub(crate) np: usize,
+    /// Elements of the operator (the full-mesh entry covers them all).
+    pub(crate) n_elems: usize,
+    /// Bound on the ids, the colouring's target space.
+    pub(crate) n_ids: usize,
+    /// DOFs per id (DOF `comps·id + c`).
+    pub(crate) comps: usize,
+    /// Element `e`'s ids in the operator's numbering (buffer cleared first).
+    pub(crate) ids_of: &'a dyn Fn(u32, &mut Vec<u32>),
+    /// The workspace DOF order, if any: id `g` is stored as
+    /// `dof_order[comps·g] / comps`; the colouring does not depend on it.
+    pub(crate) dof_order: Option<&'a [u32]>,
 }
 
-impl CompiledGather {
-    /// Heap bytes held by the entry and its SIMD plan: `u32` order, colour
-    /// offsets and index tables plus one flag byte per element or unit.
-    #[cfg(test)]
-    pub(crate) fn heap_bytes(&self) -> usize {
-        let u32s = self.key.capacity()
-            + self.order.capacity()
-            + self.color_off.capacity()
-            + self.idx.capacity();
-        4 * u32s + self.pure.capacity() + self.simd.as_ref().map_or(0, SimdPlan::heap_bytes)
+impl IdSource<'_> {
+    /// Element `e`'s ids as the table stores them.
+    fn stored_ids(&self, e: u32, out: &mut Vec<u32>) {
+        (self.ids_of)(e, out);
+        if let Some(pos) = self.dof_order {
+            for id in out.iter_mut() {
+                *id = pos[self.comps * *id as usize] / self.comps as u32;
+            }
+        }
     }
 }
 
-/// Derived structure-of-arrays view of a [`CompiledGather`] for one SIMD
-/// lane width: the colour-major element order chopped into *units* of up to
-/// `lanes` elements, with per-unit transposed gather tables so node `q` of
-/// all lanes is one contiguous `lanes`-wide run (`tidx[toff + q·lanes + l]`).
-/// Units never straddle a colour boundary, so the within-colour
-/// conflict-freedom invariant carries over to whole units and both the
-/// serial and threaded walks keep the colour-phase accumulation order —
-/// which is what keeps the batched product bitwise equal to the scalar one.
-pub(crate) struct SimdPlan {
-    /// The variant the plan was transposed for.
+/// One compiled `(level, element list)` entry: the colour-major element
+/// order in units of up to `lanes` elements, and their one id table.
+pub(crate) struct CompiledGather {
+    level: u16,
+    /// The element list this entry was compiled for (cache key; empty for
+    /// the full-mesh entry).
+    key: Vec<u32>,
+    /// Element ids in colour-major order.
+    pub(crate) order: Vec<u32>,
+    /// The variant the table was built for.
     pub(crate) variant: KernelVariant,
-    /// `variant.lanes()`, cached.
+    /// Elements per full unit: `variant.lanes()` when a batched kernel
+    /// exists for the operator's order, else 1.
     pub(crate) lanes: usize,
-    /// Prefix offsets into the unit arrays, one span per colour.
+    /// Prefix offsets into the units, one span per colour.
     pub(crate) unit_off: Vec<u32>,
-    /// First position (into `CompiledGather::order`) of each unit.
-    pub(crate) unit_base: Vec<u32>,
-    /// Elements in each unit (`lanes` for full units, less for tails).
-    /// Tail units are *padded* to the full lane width in the transposed
-    /// tables by replicating their last element, so every unit runs the
-    /// batched kernel; only the first `unit_len` lanes are scattered (a
-    /// padded lane's result is discarded, and vertical-only arithmetic
-    /// means it cannot perturb the valid lanes).
-    pub(crate) unit_len: Vec<u32>,
-    /// Offset into `tidx` (node-lane entries) of each unit.
-    pub(crate) unit_toff: Vec<u32>,
-    /// Transposed scatter-target ids of the units (lane-padded).
+    /// Prefix offsets into `order`, one span per unit (`n_units + 1`).
+    /// Units never straddle a colour boundary, so the within-colour
+    /// conflict-freedom invariant carries over to whole units.
+    pub(crate) unit_pos: Vec<u32>,
+    /// Unit `k`'s scatter-target ids (global nodes or local DOFs, whatever
+    /// the operator gathers from) at `k·npe·lanes`, node-major: node `q` of
+    /// lane `l` at `q·lanes + l`. A tail unit is *padded* to the full width
+    /// by replicating its last element, so every unit runs the batched
+    /// kernel; only its valid lanes are scattered (a padded lane's result is
+    /// discarded, and vertical-only arithmetic means it cannot perturb the
+    /// valid lanes).
     pub(crate) tidx: Vec<u32>,
-    /// Per unit: 1 when all of its elements are pure (padded lanes repeat
-    /// a valid one), 0 when any is mixed; empty when the entry is unmasked.
+    /// Per unit: 1 when every gathered DOF of its elements lies on the
+    /// entry's level (gather with no mask), 0 when any is mixed; empty for
+    /// the unmasked full product.
     pub(crate) unit_pure: Vec<u8>,
 }
 
-impl SimdPlan {
-    fn build(
+impl CompiledGather {
+    /// Units of the entry.
+    #[cfg(test)]
+    pub(crate) fn n_units(&self) -> usize {
+        self.unit_pos.len() - 1
+    }
+
+    /// Build the units and the id table at `variant`'s width over the
+    /// colour spans `color_off` of `order`, straight from the ids in one
+    /// pass. The old table is freed first.
+    fn build_table(
+        &mut self,
         color_off: &[u32],
-        idx: &[u32],
-        pure: &[u8],
-        npe: usize,
+        src: &IdSource,
+        mask: Option<LevelMask>,
         variant: KernelVariant,
-    ) -> SimdPlan {
-        let lanes = variant.lanes();
+    ) {
+        self.tidx = Vec::new();
+        let lanes = crate::simd::batch_lanes(variant, src.np);
+        let npe = src.np.pow(3);
         let n_units: usize = color_off
             .windows(2)
             .map(|w| (w[1] - w[0]).div_ceil(lanes as u32) as usize)
             .sum();
         let mut unit_off = Vec::with_capacity(color_off.len());
         unit_off.push(0);
-        let mut p = SimdPlan {
-            variant,
-            lanes,
-            unit_off,
-            unit_base: Vec::with_capacity(n_units),
-            unit_len: Vec::with_capacity(n_units),
-            unit_toff: Vec::with_capacity(n_units),
-            tidx: Vec::with_capacity(n_units * npe * lanes),
-            unit_pure: Vec::with_capacity(if pure.is_empty() { 0 } else { n_units }),
-        };
+        let mut unit_pos = Vec::with_capacity(n_units + 1);
+        let mut tidx = vec![0u32; n_units * npe * lanes];
+        let mut unit_pure = Vec::with_capacity(if mask.is_some() { n_units } else { 0 });
+        let mut ids = Vec::with_capacity(npe);
         for w in color_off.windows(2) {
-            let (lo, hi) = (w[0] as usize, w[1] as usize);
-            let mut pos = lo;
+            let (mut pos, hi) = (w[0] as usize, w[1] as usize);
             while pos < hi {
                 let len = lanes.min(hi - pos);
-                p.unit_base.push(pos as u32);
-                p.unit_len.push(len as u32);
-                p.unit_toff.push(p.tidx.len() as u32);
-                // lanes ≥ len replicate the unit's last element (valid
-                // gather addresses, results never scattered)
-                for q in 0..npe {
-                    for l in 0..lanes {
-                        p.tidx.push(idx[(pos + l.min(len - 1)) * npe + q]);
+                let rows = &mut tidx[unit_pos.len() * npe * lanes..][..npe * lanes];
+                unit_pos.push(pos as u32);
+                let mut pure = true;
+                for l in 0..lanes {
+                    // lanes ≥ len keep the last element's ids (valid gather
+                    // addresses, results never scattered)
+                    if l < len {
+                        src.stored_ids(self.order[pos + l], &mut ids);
+                        pure &= mask.is_none_or(|m| m.covers(&ids, src.comps));
+                    }
+                    for (q, &id) in ids.iter().enumerate() {
+                        rows[q * lanes + l] = id;
                     }
                 }
-                if !pure.is_empty() {
-                    p.unit_pure
-                        .push(pure[pos..pos + len].iter().all(|&f| f != 0) as u8);
+                if mask.is_some() {
+                    unit_pure.push(pure as u8);
                 }
                 pos += len;
             }
-            p.unit_off.push(p.unit_base.len() as u32);
+            unit_off.push(unit_pos.len() as u32);
         }
-        p
+        unit_pos.push(self.order.len() as u32);
+        self.variant = variant;
+        self.lanes = lanes;
+        self.unit_off = unit_off;
+        self.unit_pos = unit_pos;
+        self.tidx = tidx;
+        self.unit_pure = unit_pure;
     }
 
+    /// Heap bytes held by the entry: `u32` key, order, unit offsets and id
+    /// table plus one flag byte per unit.
     #[cfg(test)]
-    fn heap_bytes(&self) -> usize {
-        let u32s = self.unit_off.capacity()
-            + self.unit_base.capacity()
-            + self.unit_len.capacity()
-            + self.unit_toff.capacity()
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let u32s = self.key.capacity()
+            + self.order.capacity()
+            + self.unit_off.capacity()
+            + self.unit_pos.capacity()
             + self.tidx.capacity();
         4 * u32s + self.unit_pure.capacity()
     }
@@ -207,35 +228,51 @@ impl GatherCache {
             .position(|en| en.level == level && (level == FULL_LEVEL || en.key == elems))
     }
 
-    /// Fetch or compile the entry for `(level, elems)`.
+    /// Fetch or compile the entry for `(level, elems)` with its table at
+    /// `variant`'s width; `FULL_LEVEL` covers every element of `src` and
+    /// ignores `elems`.
     ///
-    /// `targets_of` yields an element's gathered ids, which are also its
-    /// scatter targets: they drive the greedy colouring and fill the flat
-    /// `idx` table in colour-major order. With a `dof_order`, each id `g`
-    /// (`comps` DOFs `comps·g + c` each) is stored as `dof_order[comps·g] /
-    /// comps`; the colouring does not depend on the labels. With a `mask`,
-    /// each element's pure flag is derived from its stored `idx` row.
-    #[allow(clippy::too_many_arguments)]
+    /// A new entry is coloured over the element corners, then its table is
+    /// built from `src`'s ids in colour-major order, with each unit's pure
+    /// flag derived from its stored ids under a `mask`. An entry built for
+    /// another variant has its table rebuilt in place; its order stays.
     pub(crate) fn get_or_build(
         &mut self,
         level: u16,
         elems: &[u32],
-        n_targets: usize,
-        targets_of: &mut dyn FnMut(u32, &mut Vec<u32>),
+        src: &IdSource,
         mask: Option<LevelMask>,
-        comps: usize,
-        dof_order: Option<&[u32]>,
+        variant: KernelVariant,
     ) -> usize {
         if let Some(i) = self.find(level, elems) {
+            let en = &mut self.entries[i];
+            if en.variant != variant {
+                // the colour spans are the bounds of the unit spans
+                let color_off: Vec<u32> = en
+                    .unit_off
+                    .iter()
+                    .map(|&k| en.unit_pos[k as usize])
+                    .collect();
+                en.build_table(&color_off, src, mask, variant);
+            }
             return i;
         }
-        let coloring = ElementColoring::greedy(elems, n_targets, targets_of);
-        // lts-check hook: re-assert, at every compile, the exact invariants
-        // the threaded scatter relies on — conflict-freedom within each
-        // colour and a one-to-one cover of the requested element list.
+        let all: Vec<u32>;
+        let (elems, key) = if level == FULL_LEVEL {
+            all = (0..src.n_elems as u32).collect();
+            (&all[..], Vec::new())
+        } else {
+            (elems, elems.to_vec())
+        };
+        let ids_of = &mut |e, out: &mut Vec<u32>| (src.ids_of)(e, out);
+        let coloring = ElementColoring::greedy_corners(elems, src.n_ids, src.np, ids_of);
+        // lts-check hook: re-assert, at every compile and over all gathered
+        // ids, the exact invariants the threaded scatter relies on —
+        // conflict-freedom within each colour and a one-to-one cover of the
+        // requested element list.
         #[cfg(debug_assertions)]
         {
-            let conflict = crate::verify::conflict_free(&coloring.classes, n_targets, targets_of);
+            let conflict = crate::verify::conflict_free(&coloring.classes, src.n_ids, ids_of);
             debug_assert!(
                 conflict.is_ok(),
                 "compiled colouring for level {level}: {}",
@@ -249,57 +286,23 @@ impl GatherCache {
             );
         }
         let (order, color_off) = coloring.flatten();
-        let mut idx = Vec::new();
-        let mut pure = Vec::with_capacity(if mask.is_some() { order.len() } else { 0 });
-        let mut ids = Vec::new();
-        for &e in &order {
-            targets_of(e, &mut ids);
-            if let Some(pos) = dof_order {
-                for id in ids.iter_mut() {
-                    *id = pos[comps * *id as usize] / comps as u32;
-                }
-            }
-            if idx.is_empty() {
-                idx.reserve_exact(ids.len() * order.len());
-            }
-            idx.extend_from_slice(&ids);
-            if let Some(m) = mask {
-                pure.push(m.covers(&ids, comps) as u8);
-            }
-        }
-        self.entries.push(CompiledGather {
+        // free the classes before the table is allocated: this is the
+        // compile's peak
+        drop(coloring);
+        let mut en = CompiledGather {
             level,
-            key: elems.to_vec(),
+            key,
             order,
-            color_off,
-            idx,
-            pure,
-            simd: None,
-        });
-        self.entries.len() - 1
-    }
-
-    /// Make entry `i`'s [`SimdPlan`] match `variant`: build (or rebuild) the
-    /// transposed tables when a multi-lane variant is active, drop them when
-    /// the scalar variant is. Called by the operators on every apply — a
-    /// no-op once the plan matches, so the cost is one comparison per apply.
-    pub(crate) fn ensure_plan(&mut self, i: usize, npe: usize, variant: KernelVariant) {
-        let en = &mut self.entries[i];
-        let lanes = variant.lanes();
-        if lanes <= 1 {
-            en.simd = None;
-            return;
-        }
-        if en.simd.as_ref().is_some_and(|p| p.variant == variant) {
-            return;
-        }
-        en.simd = Some(SimdPlan::build(
-            &en.color_off,
-            &en.idx,
-            &en.pure,
-            npe,
             variant,
-        ));
+            lanes: 1,
+            unit_off: Vec::new(),
+            unit_pos: Vec::new(),
+            tidx: Vec::new(),
+            unit_pure: Vec::new(),
+        };
+        en.build_table(&color_off, src, mask, variant);
+        self.entries.push(en);
+        self.entries.len() - 1
     }
 }
 
@@ -342,72 +345,44 @@ impl EngineScratch for ScalarScratch {
 }
 
 /// An execution engine over compiled entries with scratch `S`: a scalar
-/// per-element path, a SIMD unit path, and the two walks over them.
+/// path for 1-lane units, a batched path for wider ones, and the walk over
+/// them.
 pub(crate) trait Engine<S: Send>: Sync {
-    /// Process position `pos` of a compiled entry.
-    fn elem(&self, entry: &CompiledGather, pos: usize, u: &[f64], sc: &mut S, out: &mut [f64]);
+    /// Process unit `k` of a 1-lane entry: its one element through the
+    /// scalar kernel.
+    fn elem(&self, entry: &CompiledGather, k: usize, u: &[f64], sc: &mut S, out: &mut [f64]);
 
-    /// Process unit `unit` of `entry`'s SIMD plan.
-    fn unit(
-        &self,
-        entry: &CompiledGather,
-        plan: &SimdPlan,
-        unit: usize,
-        u: &[f64],
-        sc: &mut S,
-        out: &mut [f64],
-    );
+    /// Process unit `k` of a multi-lane entry through the batched kernel.
+    fn unit(&self, entry: &CompiledGather, k: usize, u: &[f64], sc: &mut S, out: &mut [f64]);
 
-    /// Serial walk of an entry, batch-wise when a plan is attached. Both
-    /// walks visit colours in order and touch every scatter target once per
-    /// colour, so they produce bitwise-identical sums.
-    fn run_serial(&self, entry: &CompiledGather, u: &[f64], sc: &mut S, out: &mut [f64]) {
-        match entry.simd.as_ref() {
-            Some(plan) => {
-                for unit in 0..plan.unit_base.len() {
-                    self.unit(entry, plan, unit, u, sc, out);
-                }
+    /// Colour-phased walk of an entry's units on `par.len()` workers (one:
+    /// serial, in unit order). Any walk visits colours in order and touches
+    /// every scatter target once per colour, so all produce bitwise-identical
+    /// sums.
+    fn walk(&self, entry: &CompiledGather, u: &[f64], par: &mut [S], out: &mut [f64]) {
+        crate::parallel::par_colored(out, &entry.unit_off, par, |k, sc, o| {
+            if entry.lanes == 1 {
+                self.elem(entry, k, u, sc, o);
+            } else {
+                self.unit(entry, k, u, sc, o);
             }
-            None => {
-                for pos in 0..entry.order.len() {
-                    self.elem(entry, pos, u, sc, out);
-                }
-            }
-        }
-    }
-
-    /// Colour-phased threaded walk; with a plan the work items handed to
-    /// [`crate::parallel::par_colored`] are whole units.
-    fn run_threads(&self, entry: &CompiledGather, u: &[f64], par: &mut [S], out: &mut [f64]) {
-        match entry.simd.as_ref() {
-            Some(plan) => {
-                crate::parallel::par_colored(out, &plan.unit_off, par, |unit, sc, o| {
-                    self.unit(entry, plan, unit, u, sc, o);
-                });
-            }
-            None => {
-                crate::parallel::par_colored(out, &entry.color_off, par, |pos, sc, o| {
-                    self.elem(entry, pos, u, sc, o);
-                });
-            }
-        }
+        });
     }
 }
 
-/// Workspace state of an operator: compiled entries, serial and per-thread
-/// element scratch, and — under a workspace DOF order — the operator's
-/// reciprocal mass in that order.
+/// Workspace state of an operator: compiled entries, per-worker element
+/// scratch (the first also serves serial runs), and — under a workspace DOF
+/// order — the operator's reciprocal mass in that order.
 pub(crate) struct OpWs<S> {
     pub(crate) cache: GatherCache,
-    serial: S,
-    par: Vec<S>,
+    scratch: Vec<S>,
     inv_mass: Option<Vec<f64>>,
 }
 
 impl<S: EngineScratch> OpWs<S> {
     /// State for an operator with reciprocal mass `inv_mass`, under the
     /// workspace's DOF `order` (`order[caller DOF] = internal DOF`).
-    pub(crate) fn new(npe: usize, order: Option<&[u32]>, inv_mass: &[f64]) -> Self {
+    pub(crate) fn new(order: Option<&[u32]>, inv_mass: &[f64]) -> Self {
         let inv_mass = order.map(|pos| {
             let mut ordered = vec![0.0; inv_mass.len()];
             for (&p, &m) in pos.iter().zip(inv_mass) {
@@ -417,33 +392,27 @@ impl<S: EngineScratch> OpWs<S> {
         });
         OpWs {
             cache: GatherCache::default(),
-            serial: S::new(npe),
-            par: Vec::new(),
+            scratch: Vec::new(),
             inv_mass,
         }
     }
 
-    /// Fetch or compile an entry with `compile`, warm its SIMD plan for the
-    /// active variant and size the scratch of `threads` workers (≤ 1:
-    /// serial), so no transpose or resize happens mid-run. Returns the entry.
+    /// Fetch or compile an entry with `compile` at the active variant and
+    /// size the scratch of `threads` workers (≤ 1: serial) for its width,
+    /// so no rebuild or resize happens mid-run. Returns the entry.
     pub(crate) fn prepare(
         &mut self,
         npe: usize,
         threads: usize,
-        compile: impl FnOnce(&mut GatherCache) -> usize,
+        compile: impl FnOnce(&mut GatherCache, KernelVariant) -> usize,
     ) -> usize {
-        let i = compile(&mut self.cache);
-        let variant = crate::simd::active();
-        self.cache.ensure_plan(i, npe, variant);
-        if threads <= 1 {
-            self.serial.ensure_lanes(npe, variant.lanes());
-        } else {
-            if self.par.len() < threads {
-                self.par.resize_with(threads, || S::new(npe));
-            }
-            for sc in &mut self.par {
-                sc.ensure_lanes(npe, variant.lanes());
-            }
+        let i = compile(&mut self.cache, crate::simd::active());
+        let (lanes, workers) = (self.cache.entry(i).lanes, threads.max(1));
+        if self.scratch.len() < workers {
+            self.scratch.resize_with(workers, || S::new(npe));
+        }
+        for sc in &mut self.scratch[..workers] {
+            sc.ensure_lanes(npe, lanes);
         }
         i
     }
@@ -459,19 +428,9 @@ impl<S: EngineScratch> OpWs<S> {
         u: &[f64],
         out: &mut [f64],
     ) {
-        let OpWs {
-            cache,
-            serial,
-            par,
-            inv_mass,
-        } = self;
-        let engine = engine(inv_mass.as_deref());
-        let entry = cache.entry(i);
-        if threads <= 1 {
-            engine.run_serial(entry, u, serial, out);
-        } else {
-            engine.run_threads(entry, u, &mut par[..threads], out);
-        }
+        let engine = engine(self.inv_mass.as_deref());
+        let par = &mut self.scratch[..threads.max(1)];
+        engine.walk(self.cache.entry(i), u, par, out);
     }
 }
 
@@ -483,7 +442,12 @@ pub(crate) trait CompiledOp: DofTopology + Sync + Sized + 'static {
     type Scratch: EngineScratch;
     /// DOFs per gathered id (DOF `COMPS·id + c`).
     const COMPS: usize;
-    fn npe(&self) -> usize;
+    /// GLL points per axis; an element gathers `np³` ids.
+    fn np(&self) -> usize;
+    /// Gathered ids per element.
+    fn npe(&self) -> usize {
+        self.np().pow(3)
+    }
     /// Element `e`'s gathered ids (cleared first).
     fn ids_of(&self, e: u32, out: &mut Vec<u32>);
     fn inv_mass(&self) -> &[f64];
@@ -509,15 +473,13 @@ pub(crate) fn op_state<'w, O: CompiledOp>(
     ws: &'w mut Workspace,
 ) -> (&'w mut OpWs<O::Scratch>, Option<&'w [u32]>) {
     let (slot, order) = ws.get_or_insert_with(|order| {
-        OpSlot::<O>(
-            OpWs::new(op.npe(), order, op.inv_mass()),
-            Default::default(),
-        )
+        OpSlot::<O>(OpWs::new(order, op.inv_mass()), Default::default())
     });
     (&mut slot.0, order)
 }
 
-/// Fetch or compile `op`'s entry for `(level, elems)` under the DOF `order`.
+/// Fetch or compile `op`'s entry for `(level, elems)` under the DOF `order`,
+/// with its table at `variant`'s width.
 fn compile<O: CompiledOp>(
     op: &O,
     cache: &mut GatherCache,
@@ -525,21 +487,25 @@ fn compile<O: CompiledOp>(
     elems: &[u32],
     mask: Option<LevelMask>,
     order: Option<&[u32]>,
+    variant: KernelVariant,
 ) -> usize {
-    let ids_of = &mut |e, out: &mut Vec<u32>| op.ids_of(e, out);
-    let n_ids = op.n_dofs() / O::COMPS;
-    cache.get_or_build(level, elems, n_ids, ids_of, mask, O::COMPS, order)
+    let src = IdSource {
+        np: op.np(),
+        n_elems: op.n_elems(),
+        n_ids: op.n_dofs() / O::COMPS,
+        comps: O::COMPS,
+        ids_of: &|e, out| op.ids_of(e, out),
+        dof_order: order,
+    };
+    cache.get_or_build(level, elems, &src, mask, variant)
 }
 
 /// `out = A u` over the whole mesh.
 pub(crate) fn apply_full<O: CompiledOp>(op: &O, u: &[f64], out: &mut [f64], ws: &mut Workspace) {
     out.fill(0.0);
     let (st, order) = op_state(op, ws);
-    let i = st.prepare(op.npe(), 1, |c| {
-        c.find(FULL_LEVEL, &[]).unwrap_or_else(|| {
-            let all: Vec<u32> = (0..op.n_elems() as u32).collect();
-            compile(op, c, FULL_LEVEL, &all, None, order)
-        })
+    let i = st.prepare(op.npe(), 1, |c, v| {
+        compile(op, c, FULL_LEVEL, &[], None, order, v)
     });
     op.run_compiled(st, i, 1, None, u, out);
 }
@@ -558,8 +524,8 @@ pub(crate) fn apply_masked<O: CompiledOp>(
 ) {
     let mask = Some(LevelMask { dof_level, level });
     let (st, order) = op_state(op, ws);
-    let i = st.prepare(op.npe(), threads, |c| {
-        compile(op, c, level as u16, elems, mask, order)
+    let i = st.prepare(op.npe(), threads, |c, v| {
+        compile(op, c, level as u16, elems, mask, order, v)
     });
     op.run_compiled(st, i, threads, mask, u, out);
 }
@@ -574,8 +540,8 @@ pub(crate) fn precompile<O: CompiledOp>(
 ) {
     let mask = Some(LevelMask { dof_level, level });
     let (st, order) = op_state(op, ws);
-    st.prepare(op.npe(), 1, |c| {
-        compile(op, c, level as u16, elems, mask, order)
+    st.prepare(op.npe(), 1, |c, v| {
+        compile(op, c, level as u16, elems, mask, order, v)
     });
 }
 
@@ -650,22 +616,21 @@ pub(crate) struct AcousticEngine<'a, G: Fn(u32) -> (f64, f64, f64, f64) + Sync> 
 }
 
 impl<G: Fn(u32) -> (f64, f64, f64, f64) + Sync> Engine<ScalarScratch> for AcousticEngine<'_, G> {
-    /// Process position `pos` of a compiled entry: gather (masked only when
-    /// the element is mixed), stiffness kernel, multiply-by-`M⁻¹` scatter.
+    /// Process 1-lane unit `k`: gather (masked only when the element is
+    /// mixed), stiffness kernel, multiply-by-`M⁻¹` scatter.
     #[inline]
     fn elem(
         &self,
         entry: &CompiledGather,
-        pos: usize,
+        k: usize,
         u: &[f64],
         sc: &mut ScalarScratch,
         out: &mut [f64],
     ) {
         let npe = self.npe;
-        let base = pos * npe;
-        let ids = &entry.idx[base..base + npe];
+        let ids = &entry.tidx[k * npe..(k + 1) * npe];
         match self.mask {
-            Some(m) if entry.pure[pos] == 0 => {
+            Some(m) if entry.unit_pure[k] == 0 => {
                 for li in 0..npe {
                     let g = ids[li] as usize;
                     sc.loc[li] = u[g] * m.factor(g);
@@ -677,7 +642,7 @@ impl<G: Fn(u32) -> (f64, f64, f64, f64) + Sync> Engine<ScalarScratch> for Acoust
                 }
             }
         }
-        let (hx, hy, hz, mu) = (self.geom)(entry.order[pos]);
+        let (hx, hy, hz, mu) = (self.geom)(entry.order[k]);
         crate::kernel::scalar_stiffness(
             self.basis,
             hx,
@@ -694,27 +659,24 @@ impl<G: Fn(u32) -> (f64, f64, f64, f64) + Sync> Engine<ScalarScratch> for Acoust
         }
     }
 
-    /// Process unit `unit` of a plan: SoA gather through the transposed
-    /// (lane-padded) tables, one batched kernel call, SoA scatter of the
-    /// first `unit_len` lanes. Any variant the build lacks a kernel for
-    /// falls back to [`Self::elem`].
+    /// Process multi-lane unit `k`: SoA gather through the transposed
+    /// (lane-padded) table, one batched kernel call, SoA scatter of the
+    /// unit's valid lanes.
     fn unit(
         &self,
         entry: &CompiledGather,
-        plan: &SimdPlan,
-        unit: usize,
+        k: usize,
         u: &[f64],
         sc: &mut ScalarScratch,
         out: &mut [f64],
     ) {
-        let base = plan.unit_base[unit] as usize;
-        let len = plan.unit_len[unit] as usize;
-        let w = plan.lanes;
+        let base = entry.unit_pos[k] as usize;
+        let len = entry.unit_pos[k + 1] as usize - base;
+        let w = entry.lanes;
         let npe = self.npe;
-        let toff = plan.unit_toff[unit] as usize;
-        let ids = &plan.tidx[toff..toff + npe * w];
+        let ids = &entry.tidx[k * npe * w..(k + 1) * npe * w];
         match self.mask {
-            Some(m) if plan.unit_pure[unit] == 0 => {
+            Some(m) if entry.unit_pure[k] == 0 => {
                 for (i, &id) in ids.iter().enumerate() {
                     let g = id as usize;
                     sc.vloc[i] = u[g] * m.factor(g);
@@ -736,20 +698,17 @@ impl<G: Fn(u32) -> (f64, f64, f64, f64) + Sync> Engine<ScalarScratch> for Acoust
             cf.cy[l] = mu * jac * (2.0 / hy) * (2.0 / hy);
             cf.cz[l] = mu * jac * (2.0 / hz) * (2.0 / hz);
         }
-        if !batch_scalar_stiffness(
-            plan.variant,
+        // the entry is multi-lane only where the variant has a kernel
+        let batched = batch_scalar_stiffness(
+            entry.variant,
             self.basis.n_points(),
             &self.basis.d,
             &self.basis.wgll3,
             &cf,
             &sc.vloc,
             &mut sc.vtmp,
-        ) {
-            for pos in base..base + len {
-                self.elem(entry, pos, u, sc, out);
-            }
-            return;
-        }
+        );
+        debug_assert!(batched, "no batched kernel for {:?}", entry.variant);
         if len == w {
             for (i, &id) in ids.iter().enumerate() {
                 let g = id as usize;
@@ -783,21 +742,20 @@ pub(crate) struct ElasticEngine<'a, G: Fn(u32) -> (f64, f64, f64, f64, f64) + Sy
 impl<G: Fn(u32) -> (f64, f64, f64, f64, f64) + Sync> Engine<crate::elastic::Scratch>
     for ElasticEngine<'_, G>
 {
-    /// Process position `pos` of a compiled entry.
+    /// Process 1-lane unit `k`.
     #[inline]
     fn elem(
         &self,
         entry: &CompiledGather,
-        pos: usize,
+        k: usize,
         u: &[f64],
         s: &mut crate::elastic::Scratch,
         out: &mut [f64],
     ) {
         let npe = self.npe;
-        let base = pos * npe;
-        let ids = &entry.idx[base..base + npe];
+        let ids = &entry.tidx[k * npe..(k + 1) * npe];
         match self.mask {
-            Some(m) if entry.pure[pos] == 0 => {
+            Some(m) if entry.unit_pure[k] == 0 => {
                 for li in 0..npe {
                     let gn = ids[li] as usize;
                     for comp in 0..3 {
@@ -815,7 +773,7 @@ impl<G: Fn(u32) -> (f64, f64, f64, f64, f64) + Sync> Engine<crate::elastic::Scra
                 }
             }
         }
-        let (hx, hy, hz, lam, mu) = (self.geom)(entry.order[pos]);
+        let (hx, hy, hz, lam, mu) = (self.geom)(entry.order[k]);
         crate::elastic::elastic_stiffness(self.basis, hx, hy, hz, lam, mu, s);
         for li in 0..npe {
             let gn = ids[li] as usize;
@@ -826,27 +784,24 @@ impl<G: Fn(u32) -> (f64, f64, f64, f64, f64) + Sync> Engine<crate::elastic::Scra
         }
     }
 
-    /// Process unit `unit` of a plan (SoA gather through the lane-padded
-    /// tables → batched kernel → SoA scatter of the first `unit_len`
-    /// lanes), falling back to [`Self::elem`] on variants without a kernel.
+    /// Process multi-lane unit `k` (SoA gather through the lane-padded
+    /// table → batched kernel → SoA scatter of the valid lanes).
     fn unit(
         &self,
         entry: &CompiledGather,
-        plan: &SimdPlan,
-        unit: usize,
+        k: usize,
         u: &[f64],
         s: &mut crate::elastic::Scratch,
         out: &mut [f64],
     ) {
-        let base = plan.unit_base[unit] as usize;
-        let len = plan.unit_len[unit] as usize;
-        let w = plan.lanes;
+        let base = entry.unit_pos[k] as usize;
+        let len = entry.unit_pos[k + 1] as usize - base;
+        let w = entry.lanes;
         let npe = self.npe;
         let n = npe * w;
-        let toff = plan.unit_toff[unit] as usize;
-        let ids = &plan.tidx[toff..toff + n];
+        let ids = &entry.tidx[k * n..(k + 1) * n];
         match self.mask {
-            Some(m) if plan.unit_pure[unit] == 0 => {
+            Some(m) if entry.unit_pure[k] == 0 => {
                 for (i, &id) in ids.iter().enumerate() {
                     let gn = 3 * id as usize;
                     s.vu[i] = u[gn] * m.factor(gn);
@@ -874,8 +829,9 @@ impl<G: Fn(u32) -> (f64, f64, f64, f64, f64) + Sync> Engine<crate::elastic::Scra
             cf.mu[l] = mu;
             cf.tmu[l] = 2.0 * mu;
         }
-        if !batch_elastic_stiffness(
-            plan.variant,
+        // the entry is multi-lane only where the variant has a kernel
+        let batched = batch_elastic_stiffness(
+            entry.variant,
             self.basis.n_points(),
             &self.basis.d,
             &self.basis.wgll3,
@@ -884,12 +840,8 @@ impl<G: Fn(u32) -> (f64, f64, f64, f64, f64) + Sync> Engine<crate::elastic::Scra
             &mut s.vgrad,
             &mut s.vflux,
             &mut s.vout,
-        ) {
-            for pos in base..base + len {
-                self.elem(entry, pos, u, s, out);
-            }
-            return;
-        }
+        );
+        debug_assert!(batched, "no batched kernel for {:?}", entry.variant);
         if len == w {
             for (i, &id) in ids.iter().enumerate() {
                 let gn = id as usize;
@@ -917,19 +869,43 @@ impl<G: Fn(u32) -> (f64, f64, f64, f64, f64) + Sync> Engine<crate::elastic::Scra
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dofmap::DofMap;
+    use lts_mesh::HexMesh;
+
+    /// A row of `nx` order-1 elements: element `e` gathers the 8 nodes of
+    /// its cell, which lie on the `x` planes `e` and `e + 1`.
+    fn row(nx: usize) -> DofMap {
+        DofMap::new(&HexMesh::uniform(nx, 1, 1, 1.0, 1.0), 1)
+    }
+
+    fn row_src<'a>(d: &'a DofMap, ids_of: &'a dyn Fn(u32, &mut Vec<u32>)) -> IdSource<'a> {
+        IdSource {
+            np: 2,
+            n_elems: d.n_elems(),
+            n_ids: d.n_nodes(),
+            comps: 1,
+            ids_of,
+            dof_order: None,
+        }
+    }
+
+    /// Every unit's elements as `order` positions.
+    fn units(en: &CompiledGather) -> Vec<Vec<u32>> {
+        (0..en.n_units())
+            .map(|k| en.order[en.unit_pos[k] as usize..en.unit_pos[k + 1] as usize].to_vec())
+            .collect()
+    }
 
     #[test]
     fn cache_compiles_once_per_level_and_list() {
-        // toy adjacency: element e targets {e, e+1} (a chain)
-        let mut targets = |e: u32, out: &mut Vec<u32>| {
-            out.clear();
-            out.push(e);
-            out.push(e + 1);
-        };
+        let d = row(6);
+        let ids_of = |e: u32, out: &mut Vec<u32>| d.elem_nodes(e, out);
+        let src = row_src(&d, &ids_of);
+        let scalar = KernelVariant::Scalar;
         let mut cache = GatherCache::default();
         let elems: Vec<u32> = (0..6).collect();
         for _ in 0..3 {
-            let i = cache.get_or_build(0, &elems, 7, &mut targets, None, 1, None);
+            let i = cache.get_or_build(0, &elems, &src, None, scalar);
             assert_eq!(i, 0);
         }
         assert_eq!(
@@ -937,103 +913,152 @@ mod tests {
             1,
             "entry must be compiled exactly once"
         );
+        // a 1-lane table's rows are the elements' id lists, colour-major
         let en = cache.entry(0);
-        let want: Vec<u32> = en.order.iter().flat_map(|&e| [e, e + 1]).collect();
-        assert_eq!(en.idx, want, "idx rows follow the colour-major order");
+        let mut want = Vec::new();
+        let mut ids = Vec::new();
+        for &e in &en.order {
+            d.elem_nodes(e, &mut ids);
+            want.extend_from_slice(&ids);
+        }
+        assert_eq!(en.lanes, 1);
+        assert_eq!(en.tidx, want, "rows follow the colour-major order");
         // a different list is a different entry
         let sub: Vec<u32> = vec![1, 3];
-        let j = cache.get_or_build(0, &sub, 7, &mut targets, None, 1, None);
+        let j = cache.get_or_build(0, &sub, &src, None, scalar);
         assert_eq!(j, 1);
-        // the full-mesh sentinel matches without a key comparison
-        let k = cache.get_or_build(FULL_LEVEL, &elems, 7, &mut targets, None, 1, None);
-        assert_eq!(cache.find(FULL_LEVEL, &[]), Some(k));
+        // the full-mesh sentinel covers every element and keeps no key
+        let k = cache.get_or_build(FULL_LEVEL, &[], &src, None, scalar);
+        assert_eq!(cache.find(FULL_LEVEL, &elems), Some(k));
+        assert_eq!(cache.entry(k).order.len(), 6);
+        assert!(cache.entry(k).key.is_empty());
     }
 
+    /// The transposed table of a 4-lane entry: units never straddle a
+    /// colour, node `q` of all lanes is contiguous, tail units repeat their
+    /// last element, and a unit is pure only if every valid lane is.
     #[test]
-    fn simd_plan_units_respect_colours_and_transpose() {
-        let npe = 2usize;
-        // two colours: 5 + 3 elements; idx[pos] = [10·pos, 10·pos + 1]
-        let color_off = vec![0u32, 5, 8];
-        let idx: Vec<u32> = (0..8u32).flat_map(|p| [10 * p, 10 * p + 1]).collect();
-        // odd positions are mixed
-        let pure: Vec<u8> = (0..8).map(|p| u8::from(p % 2 == 0)).collect();
-        let plan = SimdPlan::build(&color_off, &idx, &pure, npe, KernelVariant::Avx2);
-        assert_eq!(plan.lanes, 4);
-        // colour 0 → one full unit + one 1-element tail; colour 1 → one tail
-        assert_eq!(plan.unit_off, vec![0, 2, 3]);
-        assert_eq!(plan.unit_base, vec![0, 4, 5]);
-        assert_eq!(plan.unit_len, vec![4, 1, 3]);
-        assert_eq!(plan.unit_toff, vec![0, 8, 16]);
-        // transposed: node q of lanes 0..4, contiguous; tail units pad the
-        // missing lanes with their last element (positions 4 and 7)
-        assert_eq!(
-            plan.tidx,
-            vec![
-                0, 10, 20, 30, 1, 11, 21, 31, // full unit, positions 0-3
-                40, 40, 40, 40, 41, 41, 41, 41, // 1-element tail, padded
-                50, 60, 70, 70, 51, 61, 71, 71, // 3-element tail, padded
-            ]
-        );
-        // a unit is pure only if every valid lane is; the padded lanes of
-        // the 1-element tail repeat pure position 4
-        assert_eq!(plan.unit_pure, vec![0, 1, 0]);
-        // scalar variant → no plan
-        let mut cache = GatherCache::default();
-        cache.entries.push(CompiledGather {
-            level: 0,
-            key: vec![],
-            order: (0..8).collect(),
-            color_off,
-            idx,
-            pure,
-            simd: None,
-        });
-        cache.ensure_plan(0, npe, KernelVariant::Avx2);
-        assert!(cache.entry(0).simd.is_some());
-        cache.ensure_plan(0, npe, KernelVariant::Scalar);
-        assert!(cache.entry(0).simd.is_none());
-    }
-
-    #[test]
-    fn compiled_order_is_colour_major_and_complete() {
-        let mut targets = |e: u32, out: &mut Vec<u32>| {
+    fn table_units_respect_colours_and_transpose() {
+        // element p gathers ids 10·p + q, q < 8; odd elements are mixed
+        let ids_of = |e: u32, out: &mut Vec<u32>| {
             out.clear();
-            out.push(e / 2); // pairs (0,1), (2,3), … conflict
+            out.extend((0..8).map(|q| 10 * e + q));
         };
-        let elems: Vec<u32> = (0..8).collect();
-        let mut cache = GatherCache::default();
-        let i = cache.get_or_build(0, &elems, 4, &mut targets, None, 1, None);
-        let en = cache.entry(i);
-        assert_eq!(en.color_off, vec![0, 4, 8]);
-        assert_eq!(en.order, vec![0, 2, 4, 6, 1, 3, 5, 7]);
-        let mut all: Vec<u32> = en.order.clone();
-        all.sort_unstable();
-        assert_eq!(all, elems);
-    }
-
-    #[test]
-    fn pure_flags_follow_the_level_of_every_gathered_dof() {
-        // chain: element e gathers nodes {e, e+1}; nodes 0..=3 on level 1,
-        // 4..=6 on level 0
-        let mut targets = |e: u32, out: &mut Vec<u32>| {
-            out.clear();
-            out.push(e);
-            out.push(e + 1);
-        };
-        let dof_level = [1u8, 1, 1, 1, 0, 0, 0];
+        let dof_level: Vec<u8> = (0..80u32).map(|id| u8::from((id / 10) % 2 == 0)).collect();
         let mask = LevelMask {
             dof_level: &dof_level,
             level: 1,
         };
-        let elems: Vec<u32> = (0..6).collect();
+        let src = IdSource {
+            np: 2,
+            n_elems: 8,
+            n_ids: 80,
+            comps: 1,
+            ids_of: &ids_of,
+            dof_order: None,
+        };
+        let mut en = CompiledGather {
+            level: 1,
+            key: Vec::new(),
+            order: (0..8).collect(),
+            variant: KernelVariant::Scalar,
+            lanes: 1,
+            unit_off: Vec::new(),
+            unit_pos: Vec::new(),
+            tidx: Vec::new(),
+            unit_pure: Vec::new(),
+        };
+        // two colours: 5 + 3 elements
+        en.build_table(&[0, 5, 8], &src, Some(mask), KernelVariant::Avx2);
+        assert_eq!(en.lanes, 4);
+        // colour 0 → one full unit + one 1-element tail; colour 1 → one tail
+        assert_eq!(en.unit_off, vec![0, 2, 3]);
+        assert_eq!(en.unit_pos, vec![0, 4, 5, 8]);
+        let lanes_of = [[0u32, 1, 2, 3], [4, 4, 4, 4], [5, 6, 7, 7]];
+        let want: Vec<u32> = lanes_of
+            .iter()
+            .flat_map(|lanes| (0..8).flat_map(move |q| lanes.map(|p| 10 * p + q)))
+            .collect();
+        assert_eq!(en.tidx, want);
+        // the padded lanes of the 1-element tail repeat pure element 4
+        assert_eq!(en.unit_pure, vec![0, 1, 0]);
+        // at width 1 the flags are per element
+        en.build_table(&[0, 5, 8], &src, Some(mask), KernelVariant::Scalar);
+        assert_eq!(en.unit_pure, vec![1, 0, 1, 0, 1, 0, 1, 0]);
+        assert_eq!(en.unit_off, vec![0, 5, 8]);
+    }
+
+    #[test]
+    fn compiled_order_is_colour_major_and_complete() {
+        // one id per element (np = 1): pairs (0,1), (2,3), … conflict
+        let ids_of = |e: u32, out: &mut Vec<u32>| {
+            out.clear();
+            out.push(e / 2);
+        };
+        let src = IdSource {
+            np: 1,
+            n_elems: 8,
+            n_ids: 4,
+            comps: 1,
+            ids_of: &ids_of,
+            dof_order: None,
+        };
+        let elems: Vec<u32> = (0..8).collect();
         let mut cache = GatherCache::default();
-        let i = cache.get_or_build(1, &elems, 7, &mut targets, Some(mask), 1, None);
+        let i = cache.get_or_build(0, &elems, &src, None, KernelVariant::Scalar);
         let en = cache.entry(i);
-        for (pos, &e) in en.order.iter().enumerate() {
-            assert_eq!(en.pure[pos], u8::from(e < 3), "element {e}");
+        assert_eq!(en.unit_off, vec![0, 4, 8]);
+        assert_eq!(en.unit_pos, (0..=8).collect::<Vec<u32>>());
+        assert_eq!(en.order, vec![0, 2, 4, 6, 1, 3, 5, 7]);
+        let mut all: Vec<u32> = en.order.clone();
+        all.sort_unstable();
+        assert_eq!(all, elems);
+        // every width keeps the colour-major order and cuts units inside
+        // the colour spans
+        for v in crate::simd::supported_variants() {
+            let mut cache = GatherCache::default();
+            let d = row(12);
+            let ids_of = |e: u32, out: &mut Vec<u32>| d.elem_nodes(e, out);
+            let elems: Vec<u32> = (0..12).collect();
+            let i = cache.get_or_build(0, &elems, &row_src(&d, &ids_of), None, v);
+            let en = cache.entry(i);
+            assert_eq!(en.order, vec![0, 2, 4, 6, 8, 10, 1, 3, 5, 7, 9, 11]);
+            let starts: Vec<u32> = en
+                .unit_off
+                .iter()
+                .map(|&k| en.unit_pos[k as usize])
+                .collect();
+            assert_eq!(starts, vec![0, 6, 12], "{v:?}");
+            assert!(units(en).iter().all(|u| u.len() <= en.lanes));
         }
-        assert_eq!(mask.factor(3), 1.0);
-        assert_eq!(mask.factor(4), 0.0);
+    }
+
+    #[test]
+    fn pure_flags_follow_the_level_of_every_gathered_dof() {
+        // 20 elements in a row; the x planes 0..=17 on level 1, the rest on
+        // level 0, so element e is pure iff e < 17
+        let d = row(20);
+        let dof_level: Vec<u8> = (0..d.n_nodes()).map(|g| u8::from(g % d.gx <= 17)).collect();
+        let mask = LevelMask {
+            dof_level: &dof_level,
+            level: 1,
+        };
+        let ids_of = |e: u32, out: &mut Vec<u32>| d.elem_nodes(e, out);
+        let src = row_src(&d, &ids_of);
+        let elems: Vec<u32> = (0..20).collect();
+        for (v, lanes) in [(KernelVariant::Scalar, 1), (KernelVariant::Avx512, 8)] {
+            let mut cache = GatherCache::default();
+            let i = cache.get_or_build(1, &elems, &src, Some(mask), v);
+            let en = cache.entry(i);
+            assert_eq!(en.lanes, lanes);
+            for (k, unit) in units(en).iter().enumerate() {
+                let pure = unit.iter().all(|&e| e < 17);
+                assert_eq!(en.unit_pure[k], u8::from(pure), "{v:?} unit {unit:?}");
+            }
+            assert!(en.unit_pure.contains(&0) && en.unit_pure.contains(&1));
+        }
+        assert_eq!(mask.factor(17), 1.0);
+        assert_eq!(mask.factor(18), 0.0);
         // three components per id: one off-level component makes it mixed
         let comp_level = [1u8, 1, 1, 1, 0, 1];
         let m3 = LevelMask {

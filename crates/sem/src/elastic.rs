@@ -292,8 +292,8 @@ impl CompiledOp for ElasticOperator {
     type Scratch = Scratch;
     const COMPS: usize = 3;
 
-    fn npe(&self) -> usize {
-        self.dofmap.nodes_per_elem()
+    fn np(&self) -> usize {
+        self.basis.n_points()
     }
 
     fn ids_of(&self, e: u32, out: &mut Vec<u32>) {

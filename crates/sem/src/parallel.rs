@@ -6,8 +6,8 @@
 //! without synchronization. Colours are processed one after another — the
 //! result is deterministic (within a colour every DOF receives
 //! contributions from exactly one element). The compiled masked products
-//! (`compiled.rs`) run their colour-major element order through
-//! `par_colored`.
+//! (`compiled.rs`) run the units of their colour-major element order
+//! through `par_colored`, serial runs included.
 //!
 //! This is the per-node parallelism of the paper's platform (8 cores per
 //! node under MPI); combined with `lts-runtime` it gives the familiar
@@ -38,19 +38,30 @@ impl ElementColoring {
     /// its gather-list re-representation, under any DOF relabelling) colour
     /// identically. Capped at 128 colours (a hex element has ≤ 26 sharing
     /// neighbours, so first-fit never needs more than 27).
+    ///
+    /// The 16-byte colour masks are kept per distinct target the list
+    /// touches, found through a zeroed 4-byte slot map over `n_targets`.
     pub fn greedy(
         elems: &[u32],
         n_targets: usize,
         targets_of: &mut dyn FnMut(u32, &mut Vec<u32>),
     ) -> ElementColoring {
-        let mut used = vec![0u128; n_targets];
+        // slot[t] = 1 + index into `used`; 0 = not yet touched
+        let mut slot = vec![0u32; n_targets];
+        let mut used: Vec<u128> = Vec::new();
         let mut classes: Vec<Vec<u32>> = Vec::new();
         let mut buf = Vec::new();
         for &e in elems {
             targets_of(e, &mut buf);
             let mut occupied: u128 = 0;
-            for &t in &buf {
-                occupied |= used[t as usize];
+            for t in buf.iter_mut() {
+                let s = &mut slot[*t as usize];
+                if *s == 0 {
+                    used.push(0);
+                    *s = used.len() as u32;
+                }
+                *t = *s - 1;
+                occupied |= used[*t as usize];
             }
             let c = (!occupied).trailing_zeros() as usize;
             assert!(c < 128, "greedy colouring needs more than 128 colours");
@@ -58,12 +69,35 @@ impl ElementColoring {
                 classes.push(Vec::new());
             }
             let bit = 1u128 << c;
-            for &t in &buf {
-                used[t as usize] |= bit;
+            for &s in &buf {
+                used[s as usize] |= bit;
             }
             classes[c].push(e);
         }
         ElementColoring { classes }
+    }
+
+    /// [`Self::greedy`] over the eight corner ids of hexahedral elements
+    /// whose `np³` ids `ids_of` yields in lattice order (`a + np·(b + np·c)`).
+    /// On a conforming hex mesh two elements share an id iff they share a
+    /// corner, so first-fit meets the same conflicts and gives exactly the
+    /// classes of colouring over all ids.
+    pub fn greedy_corners(
+        elems: &[u32],
+        n_targets: usize,
+        np: usize,
+        ids_of: &mut dyn FnMut(u32, &mut Vec<u32>),
+    ) -> ElementColoring {
+        let m = np.saturating_sub(1);
+        let corners: Vec<usize> = (0..8)
+            .map(|k| (k & 1) * m + (k >> 1 & 1) * m * np + (k >> 2) * m * np * np)
+            .collect();
+        let mut ids = Vec::new();
+        Self::greedy(elems, n_targets, &mut |e, out| {
+            ids_of(e, &mut ids);
+            out.clear();
+            out.extend(corners.iter().map(|&q| ids[q]));
+        })
     }
 
     /// Flatten into the colour-major `(order, color_off)` representation the
@@ -96,14 +130,14 @@ pub fn chunk_range(lo: usize, hi: usize, threads: usize, tid: usize) -> (usize, 
 
 /// Run a colour-major compiled order on `scratch.len()` OS threads.
 ///
-/// `f(pos, scratch, out)` processes the element at position `pos` of the
-/// compiled order. Each colour span `color_off[c]..color_off[c+1]` is split
-/// into one contiguous chunk per thread ([`chunk_range`]); a barrier
-/// separates colours. Within a colour no two elements share a scatter
-/// target, and every DOF receives at most one contribution per colour, so
-/// the accumulation order per DOF is exactly the colour order — the result
-/// is bitwise identical to a serial walk of the same compiled order, at any
-/// thread count.
+/// `f(k, scratch, out)` processes work item `k` of the compiled order (a
+/// unit of elements). Each colour span `color_off[c]..color_off[c+1]` of
+/// items is split into one contiguous chunk per thread ([`chunk_range`]); a
+/// barrier separates colours. Within a colour no two elements share a
+/// scatter target, and every DOF receives at most one contribution per
+/// colour, so the accumulation order per DOF is exactly the colour order —
+/// the result is bitwise identical to a serial walk of the same compiled
+/// order, at any thread count.
 pub(crate) fn par_colored<S: Send>(
     out: &mut [f64],
     color_off: &[u32],
@@ -188,6 +222,9 @@ mod tests {
         };
         let relabelled = ElementColoring::greedy(&elems, nn, &mut shifted);
         assert_eq!(coloring.classes, relabelled.classes);
+        // the corner path colours exactly like all ids
+        let corners = ElementColoring::greedy_corners(&elems, nn, 3, &mut targets);
+        assert_eq!(coloring.classes, corners.classes);
     }
 
     #[test]

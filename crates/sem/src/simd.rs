@@ -11,8 +11,8 @@
 //! the LTS determinism contract (`DESIGN.md` §9) is built on.
 //!
 //! Batched fields use a structure-of-arrays layout: value of lane `l` at
-//! local node `q` lives at `q * LANES + l`, so the transposed gather tables
-//! built in [`crate::compiled::SimdPlan`] stream contiguously into lanes.
+//! local node `q` lives at `q * LANES + l`, so the transposed id table of a
+//! [`crate::compiled::CompiledGather`] streams contiguously into lanes.
 //!
 //! Dispatch is by runtime CPU detection ([`KernelVariant`]): AVX-512F
 //! (8 lanes), AVX2 (4 lanes), NEON (2 lanes), with a scalar fallback that
@@ -703,10 +703,20 @@ macro_rules! by_np {
     };
 }
 
+/// The width a compiled entry runs `np`-point elements at under a supported
+/// variant `v`: `v.lanes()` where `batch_*_stiffness` instantiate `np`
+/// (orders 1–16), else 1, which runs the per-element scalar kernel.
+pub(crate) fn batch_lanes(v: KernelVariant, np: usize) -> usize {
+    if (2..=17).contains(&np) {
+        v.lanes()
+    } else {
+        1
+    }
+}
+
 /// Dispatch one acoustic batch of `np`-point elements to `v`'s kernel.
-/// Returns `false` when `v` has no batched kernel (scalar variant, or a
-/// build without the matching ISA) — the caller then falls back to the
-/// per-element path.
+/// Returns `false` when `v` has no batched kernel for `np` (exactly where
+/// [`batch_lanes`] is 1).
 #[inline]
 #[must_use]
 pub(crate) fn batch_scalar_stiffness(
@@ -749,7 +759,7 @@ pub(crate) fn batch_scalar_stiffness(
 }
 
 /// Dispatch one elastic batch of `np`-point elements to `v`'s kernel;
-/// `false` = no batched kernel for `v`, use the per-element path.
+/// `false` = no batched kernel for `v` and `np` (where [`batch_lanes`] is 1).
 #[inline]
 #[must_use]
 #[allow(clippy::too_many_arguments)]
@@ -942,6 +952,39 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn batch_lanes_mirror_the_kernel_dispatch() {
+        for v in supported_variants() {
+            for np in [1usize, 2, 5, 17, 18] {
+                let (d, w3) = if (2..=17).contains(&np) {
+                    let basis = GllBasis::new(np - 1);
+                    (basis.d, basis.wgll3)
+                } else {
+                    (Vec::new(), Vec::new())
+                };
+                let n = np.pow(3) * v.lanes();
+                let z = |k: usize| vec![0.0; k * n];
+                let (mut a, mut b, mut c, mut o) = (z(1), z(9), z(1), z(3));
+                let acoustic =
+                    batch_scalar_stiffness(v, np, &d, &w3, &Default::default(), &z(1), &mut a);
+                let elastic = batch_elastic_stiffness(
+                    v,
+                    np,
+                    &d,
+                    &w3,
+                    &Default::default(),
+                    &z(3),
+                    &mut b,
+                    &mut c,
+                    &mut o,
+                );
+                let want = if acoustic { v.lanes() } else { 1 };
+                assert_eq!(acoustic, elastic, "{v:?} np {np}");
+                assert_eq!(batch_lanes(v, np), want, "{v:?} np {np}");
             }
         }
     }

@@ -195,8 +195,8 @@ impl CompiledOp for UnstructuredAcoustic {
     type Scratch = ScalarScratch;
     const COMPS: usize = 1;
 
-    fn npe(&self) -> usize {
-        self.npe
+    fn np(&self) -> usize {
+        self.basis.n_points()
     }
 
     fn ids_of(&self, e: u32, out: &mut Vec<u32>) {
@@ -368,8 +368,8 @@ impl CompiledOp for UnstructuredElastic {
     type Scratch = Scratch;
     const COMPS: usize = 3;
 
-    fn npe(&self) -> usize {
-        self.npe
+    fn np(&self) -> usize {
+        self.basis.n_points()
     }
 
     fn ids_of(&self, e: u32, out: &mut Vec<u32>) {

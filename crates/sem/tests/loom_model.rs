@@ -152,15 +152,16 @@ fn dfs(
     }
 }
 
-/// Greedy-colour a full structured mesh and flatten it, returning the model
-/// inputs plus the scatter-target closure's backing dofmap.
+/// Greedy-colour a full structured mesh over its element corners, as the
+/// compiled gather lists do, and flatten it, returning the model inputs
+/// plus the scatter-target closure's backing dofmap.
 fn colored_mesh(nx: usize, ny: usize, nz: usize, order: usize) -> (DofMap, Vec<u32>, Vec<u32>) {
     let m = HexMesh::uniform(nx, ny, nz, 1.0, 1.0);
     let d = DofMap::new(&m, order);
     let elems: Vec<u32> = (0..d.n_elems() as u32).collect();
     let n_nodes = d.n_nodes();
     let mut targets = |e: u32, out: &mut Vec<u32>| d.elem_nodes(e, out);
-    let coloring = ElementColoring::greedy(&elems, n_nodes, &mut targets);
+    let coloring = ElementColoring::greedy_corners(&elems, n_nodes, order + 1, &mut targets);
     let (order_list, color_off) = coloring.flatten();
     (d, order_list, color_off)
 }

@@ -5,7 +5,8 @@
 //!
 //! * `run` (default) — execute the scenario matrix and write a BENCH
 //!   document. `--smoke true` runs the CI subset; `--out` picks the path
-//!   (default `BENCH_lts.json`).
+//!   (default `BENCH_lts.json`). `LTS_FLIGHT` sets the flight-ring size
+//!   (`0` = recorder off); a value that is not an integer exits 2.
 //! * `validate` — structural check of `--file <path>`; exit 1 on failure.
 //! * `compare` — the `bench-compare` gate: `--baseline` vs `--current`.
 //!   Scenario parameters and counters must match exactly. Exit 1 on any
@@ -14,8 +15,9 @@
 //! Wall time is not recorded here; perfbench is the timing instrument.
 
 use lts_bench::profile::{compare_bench, run_suite, validate_bench, COUNTERS};
-use lts_bench::{Args, Table};
+use lts_bench::{usage_error, Args, Table};
 use lts_obs::Json;
+use lts_runtime::flight_capacity_from_env;
 
 fn read_doc(path: &str) -> Json {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -35,7 +37,8 @@ fn main() {
         "run" => {
             let smoke: bool = args.get("smoke", false);
             let out: String = args.get("out", "BENCH_lts.json".to_string());
-            let doc = run_suite(smoke);
+            let flight = flight_capacity_from_env().unwrap_or_else(|e| usage_error(&e));
+            let doc = run_suite(smoke, flight);
             validate_bench(&doc).expect("generated document must validate");
             let mut header = vec!["scenario", "n_levels"];
             header.extend(COUNTERS.map(|(key, _)| key));

@@ -163,9 +163,10 @@ pub fn matrix(smoke: bool) -> Vec<Scenario> {
     out
 }
 
-/// Run one scenario and return its result object; every counter in
-/// `"counters"` is deterministic.
-pub fn run_scenario(sc: &Scenario) -> Json {
+/// Run one scenario with a flight ring of `flight_capacity` events per
+/// rank (`0` = recorder off) and return its result object; every counter
+/// in `"counters"` is deterministic, with the recorder on or off.
+pub fn run_scenario(sc: &Scenario, flight_capacity: usize) -> Json {
     let b = sc.build_mesh();
     let part = partition_mesh(&b.mesh, &b.levels, sc.ranks, sc.strategy_enum(), sc.seed);
     let problem = Acoustic {
@@ -183,6 +184,7 @@ pub fn run_scenario(sc: &Scenario) -> Json {
         sources: &[Source::ricker(0, 0.3, 1.0, 1.0)],
         cfg: DistributedConfig {
             overlap: sc.overlap,
+            flight_capacity,
             ..DistributedConfig::new(sc.ranks)
         },
     };
@@ -211,12 +213,12 @@ pub fn run_scenario(sc: &Scenario) -> Json {
 }
 
 /// Run the matrix and build the `BENCH_lts.json` document.
-pub fn run_suite(smoke: bool) -> Json {
+pub fn run_suite(smoke: bool, flight_capacity: usize) -> Json {
     let scenarios = matrix(smoke);
     let mut out = Vec::with_capacity(scenarios.len());
     for sc in &scenarios {
         eprintln!("# lts-profile: {}", sc.id());
-        out.push(run_scenario(sc));
+        out.push(run_scenario(sc, flight_capacity));
     }
     Json::Obj(vec![
         ("schema".to_string(), Json::str(SCHEMA)),
@@ -323,6 +325,7 @@ pub fn compare_bench(baseline: &Json, current: &Json) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lts_obs::FlightRecorder;
 
     fn tiny() -> Scenario {
         Scenario {
@@ -343,7 +346,10 @@ mod tests {
             ("smoke".to_string(), Json::Bool(true)),
             (
                 "scenarios".to_string(),
-                Json::Arr(vec![run_scenario(&tiny())]),
+                Json::Arr(vec![run_scenario(
+                    &tiny(),
+                    FlightRecorder::DEFAULT_CAPACITY,
+                )]),
             ),
         ])
     }
@@ -407,8 +413,8 @@ mod tests {
 
     #[test]
     fn counters_are_deterministic_across_runs() {
-        let a = run_scenario(&tiny());
-        let b = run_scenario(&tiny());
+        let a = run_scenario(&tiny(), FlightRecorder::DEFAULT_CAPACITY);
+        let b = run_scenario(&tiny(), FlightRecorder::DEFAULT_CAPACITY);
         for (key, _) in COUNTERS {
             let av = counter(&a, key);
             let bv = counter(&b, key);

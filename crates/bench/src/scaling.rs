@@ -6,8 +6,8 @@
 //! ("normalized performance" = total speed-up over the reference code).
 
 use lts_mesh::BenchmarkMesh;
-use lts_partition::{partition_mesh, Strategy};
-use lts_perfmodel::cluster::{simulate, MachineModel, PartitionShape};
+use lts_partition::{partition_mesh, PartitionShape, Strategy};
+use lts_perfmodel::cluster::{simulate, MachineModel};
 
 /// One scaling curve: normalized performance per node count.
 #[derive(Debug, Clone)]

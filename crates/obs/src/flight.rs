@@ -154,11 +154,6 @@ impl FlightRecorder {
         }
     }
 
-    /// A recorder that ignores every `record` call.
-    pub fn disabled() -> FlightRecorder {
-        FlightRecorder::new(0)
-    }
-
     pub fn enabled(&self) -> bool {
         self.buf.capacity() > 0
     }
@@ -777,7 +772,7 @@ mod tests {
 
     #[test]
     fn disabled_recorder_records_nothing() {
-        let mut r = FlightRecorder::disabled();
+        let mut r = FlightRecorder::new(0);
         assert!(!r.enabled());
         r.record(EventKind::Fault, NO_LEVEL, 0, NO_PEER, 0);
         assert!(r.is_empty());

@@ -32,11 +32,6 @@ impl<'a> Span<'a> {
         }
     }
 
-    /// Seconds elapsed since this span started.
-    pub fn elapsed_s(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
-    }
-
     /// Discard the span: nothing is recorded on drop.
     pub fn cancel(mut self) {
         self.cancelled = true;

@@ -26,7 +26,6 @@
 // mirrors the subscripts in the paper's equations, which zip chains obscure.
 #![allow(clippy::needless_range_loop)]
 pub mod assignment;
-pub mod costed;
 pub mod graph;
 pub mod hgraph;
 pub mod hmultilevel;
@@ -40,7 +39,5 @@ pub mod strategy;
 
 pub use graph::Graph;
 pub use hgraph::HGraph;
-pub use metrics::{
-    edge_cut, exchange_oracle, load_imbalance, mpi_volume, ExchangeOracle, ImbalanceReport,
-};
+pub use metrics::{edge_cut, load_imbalance, mpi_volume, ImbalanceReport, PartitionShape};
 pub use strategy::{partition_mesh, partition_mesh_observed, Strategy};

@@ -1,8 +1,11 @@
 //! Partition quality metrics of Sec. IV-B: the load imbalance of Eq. 21
 //! (total and per p-level), the weighted dual-graph edge cut, and the exact
-//! MPI communication volume per LTS cycle (hypergraph connectivity-1 cut).
+//! MPI communication volume per LTS cycle (hypergraph connectivity-1 cut),
+//! and the per-rank, per-level [`PartitionShape`] the runtime's exchange and
+//! the cluster model both follow.
 
 use lts_mesh::{DualGraph, HexMesh, Levels, NodalHypergraph};
+use std::collections::BTreeSet;
 
 /// Load-imbalance report (Eq. 21): `(max − min) / max × 100` where the load
 /// of a part is the sum of its elements' `p`-weights.
@@ -71,146 +74,147 @@ pub fn mpi_volume(mesh: &HexMesh, levels: &Levels, part: &[u32]) -> u64 {
     NodalHypergraph::build(mesh, Some(levels)).cut_size(part)
 }
 
-/// Closed-form per-level prediction of what the runtime's deterministic
-/// counters must read after one global step, computed from mesh topology,
-/// levels and the element partition alone.
+/// Per-rank, per-level shape of a K-way partition: what each rank does in
+/// one level-`l` force evaluation (`LevelForce::force`), replayed on the
+/// corner nodes from the mesh, the levels and the partition alone.
 ///
-/// The runtime's exchange (`lts-runtime/src/exchange.rs`) sends, for every
-/// level-`l` force evaluation (`LevelForce::force`) and every interface DOF
-/// in `touched[l]` shared by `λ ≥ 2` ranks, one partial value along each
-/// *ordered* rank pair — so a single shared DOF contributes `λ(λ−1)` sent
-/// values per call. That is a redundant-assembly volume, deliberately *not*
-/// the connectivity-1 cut of [`mpi_volume`] (which counts `λ−1` per DOF
-/// with `Σ p` net costs).
+/// It follows the set definitions of `LtsSetup` and the runtime's
+/// `build_plans`: a node's level is the max level of its adjacent elements,
+/// `elems[l]` holds the elements with a corner node of level exactly `l`,
+/// `touched[l]` the nodes of those elements, and λ is the number of ranks
+/// holding a node. In each level-`l` call a rank applies its part of
+/// `elems[l]` and sends, for every shared `touched[l]` node it holds, one
+/// partial to each of the other λ−1 ranks: a redundant-assembly volume,
+/// deliberately *not* the connectivity-1 cut of [`mpi_volume`].
 ///
-/// Exact when the discretisation's DOFs coincide with the mesh corner nodes,
-/// i.e. polynomial order 1 — the integration tests run at that order and
-/// assert bitwise equality with the runtime registry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExchangeOracle {
-    /// Level-`l` force evaluations per global step: `2^l`.
-    pub calls: Vec<u64>,
-    /// `|elems[l]|` — elements applied per level-`l` force evaluation.
+/// Exact when the DOFs are the mesh corner nodes (polynomial order 1):
+/// after `steps` global steps rank `r`'s level-`l` runtime counters read
+/// `steps · 2^l · {ops, vol, peers}[r][l]`. The cluster model
+/// (`lts-perfmodel`) reads the same values as its work and exchange terms.
+#[derive(Debug, Clone)]
+pub struct PartitionShape {
+    pub k: usize,
+    pub n_levels: usize,
+    /// `ops[r][l]`: elements of rank `r` in `elems[l]`.
+    pub ops: Vec<Vec<u64>>,
+    /// `boundary_ops[r][l]`: the subset of `ops[r][l]` with a node another
+    /// rank holds (computed before the sends when overlapping).
+    pub boundary_ops: Vec<Vec<u64>>,
+    /// `vol[r][l]`: values rank `r` sends per level-`l` call,
+    /// `Σ (λ−1)` over the shared `touched[l]` nodes it holds.
+    pub vol: Vec<Vec<u64>>,
+    /// `peers[r][l]`: ranks sharing a `touched[l]` node with rank `r`, one
+    /// message to each per level-`l` call.
+    pub peers: Vec<Vec<u64>>,
+    /// Elements per rank.
     pub elems: Vec<u64>,
-    /// Masked element applications per global step: `calls[l] · |elems[l]|`.
-    pub elem_ops: Vec<u64>,
-    /// DOF values sent per global step at level `l`:
-    /// `calls[l] · Σ_{d ∈ touched[l], λ_d ≥ 2} λ_d(λ_d − 1)`.
-    pub dofs_sent: Vec<u64>,
-    /// Point-to-point messages per global step at level `l`:
-    /// `calls[l] · 2 · #{unordered rank pairs sharing a touched[l] DOF}`.
-    pub msgs_sent: Vec<u64>,
+    /// `Σ (λ−1)` over every shared node of rank `r`: what one step sends
+    /// when the whole interface is exchanged (the non-LTS reference).
+    pub all_vol: Vec<u64>,
+    /// Ranks sharing any node with rank `r`.
+    pub all_peers: Vec<u64>,
 }
 
-impl ExchangeOracle {
-    pub fn total_elem_ops(&self) -> u64 {
-        self.elem_ops.iter().sum()
-    }
-
-    pub fn total_dofs_sent(&self) -> u64 {
-        self.dofs_sent.iter().sum()
-    }
-
-    pub fn total_msgs_sent(&self) -> u64 {
-        self.msgs_sent.iter().sum()
-    }
-}
-
-/// Predict the runtime's per-level exchange counters for one global step.
-///
-/// Replays `LtsSetup`'s set definitions on the corner nodes: a node's level
-/// is the max level of its adjacent elements, `elems[k]` are the elements
-/// containing at least one node of level exactly `k`, and `touched[k]` is
-/// the union of those elements' nodes.
-pub fn exchange_oracle(mesh: &HexMesh, levels: &Levels, part: &[u32]) -> ExchangeOracle {
-    assert_eq!(part.len(), mesh.n_elems());
-    assert_eq!(part.len(), levels.elem_level.len());
-    let nl = levels.n_levels;
-    let n_nodes = mesh.n_corner_nodes();
-
-    // Node adjacency, node levels, and the inverse element → node lists.
-    let mut node_level = vec![0u8; n_nodes];
-    let mut node_elems: Vec<Vec<u32>> = Vec::with_capacity(n_nodes);
-    let mut elem_nodes: Vec<Vec<u32>> = vec![Vec::new(); mesh.n_elems()];
-    for n in 0..n_nodes as u32 {
-        let es = mesh.node_elems(n);
-        node_level[n as usize] = es
-            .iter()
-            .map(|&e| levels.elem_level[e as usize])
-            .max()
-            .expect("corner node adjacent to no element");
-        for &e in &es {
-            elem_nodes[e as usize].push(n);
-        }
-        node_elems.push(es);
-    }
-
-    // The set of ranks owning each node, sorted and deduplicated once.
-    let node_ranks: Vec<Vec<u32>> = node_elems
-        .iter()
-        .map(|es| {
-            let mut rs: Vec<u32> = es.iter().map(|&e| part[e as usize]).collect();
-            rs.sort_unstable();
-            rs.dedup();
-            rs
-        })
-        .collect();
-
-    // elems[k]: elements containing ≥ 1 node of level exactly k.
-    let mut elems_k: Vec<Vec<u32>> = vec![Vec::new(); nl];
-    let mut level_seen = vec![false; nl];
-    for (e, ns) in elem_nodes.iter().enumerate() {
-        level_seen.iter_mut().for_each(|s| *s = false);
-        for &n in ns {
-            level_seen[node_level[n as usize] as usize] = true;
-        }
-        for (k, &seen) in level_seen.iter().enumerate() {
-            if seen {
-                elems_k[k].push(e as u32);
-            }
-        }
-    }
-
-    let mut calls = vec![0u64; nl];
-    let mut elems = vec![0u64; nl];
-    let mut elem_ops = vec![0u64; nl];
-    let mut dofs_sent = vec![0u64; nl];
-    let mut msgs_sent = vec![0u64; nl];
-    // Stamp array dedups touched[k] node traversal without re-allocating.
-    let mut stamp = vec![usize::MAX; n_nodes];
-    for k in 0..nl {
-        calls[k] = 1u64 << k;
-        elems[k] = elems_k[k].len() as u64;
-        elem_ops[k] = calls[k] * elems[k];
-        let mut lambda_sum = 0u64;
-        let mut pairs = std::collections::BTreeSet::new();
-        for &e in &elems_k[k] {
-            for &n in &elem_nodes[e as usize] {
-                if stamp[n as usize] == k {
-                    continue;
-                }
-                stamp[n as usize] = k;
-                let rs = &node_ranks[n as usize];
-                let lambda = rs.len() as u64;
-                if lambda >= 2 {
-                    lambda_sum += lambda * (lambda - 1);
-                    for i in 0..rs.len() {
-                        for j in i + 1..rs.len() {
-                            pairs.insert((rs[i], rs[j]));
-                        }
-                    }
+impl PartitionShape {
+    pub fn new(mesh: &HexMesh, levels: &Levels, part: &[u32], k: usize) -> Self {
+        assert_eq!(part.len(), mesh.n_elems());
+        assert_eq!(part.len(), levels.elem_level.len());
+        let nl = levels.n_levels;
+        assert!(nl <= 32, "{nl} levels do not fit the level bit masks");
+        let nn = mesh.n_corner_nodes();
+        let mut node_level = vec![0u8; nn];
+        let mut node_ranks: Vec<Vec<u32>> = vec![Vec::new(); nn];
+        for (e, &r) in part.iter().enumerate() {
+            for n in mesh.elem_corners(e as u32) {
+                let n = n as usize;
+                node_level[n] = node_level[n].max(levels.elem_level[e]);
+                if !node_ranks[n].contains(&r) {
+                    node_ranks[n].push(r);
                 }
             }
         }
-        dofs_sent[k] = calls[k] * lambda_sum;
-        msgs_sent[k] = calls[k] * 2 * pairs.len() as u64;
+
+        // An element lies in elems[l] for each level l of its corners, and
+        // its nodes lie in touched[l] for the same levels: bit l of `touched`.
+        let mut ops = vec![vec![0u64; nl]; k];
+        let mut boundary_ops = vec![vec![0u64; nl]; k];
+        let mut elems = vec![0u64; k];
+        let mut touched = vec![0u32; nn];
+        for (e, &r) in part.iter().enumerate() {
+            let corners = mesh.elem_corners(e as u32);
+            let mask = corners
+                .iter()
+                .fold(0u32, |m, &n| m | 1 << node_level[n as usize]);
+            let boundary = corners.iter().any(|&n| node_ranks[n as usize].len() >= 2);
+            let r = r as usize;
+            elems[r] += 1;
+            for l in (0..nl).filter(|&l| mask >> l & 1 == 1) {
+                ops[r][l] += 1;
+                boundary_ops[r][l] += u64::from(boundary);
+            }
+            for n in corners {
+                touched[n as usize] |= mask;
+            }
+        }
+
+        let mut vol = vec![vec![0u64; nl]; k];
+        let mut all_vol = vec![0u64; k];
+        let mut peer_sets = vec![vec![BTreeSet::new(); nl]; k];
+        let mut all_peer_sets = vec![BTreeSet::new(); k];
+        for (n, ranks) in node_ranks.iter().enumerate() {
+            if ranks.len() < 2 {
+                continue;
+            }
+            let sent = ranks.len() as u64 - 1;
+            for &r in ranks {
+                let others = ranks.iter().filter(|&&p| p != r);
+                let r = r as usize;
+                all_vol[r] += sent;
+                all_peer_sets[r].extend(others.clone());
+                for l in (0..nl).filter(|&l| touched[n] >> l & 1 == 1) {
+                    vol[r][l] += sent;
+                    peer_sets[r][l].extend(others.clone());
+                }
+            }
+        }
+        let count = |s: &BTreeSet<u32>| s.len() as u64;
+        PartitionShape {
+            k,
+            n_levels: nl,
+            ops,
+            boundary_ops,
+            vol,
+            peers: peer_sets
+                .iter()
+                .map(|per_level| per_level.iter().map(count).collect())
+                .collect(),
+            elems,
+            all_vol,
+            all_peers: all_peer_sets.iter().map(count).collect(),
+        }
     }
-    ExchangeOracle {
-        calls,
-        elems,
-        elem_ops,
-        dofs_sent,
-        msgs_sent,
+
+    /// Masked element products per global step, per level:
+    /// `2^l · Σ_r ops[r][l]`.
+    pub fn elem_ops(&self) -> Vec<u64> {
+        self.per_step(&self.ops)
+    }
+
+    /// DOF values sent per global step, per level: `2^l · Σ_r vol[r][l]`.
+    pub fn dofs_sent(&self) -> Vec<u64> {
+        self.per_step(&self.vol)
+    }
+
+    /// Point-to-point messages per global step, per level:
+    /// `2^l · Σ_r peers[r][l]`.
+    pub fn msgs_sent(&self) -> Vec<u64> {
+        self.per_step(&self.peers)
+    }
+
+    fn per_step(&self, per_rank: &[Vec<u64>]) -> Vec<u64> {
+        (0..self.n_levels)
+            .map(|l| (1u64 << l) * per_rank.iter().map(|v| v[l]).sum::<u64>())
+            .collect()
     }
 }
 
@@ -308,26 +312,31 @@ mod tests {
         assert_eq!(rep.part_load[0], rep.part_load[1]);
     }
 
-    // --- exchange_oracle -------------------------------------------------
+    // --- PartitionShape totals ------------------------------------------
     //
     // two_level_row geometry: 8 elements in a row, elems 6,7 at level 1.
     // Corner-node slices i = 0..=8 hold 4 nodes each; slice i touches elems
     // i−1 and i. Node level = max adjacent elem level, so slices 6,7,8 are
     // level 1. elems[0] = {0..5} (elem 5's slice-5 nodes are level 0),
     // elems[1] = {5,6,7}; touched[0] = slices 0..=6, touched[1] = slices
-    // 5..=8. calls = [1, 2].
+    // 5..=8. Level-l calls per step: 2^l = [1, 2].
+
+    fn shape(m: &HexMesh, lv: &Levels, part: &[u32]) -> PartitionShape {
+        let k = *part.iter().max().unwrap() as usize + 1;
+        PartitionShape::new(m, lv, part, k)
+    }
 
     #[test]
     fn oracle_structure_on_two_level_row() {
         let (m, lv) = two_level_row();
         let part = vec![0u32; 8];
-        let o = exchange_oracle(&m, &lv, &part);
-        assert_eq!(o.calls, vec![1, 2]);
-        assert_eq!(o.elems, vec![6, 3]);
-        assert_eq!(o.elem_ops, vec![6, 6]);
+        let o = shape(&m, &lv, &part);
+        assert_eq!(o.n_levels, 2);
+        assert_eq!(o.ops, vec![vec![6, 3]]);
+        assert_eq!(o.elem_ops(), vec![6, 6]);
         // single part → nothing crosses
-        assert_eq!(o.total_dofs_sent(), 0);
-        assert_eq!(o.total_msgs_sent(), 0);
+        assert_eq!(o.dofs_sent(), vec![0, 0]);
+        assert_eq!(o.msgs_sent(), vec![0, 0]);
     }
 
     #[test]
@@ -336,11 +345,11 @@ mod tests {
         // cut between elems 3 | 4: the 4 shared slice-4 nodes are level 0
         // and lie only in touched[0]
         let part = vec![0, 0, 0, 0, 1, 1, 1, 1];
-        let o = exchange_oracle(&m, &lv, &part);
+        let o = shape(&m, &lv, &part);
         // 4 nodes × λ(λ−1) = 2, 1 call at level 0
-        assert_eq!(o.dofs_sent, vec![8, 0]);
+        assert_eq!(o.dofs_sent(), vec![8, 0]);
         // one rank pair → 2 messages per call
-        assert_eq!(o.msgs_sent, vec![2, 0]);
+        assert_eq!(o.msgs_sent(), vec![2, 0]);
     }
 
     #[test]
@@ -349,9 +358,9 @@ mod tests {
         // cut between elems 6 | 7: the 4 shared slice-7 nodes are level 1
         // and lie only in touched[1], exchanged on each of the 2 calls
         let part = vec![0, 0, 0, 0, 0, 0, 0, 1];
-        let o = exchange_oracle(&m, &lv, &part);
-        assert_eq!(o.dofs_sent, vec![0, 16]);
-        assert_eq!(o.msgs_sent, vec![0, 4]);
+        let o = shape(&m, &lv, &part);
+        assert_eq!(o.dofs_sent(), vec![0, 16]);
+        assert_eq!(o.msgs_sent(), vec![0, 4]);
     }
 
     #[test]
@@ -363,10 +372,10 @@ mod tests {
         let lv = Levels::assign(&m, 0.5, 4);
         assert_eq!(lv.n_levels, 1);
         let part = vec![0, 1, 2, 3];
-        let o = exchange_oracle(&m, &lv, &part);
-        assert_eq!(o.dofs_sent, vec![2 * 12 + 8 * 2]);
+        let o = shape(&m, &lv, &part);
+        assert_eq!(o.dofs_sent(), vec![2 * 12 + 8 * 2]);
         // all 6 unordered rank pairs share a centre node
-        assert_eq!(o.msgs_sent, vec![2 * 6]);
-        assert_eq!(o.elem_ops, vec![4]);
+        assert_eq!(o.msgs_sent(), vec![2 * 6]);
+        assert_eq!(o.elem_ops(), vec![4]);
     }
 }

@@ -32,45 +32,16 @@ pub fn partition_scotch_p_with(
     seed: u64,
     mapping: MappingMethod,
 ) -> Vec<u32> {
-    partition_scotch_p_full(mesh, levels, None, k, seed, mapping)
-}
-
-/// SCOTCH-P with per-element costs (heterogeneous physics, Sec. III-A1).
-pub fn partition_scotch_p_costed(
-    mesh: &HexMesh,
-    levels: &Levels,
-    costs: &[u32],
-    k: usize,
-    seed: u64,
-) -> Vec<u32> {
-    partition_scotch_p_full(mesh, levels, Some(costs), k, seed, MappingMethod::Greedy)
-}
-
-fn partition_scotch_p_full(
-    mesh: &HexMesh,
-    levels: &Levels,
-    costs: Option<&[u32]>,
-    k: usize,
-    seed: u64,
-    mapping: MappingMethod,
-) -> Vec<u32> {
     assert!(k >= 1);
     let ne = mesh.n_elems();
     assert!(k <= ne);
     let dual = DualGraph::build_weighted(mesh, levels);
-    let vwgt: Vec<u32> = match costs {
-        Some(c) => {
-            assert_eq!(c.len(), ne);
-            c.to_vec()
-        }
-        None => vec![1; ne],
-    };
     let full = Graph {
         xadj: dual.xadj.clone(),
         adj: dual.adj.clone(),
         ewgt: dual.ewgt.clone(),
         ncon: 1,
-        vwgt,
+        vwgt: vec![1; ne],
     };
 
     let mut assignment = vec![u32::MAX; ne];

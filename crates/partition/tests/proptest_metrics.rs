@@ -1,8 +1,8 @@
 //! Property-based tests of the partition quality metrics (Eq. 21) and the
-//! deterministic exchange oracle.
+//! per-level totals of the partition shape.
 
 use lts_mesh::{HexMesh, Levels};
-use lts_partition::{exchange_oracle, load_imbalance};
+use lts_partition::{load_imbalance, PartitionShape};
 use proptest::prelude::*;
 
 /// Random synthetic level assignments (no mesh needed: Eq. 21 only reads
@@ -55,8 +55,8 @@ proptest! {
         prop_assert!(rep.part_load.windows(2).all(|w| w[0] == w[1]));
     }
 
-    /// The exchange oracle reports no traffic for an unsplit mesh, and its
-    /// work terms match the LTS closed form `calls[l] = 2^l`.
+    /// The partition shape reports no traffic for an unsplit mesh, and its
+    /// work terms match the LTS closed form of `2^l` calls per step.
     #[test]
     fn oracle_consistent_on_random_meshes(nx in 2usize..6, ny in 2usize..5, nz in 1usize..4,
                                           paint in 0usize..3) {
@@ -67,17 +67,16 @@ proptest! {
         }
         let lv = Levels::assign(&m, 0.5, 4);
         let single = vec![0u32; m.n_elems()];
-        let o = exchange_oracle(&m, &lv, &single);
-        prop_assert_eq!(o.total_dofs_sent(), 0);
-        prop_assert_eq!(o.total_msgs_sent(), 0);
-        for (l, &c) in o.calls.iter().enumerate() {
-            prop_assert_eq!(c, 1u64 << l);
-            prop_assert_eq!(o.elem_ops[l], c * o.elems[l]);
+        let o = PartitionShape::new(&m, &lv, &single, 1);
+        prop_assert!(o.dofs_sent().iter().all(|&d| d == 0));
+        prop_assert!(o.msgs_sent().iter().all(|&n| n == 0));
+        for (l, &ops) in o.elem_ops().iter().enumerate() {
+            prop_assert_eq!(ops, (1u64 << l) * o.ops[0][l]);
         }
         // splitting in two can only add traffic, never element work
         let split: Vec<u32> = (0..m.n_elems() as u32).map(|e| e % 2).collect();
-        let o2 = exchange_oracle(&m, &lv, &split);
-        prop_assert!(o2.total_dofs_sent() > 0);
-        prop_assert_eq!(o2.elem_ops, o.elem_ops);
+        let o2 = PartitionShape::new(&m, &lv, &split, 2);
+        prop_assert!(o2.dofs_sent().iter().sum::<u64>() > 0);
+        prop_assert_eq!(o2.elem_ops(), o.elem_ops());
     }
 }

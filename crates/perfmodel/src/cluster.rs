@@ -1,9 +1,11 @@
 //! The bulk-synchronous cluster model.
 //!
-//! For a K-way element partition the model extracts, per rank and per level,
-//! (a) the masked-product element counts (work), (b) the interface corner
-//! nodes by node level (communication volume), and (c) the neighbour count
-//! (message latency). One LTS cycle then costs
+//! For a K-way element partition the model reads, per rank and per level,
+//! the [`PartitionShape`] of `lts-partition`: (a) the masked-product element
+//! counts (work), (b) the partial values one level-`l` call sends
+//! (communication volume), and (c) the neighbour count (message latency) —
+//! the same extraction the runtime's deterministic counters equal exactly
+//! at order 1. One LTS cycle then costs
 //!
 //! ```text
 //! T_cycle = Σ_l 2^l · max_r [ launch + ops_l(r)·t_elem(r) + α·peers_l(r) + β·vol_l(r) ]
@@ -13,7 +15,7 @@
 //! stepped at the finest rate. Performance is reported as simulated seconds
 //! per wall second (`Δt / T_cycle`), normalised by the caller.
 
-use lts_mesh::{HexMesh, Levels};
+use lts_partition::PartitionShape;
 
 /// First-order machine model of one rank (a CPU node or a GPU).
 #[derive(Debug, Clone, Copy)]
@@ -105,105 +107,6 @@ impl MachineModel {
     }
 }
 
-/// Per-rank, per-level shape of a partition: everything the model needs.
-#[derive(Debug, Clone)]
-pub struct PartitionShape {
-    pub k: usize,
-    pub n_levels: usize,
-    /// `ops[r][l]`: elements of rank `r` in the level-`l` masked product
-    /// (level-`l` elements plus coarser neighbours of the level boundary).
-    pub ops: Vec<Vec<u64>>,
-    /// `boundary_ops[r][l]`: the subset of `ops[r][l]` touching another
-    /// rank (must be computed before sends when overlapping).
-    pub boundary_ops: Vec<Vec<u64>>,
-    /// `vol[r][l]`: interface corner nodes of rank `r` whose node level is
-    /// `l` (each exchanged `2^l` times per cycle).
-    pub vol: Vec<Vec<u64>>,
-    /// `peers[r][l]`: distinct neighbour ranks at that level.
-    pub peers: Vec<Vec<u64>>,
-    /// Total elements per rank.
-    pub elems: Vec<u64>,
-}
-
-impl PartitionShape {
-    pub fn new(mesh: &HexMesh, levels: &Levels, partition: &[u32], k: usize) -> Self {
-        assert_eq!(partition.len(), mesh.n_elems());
-        let nl = levels.n_levels;
-        // corner-node levels: max adjacent element level
-        let nn = mesh.n_corner_nodes();
-        let mut node_level = vec![0u8; nn];
-        let mut node_ranks: Vec<Vec<u32>> = vec![Vec::new(); nn];
-        for e in 0..mesh.n_elems() as u32 {
-            let le = levels.elem_level[e as usize];
-            let r = partition[e as usize];
-            for n in mesh.elem_corners(e) {
-                let ni = n as usize;
-                if node_level[ni] < le {
-                    node_level[ni] = le;
-                }
-                if !node_ranks[ni].contains(&r) {
-                    node_ranks[ni].push(r);
-                }
-            }
-        }
-        let mut ops = vec![vec![0u64; nl]; k];
-        let mut boundary_ops = vec![vec![0u64; nl]; k];
-        let mut elems = vec![0u64; k];
-        for e in 0..mesh.n_elems() as u32 {
-            let r = partition[e as usize] as usize;
-            elems[r] += 1;
-            // levels of this element's corner nodes → membership in elems[l]
-            let mut present = [false; 16];
-            let mut boundary = false;
-            for n in mesh.elem_corners(e) {
-                present[node_level[n as usize] as usize] = true;
-                if node_ranks[n as usize].len() >= 2 {
-                    boundary = true;
-                }
-            }
-            for (l, &p) in present.iter().enumerate().take(nl) {
-                if p {
-                    ops[r][l] += 1;
-                    if boundary {
-                        boundary_ops[r][l] += 1;
-                    }
-                }
-            }
-        }
-        let mut vol = vec![vec![0u64; nl]; k];
-        let mut peer_sets: Vec<Vec<std::collections::BTreeSet<u32>>> =
-            vec![vec![std::collections::BTreeSet::new(); nl]; k];
-        for n in 0..nn {
-            let ranks = &node_ranks[n];
-            if ranks.len() < 2 {
-                continue;
-            }
-            let l = node_level[n] as usize;
-            for &r in ranks {
-                vol[r as usize][l] += (ranks.len() - 1) as u64;
-                for &p in ranks {
-                    if p != r {
-                        peer_sets[r as usize][l].insert(p);
-                    }
-                }
-            }
-        }
-        let peers = peer_sets
-            .into_iter()
-            .map(|per_level| per_level.into_iter().map(|s| s.len() as u64).collect())
-            .collect();
-        PartitionShape {
-            k,
-            n_levels: nl,
-            ops,
-            boundary_ops,
-            vol,
-            peers,
-            elems,
-        }
-    }
-}
-
 /// Cycle cost breakdown.
 #[derive(Debug, Clone)]
 pub struct CycleBreakdown {
@@ -248,9 +151,7 @@ pub fn simulate(shape: &PartitionShape, m: &MachineModel) -> CycleBreakdown {
     let mut worst = 0.0f64;
     for r in 0..shape.k {
         let t_el = m.t_elem_eff(shape.elems[r] as f64);
-        let all_vol: u64 = shape.vol[r].iter().sum();
-        let all_peers = shape.peers[r].iter().copied().max().unwrap_or(0);
-        let comm = m.alpha * all_peers as f64 + m.beta * all_vol as f64;
+        let comm = m.alpha * shape.all_peers[r] as f64 + m.beta * shape.all_vol[r] as f64;
         let t = if m.overlap {
             let boundary: u64 = shape.boundary_ops[r].iter().max().copied().unwrap_or(0);
             let b = boundary as f64 * t_el;

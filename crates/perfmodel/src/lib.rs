@@ -23,4 +23,4 @@ pub mod cache;
 pub mod cluster;
 
 pub use cache::{CacheSim, CacheStats, TraceConfig};
-pub use cluster::{CycleBreakdown, MachineModel, PartitionShape};
+pub use cluster::{CycleBreakdown, MachineModel};

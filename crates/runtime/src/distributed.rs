@@ -69,8 +69,9 @@ pub struct DistributedConfig {
     /// endpoints.
     pub transport: TransportKind,
     /// Flight-recorder ring capacity per rank, in events. `0` disables
-    /// recording (seeded from the `LTS_FLIGHT` env var, default
-    /// [`FlightRecorder::DEFAULT_CAPACITY`]). The ring is the run's one
+    /// recording; [`DistributedConfig::new`] sets
+    /// [`FlightRecorder::DEFAULT_CAPACITY`], and binaries read `LTS_FLIGHT`
+    /// through [`flight_capacity_from_env`]. The ring is the run's one
     /// per-event record: its timeline, trace and crash report. The recorder
     /// is proven bitwise-neutral: fields and deterministic counters are
     /// identical with it on or off.
@@ -106,8 +107,7 @@ impl DistributedConfig {
             stall_monitor: None,
             threads_per_rank: 1,
             transport: TransportKind::Channel,
-            // a library default: the `wave-lts` CLI refuses a bad value
-            flight_capacity: flight_capacity_from_env().unwrap_or(FlightRecorder::DEFAULT_CAPACITY),
+            flight_capacity: FlightRecorder::DEFAULT_CAPACITY,
             fault: None,
         }
     }
@@ -834,7 +834,8 @@ impl RunOutput {
 /// of the world, and drops the global operator before stepping. The ranks
 /// exchange over `endpoints` when given — one per rank, e.g. wrapped to
 /// inject faults or latency — and otherwise over a fresh `cfg.transport`
-/// cluster. The phases are recorded as spans in `host`
+/// cluster; when that cluster cannot be built, every rank fails with
+/// [`RuntimeError::TransportIo`]. The phases are recorded as spans in `host`
 /// (`decompose.discretize`, `decompose.build_worlds`, `run.steps`), and
 /// every successful rank's registry is folded into it.
 pub fn run<P: Decompose>(
@@ -845,7 +846,30 @@ pub fn run<P: Decompose>(
 ) -> RunOutput {
     let n_ranks = spec.cfg.n_ranks;
     let endpoints =
-        endpoints.unwrap_or_else(|| transport::make_cluster(spec.cfg.transport, n_ranks));
+        match endpoints.map_or_else(|| transport::make_cluster(spec.cfg.transport, n_ranks), Ok) {
+            Ok(endpoints) => endpoints,
+            Err(e) => {
+                let detail = format!(
+                    "cannot build the {} transport: {e}",
+                    spec.cfg.transport.name()
+                );
+                return RunOutput {
+                    ranks: (0..n_ranks)
+                        .map(|rank| {
+                            Err(RuntimeError::TransportIo {
+                                rank,
+                                level: 0,
+                                detail: detail.clone(),
+                            })
+                        })
+                        .collect(),
+                    recordings: (0..n_ranks)
+                        .map(|rank| FlightRecorder::new(0).snapshot(rank as u32))
+                        .collect(),
+                    fields: None,
+                };
+            }
+        };
     assert_eq!(endpoints.len(), n_ranks, "one endpoint per rank");
     let ndof = spec.u0.len();
     let discretize = host.start_span("decompose.discretize", None);

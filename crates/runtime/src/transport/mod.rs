@@ -254,21 +254,22 @@ impl Transport for Box<dyn Transport> {
 }
 
 /// Build one connected cluster of `n` endpoints of the requested backend.
-///
-/// On non-Unix hosts the `UnixSocket` kind falls back to `Channel` (the
-/// socket backend is `cfg(unix)`); everywhere this repo builds, it is real.
-pub fn make_cluster(kind: TransportKind, n: usize) -> Vec<Box<dyn Transport>> {
+/// Fails when the backend cannot be built: socket-pair creation on fd
+/// exhaustion, or the unix-socket backend on a non-unix host.
+pub fn make_cluster(
+    kind: TransportKind,
+    n: usize,
+) -> Result<Vec<Box<dyn Transport>>, TransportError> {
     match kind {
-        TransportKind::Channel => channel::channel_cluster(n),
+        TransportKind::Channel => Ok(channel::channel_cluster(n)),
         #[cfg(unix)]
-        TransportKind::UnixSocket => match socket::in_process_cluster(n) {
-            Ok(eps) => eps,
-            // Socket-pair creation can only fail on fd exhaustion; degrade
-            // to channels rather than aborting the run.
-            Err(_) => channel::channel_cluster(n),
-        },
+        TransportKind::UnixSocket => {
+            socket::in_process_cluster(n).map_err(|e| TransportError::Io(e.to_string()))
+        }
         #[cfg(not(unix))]
-        TransportKind::UnixSocket => channel::channel_cluster(n),
+        TransportKind::UnixSocket => Err(TransportError::Io(
+            "the unix-socket backend needs a unix host".into(),
+        )),
     }
 }
 
@@ -295,11 +296,12 @@ mod tests {
     #[test]
     fn make_cluster_builds_every_kind() {
         for kind in [TransportKind::Channel, TransportKind::UnixSocket] {
-            let eps = make_cluster(kind, 3);
+            let eps = make_cluster(kind, 3).unwrap();
             assert_eq!(eps.len(), 3);
             for (r, ep) in eps.iter().enumerate() {
                 assert_eq!(ep.rank(), r);
                 assert_eq!(ep.n_ranks(), 3);
+                assert_eq!(ep.backend(), kind.name());
             }
         }
     }

@@ -7,8 +7,10 @@
 //! ```
 
 use wave_lts::mesh::{BenchmarkMesh, MeshKind};
-use wave_lts::partition::{edge_cut, load_imbalance, mpi_volume, partition_mesh, Strategy};
-use wave_lts::perfmodel::cluster::{simulate, MachineModel, PartitionShape};
+use wave_lts::partition::{
+    edge_cut, load_imbalance, mpi_volume, partition_mesh, PartitionShape, Strategy,
+};
+use wave_lts::perfmodel::cluster::{simulate, MachineModel};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -74,6 +74,12 @@ cargo test -q -p lts-sem --no-default-features
 echo "== cargo bench --no-run (microbenches must stay compilable)"
 cargo bench --no-run -q
 
+echo "== perfbench builds (its own package, path deps on crates/*)"
+# perfbench pins crates/ API (Operator, DistributedConfig fields, the run
+# entry points); --locked fails on lock drift instead of rewriting
+# perfbench/Cargo.lock.
+cargo build --release --locked --offline --manifest-path perfbench/Cargo.toml
+
 echo "== bench smoke (lts-profile --smoke → validate → bench-compare)"
 # The smoke matrix includes an order-4 scenario, so the SIMD stiffness
 # batch at the paper's production order is inside the counter gate.

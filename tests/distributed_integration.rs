@@ -220,7 +220,7 @@ fn run_with_faults(
 ) -> Vec<Result<wave_lts::runtime::RankStats, RuntimeError>> {
     let (tx, rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
-        let mut endpoints = transport::make_cluster(kind, 3);
+        let mut endpoints = transport::make_cluster(kind, 3).unwrap();
         if let Some(plan) = all_plan {
             endpoints = endpoints
                 .into_iter()
@@ -354,7 +354,7 @@ mod crash_reports {
     ) -> (Vec<Result<RankStats, RuntimeError>>, Vec<RankRecording>) {
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
-            let mut endpoints = transport::make_cluster(kind, 3);
+            let mut endpoints = transport::make_cluster(kind, 3).unwrap();
             if let Some(plan) = all_plan {
                 endpoints = endpoints
                     .into_iter()

@@ -4,18 +4,20 @@
 //! exact integers independent of timing, so they can be asserted *exactly*
 //! against two independent oracles:
 //!
-//! * the closed-form [`exchange_oracle`] computed from the mesh, the level
-//!   assignment and the partition alone (no execution), and
+//! * the [`PartitionShape`] extracted from the mesh, the level assignment
+//!   and the partition alone (no execution) — per rank and per level, and
+//!   through its per-level totals — which is also what the cluster model
+//!   reads, and
 //! * the serial [`LtsNewmark`] stepper's own operation count.
 //!
 //! Exactness requires DOFs ≡ corner nodes, i.e. SEM order 1.
 
 use wave_lts::lts::{LtsNewmark, LtsSetup, Operator};
-use wave_lts::mesh::{HexMesh, Levels};
+use wave_lts::mesh::{BenchmarkMesh, HexMesh, Levels, MeshKind};
 use wave_lts::obs::MetricsRegistry;
-use wave_lts::partition::{exchange_oracle, partition_mesh, Strategy};
+use wave_lts::partition::{partition_mesh, PartitionShape, Strategy};
 use wave_lts::runtime::stats::names;
-use wave_lts::runtime::{run_distributed_local_acoustic_observed, DistributedConfig};
+use wave_lts::runtime::{run_distributed_local_acoustic_observed, DistributedConfig, RankStats};
 use wave_lts::sem::gll::cfl_dt_scale;
 use wave_lts::sem::AcousticOperator;
 
@@ -34,6 +36,10 @@ fn fixture() -> Fixture {
     let mut mesh = HexMesh::uniform(6, 4, 2, 1.0, 1.0);
     mesh.paint_box((0, 2), (0, 4), (0, 2), 2.0, 1.0);
     let levels = Levels::assign(&mesh, 0.5, 3);
+    fixture_of(mesh, levels)
+}
+
+fn fixture_of(mesh: HexMesh, levels: Levels) -> Fixture {
     assert!(
         levels.n_levels >= 2,
         "fixture must exercise multiple levels"
@@ -68,7 +74,7 @@ fn serial_elem_ops(f: &Fixture, steps: usize) -> u64 {
 
 /// Run the distributed-memory runtime and return the merged host registry.
 fn run_observed(f: &Fixture, part: &[u32], n_ranks: usize, steps: usize) -> MetricsRegistry {
-    run_observed_threads(f, part, n_ranks, steps, 1)
+    run_observed_threads(f, part, n_ranks, steps, 1).0
 }
 
 /// As [`run_observed`], with `threads` intra-rank workers per rank.
@@ -78,7 +84,7 @@ fn run_observed_threads(
     n_ranks: usize,
     steps: usize,
     threads: usize,
-) -> MetricsRegistry {
+) -> (MetricsRegistry, Vec<RankStats>) {
     let cfg = DistributedConfig {
         threads_per_rank: threads,
         ..DistributedConfig::new(n_ranks)
@@ -106,7 +112,7 @@ fn run_observed_threads(
     assert_eq!(by_view, host.counter_total(names::DOFS_SENT));
     let by_view: u64 = stats.iter().map(|s| s.msgs_sent).sum();
     assert_eq!(by_view, host.counter_total(names::MSGS_SENT));
-    host
+    (host, stats)
 }
 
 #[test]
@@ -116,16 +122,17 @@ fn distributed_counters_match_closed_form_oracle_exactly() {
     let n_ranks = 3;
     let part = partition_mesh(&f.mesh, &f.levels, n_ranks, Strategy::ScotchP, 1);
     let host = run_observed(&f, &part, n_ranks, steps);
-    let o = exchange_oracle(&f.mesh, &f.levels, &part);
+    let o = PartitionShape::new(&f.mesh, &f.levels, &part, n_ranks);
+    let (elem_ops, dofs_sent, msgs_sent) = (o.elem_ops(), o.dofs_sent(), o.msgs_sent());
     assert!(
-        o.total_dofs_sent() > 0,
+        dofs_sent.iter().sum::<u64>() > 0,
         "fixture partition must cut the mesh"
     );
 
     for l in 0..f.levels.n_levels {
-        let per_step_elem = o.elem_ops[l];
-        let per_step_dofs = o.dofs_sent[l];
-        let per_step_msgs = o.msgs_sent[l];
+        let per_step_elem = elem_ops[l];
+        let per_step_dofs = dofs_sent[l];
+        let per_step_msgs = msgs_sent[l];
         let s = steps as u64;
         assert_eq!(
             host.counter(names::ELEM_OPS, Some(l as u8)),
@@ -145,12 +152,63 @@ fn distributed_counters_match_closed_form_oracle_exactly() {
     }
     assert_eq!(
         host.counter_total(names::DOFS_SENT),
-        o.total_dofs_sent() * steps as u64
+        dofs_sent.iter().sum::<u64>() * steps as u64
     );
     assert_eq!(
         host.counter_total(names::MSGS_SENT),
-        o.total_msgs_sent() * steps as u64
+        msgs_sent.iter().sum::<u64>() * steps as u64
     );
+}
+
+/// Assert each rank's level-`l` counters against
+/// `steps · 2^l · {ops, vol, peers}[r][l]` of the partition shape.
+fn assert_per_rank(f: &Fixture, part: &[u32], n_ranks: usize, steps: usize, what: &str) {
+    let o = PartitionShape::new(&f.mesh, &f.levels, part, n_ranks);
+    let (_, stats) = run_observed_threads(f, part, n_ranks, steps, 1);
+    assert_eq!(stats.len(), n_ranks);
+    for st in &stats {
+        let r = st.rank;
+        for l in 0..f.levels.n_levels {
+            let calls = steps as u64 * (1u64 << l);
+            let reg = &st.registry;
+            let level = Some(l as u8);
+            let at = format!("{what}: rank {r}, level {l}");
+            assert_eq!(
+                reg.counter(names::ELEM_OPS, level),
+                calls * o.ops[r][l],
+                "elem_ops, {at}"
+            );
+            assert_eq!(
+                reg.counter(names::DOFS_SENT, level),
+                calls * o.vol[r][l],
+                "dofs_sent, {at}"
+            );
+            assert_eq!(
+                reg.counter(names::MSGS_SENT, level),
+                calls * o.peers[r][l],
+                "msgs_sent, {at}"
+            );
+        }
+    }
+}
+
+#[test]
+fn per_rank_counters_match_partition_shape() {
+    let f = fixture();
+    for n_ranks in [2usize, 3] {
+        let part = partition_mesh(&f.mesh, &f.levels, n_ranks, Strategy::ScotchP, 1);
+        assert_per_rank(&f, &part, n_ranks, 3, &format!("fixture, {n_ranks} ranks"));
+    }
+    // a graded trench: several levels, interfaces crossing level boundaries
+    let b = BenchmarkMesh::build(MeshKind::Trench, 1_500);
+    let f = fixture_of(b.mesh, b.levels);
+    for n_ranks in [2usize, 4] {
+        for strategy in [Strategy::ScotchP, Strategy::ScotchBaseline] {
+            let part = partition_mesh(&f.mesh, &f.levels, n_ranks, strategy, 1);
+            let what = format!("trench, {}, {n_ranks} ranks", strategy.name());
+            assert_per_rank(&f, &part, n_ranks, 2, &what);
+        }
+    }
 }
 
 /// `threads_per_rank > 1` must be invisible to observability: the colored
@@ -163,23 +221,23 @@ fn threaded_ranks_keep_counters_and_fields_exact() {
     let steps = 3;
     let n_ranks = 2;
     let part = partition_mesh(&f.mesh, &f.levels, n_ranks, Strategy::ScotchP, 1);
-    let o = exchange_oracle(&f.mesh, &f.levels, &part);
+    let o = PartitionShape::new(&f.mesh, &f.levels, &part, n_ranks);
 
-    let host = run_observed_threads(&f, &part, n_ranks, steps, 2);
-    for l in 0..f.levels.n_levels {
+    let (host, _) = run_observed_threads(&f, &part, n_ranks, steps, 2);
+    for (l, &ops) in o.elem_ops().iter().enumerate() {
         assert_eq!(
             host.counter(names::ELEM_OPS, Some(l as u8)),
-            o.elem_ops[l] * steps as u64,
+            ops * steps as u64,
             "elem_ops at level {l} with 2 worker threads"
         );
     }
     assert_eq!(
         host.counter_total(names::DOFS_SENT),
-        o.total_dofs_sent() * steps as u64
+        o.dofs_sent().iter().sum::<u64>() * steps as u64
     );
     assert_eq!(
         host.counter_total(names::MSGS_SENT),
-        o.total_msgs_sent() * steps as u64
+        o.msgs_sent().iter().sum::<u64>() * steps as u64
     );
 
     // fields: serial vs threaded runs agree bit for bit
@@ -228,11 +286,11 @@ fn distributed_elem_ops_sum_to_serial_count() {
             serial,
             "{n_ranks} ranks: distributed element work must equal serial"
         );
-        let o = exchange_oracle(&f.mesh, &f.levels, &part);
+        let o = PartitionShape::new(&f.mesh, &f.levels, &part, n_ranks);
         assert_eq!(
-            o.total_elem_ops() * steps as u64,
+            o.elem_ops().iter().sum::<u64>() * steps as u64,
             serial,
-            "oracle vs serial stepper"
+            "partition shape vs serial stepper"
         );
     }
 }

@@ -1,15 +1,15 @@
 //! Property-based tests of the observability counters: for random small
-//! meshes, level paintings and partitions, the distributed runtime's
-//! deterministic counters must equal the closed-form [`exchange_oracle`] and
-//! the serial stepper's element-operation count *exactly*.
+//! meshes, level paintings and partitions, every rank's deterministic
+//! counters must equal the [`PartitionShape`] per level, and their sum the
+//! serial stepper's element-operation count, *exactly*.
 //!
-//! SEM order 1 throughout — the oracle counts corner nodes.
+//! SEM order 1 throughout — the shape counts corner nodes.
 
 use proptest::prelude::*;
 use wave_lts::lts::{LtsNewmark, LtsSetup, Operator};
 use wave_lts::mesh::{HexMesh, Levels};
 use wave_lts::obs::MetricsRegistry;
-use wave_lts::partition::exchange_oracle;
+use wave_lts::partition::PartitionShape;
 use wave_lts::runtime::stats::names;
 use wave_lts::runtime::{run_distributed_local_acoustic_observed, DistributedConfig};
 use wave_lts::sem::gll::cfl_dt_scale;
@@ -20,9 +20,10 @@ const ORDER: usize = 1;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Per-level and total exchange volumes and message counts of a real
-    /// distributed run equal `steps ×` the no-execution oracle; summed
-    /// element work equals the serial stepper's count.
+    /// Each rank's per-level element work, exchange volume and message
+    /// count in a real distributed run equal `steps · 2^l ·` its
+    /// no-execution partition shape; summed element work equals the serial
+    /// stepper's count.
     #[test]
     fn distributed_counters_equal_oracle_and_serial(
         nx in 2usize..5, ny in 2usize..4, nz in 1usize..3,
@@ -57,24 +58,29 @@ proptest! {
         )
         .unwrap();
 
-        let o = exchange_oracle(&mesh, &levels, &part);
-        let s = steps as u64;
-        for l in 0..levels.n_levels {
-            prop_assert_eq!(
-                host.counter(names::DOFS_SENT, Some(l as u8)), o.dofs_sent[l] * s,
-                "dofs_sent at level {}", l
-            );
-            prop_assert_eq!(
-                host.counter(names::MSGS_SENT, Some(l as u8)), o.msgs_sent[l] * s,
-                "msgs_sent at level {}", l
-            );
-            prop_assert_eq!(
-                host.counter(names::ELEM_OPS, Some(l as u8)), o.elem_ops[l] * s,
-                "elem_ops at level {}", l
-            );
+        let o = PartitionShape::new(&mesh, &levels, &part, k);
+        prop_assert_eq!(stats.len(), k);
+        for st in &stats {
+            let r = st.rank;
+            for l in 0..levels.n_levels {
+                let calls = steps as u64 * (1u64 << l);
+                let level = Some(l as u8);
+                prop_assert_eq!(
+                    st.registry.counter(names::DOFS_SENT, level), calls * o.vol[r][l],
+                    "dofs_sent at rank {} level {}", r, l
+                );
+                prop_assert_eq!(
+                    st.registry.counter(names::MSGS_SENT, level), calls * o.peers[r][l],
+                    "msgs_sent at rank {} level {}", r, l
+                );
+                prop_assert_eq!(
+                    st.registry.counter(names::ELEM_OPS, level), calls * o.ops[r][l],
+                    "elem_ops at rank {} level {}", r, l
+                );
+            }
         }
         prop_assert_eq!(host.counter_total(names::ELEM_OPS), lts.stats.elem_ops);
-        prop_assert_eq!(o.total_elem_ops() * s, lts.stats.elem_ops);
+        prop_assert_eq!(o.elem_ops().iter().sum::<u64>() * steps as u64, lts.stats.elem_ops);
         let rank_sum: u64 = stats.iter().map(|r| r.elem_ops).sum();
         prop_assert_eq!(rank_sum, lts.stats.elem_ops);
 

@@ -15,10 +15,21 @@ use wave_lts::runtime::transport::{make_cluster, Transport, TransportKind};
 /// The link latency of the shaped cases: about one rank's sub-step.
 const LATENCY: Duration = Duration::from_micros(500);
 
+/// A unix-socket cluster, checked to be one on every endpoint: a leg that
+/// ran over another backend would test that backend instead.
+#[cfg(unix)]
+fn unix_socket_cluster(n: usize) -> Vec<Box<dyn Transport>> {
+    let eps = make_cluster(TransportKind::UnixSocket, n).expect("unix-socket cluster");
+    for ep in &eps {
+        assert_eq!(ep.backend(), "unix-socket", "rank {}", ep.rank());
+    }
+    eps
+}
+
 #[test]
 fn channel_backend_conforms() {
     run_suite(
-        |n| make_cluster(TransportKind::Channel, n),
+        |n| make_cluster(TransportKind::Channel, n).unwrap(),
         Checks::default(),
     );
 }
@@ -36,10 +47,7 @@ fn channel_backend_conforms_under_tiny_capacity() {
 #[cfg(unix)]
 #[test]
 fn unix_socket_backend_conforms() {
-    run_suite(
-        |n| make_cluster(TransportKind::UnixSocket, n),
-        Checks::default(),
-    );
+    run_suite(unix_socket_cluster, Checks::default());
 }
 
 /// Link-latency shaping (delivery matures `latency` after the send was
@@ -71,6 +79,7 @@ fn delay_injecting_wrapper_changes_nothing() {
     run_suite(
         |n| {
             make_cluster(TransportKind::Channel, n)
+                .unwrap()
                 .into_iter()
                 .map(|ep| wrap(ep, plan))
                 .collect::<Vec<Box<dyn Transport>>>()
@@ -91,7 +100,7 @@ mod seq_integrity {
 
     #[test]
     fn channel_seqs_survive_faults() {
-        seq_integrity_under_faults(|n| make_cluster(TransportKind::Channel, n));
+        seq_integrity_under_faults(|n| make_cluster(TransportKind::Channel, n).unwrap());
     }
 
     #[test]
@@ -102,6 +111,6 @@ mod seq_integrity {
     #[cfg(unix)]
     #[test]
     fn unix_socket_seqs_survive_faults() {
-        seq_integrity_under_faults(|n| make_cluster(TransportKind::UnixSocket, n));
+        seq_integrity_under_faults(super::unix_socket_cluster);
     }
 }

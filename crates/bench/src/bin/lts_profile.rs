@@ -4,13 +4,13 @@
 //! Modes (`--mode`):
 //!
 //! * `run` (default) — execute the scenario matrix and write a BENCH
-//!   document. `--smoke true` runs the CI subset; `--out` picks the path
-//!   (default `BENCH_lts.json`). `LTS_FLIGHT` sets the flight-ring size
-//!   (`0` = recorder off); a value that is not an integer exits 2.
+//!   document. `--out` picks the path (default `BENCH_lts.json`).
+//!   `LTS_FLIGHT` sets the flight-ring size (`0` = recorder off); a value
+//!   that is not an integer exits 2.
 //! * `validate` — structural check of `--file <path>`; exit 1 on failure.
 //! * `compare` — the `bench-compare` gate: `--baseline` vs `--current`.
-//!   Scenario parameters and counters must match exactly. Exit 1 on any
-//!   failure.
+//!   Every baseline scenario must be present, its parameters and counters
+//!   matching exactly. Exit 1 on any failure.
 //!
 //! Wall time is not recorded here; perfbench is the timing instrument.
 
@@ -31,14 +31,13 @@ fn read_doc(path: &str) -> Json {
 }
 
 fn main() {
-    let args = Args::parse(&["mode", "smoke", "out", "file", "baseline", "current"]);
+    let args = Args::parse(&["mode", "out", "file", "baseline", "current"]);
     let mode: String = args.get("mode", "run".to_string());
     match mode.as_str() {
         "run" => {
-            let smoke: bool = args.get("smoke", false);
             let out: String = args.get("out", "BENCH_lts.json".to_string());
             let flight = flight_capacity_from_env().unwrap_or_else(|e| usage_error(&e));
-            let doc = run_suite(smoke, flight);
+            let doc = run_suite(flight);
             validate_bench(&doc).expect("generated document must validate");
             let mut header = vec!["scenario", "n_levels"];
             header.extend(COUNTERS.map(|(key, _)| key));

@@ -7,14 +7,11 @@
 //! volumes, exchanges — exact integers, independent of timing). It records
 //! no timing: wall time is perfbench's to measure.
 //!
-//! [`compare_bench`] is the `bench-compare` gate: parameters and counters
-//! must match a baseline *exactly* (any drift is a correctness regression
-//! in disguise). A document may carry more fields than these (an older
-//! baseline's timing blocks); they are ignored.
-//!
-//! The smoke matrix is a strict subset of the full matrix with identical
-//! per-scenario parameters, so a smoke run compares cleanly against a
-//! committed full baseline (scenarios are intersected by id).
+//! [`compare_bench`] is the `bench-compare` gate: every baseline scenario
+//! must be present, with parameters and counters matching *exactly* (any
+//! drift is a correctness regression in disguise). A document may carry
+//! more fields than these (an older baseline's timing blocks or `smoke`
+//! flag); they are ignored.
 
 use lts_core::Source;
 use lts_mesh::{BenchmarkMesh, MeshKind};
@@ -81,15 +78,14 @@ impl Scenario {
     }
 }
 
-/// Shared per-scenario parameters — identical in the full and smoke
-/// matrices so smoke runs compare against full baselines.
+/// Shared per-scenario parameters.
 const ELEMENTS: usize = 256;
 const STEPS: usize = 4;
 const ORDER: usize = 1;
 const SEED: u64 = 1;
 /// The paper's production polynomial order. Order-4 scenarios exercise the
 /// SIMD stiffness batch at its real arithmetic intensity; steps are capped
-/// at 2 so the smoke run stays fast despite the ~60× heavier elements.
+/// at 2 so the matrix stays fast despite the ~60× heavier elements.
 const P4_ORDER: usize = 4;
 const P4_STEPS: usize = 2;
 
@@ -128,8 +124,7 @@ fn scenario_p4_ov(mesh: &'static str, strategy: &'static str, ranks: usize) -> S
     }
 }
 
-/// The scenario matrix: `smoke` selects the CI subset (four scenarios),
-/// the full matrix is 2 meshes × 4 strategies × {2, 4, 8} ranks, plus an
+/// The scenario matrix: 2 meshes × 4 strategies × {2, 4, 8} ranks, plus an
 /// overlap twin of every r8 scenario so the wait-time reduction from
 /// comm/compute overlap is tracked by the bench gate, not claimed.
 ///
@@ -137,15 +132,7 @@ fn scenario_p4_ov(mesh: &'static str, strategy: &'static str, ranks: usize) -> S
 /// (`__p4`) block — r2, r8 and an r8 overlap twin under the default
 /// partitioner — so the SIMD stiffness batch runs at the paper's real
 /// polynomial order inside the gated matrix, not only in microbenches.
-pub fn matrix(smoke: bool) -> Vec<Scenario> {
-    if smoke {
-        return vec![
-            scenario("trench", "scotch", 2),
-            scenario("trench", "scotch-p", 2),
-            scenario_ov("trench", "scotch", 8),
-            scenario_p4("trench", "scotch", 2),
-        ];
-    }
+pub fn matrix() -> Vec<Scenario> {
     let mut out = Vec::new();
     for mesh in ["trench", "crust"] {
         for strategy in ["scotch", "scotch-p", "metis", "patoh"] {
@@ -213,8 +200,8 @@ pub fn run_scenario(sc: &Scenario, flight_capacity: usize) -> Json {
 }
 
 /// Run the matrix and build the `BENCH_lts.json` document.
-pub fn run_suite(smoke: bool, flight_capacity: usize) -> Json {
-    let scenarios = matrix(smoke);
+pub fn run_suite(flight_capacity: usize) -> Json {
+    let scenarios = matrix();
     let mut out = Vec::with_capacity(scenarios.len());
     for sc in &scenarios {
         eprintln!("# lts-profile: {}", sc.id());
@@ -222,7 +209,6 @@ pub fn run_suite(smoke: bool, flight_capacity: usize) -> Json {
     }
     Json::Obj(vec![
         ("schema".to_string(), Json::str(SCHEMA)),
-        ("smoke".to_string(), Json::Bool(smoke)),
         ("scenarios".to_string(), Json::Arr(out)),
     ])
 }
@@ -285,19 +271,22 @@ fn index_by_id(doc: &Json) -> Vec<(&str, &Json)> {
         .unwrap_or_default()
 }
 
-/// `bench-compare`: check `current` against `baseline`. Scenarios are
-/// intersected by id; parameters and counters must match **exactly**.
-/// Returns the list of failures — empty means the gate passes.
+/// `bench-compare`: check `current` against `baseline`. Every baseline
+/// scenario must be in `current` (matched by id), with parameters and
+/// counters equal **exactly**; scenarios only `current` has are not
+/// compared. Returns the list of failures — empty means the gate passes.
 pub fn compare_bench(baseline: &Json, current: &Json) -> Vec<String> {
     let mut failures = Vec::new();
     let base = index_by_id(baseline);
     let cur = index_by_id(current);
-    let mut compared = 0usize;
-    for (id, c) in &cur {
-        let Some((_, b)) = base.iter().find(|(bid, _)| bid == id) else {
+    if base.is_empty() {
+        failures.push("baseline has no scenarios".to_string());
+    }
+    for (id, b) in &base {
+        let Some((_, c)) = cur.iter().find(|(cid, _)| cid == id) else {
+            failures.push(format!("{id}: missing from the current document"));
             continue;
         };
-        compared += 1;
         for key in PARAMS {
             let (bv, cv) = (b.get(key), c.get(key));
             if bv != cv {
@@ -315,9 +304,6 @@ pub fn compare_bench(baseline: &Json, current: &Json) -> Vec<String> {
                 ));
             }
         }
-    }
-    if compared == 0 {
-        failures.push("no common scenario ids between baseline and current".to_string());
     }
     failures
 }
@@ -343,7 +329,6 @@ mod tests {
     fn tiny_doc() -> Json {
         Json::Obj(vec![
             ("schema".to_string(), Json::str(SCHEMA)),
-            ("smoke".to_string(), Json::Bool(true)),
             (
                 "scenarios".to_string(),
                 Json::Arr(vec![run_scenario(
@@ -372,9 +357,8 @@ mod tests {
     }
 
     #[test]
-    fn smoke_matrix_is_subset_of_full() {
-        let full = matrix(false);
-        let smoke = matrix(true);
+    fn matrix_covers_order_4_on_every_mesh_with_unique_ids() {
+        let full = matrix();
         // 2 meshes × 4 strategies × {2,4,8} ranks, plus one r8 overlap
         // twin per mesh × strategy, plus the order-4 block (r2/r8/r8-ov)
         // on each of the four benchmark meshes
@@ -392,18 +376,6 @@ mod tests {
                 .expect("p4 overlap twin");
             assert_eq!(ov.id(), format!("{mesh}__scotch__r8__p4__ov"));
             assert_eq!(ov.steps, P4_STEPS, "p4 scenarios cap steps");
-        }
-        assert!(
-            smoke.iter().any(|s| s.order == 4),
-            "smoke must exercise the order-4 SIMD path"
-        );
-        assert!(!smoke.is_empty());
-        for sc in &smoke {
-            let twin = full
-                .iter()
-                .find(|f| f.id() == sc.id())
-                .expect("smoke scenario present in full matrix");
-            assert_eq!(twin, sc, "smoke parameters must match the full matrix");
         }
         let mut ids: Vec<String> = full.iter().map(|s| s.id()).collect();
         ids.sort();
@@ -451,15 +423,22 @@ mod tests {
     }
 
     #[test]
-    fn compare_fails_on_disjoint_documents() {
+    fn compare_fails_when_a_baseline_scenario_is_missing() {
         let doc = tiny_doc();
         let empty = Json::Obj(vec![
             ("schema".to_string(), Json::str(SCHEMA)),
             ("scenarios".to_string(), Json::Arr(vec![])),
         ]);
         let failures = compare_bench(&doc, &empty);
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains("no common scenario"), "{failures:?}");
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(
+            failures[0].starts_with(&format!("{}: missing", tiny().id())),
+            "{failures:?}"
+        );
+        // a scenario only the current document has is not compared, but a
+        // baseline with nothing to compare fails
+        assert!(compare_bench(&empty, &empty)[0].contains("no scenarios"));
+        assert_eq!(compare_bench(&empty, &doc).len(), 1);
     }
 
     #[test]

@@ -10,7 +10,7 @@ fn malformed_lts_flight_is_a_usage_error() {
     let out = Command::new(env!("CARGO_BIN_EXE_lts-profile"))
         .current_dir(&dir)
         .env("LTS_FLIGHT", "off")
-        .args(["--mode", "run", "--smoke", "true", "--out", "s.json"])
+        .args(["--mode", "run", "--out", "s.json"])
         .output()
         .expect("run lts-profile");
     let wrote = dir.join("s.json").exists();

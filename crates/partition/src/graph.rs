@@ -6,6 +6,7 @@
 //! constraints are the p-levels: a level-`k` element has weight 1 in slot `k`
 //! and 0 elsewhere, so per-slot balance is per-sub-step balance.
 
+use crate::multilevel::CutModel;
 use lts_mesh::{DualGraph, HexMesh, Levels};
 
 /// An undirected graph in CSR form with `ncon` weights per vertex and
@@ -23,10 +24,6 @@ pub struct Graph {
 }
 
 impl Graph {
-    pub fn n_vertices(&self) -> usize {
-        self.xadj.len() - 1
-    }
-
     #[inline]
     pub fn neighbors(&self, v: u32) -> &[u32] {
         &self.adj[self.xadj[v as usize] as usize..self.xadj[v as usize + 1] as usize]
@@ -42,15 +39,12 @@ impl Graph {
         &self.vwgt[v as usize * self.ncon..(v as usize + 1) * self.ncon]
     }
 
-    /// Column sums of the vertex weight matrix: total weight per constraint.
-    pub fn total_weights(&self) -> Vec<u64> {
-        let mut tot = vec![0u64; self.ncon];
-        for v in 0..self.n_vertices() {
-            for c in 0..self.ncon {
-                tot[c] += self.vwgt[v * self.ncon + c] as u64;
-            }
-        }
-        tot
+    /// `(neighbour, edge weight)` pairs of `v`.
+    fn edges(&self, v: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.neighbors(v)
+            .iter()
+            .copied()
+            .zip(self.edge_weights(v).iter().copied())
     }
 
     /// Single-constraint graph for the SCOTCH baseline: vertex weight is the
@@ -86,11 +80,117 @@ impl Graph {
             vwgt,
         }
     }
+}
 
-    /// Unweighted single-constraint graph over a vertex subset (used by
-    /// SCOTCH-P to partition one p-level at a time). Returns the subgraph and
-    /// the mapping from subgraph vertex to original vertex.
-    pub fn induced_subgraph(&self, keep: &[u32]) -> (Graph, Vec<u32>) {
+/// The weighted edge cut: FM gain is external minus internal edge weight.
+impl CutModel for Graph {
+    type Sides = ();
+    type Parts = ();
+    const VCYCLE_SEED: (u64, u64) = (0x9E37_79B9_7F4A_7C15, 0x5bd1_e995);
+    const KWAY_SEED: u64 = 0;
+
+    fn n_vertices(&self) -> usize {
+        self.xadj.len() - 1
+    }
+
+    fn ncon(&self) -> usize {
+        self.ncon
+    }
+
+    fn vwgt(&self) -> &[u32] {
+        &self.vwgt
+    }
+
+    fn for_each_adjacent(&self, v: u32, f: impl FnMut(u32)) {
+        self.neighbors(v).iter().copied().for_each(f);
+    }
+
+    fn sides(&self, _: &[u8]) {}
+
+    fn move_sides(&self, _: u32, _: usize, _: &mut ()) {}
+
+    fn gain(&self, v: u32, side: &[u8], _: &()) -> i64 {
+        let s = side[v as usize];
+        self.edges(v)
+            .map(|(u, w)| {
+                if side[u as usize] == s {
+                    -(w as i64)
+                } else {
+                    w as i64
+                }
+            })
+            .sum()
+    }
+
+    fn is_boundary(&self, v: u32, side: &[u8], _: &()) -> bool {
+        self.neighbors(v)
+            .iter()
+            .any(|&u| side[u as usize] != side[v as usize])
+    }
+
+    /// Heavy-edge matching: the edge weight of every unmatched neighbour.
+    fn match_scores(&self, v: u32, matched: &[bool], _: &mut Vec<u64>, out: &mut Vec<(u64, u32)>) {
+        for (u, w) in self.edges(v) {
+            if !matched[u as usize] && u != v {
+                out.push((w as u64, u));
+            }
+        }
+    }
+
+    fn contract(&self, cmap: &[u32], n_coarse: usize, vwgt: Vec<u32>) -> Graph {
+        // accumulate coarse adjacency with a timestamped scatter array
+        let mut xadj = Vec::with_capacity(n_coarse + 1);
+        let mut adj: Vec<u32> = Vec::with_capacity(self.adj.len() / 2);
+        let mut ewgt: Vec<u32> = Vec::with_capacity(self.adj.len() / 2);
+        let mut stamp = vec![u32::MAX; n_coarse];
+        let mut slot = vec![0u32; n_coarse];
+        xadj.push(0u32);
+        // iterate coarse vertices in id order; find their constituents
+        let mut members: Vec<Vec<u32>> = vec![Vec::new(); n_coarse];
+        for (v, &cv) in cmap.iter().enumerate() {
+            members[cv as usize].push(v as u32);
+        }
+        for cv in 0..n_coarse as u32 {
+            for &v in &members[cv as usize] {
+                for (u, w) in self.edges(v) {
+                    let cu = cmap[u as usize];
+                    if cu == cv {
+                        continue;
+                    }
+                    if stamp[cu as usize] == cv {
+                        ewgt[slot[cu as usize] as usize] += w;
+                    } else {
+                        stamp[cu as usize] = cv;
+                        slot[cu as usize] = adj.len() as u32;
+                        adj.push(cu);
+                        ewgt.push(w);
+                    }
+                }
+            }
+            xadj.push(adj.len() as u32);
+        }
+        Graph {
+            xadj,
+            adj,
+            ewgt,
+            ncon: self.ncon,
+            vwgt,
+        }
+    }
+
+    fn cut(&self, part: &[u32]) -> u64 {
+        let mut cut = 0u64;
+        for v in 0..self.n_vertices() as u32 {
+            for (u, w) in self.edges(v) {
+                if u > v && part[u as usize] != part[v as usize] {
+                    cut += w as u64;
+                }
+            }
+        }
+        cut
+    }
+
+    fn induced(&self, keep: &[u32]) -> Graph {
         let mut global_to_local = vec![u32::MAX; self.n_vertices()];
         for (local, &g) in keep.iter().enumerate() {
             global_to_local[g as usize] = local as u32;
@@ -101,52 +201,48 @@ impl Graph {
         let mut vwgt = Vec::with_capacity(keep.len() * self.ncon);
         xadj.push(0u32);
         for &g in keep {
-            for (idx, &u) in self.neighbors(g).iter().enumerate() {
+            for (u, w) in self.edges(g) {
                 let lu = global_to_local[u as usize];
                 if lu != u32::MAX {
                     adj.push(lu);
-                    ewgt.push(self.edge_weights(g)[idx]);
+                    ewgt.push(w);
                 }
             }
             xadj.push(adj.len() as u32);
             vwgt.extend_from_slice(self.weight_of(g));
         }
-        (
-            Graph {
-                xadj,
-                adj,
-                ewgt,
-                ncon: self.ncon,
-                vwgt,
-            },
-            keep.to_vec(),
-        )
+        Graph {
+            xadj,
+            adj,
+            ewgt,
+            ncon: self.ncon,
+            vwgt,
+        }
     }
 
-    /// Weighted edge cut of a partition.
-    pub fn cut(&self, part: &[u32]) -> u64 {
-        let mut cut = 0u64;
-        for v in 0..self.n_vertices() as u32 {
-            for (idx, &u) in self.neighbors(v).iter().enumerate() {
-                if u > v && part[u as usize] != part[v as usize] {
-                    cut += self.edge_weights(v)[idx] as u64;
+    fn parts(&self, _: &[u32]) {}
+
+    /// Edge weight to each neighbouring part minus the weight kept inside.
+    fn kway_gains(&self, v: u32, part: &[u32], _: &(), out: &mut Vec<(u32, i64)>) {
+        let p = part[v as usize];
+        let mut w_own = 0i64;
+        for (u, w) in self.edges(v) {
+            let q = part[u as usize];
+            if q == p {
+                w_own += w as i64;
+            } else {
+                match out.iter_mut().find(|(qq, _)| *qq == q) {
+                    Some((_, acc)) => *acc += w as i64,
+                    None => out.push((q, w as i64)),
                 }
             }
         }
-        cut
+        for (_, gain) in out.iter_mut() {
+            *gain -= w_own;
+        }
     }
 
-    /// Part weights: `k × ncon` matrix (row-major).
-    pub fn part_weights(&self, part: &[u32], k: usize) -> Vec<u64> {
-        let mut w = vec![0u64; k * self.ncon];
-        for v in 0..self.n_vertices() {
-            let p = part[v] as usize;
-            for c in 0..self.ncon {
-                w[p * self.ncon + c] += self.vwgt[v * self.ncon + c] as u64;
-            }
-        }
-        w
-    }
+    fn move_parts(&self, _: u32, _: u32, _: u32, _: &mut ()) {}
 }
 
 #[cfg(test)]
@@ -212,10 +308,9 @@ mod tests {
     fn induced_subgraph_of_path() {
         let g = path_graph(6);
         // keep vertices 1,2,3: path of 3 with 2 edges
-        let (sub, map) = g.induced_subgraph(&[1, 2, 3]);
+        let sub = g.induced(&[1, 2, 3]);
         assert_eq!(sub.n_vertices(), 3);
         assert_eq!(sub.adj.len(), 4); // 2 undirected edges
-        assert_eq!(map, vec![1, 2, 3]);
         assert_eq!(sub.neighbors(1), &[0, 2]);
     }
 

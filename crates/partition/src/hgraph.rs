@@ -5,6 +5,7 @@
 //! size (Eq. 20) of a partition equals the exact MPI communication volume
 //! per LTS cycle.
 
+use crate::multilevel::CutModel;
 use lts_mesh::{HexMesh, Levels, NodalHypergraph};
 
 /// A hypergraph in dual CSR form (net→pins and vertex→nets) with net costs
@@ -21,10 +22,6 @@ pub struct HGraph {
 }
 
 impl HGraph {
-    pub fn n_vertices(&self) -> usize {
-        self.xnets.len() - 1
-    }
-
     pub fn n_nets(&self) -> usize {
         self.xpins.len() - 1
     }
@@ -42,16 +39,6 @@ impl HGraph {
     #[inline]
     pub fn weight_of(&self, v: u32) -> &[u32] {
         &self.vwgt[v as usize * self.ncon..(v as usize + 1) * self.ncon]
-    }
-
-    pub fn total_weights(&self) -> Vec<u64> {
-        let mut tot = vec![0u64; self.ncon];
-        for v in 0..self.n_vertices() {
-            for c in 0..self.ncon {
-                tot[c] += self.vwgt[v * self.ncon + c] as u64;
-            }
-        }
-        tot
     }
 
     /// Build from parallel arrays of nets (pins per net) and weights; nets
@@ -119,9 +106,122 @@ impl HGraph {
             (0..nh.n_nets() as u32).map(|n| (nh.pins_of(n).to_vec(), nh.netcost[n as usize]));
         Self::from_nets(mesh.n_elems(), nets, ncon, vwgt)
     }
+}
 
-    /// Connectivity-1 cut size (Eq. 20).
-    pub fn cut(&self, part: &[u32]) -> u64 {
+/// The connectivity-1 cut (Eq. 20): gains come from per-net pin counts on
+/// each side (per part in k-way refinement).
+impl CutModel for HGraph {
+    type Sides = Vec<[u32; 2]>;
+    type Parts = Vec<Vec<(u32, u32)>>;
+    const VCYCLE_SEED: (u64, u64) = (0xD1B5_4A32_D192_ED03, 0x2545_F491);
+    const KWAY_SEED: u64 = 0xABCD;
+
+    fn n_vertices(&self) -> usize {
+        self.xnets.len() - 1
+    }
+
+    fn ncon(&self) -> usize {
+        self.ncon
+    }
+
+    fn vwgt(&self) -> &[u32] {
+        &self.vwgt
+    }
+
+    fn for_each_adjacent(&self, v: u32, mut f: impl FnMut(u32)) {
+        for &net in self.nets_of(v) {
+            for &u in self.pins_of(net) {
+                f(u);
+            }
+        }
+    }
+
+    fn sides(&self, side: &[u8]) -> Vec<[u32; 2]> {
+        let mut ns = vec![[0u32; 2]; self.n_nets()];
+        for net in 0..self.n_nets() as u32 {
+            for &p in self.pins_of(net) {
+                ns[net as usize][side[p as usize] as usize] += 1;
+            }
+        }
+        ns
+    }
+
+    fn move_sides(&self, v: u32, from: usize, sides: &mut Vec<[u32; 2]>) {
+        for &net in self.nets_of(v) {
+            sides[net as usize][from] -= 1;
+            sides[net as usize][1 - from] += 1;
+        }
+    }
+
+    /// Nets where `v` is the sole pin on its side become internal (+cost);
+    /// nets entirely on `v`'s side become cut (−cost).
+    fn gain(&self, v: u32, side: &[u8], sides: &Vec<[u32; 2]>) -> i64 {
+        let s = side[v as usize] as usize;
+        let mut g = 0i64;
+        for &net in self.nets_of(v) {
+            let [a, b] = sides[net as usize];
+            let (mine, other) = if s == 0 { (a, b) } else { (b, a) };
+            if mine == 1 {
+                g += self.netcost[net as usize] as i64;
+            }
+            if other == 0 {
+                g -= self.netcost[net as usize] as i64;
+            }
+        }
+        g
+    }
+
+    fn is_boundary(&self, v: u32, _: &[u8], sides: &Vec<[u32; 2]>) -> bool {
+        self.nets_of(v).iter().any(|&net| {
+            let [a, b] = sides[net as usize];
+            a > 0 && b > 0
+        })
+    }
+
+    /// Heavy-connectivity matching: each shared net of at most 16 pins adds
+    /// `cost / (pins − 1)` (at least 1) to the score of its unmatched pins.
+    fn match_scores(
+        &self,
+        v: u32,
+        matched: &[bool],
+        score: &mut Vec<u64>,
+        out: &mut Vec<(u64, u32)>,
+    ) {
+        score.resize(self.n_vertices(), 0);
+        for &net in self.nets_of(v) {
+            let pins = self.pins_of(net);
+            if pins.len() > 16 {
+                continue; // skip huge nets for matching speed
+            }
+            let w = self.netcost[net as usize] / (pins.len() as u64 - 1).max(1);
+            for &u in pins {
+                if u == v || matched[u as usize] {
+                    continue;
+                }
+                if score[u as usize] == 0 {
+                    out.push((0, u));
+                }
+                score[u as usize] += w.max(1);
+            }
+        }
+        for (s, u) in out.iter_mut() {
+            *s = std::mem::take(&mut score[*u as usize]);
+        }
+    }
+
+    fn contract(&self, cmap: &[u32], n_coarse: usize, vwgt: Vec<u32>) -> HGraph {
+        let nets = (0..self.n_nets() as u32).map(|net| {
+            let p: Vec<u32> = self
+                .pins_of(net)
+                .iter()
+                .map(|&v| cmap[v as usize])
+                .collect();
+            (p, self.netcost[net as usize])
+        });
+        HGraph::from_nets(n_coarse, nets, self.ncon, vwgt)
+    }
+
+    fn cut(&self, part: &[u32]) -> u64 {
         let mut seen: Vec<u32> = Vec::with_capacity(8);
         let mut total = 0u64;
         for net in 0..self.n_nets() as u32 {
@@ -139,19 +239,9 @@ impl HGraph {
         total
     }
 
-    pub fn part_weights(&self, part: &[u32], k: usize) -> Vec<u64> {
-        let mut w = vec![0u64; k * self.ncon];
-        for v in 0..self.n_vertices() {
-            for c in 0..self.ncon {
-                w[part[v] as usize * self.ncon + c] += self.vwgt[v * self.ncon + c] as u64;
-            }
-        }
-        w
-    }
-
-    /// Sub-hypergraph induced by `keep`, with net splitting: nets keep only
-    /// surviving pins and are dropped when fewer than two remain.
-    pub fn induced(&self, keep: &[u32]) -> HGraph {
+    /// Net splitting: nets keep only surviving pins and are dropped when
+    /// fewer than two remain.
+    fn induced(&self, keep: &[u32]) -> HGraph {
         let mut g2l = vec![u32::MAX; self.n_vertices()];
         for (l, &g) in keep.iter().enumerate() {
             g2l[g as usize] = l as u32;
@@ -172,6 +262,66 @@ impl HGraph {
             (p.len() >= 2).then_some((p, self.netcost[n as usize]))
         });
         HGraph::from_nets(keep.len(), nets, self.ncon, vwgt)
+    }
+
+    /// Per-net pin counts per part, stored sparsely: `(part, count)` pairs.
+    fn parts(&self, part: &[u32]) -> Vec<Vec<(u32, u32)>> {
+        let mut net_parts: Vec<Vec<(u32, u32)>> = vec![Vec::new(); self.n_nets()];
+        for net in 0..self.n_nets() as u32 {
+            for &pin in self.pins_of(net) {
+                let p = part[pin as usize];
+                let list = &mut net_parts[net as usize];
+                match list.iter_mut().find(|(q, _)| *q == p) {
+                    Some((_, c)) => *c += 1,
+                    None => list.push((p, 1)),
+                }
+            }
+        }
+        net_parts
+    }
+
+    /// Candidates are the parts sharing a net with `v`; moving to `q` frees
+    /// the nets where `v` is the last pin in its part and spreads the nets
+    /// with no pin in `q` yet.
+    fn kway_gains(&self, v: u32, part: &[u32], parts: &Self::Parts, out: &mut Vec<(u32, i64)>) {
+        let p = part[v as usize];
+        for &net in self.nets_of(v) {
+            for &(q, _) in &parts[net as usize] {
+                if q != p && !out.iter().any(|&(c, _)| c == q) {
+                    out.push((q, 0));
+                }
+            }
+        }
+        for (q, gain) in out.iter_mut() {
+            for &net in self.nets_of(v) {
+                let list = &parts[net as usize];
+                let cp = list.iter().find(|(r, _)| *r == p).map_or(0, |(_, c)| *c);
+                let cq = list.iter().find(|(r, _)| r == q).map_or(0, |(_, c)| *c);
+                let cost = self.netcost[net as usize] as i64;
+                if cp == 1 {
+                    *gain += cost; // net leaves part p entirely
+                }
+                if cq == 0 {
+                    *gain -= cost; // net newly spreads into q
+                }
+            }
+        }
+    }
+
+    fn move_parts(&self, v: u32, p: u32, q: u32, parts: &mut Self::Parts) {
+        for &net in self.nets_of(v) {
+            let list = &mut parts[net as usize];
+            if let Some(pos) = list.iter().position(|(r, _)| *r == p) {
+                list[pos].1 -= 1;
+                if list[pos].1 == 0 {
+                    list.swap_remove(pos);
+                }
+            }
+            match list.iter_mut().find(|(r, _)| *r == q) {
+                Some((_, c)) => *c += 1,
+                None => list.push((q, 1)),
+            }
+        }
     }
 }
 

@@ -15,10 +15,15 @@
 //!   connectivity-1 cut (Eq. 20) equals the exact MPI volume per LTS cycle,
 //!   with the `final_imbal` balance/cut trade-off knob.
 //!
-//! The engines are classical multilevel partitioners: heavy-edge (resp.
+//! One classical multilevel engine serves all four: heavy-edge (resp.
 //! heavy-connectivity) matching coarsening, greedy growing initial
 //! bisections, Fiduccia–Mattheyses boundary refinement with per-constraint
-//! balance, and recursive bisection for K parts.
+//! balance, recursive bisection for K parts ([`multilevel`], [`refine`]) and
+//! greedy K-way refinement ([`kway`]). It is written once, generic over a
+//! [`multilevel::CutModel`]; the [`Graph`] (weighted edge cut) and the
+//! [`HGraph`] (connectivity-1 cut) each supply only their gains, boundary
+//! test, neighbour walk, matching scores, contraction, cut and induced
+//! sub-model.
 
 #![forbid(unsafe_code)]
 // Indexed `for i in 0..n` loops over parallel arrays are the house idiom in
@@ -28,7 +33,6 @@
 pub mod assignment;
 pub mod graph;
 pub mod hgraph;
-pub mod hmultilevel;
 pub mod kway;
 pub mod metrics;
 pub mod multilevel;

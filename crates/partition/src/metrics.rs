@@ -108,6 +108,10 @@ pub struct PartitionShape {
     pub peers: Vec<Vec<u64>>,
     /// Elements per rank.
     pub elems: Vec<u64>,
+    /// Elements of rank `r` with a node another rank holds: what a step of
+    /// the whole mesh computes before its sends when overlapping. It lies
+    /// between `max_l boundary_ops[r][l]` and `Σ_l boundary_ops[r][l]`.
+    pub boundary_elems: Vec<u64>,
     /// `Σ (λ−1)` over every shared node of rank `r`: what one step sends
     /// when the whole interface is exchanged (the non-LTS reference).
     pub all_vol: Vec<u64>,
@@ -139,6 +143,7 @@ impl PartitionShape {
         let mut ops = vec![vec![0u64; nl]; k];
         let mut boundary_ops = vec![vec![0u64; nl]; k];
         let mut elems = vec![0u64; k];
+        let mut boundary_elems = vec![0u64; k];
         let mut touched = vec![0u32; nn];
         for (e, &r) in part.iter().enumerate() {
             let corners = mesh.elem_corners(e as u32);
@@ -148,6 +153,7 @@ impl PartitionShape {
             let boundary = corners.iter().any(|&n| node_ranks[n as usize].len() >= 2);
             let r = r as usize;
             elems[r] += 1;
+            boundary_elems[r] += u64::from(boundary);
             for l in (0..nl).filter(|&l| mask >> l & 1 == 1) {
                 ops[r][l] += 1;
                 boundary_ops[r][l] += u64::from(boundary);
@@ -189,6 +195,7 @@ impl PartitionShape {
                 .map(|per_level| per_level.iter().map(count).collect())
                 .collect(),
             elems,
+            boundary_elems,
             all_vol,
             all_peers: all_peer_sets.iter().map(count).collect(),
         }
@@ -361,6 +368,38 @@ mod tests {
         let o = shape(&m, &lv, &part);
         assert_eq!(o.dofs_sent(), vec![0, 16]);
         assert_eq!(o.msgs_sent(), vec![0, 4]);
+    }
+
+    #[test]
+    fn boundary_elems_lie_between_max_and_sum_of_levels() {
+        let (m, lv) = two_level_row();
+        // rank 0 = {0, 1, 2, 4, 5, 6}, rank 1 = {3, 7}: rank 0's boundary
+        // elements 2 and 4 lie in elems[0] only and 6 in elems[1] only, so
+        // max_l boundary_ops[0][l] = 2 undercounts its 3
+        let part = vec![0, 0, 0, 1, 0, 0, 0, 1];
+        let o = shape(&m, &lv, &part);
+        // brute force: elements sharing a corner with another rank's element
+        let shares = |e: u32, f: u32| {
+            let cf = m.elem_corners(f);
+            m.elem_corners(e).iter().any(|n| cf.contains(n))
+        };
+        let brute: Vec<u64> = (0..2u32)
+            .map(|r| {
+                let on_r = |e: &u32| part[*e as usize] == r;
+                (0..8u32)
+                    .filter(on_r)
+                    .filter(|&e| (0..8u32).any(|f| !on_r(&f) && shares(e, f)))
+                    .count() as u64
+            })
+            .collect();
+        assert_eq!(brute, vec![3, 2]);
+        assert_eq!(o.boundary_elems, brute);
+        assert_eq!(o.boundary_ops[0], vec![2, 1]);
+        for r in 0..2 {
+            let b = &o.boundary_ops[r];
+            assert!(*b.iter().max().unwrap() <= o.boundary_elems[r]);
+            assert!(o.boundary_elems[r] <= b.iter().sum());
+        }
     }
 
     #[test]

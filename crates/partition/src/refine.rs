@@ -1,9 +1,9 @@
-//! Bisection machinery shared by the multilevel graph partitioner:
-//! balance bookkeeping (Eq. 19), greedy-growing initial bisections,
-//! Fiduccia–Mattheyses boundary refinement with rollback, and an explicit
-//! rebalancing pass.
+//! Bisection machinery of the multilevel engine, generic over the
+//! [`CutModel`]: balance bookkeeping (Eq. 19), greedy-growing initial
+//! bisections, Fiduccia–Mattheyses boundary refinement with rollback, and an
+//! explicit rebalancing pass.
 
-use crate::graph::Graph;
+use crate::multilevel::CutModel;
 use lts_obs::MetricsRegistry;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -50,12 +50,11 @@ impl BisectTarget {
 }
 
 /// Side weights: `sw[c][side]`.
-pub fn side_weights(g: &Graph, side: &[u8]) -> Vec<[u64; 2]> {
-    let mut sw = vec![[0u64; 2]; g.ncon];
-    for v in 0..g.n_vertices() {
-        let s = side[v] as usize;
-        for c in 0..g.ncon {
-            sw[c][s] += g.vwgt[v * g.ncon + c] as u64;
+pub fn side_weights<M: CutModel>(m: &M, side: &[u8]) -> Vec<[u64; 2]> {
+    let mut sw = vec![[0u64; 2]; m.ncon()];
+    for (w, &s) in m.vwgt().chunks_exact(m.ncon()).zip(side) {
+        for (c, &x) in w.iter().enumerate() {
+            sw[c][s as usize] += x as u64;
         }
     }
     sw
@@ -64,30 +63,20 @@ pub fn side_weights(g: &Graph, side: &[u8]) -> Vec<[u64; 2]> {
 /// Worst normalized overload of any (constraint, side) against `limits`,
 /// as a ratio (0 = feasible).
 pub fn violation(sw: &[[u64; 2]], limits: &[[u64; 2]]) -> f64 {
-    let mut worst = 0.0f64;
-    for (c, s) in sw.iter().enumerate() {
-        for side in 0..2 {
-            if s[side] > limits[c][side] {
-                let over = (s[side] - limits[c][side]) as f64 / limits[c][side].max(1) as f64;
-                worst = worst.max(over);
-            }
-        }
-    }
-    worst
+    worst_violation(sw, limits).map_or(0.0, |(over, _, _)| over)
 }
 
-/// The most overloaded (constraint, side) against `limits`, if any: the
-/// first strictly worst in (constraint, side) order.
-pub(crate) fn worst_violation(sw: &[[u64; 2]], limits: &[[u64; 2]]) -> Option<(usize, usize)> {
-    let mut worst = None;
-    let mut worst_over = 0.0f64;
+/// The most overloaded (constraint, side) against `limits` with its
+/// normalized overload, if any: the first strictly worst in (constraint,
+/// side) order.
+fn worst_violation(sw: &[[u64; 2]], limits: &[[u64; 2]]) -> Option<(f64, usize, usize)> {
+    let mut worst: Option<(f64, usize, usize)> = None;
     for (c, s) in sw.iter().enumerate() {
         for side in 0..2 {
             if s[side] > limits[c][side] {
                 let over = (s[side] - limits[c][side]) as f64 / limits[c][side].max(1) as f64;
-                if over > worst_over {
-                    worst_over = over;
-                    worst = Some((c, side));
+                if worst.is_none_or(|(w, _, _)| over > w) {
+                    worst = Some((over, c, side));
                 }
             }
         }
@@ -96,54 +85,48 @@ pub(crate) fn worst_violation(sw: &[[u64; 2]], limits: &[[u64; 2]]) -> Option<(u
 }
 
 #[inline]
-fn move_feasible(g: &Graph, v: usize, to: usize, sw: &[[u64; 2]], limits: &[[u64; 2]]) -> bool {
-    for c in 0..g.ncon {
-        let w = g.vwgt[v * g.ncon + c] as u64;
-        if w > 0 && sw[c][to] + w > limits[c][to] {
-            return false;
-        }
-    }
-    true
+fn move_feasible<M: CutModel>(
+    m: &M,
+    v: usize,
+    to: usize,
+    sw: &[[u64; 2]],
+    limits: &[[u64; 2]],
+) -> bool {
+    let ncon = m.ncon();
+    let w = &m.vwgt()[v * ncon..][..ncon];
+    (0..ncon).all(|c| w[c] == 0 || sw[c][to] + w[c] as u64 <= limits[c][to])
 }
 
-fn apply_move(g: &Graph, v: usize, side: &mut [u8], sw: &mut [[u64; 2]]) {
+fn apply_move<M: CutModel>(
+    m: &M,
+    v: usize,
+    side: &mut [u8],
+    sw: &mut [[u64; 2]],
+    sides: &mut M::Sides,
+) {
     let from = side[v] as usize;
     let to = 1 - from;
-    for c in 0..g.ncon {
-        let w = g.vwgt[v * g.ncon + c] as u64;
-        sw[c][from] -= w;
-        sw[c][to] += w;
+    let ncon = m.ncon();
+    for (c, &w) in m.vwgt()[v * ncon..][..ncon].iter().enumerate() {
+        sw[c][from] -= w as u64;
+        sw[c][to] += w as u64;
     }
+    m.move_sides(v as u32, from, sides);
     side[v] = to as u8;
-}
-
-/// FM gain of moving `v` to the other side: (external − internal) edge weight.
-fn gain_of(g: &Graph, v: u32, side: &[u8]) -> i64 {
-    let mut gain = 0i64;
-    let s = side[v as usize];
-    for (idx, &u) in g.neighbors(v).iter().enumerate() {
-        let w = g.edge_weights(v)[idx] as i64;
-        if side[u as usize] == s {
-            gain -= w;
-        } else {
-            gain += w;
-        }
-    }
-    gain
 }
 
 /// Greedy-growing initial bisection: BFS from a random seed fills side 0
 /// until every constraint reaches its target, with adaptively loosened caps,
 /// then a forced fill guarantees no constraint is left starved.
-pub fn grow_initial(g: &Graph, target: &BisectTarget, rng: &mut ChaCha8Rng) -> Vec<u8> {
-    let n = g.n_vertices();
-    let tot = g.total_weights();
-    let goals: Vec<u64> = tot
+pub fn grow_initial<M: CutModel>(m: &M, target: &BisectTarget, rng: &mut ChaCha8Rng) -> Vec<u8> {
+    let (n, ncon, vwgt) = (m.n_vertices(), m.ncon(), m.vwgt());
+    let goals: Vec<u64> = m
+        .total_weights()
         .iter()
         .map(|&t| (target.f_left * t as f64).round() as u64)
         .collect();
     let mut side = vec![1u8; n];
-    let mut w0 = vec![0u64; g.ncon];
+    let mut w0 = vec![0u64; ncon];
 
     // BFS order from a random seed (deterministic given the rng).
     let seed = rng.gen_range(0..n) as u32;
@@ -154,12 +137,12 @@ pub fn grow_initial(g: &Graph, target: &BisectTarget, rng: &mut ChaCha8Rng) -> V
     seen[seed as usize] = true;
     while let Some(v) = queue.pop_front() {
         order.push(v);
-        for &u in g.neighbors(v) {
+        m.for_each_adjacent(v, |u| {
             if !seen[u as usize] {
                 seen[u as usize] = true;
                 queue.push_back(u);
             }
-        }
+        });
     }
     // disconnected leftovers, in random order
     let mut rest: Vec<u32> = (0..n as u32).filter(|&v| !seen[v as usize]).collect();
@@ -174,42 +157,42 @@ pub fn grow_initial(g: &Graph, target: &BisectTarget, rng: &mut ChaCha8Rng) -> V
             if side[v as usize] == 0 {
                 continue;
             }
-            if (0..g.ncon).all(|c| w0[c] >= goals[c]) {
+            if (0..ncon).all(|c| w0[c] >= goals[c]) {
                 break;
             }
             let vi = v as usize;
-            let helps = (0..g.ncon).any(|c| g.vwgt[vi * g.ncon + c] > 0 && w0[c] < goals[c]);
+            let helps = (0..ncon).any(|c| vwgt[vi * ncon + c] > 0 && w0[c] < goals[c]);
             if !helps {
                 continue;
             }
-            let ok = (0..g.ncon).all(|c| {
-                let w = g.vwgt[vi * g.ncon + c] as u64;
+            let ok = (0..ncon).all(|c| {
+                let w = vwgt[vi * ncon + c] as u64;
                 w == 0 || w0[c] + w <= (slack * goals[c] as f64).ceil() as u64 + 1
             });
             if ok {
                 side[vi] = 0;
-                for c in 0..g.ncon {
-                    w0[c] += g.vwgt[vi * g.ncon + c] as u64;
+                for c in 0..ncon {
+                    w0[c] += vwgt[vi * ncon + c] as u64;
                 }
             }
         }
-        if (0..g.ncon).all(|c| w0[c] >= goals[c]) {
+        if (0..ncon).all(|c| w0[c] >= goals[c]) {
             break;
         }
         slack *= 1.5;
     }
     // Forced fill for any constraint still starved (overshoot permitted; the
     // rebalance/FM phases clean it up).
-    for c in 0..g.ncon {
+    for c in 0..ncon {
         if w0[c] >= goals[c] {
             continue;
         }
         for &v in &order {
             let vi = v as usize;
-            if side[vi] == 1 && g.vwgt[vi * g.ncon + c] > 0 {
+            if side[vi] == 1 && vwgt[vi * ncon + c] > 0 {
                 side[vi] = 0;
-                for cc in 0..g.ncon {
-                    w0[cc] += g.vwgt[vi * g.ncon + cc] as u64;
+                for cc in 0..ncon {
+                    w0[cc] += vwgt[vi * ncon + cc] as u64;
                 }
                 if w0[c] >= goals[c] {
                     break;
@@ -218,20 +201,6 @@ pub fn grow_initial(g: &Graph, target: &BisectTarget, rng: &mut ChaCha8Rng) -> V
         }
     }
     side
-}
-
-/// Record one FM pass outcome under `vcycle_level` (shared by the graph and
-/// hypergraph engines).
-pub fn record_fm_pass(reg: &mut MetricsRegistry, vcycle_level: Option<u8>, out: FmPassOutcome) {
-    let key = |name| lts_obs::Key {
-        name,
-        level: vcycle_level,
-        label: None,
-    };
-    reg.inc_key(key(names::FM_PASSES), 1);
-    reg.inc_key(key(names::FM_GAIN), out.gain);
-    reg.inc_key(key(names::FM_MOVES), out.moves);
-    reg.inc_key(key(names::FM_ROLLBACK), out.rolled_back);
 }
 
 /// What one FM pass did: the kept cut improvement, the moves it tried, and
@@ -244,29 +213,21 @@ pub struct FmPassOutcome {
 }
 
 /// One FM pass with rollback: vertices move at most once, the best prefix of
-/// the move sequence is kept. Returns the cut improvement (≥ 0).
-pub fn fm_pass(g: &Graph, side: &mut [u8], sw: &mut [[u64; 2]], limits: &[[u64; 2]]) -> u64 {
-    fm_pass_observed(g, side, sw, limits).gain
-}
-
-/// [`fm_pass`], reporting its move accounting for the observability layer.
-pub fn fm_pass_observed(
-    g: &Graph,
+/// the move sequence is kept.
+pub fn fm_pass<M: CutModel>(
+    m: &M,
     side: &mut [u8],
     sw: &mut [[u64; 2]],
     limits: &[[u64; 2]],
 ) -> FmPassOutcome {
-    let n = g.n_vertices();
+    let n = m.n_vertices();
+    let mut sides = m.sides(side);
     let mut gain = vec![0i64; n];
     let mut heap: BinaryHeap<(i64, u32)> = BinaryHeap::new();
     let mut moved = vec![false; n];
     for v in 0..n as u32 {
-        let is_boundary = g
-            .neighbors(v)
-            .iter()
-            .any(|&u| side[u as usize] != side[v as usize]);
-        if is_boundary {
-            gain[v as usize] = gain_of(g, v, side);
+        if m.is_boundary(v, side, &sides) {
+            gain[v as usize] = m.gain(v, side, &sides);
             heap.push((gain[v as usize], v));
         }
     }
@@ -289,13 +250,10 @@ pub fn fm_pass_observed(
         let from = side[vi] as usize;
         let to = 1 - from;
         // never empty a side
-        if count[from] <= 1 {
+        if count[from] <= 1 || !move_feasible(m, vi, to, sw, limits) {
             continue;
         }
-        if !move_feasible(g, vi, to, sw, limits) {
-            continue;
-        }
-        apply_move(g, vi, side, sw);
+        apply_move(m, vi, side, sw, &mut sides);
         count[from] -= 1;
         count[to] += 1;
         moved[vi] = true;
@@ -312,17 +270,17 @@ pub fn fm_pass_observed(
             }
         }
         // refresh neighbour gains
-        for &u in g.neighbors(v) {
+        m.for_each_adjacent(v, |u| {
             let ui = u as usize;
             if !moved[ui] {
-                gain[ui] = gain_of(g, u, side);
+                gain[ui] = m.gain(u, side, &sides);
                 heap.push((gain[ui], u));
             }
-        }
+        });
     }
     // roll back past the best prefix
     for &v in seq[best_len..].iter().rev() {
-        apply_move(g, v as usize, side, sw);
+        apply_move(m, v as usize, side, sw, &mut sides);
     }
     FmPassOutcome {
         gain: (-best_delta) as u64,
@@ -333,54 +291,38 @@ pub fn fm_pass_observed(
 
 /// Explicit rebalancing: while a (constraint, side) exceeds its limit, move
 /// the overloaded-side vertex with the least cut damage that reduces the
-/// violation. Used by the hypergraph-style engines and to make infeasible
-/// coarse solutions feasible.
-pub fn rebalance(g: &Graph, side: &mut [u8], sw: &mut [[u64; 2]], limits: &[[u64; 2]]) {
-    for _ in 0..4 * g.n_vertices() {
-        let Some((c, s)) = worst_violation(sw, limits) else {
+/// violation (the PaToH-style `final_imbal` enforcement; it also makes
+/// infeasible coarse solutions feasible).
+pub fn rebalance<M: CutModel>(m: &M, side: &mut [u8], sw: &mut [[u64; 2]], limits: &[[u64; 2]]) {
+    let (n, ncon, vwgt) = (m.n_vertices(), m.ncon(), m.vwgt());
+    let mut sides = m.sides(side);
+    for _ in 0..4 * n {
+        let Some((_, c, s)) = worst_violation(sw, limits) else {
             break;
         };
         // best vertex to evict: carries weight in c, on side s, max gain
         // (lowest id on ties)
         let mut best: Option<(i64, u32)> = None;
-        for v in 0..g.n_vertices() as u32 {
+        for v in 0..n as u32 {
             let vi = v as usize;
-            if side[vi] as usize != s || g.vwgt[vi * g.ncon + c] == 0 {
+            if side[vi] as usize != s || vwgt[vi * ncon + c] == 0 {
                 continue;
             }
-            let gv = gain_of(g, v, side);
+            let gv = m.gain(v, side, &sides);
             if best.is_none_or(|(bg, _)| gv > bg) {
                 best = Some((gv, v));
             }
         }
         let Some((_, v)) = best else { break };
-        apply_move(g, v as usize, side, sw);
+        apply_move(m, v as usize, side, sw, &mut sides);
     }
 }
 
-/// Full bisection refinement: FM passes to a fixed point (≤ `max_passes`).
-pub fn refine_bisection(
-    g: &Graph,
-    side: &mut [u8],
-    target: &BisectTarget,
-    max_passes: usize,
-    active_rebalance: bool,
-) {
-    refine_bisection_observed(
-        g,
-        side,
-        target,
-        max_passes,
-        active_rebalance,
-        None,
-        &mut MetricsRegistry::new(),
-    );
-}
-
-/// [`refine_bisection`], recording pass/gain/move/rollback counters under
-/// `vcycle_level` into `reg`.
-pub fn refine_bisection_observed(
-    g: &Graph,
+/// Bisection refinement: rebalance (if `active_rebalance`), FM passes to a
+/// fixed point (≤ `max_passes`), rebalance again; pass/gain/move/rollback
+/// counters go to `reg` under `vcycle_level`.
+pub fn refine_bisection<M: CutModel>(
+    m: &M,
     side: &mut [u8],
     target: &BisectTarget,
     max_passes: usize,
@@ -388,28 +330,40 @@ pub fn refine_bisection_observed(
     vcycle_level: Option<u8>,
     reg: &mut MetricsRegistry,
 ) {
-    let tot = g.total_weights();
-    let limits = target.limits(&tot);
-    let mut sw = side_weights(g, side);
+    let limits = target.limits(&m.total_weights());
+    let mut sw = side_weights(m, side);
     if active_rebalance {
-        rebalance(g, side, &mut sw, &limits);
+        rebalance(m, side, &mut sw, &limits);
     }
+    let key = |name| lts_obs::Key {
+        name,
+        level: vcycle_level,
+        label: None,
+    };
     for _ in 0..max_passes {
-        let out = fm_pass_observed(g, side, &mut sw, &limits);
-        record_fm_pass(reg, vcycle_level, out);
+        let out = fm_pass(m, side, &mut sw, &limits);
+        reg.inc_key(key(names::FM_PASSES), 1);
+        reg.inc_key(key(names::FM_GAIN), out.gain);
+        reg.inc_key(key(names::FM_MOVES), out.moves);
+        reg.inc_key(key(names::FM_ROLLBACK), out.rolled_back);
         if out.gain == 0 {
             break;
         }
     }
     if active_rebalance {
-        rebalance(g, side, &mut sw, &limits);
+        rebalance(m, side, &mut sw, &limits);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Graph;
     use rand::SeedableRng;
+
+    fn refine(g: &Graph, side: &mut [u8], t: &BisectTarget) {
+        refine_bisection(g, side, t, 10, true, None, &mut MetricsRegistry::new());
+    }
 
     /// 2×n grid graph, unit weights.
     fn grid_graph(nx: usize, ny: usize) -> Graph {
@@ -463,7 +417,7 @@ mod tests {
         for seed in 0..5 {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let mut side = grow_initial(&g, &t, &mut rng);
-            refine_bisection(&g, &mut side, &t, 10, true);
+            refine(&g, &mut side, &t);
             let part: Vec<u32> = side.iter().map(|&s| s as u32).collect();
             best = best.min(g.cut(&part));
         }
@@ -476,7 +430,7 @@ mod tests {
         let t = BisectTarget::even(0.05);
         let mut rng = ChaCha8Rng::seed_from_u64(7);
         let mut side = grow_initial(&g, &t, &mut rng);
-        refine_bisection(&g, &mut side, &t, 10, true);
+        refine(&g, &mut side, &t);
         let sw = side_weights(&g, &side);
         let limits = t.limits(&g.total_weights());
         assert_eq!(violation(&sw, &limits), 0.0, "sw {:?}", sw);
@@ -498,7 +452,7 @@ mod tests {
         let t = BisectTarget::even(0.10);
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let mut side = grow_initial(&g, &t, &mut rng);
-        refine_bisection(&g, &mut side, &t, 10, true);
+        refine(&g, &mut side, &t);
         let sw = side_weights(&g, &side);
         for c in 0..2 {
             assert!(
@@ -507,73 +461,6 @@ mod tests {
                 sw
             );
         }
-    }
-
-    fn graph_from_edges(n: usize, edges: &[(u32, u32)]) -> Graph {
-        let mut nbrs = vec![Vec::new(); n];
-        for &(a, b) in edges {
-            nbrs[a as usize].push(b);
-            nbrs[b as usize].push(a);
-        }
-        let mut xadj = vec![0u32];
-        let mut adj = Vec::new();
-        for l in nbrs {
-            adj.extend(l);
-            xadj.push(adj.len() as u32);
-        }
-        Graph {
-            ewgt: vec![1; adj.len()],
-            xadj,
-            adj,
-            ncon: 1,
-            vwgt: vec![1; n],
-        }
-    }
-
-    #[test]
-    fn fm_refuses_the_only_gain_that_empties_a_side() {
-        // vertex 3 is alone on side 1 and adjacent to everything (gain +3);
-        // side 1 is full, so no other move is feasible
-        let g = graph_from_edges(4, &[(0, 3), (1, 3), (2, 3), (0, 1), (1, 2)]);
-        let mut side = vec![0, 0, 0, 1];
-        assert_eq!(gain_of(&g, 3, &side), 3);
-        let limits = vec![[4, 1]];
-        let mut sw = side_weights(&g, &side);
-        let out = fm_pass_observed(&g, &mut side, &mut sw, &limits);
-        assert_eq!((out.gain, out.moves), (0, 0));
-        assert_eq!(side, vec![0, 0, 0, 1], "side 1 emptied");
-    }
-
-    #[test]
-    fn fm_side_count_follows_the_moves() {
-        // side 1 = {3, 4}, both with positive gain (3 and 2). Moving 3
-        // leaves 4 alone, so 4 must then be refused
-        let g = graph_from_edges(5, &[(0, 3), (1, 3), (2, 3), (0, 4), (1, 4)]);
-        let mut side = vec![0, 0, 0, 1, 1];
-        assert_eq!((gain_of(&g, 3, &side), gain_of(&g, 4, &side)), (3, 2));
-        let limits = vec![[5, 2]];
-        let mut sw = side_weights(&g, &side);
-        let out = fm_pass_observed(&g, &mut side, &mut sw, &limits);
-        assert_eq!((out.gain, out.moves - out.rolled_back), (3, 1));
-        assert_eq!(side, vec![0, 0, 0, 0, 1], "side 1 emptied");
-        assert_eq!(sw, side_weights(&g, &side));
-    }
-
-    #[test]
-    fn rebalance_breaks_gain_ties_by_lowest_vertex() {
-        // 6×6 grid, all but vertex 35 on side 0: vertices 29 and 34 tie on
-        // the best gain (−1); the lower id, 29, must be the one evicted
-        let g = grid_graph(6, 6);
-        let mut side = vec![0u8; 36];
-        side[35] = 1;
-        assert_eq!(gain_of(&g, 29, &side), -1);
-        assert_eq!(gain_of(&g, 34, &side), -1);
-        // a limit one unit under side 0's weight forces exactly one eviction
-        let limits = vec![[34, 36]];
-        let mut sw = side_weights(&g, &side);
-        rebalance(&g, &mut side, &mut sw, &limits);
-        let moved: Vec<usize> = (0..35).filter(|&v| side[v] == 1).collect();
-        assert_eq!(moved, vec![29]);
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //! partition".
 
 use crate::graph::Graph;
-use crate::multilevel::{partition_kway, PartitionConfig};
+use crate::multilevel::{contract, partition_kway, CutModel, PartitionConfig};
 use lts_mesh::{DualGraph, HexMesh, Levels};
+use lts_obs::MetricsRegistry;
 
 /// Partition with cuts restricted to coarse elements. Returns the element →
 /// part map.
@@ -26,7 +27,7 @@ pub fn partition_coarse_restricted(
 ) -> Vec<u32> {
     let ne = mesh.n_elems();
     assert!(k >= 1 && k <= ne);
-    let dual = DualGraph::build_weighted(mesh, levels);
+    let fine = Graph::scotch_baseline(mesh, levels);
 
     // connected components of fine (level ≥ 1) elements
     let mut cmap = vec![u32::MAX; ne];
@@ -41,9 +42,7 @@ pub fn partition_coarse_restricted(
         let mut queue = vec![e];
         cmap[e as usize] = cluster;
         while let Some(v) = queue.pop() {
-            let start = dual.xadj[v as usize] as usize;
-            let end = dual.xadj[v as usize + 1] as usize;
-            for &nb in &dual.adj[start..end] {
+            for &nb in fine.neighbors(v) {
                 if levels.elem_level[nb as usize] >= 1 && cmap[nb as usize] == u32::MAX {
                     cmap[nb as usize] = cluster;
                     queue.push(nb);
@@ -58,61 +57,16 @@ pub fn partition_coarse_restricted(
             next += 1;
         }
     }
-    let nc = next as usize;
-
     // contracted graph: vertex weight = Σ p over constituents
-    let mut vwgt = vec![0u32; nc];
-    for e in 0..ne {
-        vwgt[cmap[e] as usize] += levels.p_of(e as u32) as u32;
-    }
-    let mut xadj = vec![0u32];
-    let mut adj: Vec<u32> = Vec::new();
-    let mut ewgt: Vec<u32> = Vec::new();
-    // accumulate with a stamp array
-    let mut members: Vec<Vec<u32>> = vec![Vec::new(); nc];
-    for e in 0..ne as u32 {
-        members[cmap[e as usize] as usize].push(e);
-    }
-    let mut stamp = vec![u32::MAX; nc];
-    let mut slot = vec![0u32; nc];
-    for cv in 0..nc as u32 {
-        for &v in &members[cv as usize] {
-            let start = dual.xadj[v as usize] as usize;
-            let end = dual.xadj[v as usize + 1] as usize;
-            for (off, &u) in dual.adj[start..end].iter().enumerate() {
-                let cu = cmap[u as usize];
-                if cu == cv {
-                    continue;
-                }
-                let w = dual.ewgt[start + off];
-                if stamp[cu as usize] == cv {
-                    ewgt[slot[cu as usize] as usize] += w;
-                } else {
-                    stamp[cu as usize] = cv;
-                    slot[cu as usize] = adj.len() as u32;
-                    adj.push(cu);
-                    ewgt.push(w);
-                }
-            }
-        }
-        xadj.push(adj.len() as u32);
-    }
-    let g = Graph {
-        xadj,
-        adj,
-        ewgt,
-        ncon: 1,
-        vwgt,
-    };
+    let g = contract(&fine, &cmap, next as usize);
     let cfg = PartitionConfig {
         eps: 0.05,
         seed,
         active_rebalance: true,
-        n_inits: 4,
         adjust_eps: true,
     };
     let k_eff = k.min(g.n_vertices());
-    let cpart = partition_kway(&g, k_eff, &cfg);
+    let cpart = partition_kway(&g, k_eff, &cfg, &mut MetricsRegistry::new());
     (0..ne).map(|e| cpart[cmap[e] as usize]).collect()
 }
 

@@ -5,8 +5,9 @@
 
 use crate::assignment::{auction_assignment, greedy_assignment};
 use crate::graph::Graph;
-use crate::multilevel::{partition_kway, PartitionConfig};
+use crate::multilevel::{partition_kway, CutModel, PartitionConfig};
 use lts_mesh::{DualGraph, HexMesh, Levels};
+use lts_obs::MetricsRegistry;
 
 /// How the per-level parts are coupled onto processors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,15 +57,18 @@ pub fn partition_scotch_p_with(
         let level_part: Vec<u32> = if members.len() <= k {
             (0..members.len() as u32).collect()
         } else {
-            let (sub, _) = full.induced_subgraph(&members);
             let cfg = PartitionConfig {
                 eps: 0.03,
                 seed: seed.wrapping_add(level as u64),
                 active_rebalance: true,
-                n_inits: 4,
                 adjust_eps: true,
             };
-            partition_kway(&sub, k, &cfg)
+            partition_kway(
+                &full.induced(&members),
+                k,
+                &cfg,
+                &mut MetricsRegistry::new(),
+            )
         };
 
         if level == 0 && members.len() > k {

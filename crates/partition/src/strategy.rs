@@ -3,10 +3,9 @@
 
 use crate::graph::Graph;
 use crate::hgraph::HGraph;
-use crate::hmultilevel::{hpartition_kway_observed, HPartitionConfig};
-use crate::kway::{kway_refine_graph, kway_refine_hgraph};
+use crate::kway::kway_refine;
 use crate::metrics::load_imbalance;
-use crate::multilevel::{partition_kway_observed, PartitionConfig};
+use crate::multilevel::{partition_kway, PartitionConfig};
 use crate::scotch_p::partition_scotch_p;
 use lts_mesh::{HexMesh, Levels};
 use lts_obs::MetricsRegistry;
@@ -91,14 +90,13 @@ pub fn partition_mesh_observed(
                 eps: 0.03,
                 seed,
                 active_rebalance: true,
-                n_inits: 4,
                 adjust_eps: true,
             };
             let mut span = reg.start_span(names::PARTITION, None);
-            let mut part = partition_kway_observed(&g, k, &cfg, span.registry());
+            let mut part = partition_kway(&g, k, &cfg, span.registry());
             drop(span);
             let refine = reg.start_span(names::KWAY_REFINE, None);
-            kway_refine_graph(&g, &mut part, k, 0.03, 3, seed);
+            kway_refine(&g, &mut part, k, 0.03, 3, seed);
             drop(refine);
             part
         }
@@ -119,16 +117,15 @@ pub fn partition_mesh_observed(
                 eps: 0.05,
                 seed,
                 active_rebalance: false,
-                n_inits: 4,
                 adjust_eps: false,
             };
             let mut span = reg.start_span(names::PARTITION, None);
-            let mut part = partition_kway_observed(&g, k, &cfg, span.registry());
+            let mut part = partition_kway(&g, k, &cfg, span.registry());
             drop(span);
             // MeTiS does k-way refinement too — under its own (compounded)
             // tolerance, so the imbalance it arrived with persists
             let refine = reg.start_span(names::KWAY_REFINE, None);
-            kway_refine_graph(
+            kway_refine(
                 &g,
                 &mut part,
                 k,
@@ -143,16 +140,18 @@ pub fn partition_mesh_observed(
             let build = reg.start_span(names::BUILD_MODEL, None);
             let h = HGraph::lts_model(mesh, levels);
             drop(build);
-            let cfg = HPartitionConfig {
-                final_imbal,
+            // PaToH enforces `final_imbal` with an explicit rebalancing phase
+            let cfg = PartitionConfig {
+                eps: final_imbal,
                 seed,
-                n_inits: 4,
+                active_rebalance: true,
+                adjust_eps: true,
             };
             let mut span = reg.start_span(names::PARTITION, None);
-            let mut part = hpartition_kway_observed(&h, k, &cfg, span.registry());
+            let mut part = partition_kway(&h, k, &cfg, span.registry());
             drop(span);
             let refine = reg.start_span(names::KWAY_REFINE, None);
-            kway_refine_hgraph(&h, &mut part, k, final_imbal, 3, seed);
+            kway_refine(&h, &mut part, k, final_imbal, 3, seed);
             drop(refine);
             part
         }

@@ -3,7 +3,7 @@
 //! (such as FM's incremental side counts) must not change a single
 //! assignment, so any drift here is a behaviour change, not noise.
 //!
-//! The two benchmark-size cases are `#[ignore]`d to keep the debug test run
+//! The three benchmark-size cases are `#[ignore]`d to keep the debug test run
 //! fast; run them with
 //! `cargo test --release -p lts-partition --test partition_golden -- --include-ignored`.
 
@@ -158,4 +158,10 @@ fn trench_big_metis_k2_matches_golden_hash() {
 #[ignore = "benchmark size; run in release with --include-ignored"]
 fn trench_scotch_p_k2_matches_golden_hash() {
     check(&[(MeshKind::Trench, 8_788, 3, 2, 0x759d_bc2d_e74f_e52b)]);
+}
+
+#[test]
+#[ignore = "benchmark size; run in release with --include-ignored"]
+fn trench_patoh_k8_matches_golden_hash() {
+    check(&[(MeshKind::Trench, 8_788, 1, 8, 0xe299_0d71_24ac_52b1)]);
 }

@@ -153,10 +153,9 @@ pub fn simulate(shape: &PartitionShape, m: &MachineModel) -> CycleBreakdown {
         let t_el = m.t_elem_eff(shape.elems[r] as f64);
         let comm = m.alpha * shape.all_peers[r] as f64 + m.beta * shape.all_vol[r] as f64;
         let t = if m.overlap {
-            let boundary: u64 = shape.boundary_ops[r].iter().max().copied().unwrap_or(0);
-            let b = boundary as f64 * t_el;
-            let interior = (shape.elems[r] as f64 - boundary as f64).max(0.0) * t_el;
-            m.kernel_launch + b + interior.max(comm)
+            let boundary = shape.boundary_elems[r];
+            let interior = (shape.elems[r] - boundary) as f64 * t_el;
+            m.kernel_launch + boundary as f64 * t_el + interior.max(comm)
         } else {
             m.kernel_launch + shape.elems[r] as f64 * t_el + comm
         };

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repository lint gate: clippy clean under -D warnings, formatting canonical,
-# and the bench-smoke regression gate (scenario parameters and
-# deterministic counters vs the committed BENCH_lts.json baseline, exact).
+# and the counter regression gate (scenario parameters and deterministic
+# counters vs the committed BENCH_lts.json baseline, exact).
 # Run from anywhere; operates on the workspace this script lives in.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -80,32 +80,31 @@ echo "== perfbench builds (its own package, path deps on crates/*)"
 # perfbench/Cargo.lock.
 cargo build --release --locked --offline --manifest-path perfbench/Cargo.toml
 
-echo "== bench smoke (lts-profile --smoke → validate → bench-compare)"
-# The smoke matrix includes an order-4 scenario, so the SIMD stiffness
-# batch at the paper's production order is inside the counter gate.
+echo "== counter gate (lts-profile run → validate → bench-compare, full matrix)"
+# The matrix covers every strategy and an order-4 block on every benchmark
+# mesh, so the partitioners and the SIMD stiffness batch at the paper's
+# production order are inside the counter gate.
 cargo build --release -q -p lts-bench --bin lts-profile
-smoke_out="$(mktemp /tmp/bench_smoke.XXXXXX.json)"
-scalar_out="$(mktemp /tmp/bench_smoke_scalar.XXXXXX.json)"
-flight_off="$(mktemp /tmp/bench_smoke_noflight.XXXXXX.json)"
-trap 'rm -f "$smoke_out" "$scalar_out" "$flight_off"; rm -rf "$crash_dir"' EXIT
-./target/release/lts-profile --mode run --smoke true --out "$smoke_out" >/dev/null
-./target/release/lts-profile --mode validate --file "$smoke_out"
+bench_out="$(mktemp /tmp/bench_lts.XXXXXX.json)"
+scalar_out="$(mktemp /tmp/bench_lts_scalar.XXXXXX.json)"
+flight_off="$(mktemp /tmp/bench_lts_noflight.XXXXXX.json)"
+trap 'rm -f "$bench_out" "$scalar_out" "$flight_off"; rm -rf "$crash_dir"' EXIT
+./target/release/lts-profile --mode run --out "$bench_out" >/dev/null
+./target/release/lts-profile --mode validate --file "$bench_out"
 ./target/release/lts-profile --mode compare \
-  --baseline BENCH_lts.json --current "$smoke_out"
+  --baseline BENCH_lts.json --current "$bench_out"
 
-echo "== bench smoke, forced-scalar kernel (counters must be SIMD-invariant)"
-LTS_SIMD=scalar ./target/release/lts-profile --mode run --smoke true \
-  --out "$scalar_out" >/dev/null
+echo "== counter gate, forced-scalar kernel (counters must be SIMD-invariant)"
+LTS_SIMD=scalar ./target/release/lts-profile --mode run --out "$scalar_out" >/dev/null
 ./target/release/lts-profile --mode compare \
-  --baseline "$smoke_out" --current "$scalar_out"
+  --baseline BENCH_lts.json --current "$scalar_out"
 
-echo "== recorder-overhead smoke (flight recorder off: counters must be identical)"
+echo "== counter gate, flight recorder off (counters must be identical)"
 # LTS_FLIGHT=0 disables the flight recorder entirely; every deterministic
-# counter must match the recorder-on smoke run exactly — the recorder is
-# observability, never physics.
-LTS_FLIGHT=0 ./target/release/lts-profile --mode run --smoke true \
-  --out "$flight_off" >/dev/null
+# counter must match the baseline exactly — the recorder is observability,
+# never physics.
+LTS_FLIGHT=0 ./target/release/lts-profile --mode run --out "$flight_off" >/dev/null
 ./target/release/lts-profile --mode compare \
-  --baseline "$smoke_out" --current "$flight_off"
+  --baseline BENCH_lts.json --current "$flight_off"
 
 echo "ok"

@@ -54,7 +54,7 @@ fn main() {
     let cfg = DistributedConfig {
         work_amplify: amplify,
         // live stall detection: warn when a rank waits through half a window
-        stall_monitor: Some(MonitorConfig::default()),
+        stall_monitor: Some(MonitorConfig),
         threads_per_rank: threads.max(1),
         flight_capacity: flight_capacity_from_env().unwrap_or_else(|e| usage_error(&e)),
         ..DistributedConfig::new(2)

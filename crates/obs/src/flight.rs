@@ -57,8 +57,9 @@ pub enum EventKind {
     ExchangeBegin = 6,
     /// All peers' partials for this exchange were assembled.
     ExchangeEnd = 7,
-    /// The stall monitor warned: windowed wait fraction above threshold.
-    StallWarning = 8,
+    /// The stall monitor warned: windowed wait fraction at or above its
+    /// threshold (named `stall_warning`).
+    Stall = 8,
     /// The run died here (`RuntimeError`); always the rank's last event.
     Fault = 9,
 }
@@ -75,7 +76,7 @@ impl EventKind {
             5 => Recv,
             6 => ExchangeBegin,
             7 => ExchangeEnd,
-            8 => StallWarning,
+            8 => Stall,
             9 => Fault,
             _ => return None,
         })
@@ -92,13 +93,13 @@ impl EventKind {
             Recv => "recv",
             ExchangeBegin => "exchange_begin",
             ExchangeEnd => "exchange_end",
-            StallWarning => "stall_warning",
+            Stall => "stall_warning",
             Fault => "fault",
         }
     }
 
     pub fn from_name(name: &str) -> Option<EventKind> {
-        (0..=9u8)
+        (0..=u8::MAX)
             .filter_map(EventKind::from_u8)
             .find(|k| k.name() == name)
     }
@@ -730,7 +731,7 @@ fn add_rank_track(t: &mut ChromeTrace, pid: u64, rec: &RankRecording) {
                 args.push(("seq".to_string(), Json::UInt(ev.seq)));
                 t.complete(pid, tid, ev.kind.name(), &cat, ts_us, 0.0, args);
             }
-            EventKind::StallWarning | EventKind::Fault => {
+            EventKind::Stall | EventKind::Fault => {
                 t.complete(pid, tid, ev.kind.name(), &cat, ts_us, 0.0, base_args(ev));
             }
             EventKind::StepEnd | EventKind::LevelEnd | EventKind::ExchangeEnd => {}
@@ -751,6 +752,17 @@ mod tests {
             peer,
             seq,
         }
+    }
+
+    #[test]
+    fn every_kind_round_trips_through_its_name() {
+        let kinds: Vec<EventKind> = (0..=u8::MAX).filter_map(EventKind::from_u8).collect();
+        assert_eq!(kinds.len(), 10);
+        for k in kinds {
+            assert_eq!(EventKind::from_u8(k as u8), Some(k));
+            assert_eq!(EventKind::from_name(k.name()), Some(k), "{}", k.name());
+        }
+        assert_eq!(EventKind::from_name("no_such_kind"), None);
     }
 
     #[test]
@@ -974,7 +986,7 @@ mod tests {
                 ev(90, EventKind::Recv, 1, 1, 7),
                 ev(100, EventKind::ExchangeEnd, 1, NO_PEER, 0),
                 ev(110, EventKind::LevelEnd, 1, NO_PEER, 0),
-                ev(120, EventKind::StallWarning, 1, NO_PEER, 0),
+                ev(120, EventKind::Stall, 1, NO_PEER, 0),
                 ev(130, EventKind::StepEnd, NO_LEVEL, NO_PEER, 0),
             ],
         };

@@ -145,13 +145,24 @@ impl CutModel for Graph {
         let mut stamp = vec![u32::MAX; n_coarse];
         let mut slot = vec![0u32; n_coarse];
         xadj.push(0u32);
-        // iterate coarse vertices in id order; find their constituents
-        let mut members: Vec<Vec<u32>> = vec![Vec::new(); n_coarse];
+        // iterate coarse vertices in id order; find their constituents,
+        // counted then filled in ascending fine-vertex order
+        let mut first = vec![0u32; n_coarse + 1];
+        for &cv in cmap {
+            first[cv as usize + 1] += 1;
+        }
+        for c in 0..n_coarse {
+            first[c + 1] += first[c];
+        }
+        let mut fill = first.clone();
+        let mut members = vec![0u32; cmap.len()];
         for (v, &cv) in cmap.iter().enumerate() {
-            members[cv as usize].push(v as u32);
+            members[fill[cv as usize] as usize] = v as u32;
+            fill[cv as usize] += 1;
         }
         for cv in 0..n_coarse as u32 {
-            for &v in &members[cv as usize] {
+            let (lo, hi) = (first[cv as usize], first[cv as usize + 1]);
+            for &v in &members[lo as usize..hi as usize] {
                 for (u, w) in self.edges(v) {
                     let cu = cmap[u as usize];
                     if cu == cv {

@@ -224,7 +224,11 @@ pub fn fm_pass<M: CutModel>(
     let mut sides = m.sides(side);
     let mut gain = vec![0i64; n];
     let mut heap: BinaryHeap<(i64, u32)> = BinaryHeap::new();
-    let mut moved = vec![false; n];
+    // per vertex: MOVED once it moved, else the number of the last move
+    // that refreshed its gain (0: none yet); a hypergraph pin is visited
+    // once per net it shares with the moved vertex and refreshed once
+    const MOVED: u32 = u32::MAX;
+    let mut mark = vec![0u32; n];
     for v in 0..n as u32 {
         if m.is_boundary(v, side, &sides) {
             gain[v as usize] = m.gain(v, side, &sides);
@@ -244,7 +248,7 @@ pub fn fm_pass<M: CutModel>(
 
     while let Some((gv, v)) = heap.pop() {
         let vi = v as usize;
-        if moved[vi] || gv != gain[vi] {
+        if mark[vi] == MOVED || gv != gain[vi] {
             continue; // stale entry
         }
         let from = side[vi] as usize;
@@ -256,7 +260,7 @@ pub fn fm_pass<M: CutModel>(
         apply_move(m, vi, side, sw, &mut sides);
         count[from] -= 1;
         count[to] += 1;
-        moved[vi] = true;
+        mark[vi] = MOVED;
         seq.push(v);
         delta -= gv;
         if delta < best_delta {
@@ -270,9 +274,11 @@ pub fn fm_pass<M: CutModel>(
             }
         }
         // refresh neighbour gains
+        let mv = seq.len() as u32;
         m.for_each_adjacent(v, |u| {
             let ui = u as usize;
-            if !moved[ui] {
+            if mark[ui] < mv {
+                mark[ui] = mv;
                 gain[ui] = m.gain(u, side, &sides);
                 heap.push((gain[ui], u));
             }

@@ -7,7 +7,11 @@
 //! of SPECFEM3D (Sec. III). A force at level `k` is exchanged `2^k`
 //! times per LTS cycle, which is why an unbalanced partition stalls at every
 //! sub-step (the paper's Fig. 1); per-rank busy/wait accounting makes that
-//! stall measurable.
+//! stall measurable. The paper's Eq. 21 load imbalance λ is computed once,
+//! after the run, from the ranks' busy times ([`lambda_from_stats`]); the
+//! optional stall monitor ([`monitor`]) watches each rank's own exchange
+//! waits while it runs, the same in rank threads and `wave-lts worker`
+//! processes.
 //!
 //! Shared interface DOFs are updated redundantly by every touching rank from
 //! identical assembled forces (partials are summed in rank order), so ranks
@@ -34,7 +38,7 @@ pub use distributed::{
 };
 pub use error::RuntimeError;
 pub use local::{Acoustic, Decompose, Elastic};
-pub use monitor::{eq21_lambda, MonitorConfig, StallMonitor, StallWarning};
+pub use monitor::MonitorConfig;
 pub use postmortem::CrashReport;
 pub use stats::{ascii_timeline, lambda_from_stats, profile_json, LevelStats, RankStats};
 pub use transport::faulty::FaultPlan;

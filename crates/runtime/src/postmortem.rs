@@ -1,11 +1,11 @@
 //! Post-mortem crash reports built from drained flight-recorder rings.
 //!
 //! When a distributed run dies — an injected fault, a peer disconnect, a
-//! forced recv timeout — or when a stall warning crosses the operator's
-//! threshold, the runtime drains every rank's [`lts_obs::FlightRecorder`]
-//! ring and hands the recordings here. A [`CrashReport`] bundles them with
-//! the failure reason and the last known per-level Eq. 21 λ, and writes
-//! three artifacts next to each other:
+//! forced recv timeout, a panicked rank — the runtime drains every rank's
+//! [`lts_obs::FlightRecorder`] ring and hands the recordings here. A
+//! [`CrashReport`] bundles them with the failure reason ([`reason_for`]
+//! classifies the [`crate::RuntimeError`]) and writes three artifacts next
+//! to each other:
 //!
 //! * `PATH` — the JSON document (schema [`SCHEMA`]), machine-parseable and
 //!   re-readable via [`read_report`];
@@ -27,20 +27,18 @@ use lts_obs::{
 };
 
 /// Schema tag stamped into (and required from) every report document.
-pub const SCHEMA: &str = "wave-lts-crash/1";
+pub const SCHEMA: &str = "wave-lts-crash/2";
 
 /// A self-contained post-mortem: the failure reason plus every rank's
 /// drained flight ring.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CrashReport {
-    /// Short machine-oriented cause: `"runtime-error"`, `"stall"`,
-    /// `"signal"`, or `"inspect"` for an explicit healthy-run dump.
+    /// Short machine-oriented cause, as [`reason_for`] classifies the
+    /// error: `"fault-injected"`, `"exchange-timeout"`, `"peer-lost"`,
+    /// `"rank-panicked"`, `"transport-io"` or `"runtime-error"`.
     pub reason: String,
     /// Human detail — typically the [`crate::RuntimeError`] display.
     pub detail: String,
-    /// Per-level Eq. 21 λ at dump time; empty when the run died before any
-    /// stats existed.
-    pub lambda: Vec<(u8, f64)>,
     /// One drained ring per rank, index-aligned with rank ids.
     pub recordings: Vec<RankRecording>,
 }
@@ -54,7 +52,6 @@ impl CrashReport {
         CrashReport {
             reason: reason.into(),
             detail: detail.into(),
-            lambda: Vec::new(),
             recordings,
         }
     }
@@ -64,20 +61,6 @@ impl CrashReport {
             ("schema".into(), Json::str(SCHEMA)),
             ("reason".into(), Json::str(&self.reason)),
             ("detail".into(), Json::str(&self.detail)),
-            (
-                "lambda".into(),
-                Json::Arr(
-                    self.lambda
-                        .iter()
-                        .map(|&(l, v)| {
-                            Json::Obj(vec![
-                                ("level".into(), Json::UInt(u64::from(l))),
-                                ("lambda".into(), Json::Num(v)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
             (
                 "ranks".into(),
                 Json::Arr(self.recordings.iter().map(RankRecording::to_json).collect()),
@@ -108,25 +91,6 @@ impl CrashReport {
             .and_then(Json::as_str)
             .ok_or("missing \"detail\"")?
             .to_string();
-        let mut lambda = Vec::new();
-        for item in doc
-            .get("lambda")
-            .and_then(Json::as_arr)
-            .ok_or("missing \"lambda\"")?
-        {
-            let l = item
-                .get("level")
-                .and_then(Json::as_u64)
-                .ok_or("lambda entry missing \"level\"")?;
-            let v = item
-                .get("lambda")
-                .and_then(Json::as_f64)
-                .ok_or("lambda entry missing \"lambda\"")?;
-            if l > u64::from(u8::MAX) {
-                return Err(format!("lambda level {l} out of range"));
-            }
-            lambda.push((l as u8, v));
-        }
         let mut recordings = Vec::new();
         for r in doc
             .get("ranks")
@@ -138,13 +102,12 @@ impl CrashReport {
         Ok(CrashReport {
             reason,
             detail,
-            lambda,
             recordings,
         })
     }
 
     /// Render the human-readable report: header, causal-merge verdict,
-    /// λ table, critical-path attribution, and each rank's tail events.
+    /// critical-path attribution, and each rank's tail events.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         let events: usize = self.recordings.iter().map(|r| r.events.len()).sum();
@@ -170,14 +133,6 @@ impl CrashReport {
             }
             Err(e) => {
                 let _ = writeln!(out, "causal merge : FAILED — {e}");
-            }
-        }
-
-        if !self.lambda.is_empty() {
-            out.push('\n');
-            let _ = writeln!(out, "per-level imbalance (Eq. 21):");
-            for &(l, v) in &self.lambda {
-                let _ = writeln!(out, "  level {l} : lambda = {v:.3}");
             }
         }
 
@@ -343,13 +298,11 @@ mod tests {
         b.record(EventKind::Recv, 1, 0, 0, 0);
         b.record(EventKind::ExchangeEnd, 1, 0, NO_PEER, 0);
         b.record(EventKind::Fault, 1, 0, 0, 0);
-        let mut rep = CrashReport::new(
+        CrashReport::new(
             "fault-injected",
             "rank 1: injected fault fired during level-1 exchange",
             vec![a.snapshot(0), b.snapshot(1)],
-        );
-        rep.lambda = vec![(0, 0.12), (1, 0.47)];
-        rep
+        )
     }
 
     #[test]
@@ -362,12 +315,15 @@ mod tests {
 
     #[test]
     fn unknown_schema_is_rejected() {
-        let mut doc = sample_report().to_json();
-        if let Json::Obj(fields) = &mut doc {
-            fields[0].1 = Json::str("wave-lts-crash/99");
+        // schema 1 carried a "lambda" table
+        for schema in ["wave-lts-crash/1", "wave-lts-crash/99"] {
+            let mut doc = sample_report().to_json();
+            if let Json::Obj(fields) = &mut doc {
+                fields[0].1 = Json::str(schema);
+            }
+            let err = CrashReport::from_json(&doc).unwrap_err();
+            assert!(err.contains("unsupported schema"), "{err}");
         }
-        let err = CrashReport::from_json(&doc).unwrap_err();
-        assert!(err.contains("unsupported schema"), "{err}");
     }
 
     #[test]
@@ -375,7 +331,6 @@ mod tests {
         let text = sample_report().render_text();
         assert!(text.contains("reason : fault-injected"), "{text}");
         assert!(text.contains("causal merge : OK"), "{text}");
-        assert!(text.contains("lambda = 0.470"), "{text}");
         assert!(text.contains("fault"), "{text}");
     }
 

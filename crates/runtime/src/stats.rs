@@ -42,13 +42,9 @@ pub mod names {
     /// warns at most once per rank × level).
     pub const STALL_WARNINGS: &str = "stall.warnings";
     /// Observation windows the stall monitor closed on this rank (counter,
-    /// level-less) — with `stall.lambda_wm`, the run-long monitor summary.
+    /// level-less). The count follows the exchange count, so it is
+    /// deterministic.
     pub const STALL_WINDOWS: &str = "stall.windows";
-    /// Gauge, per level: final Eq. 21 λ over the ranks' measured busy time,
-    /// stamped after the join (identical on every rank; fraction 0..1).
-    pub const STALL_LAMBDA: &str = "stall.lambda";
-    /// Gauge, per level: watermark of windowed λ snapshots seen live.
-    pub const STALL_LAMBDA_WM: &str = "stall.lambda_wm";
     /// Gauge: element operations per busy second over the whole run — the
     /// rank's masked-product throughput. Stamped after the join; derived
     /// from counters + timings, so it never enters counter-exact compares.
@@ -56,12 +52,8 @@ pub mod names {
     /// Gauge, labelled by transport backend name: seconds the rank's
     /// endpoint spent blocked in `send` on backpressure.
     pub const TRANSPORT_SEND_BLOCK_S: &str = "transport.send_block_s";
-    /// Gauge, labelled by transport backend name: halo messages the
-    /// endpoint posted (mirrors the `msgs_sent` counter; lets exporters see
-    /// which backend carried them).
-    pub const TRANSPORT_MSGS: &str = "transport.msgs";
-    /// Gauge, labelled by transport backend name: payload bytes put on the
-    /// wire (0 for by-reference in-process backends).
+    /// Gauge, labelled by transport backend name: payload bytes copied
+    /// into ring slots or put on the wire.
     pub const TRANSPORT_BYTES: &str = "transport.bytes";
 }
 
@@ -205,10 +197,6 @@ pub fn profile_json(stats: &[RankStats]) -> Json {
 /// `λ_l = (max_r busy_l − min_r busy_l) / max_r busy_l`, as a fraction.
 /// Levels are the union of levels any rank recorded; ranks without work at a
 /// level contribute a zero load (λ → 1 when a level lives on one rank only).
-///
-/// This is the value the online monitor ([`crate::monitor::StallMonitor`])
-/// converges to — its final [`names::STALL_LAMBDA`] gauge must match this
-/// within nanosecond-rounding tolerance.
 pub fn lambda_from_stats(stats: &[RankStats]) -> Vec<(u8, f64)> {
     let mut levels: Vec<u8> = stats
         .iter()
@@ -228,9 +216,21 @@ pub fn lambda_from_stats(stats: &[RankStats]) -> Vec<(u8, f64)> {
                         .unwrap_or(0.0)
                 })
                 .collect();
-            (l, crate::monitor::eq21_lambda(&loads))
+            (l, eq21_lambda(&loads))
         })
         .collect()
+}
+
+/// Eq. 21 over a slice of per-rank loads: `(max − min) / max`, as a fraction
+/// (0 = perfectly balanced, → 1 = one rank idles). Zero when nothing ran.
+fn eq21_lambda(loads: &[f64]) -> f64 {
+    let max = loads.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    let min = loads.iter().cloned().fold(f64::INFINITY, f64::min);
+    if max > 0.0 {
+        (max - min) / max
+    } else {
+        0.0
+    }
 }
 
 /// Render per-rank busy/wait bars as ASCII (the Fig. 1 bottom panel). Each
@@ -401,5 +401,19 @@ mod tests {
         assert_eq!(lam[0].0, 0);
         assert!((lam[0].1 - 0.5).abs() < 1e-12); // (4−2)/4
         assert_eq!(lam[1], (1, 1.0)); // level 1 busy only on rank 0
+    }
+
+    #[test]
+    fn eq21_lambda_edge_cases() {
+        assert!(lambda_from_stats(&[]).is_empty());
+        // level 0 never busy, level 1 balanced, level 2 (4 − 1) / 4
+        let stats = vec![
+            timed_rank(0, &[(0, 0.0), (1, 2.0), (2, 1.0)], &[]),
+            timed_rank(1, &[(0, 0.0), (1, 2.0), (2, 4.0)], &[]),
+        ];
+        assert_eq!(
+            lambda_from_stats(&stats),
+            vec![(0, 0.0), (1, 0.0), (2, 0.75)]
+        );
     }
 }

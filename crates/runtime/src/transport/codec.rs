@@ -8,7 +8,7 @@
 //! ```text
 //! offset  size  field
 //!      0     4  magic      0x5754_4C53 ("SLTW" on the wire, LE)
-//!      4     2  version    3
+//!      4     2  version    4
 //!      6     1  kind       0 Hello · 1 Halo · 2 Goodbye · 3 Stats · 4 Done
 //!                          · 5 Flight
 //!      7     1  reserved   0
@@ -21,7 +21,10 @@
 //! `Flight` frame carrying a rank's drained flight-recorder ring, so
 //! recordings from real OS processes causally align with in-process runs.
 //! Version 3 drops the exchange-timeline section from the `Stats` body: the
-//! `Flight` frame is a rank's one per-event record.
+//! `Flight` frame is a rank's one per-event record. Version 4 drops the
+//! `stall.lambda` and `stall.lambda_wm` gauges from the gauge table (so
+//! `elem_ops_per_sec` moves to id 1): Eq. 21 λ is computed after the run
+//! from the ranks' busy histograms.
 //!
 //! Payload `f64`s travel as raw IEEE-754 bit patterns (`to_bits`, LE), so a
 //! multi-process run reproduces in-process fields *bitwise* — including NaN
@@ -34,7 +37,7 @@ use lts_obs::{
 };
 
 pub const MAGIC: u32 = 0x5754_4C53;
-pub const VERSION: u16 = 3;
+pub const VERSION: u16 = 4;
 /// Upper bound on `body_len`: rejects absurd allocations from corrupt
 /// headers before any buffer is sized.
 pub const MAX_BODY: u32 = 1 << 28;
@@ -98,12 +101,7 @@ const COUNTER_NAMES: [&str; 7] = [
     names::STALL_WINDOWS,
 ];
 const HIST_NAMES: [&str; 2] = [names::BUSY, names::WAIT];
-const GAUGE_NAMES: [&str; 4] = [
-    names::STALL_WAIT_FRAC_WM,
-    names::STALL_LAMBDA,
-    names::STALL_LAMBDA_WM,
-    names::ELEM_OPS_PER_SEC,
-];
+const GAUGE_NAMES: [&str; 2] = [names::STALL_WAIT_FRAC_WM, names::ELEM_OPS_PER_SEC];
 
 fn table_id(table: &[&str], name: &str) -> Option<u8> {
     table.iter().position(|&n| n == name).map(|i| i as u8)
@@ -760,6 +758,10 @@ mod tests {
         let mut bad = bytes.clone();
         bad[4..6].copy_from_slice(&2u16.to_le_bytes());
         assert_eq!(decode(&bad).unwrap_err(), CodecError::BadVersion(2));
+        // so is a version-3 peer, whose gauge ids include the λ gauges
+        let mut bad = bytes.clone();
+        bad[4..6].copy_from_slice(&3u16.to_le_bytes());
+        assert_eq!(decode(&bad).unwrap_err(), CodecError::BadVersion(3));
         let mut bad = bytes.clone();
         bad[6] = 250;
         assert!(matches!(decode(&bad), Err(CodecError::UnknownKind(250))));
@@ -811,7 +813,7 @@ mod tests {
         reg.observe(names::BUSY, Some(0), 0.5);
         reg.observe(names::BUSY, None, 0.25);
         reg.observe(names::WAIT, Some(0), 0.0625);
-        reg.set_gauge_level(names::STALL_LAMBDA, 0, 0.5);
+        reg.set_gauge_level(names::STALL_WAIT_FRAC_WM, 0, 0.5);
         let stats = RankStats::from_registry(3, reg);
         let wire = WireStats::from_rank_stats(&stats);
         let back = wire.into_rank_stats(3);
@@ -819,7 +821,10 @@ mod tests {
         assert_eq!(back.n_exchanges, 4);
         assert_eq!(back.busy_s.to_bits(), stats.busy_s.to_bits());
         assert_eq!(back.wait_s.to_bits(), stats.wait_s.to_bits());
-        assert_eq!(back.registry.gauge(names::STALL_LAMBDA, Some(0)), Some(0.5));
+        assert_eq!(
+            back.registry.gauge(names::STALL_WAIT_FRAC_WM, Some(0)),
+            Some(0.5)
+        );
         let h = back.registry.histogram(names::BUSY, Some(0)).unwrap();
         assert_eq!(h.count, 1);
         assert_eq!(h.sum.to_bits(), 0.5f64.to_bits());

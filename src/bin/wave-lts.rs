@@ -342,7 +342,7 @@ fn report_distributed(
 }
 
 /// `simulate --ranks N`: partition, run the threaded message-passing
-/// runtime with the live stall monitor, and report it.
+/// runtime with the stall monitor on every rank, and report it.
 fn run_sim_distributed<P: Decompose>(
     m: &HashMap<String, String>,
     b: &BenchmarkMesh,
@@ -359,7 +359,7 @@ fn run_sim_distributed<P: Decompose>(
     let part = partition_mesh(&b.mesh, &b.levels, ranks, s, seed);
     let transport = transport_kind(&get::<String>(m, "transport", "channel".into()));
     let cfg = DistributedConfig {
-        stall_monitor: Some(MonitorConfig::default()),
+        stall_monitor: Some(MonitorConfig),
         threads_per_rank: threads.max(1),
         overlap: get(m, "overlap", false),
         transport,
@@ -488,6 +488,7 @@ fn worker_run<P: Decompose>(
         n_steps: get(m, "steps", 20),
         sources: &[],
         cfg: DistributedConfig {
+            stall_monitor: Some(MonitorConfig),
             overlap: get(m, "overlap", false),
             threads_per_rank: get(m, "threads", 1usize).max(1),
             transport: TransportKind::UnixSocket,

@@ -131,8 +131,8 @@ fn evicted_trace_events_are_reported() {
     validate_trace(&written.expect("trace written")).expect("valid trace");
 }
 
-/// Trace events per `(rank, name)`, minus the stall monitor's warnings: the
-/// in-process monitor warns by measured wait, and worker processes run none.
+/// Trace events per `(rank, name)`, minus the stall monitor's warnings:
+/// whether a window warns depends on the wait measured in that run.
 fn trace_counts(rendered: &str) -> BTreeMap<(u64, String), usize> {
     validate_trace(rendered).expect("valid trace");
     let doc = Json::parse(rendered).unwrap();

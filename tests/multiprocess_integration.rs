@@ -4,7 +4,8 @@
 //! its deterministic counters **exactly** — each worker builds the same
 //! rank-local world as the in-process rank threads and steps it through
 //! the same rank body, and payload `f64`s cross the wire as raw bit
-//! patterns, so nothing may differ.
+//! patterns, so nothing may differ. Both run the stall monitor, whose
+//! window count follows the exchange count.
 
 #![cfg(unix)]
 
@@ -13,7 +14,8 @@ use wave_lts::mesh::{BenchmarkMesh, MeshKind};
 use wave_lts::obs::MetricsRegistry;
 use wave_lts::partition::{partition_mesh, Strategy};
 use wave_lts::runtime::process::{run_coordinator, ProcSpec};
-use wave_lts::runtime::{run, Acoustic, DistributedConfig, RunSpec};
+use wave_lts::runtime::stats::names;
+use wave_lts::runtime::{run, Acoustic, DistributedConfig, MonitorConfig, RankStats, RunSpec};
 use wave_lts::sem::gll::cfl_dt_scale;
 
 const ELEMENTS: usize = 600;
@@ -68,6 +70,7 @@ fn worker_processes_match_in_process_bitwise() {
             sources: &[],
             cfg: DistributedConfig {
                 overlap,
+                stall_monitor: Some(MonitorConfig),
                 ..DistributedConfig::new(ranks)
             },
         };
@@ -108,6 +111,9 @@ fn worker_processes_match_in_process_bitwise() {
             assert_eq!(a.n_exchanges, b.n_exchanges, "n_exchanges rank {}", a.rank);
             assert_eq!(a.msgs_sent, b.msgs_sent, "msgs_sent rank {}", a.rank);
             assert_eq!(a.dofs_sent, b.dofs_sent, "dofs_sent rank {}", a.rank);
+            let windows = |s: &RankStats| s.registry.counter(names::STALL_WINDOWS, None);
+            assert!(windows(a) > 0, "no monitor window on rank {}", a.rank);
+            assert_eq!(windows(a), windows(b), "stall.windows rank {}", a.rank);
         }
     }
 }

@@ -1,12 +1,11 @@
 //! The semantic analyses over the workspace model: root-set validation,
-//! transitive hot-path purity, determinism, lock-and-block, and protocol
-//! exhaustiveness. Each produces [`Diagnostic`]s carrying a blame chain
+//! transitive hot-path purity, determinism, and lock-and-block. Each
+//! produces [`Diagnostic`]s carrying a blame chain
 //! (root → … → offending construct) where a chain exists.
 
 pub mod determinism;
 pub mod hotpath;
 pub mod locks;
-pub mod protocol;
 
 use crate::config::LintConfig;
 use crate::graph::{FnId, Workspace};
@@ -84,7 +83,6 @@ pub struct SemanticRun {
 }
 
 pub fn run_semantic(
-    root: &std::path::Path,
     ws: &Workspace,
     cfg: &LintConfig,
     files: &BTreeMap<String, ParsedFile>,
@@ -96,7 +94,6 @@ pub fn run_semantic(
     let kernel_parents = ws.reach(&roots.kernels, &roots.stops);
     determinism::check(ws, files, &kernel_parents, &mut diags);
     locks::check(ws, files, &hot_parents, &mut diags);
-    protocol::check(root, files, &mut diags);
     SemanticRun {
         diags,
         roots,

@@ -2,15 +2,15 @@
 //! `cargo xtask lint` alias. Parses flags, runs the requested mode, prints
 //! the human report, and returns the process exit code.
 
-use crate::{analyze, build_model, run, Options};
+use crate::{build_model, run, Options};
 use std::path::PathBuf;
 
 pub const HELP: &str = "\
 lts-lint — call-graph lint for the wave-LTS workspace
 
 One pass over one parsed model of the workspace: the call-graph analyses
-(hot-path-alloc, hot-path-panic, determinism, lock-order, lock-block,
-protocol) from the roots in lint/hotpaths.toml, and the per-file rules
+(hot-path-alloc, hot-path-panic, determinism, lock-order, lock-block)
+from the roots in lint/hotpaths.toml, and the per-file rules
 (no-panic, unsafe-safety, float-eq). Every finding is an error.
 
 USAGE:
@@ -22,8 +22,6 @@ FLAGS:
     --mode <mode>       check            run the lint (default)
                         graph-dump       print the call graph and verify it
                                          round-trips through its own parser
-                        wire-fingerprint print the lint/wire.fingerprint
-                                         content for the current wire shape
     --verbose           print resolved root sets and reachability sizes
     --help              this text
 
@@ -83,10 +81,7 @@ pub fn main(args: &[String]) -> i32 {
     match mode.as_str() {
         "check" => run_check(&opts),
         "graph-dump" => run_graph_dump(&opts),
-        "wire-fingerprint" => run_wire_fingerprint(&opts),
-        other => usage_error(&format!(
-            "unknown mode `{other}` (check|graph-dump|wire-fingerprint)"
-        )),
+        other => usage_error(&format!("unknown mode `{other}` (check|graph-dump)")),
     }
 }
 
@@ -171,22 +166,6 @@ fn run_graph_dump(opts: &Options) -> i32 {
     }
 }
 
-fn run_wire_fingerprint(opts: &Options) -> i32 {
-    match analyze::protocol::fingerprint_file_text(&opts.root) {
-        Some(text) => {
-            print_ignoring_pipe(&text);
-            0
-        }
-        None => {
-            eprintln!(
-                "wire-fingerprint: no {} under --root",
-                analyze::protocol::CODEC_REL
-            );
-            1
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,6 +179,7 @@ mod tests {
         assert_eq!(main(&args(&["--tier", "lexer"])), 2);
         assert_eq!(main(&args(&["--root"])), 2);
         assert_eq!(main(&args(&["--mode", "nope"])), 2);
+        assert_eq!(main(&args(&["--mode", "wire-fingerprint"])), 2);
         assert_eq!(main(&args(&["--no-cache"])), 2);
         assert_eq!(main(&args(&["--sarif", "x"])), 2);
     }

@@ -15,10 +15,11 @@
 //!    counter-gated kernels (the bitwise reproducibility contract);
 //! 3. **lock-order / lock-block** — the transport's Mutex/condvar pairs
 //!    must be cycle-free and must not block unboundedly on the exchange
-//!    path;
-//! 4. **protocol** — every `Frame`/`EventKind`/metric-id variant has
-//!    encode+decode arms, and wire-shape changes bump `codec::VERSION`
-//!    (checked against the committed fingerprint).
+//!    path.
+//!
+//! The wire contract is not the lint's business: the codec
+//! (`crates/runtime/src/transport/codec.rs`) carries it in exhaustive
+//! matches and its own tests.
 //!
 //! Three rules are decided per file in the same pass ([`rules`]):
 //! `no-panic` in runtime/sem (catches panics the call graph cannot prove
@@ -47,16 +48,6 @@ use rules::Diagnostic;
 use source::Scrubbed;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
-
-/// FNV-1a 64-bit — content hashing for the wire fingerprint.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 /// Driver options (what the CLI flags map to).
 #[derive(Debug, Clone)]
@@ -257,7 +248,7 @@ pub fn run(opts: &Options) -> std::io::Result<Report> {
         ..Report::default()
     };
 
-    let sem = analyze::run_semantic(&opts.root, &ws, &cfg, &files);
+    let sem = analyze::run_semantic(&ws, &cfg, &files);
     if opts.verbose {
         let names = |ids: &[graph::FnId]| -> Vec<String> {
             ids.iter()
@@ -328,16 +319,4 @@ pub fn run(opts: &Options) -> std::io::Result<Report> {
     report.diags = diags;
 
     Ok(report)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fnv64_is_stable() {
-        // pinned: the wire fingerprint depends on these values
-        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
-    }
 }

@@ -738,16 +738,6 @@ fn binding_var(cs: &[char], lo: usize, call_start: usize) -> Option<String> {
     Some(var)
 }
 
-/// Body span (char offsets, `{`..`}`) of the first function item named
-/// `name` — used by the protocol analysis to scope its scans.
-pub fn fn_body_span(s: &Scrubbed, name: &str) -> Option<std::ops::Range<usize>> {
-    let cs: Vec<char> = s.code.chars().collect();
-    raw_fns(&s.code, &cs)
-        .into_iter()
-        .find(|r| r.name == name)
-        .map(|r| r.body)
-}
-
 /// Parse one scrubbed file into analysis facts.
 pub fn parse_file(s: &Scrubbed) -> ParsedFile {
     let cs: Vec<char> = s.code.chars().collect();

@@ -23,7 +23,6 @@ pub const RULE_HOT_PANIC: &str = "hot-path-panic";
 pub const RULE_DETERMINISM: &str = "determinism";
 pub const RULE_LOCK_ORDER: &str = "lock-order";
 pub const RULE_LOCK_BLOCK: &str = "lock-block";
-pub const RULE_PROTOCOL: &str = "protocol";
 pub const RULE_CONFIG: &str = "config";
 pub const RULE_ALLOW_AUDIT: &str = "allow-audit";
 
@@ -37,7 +36,6 @@ pub const ALL_RULES: &[&str] = &[
     RULE_DETERMINISM,
     RULE_LOCK_ORDER,
     RULE_LOCK_BLOCK,
-    RULE_PROTOCOL,
     RULE_CONFIG,
     RULE_ALLOW_AUDIT,
 ];

@@ -4,7 +4,6 @@
 //! [`lts_lint::run`] entry point against a throwaway workspace under the
 //! system temp dir — the same code path `cargo xtask lint` takes.
 
-use lts_lint::analyze::protocol::fingerprint_file_text;
 use lts_lint::rules::Diagnostic;
 use lts_lint::{run, Options, Report};
 use std::fs;
@@ -169,114 +168,6 @@ fn unbounded_wait_reachable_from_hot_root_is_flagged() {
     assert_eq!(d.rule, "lock-block");
     assert!(d.msg.contains("Condvar::wait"), "{}", d.msg);
     assert_eq!(chain(d), vec!["pump", "`Condvar::wait (no timeout)`"]);
-}
-
-/// A minimal but complete codec: every variant has kind/encode/decode arms
-/// and the header guard admits exactly the declared kinds.
-const CODEC_OK: &str = "\
-pub const VERSION: u32 = 1;
-
-pub enum Frame {
-    Halo { payload: f64 },
-    Done,
-}
-
-impl Frame {
-    pub fn kind(&self) -> u8 {
-        match self {
-            Frame::Halo { .. } => 1,
-            Frame::Done => 2,
-        }
-    }
-}
-
-pub fn encode(f: &Frame) {
-    match f {
-        Frame::Halo { .. } => {}
-        Frame::Done => {}
-    }
-}
-
-pub fn decode_body(kind: u8) {
-    match kind {
-        1 => {}
-        2 => {}
-        _ => {}
-    }
-}
-
-pub fn decode_header(kind: u8) -> bool {
-    if kind > 2 {
-        return false;
-    }
-    true
-}
-";
-
-const CODEC_REL: &str = "crates/runtime/src/transport/codec.rs";
-
-fn commit_fingerprint(fx: &Fixture) {
-    let text = fingerprint_file_text(&fx.root).expect("codec present");
-    fx.write("lint/wire.fingerprint", &text);
-}
-
-#[test]
-fn complete_codec_with_committed_fingerprint_is_clean() {
-    let fx = Fixture::new("protocol-clean");
-    fx.write(CODEC_REL, CODEC_OK);
-    commit_fingerprint(&fx);
-    let report = fx.run();
-    assert_eq!(report.diags.len(), 0, "{:#?}", report.diags);
-}
-
-#[test]
-fn missing_decode_arm_is_exactly_one_protocol_error() {
-    let fx = Fixture::new("protocol-arm");
-    // drop Done's `2 =>` decode arm; the wire *shape* (variants, kinds,
-    // version) is unchanged, so the committed fingerprint still matches
-    fx.write(CODEC_REL, &CODEC_OK.replace("        2 => {}\n", ""));
-    commit_fingerprint(&fx);
-    let report = fx.run();
-    let d = the_one(&report);
-    assert_eq!(d.rule, "protocol");
-    assert!(
-        d.msg
-            .contains("`Frame::Done` (kind 2) has no `decode_body` arm"),
-        "{}",
-        d.msg
-    );
-    let c = chain(d);
-    assert_eq!(c.len(), 2);
-    assert!(c[0].contains("Frame::Done declared"));
-    assert!(c[1].contains("no `2 =>` arm"));
-}
-
-#[test]
-fn wire_shape_change_without_version_bump_is_rejected() {
-    let fx = Fixture::new("protocol-bump");
-    fx.write(CODEC_REL, CODEC_OK);
-    commit_fingerprint(&fx);
-    assert_eq!(fx.run().diags.len(), 0);
-
-    // grow Halo's wire shape without touching VERSION
-    let changed = CODEC_OK.replace("Halo { payload: f64 }", "Halo { payload: f64, seq: u32 }");
-    fx.write(CODEC_REL, &changed);
-    let report = fx.run();
-    let d = the_one(&report);
-    assert_eq!(d.rule, "protocol");
-    assert!(
-        d.msg.contains("without bumping `codec::VERSION`"),
-        "{}",
-        d.msg
-    );
-
-    // bumping the version and refreshing the fingerprint settles it
-    fx.write(
-        CODEC_REL,
-        &changed.replace("VERSION: u32 = 1", "VERSION: u32 = 2"),
-    );
-    commit_fingerprint(&fx);
-    assert_eq!(fx.run().diags.len(), 0);
 }
 
 #[test]

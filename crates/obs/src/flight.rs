@@ -211,8 +211,8 @@ impl FlightRecorder {
     }
 }
 
-/// One rank's drained ring: the unit that crosses the wire (codec `Flight`
-/// frame) and lands in crash reports.
+/// One rank's drained ring: the unit that crosses the wire (in a worker's
+/// codec `Report` frame) and lands in crash reports.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RankRecording {
     pub rank: u32,
@@ -756,12 +756,40 @@ mod tests {
 
     #[test]
     fn every_kind_round_trips_through_its_name() {
-        let kinds: Vec<EventKind> = (0..=u8::MAX).filter_map(EventKind::from_u8).collect();
-        assert_eq!(kinds.len(), 10);
-        for k in kinds {
-            assert_eq!(EventKind::from_u8(k as u8), Some(k));
+        use EventKind::*;
+        const ALL: [EventKind; 10] = [
+            StepBegin,
+            StepEnd,
+            LevelBegin,
+            LevelEnd,
+            Send,
+            Recv,
+            ExchangeBegin,
+            ExchangeEnd,
+            Stall,
+            Fault,
+        ];
+        // each kind's place in `ALL`, by a match without a wildcard: a new
+        // kind does not compile until it is listed here and in `ALL`
+        let index = |k: EventKind| match k {
+            StepBegin => 0,
+            StepEnd => 1,
+            LevelBegin => 2,
+            LevelEnd => 3,
+            Send => 4,
+            Recv => 5,
+            ExchangeBegin => 6,
+            ExchangeEnd => 7,
+            Stall => 8,
+            Fault => 9,
+        };
+        for (i, k) in ALL.into_iter().enumerate() {
+            assert_eq!(index(k), i, "{}", k.name());
+            assert_eq!(EventKind::from_u8(k as u8), Some(k), "{}", k.name());
             assert_eq!(EventKind::from_name(k.name()), Some(k), "{}", k.name());
         }
+        let decodable = (0..=u8::MAX).filter_map(EventKind::from_u8).count();
+        assert_eq!(decodable, ALL.len(), "from_u8 decodes only the kinds");
         assert_eq!(EventKind::from_name("no_such_kind"), None);
     }
 

@@ -9,7 +9,7 @@
 //! [`LevelForce`] hook — zero its entries, apply boundary then interior
 //! elements, exchange, count. One rank body, [`step_rank`], serves the
 //! in-process rank threads of [`run`] and the `wave-lts worker` processes
-//! of [`run_rank`]; both assemble global fields through one function.
+//! of [`run_rank`]; both runs end in one [`RunOutput`] constructor.
 //!
 //! Ranks speak to each other only through the pluggable
 //! [`crate::transport::Transport`] trait, so the same stepper runs over
@@ -683,7 +683,7 @@ fn run_rank_threads<O: Operator + Send>(
     worlds: Vec<LocalRank<O>>,
     endpoints: Vec<Box<dyn Transport>>,
     spec: &RunSpec<'_>,
-) -> (Vec<RankRun>, Vec<RankRecording>) {
+) -> Vec<(RankRun, RankRecording)> {
     let cfg = &spec.cfg;
     let epoch = Instant::now();
     std::thread::scope(|scope| {
@@ -703,16 +703,22 @@ fn run_rank_threads<O: Operator + Send>(
             .enumerate()
             .map(|(rank, h)| {
                 h.join().unwrap_or_else(|_| {
-                    let rec = RankRecording {
-                        rank: rank as u32,
-                        dropped: 0,
-                        events: Vec::new(),
-                    };
-                    (Err(RuntimeError::RankPanicked { rank }), rec)
+                    (
+                        Err(RuntimeError::RankPanicked { rank }),
+                        empty_recording(rank),
+                    )
                 })
             })
-            .unzip()
+            .collect()
     })
+}
+
+/// The recording of a rank that left none.
+pub(crate) fn empty_recording(rank: usize) -> RankRecording {
+    RankRecording {
+        rank: rank as u32,
+        ..RankRecording::default()
+    }
 }
 
 /// One rank's complete owned world: a private operator over its own
@@ -732,17 +738,20 @@ pub(crate) struct LocalRank<O: Operator> {
     pub global_of_local: Vec<u32>,
 }
 
-/// The global `(u, v)` over `ndof` DOFs from every rank's final fields, in
-/// rank order: the lowest rank holding a DOF provides it. The in-process
-/// run and the multi-process coordinator both assemble through here.
-pub(crate) fn assemble_fields<'r>(
-    ndof: usize,
-    ranks: impl DoubleEndedIterator<Item = &'r RankFields>,
-) -> (Vec<f64>, Vec<f64>) {
+/// The global `(u, v)` from every rank's final fields, in rank order: the
+/// lowest rank holding a DOF provides it. Every DOF belongs to some
+/// element, so the highest global id any rank holds is the last DOF.
+fn assemble_fields(ranks: &[&RankFields]) -> (Vec<f64>, Vec<f64>) {
+    let ndof = ranks
+        .iter()
+        .flat_map(|f| f.global_of_local.iter())
+        .map(|&g| g as usize + 1)
+        .max()
+        .unwrap_or(0);
     let mut u = vec![0.0; ndof];
     let mut v = vec![0.0; ndof];
     // highest rank first, so the lowest holder writes each DOF last
-    for f in ranks.rev() {
+    for f in ranks.iter().rev() {
         for (l, &g) in f.global_of_local.iter().enumerate() {
             u[g as usize] = f.u[l];
             v[g as usize] = f.v[l];
@@ -770,7 +779,8 @@ pub struct RunSpec<'a> {
     pub cfg: DistributedConfig,
 }
 
-/// What an in-process run returns.
+/// What a run returns, in process ([`run`]) and from a fleet of worker
+/// processes (`process::run_coordinator`) alike.
 #[derive(Debug)]
 pub struct RunOutput {
     /// Each rank's own outcome: its statistics, or its failure.
@@ -783,6 +793,39 @@ pub struct RunOutput {
 }
 
 impl RunOutput {
+    /// The one constructor: every rank's outcome and recording, in rank
+    /// order, and the global fields assembled when every rank succeeded.
+    pub(crate) fn from_ranks(ranks: Vec<(RankRun, RankRecording)>) -> RunOutput {
+        let (outcomes, recordings): (Vec<RankRun>, Vec<RankRecording>) = ranks.into_iter().unzip();
+        let fields = outcomes
+            .iter()
+            .map(|o| o.as_ref().ok().map(|(f, _)| f))
+            .collect::<Option<Vec<_>>>()
+            .map(|all| assemble_fields(&all));
+        RunOutput {
+            ranks: outcomes.into_iter().map(|o| o.map(|(_, st)| st)).collect(),
+            recordings,
+            fields,
+        }
+    }
+
+    /// A run whose halo fabric could not be built: every rank fails with
+    /// [`RuntimeError::TransportIo`] carrying `detail`, before stepping.
+    pub(crate) fn fabric_failed(n_ranks: usize, detail: &str) -> RunOutput {
+        RunOutput::from_ranks(
+            (0..n_ranks)
+                .map(|rank| {
+                    let e = RuntimeError::TransportIo {
+                        rank,
+                        level: 0,
+                        detail: detail.to_string(),
+                    };
+                    (Err(e), empty_recording(rank))
+                })
+                .collect(),
+        )
+    }
+
     /// Fields and per-rank statistics, or the lowest failed rank's error
     /// (rank order, so deterministic across runs).
     pub fn into_result(self) -> RunResult {
@@ -819,50 +862,26 @@ pub fn run<P: Decompose>(
                     "cannot build the {} transport: {e}",
                     spec.cfg.transport.name()
                 );
-                return RunOutput {
-                    ranks: (0..n_ranks)
-                        .map(|rank| {
-                            Err(RuntimeError::TransportIo {
-                                rank,
-                                level: 0,
-                                detail: detail.clone(),
-                            })
-                        })
-                        .collect(),
-                    recordings: (0..n_ranks)
-                        .map(|rank| FlightRecorder::new(0).snapshot(rank as u32))
-                        .collect(),
-                    fields: None,
-                };
+                return RunOutput::fabric_failed(n_ranks, &detail);
             }
         };
     assert_eq!(endpoints.len(), n_ranks, "one endpoint per rank");
-    let ndof = spec.u0.len();
     let discretize = host.start_span("decompose.discretize", None);
     let d = decompose(problem, spec);
     drop(discretize);
-    host.set_gauge("ndof", ndof as f64);
+    host.set_gauge("ndof", spec.u0.len() as f64);
     host.set_gauge("n_ranks", n_ranks as f64);
     let worlds_span = host.start_span("decompose.build_worlds", None);
     let worlds = local_worlds(problem, spec, d);
     drop(worlds_span);
     let run_span = host.start_span("run.steps", None);
-    let (outcomes, recordings) = run_rank_threads(worlds, endpoints, spec);
+    let ranks = run_rank_threads(worlds, endpoints, spec);
     drop(run_span);
-    let fields = outcomes
-        .iter()
-        .map(|o| o.as_ref().ok().map(|(f, _)| f))
-        .collect::<Option<Vec<_>>>()
-        .map(|all| assemble_fields(ndof, all.into_iter()));
-    let ranks: Vec<_> = outcomes.into_iter().map(|o| o.map(|(_, st)| st)).collect();
-    for st in ranks.iter().flatten() {
+    let out = RunOutput::from_ranks(ranks);
+    for st in out.ranks.iter().flatten() {
         host.merge_from(&st.registry);
     }
-    RunOutput {
-        ranks,
-        recordings,
-        fields,
-    }
+    out
 }
 
 /// Run rank `rank` of `spec` alone, on an endpoint already connected to

@@ -56,8 +56,9 @@ pub enum RuntimeError {
         level: usize,
         detail: String,
     },
-    /// A rank thread panicked (the panic payload is not preserved; the
-    /// panic message itself goes to stderr when it happens).
+    /// A rank thread panicked, or a `wave-lts worker` process exited
+    /// without a report (the panic payload is not preserved; the panic
+    /// message itself goes to stderr when it happens).
     RankPanicked { rank: usize },
     /// A rank produced no result slot (internal bookkeeping bug).
     MissingRank { rank: usize },

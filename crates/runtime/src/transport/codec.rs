@@ -1,6 +1,12 @@
-//! The versioned, length-prefixed wire codec for halo payloads and monitor
-//! stats — what [`super::socket::SocketTransport`] and the multi-process
-//! runner ([`crate::process`]) put on the wire.
+//! The versioned, length-prefixed wire codec for halo payloads and worker
+//! reports — what [`super::socket::SocketTransport`] and the multi-process
+//! runner ([`crate::process`]) put on the wire. This file is the one home
+//! of the wire contract: [`Frame::kind`] and [`encode`] match every variant
+//! without a wildcard, so a frame without a kind or a body does not
+//! compile, and the tests below check the rest — every kind round-trips,
+//! the header admits exactly the declared kinds, the metric tables hold no
+//! duplicates, and the bytes of one canonical frame per kind hash to
+//! `WIRE_PIN`.
 //!
 //! Every frame is a 12-byte little-endian header followed by `body_len`
 //! bytes of body:
@@ -8,36 +14,35 @@
 //! ```text
 //! offset  size  field
 //!      0     4  magic      0x5754_4C53 ("SLTW" on the wire, LE)
-//!      4     2  version    4
-//!      6     1  kind       0 Hello · 1 Halo · 2 Goodbye · 3 Stats · 4 Done
-//!                          · 5 Flight
+//!      4     2  version    5
+//!      6     1  kind       0 Hello · 1 Halo · 2 Goodbye · 3 Report
 //!      7     1  reserved   0
 //!      8     4  body_len
 //! ```
 //!
-//! Version 2 extends the Halo body with the sender's per-directed-edge
-//! sequence number (after the level byte — `src`/`dst` keep their offsets
-//! so the star router's destination peek is layout-stable) and adds the
-//! `Flight` frame carrying a rank's drained flight-recorder ring, so
-//! recordings from real OS processes causally align with in-process runs.
-//! Version 3 drops the exchange-timeline section from the `Stats` body: the
-//! `Flight` frame is a rank's one per-event record. Version 4 drops the
-//! `stall.lambda` and `stall.lambda_wm` gauges from the gauge table (so
-//! `elem_ops_per_sec` moves to id 1): Eq. 21 λ is computed after the run
-//! from the ranks' busy histograms.
+//! A `Report` is a worker's whole outcome in one frame: its flight
+//! recording, then either its metrics (by the fixed metric-id tables) and
+//! final fields, or its typed [`RuntimeError`].
 //!
 //! Payload `f64`s travel as raw IEEE-754 bit patterns (`to_bits`, LE), so a
 //! multi-process run reproduces in-process fields *bitwise* — including NaN
 //! payloads, signed zeros and subnormals. Decoding never panics: every read
 //! is bounds-checked and malformed input surfaces a [`CodecError`].
 
+use crate::distributed::{RankFields, RankRun};
+use crate::error::RuntimeError;
 use crate::stats::{names, RankStats};
 use lts_obs::{
     EventKind, FlightEvent, Histogram, Key, MetricsRegistry, RankRecording, HIST_BUCKETS,
 };
 
 pub const MAGIC: u32 = 0x5754_4C53;
-pub const VERSION: u16 = 4;
+pub const VERSION: u16 = 5;
+/// The wire's fingerprint at this [`VERSION`]: the FNV-1a hash of the
+/// canonical frames' bytes (test `canonical_frames_hash_to_the_pin`). A
+/// change to the bytes of any frame fails that test: bump [`VERSION`], then
+/// re-pin this.
+pub const WIRE_PIN: u64 = 0xc272_c504_201b_e43d;
 /// Upper bound on `body_len`: rejects absurd allocations from corrupt
 /// headers before any buffer is sized.
 pub const MAX_BODY: u32 = 1 << 28;
@@ -78,14 +83,14 @@ impl std::error::Error for CodecError {}
 /// A rank's metrics in wire form, by the runtime's fixed metric table
 /// (id ↔ name). Only metrics in the table cross the wire; free-form keys
 /// stay process-local.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct WireStats {
+#[derive(Debug, Default)]
+struct WireStats {
     /// `(metric id, level | 255, value)`
-    pub counters: Vec<(u8, u8, u64)>,
+    counters: Vec<(u8, u8, u64)>,
     /// `(metric id, level | 255, histogram)`
-    pub hists: Vec<(u8, u8, Histogram)>,
+    hists: Vec<(u8, u8, Histogram)>,
     /// `(metric id, level | 255, value)`
-    pub gauges: Vec<(u8, u8, f64)>,
+    gauges: Vec<(u8, u8, f64)>,
 }
 
 /// The fixed metric-id tables. `Key.name` is `&'static str`, so wire-decoded
@@ -97,7 +102,6 @@ const COUNTER_NAMES: [&str; 7] = [
     names::DOFS_SENT,
     names::STALL_WARNINGS,
     names::EXCHANGE_READY,
-    // appended in wire version 2; appending keeps earlier ids stable
     names::STALL_WINDOWS,
 ];
 const HIST_NAMES: [&str; 2] = [names::BUSY, names::WAIT];
@@ -124,7 +128,7 @@ fn key_level(wire: u8) -> Option<u8> {
 
 impl WireStats {
     /// Capture the table-known metrics of one rank's view.
-    pub fn from_rank_stats(stats: &RankStats) -> WireStats {
+    fn from_rank_stats(stats: &RankStats) -> WireStats {
         let mut out = WireStats::default();
         for (key, metric) in stats.registry.iter() {
             if key.label.is_some() {
@@ -154,7 +158,7 @@ impl WireStats {
 
     /// Rebuild a [`RankStats`] view (exact counters, exact histogram
     /// contents) for `rank`.
-    pub fn into_rank_stats(self, rank: usize) -> RankStats {
+    fn into_rank_stats(self, rank: usize) -> RankStats {
         let mut reg = MetricsRegistry::new();
         for (id, lvl, c) in &self.counters {
             if let Some(&name) = COUNTER_NAMES.get(*id as usize) {
@@ -193,7 +197,7 @@ impl WireStats {
 }
 
 /// One wire frame.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub enum Frame {
     /// Worker → router handshake: which rank this connection carries.
     Hello { rank: u32 },
@@ -208,18 +212,14 @@ pub enum Frame {
     },
     /// `rank`'s endpoint is gone; no further frames from it.
     Goodbye { rank: u32 },
-    /// End-of-run metrics of `rank`.
-    Stats { rank: u32, stats: WireStats },
-    /// End-of-run fields of `rank` in rank-local numbering plus the
-    /// local→global DOF map.
-    Done {
-        rank: u32,
-        u: Vec<f64>,
-        v: Vec<f64>,
-        global_of_local: Vec<u32>,
+    /// A worker's whole outcome, its last frame: the drained flight
+    /// recorder of rank `recording.rank` and its run — final fields in
+    /// rank-local numbering plus the local→global DOF map, and its
+    /// statistics (the metric-table part of them); or its typed failure.
+    Report {
+        recording: RankRecording,
+        run: RankRun,
     },
-    /// A rank's drained flight-recorder ring (post-mortem collection).
-    Flight { recording: RankRecording },
 }
 
 impl Frame {
@@ -228,9 +228,7 @@ impl Frame {
             Frame::Hello { .. } => 0,
             Frame::Halo { .. } => 1,
             Frame::Goodbye { .. } => 2,
-            Frame::Stats { .. } => 3,
-            Frame::Done { .. } => 4,
-            Frame::Flight { .. } => 5,
+            Frame::Report { .. } => 3,
         }
     }
 }
@@ -256,6 +254,13 @@ fn put_f64s(out: &mut Vec<u8>, vs: &[f64]) {
     }
 }
 
+fn put_u32s(out: &mut Vec<u8>, vs: &[u32]) {
+    put_u32(out, vs.len() as u32);
+    for &x in vs {
+        put_u32(out, x);
+    }
+}
+
 fn put_hist(out: &mut Vec<u8>, h: &Histogram) {
     put_u64(out, h.count);
     put_f64(out, h.sum);
@@ -263,6 +268,73 @@ fn put_hist(out: &mut Vec<u8>, h: &Histogram) {
     put_f64(out, h.max);
     for &b in h.buckets.iter() {
         put_u64(out, b);
+    }
+}
+
+fn put_recording(out: &mut Vec<u8>, recording: &RankRecording) {
+    put_u32(out, recording.rank);
+    put_u64(out, recording.dropped);
+    put_u32(out, recording.events.len() as u32);
+    for ev in &recording.events {
+        put_u64(out, ev.t_ns);
+        out.push(ev.kind as u8);
+        out.push(ev.level);
+        put_u32(out, ev.step);
+        put_u32(out, ev.peer);
+        put_u64(out, ev.seq);
+    }
+}
+
+fn put_stats(out: &mut Vec<u8>, stats: &WireStats) {
+    put_u32(out, stats.counters.len() as u32);
+    for &(id, lvl, v) in &stats.counters {
+        out.push(id);
+        out.push(lvl);
+        put_u64(out, v);
+    }
+    put_u32(out, stats.hists.len() as u32);
+    for (id, lvl, h) in &stats.hists {
+        out.push(*id);
+        out.push(*lvl);
+        put_hist(out, h);
+    }
+    put_u32(out, stats.gauges.len() as u32);
+    for &(id, lvl, g) in &stats.gauges {
+        out.push(id);
+        out.push(lvl);
+        put_f64(out, g);
+    }
+}
+
+fn put_tagged(out: &mut Vec<u8>, tag: u8, fields: &[usize]) {
+    out.push(tag);
+    for &x in fields {
+        put_u32(out, x as u32);
+    }
+}
+
+/// A [`RuntimeError`] as its variant tag, then its fields in declaration
+/// order (`usize` as `u32`, `detail` as a length-prefixed UTF-8 string).
+fn put_error(out: &mut Vec<u8>, e: &RuntimeError) {
+    use RuntimeError::*;
+    match e {
+        PeerDisconnected { rank, peer, level } => put_tagged(out, 0, &[*rank, *peer, *level]),
+        ChannelClosed { rank, level } => put_tagged(out, 1, &[*rank, *level]),
+        NotAPeer { rank, peer, level } => put_tagged(out, 2, &[*rank, *peer, *level]),
+        ExchangeTimeout { rank, level } => put_tagged(out, 3, &[*rank, *level]),
+        FaultInjected { rank, level } => put_tagged(out, 4, &[*rank, *level]),
+        BadPayload { rank, peer, level } => put_tagged(out, 5, &[*rank, *peer, *level]),
+        TransportIo {
+            rank,
+            level,
+            detail,
+        } => {
+            put_tagged(out, 6, &[*rank, *level]);
+            put_u32(out, detail.len() as u32);
+            out.extend_from_slice(detail.as_bytes());
+        }
+        RankPanicked { rank } => put_tagged(out, 7, &[*rank]),
+        MissingRank { rank } => put_tagged(out, 8, &[*rank]),
     }
 }
 
@@ -290,52 +362,20 @@ pub fn encode(frame: &Frame, out: &mut Vec<u8>) {
             put_u64(out, *seq);
             put_f64s(out, payload);
         }
-        Frame::Stats { rank, stats } => {
-            put_u32(out, *rank);
-            put_u32(out, stats.counters.len() as u32);
-            for &(id, lvl, v) in &stats.counters {
-                out.push(id);
-                out.push(lvl);
-                put_u64(out, v);
-            }
-            put_u32(out, stats.hists.len() as u32);
-            for (id, lvl, h) in &stats.hists {
-                out.push(*id);
-                out.push(*lvl);
-                put_hist(out, h);
-            }
-            put_u32(out, stats.gauges.len() as u32);
-            for &(id, lvl, g) in &stats.gauges {
-                out.push(id);
-                out.push(lvl);
-                put_f64(out, g);
-            }
-        }
-        Frame::Done {
-            rank,
-            u,
-            v,
-            global_of_local,
-        } => {
-            put_u32(out, *rank);
-            put_f64s(out, u);
-            put_f64s(out, v);
-            put_u32(out, global_of_local.len() as u32);
-            for &g in global_of_local {
-                put_u32(out, g);
-            }
-        }
-        Frame::Flight { recording } => {
-            put_u32(out, recording.rank);
-            put_u64(out, recording.dropped);
-            put_u32(out, recording.events.len() as u32);
-            for ev in &recording.events {
-                put_u64(out, ev.t_ns);
-                out.push(ev.kind as u8);
-                out.push(ev.level);
-                put_u32(out, ev.step);
-                put_u32(out, ev.peer);
-                put_u64(out, ev.seq);
+        Frame::Report { recording, run } => {
+            put_recording(out, recording);
+            match run {
+                Ok((fields, stats)) => {
+                    out.push(0);
+                    put_stats(out, &WireStats::from_rank_stats(stats));
+                    put_f64s(out, &fields.u);
+                    put_f64s(out, &fields.v);
+                    put_u32s(out, &fields.global_of_local);
+                }
+                Err(e) => {
+                    out.push(1);
+                    put_error(out, e);
+                }
             }
         }
     }
@@ -442,6 +482,15 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
+    fn u32s(&mut self) -> Result<Vec<u32>, CodecError> {
+        let n = self.count(4)?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(self.u32()?);
+        }
+        Ok(out)
+    }
+
     fn hist(&mut self) -> Result<Histogram, CodecError> {
         let mut h = Histogram {
             count: self.u64()?,
@@ -454,6 +503,121 @@ impl<'a> Reader<'a> {
             *b = self.u64()?;
         }
         Ok(h)
+    }
+
+    fn recording(&mut self) -> Result<RankRecording, CodecError> {
+        let rank = self.u32()?;
+        let dropped = self.u64()?;
+        let n = self.count(26)?;
+        let mut events = Vec::with_capacity(n);
+        for _ in 0..n {
+            let t_ns = self.u64()?;
+            let kind = EventKind::from_u8(self.u8()?)
+                .ok_or(CodecError::Malformed("unknown flight event kind"))?;
+            events.push(FlightEvent {
+                t_ns,
+                kind,
+                level: self.u8()?,
+                step: self.u32()?,
+                peer: self.u32()?,
+                seq: self.u64()?,
+            });
+        }
+        Ok(RankRecording {
+            rank,
+            dropped,
+            events,
+        })
+    }
+
+    fn stats(&mut self) -> Result<WireStats, CodecError> {
+        let mut stats = WireStats::default();
+        for _ in 0..self.count(10)? {
+            stats.counters.push((self.u8()?, self.u8()?, self.u64()?));
+        }
+        for _ in 0..self.count(2 + 8 * (4 + HIST_BUCKETS))? {
+            stats.hists.push((self.u8()?, self.u8()?, self.hist()?));
+        }
+        for _ in 0..self.count(10)? {
+            stats.gauges.push((self.u8()?, self.u8()?, self.f64()?));
+        }
+        Ok(stats)
+    }
+
+    /// The inverse of [`put_error`].
+    fn error(&mut self) -> Result<RuntimeError, CodecError> {
+        use RuntimeError::*;
+        let tag = self.u8()?;
+        let rank = self.u32()? as usize;
+        Ok(match tag {
+            0 => PeerDisconnected {
+                rank,
+                peer: self.u32()? as usize,
+                level: self.u32()? as usize,
+            },
+            1 => ChannelClosed {
+                rank,
+                level: self.u32()? as usize,
+            },
+            2 => NotAPeer {
+                rank,
+                peer: self.u32()? as usize,
+                level: self.u32()? as usize,
+            },
+            3 => ExchangeTimeout {
+                rank,
+                level: self.u32()? as usize,
+            },
+            4 => FaultInjected {
+                rank,
+                level: self.u32()? as usize,
+            },
+            5 => BadPayload {
+                rank,
+                peer: self.u32()? as usize,
+                level: self.u32()? as usize,
+            },
+            6 => {
+                let level = self.u32()? as usize;
+                let n = self.count(1)?;
+                let detail = String::from_utf8(self.take(n)?.to_vec())
+                    .map_err(|_| CodecError::Malformed("error detail is not UTF-8"))?;
+                TransportIo {
+                    rank,
+                    level,
+                    detail,
+                }
+            }
+            7 => RankPanicked { rank },
+            8 => MissingRank { rank },
+            _ => return Err(CodecError::Malformed("unknown runtime error kind")),
+        })
+    }
+
+    /// A `Report` body. Cold: reports arrive once per worker, at teardown,
+    /// so what they allocate is off every hot path.
+    #[cold]
+    fn report(&mut self) -> Result<Frame, CodecError> {
+        let recording = self.recording()?;
+        let rank = recording.rank as usize;
+        let run = match self.u8()? {
+            0 => {
+                let stats = self.stats()?.into_rank_stats(rank);
+                let fields = RankFields {
+                    u: self.f64s()?,
+                    v: self.f64s()?,
+                    global_of_local: self.u32s()?,
+                };
+                let n = fields.global_of_local.len();
+                if fields.u.len() != n || fields.v.len() != n {
+                    return Err(CodecError::Malformed("field lengths disagree"));
+                }
+                Ok((fields, stats))
+            }
+            1 => Err(self.error()?),
+            _ => return Err(CodecError::Malformed("unknown report outcome")),
+        };
+        Ok(Frame::Report { recording, run })
     }
 
     fn done(&self) -> Result<(), CodecError> {
@@ -479,7 +643,7 @@ pub fn decode_header(h: &[u8]) -> Result<(u8, u32), CodecError> {
         return Err(CodecError::BadVersion(version));
     }
     let kind = h[6];
-    if kind > 5 {
+    if kind > 3 {
         return Err(CodecError::UnknownKind(kind));
     }
     let body_len = u32::from_le_bytes([h[8], h[9], h[10], h[11]]);
@@ -502,64 +666,7 @@ pub fn decode_body(kind: u8, body: &[u8]) -> Result<Frame, CodecError> {
             payload: r.f64s()?,
         },
         2 => Frame::Goodbye { rank: r.u32()? },
-        3 => {
-            let rank = r.u32()?;
-            let mut stats = WireStats::default();
-            for _ in 0..r.count(10)? {
-                stats.counters.push((r.u8()?, r.u8()?, r.u64()?));
-            }
-            for _ in 0..r.count(2 + 8 * (4 + HIST_BUCKETS))? {
-                stats.hists.push((r.u8()?, r.u8()?, r.hist()?));
-            }
-            for _ in 0..r.count(10)? {
-                stats.gauges.push((r.u8()?, r.u8()?, r.f64()?));
-            }
-            Frame::Stats { rank, stats }
-        }
-        4 => {
-            let rank = r.u32()?;
-            let u = r.f64s()?;
-            let v = r.f64s()?;
-            let n = r.count(4)?;
-            // lint: allow(hot-path-alloc) — Done frames arrive once per rank at teardown
-            let mut global_of_local = Vec::with_capacity(n);
-            for _ in 0..n {
-                global_of_local.push(r.u32()?);
-            }
-            Frame::Done {
-                rank,
-                u,
-                v,
-                global_of_local,
-            }
-        }
-        5 => {
-            let rank = r.u32()?;
-            let dropped = r.u64()?;
-            let n = r.count(26)?;
-            // lint: allow(hot-path-alloc) — Flight frames arrive once per rank at teardown
-            let mut events = Vec::with_capacity(n);
-            for _ in 0..n {
-                let t_ns = r.u64()?;
-                let kind = EventKind::from_u8(r.u8()?)
-                    .ok_or(CodecError::Malformed("unknown flight event kind"))?;
-                events.push(FlightEvent {
-                    t_ns,
-                    kind,
-                    level: r.u8()?,
-                    step: r.u32()?,
-                    peer: r.u32()?,
-                    seq: r.u64()?,
-                });
-            }
-            Frame::Flight {
-                recording: RankRecording {
-                    rank,
-                    dropped,
-                    events,
-                },
-            }
-        }
+        3 => r.report()?,
         other => return Err(CodecError::UnknownKind(other)),
     };
     r.done()?;
@@ -659,13 +766,90 @@ pub fn write_frame<W: std::io::Write>(w: &mut W, frame: &Frame) -> std::io::Resu
 mod tests {
     use super::*;
 
-    fn sample_frames() -> Vec<Frame> {
-        let mut h = Histogram::default();
-        h.observe(1e-4);
-        h.observe(3.0);
+    /// FNV-1a, 64-bit.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        })
+    }
+
+    /// One error of every [`RuntimeError`] variant.
+    fn every_error() -> Vec<RuntimeError> {
+        use RuntimeError::*;
         vec![
+            PeerDisconnected {
+                rank: 0,
+                peer: 1,
+                level: 2,
+            },
+            ChannelClosed { rank: 1, level: 0 },
+            NotAPeer {
+                rank: 2,
+                peer: 3,
+                level: 1,
+            },
+            ExchangeTimeout { rank: 3, level: 4 },
+            FaultInjected { rank: 1, level: 1 },
+            BadPayload {
+                rank: 0,
+                peer: 2,
+                level: 3,
+            },
+            TransportIo {
+                rank: 4,
+                level: 0,
+                detail: "send: broken pipe — ünïcode".into(),
+            },
+            RankPanicked { rank: 5 },
+            MissingRank { rank: 6 },
+        ]
+    }
+
+    /// A rank's statistics holding every metric of every wire table, at a
+    /// level and level-less.
+    fn every_metric_stats(rank: usize) -> RankStats {
+        let mut reg = MetricsRegistry::new();
+        for &name in &COUNTER_NAMES {
+            reg.inc_level(name, 0, name.len() as u64);
+            reg.inc(name, 1);
+        }
+        for &name in &HIST_NAMES {
+            reg.observe(name, Some(1), 0.25);
+            reg.observe(name, None, 3.0);
+        }
+        for &name in &GAUGE_NAMES {
+            reg.set_gauge_level(name, 2, 0.75);
+            reg.set_gauge(name, 0.5);
+        }
+        RankStats::from_registry(rank, reg)
+    }
+
+    /// A recording holding one event of every [`EventKind`].
+    fn every_event_recording(rank: u32) -> RankRecording {
+        let events = (0..=u8::MAX)
+            .filter_map(EventKind::from_u8)
+            .enumerate()
+            .map(|(i, kind)| FlightEvent {
+                t_ns: 100 * i as u64,
+                kind,
+                level: i as u8,
+                step: 7,
+                peer: rank ^ 1,
+                seq: 40 + i as u64,
+            })
+            .collect();
+        RankRecording {
+            rank,
+            dropped: 3,
+            events,
+        }
+    }
+
+    /// The pinned frames: one of every kind (the report a successful one),
+    /// then a failed report of every [`RuntimeError`] variant.
+    fn canonical_frames() -> Vec<Frame> {
+        let mut frames = vec![
             Frame::Hello { rank: 7 },
-            Frame::Goodbye { rank: 0 },
             Frame::Halo {
                 src: 1,
                 dst: 2,
@@ -673,52 +857,47 @@ mod tests {
                 seq: 0x0102_0304_0506_0708,
                 payload: vec![0.0, -0.0, f64::NAN, f64::INFINITY, 1e-310, -2.5],
             },
-            Frame::Halo {
-                src: 0,
-                dst: 1,
-                level: 0,
-                seq: 0,
-                payload: vec![],
+            Frame::Goodbye { rank: 0 },
+            Frame::Report {
+                recording: every_event_recording(1),
+                run: Ok((
+                    RankFields {
+                        u: vec![1.5, -2.5, 0.0],
+                        v: vec![0.0, 1e-300, -1.0],
+                        global_of_local: vec![10, 11, 12],
+                    },
+                    every_metric_stats(1),
+                )),
             },
-            Frame::Stats {
-                rank: 4,
-                stats: WireStats {
-                    counters: vec![(0, 0, 42), (3, 255, 9)],
-                    hists: vec![(1, 2, h)],
-                    gauges: vec![(1, 0, 0.75)],
+        ];
+        frames.extend(every_error().into_iter().map(|e| Frame::Report {
+            recording: every_event_recording(2),
+            run: Err(e),
+        }));
+        frames
+    }
+
+    fn sample_frames() -> Vec<Frame> {
+        let mut frames = canonical_frames();
+        frames.push(Frame::Halo {
+            src: 0,
+            dst: 1,
+            level: 0,
+            seq: 0,
+            payload: vec![],
+        });
+        frames.push(Frame::Report {
+            recording: RankRecording::default(),
+            run: Ok((
+                RankFields {
+                    u: vec![],
+                    v: vec![],
+                    global_of_local: vec![],
                 },
-            },
-            Frame::Done {
-                rank: 2,
-                u: vec![1.5, -2.5],
-                v: vec![0.0],
-                global_of_local: vec![10, 11, 12],
-            },
-            Frame::Flight {
-                recording: RankRecording {
-                    rank: 1,
-                    dropped: 3,
-                    events: vec![
-                        FlightEvent {
-                            t_ns: 123,
-                            kind: EventKind::Send,
-                            level: 2,
-                            step: 7,
-                            peer: 0,
-                            seq: 41,
-                        },
-                        FlightEvent {
-                            t_ns: 456,
-                            kind: EventKind::Fault,
-                            level: u8::MAX,
-                            step: 7,
-                            peer: u32::MAX,
-                            seq: 0,
-                        },
-                    ],
-                },
-            },
-        ]
+                RankStats::default(),
+            )),
+        });
+        frames
     }
 
     #[test]
@@ -730,6 +909,98 @@ mod tests {
             // NaN payloads break PartialEq; compare re-encodings (bit-exact)
             assert_eq!(encode_vec(&g), bytes);
         }
+    }
+
+    #[test]
+    fn reports_carry_the_typed_outcome() {
+        for e in every_error() {
+            let bytes = encode_vec(&Frame::Report {
+                recording: every_event_recording(2),
+                run: Err(e.clone()),
+            });
+            match decode(&bytes) {
+                Ok((Frame::Report { recording, run }, _)) => {
+                    assert_eq!(recording, every_event_recording(2));
+                    assert_eq!(run.err(), Some(e));
+                }
+                other => panic!("{e}: {other:?}"),
+            }
+        }
+        let frame = &canonical_frames()[3];
+        match decode(&encode_vec(frame)) {
+            Ok((
+                Frame::Report {
+                    run: Ok((f, st)), ..
+                },
+                _,
+            )) => {
+                assert_eq!(f.global_of_local, vec![10, 11, 12]);
+                assert_eq!(st.rank, 1);
+                let sent = every_metric_stats(1);
+                assert_eq!(st.elem_ops, sent.elem_ops);
+                assert_eq!(st.busy_s.to_bits(), sent.busy_s.to_bits());
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn canonical_frames_hash_to_the_pin() {
+        let mut bytes = Vec::new();
+        for f in canonical_frames() {
+            encode(&f, &mut bytes);
+        }
+        let got = fnv1a(&bytes);
+        assert_eq!(
+            got, WIRE_PIN,
+            "the canonical frames' bytes changed (hash {got:#018x}): bump VERSION, then re-pin WIRE_PIN"
+        );
+    }
+
+    #[test]
+    fn header_admits_exactly_the_declared_kinds() {
+        let mut declared: Vec<u8> = canonical_frames().iter().map(Frame::kind).collect();
+        declared.dedup();
+        let n = declared.len() as u8;
+        assert_eq!(declared, (0..n).collect::<Vec<_>>(), "kinds are 0..{n}");
+        let mut header = encode_vec(&Frame::Hello { rank: 0 });
+        for kind in 0..=u8::MAX {
+            header[6] = kind;
+            let got = decode_header(&header[..HEADER_LEN]);
+            if kind < n {
+                assert_eq!(got, Ok((kind, 4)), "kind {kind}");
+            } else {
+                assert_eq!(got, Err(CodecError::UnknownKind(kind)), "kind {kind}");
+            }
+        }
+    }
+
+    #[test]
+    fn metric_tables_have_no_duplicates() {
+        for table in [&COUNTER_NAMES[..], &HIST_NAMES, &GAUGE_NAMES] {
+            for (i, name) in table.iter().enumerate() {
+                assert_eq!(table_id(table, name), Some(i as u8), "{name} listed twice");
+            }
+        }
+    }
+
+    #[test]
+    fn mismatched_report_fields_are_malformed() {
+        let bytes = encode_vec(&Frame::Report {
+            recording: RankRecording::default(),
+            run: Ok((
+                RankFields {
+                    u: vec![1.0, 2.0],
+                    v: vec![1.0, 2.0],
+                    global_of_local: vec![0, 1, 2],
+                },
+                RankStats::default(),
+            )),
+        });
+        assert_eq!(
+            decode(&bytes).unwrap_err(),
+            CodecError::Malformed("field lengths disagree")
+        );
     }
 
     #[test]
@@ -754,14 +1025,13 @@ mod tests {
         let mut bad = bytes.clone();
         bad[4] = 0x7f;
         assert!(matches!(decode(&bad), Err(CodecError::BadVersion(_))));
-        // a version-2 peer (Stats body with a timeline section) is refused
+        // a peer one version behind is refused
         let mut bad = bytes.clone();
-        bad[4..6].copy_from_slice(&2u16.to_le_bytes());
-        assert_eq!(decode(&bad).unwrap_err(), CodecError::BadVersion(2));
-        // so is a version-3 peer, whose gauge ids include the λ gauges
-        let mut bad = bytes.clone();
-        bad[4..6].copy_from_slice(&3u16.to_le_bytes());
-        assert_eq!(decode(&bad).unwrap_err(), CodecError::BadVersion(3));
+        bad[4..6].copy_from_slice(&(VERSION - 1).to_le_bytes());
+        assert_eq!(
+            decode(&bad).unwrap_err(),
+            CodecError::BadVersion(VERSION - 1)
+        );
         let mut bad = bytes.clone();
         bad[6] = 250;
         assert!(matches!(decode(&bad), Err(CodecError::UnknownKind(250))));

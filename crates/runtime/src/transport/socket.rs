@@ -196,7 +196,7 @@ impl Transport for SocketTransport {
                         from: rank as usize,
                     })
                 }
-                // handshake/stats frames are router business; skip them here
+                // handshake/report frames are router business; skip them here
                 _ => {}
             }
         }

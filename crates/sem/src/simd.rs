@@ -682,23 +682,23 @@ simd_kernel_mod!(
 macro_rules! by_np {
     ($np:expr, $module:ident :: $kernel:ident ($($arg:expr),*)) => {
         match $np {
-            2 => $module::$kernel::<2>($($arg),*),
-            3 => $module::$kernel::<3>($($arg),*),
-            4 => $module::$kernel::<4>($($arg),*),
-            5 => $module::$kernel::<5>($($arg),*),
-            6 => $module::$kernel::<6>($($arg),*),
-            7 => $module::$kernel::<7>($($arg),*),
-            8 => $module::$kernel::<8>($($arg),*),
-            9 => $module::$kernel::<9>($($arg),*),
-            10 => $module::$kernel::<10>($($arg),*),
-            11 => $module::$kernel::<11>($($arg),*),
-            12 => $module::$kernel::<12>($($arg),*),
-            13 => $module::$kernel::<13>($($arg),*),
-            14 => $module::$kernel::<14>($($arg),*),
-            15 => $module::$kernel::<15>($($arg),*),
-            16 => $module::$kernel::<16>($($arg),*),
-            17 => $module::$kernel::<17>($($arg),*),
-            _ => return false,
+            2 => { $module::$kernel::<2>($($arg),*); true }
+            3 => { $module::$kernel::<3>($($arg),*); true }
+            4 => { $module::$kernel::<4>($($arg),*); true }
+            5 => { $module::$kernel::<5>($($arg),*); true }
+            6 => { $module::$kernel::<6>($($arg),*); true }
+            7 => { $module::$kernel::<7>($($arg),*); true }
+            8 => { $module::$kernel::<8>($($arg),*); true }
+            9 => { $module::$kernel::<9>($($arg),*); true }
+            10 => { $module::$kernel::<10>($($arg),*); true }
+            11 => { $module::$kernel::<11>($($arg),*); true }
+            12 => { $module::$kernel::<12>($($arg),*); true }
+            13 => { $module::$kernel::<13>($($arg),*); true }
+            14 => { $module::$kernel::<14>($($arg),*); true }
+            15 => { $module::$kernel::<15>($($arg),*); true }
+            16 => { $module::$kernel::<16>($($arg),*); true }
+            17 => { $module::$kernel::<17>($($arg),*); true }
+            _ => false,
         }
     };
 }
@@ -752,10 +752,9 @@ pub(crate) fn batch_scalar_stiffness(
         }
         _ => {
             let _ = (np, d, w3, cf, loc, tmp);
-            return false;
+            false
         }
     }
-    true
 }
 
 /// Dispatch one elastic batch of `np`-point elements to `v`'s kernel;
@@ -813,10 +812,9 @@ pub(crate) fn batch_elastic_stiffness(
         }
         _ => {
             let _ = (np, d, w3, cf, u, grad, flux, out);
-            return false;
+            false
         }
     }
-    true
 }
 
 #[cfg(test)]

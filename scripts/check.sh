@@ -41,10 +41,11 @@ cargo test -q --test transport_conformance
 echo "== multi-process smoke (wave-lts worker over unix sockets)"
 cargo test -q --test multiprocess_integration
 
-echo "== crash-report gate (die-at-level on every transport → postmortem parses & merges)"
+echo "== crash-report gate (die-at-level on every transport → same cause, postmortem parses & merges)"
 # A killed rank must exit the simulation with code 4 and leave a crash
 # report whose recordings `postmortem` can re-parse and causally merge
-# (postmortem exits 0 only on both).
+# (postmortem exits 0 only on both). Every transport must name the same
+# cause: the report's `reason` and `detail` equal the channel run's.
 cargo build --release -q --bin wave-lts
 crash_dir="$(mktemp -d /tmp/wlts_crash.XXXXXX)"
 trap 'rm -rf "$crash_dir"' EXIT
@@ -63,13 +64,26 @@ for transport in channel unix-socket process; do
     exit 1
   fi
   ./target/release/wave-lts postmortem --file "$report" >/dev/null
+  cause="$(grep -E '^  "(reason|detail)": ' "$report")"
+  if [ -z "$cause" ]; then
+    echo "crash-report gate: $transport: report names no reason" >&2
+    exit 1
+  fi
+  if [ "$transport" = channel ]; then
+    channel_cause="$cause"
+  elif [ "$cause" != "$channel_cause" ]; then
+    printf 'crash-report gate: %s names another cause than channel:\n%s\nvs\n%s\n' \
+      "$transport" "$cause" "$channel_cause" >&2
+    exit 1
+  fi
 done
 
 echo "== SIMD feature matrix (lts-sem with and without the simd feature)"
 # Feature on is the workspace default (covered by every other step); the
 # off leg must still build and pass bitwise-determinism tests through the
-# pure scalar path.
+# pure scalar path, and stay clippy-clean.
 cargo test -q -p lts-sem --no-default-features
+cargo clippy -p lts-sem --no-default-features --all-targets -- -D warnings
 
 echo "== cargo bench --no-run (microbenches must stay compilable)"
 cargo bench --no-run -q

@@ -34,11 +34,11 @@ use std::fs::File;
 use wave_lts::lts::{LtsNewmark, LtsSetup, Newmark, Operator};
 use wave_lts::mesh::io as mesh_io;
 use wave_lts::mesh::{BenchmarkMesh, MeshKind};
-use wave_lts::obs::{flight_chrome_trace, RankRecording};
+use wave_lts::obs::flight_chrome_trace;
 use wave_lts::partition::{edge_cut, load_imbalance, mpi_volume, partition_mesh, Strategy};
 use wave_lts::runtime::stats::{ascii_timeline, lambda_from_stats};
 use wave_lts::runtime::{
-    run, Acoustic, Decompose, DistributedConfig, Elastic, MonitorConfig, RankStats, RunSpec,
+    run, Acoustic, Decompose, DistributedConfig, Elastic, MonitorConfig, RunOutput, RunSpec,
 };
 use wave_lts::sem::gll::cfl_dt_scale;
 use wave_lts::sem::{AcousticOperator, ElasticOperator};
@@ -165,31 +165,6 @@ fn flight_from_args(m: &HashMap<String, String>) -> usize {
     })
 }
 
-/// The tail of every failed `simulate --ranks` run: write the crash-report
-/// artifacts (JSON + `.txt` + `.trace.json`) and exit 4.
-fn die_with_crash_report(
-    m: &HashMap<String, String>,
-    e: &wave_lts::runtime::RuntimeError,
-    recordings: Vec<wave_lts::obs::RankRecording>,
-) -> ! {
-    use wave_lts::runtime::postmortem::{reason_for, CrashReport};
-    let path: String = get(m, "crash-report", "crash_report.json".into());
-    eprintln!("distributed run failed: {e}");
-    let rep = CrashReport::new(reason_for(e), e.to_string(), recordings);
-    match rep.write(std::path::Path::new(&path)) {
-        Ok(paths) => {
-            eprintln!(
-                "crash report : {} (+ {}, {})",
-                paths[0].display(),
-                paths[1].display(),
-                paths[2].display()
-            );
-        }
-        Err(we) => eprintln!("crash report could not be written: {we}"),
-    }
-    std::process::exit(4);
-}
-
 fn build(m: &HashMap<String, String>) -> BenchmarkMesh {
     let kind = mesh_kind(&get::<String>(m, "mesh", "trench".into()));
     let elements: usize = get(m, "elements", 20_000);
@@ -307,21 +282,41 @@ fn initial_u<P: Decompose>(b: &BenchmarkMesh, order: usize, amp: f64) -> Vec<f64
     (0..ndof).map(|i| ((i as f64) * amp).sin()).collect()
 }
 
-/// The tail of every successful `simulate --ranks N` run, whatever its
-/// transport: the Fig. 1 busy/stall bars, Eq. 21 λ per level and, with
-/// `--trace-out`, the Chrome trace of the ranks' flight recordings.
+/// The tail of every `simulate --ranks N` run, whatever its transport. A
+/// failed run writes the crash-report artifacts (JSON + `.txt` +
+/// `.trace.json`) and exits 4; a successful one prints the Fig. 1
+/// busy/stall bars, Eq. 21 λ per level and, with `--trace-out`, the Chrome
+/// trace of the ranks' flight recordings.
 fn report_distributed(
     m: &HashMap<String, String>,
     run: &str,
     wall: std::time::Duration,
-    u: &[f64],
-    stats: &[RankStats],
-    recordings: &[RankRecording],
+    mut out: RunOutput,
 ) {
+    let recordings = std::mem::take(&mut out.recordings);
+    let (u, _, stats) = match out.into_result() {
+        Ok(t) => t,
+        Err(e) => {
+            use wave_lts::runtime::postmortem::{reason_for, CrashReport};
+            let path: String = get(m, "crash-report", "crash_report.json".into());
+            eprintln!("distributed run failed: {e}");
+            let rep = CrashReport::new(reason_for(&e), e.to_string(), recordings);
+            match rep.write(std::path::Path::new(&path)) {
+                Ok(paths) => eprintln!(
+                    "crash report : {} (+ {}, {})",
+                    paths[0].display(),
+                    paths[1].display(),
+                    paths[2].display()
+                ),
+                Err(we) => eprintln!("crash report could not be written: {we}"),
+            }
+            std::process::exit(4);
+        }
+    };
     let norm: f64 = u.iter().map(|x| x * x).sum::<f64>().sqrt();
     println!("distributed : {run}, {wall:.2?}, ‖u‖ = {norm:.6e}");
-    print!("{}", ascii_timeline(stats, 48));
-    for (l, lam) in lambda_from_stats(stats) {
+    print!("{}", ascii_timeline(&stats, 48));
+    for (l, lam) in lambda_from_stats(&stats) {
         println!("  level {l}: Eq. 21 λ = {lam:.2}");
     }
     let Some(trace_out) = m.get("trace-out") else {
@@ -334,7 +329,7 @@ fn report_distributed(
              each rank's latest ones; --flight N keeps more"
         );
     }
-    let trace = flight_chrome_trace(&[("simulate", recordings)]);
+    let trace = flight_chrome_trace(&[("simulate", &recordings)]);
     match std::fs::write(trace_out, trace.render()) {
         Ok(()) => println!("Chrome trace (chrome://tracing, Perfetto): {trace_out}"),
         Err(e) => eprintln!("could not write {trace_out}: {e}"),
@@ -380,19 +375,14 @@ fn run_sim_distributed<P: Decompose>(
         cfg,
     };
     let t0 = std::time::Instant::now();
-    let mut out = run(problem, &spec, None, &mut MetricsRegistry::new());
-    let recordings = std::mem::take(&mut out.recordings);
-    let (u, _, stats) = match out.into_result() {
-        Ok(t) => t,
-        Err(e) => die_with_crash_report(m, &e, recordings),
-    };
+    let out = run(problem, &spec, None, &mut MetricsRegistry::new());
     let run = format!(
         "{ranks} ranks ({}, {}{})",
         s.name(),
         transport.name(),
         if cfg.overlap { ", overlap" } else { "" }
     );
-    report_distributed(m, &run, t0.elapsed(), &u, &stats, &recordings);
+    report_distributed(m, &run, t0.elapsed(), out);
 }
 
 /// `simulate --ranks N --transport process`: spawn one `wave-lts worker`
@@ -424,22 +414,17 @@ fn run_sim_multiprocess(m: &HashMap<String, String>, dt: f64, ranks: usize) {
         timeout: std::time::Duration::from_secs(600),
     };
     let t0 = std::time::Instant::now();
-    let (result, recordings) = run_coordinator(&spec);
-    let (u, _, stats) = match result {
-        Ok(t) => t,
-        Err(e) => die_with_crash_report(m, &e, recordings),
-    };
-    // the workers shipped their flight rings over the wire
+    let out = run_coordinator(&spec);
     let run = format!("{ranks} worker processes (unix-socket)");
-    report_distributed(m, &run, t0.elapsed(), &u, &stats, &recordings);
+    report_distributed(m, &run, t0.elapsed(), out);
 }
 
 /// The internal per-rank process behind `--transport process`. Rebuilds
 /// the mesh and partition deterministically from the same parameters the
 /// coordinator used, dials `--socket`, builds and steps only its own rank's
-/// world, and reports Stats + Flight + Done frames on a second connection.
-/// Exits nonzero if the rank fails, which the coordinator surfaces as
-/// `RankPanicked`.
+/// world, and reports its whole outcome — fields and statistics, or its
+/// typed error — in one `Report` frame on a second connection. Exits 3 if
+/// the rank fails; the coordinator reads the cause from the report.
 fn cmd_worker(m: &HashMap<String, String>) {
     let (Some(socket), Some(rank), Some(ranks)) =
         (m.get("socket"), opt(m, "rank"), opt(m, "ranks"))
@@ -468,7 +453,7 @@ fn worker_run<P: Decompose>(
     rank: usize,
     ranks: usize,
 ) {
-    use wave_lts::runtime::process::{worker_connect, worker_report, worker_report_crash};
+    use wave_lts::runtime::process::{worker_connect, worker_report};
     use wave_lts::runtime::{run_rank, TransportKind};
 
     let order: usize = get(m, "order", 4);
@@ -505,22 +490,14 @@ fn worker_run<P: Decompose>(
         }
     };
     let (outcome, recording) = run_rank(problem, &spec, rank, Box::new(transport));
-    match outcome {
-        Ok((fields, stats)) => {
-            if let Err(e) = worker_report(path, rank, &stats, fields, &recording) {
-                eprintln!("worker rank {rank}: report: {e}");
-                std::process::exit(3);
-            }
-        }
-        Err(e) => {
-            eprintln!("worker rank {rank}: {e}");
-            // last words: ship the ring so the coordinator's post-mortem
-            // includes this rank's final events
-            if let Err(re) = worker_report_crash(path, &recording) {
-                eprintln!("worker rank {rank}: crash report: {re}");
-            }
-            std::process::exit(3);
-        }
+    let failed = outcome.as_ref().err().map(|e| e.to_string());
+    if let Err(e) = worker_report(path, outcome, recording) {
+        eprintln!("worker rank {rank}: report: {e}");
+        std::process::exit(3);
+    }
+    if let Some(e) = failed {
+        eprintln!("worker rank {rank}: {e}");
+        std::process::exit(3);
     }
 }
 

@@ -5,7 +5,8 @@
 //! rank-local world as the in-process rank threads and steps it through
 //! the same rank body, and payload `f64`s cross the wire as raw bit
 //! patterns, so nothing may differ. Both run the stall monitor, whose
-//! window count follows the exchange count.
+//! window count follows the exchange count. A failed fleet must report the
+//! same typed error as the in-process run: each worker ships its own.
 
 #![cfg(unix)]
 
@@ -15,7 +16,9 @@ use wave_lts::obs::MetricsRegistry;
 use wave_lts::partition::{partition_mesh, Strategy};
 use wave_lts::runtime::process::{run_coordinator, ProcSpec};
 use wave_lts::runtime::stats::names;
-use wave_lts::runtime::{run, Acoustic, DistributedConfig, MonitorConfig, RankStats, RunSpec};
+use wave_lts::runtime::{
+    run, Acoustic, DistributedConfig, FaultPlan, MonitorConfig, RankStats, RunOutput, RunSpec,
+};
 use wave_lts::sem::gll::cfl_dt_scale;
 
 const ELEMENTS: usize = 600;
@@ -89,7 +92,7 @@ fn worker_processes_match_in_process_bitwise() {
             timeout: Duration::from_secs(300),
         };
         let (u, v, stats) = run_coordinator(&fleet)
-            .0
+            .into_result()
             .unwrap_or_else(|e| panic!("{ranks} ranks overlap={overlap}: {e}"));
 
         assert_eq!(u.len(), ndof, "{ranks} ranks: assembled field size");
@@ -128,5 +131,59 @@ fn coordinator_reports_worker_failure_cleanly() {
         n_ranks: 2,
         timeout: Duration::from_secs(60),
     };
-    assert!(run_coordinator(&spec).0.is_err());
+    assert!(run_coordinator(&spec).into_result().is_err());
+}
+
+/// The ranks whose own outcome is a failure.
+fn failed_ranks(out: &RunOutput) -> Vec<usize> {
+    (0..out.ranks.len())
+        .filter(|&r| out.ranks[r].is_err())
+        .collect()
+}
+
+#[test]
+fn worker_fault_reports_the_in_process_error() {
+    let ranks = 3;
+    let b = BenchmarkMesh::build(MeshKind::Trench, ELEMENTS);
+    let ndof = b.mesh.n_gll_nodes(ORDER);
+    let dt = b.levels.dt_global * cfl_dt_scale(ORDER, 3);
+    let u0: Vec<f64> = (0..ndof).map(|i| ((i as f64) * 0.003).sin()).collect();
+    let v0 = vec![0.0; ndof];
+    let part = partition_mesh(&b.mesh, &b.levels, ranks, Strategy::ScotchP, 1);
+    let plan = FaultPlan {
+        die_on_send_at_level: Some(1),
+        ..FaultPlan::default()
+    };
+    let spec = RunSpec {
+        elem_level: &b.levels.elem_level,
+        partition: &part,
+        dt,
+        u0: &u0,
+        v0: &v0,
+        n_steps: STEPS,
+        sources: &[],
+        cfg: DistributedConfig {
+            stall_monitor: Some(MonitorConfig),
+            fault: Some((1, plan)),
+            ..DistributedConfig::new(ranks)
+        },
+    };
+    let problem = Acoustic {
+        mesh: &b.mesh,
+        order: ORDER,
+    };
+    let in_process = run(&problem, &spec, None, &mut MetricsRegistry::new());
+
+    let mut args = worker_args(dt, false);
+    args.extend(["--fault-rank", "1", "--fault-die-at-level", "1"].map(String::from));
+    let fleet = run_coordinator(&ProcSpec {
+        bin: env!("CARGO_BIN_EXE_wave-lts").into(),
+        args,
+        n_ranks: ranks,
+        timeout: Duration::from_secs(300),
+    });
+
+    assert_eq!(failed_ranks(&fleet), failed_ranks(&in_process));
+    let want = in_process.into_result().expect_err("the fault fires");
+    assert_eq!(fleet.into_result().expect_err("the fault fires"), want);
 }

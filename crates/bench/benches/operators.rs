@@ -1,10 +1,12 @@
 //! Criterion benches: SEM operator applications (full and masked) — the
-//! inner kernels whose cost the Eq. 9 model counts.
+//! inner kernels whose cost the Eq. 9 model counts — and the build of one
+//! rank's sub-operator, the per-rank share of the decomposer's setup.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lts_core::{LtsSetup, Operator};
 use lts_mesh::{BenchmarkMesh, MeshKind};
-use lts_sem::{AcousticOperator, ElasticOperator};
+use lts_sem::unstructured::UNMAPPED;
+use lts_sem::{AcousticOperator, ElasticOperator, UnstructuredAcoustic};
 use std::hint::black_box;
 
 fn bench_acoustic_apply(c: &mut Criterion) {
@@ -77,10 +79,39 @@ fn bench_elastic_apply(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_subset_build(c: &mut Criterion) {
+    // one rank of a 2-rank trench-p4 run: the first half of the elements,
+    // grouped by the real leaf levels, masses from the global operator
+    let b = BenchmarkMesh::build(MeshKind::Trench, 8_788);
+    let order = 4;
+    let op = AcousticOperator::new(&b.mesh, order);
+    let setup = LtsSetup::new(&op, &b.levels.elem_level);
+    let half: Vec<u32> = (0..b.mesh.n_elems() as u32 / 2).collect();
+    let mass = |g: u32| op.mass()[g as usize];
+    let leaf_of = |g: u32| setup.leaf_level[g as usize];
+    let mut map = vec![UNMAPPED; op.dofmap.n_nodes()];
+    let mut g = c.benchmark_group("subset_build");
+    g.sample_size(20);
+    g.bench_function("acoustic_half_trench_order4", |bch| {
+        bch.iter(|| {
+            black_box(UnstructuredAcoustic::from_subset_in(
+                &b.mesh,
+                order,
+                black_box(&half),
+                Some(&mass),
+                &leaf_of,
+                &mut map,
+            ))
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_acoustic_apply,
     bench_masked_vs_full,
-    bench_elastic_apply
+    bench_elastic_apply,
+    bench_subset_build
 );
 criterion_main!(benches);

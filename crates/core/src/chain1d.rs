@@ -63,26 +63,24 @@ impl Chain1d {
     }
 
     /// The sub-chain over `elems` (ascending), with its DOFs numbered
-    /// compactly in the level-grouped order of
-    /// [`crate::setup::level_order`] over the leaf levels `leaf_of(g)`
-    /// (ascending global DOF within a level), and the global DOF of each
-    /// local one. Masses are this chain's, so the sub-chain's masked
-    /// product does the same arithmetic on the DOFs it holds.
-    /// `local_of_global` is a dense map over this chain's DOFs, every entry
-    /// `u32::MAX` on entry and again on return.
+    /// compactly by [`crate::setup::local_numbering`] (level-grouped over
+    /// the leaf levels `leaf_of(g)`, ascending global DOF within a level),
+    /// and the global DOF of each local one. Masses are this chain's, so
+    /// the sub-chain's masked product does the same arithmetic on the DOFs
+    /// it holds. `local_of_global` is a dense map over this chain's DOFs,
+    /// every entry [`crate::setup::UNMAPPED`] on entry and again on return.
     pub fn subset(
         &self,
         elems: &[u32],
         leaf_of: &dyn Fn(u32) -> u8,
         local_of_global: &mut [u32],
     ) -> (Chain1d, Vec<u32>) {
-        let mut dofs: Vec<u32> = elems.iter().flat_map(|&e| self.nodes[e as usize]).collect();
-        dofs.sort_unstable();
-        dofs.dedup();
-        let global_of_local = crate::setup::grouped(&dofs, leaf_of);
-        for (l, &g) in global_of_local.iter().enumerate() {
-            local_of_global[g as usize] = l as u32;
-        }
+        let pair = |e: u32, buf: &mut Vec<u32>| {
+            buf.clear();
+            buf.extend_from_slice(&self.nodes[e as usize]);
+        };
+        let (elem_nodes, global_of_local) =
+            crate::setup::local_numbering(elems, 2, pair, leaf_of, local_of_global);
         let pick = |x: &[f64]| elems.iter().map(|&e| x[e as usize]).collect();
         let sub = Chain1d {
             h: pick(&self.h),
@@ -92,14 +90,8 @@ impl Chain1d {
                 .iter()
                 .map(|&g| self.mass[g as usize])
                 .collect(),
-            nodes: elems
-                .iter()
-                .map(|&e| self.nodes[e as usize].map(|g| local_of_global[g as usize]))
-                .collect(),
+            nodes: elem_nodes.chunks_exact(2).map(|p| [p[0], p[1]]).collect(),
         };
-        for &g in &global_of_local {
-            local_of_global[g as usize] = u32::MAX;
-        }
         (sub, global_of_local)
     }
 

@@ -137,17 +137,75 @@ pub fn level_order(leaf_level: &[u8], n_levels: usize) -> (Vec<u32>, LevelSets) 
     (pos, sets)
 }
 
-/// `ids` in the level-grouped order of [`level_order`], the leaf level of
-/// each id given by `level_of`.
-pub fn grouped(ids: &[u32], level_of: impl Fn(u32) -> u8) -> Vec<u32> {
-    let levels: Vec<u8> = ids.iter().map(|&g| level_of(g)).collect();
-    let n_levels = levels.iter().max().map_or(1, |&m| m as usize + 1);
-    let (pos, _) = level_order(&levels, n_levels);
-    let mut out = vec![0u32; ids.len()];
-    for (&p, &g) in pos.iter().zip(ids) {
-        out[p as usize] = g;
+/// Entry of an idle global → local node map (see [`local_numbering`]).
+pub const UNMAPPED: u32 = u32::MAX;
+
+/// Compact local numbering of the nodes of `elems`, the rank-local order of
+/// every sub-operator builder: the level-grouped order of [`level_order`]
+/// over the leaf levels `leaf_of(g)`, finest first, ascending global id
+/// within a level. `nodes_of(e, buf)` fills `buf` with element `e`'s `npe`
+/// global nodes. Returns each element's nodes in local ids, `npe` per
+/// element, and `global_of_local`.
+///
+/// `local_of_global` is a dense map over all global nodes, every entry
+/// [`UNMAPPED`] on entry and again on return, so one array serves any
+/// number of subsets. Linear in the subset, with no sort: one pass over the
+/// elements marks each first touch in the map with its leaf level, counts
+/// it, and sets its bit in a bitset over the global range; a word-skipping
+/// scan of the bitset then meets the nodes in ascending order and puts each
+/// at its level's next slot. O(elems·npe + N/64) for N global nodes.
+pub fn local_numbering(
+    elems: &[u32],
+    npe: usize,
+    nodes_of: impl Fn(u32, &mut Vec<u32>),
+    leaf_of: &dyn Fn(u32) -> u8,
+    local_of_global: &mut [u32],
+) -> (Vec<u32>, Vec<u32>) {
+    let mut elem_nodes = Vec::with_capacity(elems.len() * npe);
+    let mut seen = vec![0u64; local_of_global.len().div_ceil(64)];
+    let mut count = [0u32; 256];
+    let mut buf = Vec::with_capacity(npe);
+    for &e in elems {
+        nodes_of(e, &mut buf);
+        debug_assert_eq!(buf.len(), npe);
+        for &g in &buf {
+            let entry = &mut local_of_global[g as usize];
+            if *entry == UNMAPPED {
+                let l = leaf_of(g);
+                *entry = l as u32;
+                count[l as usize] += 1;
+                seen[g as usize / 64] |= 1 << (g % 64);
+            }
+        }
+        elem_nodes.extend_from_slice(&buf);
     }
-    out
+    // each level's first slot, finest level first
+    let mut next = [0u32; 256];
+    let mut n = 0;
+    for l in (0..256).rev() {
+        next[l] = n;
+        n += count[l];
+    }
+    let mut global_of_local = vec![0u32; n as usize];
+    for (w, &word) in seen.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            let g = 64 * w as u32 + bits.trailing_zeros();
+            bits &= bits - 1;
+            let entry = &mut local_of_global[g as usize];
+            let slot = &mut next[*entry as usize];
+            global_of_local[*slot as usize] = g;
+            *entry = *slot;
+            *slot += 1;
+        }
+    }
+    for g in &mut elem_nodes {
+        *g = local_of_global[*g as usize];
+    }
+    for &g in &global_of_local {
+        local_of_global[g as usize] = UNMAPPED;
+    }
+    (elem_nodes, global_of_local)
 }
 
 #[cfg(test)]
@@ -262,7 +320,22 @@ mod tests {
         assert_eq!(sets.leaf(0), 5..7);
         assert_eq!(sets.leaf(1), 2..5);
         assert_eq!(sets.leaf(2), 0..2);
-        assert_eq!(grouped(&[10, 11, 12], |g| (g % 2) as u8), vec![11, 10, 12]);
+    }
+
+    #[test]
+    fn local_numbering_groups_finest_first_ascending() {
+        // nodes on three bitset words, leaf level = parity
+        let nodes = [[129u32, 4], [4, 67], [2, 129]];
+        let mut map = vec![UNMAPPED; 130];
+        let fill = |e: u32, buf: &mut Vec<u32>| {
+            buf.clear();
+            buf.extend_from_slice(&nodes[e as usize]);
+        };
+        let (elem_nodes, global_of_local) =
+            local_numbering(&[0, 1, 2], 2, fill, &|g| (g % 2) as u8, &mut map);
+        assert_eq!(global_of_local, vec![67, 129, 2, 4]);
+        assert_eq!(elem_nodes, vec![1, 3, 3, 0, 2, 1]);
+        assert!(map.iter().all(|&x| x == UNMAPPED));
     }
 
     #[test]

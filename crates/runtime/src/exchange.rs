@@ -70,6 +70,8 @@ impl SharedDofs {
 /// Owned elements of every rank, each list ascending: one pass over the
 /// partition.
 pub(crate) fn elems_by_rank(partition: &[u32], n_ranks: usize) -> Vec<Vec<u32>> {
+    assert!(n_ranks >= 1);
+    assert!(partition.iter().all(|&p| (p as usize) < n_ranks));
     let mut count = vec![0usize; n_ranks];
     for &r in partition {
         count[r as usize] += 1;
@@ -169,12 +171,21 @@ pub fn build_plans<T: DofTopology>(
     partition: &[u32],
     n_ranks: usize,
 ) -> Vec<RankPlan> {
+    plans_of(topo, setup, partition, &elems_by_rank(partition, n_ranks))
+}
+
+/// [`build_plans`] from the partition's [`elems_by_rank`], for a caller
+/// that keeps the lists.
+pub(crate) fn plans_of<T: DofTopology>(
+    topo: &T,
+    setup: &LtsSetup,
+    partition: &[u32],
+    by_rank: &[Vec<u32>],
+) -> Vec<RankPlan> {
     assert_eq!(partition.len(), topo.n_elems());
-    assert!(n_ranks >= 1);
-    assert!(partition.iter().all(|&p| (p as usize) < n_ranks));
     let nl = setup.n_levels;
-    let sets = RankSets::build(topo, &elems_by_rank(partition, n_ranks));
-    let mut plans = empty_plans(n_ranks, nl);
+    let sets = RankSets::build(topo, by_rank);
+    let mut plans = empty_plans(by_rank.len(), nl);
     let mut dofs = Vec::new();
     // the level each DOF was last met at, so each is listed once per level
     let mut stamp = vec![u8::MAX; topo.n_dofs()];

@@ -21,55 +21,13 @@ use crate::compiled::{
 use crate::dofmap::DofMap;
 use crate::elastic::Scratch;
 use crate::gll::GllBasis;
+use lts_core::setup::local_numbering;
 use lts_core::DofTopology;
 use lts_mesh::HexMesh;
 
 /// Entry of an idle global → local node map (see
 /// [`UnstructuredAcoustic::from_subset_in`]).
-pub const UNMAPPED: u32 = u32::MAX;
-
-/// Compact local numbering of the nodes of `elems`: the level-grouped order
-/// of [`lts_core::setup::level_order`] over the leaf levels `leaf_of(g)`,
-/// ascending global id within a level. Returns each element's node list in
-/// local ids, `npe` per element, and `global_of_local`.
-///
-/// `local_of_global` is a dense map over all global nodes, every entry
-/// [`UNMAPPED`] on entry and again on return, so one array serves any
-/// number of subsets at O(subset) cost each.
-fn local_numbering(
-    dofmap: &DofMap,
-    elems: &[u32],
-    leaf_of: &dyn Fn(u32) -> u8,
-    local_of_global: &mut [u32],
-) -> (Vec<u32>, Vec<u32>) {
-    debug_assert_eq!(local_of_global.len(), dofmap.n_nodes());
-    let mut elem_nodes = Vec::with_capacity(elems.len() * dofmap.nodes_per_elem());
-    let mut buf = Vec::new();
-    let mut global_of_local = Vec::new();
-    for &e in elems {
-        dofmap.elem_nodes(e, &mut buf);
-        for &g in &buf {
-            // 0 marks "seen" until numbered
-            if local_of_global[g as usize] == UNMAPPED {
-                local_of_global[g as usize] = 0;
-                global_of_local.push(g);
-            }
-        }
-        elem_nodes.extend_from_slice(&buf);
-    }
-    global_of_local.sort_unstable();
-    let global_of_local = lts_core::setup::grouped(&global_of_local, leaf_of);
-    for (l, &g) in global_of_local.iter().enumerate() {
-        local_of_global[g as usize] = l as u32;
-    }
-    for g in &mut elem_nodes {
-        *g = local_of_global[*g as usize];
-    }
-    for &g in &global_of_local {
-        local_of_global[g as usize] = UNMAPPED;
-    }
-    (elem_nodes, global_of_local)
-}
+pub use lts_core::setup::UNMAPPED;
 
 /// Gather-list acoustic operator.
 pub struct UnstructuredAcoustic {
@@ -107,10 +65,12 @@ impl UnstructuredAcoustic {
 
     /// [`Self::from_subset`] with the local DOFs grouped by the leaf level
     /// `leaf_of(g)` of each global node, finest first (ascending global
-    /// order within a level), numbered through a caller-owned dense map over
-    /// the mesh's global GLL nodes. Every entry must be [`UNMAPPED`], and is
-    /// again on return, so one map serves every rank of a decomposition
-    /// without a per-rank pass over the whole mesh.
+    /// order within a level), numbered by
+    /// [`lts_core::setup::local_numbering`] in time linear in the subset,
+    /// through a caller-owned dense map over the mesh's global GLL nodes.
+    /// Every entry must be [`UNMAPPED`], and is again on return, so one map
+    /// serves every rank of a decomposition without a per-rank pass over the
+    /// whole mesh.
     pub fn from_subset_in(
         mesh: &HexMesh,
         order: usize,
@@ -122,8 +82,9 @@ impl UnstructuredAcoustic {
         let dofmap = DofMap::new(mesh, order);
         let basis = GllBasis::new(order);
         let npe = dofmap.nodes_per_elem();
+        let nodes_of = |e, buf: &mut Vec<u32>| dofmap.elem_nodes(e, buf);
         let (elem_dofs, global_of_local) =
-            local_numbering(&dofmap, elems, leaf_of, local_of_global);
+            local_numbering(elems, npe, nodes_of, leaf_of, local_of_global);
 
         let mut elem_geom = Vec::with_capacity(elems.len());
         for &e in elems {
@@ -290,8 +251,9 @@ impl UnstructuredElastic {
         let dofmap = DofMap::new(mesh, order);
         let basis = GllBasis::new(order);
         let npe = dofmap.nodes_per_elem();
+        let nodes_of = |e, buf: &mut Vec<u32>| dofmap.elem_nodes(e, buf);
         let (elem_nodes, global_of_local) =
-            local_numbering(&dofmap, elems, leaf_of, local_of_global);
+            local_numbering(elems, npe, nodes_of, leaf_of, local_of_global);
         let mut elem_geom = Vec::with_capacity(elems.len());
         let vs_over_vp = 1.0 / 3.0f64.sqrt();
         for &e in elems {

@@ -6,21 +6,29 @@
 //! Runs the *real* threaded message-passing runtime with amplified
 //! per-element work and prints measured busy/stall bars. `--trace-out`
 //! renders both runs' flight recordings side by side, one pid per
-//! partition; the ring size comes from `LTS_FLIGHT`.
+//! partition; `--flight N` sets the ring size (`0` = recorder off).
 
 use lts_bench::{usage_error, Args};
 use lts_core::Chain1d;
-use lts_obs::{flight_chrome_trace, Json, MetricsRegistry, RankRecording};
+use lts_obs::{flight_chrome_trace, FlightRecorder, Json, MetricsRegistry, RankRecording};
 use lts_runtime::stats::{ascii_timeline, lambda_from_stats, profile_json};
-use lts_runtime::{flight_capacity_from_env, run, DistributedConfig, MonitorConfig, RunSpec};
+use lts_runtime::{run, DistributedConfig, MonitorConfig, RunSpec};
 
 fn main() {
-    let args = Args::parse(&["steps", "amplify", "threads", "profile", "trace-out"]);
+    let args = Args::parse(&[
+        "steps",
+        "amplify",
+        "threads",
+        "profile",
+        "trace-out",
+        "flight",
+    ]);
     let steps: usize = args.get("steps", 60);
     let amplify: u32 = args.get("amplify", 1_500_000);
     let threads: usize = args.get("threads", 1);
     let profile_path: String = args.get("profile", "fig01_profile.json".to_string());
     let trace_path: String = args.get("trace-out", String::new());
+    let flight: usize = args.get("flight", FlightRecorder::DEFAULT_CAPACITY);
 
     // Fig. 1 geometry: a fine region Ω_f (4 elements, p = 2) next to a
     // coarse region Ω_c (4 elements, p = 1), embedded in a longer chain.
@@ -56,11 +64,11 @@ fn main() {
         // live stall detection: warn when a rank waits through half a window
         stall_monitor: Some(MonitorConfig),
         threads_per_rank: threads.max(1),
-        flight_capacity: flight_capacity_from_env().unwrap_or_else(|e| usage_error(&e)),
+        flight_capacity: flight,
         ..DistributedConfig::new(2)
     };
     if !trace_path.is_empty() && cfg.flight_capacity == 0 {
-        usage_error("--trace-out needs the flight recorder, which LTS_FLIGHT=0 disables");
+        usage_error("--trace-out needs the flight recorder, which --flight 0 disables");
     }
     let mut runs: Vec<Json> = Vec::new();
     let mut traced: Vec<(&str, Vec<RankRecording>)> = Vec::new();
@@ -124,7 +132,7 @@ fn main() {
         if evicted > 0 {
             eprintln!(
                 "trace: the flight rings evicted {evicted} events, so {trace_path} holds only \
-                 each rank's latest ones; LTS_FLIGHT=N keeps more"
+                 each rank's latest ones; --flight N keeps more"
             );
         }
         let runs: Vec<(&str, &[RankRecording])> =

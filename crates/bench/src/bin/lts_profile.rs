@@ -5,7 +5,7 @@
 //!
 //! * `run` (default) — execute the scenario matrix and write a BENCH
 //!   document. `--out` picks the path (default `BENCH_lts.json`).
-//!   `LTS_FLIGHT` sets the flight-ring size (`0` = recorder off); a value
+//!   `--flight N` sets the flight-ring size (`0` = recorder off); a value
 //!   that is not an integer exits 2.
 //! * `validate` — structural check of `--file <path>`; exit 1 on failure.
 //! * `compare` — the `bench-compare` gate: `--baseline` vs `--current`.
@@ -15,9 +15,8 @@
 //! Wall time is not recorded here; perfbench is the timing instrument.
 
 use lts_bench::profile::{compare_bench, run_suite, validate_bench, COUNTERS};
-use lts_bench::{usage_error, Args, Table};
-use lts_obs::Json;
-use lts_runtime::flight_capacity_from_env;
+use lts_bench::{Args, Table};
+use lts_obs::{FlightRecorder, Json};
 
 fn read_doc(path: &str) -> Json {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -31,12 +30,12 @@ fn read_doc(path: &str) -> Json {
 }
 
 fn main() {
-    let args = Args::parse(&["mode", "out", "file", "baseline", "current"]);
+    let args = Args::parse(&["mode", "out", "file", "baseline", "current", "flight"]);
     let mode: String = args.get("mode", "run".to_string());
     match mode.as_str() {
         "run" => {
             let out: String = args.get("out", "BENCH_lts.json".to_string());
-            let flight = flight_capacity_from_env().unwrap_or_else(|e| usage_error(&e));
+            let flight: usize = args.get("flight", FlightRecorder::DEFAULT_CAPACITY);
             let doc = run_suite(flight);
             validate_bench(&doc).expect("generated document must validate");
             let mut header = vec!["scenario", "n_levels"];

@@ -35,7 +35,7 @@ impl Args {
     }
 
     /// Parse `argv` (without the program name) against `accepted`.
-    pub fn from_argv(
+    pub(crate) fn from_argv(
         argv: impl IntoIterator<Item = String>,
         accepted: &'static [&'static str],
     ) -> Result<Self, String> {
@@ -75,7 +75,7 @@ impl Args {
     }
 
     /// The value of `--key`, or `default` when the flag is absent.
-    pub fn try_get<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+    pub(crate) fn try_get<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
         match self.value(key) {
             Some(v) => v
                 .parse()
@@ -84,7 +84,7 @@ impl Args {
         }
     }
 
-    /// [`Args::try_get`], exiting with status 2 on an unparsable value.
+    /// `Args::try_get`, exiting with status 2 on an unparsable value.
     pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
         self.try_get(key, default)
             .unwrap_or_else(|e| usage_error(&e))
@@ -92,7 +92,7 @@ impl Args {
 
     /// Comma-separated list (e.g. `--parts 16,32,64`), or `default` when the
     /// flag is absent.
-    pub fn try_get_list(&self, key: &str, default: &[usize]) -> Result<Vec<usize>, String> {
+    pub(crate) fn try_get_list(&self, key: &str, default: &[usize]) -> Result<Vec<usize>, String> {
         match self.value(key) {
             Some(v) => v
                 .split(',')
@@ -103,7 +103,7 @@ impl Args {
         }
     }
 
-    /// [`Args::try_get_list`], exiting with status 2 on an unparsable list.
+    /// `Args::try_get_list`, exiting with status 2 on an unparsable list.
     pub fn get_list(&self, key: &str, default: &[usize]) -> Vec<usize> {
         self.try_get_list(key, default)
             .unwrap_or_else(|e| usage_error(&e))
@@ -128,8 +128,8 @@ pub fn build_mesh(kind: MeshKind, elements: usize) -> BenchmarkMesh {
 
 /// Fixed-width table printer.
 pub struct Table {
-    pub header: Vec<String>,
-    pub rows: Vec<Vec<String>>,
+    pub(crate) header: Vec<String>,
+    pub(crate) rows: Vec<Vec<String>>,
 }
 
 impl Table {

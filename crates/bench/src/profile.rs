@@ -21,31 +21,31 @@ use lts_runtime::stats::names;
 use lts_runtime::{run, Acoustic, DistributedConfig, RunSpec};
 use lts_sem::gll::cfl_dt_scale;
 
-pub const SCHEMA: &str = "lts-bench/1";
+pub(crate) const SCHEMA: &str = "lts-bench/1";
 
 /// One cell of the benchmark matrix. Parameters are part of the identity:
 /// two documents may only compare counters for scenarios whose parameters
 /// (encoded in the fixed matrix) agree.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Scenario {
+pub(crate) struct Scenario {
     /// Mesh key: `"trench"` (graded surface strip), `"trench-big"` (one
     /// extra refinement layer, 6 levels), `"embedding"` (small fast block)
     /// or `"crust"` (geometric crust grading).
-    pub mesh: &'static str,
+    pub(crate) mesh: &'static str,
     /// Strategy key: `"scotch"`, `"scotch-p"`, `"metis"` or `"patoh"`.
-    pub strategy: &'static str,
-    pub ranks: usize,
-    pub elements: usize,
-    pub steps: usize,
-    pub order: usize,
-    pub seed: u64,
+    pub(crate) strategy: &'static str,
+    pub(crate) ranks: usize,
+    pub(crate) elements: usize,
+    pub(crate) steps: usize,
+    pub(crate) order: usize,
+    pub(crate) seed: u64,
     /// Communication/computation overlap: boundary partials are sent
     /// before the interior apply instead of after the full apply.
-    pub overlap: bool,
+    pub(crate) overlap: bool,
 }
 
 impl Scenario {
-    pub fn id(&self) -> String {
+    pub(crate) fn id(&self) -> String {
         // The order is part of the identity only when it differs from the
         // historical default (1), so legacy baseline ids stay stable.
         let p = if self.order > 1 {
@@ -57,7 +57,7 @@ impl Scenario {
         format!("{}__{}__r{}{p}{ov}", self.mesh, self.strategy, self.ranks)
     }
 
-    pub fn strategy_enum(&self) -> Strategy {
+    pub(crate) fn strategy_enum(&self) -> Strategy {
         match self.strategy {
             "scotch" => Strategy::ScotchBaseline,
             "scotch-p" => Strategy::ScotchP,
@@ -67,7 +67,7 @@ impl Scenario {
         }
     }
 
-    pub fn build_mesh(&self) -> BenchmarkMesh {
+    pub(crate) fn build_mesh(&self) -> BenchmarkMesh {
         match self.mesh {
             "trench" => BenchmarkMesh::build(MeshKind::Trench, self.elements),
             "trench-big" => BenchmarkMesh::build(MeshKind::TrenchBig, self.elements),
@@ -132,7 +132,7 @@ fn scenario_p4_ov(mesh: &'static str, strategy: &'static str, ranks: usize) -> S
 /// (`__p4`) block — r2, r8 and an r8 overlap twin under the default
 /// partitioner — so the SIMD stiffness batch runs at the paper's real
 /// polynomial order inside the gated matrix, not only in microbenches.
-pub fn matrix() -> Vec<Scenario> {
+pub(crate) fn matrix() -> Vec<Scenario> {
     let mut out = Vec::new();
     for mesh in ["trench", "crust"] {
         for strategy in ["scotch", "scotch-p", "metis", "patoh"] {
@@ -153,7 +153,7 @@ pub fn matrix() -> Vec<Scenario> {
 /// Run one scenario with a flight ring of `flight_capacity` events per
 /// rank (`0` = recorder off) and return its result object; every counter
 /// in `"counters"` is deterministic, with the recorder on or off.
-pub fn run_scenario(sc: &Scenario, flight_capacity: usize) -> Json {
+pub(crate) fn run_scenario(sc: &Scenario, flight_capacity: usize) -> Json {
     let b = sc.build_mesh();
     let part = partition_mesh(&b.mesh, &b.levels, sc.ranks, sc.strategy_enum(), sc.seed);
     let problem = Acoustic {

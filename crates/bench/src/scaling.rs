@@ -12,7 +12,7 @@ use lts_perfmodel::cluster::{simulate, MachineModel};
 /// One scaling curve: normalized performance per node count.
 #[derive(Debug, Clone)]
 pub struct Curve {
-    pub label: String,
+    pub(crate) label: String,
     pub values: Vec<f64>,
 }
 
@@ -21,8 +21,6 @@ pub struct Curve {
 pub struct ScalingFigure {
     pub nodes: Vec<usize>,
     pub curves: Vec<Curve>,
-    /// Baseline (non-LTS at `nodes[0]`) cycle seconds, for reference.
-    pub baseline_cycle: f64,
 }
 
 /// Run the experiment. `machine` evaluates the strategies; the baseline for
@@ -86,7 +84,6 @@ pub fn run(
     ScalingFigure {
         nodes: nodes.to_vec(),
         curves,
-        baseline_cycle,
     }
 }
 

@@ -4,15 +4,15 @@
 
 use std::process::Command;
 
-/// Run `fig01_timeline` in a scratch directory with `LTS_FLIGHT=flight`;
+/// Run `fig01_timeline` in a scratch directory with `--flight flight`;
 /// its exit code, stderr and the trace it wrote.
 fn fig01(flight: &str, name: &str) -> (Option<i32>, String, Option<String>) {
     let dir = std::env::temp_dir().join(format!("fig01_trace_{name}_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_fig01_timeline"))
         .current_dir(&dir)
-        .env("LTS_FLIGHT", flight)
         .args(["--amplify", "0", "--steps", "10", "--trace-out", "t.json"])
+        .args(["--flight", flight])
         .output()
         .expect("run fig01_timeline");
     let trace = std::fs::read_to_string(dir.join("t.json")).ok();
@@ -28,7 +28,7 @@ fn fig01(flight: &str, name: &str) -> (Option<i32>, String, Option<String>) {
 fn trace_with_the_recorder_off_is_a_usage_error() {
     let (code, stderr, trace) = fig01("0", "off");
     assert_eq!(code, Some(2), "stderr: {stderr}");
-    assert!(stderr.contains("LTS_FLIGHT=0"), "stderr: {stderr}");
+    assert!(stderr.contains("--flight 0"), "stderr: {stderr}");
     assert!(trace.is_none());
 }
 
@@ -37,10 +37,7 @@ fn evicted_trace_events_are_reported() {
     let (code, stderr, trace) = fig01("40", "evicted");
     assert_eq!(code, Some(0), "stderr: {stderr}");
     assert!(stderr.contains("evicted"), "stderr: {stderr}");
-    assert!(
-        stderr.contains("LTS_FLIGHT=N keeps more"),
-        "stderr: {stderr}"
-    );
+    assert!(stderr.contains("--flight N keeps more"), "stderr: {stderr}");
     let trace = trace.expect("trace written");
     lts_obs::validate_trace(&trace).expect("valid trace");
     // one pid per partition strategy

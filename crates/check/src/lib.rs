@@ -142,7 +142,7 @@ impl fmt::Display for Violation {
 /// Check one level's colour classes against the disjoint-scatter contract:
 /// conflict-freedom within every class and exact cover of `elems`.
 ///
-/// Exposed separately from [`check_level_colorings`] so seeded-broken
+/// Exposed separately from `check_level_colorings` so seeded-broken
 /// colourings (fixtures, fuzzers) can be fed directly.
 pub fn check_coloring(
     classes: &[Vec<u32>],
@@ -175,7 +175,7 @@ pub fn check_coloring(
 /// `targets_of` yields in lattice order) and verify the result over all
 /// gathered ids — end-to-end over the exact lists [`LtsSetup`] hands the
 /// threaded scatter.
-pub fn check_level_colorings(
+pub(crate) fn check_level_colorings(
     setup: &LtsSetup,
     n_targets: usize,
     np: usize,
@@ -198,7 +198,7 @@ pub fn check_level_colorings(
 /// Recompute every DOF's level as the max level of its containing elements
 /// (straight from the element lists, independent of `LtsSetup::new`'s
 /// incremental construction) and compare with the stored `dof_level`.
-pub fn check_dof_levels(
+pub(crate) fn check_dof_levels(
     setup: &LtsSetup,
     n_elems: usize,
     targets_of: &mut dyn FnMut(u32, &mut Vec<u32>),
@@ -252,7 +252,7 @@ pub fn check_p_nesting(p: &[u64]) -> Vec<Violation> {
 /// populated (an empty level is a nesting gap in disguise: some `p` is paid
 /// for by the cycle structure but never earns speed-up) plus the
 /// [`check_p_nesting`] contract on the distinct multipliers present.
-pub fn check_levels(levels: &Levels) -> Vec<Violation> {
+pub(crate) fn check_levels(levels: &Levels) -> Vec<Violation> {
     let mut out = Vec::new();
     for (level, &count) in levels.histogram().iter().enumerate() {
         if count == 0 {
@@ -311,7 +311,7 @@ pub fn check_balance(
 /// PaToH-style objective minimises) must equal the MPI volume counted
 /// directly — per corner node, `(λ − 1) · Σ p` over its adjacent elements
 /// whenever `λ ≥ 2` distinct ranks touch it.
-pub fn check_volume(mesh: &HexMesh, levels: &Levels, part: &[u32]) -> Vec<Violation> {
+pub(crate) fn check_volume(mesh: &HexMesh, levels: &Levels, part: &[u32]) -> Vec<Violation> {
     let hypergraph_cut = lts_partition::mpi_volume(mesh, levels, part);
     let mut direct = 0u64;
     for n in 0..mesh.n_corner_nodes() as u32 {
@@ -336,7 +336,7 @@ pub fn check_volume(mesh: &HexMesh, levels: &Levels, part: &[u32]) -> Vec<Violat
 
 /// [`LtsSetup`] needs a `DofTopology`; for whole-mesh checks the GLL node
 /// map alone is one — no operator assembly required.
-pub struct DofMapTopology<'a>(pub &'a lts_sem::DofMap);
+pub(crate) struct DofMapTopology<'a>(pub &'a lts_sem::DofMap);
 
 impl lts_core::operator::DofTopology for DofMapTopology<'_> {
     fn n_dofs(&self) -> usize {

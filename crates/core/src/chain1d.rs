@@ -17,9 +17,9 @@ pub struct Chain1d {
     /// Element lengths.
     pub h: Vec<f64>,
     /// Element stiffness coefficient `μ_e = ρ_e c_e²`.
-    pub mu: Vec<f64>,
+    pub(crate) mu: Vec<f64>,
     /// Element density.
-    pub rho: Vec<f64>,
+    pub(crate) rho: Vec<f64>,
     /// Lumped diagonal mass per DOF (in the external numbering).
     mass: Vec<f64>,
     /// The left and right DOF of each element (in the external numbering).
@@ -27,7 +27,7 @@ pub struct Chain1d {
 }
 
 impl Chain1d {
-    pub fn new(h: Vec<f64>, velocity: Vec<f64>, rho: Vec<f64>) -> Self {
+    pub(crate) fn new(h: Vec<f64>, velocity: Vec<f64>, rho: Vec<f64>) -> Self {
         let n = h.len();
         assert!(n >= 1 && velocity.len() == n && rho.len() == n);
         assert!(h.iter().all(|&x| x > 0.0));
@@ -58,28 +58,31 @@ impl Chain1d {
         Self::new(vec![1.0; n], velocity, vec![rho; n])
     }
 
-    pub fn n_elems(&self) -> usize {
+    pub(crate) fn n_elems(&self) -> usize {
         self.h.len()
     }
 
     /// The sub-chain over `elems` (ascending), with its DOFs numbered
     /// compactly by [`crate::setup::local_numbering`] (level-grouped over
     /// the leaf levels `leaf_of(g)`, ascending global DOF within a level),
-    /// and the global DOF of each local one. Masses are this chain's, so
-    /// the sub-chain's masked product does the same arithmetic on the DOFs
-    /// it holds. `local_of_global` is a dense map over this chain's DOFs,
-    /// every entry [`crate::setup::UNMAPPED`] on entry and again on return.
+    /// the global DOF of each local one, and the local DOFs per leaf level.
+    /// Masses are this chain's, so the sub-chain's masked product does the
+    /// same arithmetic on the DOFs it holds. `local_of_global` is a dense
+    /// map over this chain's DOFs, every entry [`crate::setup::UNMAPPED`] on
+    /// entry; on return it maps the sub-chain's DOFs to their local ids, for
+    /// the caller to use and clear, as [`crate::setup::local_numbering`]
+    /// leaves it.
     pub fn subset(
         &self,
         elems: &[u32],
         leaf_of: &dyn Fn(u32) -> u8,
         local_of_global: &mut [u32],
-    ) -> (Chain1d, Vec<u32>) {
+    ) -> (Chain1d, Vec<u32>, Vec<usize>) {
         let pair = |e: u32, buf: &mut Vec<u32>| {
             buf.clear();
             buf.extend_from_slice(&self.nodes[e as usize]);
         };
-        let (elem_nodes, global_of_local) =
+        let (elem_nodes, global_of_local, level_counts) =
             crate::setup::local_numbering(elems, 2, pair, leaf_of, local_of_global);
         let pick = |x: &[f64]| elems.iter().map(|&e| x[e as usize]).collect();
         let sub = Chain1d {
@@ -92,11 +95,11 @@ impl Chain1d {
                 .collect(),
             nodes: elem_nodes.chunks_exact(2).map(|p| [p[0], p[1]]).collect(),
         };
-        (sub, global_of_local)
+        (sub, global_of_local, level_counts)
     }
 
     /// Stable step bound for element `e` (`h_e / c_e`).
-    pub fn elem_cfl_ratio(&self, e: usize) -> f64 {
+    pub(crate) fn elem_cfl_ratio(&self, e: usize) -> f64 {
         self.h[e] / (self.mu[e] / self.rho[e]).sqrt()
     }
 

@@ -31,7 +31,7 @@ pub mod setup;
 pub mod spectral;
 
 pub use chain1d::Chain1d;
-pub use lts::{LevelForce, LevelSets, LevelState, LtsNewmark, LtsStats};
+pub use lts::{LevelForce, LevelSets, LevelState, LtsNewmark};
 pub use newmark::Newmark;
 pub use operator::{DofTopology, Operator, Source, Workspace};
 pub use setup::LtsSetup;

@@ -48,7 +48,7 @@ pub struct LtsStats {
     /// Element-operations performed (one per element per masked product).
     pub elem_ops: u64,
     /// Global steps taken.
-    pub n_steps: u64,
+    pub(crate) n_steps: u64,
 }
 
 /// One level's force evaluation: everything the serial stepper and a
@@ -75,10 +75,20 @@ pub struct LevelSets {
 impl LevelSets {
     /// The prefix ends of items with leaf levels `leaf`, over `n_levels`
     /// levels.
-    pub fn of_leaf_levels(leaf: impl IntoIterator<Item = u8>, n_levels: usize) -> Self {
-        let mut ends = vec![0usize; n_levels + 1];
+    pub(crate) fn of_leaf_levels(leaf: impl IntoIterator<Item = u8>, n_levels: usize) -> Self {
+        let mut counts = vec![0usize; n_levels];
         for l in leaf {
-            ends[l as usize] += 1;
+            counts[l as usize] += 1;
+        }
+        Self::of_level_counts(counts, n_levels)
+    }
+
+    /// The prefix ends of `counts[l]` items at leaf level `l` (absent
+    /// trailing levels count 0), over `n_levels` levels.
+    pub fn of_level_counts(counts: impl IntoIterator<Item = usize>, n_levels: usize) -> Self {
+        let mut ends = vec![0usize; n_levels + 1];
+        for (l, n) in counts.into_iter().enumerate() {
+            ends[l] = n;
         }
         for l in (0..n_levels).rev() {
             ends[l] += ends[l + 1];
@@ -245,10 +255,10 @@ fn advance<F: LevelForce>(
 /// through the stepper's [`Workspace`] (see [`Operator`]). When the
 /// caller's numbering already is grouped, no order is installed.
 pub struct LtsNewmark<'a, O: Operator> {
-    pub op: &'a O,
-    pub setup: &'a LtsSetup,
+    pub(crate) op: &'a O,
+    pub(crate) setup: &'a LtsSetup,
     /// The global (coarsest) step `Δt`.
-    pub dt: f64,
+    pub(crate) dt: f64,
     levels: LevelState,
     /// Operator scratch, carrying the order `pos[caller DOF] = grouped DOF`.
     ws: Workspace,

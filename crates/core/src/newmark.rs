@@ -13,12 +13,12 @@ use crate::operator::{Operator, Source, Workspace};
 
 /// Explicit Newmark / leap-frog stepper.
 pub struct Newmark<'a, O: Operator> {
-    pub op: &'a O,
-    pub dt: f64,
+    pub(crate) op: &'a O,
+    pub(crate) dt: f64,
     accel: Vec<f64>,
     ws: Workspace,
     /// Steps taken so far.
-    pub n_steps: u64,
+    pub(crate) n_steps: u64,
 }
 
 impl<'a, O: Operator> Newmark<'a, O> {

@@ -46,7 +46,7 @@ impl Workspace {
     }
 
     /// The DOF order, if any: `pos[caller DOF] = internal DOF`.
-    pub fn order(&self) -> Option<&[u32]> {
+    pub(crate) fn order(&self) -> Option<&[u32]> {
         self.order.as_deref()
     }
 
@@ -170,7 +170,7 @@ pub struct Source {
 }
 
 impl Source {
-    pub fn new(dof: u32, amplitude: impl Fn(f64) -> f64 + Sync + 'static) -> Self {
+    pub(crate) fn new(dof: u32, amplitude: impl Fn(f64) -> f64 + Sync + 'static) -> Self {
         Source {
             dof,
             amplitude: Box::new(amplitude),

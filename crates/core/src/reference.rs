@@ -14,9 +14,9 @@ use crate::setup::LtsSetup;
 
 /// Full-vector reference stepper.
 pub struct ReferenceLts<'a, O: Operator> {
-    pub op: &'a O,
-    pub setup: &'a LtsSetup,
-    pub dt: f64,
+    pub(crate) op: &'a O,
+    pub(crate) setup: &'a LtsSetup,
+    pub(crate) dt: f64,
 }
 
 impl<'a, O: Operator> ReferenceLts<'a, O> {

@@ -109,11 +109,6 @@ impl LtsSetup {
             .sum()
     }
 
-    /// Element-operations per `Δt` of the ideal Eq. 9 model (`Σ_e 2^l_e`).
-    pub fn model_elem_ops(&self) -> u64 {
-        self.elem_level.iter().map(|&l| 1u64 << l).sum()
-    }
-
     /// Element-operations per `Δt` of the non-LTS scheme (`E · 2^(L−1)`).
     pub fn global_elem_ops(&self) -> u64 {
         (self.elem_level.len() as u64) << (self.n_levels - 1)
@@ -145,11 +140,15 @@ pub const UNMAPPED: u32 = u32::MAX;
 /// over the leaf levels `leaf_of(g)`, finest first, ascending global id
 /// within a level. `nodes_of(e, buf)` fills `buf` with element `e`'s `npe`
 /// global nodes. Returns each element's nodes in local ids, `npe` per
-/// element, and `global_of_local`.
+/// element, `global_of_local`, and the local nodes per leaf level
+/// (`level_counts[l]`, up to the finest level present).
 ///
-/// `local_of_global` is a dense map over all global nodes, every entry
-/// [`UNMAPPED`] on entry and again on return, so one array serves any
-/// number of subsets. Linear in the subset, with no sort: one pass over the
+/// `local_of_global` is a dense map over all global nodes. Every entry must
+/// be [`UNMAPPED`] on entry; on return the subset's nodes map to their
+/// local ids (`local_of_global[global_of_local[l]] == l`) and every other
+/// entry is still [`UNMAPPED`], so the caller can use the map as its
+/// global → local index and clears it (through `global_of_local`) before
+/// the next subset. Linear in the subset, with no sort: one pass over the
 /// elements marks each first touch in the map with its leaf level, counts
 /// it, and sets its bit in a bitset over the global range; a word-skipping
 /// scan of the bitset then meets the nodes in ascending order and puts each
@@ -160,7 +159,7 @@ pub fn local_numbering(
     nodes_of: impl Fn(u32, &mut Vec<u32>),
     leaf_of: &dyn Fn(u32) -> u8,
     local_of_global: &mut [u32],
-) -> (Vec<u32>, Vec<u32>) {
+) -> (Vec<u32>, Vec<u32>, Vec<usize>) {
     let mut elem_nodes = Vec::with_capacity(elems.len() * npe);
     let mut seen = vec![0u64; local_of_global.len().div_ceil(64)];
     let mut count = [0u32; 256];
@@ -202,10 +201,9 @@ pub fn local_numbering(
     for g in &mut elem_nodes {
         *g = local_of_global[*g as usize];
     }
-    for &g in &global_of_local {
-        local_of_global[g as usize] = UNMAPPED;
-    }
-    (elem_nodes, global_of_local)
+    let n_levels = count.iter().rposition(|&c| c > 0).map_or(0, |l| l + 1);
+    let level_counts = count[..n_levels].iter().map(|&c| c as usize).collect();
+    (elem_nodes, global_of_local, level_counts)
 }
 
 #[cfg(test)]
@@ -300,10 +298,12 @@ mod tests {
     fn op_counters_bound_model() {
         let (c, lv) = chain();
         let s = LtsSetup::new(&c, &lv);
-        assert!(s.lts_elem_ops() >= s.model_elem_ops());
+        // the ideal Eq. 9 model: Σ_e 2^l_e
+        let model: u64 = s.elem_level.iter().map(|&l| 1u64 << l).sum();
+        assert!(s.lts_elem_ops() >= model);
         assert!(s.lts_elem_ops() <= s.global_elem_ops());
         // 8 elems: model = 5 + 3·2 = 11; lts = 5 + 2·4 = 13; global = 16
-        assert_eq!(s.model_elem_ops(), 11);
+        assert_eq!(model, 11);
         assert_eq!(s.lts_elem_ops(), 13);
         assert_eq!(s.global_elem_ops(), 16);
     }
@@ -331,11 +331,15 @@ mod tests {
             buf.clear();
             buf.extend_from_slice(&nodes[e as usize]);
         };
-        let (elem_nodes, global_of_local) =
+        let (elem_nodes, global_of_local, level_counts) =
             local_numbering(&[0, 1, 2], 2, fill, &|g| (g % 2) as u8, &mut map);
         assert_eq!(global_of_local, vec![67, 129, 2, 4]);
         assert_eq!(elem_nodes, vec![1, 3, 3, 0, 2, 1]);
-        assert!(map.iter().all(|&x| x == UNMAPPED));
+        assert_eq!(level_counts, vec![2, 2]);
+        for (g, &l) in map.iter().enumerate() {
+            let want = global_of_local.iter().position(|&x| x == g as u32);
+            assert_eq!(l, want.map_or(UNMAPPED, |p| p as u32), "node {g}");
+        }
     }
 
     #[test]

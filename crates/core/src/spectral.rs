@@ -11,7 +11,7 @@ use crate::operator::Operator;
 
 /// Largest eigenvalue of `A` (`= M⁻¹K`, symmetric in the M-inner product,
 /// non-negative spectrum) by power iteration. Deterministic start vector.
-pub fn spectral_radius<O: Operator>(op: &O, iters: usize) -> f64 {
+pub(crate) fn spectral_radius<O: Operator>(op: &O, iters: usize) -> f64 {
     let n = op.ndof();
     assert!(n > 0);
     let mut x: Vec<f64> = (0..n)

@@ -9,7 +9,7 @@ use crate::parse::{HitKind, ParsedFile};
 use crate::rules::{Diagnostic, RULE_DETERMINISM};
 use std::collections::BTreeMap;
 
-pub fn check(
+pub(crate) fn check(
     ws: &Workspace,
     files: &BTreeMap<String, ParsedFile>,
     parents: &BTreeMap<FnId, Option<(FnId, usize)>>,

@@ -7,7 +7,7 @@ use crate::parse::{HitKind, ParsedFile};
 use crate::rules::{Diagnostic, RULE_HOT_PANIC, RULE_HOT_PATH, RULE_NO_PANIC};
 use std::collections::BTreeMap;
 
-pub fn check(
+pub(crate) fn check(
     ws: &Workspace,
     files: &BTreeMap<String, ParsedFile>,
     parents: &BTreeMap<FnId, Option<(FnId, usize)>>,

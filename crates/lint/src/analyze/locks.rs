@@ -28,7 +28,7 @@ struct Witness {
     desc: String,
 }
 
-pub fn check(
+pub(crate) fn check(
     ws: &Workspace,
     files: &BTreeMap<String, ParsedFile>,
     hot_parents: &BTreeMap<FnId, Option<(FnId, usize)>>,

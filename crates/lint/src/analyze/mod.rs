@@ -14,28 +14,32 @@ use crate::rules::{Diagnostic, RULE_CONFIG};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Policy file path, workspace-relative (where stale-entry blame points).
-pub const CONFIG_REL: &str = "lint/hotpaths.toml";
+pub(crate) const CONFIG_REL: &str = "lint/hotpaths.toml";
 
 /// The resolved root sets after config validation.
 #[derive(Debug, Default)]
-pub struct Roots {
-    pub hot: Vec<FnId>,
-    pub kernels: Vec<FnId>,
+pub(crate) struct Roots {
+    pub(crate) hot: Vec<FnId>,
+    pub(crate) kernels: Vec<FnId>,
     /// Traversal stops: `#[cold]` functions plus `[[exclude]]` entries.
-    pub stops: BTreeSet<FnId>,
+    pub(crate) stops: BTreeSet<FnId>,
 }
 
 /// Is there an `// lint: allow(rule)` escape covering `line` in this file?
 /// An escape covers the line it trails, or — written on its own comment
 /// line(s) — the next line carrying code.
-pub fn allowed(pf: &ParsedFile, line: usize, rule: &str) -> bool {
+pub(crate) fn allowed(pf: &ParsedFile, line: usize, rule: &str) -> bool {
     pf.allows.iter().any(|a| a.rule == rule && a.covers == line)
 }
 
 /// Validate every `hotpaths.toml` entry against the symbol table and build
 /// the root sets. A stale entry (no such function anymore) is an error —
 /// today it would silently un-gate a hot path.
-pub fn validate_config(ws: &Workspace, cfg: &LintConfig, diags: &mut Vec<Diagnostic>) -> Roots {
+pub(crate) fn validate_config(
+    ws: &Workspace,
+    cfg: &LintConfig,
+    diags: &mut Vec<Diagnostic>,
+) -> Roots {
     let mut roots = Roots::default();
     let mut resolve_list = |entries: &[(String, String)],
                             lines: &[usize],
@@ -75,14 +79,14 @@ pub fn validate_config(ws: &Workspace, cfg: &LintConfig, diags: &mut Vec<Diagnos
 
 /// Run every call-graph analysis. Returns the diagnostics plus the reached
 /// sets (for `--verbose` reporting).
-pub struct SemanticRun {
-    pub diags: Vec<Diagnostic>,
-    pub roots: Roots,
-    pub hot_reached: usize,
-    pub kernel_reached: usize,
+pub(crate) struct SemanticRun {
+    pub(crate) diags: Vec<Diagnostic>,
+    pub(crate) roots: Roots,
+    pub(crate) hot_reached: usize,
+    pub(crate) kernel_reached: usize,
 }
 
-pub fn run_semantic(
+pub(crate) fn run_semantic(
     ws: &Workspace,
     cfg: &LintConfig,
     files: &BTreeMap<String, ParsedFile>,

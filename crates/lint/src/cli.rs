@@ -5,7 +5,7 @@
 use crate::{build_model, run, Options};
 use std::path::PathBuf;
 
-pub const HELP: &str = "\
+pub(crate) const HELP: &str = "\
 lts-lint — call-graph lint for the wave-LTS workspace
 
 One pass over one parsed model of the workspace: the call-graph analyses

@@ -27,26 +27,26 @@
 //! silent un-gating (see `analyze::validate_config`).
 
 /// One `(file, function)` root entry.
-pub type Entry = (String, String);
+pub(crate) type Entry = (String, String);
 
 /// The parsed policy file.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct LintConfig {
+pub(crate) struct LintConfig {
     /// Transitive hot-path purity roots.
-    pub hot: Vec<Entry>,
+    pub(crate) hot: Vec<Entry>,
     /// Determinism roots (bitwise counter-gated kernels).
-    pub kernels: Vec<Entry>,
+    pub(crate) kernels: Vec<Entry>,
     /// Traversal stops: `(file, function, reason)`.
-    pub excludes: Vec<(String, String, String)>,
+    pub(crate) excludes: Vec<(String, String, String)>,
     /// 1-based line of each entry's `[[table]]` header, parallel to the
     /// concatenation hot ++ kernels ++ excludes (for stale-entry blame).
-    pub hot_lines: Vec<usize>,
-    pub kernel_lines: Vec<usize>,
-    pub exclude_lines: Vec<usize>,
+    pub(crate) hot_lines: Vec<usize>,
+    pub(crate) kernel_lines: Vec<usize>,
+    pub(crate) exclude_lines: Vec<usize>,
 }
 
 impl LintConfig {
-    pub fn parse(text: &str) -> Result<LintConfig, String> {
+    pub(crate) fn parse(text: &str) -> Result<LintConfig, String> {
         #[derive(Clone, Copy, PartialEq)]
         enum Table {
             Hot,

@@ -18,33 +18,33 @@ use crate::parse::ParsedFile;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Index into [`Workspace::fns`].
-pub type FnId = usize;
+pub(crate) type FnId = usize;
 
 /// One symbol-table entry: a function plus its location and parsed facts,
 /// borrowed from the parsed files the model was built from.
 #[derive(Debug, Clone)]
-pub struct FnNode<'a> {
+pub(crate) struct FnNode<'a> {
     /// Workspace-relative file with forward slashes.
-    pub file: &'a str,
+    pub(crate) file: &'a str,
     /// Crate key: `"crates/runtime"`, `"src"` (root package), …
-    pub krate: String,
-    pub f: &'a crate::parse::ParsedFn,
+    pub(crate) krate: String,
+    pub(crate) f: &'a crate::parse::ParsedFn,
 }
 
 /// One resolved call-graph edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Edge {
-    pub caller: FnId,
-    pub callee: FnId,
+pub(crate) struct Edge {
+    pub(crate) caller: FnId,
+    pub(crate) callee: FnId,
     /// 1-based line of the call site in the caller's file.
-    pub line: usize,
+    pub(crate) line: usize,
 }
 
 /// The whole-workspace model over a set of parsed files.
 #[derive(Debug, Default)]
-pub struct Workspace<'a> {
-    pub fns: Vec<FnNode<'a>>,
-    pub edges: Vec<Edge>,
+pub(crate) struct Workspace<'a> {
+    pub(crate) fns: Vec<FnNode<'a>>,
+    pub(crate) edges: Vec<Edge>,
     /// name → candidate FnIds (all files).
     by_name: BTreeMap<String, Vec<FnId>>,
     /// Adjacency: caller → (callee, line).
@@ -58,8 +58,8 @@ pub struct Workspace<'a> {
 /// from `call_line`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlameHop {
-    pub file: String,
-    pub line: usize,
+    pub(crate) file: String,
+    pub(crate) line: usize,
     pub what: String,
 }
 
@@ -74,18 +74,14 @@ fn crate_of(rel: &str) -> String {
 
 impl<'a> Workspace<'a> {
     /// Assemble the model from parsed files: intern every function, then
-    /// resolve every call site against the symbol table. Without dependency
-    /// information — cross-crate candidates are unrestricted.
-    pub fn build(files: &'a BTreeMap<String, ParsedFile>) -> Workspace<'a> {
-        Workspace::build_with_deps(files, BTreeMap::new())
-    }
-
-    /// Like [`Workspace::build`], but cross-crate edges are only admitted
-    /// along the real crate dependency graph: a call in crate A can only
-    /// resolve into crate B if A (transitively) depends on B. This kills
-    /// the method-name collisions that would otherwise link runtime code
-    /// into crates nothing depends on (the lint crate itself, benches).
-    pub fn build_with_deps(
+    /// resolve every call site against the symbol table. Cross-crate edges
+    /// are only admitted along the real crate dependency graph: a call in
+    /// crate A can only resolve into crate B if A (transitively) depends on
+    /// B. This kills the method-name collisions that would otherwise link
+    /// runtime code into crates nothing depends on (the lint crate itself,
+    /// benches). With an empty `deps`, cross-crate candidates are
+    /// unrestricted.
+    pub(crate) fn build_with_deps(
         files: &'a BTreeMap<String, ParsedFile>,
         deps: BTreeMap<String, BTreeSet<String>>,
     ) -> Workspace<'a> {
@@ -215,7 +211,7 @@ impl<'a> Workspace<'a> {
     }
 
     /// All functions in `file` named `name`.
-    pub fn lookup(&self, file: &str, name: &str) -> Vec<FnId> {
+    pub(crate) fn lookup(&self, file: &str, name: &str) -> Vec<FnId> {
         self.fns
             .iter()
             .enumerate()
@@ -225,7 +221,7 @@ impl<'a> Workspace<'a> {
     }
 
     /// Human name for diagnostics: `Type::name` or `name`.
-    pub fn qualified(&self, id: FnId) -> String {
+    pub(crate) fn qualified(&self, id: FnId) -> String {
         let n = &self.fns[id];
         match &n.f.impl_type {
             Some(t) => format!("{}::{}", t, n.f.name),
@@ -237,7 +233,7 @@ impl<'a> Workspace<'a> {
     /// error paths, config-excluded amortized setup). Returns, per reached
     /// function, the parent pointer `(caller, call line)` of the *first*
     /// (shortest) path that reached it.
-    pub fn reach(
+    pub(crate) fn reach(
         &self,
         roots: &[FnId],
         stop: &BTreeSet<FnId>,
@@ -265,7 +261,7 @@ impl<'a> Workspace<'a> {
     /// Reconstruct the blame chain root → … → `id` from `reach` parents.
     /// Every hop names the function and the line the *next* hop is called
     /// from; the final entry is the offending function itself.
-    pub fn blame_chain(
+    pub(crate) fn blame_chain(
         &self,
         parents: &BTreeMap<FnId, Option<(FnId, usize)>>,
         id: FnId,
@@ -299,7 +295,7 @@ impl<'a> Workspace<'a> {
 
     /// Deterministic text dump of the call graph, with a self-check
     /// round-trip parser (see `--mode graph-dump`).
-    pub fn dump(&self) -> String {
+    pub(crate) fn dump(&self) -> String {
         let mut out = String::from("# lts-lint call graph v1\n");
         for (id, n) in self.fns.iter().enumerate() {
             out.push_str(&format!(
@@ -318,7 +314,7 @@ impl<'a> Workspace<'a> {
 
     /// Parse a [`dump`] back into `(nodes, edges)` for the round-trip smoke.
     #[allow(clippy::type_complexity)]
-    pub fn parse_dump(text: &str) -> Result<(Vec<(usize, String)>, Vec<Edge>), String> {
+    pub(crate) fn parse_dump(text: &str) -> Result<(Vec<(usize, String)>, Vec<Edge>), String> {
         let mut nodes = Vec::new();
         let mut edges = Vec::new();
         for (i, line) in text.lines().enumerate() {
@@ -359,7 +355,7 @@ impl<'a> Workspace<'a> {
     }
 
     /// Verify `dump()` round-trips through `parse_dump` losslessly.
-    pub fn dump_round_trips(&self) -> Result<(), String> {
+    pub(crate) fn dump_round_trips(&self) -> Result<(), String> {
         let text = self.dump();
         let (nodes, edges) = Workspace::parse_dump(&text)?;
         if nodes.len() != self.fns.len() {
@@ -412,7 +408,7 @@ mod tests {
             ("crates/a/src/lib.rs", "fn f() { g(); }\nfn g() {}\n"),
             ("crates/b/src/lib.rs", "fn g() {}\n"),
         ]);
-        let w = Workspace::build(&p);
+        let w = Workspace::build_with_deps(&p, BTreeMap::new());
         let f = w.lookup("crates/a/src/lib.rs", "f")[0];
         let g_same = w.lookup("crates/a/src/lib.rs", "g")[0];
         let callees: Vec<FnId> = w
@@ -433,7 +429,7 @@ mod tests {
             ),
             ("crates/b/src/lib.rs", "impl Y { fn send(&self) {} }\n"),
         ]);
-        let w = Workspace::build(&p);
+        let w = Workspace::build_with_deps(&p, BTreeMap::new());
         let f = w.lookup("crates/a/src/lib.rs", "f")[0];
         let callees: Vec<FnId> = w
             .edges
@@ -476,7 +472,7 @@ mod tests {
             "crates/a/src/lib.rs",
             "impl A { fn new() {} }\nimpl B { fn new() {} }\nfn f() { A::new(); }\n",
         )]);
-        let w = Workspace::build(&p);
+        let w = Workspace::build_with_deps(&p, BTreeMap::new());
         let f = w.lookup("crates/a/src/lib.rs", "f")[0];
         let callees: Vec<String> = w
             .edges
@@ -493,7 +489,7 @@ mod tests {
             "crates/a/src/lib.rs",
             "impl A { fn go(&self) { Self::helper(); } fn helper() {} }\nimpl B { fn helper() {} }\n",
         )]);
-        let w = Workspace::build(&p);
+        let w = Workspace::build_with_deps(&p, BTreeMap::new());
         let go = w.lookup("crates/a/src/lib.rs", "go")[0];
         let callees: Vec<String> = w
             .edges
@@ -510,7 +506,7 @@ mod tests {
             "crates/a/src/lib.rs",
             "fn root() { mid(); }\nfn mid() { leaf(); }\nfn leaf() {}\nfn island() {}\n",
         )]);
-        let w = Workspace::build(&p);
+        let w = Workspace::build_with_deps(&p, BTreeMap::new());
         let root = w.lookup("crates/a/src/lib.rs", "root")[0];
         let leaf = w.lookup("crates/a/src/lib.rs", "leaf")[0];
         let island = w.lookup("crates/a/src/lib.rs", "island")[0];
@@ -528,7 +524,7 @@ mod tests {
             "crates/a/src/lib.rs",
             "fn root() { mid(); }\nfn mid() { leaf(); }\nfn leaf() {}\n",
         )]);
-        let w = Workspace::build(&p);
+        let w = Workspace::build_with_deps(&p, BTreeMap::new());
         let root = w.lookup("crates/a/src/lib.rs", "root")[0];
         let mid = w.lookup("crates/a/src/lib.rs", "mid")[0];
         let leaf = w.lookup("crates/a/src/lib.rs", "leaf")[0];
@@ -545,7 +541,7 @@ mod tests {
             "crates/a/src/lib.rs",
             "fn root() { mid(); }\nfn mid() { leaf(); }\nfn leaf() {}\n",
         )]);
-        let w = Workspace::build(&p);
+        let w = Workspace::build_with_deps(&p, BTreeMap::new());
         w.dump_round_trips().expect("round trip");
         // and corruption is caught
         let text = w.dump().replace("edge 0 1", "edge 0 2");

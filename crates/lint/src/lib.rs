@@ -52,8 +52,8 @@ use std::path::{Path, PathBuf};
 /// Driver options (what the CLI flags map to).
 #[derive(Debug, Clone)]
 pub struct Options {
-    pub root: PathBuf,
-    pub verbose: bool,
+    pub(crate) root: PathBuf,
+    pub(crate) verbose: bool,
 }
 
 impl Options {
@@ -68,7 +68,7 @@ impl Options {
 /// Everything one lint run produced.
 #[derive(Debug, Default)]
 pub struct Report {
-    pub n_files: usize,
+    pub(crate) n_files: usize,
     pub n_fns: usize,
     pub n_edges: usize,
     /// `(rule, count)` of `// lint: allow(rule)` escapes in force.
@@ -76,14 +76,14 @@ pub struct Report {
     /// Every finding, sorted by (file, line, rule).
     pub diags: Vec<Diagnostic>,
     /// `--verbose` lines: resolved root sets, reach sizes.
-    pub verbose_lines: Vec<String>,
+    pub(crate) verbose_lines: Vec<String>,
 }
 
 /// Recursively collect the `.rs` files the lint governs: the root package's
 /// `src/` and every `crates/*/src/`. `shims/` (offline stand-ins for
 /// registry crates, not our code), `tests/`, `benches/` and `examples/`
 /// trees are out of scope by construction.
-pub fn workspace_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
+pub(crate) fn workspace_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut dirs = vec![root.join("src")];
     let crates = root.join("crates");
     if crates.is_dir() {
@@ -121,7 +121,7 @@ pub fn workspace_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
 /// into, from a line-oriented read of each `crates/*/Cargo.toml`. Only
 /// `[dependencies]` count — test modules are already blanked, so
 /// dev-dependency edges would only add noise.
-pub fn crate_deps(root: &Path) -> BTreeMap<String, BTreeSet<String>> {
+pub(crate) fn crate_deps(root: &Path) -> BTreeMap<String, BTreeSet<String>> {
     // package name -> crate key, and crate key -> direct dep package names
     let mut key_of: BTreeMap<String, String> = BTreeMap::new();
     let mut direct: BTreeMap<String, Vec<String>> = BTreeMap::new();
@@ -191,19 +191,19 @@ pub fn crate_deps(root: &Path) -> BTreeMap<String, BTreeSet<String>> {
 /// The parsed workspace: per-file facts and the crate dependencies the call
 /// graph is built along ([`graph::Workspace::build_with_deps`], which
 /// borrows every parsed function from `files`).
-pub struct Model {
-    pub cfg: LintConfig,
+pub(crate) struct Model {
+    pub(crate) cfg: LintConfig,
     /// Every governed file's parse, keyed by its root-relative path.
-    pub files: BTreeMap<String, parse::ParsedFile>,
+    pub(crate) files: BTreeMap<String, parse::ParsedFile>,
     /// Findings of the per-file rules ([`rules::check_file`]).
-    pub file_diags: Vec<Diagnostic>,
+    pub(crate) file_diags: Vec<Diagnostic>,
     /// Crate key → transitive workspace dependencies.
-    pub deps: BTreeMap<String, BTreeSet<String>>,
+    pub(crate) deps: BTreeMap<String, BTreeSet<String>>,
 }
 
 /// Read, scrub and parse every workspace file, run the per-file rules on
 /// each, and read the crate dependencies.
-pub fn build_model(root: &Path) -> std::io::Result<Model> {
+pub(crate) fn build_model(root: &Path) -> std::io::Result<Model> {
     let cfg_path = root.join(analyze::CONFIG_REL);
     let cfg_text = if cfg_path.is_file() {
         std::fs::read_to_string(&cfg_path)?

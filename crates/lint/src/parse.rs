@@ -4,7 +4,7 @@
 //! with held-lock context, and blocking-wait sites.
 //!
 //! `syn` is unavailable offline, so this is a purpose-built structural
-//! parser over the [`Scrubbed`] code view (comments, strings and
+//! parser over the `Scrubbed` code view (comments, strings and
 //! `#[cfg(test)] mod` regions already blanked). It is *conservative*: it
 //! never needs to type-check, only to over-approximate — a call site it
 //! cannot resolve precisely becomes an edge to every same-name candidate
@@ -17,7 +17,7 @@ use crate::source::{line_of, Scrubbed};
 
 /// What a construct hit means to the analyses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HitKind {
+pub(crate) enum HitKind {
     /// Heap allocation on a hot path (`Vec::new`, `format!`, `.clone()`, …).
     Alloc,
     /// Panic-capable construct (`unwrap`, `panic!`, `assert!`, …).
@@ -29,84 +29,83 @@ pub enum HitKind {
 
 /// One construct occurrence inside a function body.
 #[derive(Debug, Clone)]
-pub struct Hit {
-    pub kind: HitKind,
+pub(crate) struct Hit {
+    pub(crate) kind: HitKind,
     /// The matched token, for the diagnostic message.
-    pub token: String,
+    pub(crate) token: String,
     /// 1-based line.
-    pub line: usize,
+    pub(crate) line: usize,
 }
 
 /// One call site inside a function body.
 #[derive(Debug, Clone)]
-pub struct CallSite {
+pub(crate) struct CallSite {
     /// Written path: `"helper"`, `"Vec::new"`, `"Self::load"`; for method
     /// calls, just the method name.
-    pub path: String,
+    pub(crate) path: String,
     /// `true` for `.name(…)` receiver syntax.
-    pub method: bool,
+    pub(crate) method: bool,
     /// 1-based line.
-    pub line: usize,
+    pub(crate) line: usize,
     /// Lock names held (structurally) when the call is made.
-    pub holding: Vec<String>,
+    pub(crate) holding: Vec<String>,
 }
 
 /// A lock acquisition (`lock(&x.y)` helper or `x.y.lock()`).
 #[derive(Debug, Clone)]
-pub struct LockAcq {
+pub(crate) struct LockAcq {
     /// Lock identity: the last path segment of the locked place (`buf`,
     /// `bells`) — field names identify the lock class.
-    pub lock: String,
-    pub line: usize,
+    pub(crate) lock: String,
 }
 
 /// A potentially-unbounded blocking site.
 #[derive(Debug, Clone)]
-pub struct Wait {
+pub(crate) struct Wait {
     /// What blocks: `"Condvar::wait"`, `"recv()"`, `"recv_into"`, or
     /// `"recv_into_timeout(None)"`.
-    pub what: &'static str,
-    pub line: usize,
+    pub(crate) what: &'static str,
+    pub(crate) line: usize,
 }
 
 /// One function item.
 #[derive(Debug, Clone)]
-pub struct ParsedFn {
-    pub name: String,
+pub(crate) struct ParsedFn {
+    pub(crate) name: String,
     /// Enclosing `impl` target (or trait for default methods), if any.
-    pub impl_type: Option<String>,
+    pub(crate) impl_type: Option<String>,
     /// 1-based line of the `fn` keyword.
-    pub line: usize,
+    pub(crate) line: usize,
     /// Carries `#[cold]` — treated as a terminal error path by the hot-path
     /// purity analysis.
-    pub is_cold: bool,
-    pub calls: Vec<CallSite>,
-    pub hits: Vec<Hit>,
-    pub locks: Vec<LockAcq>,
+    pub(crate) is_cold: bool,
+    pub(crate) calls: Vec<CallSite>,
+    pub(crate) hits: Vec<Hit>,
+    pub(crate) locks: Vec<LockAcq>,
     /// `(held lock, held-at line, acquired lock, acquired-at line)` — an
     /// intra-function lock-order edge.
-    pub lock_edges: Vec<(String, usize, String, usize)>,
-    pub waits: Vec<Wait>,
+    pub(crate) lock_edges: Vec<(String, usize, String, usize)>,
+    pub(crate) waits: Vec<Wait>,
 }
 
 /// One `// lint: allow(rule) — justification` escape.
 #[derive(Debug, Clone)]
-pub struct Allow {
-    pub rule: String,
+pub(crate) struct Allow {
+    pub(crate) rule: String,
     /// 1-based line the comment sits on.
-    pub line: usize,
+    pub(crate) line: usize,
     /// 1-based line the escape covers: the comment's own line when it
     /// trails code, else the first code line after the comment block.
-    pub covers: usize,
+    pub(crate) covers: usize,
     /// `true` when text follows the `allow(rule)` beyond punctuation.
-    pub justified: bool,
+    pub(crate) justified: bool,
 }
 
 /// Everything the analyses need from one file.
 #[derive(Debug, Clone, Default)]
-pub struct ParsedFile {
-    pub fns: Vec<ParsedFn>,
-    pub allows: Vec<Allow>,
+pub(crate) struct ParsedFile {
+    pub(crate) fns: Vec<ParsedFn>,
+    pub(crate) allows: Vec<Allow>,
 }
 
 pub(crate) fn is_ident(c: char) -> bool {
@@ -150,7 +149,7 @@ const PANIC_MACROS: &[&str] = &[
 /// them never become graph edges: `.clone()` on a hot path is flagged where
 /// it happens, and linking every workspace `clone`/`unwrap` impl to every
 /// such call would only multiply the same finding.
-pub fn is_leaf_method(name: &str) -> bool {
+pub(crate) fn is_leaf_method(name: &str) -> bool {
     ALLOC_METHODS.contains(&name) || PANIC_METHODS.contains(&name)
 }
 
@@ -270,7 +269,7 @@ fn skip_ws(cs: &[char], j: &mut usize) {
 }
 
 /// Word-boundary occurrences of `word` (char offsets).
-pub fn word_positions(text: &str, word: &str) -> Vec<usize> {
+pub(crate) fn word_positions(text: &str, word: &str) -> Vec<usize> {
     let cs: Vec<char> = text.chars().collect();
     let w: Vec<char> = word.chars().collect();
     let mut out = Vec::new();
@@ -644,7 +643,6 @@ fn walk_body(
                 }
                 f.locks.push(LockAcq {
                     lock: lockname.clone(),
-                    line,
                 });
                 // bound to a guard variable? `let [mut] g = [... ] lock(...)`
                 if let Some(var) = binding_var(cs, span.start, path_start) {
@@ -739,7 +737,7 @@ fn binding_var(cs: &[char], lo: usize, call_start: usize) -> Option<String> {
 }
 
 /// Parse one scrubbed file into analysis facts.
-pub fn parse_file(s: &Scrubbed) -> ParsedFile {
+pub(crate) fn parse_file(s: &Scrubbed) -> ParsedFile {
     let cs: Vec<char> = s.code.chars().collect();
     let code_lines: Vec<&str> = s.code.lines().collect();
     let impls = impl_spans(&cs);

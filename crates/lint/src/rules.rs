@@ -3,10 +3,10 @@
 //!
 //! The per-file rules run in the same pass that parses a file for the call
 //! graph: `no-panic` reads the parsed function bodies
-//! ([`ParsedFn::hits`](crate::parse::ParsedFn::hits)), while
-//! `unsafe-safety` and `float-eq` are token patterns over the [`Scrubbed`]
+//! (`ParsedFn::hits`), while
+//! `unsafe-safety` and `float-eq` are token patterns over the `Scrubbed`
 //! code view. All three honour the parser's one escape matcher,
-//! [`analyze::allowed`]: a `// lint: allow(<rule>) — <reason>` comment
+//! `analyze::allowed`: a `// lint: allow(<rule>) — <reason>` comment
 //! trailing the flagged line, or on the comment lines directly above it.
 
 use crate::analyze;
@@ -15,19 +15,19 @@ use crate::source::{line_of, Scrubbed};
 use std::fmt;
 use std::path::PathBuf;
 
-pub const RULE_HOT_PATH: &str = "hot-path-alloc";
-pub const RULE_NO_PANIC: &str = "no-panic";
-pub const RULE_UNSAFE: &str = "unsafe-safety";
-pub const RULE_FLOAT_EQ: &str = "float-eq";
-pub const RULE_HOT_PANIC: &str = "hot-path-panic";
-pub const RULE_DETERMINISM: &str = "determinism";
-pub const RULE_LOCK_ORDER: &str = "lock-order";
-pub const RULE_LOCK_BLOCK: &str = "lock-block";
-pub const RULE_CONFIG: &str = "config";
-pub const RULE_ALLOW_AUDIT: &str = "allow-audit";
+pub(crate) const RULE_HOT_PATH: &str = "hot-path-alloc";
+pub(crate) const RULE_NO_PANIC: &str = "no-panic";
+pub(crate) const RULE_UNSAFE: &str = "unsafe-safety";
+pub(crate) const RULE_FLOAT_EQ: &str = "float-eq";
+pub(crate) const RULE_HOT_PANIC: &str = "hot-path-panic";
+pub(crate) const RULE_DETERMINISM: &str = "determinism";
+pub(crate) const RULE_LOCK_ORDER: &str = "lock-order";
+pub(crate) const RULE_LOCK_BLOCK: &str = "lock-block";
+pub(crate) const RULE_CONFIG: &str = "config";
+pub(crate) const RULE_ALLOW_AUDIT: &str = "allow-audit";
 
 /// Every rule an `// lint: allow(<rule>)` escape may name.
-pub const ALL_RULES: &[&str] = &[
+pub(crate) const ALL_RULES: &[&str] = &[
     RULE_HOT_PATH,
     RULE_NO_PANIC,
     RULE_UNSAFE,
@@ -67,7 +67,7 @@ pub struct Diagnostic {
 }
 
 impl Diagnostic {
-    pub fn new(
+    pub(crate) fn new(
         file: impl Into<PathBuf>,
         line: usize,
         rule: &'static str,
@@ -83,7 +83,7 @@ impl Diagnostic {
     }
 
     /// Render the blame chain as indented continuation lines.
-    pub fn render_chain(&self) -> String {
+    pub(crate) fn render_chain(&self) -> String {
         if self.chain.is_empty() {
             return String::new();
         }
@@ -111,7 +111,7 @@ impl fmt::Display for Diagnostic {
 
 /// Run the per-file rules over one file: `rel` is its workspace-relative
 /// path (it scopes `no-panic`), `s` its scrubbed views and `pf` its parse.
-pub fn check_file(rel: &str, s: &Scrubbed, pf: &ParsedFile) -> Vec<Diagnostic> {
+pub(crate) fn check_file(rel: &str, s: &Scrubbed, pf: &ParsedFile) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     if NO_PANIC_SCOPES.iter().any(|p| rel.starts_with(p)) {
         no_panic(rel, pf, &mut diags);

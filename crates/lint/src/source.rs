@@ -20,26 +20,26 @@
 
 /// A source file split into code and comment views of identical shape.
 #[derive(Debug)]
-pub struct Scrubbed {
+pub(crate) struct Scrubbed {
     /// Comments blanked, string/char literal *contents* blanked (delimiters
     /// kept), test regions blanked.
-    pub code: String,
+    pub(crate) code: String,
     /// Everything except comment text blanked (test regions too).
-    pub comments: String,
+    pub(crate) comments: String,
 }
 
 impl Scrubbed {
-    pub fn new(src: &str) -> Scrubbed {
+    pub(crate) fn new(src: &str) -> Scrubbed {
         let mut s = scrub(src);
         blank_test_regions(&mut s);
         s
     }
 
-    pub fn code_lines(&self) -> Vec<&str> {
+    pub(crate) fn code_lines(&self) -> Vec<&str> {
         self.code.lines().collect()
     }
 
-    pub fn comment_lines(&self) -> Vec<&str> {
+    pub(crate) fn comment_lines(&self) -> Vec<&str> {
         self.comments.lines().collect()
     }
 }
@@ -265,7 +265,7 @@ fn blank_test_regions(s: &mut Scrubbed) {
 }
 
 /// 1-based line number of char offset `pos` in `text`.
-pub fn line_of(text: &str, pos: usize) -> usize {
+pub(crate) fn line_of(text: &str, pos: usize) -> usize {
     text.chars().take(pos).filter(|&c| c == '\n').count() + 1
 }
 

@@ -15,7 +15,7 @@ pub struct DualGraph {
     /// `xadj[v]..xadj[v+1]` indexes `adj`/`ewgt` for vertex `v`.
     pub xadj: Vec<u32>,
     pub adj: Vec<u32>,
-    /// Edge weights, aligned with `adj`. All `1` when built without levels.
+    /// Edge weights, aligned with `adj`.
     pub ewgt: Vec<u32>,
 }
 
@@ -24,29 +24,12 @@ impl DualGraph {
         self.xadj.len() - 1
     }
 
-    pub fn n_edges(&self) -> usize {
-        self.adj.len() / 2
-    }
-
     pub fn neighbors(&self, v: u32) -> &[u32] {
         &self.adj[self.xadj[v as usize] as usize..self.xadj[v as usize + 1] as usize]
     }
 
-    pub fn edge_weights(&self, v: u32) -> &[u32] {
-        &self.ewgt[self.xadj[v as usize] as usize..self.xadj[v as usize + 1] as usize]
-    }
-
-    /// Build the face-adjacency dual graph; unit edge weights.
-    pub fn build(mesh: &HexMesh) -> Self {
-        Self::build_inner(mesh, None)
-    }
-
     /// Build with LTS-aware edge weights `max(p_u, p_v)` (Sec. III-A1).
     pub fn build_weighted(mesh: &HexMesh, levels: &Levels) -> Self {
-        Self::build_inner(mesh, Some(levels))
-    }
-
-    fn build_inner(mesh: &HexMesh, levels: Option<&Levels>) -> Self {
         let ne = mesh.n_elems();
         let mut xadj = Vec::with_capacity(ne + 1);
         let mut adj = Vec::new();
@@ -55,11 +38,7 @@ impl DualGraph {
         for e in 0..ne as u32 {
             for nb in mesh.face_neighbors(e) {
                 adj.push(nb);
-                let w = match levels {
-                    Some(lv) => lv.p_of(e).max(lv.p_of(nb)) as u32,
-                    None => 1,
-                };
-                ewgt.push(w);
+                ewgt.push(levels.p_of(e).max(levels.p_of(nb)) as u32);
             }
             xadj.push(adj.len() as u32);
         }
@@ -71,12 +50,16 @@ impl DualGraph {
 mod tests {
     use super::*;
 
+    fn build(m: &HexMesh) -> DualGraph {
+        DualGraph::build_weighted(m, &Levels::assign(m, 0.5, 1))
+    }
+
     #[test]
     fn single_row_is_a_path() {
         let m = HexMesh::uniform(4, 1, 1, 1.0, 1.0);
-        let g = DualGraph::build(&m);
+        let g = build(&m);
         assert_eq!(g.n_vertices(), 4);
-        assert_eq!(g.n_edges(), 3);
+        assert_eq!(g.adj.len() / 2, 3);
         assert_eq!(g.neighbors(0), &[1]);
         assert_eq!(g.neighbors(1), &[0, 2]);
     }
@@ -85,15 +68,15 @@ mod tests {
     fn edge_count_matches_grid_formula() {
         let (nx, ny, nz) = (3usize, 4usize, 5usize);
         let m = HexMesh::uniform(nx, ny, nz, 1.0, 1.0);
-        let g = DualGraph::build(&m);
+        let g = build(&m);
         let expect = (nx - 1) * ny * nz + nx * (ny - 1) * nz + nx * ny * (nz - 1);
-        assert_eq!(g.n_edges(), expect);
+        assert_eq!(g.adj.len() / 2, expect);
     }
 
     #[test]
     fn graph_is_symmetric() {
         let m = HexMesh::uniform(3, 3, 2, 1.0, 1.0);
-        let g = DualGraph::build(&m);
+        let g = build(&m);
         for v in 0..g.n_vertices() as u32 {
             for &u in g.neighbors(v) {
                 assert!(g.neighbors(u).contains(&v));
@@ -109,9 +92,9 @@ mod tests {
         let g = DualGraph::build_weighted(&m, &lv);
         // edge between elements 2 (level 0) and 3 (level 1) has weight 2
         let pos = g.neighbors(2).iter().position(|&x| x == 3).unwrap();
-        assert_eq!(g.edge_weights(2)[pos], 2);
+        assert_eq!(g.ewgt[g.xadj[2] as usize + pos], 2);
         // edge between elements 0 and 1 (both coarse) has weight 1
         let pos01 = g.neighbors(0).iter().position(|&x| x == 1).unwrap();
-        assert_eq!(g.edge_weights(0)[pos01], 1);
+        assert_eq!(g.ewgt[g.xadj[0] as usize + pos01], 1);
     }
 }

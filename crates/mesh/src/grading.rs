@@ -10,12 +10,12 @@
 /// A refinement band on one axis: cells whose centers fall in
 /// `[start, end]` get spacing `base_h / squeeze`.
 #[derive(Debug, Clone, Copy)]
-pub struct Band {
-    pub start: f64,
-    pub end: f64,
+pub(crate) struct Band {
+    pub(crate) start: f64,
+    pub(crate) end: f64,
     /// Spacing reduction factor (≥ 1). A `squeeze` of 8 produces elements
     /// eight times thinner than the base spacing inside the band.
-    pub squeeze: f64,
+    pub(crate) squeeze: f64,
 }
 
 /// Build graded planes covering `[0, length]` with base spacing `base_h`,
@@ -24,7 +24,7 @@ pub struct Band {
 ///
 /// The result is strictly increasing and ends exactly at `length` (the last
 /// cell absorbs the rounding remainder, staying within ±50 % of its target).
-pub fn graded_planes(length: f64, base_h: f64, bands: &[Band]) -> Vec<f64> {
+pub(crate) fn graded_planes(length: f64, base_h: f64, bands: &[Band]) -> Vec<f64> {
     assert!(length > 0.0 && base_h > 0.0);
     assert!(base_h <= length, "base spacing larger than axis");
     for b in bands {
@@ -83,7 +83,7 @@ pub fn graded_planes(length: f64, base_h: f64, bands: &[Band]) -> Vec<f64> {
 }
 
 /// Uniform planes covering `[0, length]` with `n` cells.
-pub fn uniform_planes(length: f64, n: usize) -> Vec<f64> {
+pub(crate) fn uniform_planes(length: f64, n: usize) -> Vec<f64> {
     assert!(n >= 1);
     (0..=n).map(|i| length * i as f64 / n as f64).collect()
 }

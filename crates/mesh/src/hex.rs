@@ -45,7 +45,13 @@ impl HexMesh {
     }
 
     /// Mesh from explicit coordinate planes with constant material.
-    pub fn graded(xs: Vec<f64>, ys: Vec<f64>, zs: Vec<f64>, velocity: f64, density: f64) -> Self {
+    pub(crate) fn graded(
+        xs: Vec<f64>,
+        ys: Vec<f64>,
+        zs: Vec<f64>,
+        velocity: f64,
+        density: f64,
+    ) -> Self {
         assert!(
             xs.len() >= 2 && ys.len() >= 2 && zs.len() >= 2,
             "need at least one cell per axis"
@@ -104,13 +110,13 @@ impl HexMesh {
     }
 
     #[inline]
-    pub fn node_id(&self, i: usize, j: usize, k: usize) -> u32 {
+    pub(crate) fn node_id(&self, i: usize, j: usize, k: usize) -> u32 {
         debug_assert!(i <= self.nx && j <= self.ny && k <= self.nz);
         (i + (self.nx + 1) * (j + (self.ny + 1) * k)) as u32
     }
 
     #[inline]
-    pub fn node_ijk(&self, n: u32) -> (usize, usize, usize) {
+    pub(crate) fn node_ijk(&self, n: u32) -> (usize, usize, usize) {
         let n = n as usize;
         let i = n % (self.nx + 1);
         let j = (n / (self.nx + 1)) % (self.ny + 1);
@@ -147,7 +153,7 @@ impl HexMesh {
     /// Characteristic element size `h_e`: the smallest box dimension, which
     /// controls the CFL bound for axis-aligned bricks.
     #[inline]
-    pub fn elem_char_size(&self, e: u32) -> f64 {
+    pub(crate) fn elem_char_size(&self, e: u32) -> f64 {
         let (hx, hy, hz) = self.elem_dims(e);
         hx.min(hy).min(hz)
     }
@@ -170,7 +176,7 @@ impl HexMesh {
     }
 
     /// Element centroid.
-    pub fn elem_center(&self, e: u32) -> (f64, f64, f64) {
+    pub(crate) fn elem_center(&self, e: u32) -> (f64, f64, f64) {
         let (i, j, k) = self.elem_ijk(e);
         (
             0.5 * (self.xs[i] + self.xs[i + 1]),

@@ -16,13 +16,13 @@ use crate::quad::QuadMesh;
 #[derive(Debug, Clone)]
 pub struct NodalHypergraph {
     /// `xpins[n]..xpins[n+1]` indexes `pins` for net `n`.
-    pub xpins: Vec<u32>,
+    pub(crate) xpins: Vec<u32>,
     /// Element ids touching each net.
-    pub pins: Vec<u32>,
+    pub(crate) pins: Vec<u32>,
     /// Net costs `c[h'_n]`; unit per pin when built without levels, else
     /// `Σ_{e ∋ n} p_e`.
     pub netcost: Vec<u64>,
-    pub n_vertices: usize,
+    pub(crate) n_vertices: usize,
 }
 
 impl NodalHypergraph {

@@ -138,8 +138,6 @@ impl Levels {
         let e = self.elem_level.len() as f64;
         let lts_cost: u64 = self.elem_level.iter().map(|&l| 1u64 << l).sum();
         SpeedupModel {
-            n_elems: self.elem_level.len(),
-            n_levels: self.n_levels,
             global_cost: self.p_max() as f64 * e,
             lts_cost: lts_cost as f64,
         }
@@ -151,12 +149,10 @@ impl Levels {
 /// element.
 #[derive(Debug, Clone, Copy)]
 pub struct SpeedupModel {
-    pub n_elems: usize,
-    pub n_levels: usize,
     /// `p_max · E` — element-updates per `Δt` without LTS.
-    pub global_cost: f64,
+    pub(crate) global_cost: f64,
     /// `Σ_e p_e` — element-updates per `Δt` with LTS.
-    pub lts_cost: f64,
+    pub(crate) lts_cost: f64,
 }
 
 impl SpeedupModel {

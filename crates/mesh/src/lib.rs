@@ -35,4 +35,4 @@ pub use benchmarks::{BenchmarkMesh, MeshKind};
 pub use dual::DualGraph;
 pub use hex::HexMesh;
 pub use hypergraph::NodalHypergraph;
-pub use levels::{Levels, SpeedupModel};
+pub use levels::Levels;

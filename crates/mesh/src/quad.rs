@@ -8,7 +8,7 @@
 /// A structured `nx × ny` quadrilateral mesh.
 #[derive(Debug, Clone)]
 pub struct QuadMesh {
-    pub nx: usize,
+    pub(crate) nx: usize,
     pub ny: usize,
 }
 
@@ -22,12 +22,12 @@ impl QuadMesh {
         self.nx * self.ny
     }
 
-    pub fn n_nodes(&self) -> usize {
+    pub(crate) fn n_nodes(&self) -> usize {
         (self.nx + 1) * (self.ny + 1)
     }
 
     #[inline]
-    pub fn elem_id(&self, i: usize, j: usize) -> u32 {
+    pub(crate) fn elem_id(&self, i: usize, j: usize) -> u32 {
         debug_assert!(i < self.nx && j < self.ny);
         (i + self.nx * j) as u32
     }
@@ -38,27 +38,16 @@ impl QuadMesh {
         (i + (self.nx + 1) * j) as u32
     }
 
-    pub fn elem_ij(&self, e: u32) -> (usize, usize) {
+    pub(crate) fn elem_ij(&self, e: u32) -> (usize, usize) {
         ((e as usize) % self.nx, (e as usize) / self.nx)
     }
 
-    pub fn node_ij(&self, n: u32) -> (usize, usize) {
+    pub(crate) fn node_ij(&self, n: u32) -> (usize, usize) {
         ((n as usize) % (self.nx + 1), (n as usize) / (self.nx + 1))
     }
 
-    /// The four corner node ids of element `e`.
-    pub fn elem_corners(&self, e: u32) -> [u32; 4] {
-        let (i, j) = self.elem_ij(e);
-        [
-            self.node_id(i, j),
-            self.node_id(i + 1, j),
-            self.node_id(i, j + 1),
-            self.node_id(i + 1, j + 1),
-        ]
-    }
-
     /// Elements incident to node `n` (1–4 of them).
-    pub fn node_elems(&self, n: u32) -> Vec<u32> {
+    pub(crate) fn node_elems(&self, n: u32) -> Vec<u32> {
         let (i, j) = self.node_ij(n);
         let mut out = Vec::with_capacity(4);
         for dj in 0..2usize {

@@ -55,7 +55,7 @@ impl Default for MediumConfig {
 }
 
 /// Overwrite `mesh.velocity` with a smooth random field.
-pub fn randomize_velocity(mesh: &mut HexMesh, cfg: &MediumConfig) {
+pub(crate) fn randomize_velocity(mesh: &mut HexMesh, cfg: &MediumConfig) {
     assert!(cfg.c_max >= cfg.c_min && cfg.c_min > 0.0);
     assert!(cfg.n_modes >= 1);
     let mut rng = SplitMix64(cfg.seed ^ 0xC0FFEE);

@@ -13,7 +13,7 @@
 use crate::export::Json;
 
 /// Category string for an LTS level (`None` → the run-wide category).
-pub fn level_category(level: Option<u8>) -> String {
+pub(crate) fn level_category(level: Option<u8>) -> String {
     match level {
         Some(l) => format!("level{l}"),
         None => "run".to_string(),
@@ -27,20 +27,12 @@ pub struct ChromeTrace {
 }
 
 impl ChromeTrace {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// Label a process track (`"M"` metadata event).
-    pub fn process_name(&mut self, pid: u64, name: &str) {
+    pub(crate) fn process_name(&mut self, pid: u64, name: &str) {
         self.events.push(Json::Obj(vec![
             ("name".to_string(), Json::str("process_name")),
             ("ph".to_string(), Json::str("M")),
@@ -54,7 +46,7 @@ impl ChromeTrace {
     }
 
     /// Label a thread track (`"M"` metadata event).
-    pub fn thread_name(&mut self, pid: u64, tid: u64, name: &str) {
+    pub(crate) fn thread_name(&mut self, pid: u64, tid: u64, name: &str) {
         self.events.push(Json::Obj(vec![
             ("name".to_string(), Json::str("thread_name")),
             ("ph".to_string(), Json::str("M")),
@@ -69,7 +61,7 @@ impl ChromeTrace {
 
     /// A complete (`"X"`) slice: `ts`/`dur` in microseconds.
     #[allow(clippy::too_many_arguments)]
-    pub fn complete(
+    pub(crate) fn complete(
         &mut self,
         pid: u64,
         tid: u64,
@@ -95,7 +87,7 @@ impl ChromeTrace {
     }
 
     /// The `trace_event` document.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("displayTimeUnit".to_string(), Json::str("ms")),
             ("traceEvents".to_string(), Json::Arr(self.events.clone())),

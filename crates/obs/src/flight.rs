@@ -98,7 +98,7 @@ impl EventKind {
         }
     }
 
-    pub fn from_name(name: &str) -> Option<EventKind> {
+    pub(crate) fn from_name(name: &str) -> Option<EventKind> {
         (0..=u8::MAX)
             .filter_map(EventKind::from_u8)
             .find(|k| k.name() == name)
@@ -153,24 +153,6 @@ impl FlightRecorder {
             head: 0,
             dropped: 0,
         }
-    }
-
-    pub fn enabled(&self) -> bool {
-        self.buf.capacity() > 0
-    }
-
-    /// Events currently held (≤ capacity).
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Events overwritten because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 
     /// Record one event. Never allocates: within capacity this is a push
@@ -480,18 +462,18 @@ pub fn merge_recordings(recs: &[RankRecording]) -> Result<Vec<MergedEvent>, Merg
 
 /// Compute vs. wait attribution of one critical-path stretch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SegKind {
+pub(crate) enum SegKind {
     Compute,
     Wait,
 }
 
 /// One coalesced stretch of the critical path (forward order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PathSegment {
-    pub rank: u32,
-    pub level: u8,
-    pub kind: SegKind,
-    pub dur_ns: u64,
+pub(crate) struct PathSegment {
+    pub(crate) rank: u32,
+    pub(crate) level: u8,
+    pub(crate) kind: SegKind,
+    pub(crate) dur_ns: u64,
 }
 
 /// A cross-rank hop the path took: the receiver's level-`level` exchange
@@ -508,8 +490,6 @@ pub struct PathEdge {
 /// went, per (rank, level), compute vs. wait.
 #[derive(Debug, Clone, Default)]
 pub struct CriticalPath {
-    /// Coalesced path stretches, start → end.
-    pub segments: Vec<PathSegment>,
     /// Total nanoseconds attributed along the path.
     pub total_ns: u64,
     /// `((rank, level), (compute_ns, wait_ns))`, descending by total.
@@ -666,7 +646,6 @@ pub fn critical_path(recs: &[RankRecording]) -> Result<CriticalPath, MergeError>
     by_rank_level.sort_by_key(|&(_, (c, w))| std::cmp::Reverse(c + w));
     edges.sort_by_key(|e| std::cmp::Reverse(e.wait_ns));
     Ok(CriticalPath {
-        segments,
         total_ns,
         by_rank_level,
         edges,
@@ -796,14 +775,12 @@ mod tests {
     #[test]
     fn ring_overwrites_oldest_and_counts_drops() {
         let mut r = FlightRecorder::new(3);
-        assert!(r.enabled());
         for step in 0..5u32 {
             r.record(EventKind::StepBegin, NO_LEVEL, step, NO_PEER, 0);
         }
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.dropped(), 2);
         let rec = r.snapshot(7);
         assert_eq!(rec.rank, 7);
+        assert_eq!(rec.events.len(), 3);
         assert_eq!(rec.dropped, 2);
         let steps: Vec<u32> = rec.events.iter().map(|e| e.step).collect();
         assert_eq!(steps, vec![2, 3, 4], "oldest-first after eviction");
@@ -813,10 +790,10 @@ mod tests {
     #[test]
     fn disabled_recorder_records_nothing() {
         let mut r = FlightRecorder::new(0);
-        assert!(!r.enabled());
         r.record(EventKind::Fault, NO_LEVEL, 0, NO_PEER, 0);
-        assert!(r.is_empty());
-        assert_eq!(r.dropped(), 0);
+        let rec = r.snapshot(0);
+        assert!(rec.events.is_empty());
+        assert_eq!(rec.dropped, 0);
     }
 
     #[test]

@@ -5,11 +5,12 @@
 //! not printf. This crate provides the accounting layer every other crate
 //! records into:
 //!
-//! * [`MetricsRegistry`] — typed counters, gauges and histogram timers keyed
-//!   by `(name, LTS level, label)`. Counters of element operations, exchange
-//!   messages and DOF volumes are **exact integers independent of timing**,
-//!   which makes them usable as test oracles (see `tests/obs_integration.rs`
-//!   and `tests/proptest_obs.rs` at the workspace root).
+//! * [`MetricsRegistry`] — typed counters, gauges and timing histograms
+//!   (count, sum, min and max) keyed by `(name, LTS level, label)`.
+//!   Counters of element operations, exchange messages and DOF volumes are
+//!   **exact integers independent of timing**, which makes them usable as
+//!   test oracles (see `tests/obs_integration.rs` and
+//!   `tests/proptest_obs.rs` at the workspace root).
 //! * [`span!`] — scoped timing of a phase, recorded as a histogram
 //!   observation.
 //! * [`export`] — hand-rolled JSON and CSV serialization *and parsing* (the
@@ -38,12 +39,10 @@ pub mod flight;
 pub mod registry;
 pub mod span;
 
-pub use chrome::{level_category, validate_trace, ChromeTrace};
+pub use chrome::validate_trace;
 pub use export::{registry_to_csv, registry_to_json, Json};
 pub use flight::{
-    critical_path, flight_chrome_trace, merge_recordings, CriticalPath, EventKind, FlightEvent,
-    FlightRecorder, MergeError, MergedEvent, PathEdge, PathSegment, RankRecording, SegKind,
-    NO_LEVEL, NO_PEER,
+    critical_path, flight_chrome_trace, merge_recordings, EventKind, FlightEvent, FlightRecorder,
+    RankRecording, NO_LEVEL, NO_PEER,
 };
-pub use registry::{Histogram, Key, Metric, MetricsRegistry, HIST_BUCKETS};
-pub use span::Span;
+pub use registry::{Histogram, Key, Metric, MetricsRegistry};

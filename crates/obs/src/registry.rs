@@ -15,7 +15,7 @@ pub struct Key {
 }
 
 impl Key {
-    pub fn new(name: &'static str) -> Self {
+    pub(crate) fn new(name: &'static str) -> Self {
         Key {
             name,
             level: None,
@@ -23,7 +23,7 @@ impl Key {
         }
     }
 
-    pub fn at_level(name: &'static str, level: u8) -> Self {
+    pub(crate) fn at_level(name: &'static str, level: u8) -> Self {
         Key {
             name,
             level: Some(level),
@@ -32,18 +32,13 @@ impl Key {
     }
 }
 
-/// Fixed log₂ bucketing from 1 ns up (bucket `i` holds durations in
-/// `[2^i, 2^{i+1})` ns); 40 buckets reach ≈ 1100 s.
-pub const HIST_BUCKETS: usize = 40;
-
-/// A duration/value histogram with exact count/sum/min/max.
+/// A duration/value summary: exact count/sum/min/max.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     pub count: u64,
     pub sum: f64,
     pub min: f64,
     pub max: f64,
-    pub buckets: [u64; HIST_BUCKETS],
 }
 
 impl Default for Histogram {
@@ -53,7 +48,6 @@ impl Default for Histogram {
             sum: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
-            buckets: [0; HIST_BUCKETS],
         }
     }
 }
@@ -64,12 +58,9 @@ impl Histogram {
         self.sum += value;
         self.min = self.min.min(value);
         self.max = self.max.max(value);
-        let ns = (value * 1e9).max(1.0);
-        let idx = (ns.log2().floor() as usize).min(HIST_BUCKETS - 1);
-        self.buckets[idx] += 1;
     }
 
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -82,51 +73,10 @@ impl Histogram {
         self.sum += other.sum;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-    }
-
-    /// Estimate the `q`-quantile (`0.0 ..= 1.0`) from the log₂ buckets.
-    ///
-    /// The answer is the geometric midpoint of the bucket containing the
-    /// `⌈q·count⌉`-th observation, clamped into the exact `[min, max]` range —
-    /// so single-bucket histograms report exact values and the worst-case
-    /// relative error is the bucket width (a factor of 2).
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= rank {
-                let lo = 2f64.powi(i as i32) * 1e-9;
-                let hi = 2f64.powi(i as i32 + 1) * 1e-9;
-                return (lo * hi).sqrt().clamp(self.min, self.max);
-            }
-        }
-        self.max
-    }
-
-    pub fn p50(&self) -> f64 {
-        self.quantile(0.50)
-    }
-
-    pub fn p95(&self) -> f64 {
-        self.quantile(0.95)
-    }
-
-    pub fn p99(&self) -> f64 {
-        self.quantile(0.99)
     }
 }
 
-/// One registered metric. The histogram variant carries its fixed bucket
-/// array inline — a registry holds tens of metrics, and unboxed storage keeps
-/// the record hot path free of pointer chasing.
-#[allow(clippy::large_enum_variant)]
+/// One registered metric.
 #[derive(Debug, Clone)]
 pub enum Metric {
     Counter(u64),
@@ -251,7 +201,7 @@ impl MetricsRegistry {
 
     // ---- histograms / timers ----------------------------------------------
 
-    pub fn observe_key(&mut self, key: Key, value: f64) {
+    pub(crate) fn observe_key(&mut self, key: Key, value: f64) {
         match self
             .metrics
             .entry(key)
@@ -278,7 +228,7 @@ impl MetricsRegistry {
     /// Install a fully materialized histogram under `key`, replacing any
     /// previous metric there. This is the wire-decode path: a histogram that
     /// crossed a process boundary is reinstated *exactly* (count, sum,
-    /// min/max, buckets), which `observe`-replay could not guarantee.
+    /// min/max), which `observe`-replay could not guarantee.
     pub fn set_histogram(&mut self, key: Key, hist: Histogram) {
         self.metrics.insert(key, Metric::Histogram(hist));
     }
@@ -341,10 +291,6 @@ impl MetricsRegistry {
     pub fn iter(&self) -> impl Iterator<Item = (&Key, &Metric)> {
         self.metrics.iter()
     }
-
-    pub fn is_empty(&self) -> bool {
-        self.metrics.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -385,35 +331,6 @@ mod tests {
         assert_eq!(h.min, 1e-6);
         assert_eq!(h.max, 3e-6);
         assert!((h.mean() - 2e-6).abs() < 1e-18);
-        assert_eq!(h.buckets.iter().sum::<u64>(), 3);
-    }
-
-    #[test]
-    fn quantiles_bracket_observations() {
-        let mut h = Histogram::default();
-        // 100 observations spread over two decades: 1 µs … 100 µs
-        for i in 1..=100u32 {
-            h.observe(i as f64 * 1e-6);
-        }
-        let p50 = h.p50();
-        let p95 = h.p95();
-        let p99 = h.p99();
-        // log-bucket estimates are within a factor of 2 of the exact order
-        // statistics (50 µs, 95 µs, 99 µs) and keep their ordering
-        assert!((25e-6..=100e-6).contains(&p50), "p50 = {p50}");
-        assert!((47e-6..=100e-6).contains(&p95), "p95 = {p95}");
-        assert!(p50 <= p95 && p95 <= p99, "p50 {p50} p95 {p95} p99 {p99}");
-        assert!(p99 <= h.max && h.quantile(0.0) >= h.min);
-    }
-
-    #[test]
-    fn quantile_single_observation_is_exact() {
-        let mut h = Histogram::default();
-        h.observe(3.5e-3);
-        for q in [0.0, 0.5, 0.95, 1.0] {
-            assert_eq!(h.quantile(q), 3.5e-3);
-        }
-        assert_eq!(Histogram::default().quantile(0.5), 0.0);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 /// Solve the assignment problem for a row-major `n × n` benefit matrix.
 /// Returns `assign[person] = object` maximising `Σ benefit[p][assign[p]]`.
-pub fn auction_assignment(benefit: &[i64], n: usize) -> Vec<u32> {
+pub(crate) fn auction_assignment(benefit: &[i64], n: usize) -> Vec<u32> {
     assert_eq!(benefit.len(), n * n);
     if n == 0 {
         return Vec::new();
@@ -67,14 +67,9 @@ pub fn auction_assignment(benefit: &[i64], n: usize) -> Vec<u32> {
     assign.into_iter().map(|q| q as u32).collect()
 }
 
-/// Total benefit of an assignment.
-pub fn assignment_benefit(benefit: &[i64], n: usize, assign: &[u32]) -> i64 {
-    (0..n).map(|p| benefit[p * n + assign[p] as usize]).sum()
-}
-
 /// The greedy max-affinity coupling the paper uses (sort all pairs, take
 /// greedily) — kept for comparison.
-pub fn greedy_assignment(benefit: &[i64], n: usize) -> Vec<u32> {
+pub(crate) fn greedy_assignment(benefit: &[i64], n: usize) -> Vec<u32> {
     let mut entries: Vec<(i64, u32, u32)> = Vec::with_capacity(n * n);
     for p in 0..n {
         for q in 0..n {
@@ -104,6 +99,11 @@ mod tests {
     use super::*;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
+
+    /// Total benefit of an assignment.
+    fn assignment_benefit(benefit: &[i64], n: usize, assign: &[u32]) -> i64 {
+        (0..n).map(|p| benefit[p * n + assign[p] as usize]).sum()
+    }
 
     fn brute_force(benefit: &[i64], n: usize) -> i64 {
         fn rec(benefit: &[i64], n: usize, p: usize, used: &mut Vec<bool>) -> i64 {

@@ -12,30 +12,30 @@ use lts_mesh::{DualGraph, HexMesh, Levels};
 /// An undirected graph in CSR form with `ncon` weights per vertex and
 /// weighted edges.
 #[derive(Debug, Clone)]
-pub struct Graph {
-    pub xadj: Vec<u32>,
-    pub adj: Vec<u32>,
+pub(crate) struct Graph {
+    pub(crate) xadj: Vec<u32>,
+    pub(crate) adj: Vec<u32>,
     /// Edge weights aligned with `adj`.
-    pub ewgt: Vec<u32>,
+    pub(crate) ewgt: Vec<u32>,
     /// Number of balance constraints.
-    pub ncon: usize,
+    pub(crate) ncon: usize,
     /// Vertex weights, `ncon` consecutive entries per vertex.
-    pub vwgt: Vec<u32>,
+    pub(crate) vwgt: Vec<u32>,
 }
 
 impl Graph {
     #[inline]
-    pub fn neighbors(&self, v: u32) -> &[u32] {
+    pub(crate) fn neighbors(&self, v: u32) -> &[u32] {
         &self.adj[self.xadj[v as usize] as usize..self.xadj[v as usize + 1] as usize]
     }
 
     #[inline]
-    pub fn edge_weights(&self, v: u32) -> &[u32] {
+    pub(crate) fn edge_weights(&self, v: u32) -> &[u32] {
         &self.ewgt[self.xadj[v as usize] as usize..self.xadj[v as usize + 1] as usize]
     }
 
     #[inline]
-    pub fn weight_of(&self, v: u32) -> &[u32] {
+    pub(crate) fn weight_of(&self, v: u32) -> &[u32] {
         &self.vwgt[v as usize * self.ncon..(v as usize + 1) * self.ncon]
     }
 
@@ -49,7 +49,7 @@ impl Graph {
 
     /// Single-constraint graph for the SCOTCH baseline: vertex weight is the
     /// element's work per LTS cycle (`p_e`), edges weighted `max(p_u, p_v)`.
-    pub fn scotch_baseline(mesh: &HexMesh, levels: &Levels) -> Self {
+    pub(crate) fn scotch_baseline(mesh: &HexMesh, levels: &Levels) -> Self {
         let dual = DualGraph::build_weighted(mesh, levels);
         let vwgt = (0..mesh.n_elems() as u32)
             .map(|e| levels.p_of(e) as u32)
@@ -65,7 +65,7 @@ impl Graph {
 
     /// Multi-constraint graph for the MeTiS strategy: one unit-weight slot
     /// per level (Sec. III-A1), `max(p_u, p_v)` edge weights.
-    pub fn multi_constraint(mesh: &HexMesh, levels: &Levels) -> Self {
+    pub(crate) fn multi_constraint(mesh: &HexMesh, levels: &Levels) -> Self {
         let dual = DualGraph::build_weighted(mesh, levels);
         let ncon = levels.n_levels;
         let mut vwgt = vec![0u32; mesh.n_elems() * ncon];

@@ -11,33 +11,33 @@ use lts_mesh::{HexMesh, Levels, NodalHypergraph};
 /// A hypergraph in dual CSR form (net→pins and vertex→nets) with net costs
 /// and `ncon` weights per vertex.
 #[derive(Debug, Clone)]
-pub struct HGraph {
-    pub xpins: Vec<u32>,
-    pub pins: Vec<u32>,
-    pub xnets: Vec<u32>,
-    pub vnets: Vec<u32>,
-    pub netcost: Vec<u64>,
-    pub ncon: usize,
-    pub vwgt: Vec<u32>,
+pub(crate) struct HGraph {
+    pub(crate) xpins: Vec<u32>,
+    pub(crate) pins: Vec<u32>,
+    pub(crate) xnets: Vec<u32>,
+    pub(crate) vnets: Vec<u32>,
+    pub(crate) netcost: Vec<u64>,
+    pub(crate) ncon: usize,
+    pub(crate) vwgt: Vec<u32>,
 }
 
 impl HGraph {
-    pub fn n_nets(&self) -> usize {
+    pub(crate) fn n_nets(&self) -> usize {
         self.xpins.len() - 1
     }
 
     #[inline]
-    pub fn pins_of(&self, net: u32) -> &[u32] {
+    pub(crate) fn pins_of(&self, net: u32) -> &[u32] {
         &self.pins[self.xpins[net as usize] as usize..self.xpins[net as usize + 1] as usize]
     }
 
     #[inline]
-    pub fn nets_of(&self, v: u32) -> &[u32] {
+    pub(crate) fn nets_of(&self, v: u32) -> &[u32] {
         &self.vnets[self.xnets[v as usize] as usize..self.xnets[v as usize + 1] as usize]
     }
 
     #[inline]
-    pub fn weight_of(&self, v: u32) -> &[u32] {
+    pub(crate) fn weight_of(&self, v: u32) -> &[u32] {
         &self.vwgt[v as usize * self.ncon..(v as usize + 1) * self.ncon]
     }
 
@@ -46,7 +46,7 @@ impl HGraph {
     /// *identical* nets are merged with summed costs (the standard PaToH
     /// simplification — Sec. III-A2 notes the same collapse for the
     /// per-element-copy hyperedges).
-    pub fn from_nets(
+    pub(crate) fn from_nets(
         n_vertices: usize,
         nets: impl IntoIterator<Item = (Vec<u32>, u64)>,
         ncon: usize,
@@ -95,7 +95,7 @@ impl HGraph {
 
     /// The paper's LTS hypergraph: one net per mesh corner node with cost
     /// `Σ_{e ∋ n} p_e`, one-hot per-level vertex weights.
-    pub fn lts_model(mesh: &HexMesh, levels: &Levels) -> Self {
+    pub(crate) fn lts_model(mesh: &HexMesh, levels: &Levels) -> Self {
         let nh = NodalHypergraph::build(mesh, Some(levels));
         let ncon = levels.n_levels;
         let mut vwgt = vec![0u32; mesh.n_elems() * ncon];

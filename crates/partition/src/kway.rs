@@ -4,7 +4,7 @@
 //! Both production libraries the paper compares do this (MeTiS's k-way
 //! refinement, PaToH's boundary FM); here a greedy positive-gain pass with
 //! per-constraint balance limits is run a few times to a fixed point, over
-//! either [`CutModel`].
+//! either `CutModel`.
 
 use crate::multilevel::CutModel;
 use rand::seq::SliceRandom;
@@ -15,7 +15,7 @@ use rand_chacha::ChaCha8Rng;
 /// order, move each vertex to the candidate part with the first highest
 /// positive gain that keeps every constraint within `(1+ε)·W_c/K` and its
 /// own part non-empty. Returns the number of moves applied.
-pub fn kway_refine<M: CutModel>(
+pub(crate) fn kway_refine<M: CutModel>(
     m: &M,
     part: &mut [u32],
     k: usize,
@@ -88,7 +88,8 @@ pub fn kway_refine<M: CutModel>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Graph, HGraph};
+    use crate::graph::Graph;
+    use crate::hgraph::HGraph;
     use lts_mesh::{HexMesh, Levels};
 
     fn grid_graph() -> Graph {

@@ -20,10 +20,10 @@
 //! bisections, Fiduccia–Mattheyses boundary refinement with per-constraint
 //! balance, recursive bisection for K parts ([`multilevel`], [`refine`]) and
 //! greedy K-way refinement ([`kway`]). It is written once, generic over a
-//! [`multilevel::CutModel`]; the [`Graph`] (weighted edge cut) and the
-//! [`HGraph`] (connectivity-1 cut) each supply only their gains, boundary
-//! test, neighbour walk, matching scores, contraction, cut and induced
-//! sub-model.
+//! `multilevel::CutModel`; the `graph::Graph` (weighted edge cut) and
+//! the `hgraph::HGraph` (connectivity-1 cut) each supply only their
+//! gains, boundary test, neighbour walk, matching scores, contraction, cut
+//! and induced sub-model.
 
 #![forbid(unsafe_code)]
 // Indexed `for i in 0..n` loops over parallel arrays are the house idiom in
@@ -41,7 +41,5 @@ pub mod restricted;
 pub mod scotch_p;
 pub mod strategy;
 
-pub use graph::Graph;
-pub use hgraph::HGraph;
-pub use metrics::{edge_cut, load_imbalance, mpi_volume, ImbalanceReport, PartitionShape};
+pub use metrics::{edge_cut, load_imbalance, mpi_volume, PartitionShape};
 pub use strategy::{partition_mesh, partition_mesh_observed, Strategy};

@@ -3,13 +3,13 @@
 //! bisections at the coarsest level, FM refinement during uncoarsening, and
 //! recursive bisection for K parts.
 //!
-//! A [`CutModel`] supplies what differs between the graph and the
+//! A `CutModel` supplies what differs between the graph and the
 //! hypergraph: gains and their incremental state, the boundary test and the
 //! neighbour walk, matching scores, edge/net contraction, the cut and the
-//! induced sub-model. With a [`Graph`](crate::Graph), `ncon = 1` and `p_e`
+//! induced sub-model. With a `Graph`, `ncon = 1` and `p_e`
 //! vertex weights this reproduces the paper's SCOTCH baseline, and one
 //! constraint per p-level the MeTiS multi-constraint strategy; with an
-//! [`HGraph`](crate::HGraph) it is the PaToH analogue.
+//! `HGraph` it is the PaToH analogue.
 
 use crate::refine::{grow_initial, refine_bisection, side_weights, violation, BisectTarget};
 use lts_obs::MetricsRegistry;
@@ -20,21 +20,21 @@ use rand_chacha::ChaCha8Rng;
 /// Metric names of the multilevel V-cycle (level = coarsening depth).
 pub mod names {
     /// Histogram: time coarsening one V-cycle level (matching + contraction).
-    pub const VCYCLE_COARSEN: &str = "vcycle.coarsen";
+    pub(crate) const VCYCLE_COARSEN: &str = "vcycle.coarsen";
     /// Histogram: time solving the coarsest-level initial bisection.
-    pub const VCYCLE_INITIAL: &str = "vcycle.initial";
+    pub(crate) const VCYCLE_INITIAL: &str = "vcycle.initial";
     /// Histogram: time refining after projection back to one V-cycle level.
-    pub const VCYCLE_REFINE: &str = "vcycle.refine";
+    pub(crate) const VCYCLE_REFINE: &str = "vcycle.refine";
     /// Counter: bisections performed (one per recursive split).
-    pub const BISECTIONS: &str = "vcycle.bisections";
+    pub(crate) const BISECTIONS: &str = "vcycle.bisections";
     /// Counter: coarsening attempts abandoned for shrinking too slowly.
-    pub const COARSEN_STALLS: &str = "vcycle.coarsen_stalls";
+    pub(crate) const COARSEN_STALLS: &str = "vcycle.coarsen_stalls";
 }
 
 /// A cut model the engine partitions: vertices with `ncon` weights each and
 /// a cut objective. Everything else — recursion, V-cycle, initial bisection,
 /// FM, rebalance and k-way refinement — is shared.
-pub trait CutModel: Sized {
+pub(crate) trait CutModel: Sized {
     /// Gain state kept up to date across the moves of one FM pass or one
     /// rebalance (rebuilt at the start of each): per-net side counts for
     /// the hypergraph, nothing for the graph.
@@ -112,20 +112,20 @@ pub trait CutModel: Sized {
 
 /// Tuning knobs of the multilevel engine.
 #[derive(Debug, Clone, Copy)]
-pub struct PartitionConfig {
+pub(crate) struct PartitionConfig {
     /// Allowed relative imbalance ε of Eq. 19 (PaToH's `final_imbal`).
-    pub eps: f64,
+    pub(crate) eps: f64,
     /// RNG seed; identical seeds give identical partitions.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Run the explicit rebalancing pass around FM (the PaToH-style
     /// "final_imbal enforcement"); `false` mimics MeTiS, which only
     /// *constrains* balance during refinement.
-    pub active_rebalance: bool,
+    pub(crate) active_rebalance: bool,
     /// Split `eps` across the ~log2(K) nested bisections so the compounded
     /// K-way imbalance stays within `eps`. Modern practice; 2015-era MeTiS
     /// multi-constraint effectively compounded the tolerance instead, which
     /// is the behaviour the paper's Fig. 7 exposes — set `false` to mimic it.
-    pub adjust_eps: bool,
+    pub(crate) adjust_eps: bool,
 }
 
 impl Default for PartitionConfig {
@@ -147,7 +147,7 @@ const N_INITS: usize = 4;
 /// Partition `m` into `k` parts, recording V-cycle phase timers and FM
 /// counters into `reg` (metric level = V-cycle coarsening depth). Returns
 /// `part[v] ∈ 0..k`.
-pub fn partition_kway<M: CutModel>(
+pub(crate) fn partition_kway<M: CutModel>(
     m: &M,
     k: usize,
     cfg: &PartitionConfig,
@@ -367,8 +367,9 @@ mod tests {
     //! The engine's test table: each behaviour is checked once per cut
     //! model, on a [`Graph`] and an [`HGraph`] fixture.
     use super::*;
+    use crate::graph::Graph;
+    use crate::hgraph::HGraph;
     use crate::refine::{fm_pass, rebalance};
-    use crate::{Graph, HGraph};
     use lts_mesh::{HexMesh, Levels};
 
     fn mesh_graph(nx: usize, ny: usize, nz: usize) -> Graph {

@@ -1,5 +1,5 @@
 //! Bisection machinery of the multilevel engine, generic over the
-//! [`CutModel`]: balance bookkeeping (Eq. 19), greedy-growing initial
+//! `CutModel`: balance bookkeeping (Eq. 19), greedy-growing initial
 //! bisections, Fiduccia–Mattheyses boundary refinement with rollback, and an
 //! explicit rebalancing pass.
 
@@ -13,30 +13,26 @@ use std::collections::BinaryHeap;
 /// Metric names recorded by the refinement machinery (level = V-cycle depth).
 pub mod names {
     /// Counter: FM passes executed.
-    pub const FM_PASSES: &str = "fm.passes";
+    pub(crate) const FM_PASSES: &str = "fm.passes";
     /// Counter: total cut improvement kept across FM passes.
-    pub const FM_GAIN: &str = "fm.gain";
+    pub(crate) const FM_GAIN: &str = "fm.gain";
     /// Counter: vertex moves applied during FM passes (before rollback).
-    pub const FM_MOVES: &str = "fm.moves";
+    pub(crate) const FM_MOVES: &str = "fm.moves";
     /// Counter: moves undone when rolling back to the best prefix.
-    pub const FM_ROLLBACK: &str = "fm.rollback";
+    pub(crate) const FM_ROLLBACK: &str = "fm.rollback";
 }
 
 /// Target of one bisection step: side 0 should receive the fraction
 /// `f_left` of every constraint, within relative tolerance `eps`.
 #[derive(Debug, Clone, Copy)]
-pub struct BisectTarget {
-    pub f_left: f64,
-    pub eps: f64,
+pub(crate) struct BisectTarget {
+    pub(crate) f_left: f64,
+    pub(crate) eps: f64,
 }
 
 impl BisectTarget {
-    pub fn even(eps: f64) -> Self {
-        BisectTarget { f_left: 0.5, eps }
-    }
-
     /// Per-side, per-constraint weight limits `(1+ε) f_side Σw`.
-    pub fn limits(&self, tot: &[u64]) -> Vec<[u64; 2]> {
+    pub(crate) fn limits(&self, tot: &[u64]) -> Vec<[u64; 2]> {
         tot.iter()
             .map(|&t| {
                 let l = ((1.0 + self.eps) * self.f_left * t as f64).ceil() as u64;
@@ -50,7 +46,7 @@ impl BisectTarget {
 }
 
 /// Side weights: `sw[c][side]`.
-pub fn side_weights<M: CutModel>(m: &M, side: &[u8]) -> Vec<[u64; 2]> {
+pub(crate) fn side_weights<M: CutModel>(m: &M, side: &[u8]) -> Vec<[u64; 2]> {
     let mut sw = vec![[0u64; 2]; m.ncon()];
     for (w, &s) in m.vwgt().chunks_exact(m.ncon()).zip(side) {
         for (c, &x) in w.iter().enumerate() {
@@ -62,7 +58,7 @@ pub fn side_weights<M: CutModel>(m: &M, side: &[u8]) -> Vec<[u64; 2]> {
 
 /// Worst normalized overload of any (constraint, side) against `limits`,
 /// as a ratio (0 = feasible).
-pub fn violation(sw: &[[u64; 2]], limits: &[[u64; 2]]) -> f64 {
+pub(crate) fn violation(sw: &[[u64; 2]], limits: &[[u64; 2]]) -> f64 {
     worst_violation(sw, limits).map_or(0.0, |(over, _, _)| over)
 }
 
@@ -118,7 +114,11 @@ fn apply_move<M: CutModel>(
 /// Greedy-growing initial bisection: BFS from a random seed fills side 0
 /// until every constraint reaches its target, with adaptively loosened caps,
 /// then a forced fill guarantees no constraint is left starved.
-pub fn grow_initial<M: CutModel>(m: &M, target: &BisectTarget, rng: &mut ChaCha8Rng) -> Vec<u8> {
+pub(crate) fn grow_initial<M: CutModel>(
+    m: &M,
+    target: &BisectTarget,
+    rng: &mut ChaCha8Rng,
+) -> Vec<u8> {
     let (n, ncon, vwgt) = (m.n_vertices(), m.ncon(), m.vwgt());
     let goals: Vec<u64> = m
         .total_weights()
@@ -206,15 +206,15 @@ pub fn grow_initial<M: CutModel>(m: &M, target: &BisectTarget, rng: &mut ChaCha8
 /// What one FM pass did: the kept cut improvement, the moves it tried, and
 /// how many of those were rolled back past the best prefix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FmPassOutcome {
-    pub gain: u64,
-    pub moves: u64,
-    pub rolled_back: u64,
+pub(crate) struct FmPassOutcome {
+    pub(crate) gain: u64,
+    pub(crate) moves: u64,
+    pub(crate) rolled_back: u64,
 }
 
 /// One FM pass with rollback: vertices move at most once, the best prefix of
 /// the move sequence is kept.
-pub fn fm_pass<M: CutModel>(
+pub(crate) fn fm_pass<M: CutModel>(
     m: &M,
     side: &mut [u8],
     sw: &mut [[u64; 2]],
@@ -299,7 +299,12 @@ pub fn fm_pass<M: CutModel>(
 /// the overloaded-side vertex with the least cut damage that reduces the
 /// violation (the PaToH-style `final_imbal` enforcement; it also makes
 /// infeasible coarse solutions feasible).
-pub fn rebalance<M: CutModel>(m: &M, side: &mut [u8], sw: &mut [[u64; 2]], limits: &[[u64; 2]]) {
+pub(crate) fn rebalance<M: CutModel>(
+    m: &M,
+    side: &mut [u8],
+    sw: &mut [[u64; 2]],
+    limits: &[[u64; 2]],
+) {
     let (n, ncon, vwgt) = (m.n_vertices(), m.ncon(), m.vwgt());
     let mut sides = m.sides(side);
     for _ in 0..4 * n {
@@ -327,7 +332,7 @@ pub fn rebalance<M: CutModel>(m: &M, side: &mut [u8], sw: &mut [[u64; 2]], limit
 /// Bisection refinement: rebalance (if `active_rebalance`), FM passes to a
 /// fixed point (≤ `max_passes`), rebalance again; pass/gain/move/rollback
 /// counters go to `reg` under `vcycle_level`.
-pub fn refine_bisection<M: CutModel>(
+pub(crate) fn refine_bisection<M: CutModel>(
     m: &M,
     side: &mut [u8],
     target: &BisectTarget,
@@ -364,8 +369,12 @@ pub fn refine_bisection<M: CutModel>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Graph;
+    use crate::graph::Graph;
     use rand::SeedableRng;
+
+    fn even(eps: f64) -> BisectTarget {
+        BisectTarget { f_left: 0.5, eps }
+    }
 
     fn refine(g: &Graph, side: &mut [u8], t: &BisectTarget) {
         refine_bisection(g, side, t, 10, true, None, &mut MetricsRegistry::new());
@@ -408,7 +417,7 @@ mod tests {
     fn grow_initial_hits_target() {
         let g = grid_graph(8, 8);
         let mut rng = ChaCha8Rng::seed_from_u64(42);
-        let t = BisectTarget::even(0.05);
+        let t = even(0.05);
         let side = grow_initial(&g, &t, &mut rng);
         let w0 = side.iter().filter(|&&s| s == 0).count();
         assert!((24..=40).contains(&w0), "side0 = {w0}");
@@ -418,7 +427,7 @@ mod tests {
     fn fm_finds_straight_cut_on_grid() {
         // an 8×8 grid bisected optimally has cut 8
         let g = grid_graph(8, 8);
-        let t = BisectTarget::even(0.05);
+        let t = even(0.05);
         let mut best = u64::MAX;
         for seed in 0..5 {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -433,7 +442,7 @@ mod tests {
     #[test]
     fn refinement_never_breaks_balance() {
         let g = grid_graph(10, 6);
-        let t = BisectTarget::even(0.05);
+        let t = even(0.05);
         let mut rng = ChaCha8Rng::seed_from_u64(7);
         let mut side = grow_initial(&g, &t, &mut rng);
         refine(&g, &mut side, &t);
@@ -455,7 +464,7 @@ mod tests {
             }
         }
         g.vwgt = vwgt;
-        let t = BisectTarget::even(0.10);
+        let t = even(0.10);
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let mut side = grow_initial(&g, &t, &mut rng);
         refine(&g, &mut side, &t);
@@ -474,7 +483,7 @@ mod tests {
         let g = grid_graph(6, 6);
         let mut side = vec![0u8; 36];
         side[35] = 1; // everything on side 0
-        let t = BisectTarget::even(0.05);
+        let t = even(0.05);
         let limits = t.limits(&g.total_weights());
         let mut sw = side_weights(&g, &side);
         rebalance(&g, &mut side, &mut sw, &limits);

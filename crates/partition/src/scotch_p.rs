@@ -21,11 +21,11 @@ pub enum MappingMethod {
 
 /// Partition `mesh` into `k` parts, balancing every p-level exactly by
 /// construction (greedy coupling, as in the paper).
-pub fn partition_scotch_p(mesh: &HexMesh, levels: &Levels, k: usize, seed: u64) -> Vec<u32> {
+pub(crate) fn partition_scotch_p(mesh: &HexMesh, levels: &Levels, k: usize, seed: u64) -> Vec<u32> {
     partition_scotch_p_with(mesh, levels, k, seed, MappingMethod::Greedy)
 }
 
-/// [`partition_scotch_p`] with a selectable part-to-processor coupling.
+/// `partition_scotch_p` with a selectable part-to-processor coupling.
 pub fn partition_scotch_p_with(
     mesh: &HexMesh,
     levels: &Levels,

@@ -13,14 +13,14 @@ use lts_obs::MetricsRegistry;
 /// Metric names of the strategy dispatch layer.
 pub mod names {
     /// Histogram: time building the graph/hypergraph model.
-    pub const BUILD_MODEL: &str = "strategy.build_model";
+    pub(crate) const BUILD_MODEL: &str = "strategy.build_model";
     /// Histogram: time in the core multilevel engine.
-    pub const PARTITION: &str = "strategy.partition";
+    pub(crate) const PARTITION: &str = "strategy.partition";
     /// Histogram: time in the direct K-way refinement pass.
-    pub const KWAY_REFINE: &str = "strategy.kway_refine";
+    pub(crate) const KWAY_REFINE: &str = "strategy.kway_refine";
     /// Gauge: Eq. 21 imbalance of the produced partition, percent
     /// (level-less = total, per level = that level's element-count balance).
-    pub const IMBALANCE_PCT: &str = "imbalance_pct";
+    pub(crate) const IMBALANCE_PCT: &str = "imbalance_pct";
 }
 
 /// Which partitioner to run (paper names in quotes).

@@ -12,7 +12,7 @@ use lts_mesh::{HexMesh, Levels};
 
 /// One set-associative LRU cache level.
 #[derive(Debug, Clone)]
-pub struct CacheSim {
+pub(crate) struct CacheSim {
     line_bytes: u64,
     n_sets: usize,
     assoc: usize,
@@ -21,12 +21,12 @@ pub struct CacheSim {
     /// LRU stamps, larger = more recent.
     stamps: Vec<u64>,
     clock: u64,
-    pub hits: u64,
-    pub misses: u64,
+    pub(crate) hits: u64,
+    pub(crate) misses: u64,
 }
 
 impl CacheSim {
-    pub fn new(capacity_bytes: u64, line_bytes: u64, assoc: usize) -> Self {
+    pub(crate) fn new(capacity_bytes: u64, line_bytes: u64, assoc: usize) -> Self {
         let n_lines = (capacity_bytes / line_bytes) as usize;
         assert!(assoc >= 1 && n_lines >= assoc);
         let n_sets = (n_lines / assoc).max(1);
@@ -43,7 +43,7 @@ impl CacheSim {
     }
 
     /// Access a byte address; returns `true` on hit.
-    pub fn access(&mut self, addr: u64) -> bool {
+    pub(crate) fn access(&mut self, addr: u64) -> bool {
         let line = addr / self.line_bytes;
         let set = (line as usize) % self.n_sets;
         let tag = line;
@@ -73,14 +73,14 @@ impl CacheSim {
 /// Aggregate D1+D2 statistics of one simulated rank cycle.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CacheStats {
-    pub accesses: u64,
-    pub d1_hits: u64,
-    pub d2_hits: u64,
+    pub(crate) accesses: u64,
+    pub(crate) d1_hits: u64,
+    pub(crate) d2_hits: u64,
 }
 
 impl CacheStats {
     /// Combined D1+D2 hits (craypat's metric in Fig. 12).
-    pub fn d1d2_hits(&self) -> u64 {
+    pub(crate) fn d1d2_hits(&self) -> u64 {
         self.d1_hits + self.d2_hits
     }
 
@@ -97,11 +97,11 @@ impl CacheStats {
 #[derive(Debug, Clone, Copy)]
 pub struct TraceConfig {
     /// GLL nodes per element edge (order + 1); 5 for SPECFEM's order 4.
-    pub nodes_per_edge: usize,
+    pub(crate) nodes_per_edge: usize,
     /// D1: 32 KiB, 8-way, 64-B lines (Sandy Bridge).
-    pub d1_bytes: u64,
+    pub(crate) d1_bytes: u64,
     /// D2: 256 KiB, 8-way.
-    pub d2_bytes: u64,
+    pub(crate) d2_bytes: u64,
 }
 
 impl Default for TraceConfig {

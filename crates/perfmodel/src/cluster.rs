@@ -21,23 +21,23 @@ use lts_partition::PartitionShape;
 #[derive(Debug, Clone, Copy)]
 pub struct MachineModel {
     /// Seconds per element per sub-step (out-of-cache).
-    pub t_elem: f64,
+    pub(crate) t_elem: f64,
     /// Seconds per masked-product invocation (kernel setup + launch).
-    pub kernel_launch: f64,
+    pub(crate) kernel_launch: f64,
     /// Seconds per message (latency).
-    pub alpha: f64,
+    pub(crate) alpha: f64,
     /// Seconds per interface corner-node value exchanged.
-    pub beta: f64,
+    pub(crate) beta: f64,
     /// Speed multiplier once the rank's working set fits in cache (< 1);
     /// 1.0 disables the effect.
-    pub cache_factor: f64,
+    pub(crate) cache_factor: f64,
     /// Working-set size, in elements, at which half the cache benefit is
     /// realised.
-    pub cache_elems: f64,
+    pub(crate) cache_elems: f64,
     /// Overlap communication with interior computation (the SPECFEM3D
     /// asynchronous pattern): per level,
     /// `T = launch + boundary·t + max(interior·t, α·peers + β·vol)`.
-    pub overlap: bool,
+    pub(crate) overlap: bool,
 }
 
 impl MachineModel {
@@ -96,7 +96,7 @@ impl MachineModel {
     }
 
     /// Effective per-element time for a rank holding `elems` elements.
-    pub fn t_elem_eff(&self, elems: f64) -> f64 {
+    pub(crate) fn t_elem_eff(&self, elems: f64) -> f64 {
         if self.cache_factor >= 1.0 {
             return self.t_elem;
         }
@@ -110,8 +110,6 @@ impl MachineModel {
 /// Cycle cost breakdown.
 #[derive(Debug, Clone)]
 pub struct CycleBreakdown {
-    /// `max_r T_l(r)` per level.
-    pub level_max: Vec<f64>,
     /// Total seconds per global `Δt` (LTS).
     pub lts_cycle: f64,
     /// Total seconds per global `Δt` for the non-LTS scheme (`p_max` fine
@@ -163,15 +161,9 @@ pub fn simulate(shape: &PartitionShape, m: &MachineModel) -> CycleBreakdown {
     }
     let global_cycle = p_max as f64 * worst;
     CycleBreakdown {
-        level_max,
         lts_cycle,
         global_cycle,
     }
-}
-
-/// Performance in simulated-seconds per wall-second for a step `dt`.
-pub fn performance(dt: f64, cycle_seconds: f64) -> f64 {
-    dt / cycle_seconds
 }
 
 #[cfg(test)]

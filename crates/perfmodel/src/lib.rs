@@ -21,6 +21,3 @@
 #![allow(clippy::needless_range_loop)]
 pub mod cache;
 pub mod cluster;
-
-pub use cache::{CacheSim, CacheStats, TraceConfig};
-pub use cluster::{CycleBreakdown, MachineModel};

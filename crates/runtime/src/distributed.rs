@@ -7,14 +7,14 @@
 //! and steps it through the same recursion as the serial stepper,
 //! [`lts_core::LevelState::step`]. The rank supplies only its
 //! [`LevelForce`] hook — zero its entries, apply boundary then interior
-//! elements, exchange, count. One rank body, [`step_rank`], serves the
+//! elements, exchange, count. One rank body, `step_rank`, serves the
 //! in-process rank threads of [`run`] and the `wave-lts worker` processes
 //! of [`run_rank`]; both runs end in one [`RunOutput`] constructor.
 //!
 //! Ranks speak to each other only through the pluggable
 //! [`crate::transport::Transport`] trait, so the same stepper runs over
 //! in-process channels, bounded shared-memory rings, or Unix-socket frames
-//! (and, wrapped in a [`crate::transport::faulty::FaultyTransport`], under
+//! (and, wrapped in a `crate::transport::faulty::FaultyTransport`, under
 //! injected faults). Every force evaluation applies boundary elements first
 //! and interior elements second *in both communication modes*: interface
 //! partials depend only on boundary elements, so the payload bytes — and,
@@ -52,9 +52,6 @@ pub struct DistributedConfig {
     /// Artificial extra work per element-operation (spin iterations) — makes
     /// load imbalance visible on problems too small to measure otherwise.
     pub work_amplify: u32,
-    /// Restrict `work_amplify` to one rank: deterministic skew for stall
-    /// experiments. `None` amplifies every rank.
-    pub amplify_rank: Option<usize>,
     /// Overlap communication with computation (the SPECFEM3D pattern the
     /// paper uses): compute boundary-element contributions, post the sends,
     /// compute interior elements while messages fly, then assemble.
@@ -71,31 +68,15 @@ pub struct DistributedConfig {
     pub transport: TransportKind,
     /// Flight-recorder ring capacity per rank, in events. `0` disables
     /// recording; [`DistributedConfig::new`] sets
-    /// [`FlightRecorder::DEFAULT_CAPACITY`], and binaries read `LTS_FLIGHT`
-    /// through [`flight_capacity_from_env`]. The ring is the run's one
-    /// per-event record: its timeline, trace and crash report. The recorder
-    /// is proven bitwise-neutral: fields and deterministic counters are
-    /// identical with it on or off.
+    /// [`FlightRecorder::DEFAULT_CAPACITY`], and binaries take `--flight N`.
+    /// The ring is the run's one per-event record: its timeline, trace and
+    /// crash report. The recorder is proven bitwise-neutral: fields and
+    /// deterministic counters are identical with it on or off.
     pub flight_capacity: usize,
     /// Inject a transport fault on one rank: the rank it names wraps its
-    /// endpoint in a [`crate::transport::faulty::FaultyTransport`] with the
+    /// endpoint in a `crate::transport::faulty::FaultyTransport` with the
     /// given plan, in process and in a `wave-lts worker` alike.
     pub fault: Option<(usize, FaultPlan)>,
-}
-
-/// `LTS_FLIGHT` env override for the flight-recorder ring capacity: `0`
-/// disables it, any other integer sets the per-rank capacity in events;
-/// unset → [`FlightRecorder::DEFAULT_CAPACITY`]. Any other value is an
-/// error naming the variable.
-pub fn flight_capacity_from_env() -> Result<usize, String> {
-    match std::env::var("LTS_FLIGHT") {
-        Ok(v) => v
-            .trim()
-            .parse()
-            .map_err(|_| format!("invalid value {v:?} for LTS_FLIGHT")),
-        Err(std::env::VarError::NotPresent) => Ok(FlightRecorder::DEFAULT_CAPACITY),
-        Err(e) => Err(format!("invalid LTS_FLIGHT: {e}")),
-    }
 }
 
 impl DistributedConfig {
@@ -103,7 +84,6 @@ impl DistributedConfig {
         DistributedConfig {
             n_ranks,
             work_amplify: 0,
-            amplify_rank: None,
             overlap: false,
             stall_monitor: None,
             threads_per_rank: 1,
@@ -117,14 +97,14 @@ impl DistributedConfig {
 /// One rank's final fields in its own numbering.
 #[derive(Debug, Clone)]
 pub struct RankFields {
-    pub u: Vec<f64>,
-    pub v: Vec<f64>,
+    pub(crate) u: Vec<f64>,
+    pub(crate) v: Vec<f64>,
     /// Global DOF id of each local DOF.
-    pub global_of_local: Vec<u32>,
+    pub(crate) global_of_local: Vec<u32>,
 }
 
 /// One rank's outcome: its final fields and statistics, or its failure.
-pub type RankRun = Result<(RankFields, RankStats), RuntimeError>;
+pub(crate) type RankRun = Result<(RankFields, RankStats), RuntimeError>;
 
 struct RankCtx<'a, O: Operator> {
     rank: usize,
@@ -277,7 +257,7 @@ impl<'a, O: Operator> RankCtx<'a, O> {
     }
 
     fn amplify(&self, n_elems: usize) {
-        if self.cfg.work_amplify > 0 && self.cfg.amplify_rank.is_none_or(|r| r == self.rank) {
+        if self.cfg.work_amplify > 0 {
             let iters = self.cfg.work_amplify as u64 * n_elems as u64;
             let mut x = 0u64;
             for i in 0..iters {
@@ -725,17 +705,17 @@ pub(crate) fn empty_recording(rank: usize) -> RankRecording {
 /// elements, its plan, level sets and metadata, state and sources, all in
 /// the grouped rank-local numbering (see [`crate::local`]).
 pub(crate) struct LocalRank<O: Operator> {
-    pub op: O,
+    pub(crate) op: O,
     /// The prefix ends of the rank's level sets.
-    pub sets: LevelSets,
-    pub dof_level: Vec<u8>,
-    pub plan: RankPlan,
-    pub u: Vec<f64>,
-    pub v: Vec<f64>,
+    pub(crate) sets: LevelSets,
+    pub(crate) dof_level: Vec<u8>,
+    pub(crate) plan: RankPlan,
+    pub(crate) u: Vec<f64>,
+    pub(crate) v: Vec<f64>,
     /// Per leaf level: (source index, rank-local DOF).
-    pub my_sources: Vec<Vec<(usize, u32)>>,
+    pub(crate) my_sources: Vec<Vec<(usize, u32)>>,
     /// Global DOF id of each local DOF (for final assembly).
-    pub global_of_local: Vec<u32>,
+    pub(crate) global_of_local: Vec<u32>,
 }
 
 /// The global `(u, v)` from every rank's final fields, in rank order: the

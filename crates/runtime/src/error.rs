@@ -40,7 +40,7 @@ pub enum RuntimeError {
     /// timeout-injecting transport wrapper; real backends block).
     ExchangeTimeout { rank: usize, level: usize },
     /// An injected fault fired on this rank (see
-    /// [`crate::transport::faulty::FaultyTransport`]).
+    /// `crate::transport::faulty::FaultyTransport`).
     FaultInjected { rank: usize, level: usize },
     /// A peer's payload length did not match the exchange plan's shared-DOF
     /// count, or its level tag did not match the awaited exchange.

@@ -15,30 +15,30 @@ use lts_core::{DofTopology, LtsSetup};
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RankPlan {
     /// Elements this rank owns, intersected with `setup.elems[l]`.
-    pub my_elems: Vec<Vec<u32>>,
+    pub(crate) my_elems: Vec<Vec<u32>>,
     /// `my_elems[l]` split for communication overlap: elements touching a
     /// shared DOF (their contributions must be computed before the sends)…
     pub my_boundary_elems: Vec<Vec<u32>>,
     /// …and the rest, computable while messages are in flight.
     pub my_interior_elems: Vec<Vec<u32>>,
     /// Per level: peers this rank exchanges with (sorted).
-    pub peers: Vec<Vec<usize>>,
+    pub(crate) peers: Vec<Vec<usize>>,
     /// Per level, aligned with `peers`: the DOFs sent to (and received
     /// from) that peer, in first-touch order.
-    pub pair_dofs: Vec<Vec<Vec<u32>>>,
+    pub(crate) pair_dofs: Vec<Vec<Vec<u32>>>,
     /// Per level: all shared DOFs of this rank, in first-touch order, with
     /// their full ascending rank sets.
-    pub shared: Vec<SharedDofs>,
+    pub(crate) shared: Vec<SharedDofs>,
 }
 
 /// Shared DOFs of one level with their rank sets, stored flat:
 /// `ranks[offsets[i]..offsets[i + 1]]` is the ascending rank set of
 /// `dofs[i]`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SharedDofs {
-    pub dofs: Vec<u32>,
-    pub offsets: Vec<u32>,
-    pub ranks: Vec<u32>,
+pub(crate) struct SharedDofs {
+    pub(crate) dofs: Vec<u32>,
+    pub(crate) offsets: Vec<u32>,
+    pub(crate) ranks: Vec<u32>,
 }
 
 impl Default for SharedDofs {
@@ -52,14 +52,14 @@ impl Default for SharedDofs {
 }
 
 impl SharedDofs {
-    pub fn push(&mut self, dof: u32, ranks: &[u32]) {
+    pub(crate) fn push(&mut self, dof: u32, ranks: &[u32]) {
         self.dofs.push(dof);
         self.ranks.extend_from_slice(ranks);
         self.offsets.push(self.ranks.len() as u32);
     }
 
     /// `(dof, ascending rank set)` in the stored (first-touch) order.
-    pub fn entries(&self) -> impl Iterator<Item = (u32, &[u32])> + '_ {
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (u32, &[u32])> + '_ {
         self.dofs
             .iter()
             .zip(self.offsets.windows(2))

@@ -32,14 +32,12 @@ pub mod stats;
 pub mod transport;
 
 pub use distributed::{
-    flight_capacity_from_env, run, run_distributed_local_acoustic_flight,
-    run_distributed_local_acoustic_observed, run_rank, DistributedConfig, RankFields, RankRun,
-    RunOutput, RunResult, RunSpec,
+    run, run_distributed_local_acoustic_flight, run_distributed_local_acoustic_observed, run_rank,
+    DistributedConfig, RunOutput, RunResult, RunSpec,
 };
 pub use error::RuntimeError;
 pub use local::{Acoustic, Decompose, Elastic};
 pub use monitor::MonitorConfig;
-pub use postmortem::CrashReport;
 pub use stats::{ascii_timeline, lambda_from_stats, profile_json, LevelStats, RankStats};
 pub use transport::faulty::FaultPlan;
-pub use transport::{Transport, TransportError, TransportKind};
+pub use transport::{Transport, TransportKind};

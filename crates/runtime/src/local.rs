@@ -14,9 +14,9 @@
 //! [`lts_core::setup::local_numbering`], linear in the rank's elements and
 //! with no sort, so decomposing costs O(E + ndof + Σ_r local_r).
 //!
-//! [`local_worlds`] builds every rank's world, calling the per-rank builder
-//! [`rank_world`] with one shared [`LocalIndex`]; a `wave-lts worker`
-//! process calls [`rank_world`] for its own rank alone. Verified bitwise
+//! `local_worlds` builds every rank's world, calling the per-rank builder
+//! `rank_world` with one shared `LocalIndex`; a `wave-lts worker`
+//! process calls `rank_world` for its own rank alone. Verified bitwise
 //! against the serial stepper.
 
 use crate::distributed::{LocalRank, RunSpec};
@@ -36,19 +36,21 @@ pub trait Decompose: Sync {
     const COMPONENTS: u32;
     fn global(&self) -> Self::Global;
     /// The local operator over `elems` (ascending) with masses gathered
-    /// from `global`, and the global node of each local node, local nodes
-    /// grouped by the leaf level `leaf_of(g)` of each global node, finest
-    /// first (ascending global node within a level), as
-    /// [`lts_core::setup::local_numbering`] numbers them. `node_map` is a dense
-    /// global→local node array, every entry
-    /// [`lts_sem::unstructured::UNMAPPED`] on entry and again on return.
+    /// from `global`, the global node of each local node, and the local
+    /// nodes per leaf level. Local nodes are grouped by the leaf level
+    /// `leaf_of(g)` of each global node, finest first (ascending global node
+    /// within a level), as [`lts_core::setup::local_numbering`] numbers
+    /// them. `node_map` is a dense global→local node array, every entry
+    /// [`lts_sem::unstructured::UNMAPPED`] on entry; on return it maps the
+    /// rank's nodes to their local ids, and the caller, which uses it as
+    /// the rank's node index, clears them.
     fn local(
         &self,
         global: &Self::Global,
         elems: &[u32],
         leaf_of: &dyn Fn(u32) -> u8,
         node_map: &mut [u32],
-    ) -> (Self::Local, Vec<u32>);
+    ) -> (Self::Local, Vec<u32>, Vec<usize>);
 }
 
 /// The acoustic SEM of `mesh` at polynomial `order`.
@@ -78,7 +80,7 @@ impl Decompose for Acoustic<'_> {
         elems: &[u32],
         leaf_of: &dyn Fn(u32) -> u8,
         node_map: &mut [u32],
-    ) -> (UnstructuredAcoustic, Vec<u32>) {
+    ) -> (UnstructuredAcoustic, Vec<u32>, Vec<usize>) {
         let mass = |g: u32| global.mass()[g as usize];
         let (mesh, order) = (self.mesh, self.order);
         UnstructuredAcoustic::from_subset_in(mesh, order, elems, Some(&mass), leaf_of, node_map)
@@ -98,7 +100,7 @@ impl Decompose for Elastic<'_> {
         elems: &[u32],
         leaf_of: &dyn Fn(u32) -> u8,
         node_map: &mut [u32],
-    ) -> (UnstructuredElastic, Vec<u32>) {
+    ) -> (UnstructuredElastic, Vec<u32>, Vec<usize>) {
         let mass = |g: u32| global.mass()[3 * g as usize];
         let (mesh, order) = (self.mesh, self.order);
         UnstructuredElastic::from_subset_in(mesh, order, elems, Some(&mass), leaf_of, node_map)
@@ -118,7 +120,7 @@ impl Decompose for Chain1d {
         elems: &[u32],
         leaf_of: &dyn Fn(u32) -> u8,
         node_map: &mut [u32],
-    ) -> (Chain1d, Vec<u32>) {
+    ) -> (Chain1d, Vec<u32>, Vec<usize>) {
         global.subset(elems, leaf_of, node_map)
     }
 }
@@ -150,8 +152,8 @@ pub(crate) fn decompose<P: Decompose>(problem: &P, spec: &RunSpec<'_>) -> Decomp
 /// Global → rank-local index, one rank at a time: a dense array over the
 /// global range, loaded with the current rank's ids and cleared after it.
 /// Localizing every rank costs O(global + Σ local), with no hashing and no
-/// search per lookup. While unloaded, the array also serves
-/// [`Decompose::local`] as its node map.
+/// search per lookup. The node index is loaded by [`Decompose::local`],
+/// which numbers the rank's nodes in it.
 struct LocalIndex {
     local: Vec<u32>,
 }
@@ -282,9 +284,9 @@ fn build_world<P: Decompose>(
     let my_elems = &d.by_rank[rank];
     let leaf_level = &d.setup.leaf_level;
     let leaf_of = |g: u32| leaf_level[(c * g) as usize];
-    let (op, node_of_local) = problem.local(&d.global, my_elems, &leaf_of, &mut index.node.local);
+    let (op, node_of_local, node_counts) =
+        problem.local(&d.global, my_elems, &leaf_of, &mut index.node.local);
     index.elem.load(my_elems);
-    index.node.load(&node_of_local);
     let (elem_index, node_index) = (&index.elem, &index.node);
     let local_dof = |g: u32| c * node_index.of(g / c) + g % c;
     let n_local_dofs = c as usize * node_of_local.len();
@@ -301,8 +303,7 @@ fn build_world<P: Decompose>(
     let global_of_local: Vec<u32> = (0..n_local_dofs as u32)
         .map(|ld| c * node_of_local[(ld / c) as usize] + ld % c)
         .collect();
-    let sets =
-        LevelSets::of_leaf_levels(global_of_local.iter().map(|&g| leaf_level[g as usize]), nl);
+    let sets = LevelSets::of_level_counts(node_counts.iter().map(|&n| c as usize * n), nl);
     LocalRank {
         op,
         sets,

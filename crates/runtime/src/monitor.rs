@@ -2,16 +2,16 @@
 //!
 //! The paper's diagnosis loop is post-hoc: run, dump `RankStats`, look at
 //! Fig. 1. This module watches one rank's own signals *while the run is
-//! live*: a [`RankMonitor`] folds each exchange's busy/wait durations into
-//! a window of [`WINDOW_EXCHANGES`] exchanges. At every window boundary the
+//! live*: a `RankMonitor` folds each exchange's busy/wait durations into
+//! a window of `WINDOW_EXCHANGES` exchanges. At every window boundary the
 //! rank
 //!
 //! * counts the window ([`crate::stats::names::STALL_WINDOWS`]),
 //! * records its windowed per-level wait-fraction watermark as a gauge
-//!   ([`crate::stats::names::STALL_WAIT_FRAC_WM`]), and
+//!   (`crate::stats::names::STALL_WAIT_FRAC_WM`), and
 //! * raises a stall warning (once per level) when the window's wait
-//!   fraction reaches [`WAIT_WARN_FRACTION`]: a
-//!   [`crate::stats::names::STALL_WARNINGS`] count, a `stall_warning`
+//!   fraction reaches `WAIT_WARN_FRACTION`: a
+//!   `crate::stats::names::STALL_WARNINGS` count, a `stall_warning`
 //!   flight event and one `[stall-monitor]` stderr line.
 //!
 //! The monitor reads nothing of other ranks, so an in-process rank thread
@@ -23,20 +23,20 @@ use crate::stats::names;
 use lts_obs::{EventKind, FlightRecorder, MetricsRegistry, NO_PEER};
 
 /// Exchanges per observation window (per rank).
-pub const WINDOW_EXCHANGES: u64 = 16;
+pub(crate) const WINDOW_EXCHANGES: u64 = 16;
 
 /// A window whose per-level wait fraction reaches this value warns.
-pub const WAIT_WARN_FRACTION: f64 = 0.5;
+pub(crate) const WAIT_WARN_FRACTION: f64 = 0.5;
 
 /// The stall monitor's on-switch: `DistributedConfig::stall_monitor =
-/// Some(MonitorConfig)` runs a [`RankMonitor`] on every rank.
+/// Some(MonitorConfig)` runs a `RankMonitor` on every rank.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MonitorConfig;
 
 /// One rank's window accumulation and gauge recording; `reg` is that
 /// rank's registry.
 #[derive(Debug)]
-pub struct RankMonitor {
+pub(crate) struct RankMonitor {
     rank: usize,
     exchanges: u64,
     win_busy: Vec<f64>,
@@ -45,7 +45,7 @@ pub struct RankMonitor {
 }
 
 impl RankMonitor {
-    pub fn new(rank: usize, n_levels: usize) -> Self {
+    pub(crate) fn new(rank: usize, n_levels: usize) -> Self {
         RankMonitor {
             rank,
             exchanges: 0,
@@ -57,7 +57,7 @@ impl RankMonitor {
 
     /// Called by the rank at every exchange point of `step`; closes a
     /// window every [`WINDOW_EXCHANGES`] calls.
-    pub fn on_exchange(
+    pub(crate) fn on_exchange(
         &mut self,
         reg: &mut MetricsRegistry,
         flight: &mut FlightRecorder,
@@ -79,7 +79,7 @@ impl RankMonitor {
     /// partial window. Every level that warns counts one
     /// [`names::STALL_WARNINGS`] and records one `stall_warning` flight
     /// event at that level, so the counter and the ring agree.
-    pub fn flush_window(
+    pub(crate) fn flush_window(
         &mut self,
         reg: &mut MetricsRegistry,
         flight: &mut FlightRecorder,

@@ -7,7 +7,7 @@
 //! classifies the [`crate::RuntimeError`]) and writes three artifacts next
 //! to each other:
 //!
-//! * `PATH` — the JSON document (schema [`SCHEMA`]), machine-parseable and
+//! * `PATH` — the JSON document (schema `SCHEMA`), machine-parseable and
 //!   re-readable via [`read_report`];
 //! * `PATH.txt` — a human-readable rendering: causal-merge verdict, the
 //!   critical-path attribution (per-(rank, level) compute vs. wait, top
@@ -27,7 +27,7 @@ use lts_obs::{
 };
 
 /// Schema tag stamped into (and required from) every report document.
-pub const SCHEMA: &str = "wave-lts-crash/2";
+pub(crate) const SCHEMA: &str = "wave-lts-crash/2";
 
 /// A self-contained post-mortem: the failure reason plus every rank's
 /// drained flight ring.
@@ -38,7 +38,7 @@ pub struct CrashReport {
     /// `"rank-panicked"`, `"transport-io"` or `"runtime-error"`.
     pub reason: String,
     /// Human detail — typically the [`crate::RuntimeError`] display.
-    pub detail: String,
+    pub(crate) detail: String,
     /// One drained ring per rank, index-aligned with rank ids.
     pub recordings: Vec<RankRecording>,
 }

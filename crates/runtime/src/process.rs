@@ -57,7 +57,7 @@ pub struct ProcSpec {
 static SOCK_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// A collision-free socket path in the system temp directory.
-pub fn unique_socket_path() -> PathBuf {
+pub(crate) fn unique_socket_path() -> PathBuf {
     let seq = SOCK_SEQ.fetch_add(1, Ordering::Relaxed);
     std::env::temp_dir().join(format!("wave-lts-{}-{seq}.sock", std::process::id()))
 }

@@ -32,15 +32,15 @@ pub mod names {
     /// Counter: interface DOF values sent (message payload lengths), per level.
     pub const DOFS_SENT: &str = "dofs_sent";
     /// Histogram: compute segments ending at an exchange of this level (s).
-    pub const BUSY: &str = "busy";
+    pub(crate) const BUSY: &str = "busy";
     /// Histogram: blocked time at exchanges of this level (s).
-    pub const WAIT: &str = "wait";
+    pub(crate) const WAIT: &str = "wait";
     /// Gauge, per level: watermark of the rank's *windowed* wait fraction —
     /// the worst `wait/(busy+wait)` any monitor window saw at this level.
-    pub const STALL_WAIT_FRAC_WM: &str = "stall.wait_frac_wm";
+    pub(crate) const STALL_WAIT_FRAC_WM: &str = "stall.wait_frac_wm";
     /// Counter, per level: stall warnings raised by this rank (the monitor
     /// warns at most once per rank × level).
-    pub const STALL_WARNINGS: &str = "stall.warnings";
+    pub(crate) const STALL_WARNINGS: &str = "stall.warnings";
     /// Observation windows the stall monitor closed on this rank (counter,
     /// level-less). The count follows the exchange count, so it is
     /// deterministic.
@@ -48,13 +48,13 @@ pub mod names {
     /// Gauge: element operations per busy second over the whole run — the
     /// rank's masked-product throughput. Stamped after the join; derived
     /// from counters + timings, so it never enters counter-exact compares.
-    pub const ELEM_OPS_PER_SEC: &str = "elem_ops_per_sec";
+    pub(crate) const ELEM_OPS_PER_SEC: &str = "elem_ops_per_sec";
     /// Gauge, labelled by transport backend name: seconds the rank's
     /// endpoint spent blocked in `send` on backpressure.
-    pub const TRANSPORT_SEND_BLOCK_S: &str = "transport.send_block_s";
+    pub(crate) const TRANSPORT_SEND_BLOCK_S: &str = "transport.send_block_s";
     /// Gauge, labelled by transport backend name: payload bytes copied
     /// into ring slots or put on the wire.
-    pub const TRANSPORT_BYTES: &str = "transport.bytes";
+    pub(crate) const TRANSPORT_BYTES: &str = "transport.bytes";
 }
 
 /// Per-LTS-level slice of one rank's accounting.
@@ -66,13 +66,13 @@ pub struct LevelStats {
     /// Seconds blocked at exchanges of this level.
     pub wait_s: f64,
     /// Masked element products at this level.
-    pub elem_ops: u64,
+    pub(crate) elem_ops: u64,
     /// Exchange points awaited at this level.
-    pub n_exchanges: u64,
+    pub(crate) n_exchanges: u64,
     /// Partial-force messages posted at this level.
-    pub msgs_sent: u64,
+    pub(crate) msgs_sent: u64,
     /// Interface DOF values sent at this level.
-    pub dofs_sent: u64,
+    pub(crate) dofs_sent: u64,
 }
 
 /// Aggregated statistics of one rank after a run — a view over the rank's
@@ -99,7 +99,7 @@ pub struct RankStats {
 
 impl RankStats {
     /// Materialize the aggregate view from a rank's registry.
-    pub fn from_registry(rank: usize, mut registry: MetricsRegistry) -> Self {
+    pub(crate) fn from_registry(rank: usize, mut registry: MetricsRegistry) -> Self {
         let busy_s = registry.histogram_sum_total(names::BUSY);
         let elem_ops = registry.counter_total(names::ELEM_OPS);
         if busy_s > 0.0 {

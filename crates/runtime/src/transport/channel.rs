@@ -82,7 +82,7 @@ impl ClusterState {
 }
 
 /// One rank's endpoint of the in-process fabric.
-pub struct ChannelTransport {
+pub(crate) struct ChannelTransport {
     rank: usize,
     state: Arc<ClusterState>,
     closed: bool,
@@ -91,7 +91,7 @@ pub struct ChannelTransport {
 
 /// Build `n` fully connected endpoints with [`DEFAULT_CAPACITY`] slots per
 /// directed pair and immediate delivery.
-pub fn channel_cluster(n: usize) -> Vec<Box<dyn Transport>> {
+pub(crate) fn channel_cluster(n: usize) -> Vec<Box<dyn Transport>> {
     channel_cluster_with(n, DEFAULT_CAPACITY, Duration::ZERO)
 }
 

@@ -1,7 +1,7 @@
 //! The versioned, length-prefixed wire codec for halo payloads and worker
 //! reports — what [`super::socket::SocketTransport`] and the multi-process
 //! runner ([`crate::process`]) put on the wire. This file is the one home
-//! of the wire contract: [`Frame::kind`] and [`encode`] match every variant
+//! of the wire contract: `Frame::kind` and `encode` match every variant
 //! without a wildcard, so a frame without a kind or a body does not
 //! compile, and the tests below check the rest — every kind round-trips,
 //! the header admits exactly the declared kinds, the metric tables hold no
@@ -14,7 +14,7 @@
 //! ```text
 //! offset  size  field
 //!      0     4  magic      0x5754_4C53 ("SLTW" on the wire, LE)
-//!      4     2  version    5
+//!      4     2  version    6
 //!      6     1  kind       0 Hello · 1 Halo · 2 Goodbye · 3 Report
 //!      7     1  reserved   0
 //!      8     4  body_len
@@ -32,20 +32,13 @@
 use crate::distributed::{RankFields, RankRun};
 use crate::error::RuntimeError;
 use crate::stats::{names, RankStats};
-use lts_obs::{
-    EventKind, FlightEvent, Histogram, Key, MetricsRegistry, RankRecording, HIST_BUCKETS,
-};
+use lts_obs::{EventKind, FlightEvent, Histogram, Key, MetricsRegistry, RankRecording};
 
-pub const MAGIC: u32 = 0x5754_4C53;
-pub const VERSION: u16 = 5;
-/// The wire's fingerprint at this [`VERSION`]: the FNV-1a hash of the
-/// canonical frames' bytes (test `canonical_frames_hash_to_the_pin`). A
-/// change to the bytes of any frame fails that test: bump [`VERSION`], then
-/// re-pin this.
-pub const WIRE_PIN: u64 = 0xc272_c504_201b_e43d;
+pub(crate) const MAGIC: u32 = 0x5754_4C53;
+pub(crate) const VERSION: u16 = 6;
 /// Upper bound on `body_len`: rejects absurd allocations from corrupt
 /// headers before any buffer is sized.
-pub const MAX_BODY: u32 = 1 << 28;
+pub(crate) const MAX_BODY: u32 = 1 << 28;
 /// Header size in bytes.
 pub const HEADER_LEN: usize = 12;
 
@@ -59,7 +52,7 @@ pub enum CodecError {
     BadMagic(u32),
     BadVersion(u16),
     UnknownKind(u8),
-    /// `body_len` exceeds [`MAX_BODY`].
+    /// `body_len` exceeds `MAX_BODY`.
     Oversize(u32),
     /// Structurally invalid body (internal counts disagree with the length).
     Malformed(&'static str),
@@ -266,9 +259,6 @@ fn put_hist(out: &mut Vec<u8>, h: &Histogram) {
     put_f64(out, h.sum);
     put_f64(out, h.min);
     put_f64(out, h.max);
-    for &b in h.buckets.iter() {
-        put_u64(out, b);
-    }
 }
 
 fn put_recording(out: &mut Vec<u8>, recording: &RankRecording) {
@@ -339,7 +329,7 @@ fn put_error(out: &mut Vec<u8>, e: &RuntimeError) {
 }
 
 /// Append `frame`'s bytes (header + body) to `out`.
-pub fn encode(frame: &Frame, out: &mut Vec<u8>) {
+pub(crate) fn encode(frame: &Frame, out: &mut Vec<u8>) {
     let header_at = out.len();
     put_u32(out, MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
@@ -392,7 +382,7 @@ pub fn encode_vec(frame: &Frame) -> Vec<u8> {
 
 /// Encode a `Halo` frame straight from a payload slice — the socket hot
 /// path, which must not copy the payload into a `Frame` first.
-pub fn encode_halo_into(
+pub(crate) fn encode_halo_into(
     src: u32,
     dst: u32,
     level: u8,
@@ -492,17 +482,12 @@ impl<'a> Reader<'a> {
     }
 
     fn hist(&mut self) -> Result<Histogram, CodecError> {
-        let mut h = Histogram {
+        Ok(Histogram {
             count: self.u64()?,
             sum: self.f64()?,
             min: self.f64()?,
             max: self.f64()?,
-            buckets: [0; HIST_BUCKETS],
-        };
-        for b in h.buckets.iter_mut() {
-            *b = self.u64()?;
-        }
-        Ok(h)
+        })
     }
 
     fn recording(&mut self) -> Result<RankRecording, CodecError> {
@@ -535,7 +520,7 @@ impl<'a> Reader<'a> {
         for _ in 0..self.count(10)? {
             stats.counters.push((self.u8()?, self.u8()?, self.u64()?));
         }
-        for _ in 0..self.count(2 + 8 * (4 + HIST_BUCKETS))? {
+        for _ in 0..self.count(2 + 8 * 4)? {
             stats.hists.push((self.u8()?, self.u8()?, self.hist()?));
         }
         for _ in 0..self.count(10)? {
@@ -654,7 +639,7 @@ pub fn decode_header(h: &[u8]) -> Result<(u8, u32), CodecError> {
 }
 
 /// Decode a frame body already split off by its header.
-pub fn decode_body(kind: u8, body: &[u8]) -> Result<Frame, CodecError> {
+pub(crate) fn decode_body(kind: u8, body: &[u8]) -> Result<Frame, CodecError> {
     let mut r = Reader { buf: body, at: 0 };
     let frame = match kind {
         0 => Frame::Hello { rank: r.u32()? },
@@ -686,7 +671,7 @@ pub fn decode(buf: &[u8]) -> Result<(Frame, usize), CodecError> {
 
 /// Stream-side failures of [`read_frame`].
 #[derive(Debug)]
-pub enum StreamError {
+pub(crate) enum StreamError {
     /// Clean end of stream at a frame boundary.
     Eof,
     Io(std::io::Error),
@@ -731,7 +716,7 @@ fn read_exact_or_eof<R: std::io::Read>(
 
 /// Read one complete frame from `r`, using `scratch` as the body buffer.
 /// [`StreamError::Eof`] is returned only at a clean frame boundary.
-pub fn read_frame<R: std::io::Read>(
+pub(crate) fn read_frame<R: std::io::Read>(
     r: &mut R,
     scratch: &mut Vec<u8>,
 ) -> Result<Frame, StreamError> {
@@ -743,7 +728,7 @@ pub fn read_frame<R: std::io::Read>(
 /// Finish reading a frame whose 12-byte header is already in hand (the
 /// socket backend reads headers itself so a receive timeout can stay
 /// byte-aligned).
-pub fn read_body<R: std::io::Read>(
+pub(crate) fn read_body<R: std::io::Read>(
     header: &[u8],
     mut r: R,
     scratch: &mut Vec<u8>,
@@ -756,7 +741,7 @@ pub fn read_body<R: std::io::Read>(
 }
 
 /// Write one frame to `w` (no flush).
-pub fn write_frame<W: std::io::Write>(w: &mut W, frame: &Frame) -> std::io::Result<()> {
+pub(crate) fn write_frame<W: std::io::Write>(w: &mut W, frame: &Frame) -> std::io::Result<()> {
     let mut bytes = Vec::new();
     encode(frame, &mut bytes);
     w.write_all(&bytes)
@@ -765,6 +750,12 @@ pub fn write_frame<W: std::io::Write>(w: &mut W, frame: &Frame) -> std::io::Resu
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The wire's fingerprint at this [`VERSION`]: the FNV-1a hash of the
+    /// canonical frames' bytes (test `canonical_frames_hash_to_the_pin`). A
+    /// change to the bytes of any frame fails that test: bump [`VERSION`],
+    /// then re-pin this.
+    const WIRE_PIN: u64 = 0x27cb_7d5e_a004_573b;
 
     /// FNV-1a, 64-bit.
     fn fnv1a(bytes: &[u8]) -> u64 {

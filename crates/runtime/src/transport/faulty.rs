@@ -30,14 +30,14 @@ pub struct FaultPlan {
 
 /// A [`Transport`] that follows a [`FaultPlan`]. Once dead, every call
 /// returns [`TransportError::Injected`].
-pub struct FaultyTransport<T: Transport> {
+pub(crate) struct FaultyTransport<T: Transport> {
     inner: Option<T>,
     plan: FaultPlan,
     sends: u64,
 }
 
 impl<T: Transport> FaultyTransport<T> {
-    pub fn new(inner: T, plan: FaultPlan) -> FaultyTransport<T> {
+    pub(crate) fn new(inner: T, plan: FaultPlan) -> FaultyTransport<T> {
         FaultyTransport {
             inner: Some(inner),
             plan,
@@ -47,7 +47,7 @@ impl<T: Transport> FaultyTransport<T> {
 
     /// Kill this endpoint now: drops the inner transport, which delivers
     /// its goodbye to every peer.
-    pub fn die(&mut self) {
+    pub(crate) fn die(&mut self) {
         self.inner = None;
     }
 }

@@ -5,7 +5,7 @@
 //! to a peer, receive the next incoming payload. Two backends implement the
 //! contract:
 //!
-//! * [`channel::ChannelTransport`] — the in-process fabric: one bounded ring
+//! * `channel::ChannelTransport` — the in-process fabric: one bounded ring
 //!   of recycled payload slots per directed rank pair, a condvar doorbell
 //!   per rank and backpressure on a full ring (the shape of a real
 //!   shared-memory MPI fabric), with optional link-latency shaping of
@@ -14,10 +14,11 @@
 //!   sockets through a star router, the same wire codec the multi-process
 //!   `wave-lts worker` runner uses (see [`crate::process`]).
 //!
-//! Every backend must pass the same [`conformance`] battery (ordering,
-//! addressing, payload bit-integrity, backpressure, disconnect semantics),
-//! and any backend can be wrapped in a [`faulty::FaultyTransport`] to inject
-//! delays, drops and peer death for the fault-cascade tests.
+//! Every backend must pass the same conformance battery
+//! (`tests/transport_conformance.rs`: ordering, addressing, payload
+//! bit-integrity, backpressure, disconnect semantics), and any backend can
+//! be wrapped in a `faulty::FaultyTransport` to inject delays, drops and
+//! peer death for the fault-cascade tests.
 //!
 //! ## Disconnect semantics
 //!
@@ -29,7 +30,6 @@
 
 pub mod channel;
 pub mod codec;
-pub mod conformance;
 pub mod faulty;
 #[cfg(unix)]
 pub mod socket;
@@ -86,7 +86,7 @@ pub enum TransportError {
     Codec(codec::CodecError),
     /// An OS-level I/O failure (socket backends).
     Io(String),
-    /// A configured fault fired (see [`faulty::FaultyTransport`]).
+    /// A configured fault fired (see `faulty::FaultyTransport`).
     Injected,
 }
 
@@ -124,11 +124,11 @@ pub struct TransportMetrics {
     /// Halo messages posted by this endpoint.
     pub msgs_sent: u64,
     /// Total `f64` values posted.
-    pub doubles_sent: u64,
+    pub(crate) doubles_sent: u64,
     /// Payload bytes copied into ring slots or put on the wire.
-    pub bytes_sent: u64,
+    pub(crate) bytes_sent: u64,
     /// Seconds this endpoint spent blocked in `send` on backpressure.
-    pub send_block_s: f64,
+    pub(crate) send_block_s: f64,
 }
 
 /// One rank's endpoint of the halo-exchange fabric.

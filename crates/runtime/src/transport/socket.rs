@@ -3,7 +3,7 @@
 //! bytes the multi-process `wave-lts worker` runner puts on the wire
 //! (see [`crate::process`]).
 //!
-//! [`in_process_cluster`] builds the fabric inside one process from
+//! `in_process_cluster` builds the fabric inside one process from
 //! `UnixStream::pair`s plus one detached router thread per rank, which is
 //! how the conformance and bitwise-identity suites exercise the real codec
 //! path without spawning OS processes. The router forwards frames verbatim
@@ -43,7 +43,7 @@ pub struct SocketTransport {
 impl SocketTransport {
     /// Wrap an already connected stream (in-process router or a real
     /// `wave-lts worker` connection).
-    pub fn new(rank: usize, n: usize, stream: UnixStream) -> SocketTransport {
+    pub(crate) fn new(rank: usize, n: usize, stream: UnixStream) -> SocketTransport {
         SocketTransport {
             rank,
             n,
@@ -233,7 +233,7 @@ fn encode_halo(src: usize, dst: usize, level: u8, seq: u64, payload: &[f64], out
 
 /// Build `n` socket endpoints wired through detached router threads inside
 /// this process. Fails only on fd exhaustion.
-pub fn in_process_cluster(n: usize) -> std::io::Result<Vec<Box<dyn Transport>>> {
+pub(crate) fn in_process_cluster(n: usize) -> std::io::Result<Vec<Box<dyn Transport>>> {
     let mut endpoints: Vec<Box<dyn Transport>> = Vec::with_capacity(n);
     let mut router_side = Vec::with_capacity(n);
     for rank in 0..n {

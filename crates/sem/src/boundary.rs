@@ -12,12 +12,12 @@ use lts_mesh::HexMesh;
 /// Which faces absorb (the paper's setup: all but the top `z` face).
 #[derive(Debug, Clone, Copy)]
 pub struct AbsorbingFaces {
-    pub x_lo: bool,
-    pub x_hi: bool,
-    pub y_lo: bool,
-    pub y_hi: bool,
-    pub z_lo: bool,
-    pub z_hi: bool,
+    pub(crate) x_lo: bool,
+    pub(crate) x_hi: bool,
+    pub(crate) y_lo: bool,
+    pub(crate) y_hi: bool,
+    pub(crate) z_lo: bool,
+    pub(crate) z_hi: bool,
 }
 
 impl AbsorbingFaces {
@@ -38,7 +38,7 @@ impl AbsorbingFaces {
 #[derive(Debug, Clone)]
 pub struct Sponge {
     /// Multiplier applied to `v` once per global step; 1.0 outside the layer.
-    pub factor: Vec<f64>,
+    pub(crate) factor: Vec<f64>,
 }
 
 impl Sponge {

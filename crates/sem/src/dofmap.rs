@@ -11,10 +11,10 @@ use lts_mesh::HexMesh;
 /// Node numbering for one mesh at one polynomial order.
 #[derive(Debug, Clone)]
 pub struct DofMap {
-    pub order: usize,
-    pub nx: usize,
-    pub ny: usize,
-    pub nz: usize,
+    pub(crate) order: usize,
+    pub(crate) nx: usize,
+    pub(crate) ny: usize,
+    pub(crate) nz: usize,
     /// Global GLL grid dimensions.
     pub gx: usize,
     pub gy: usize,
@@ -46,7 +46,7 @@ impl DofMap {
 
     /// Nodes per element per axis.
     #[inline]
-    pub fn np(&self) -> usize {
+    pub(crate) fn np(&self) -> usize {
         self.order + 1
     }
 
@@ -58,14 +58,22 @@ impl DofMap {
     }
 
     #[inline]
-    pub fn global_node(&self, ix: usize, iy: usize, iz: usize) -> u32 {
+    pub(crate) fn global_node(&self, ix: usize, iy: usize, iz: usize) -> u32 {
         debug_assert!(ix < self.gx && iy < self.gy && iz < self.gz);
         (ix + self.gx * (iy + self.gy * iz)) as u32
     }
 
     /// Global node of element `(ei,ej,ek)`'s local GLL node `(a,b,c)`.
     #[inline]
-    pub fn elem_node(&self, ei: usize, ej: usize, ek: usize, a: usize, b: usize, c: usize) -> u32 {
+    pub(crate) fn elem_node(
+        &self,
+        ei: usize,
+        ej: usize,
+        ek: usize,
+        a: usize,
+        b: usize,
+        c: usize,
+    ) -> u32 {
         self.global_node(
             self.order * ei + a,
             self.order * ej + b,
@@ -74,7 +82,7 @@ impl DofMap {
     }
 
     #[inline]
-    pub fn elem_ijk(&self, e: u32) -> (usize, usize, usize) {
+    pub(crate) fn elem_ijk(&self, e: u32) -> (usize, usize, usize) {
         let e = e as usize;
         (
             e % self.nx,

@@ -228,7 +228,7 @@ impl EngineScratch for Scratch {
 impl ElasticOperator {
     /// `vs_over_vp` sets the shear speed; the default Poisson solid
     /// (λ = μ) has `vs/vp = 1/√3`.
-    pub fn new(mesh: &HexMesh, order: usize, vs_over_vp: f64) -> Self {
+    pub(crate) fn new(mesh: &HexMesh, order: usize, vs_over_vp: f64) -> Self {
         assert!(
             vs_over_vp > 0.0 && vs_over_vp < std::f64::consts::FRAC_1_SQRT_2,
             "vs/vp must lie in (0, 1/√2) for positive λ"

@@ -37,17 +37,17 @@ fn legendre(n: usize, x: f64) -> (f64, f64) {
 /// The GLL basis of polynomial order `n` (`n + 1` points).
 #[derive(Debug, Clone)]
 pub struct GllBasis {
-    pub order: usize,
+    pub(crate) order: usize,
     /// Collocation points in `[-1, 1]`, ascending.
     pub points: Vec<f64>,
     /// Quadrature weights (sum to 2).
-    pub weights: Vec<f64>,
+    pub(crate) weights: Vec<f64>,
     /// Derivative matrix, row-major: `d[i*(n+1)+j] = l'_j(ξ_i)`.
     pub d: Vec<f64>,
     /// Fused 3-D weight table, `a`-fastest:
     /// `wgll3[a + (n+1)(b + (n+1)c)] = w_a·w_b·w_c`. Lets the stiffness
     /// kernels skip the per-node weight products.
-    pub wgll3: Vec<f64>,
+    pub(crate) wgll3: Vec<f64>,
 }
 
 impl GllBasis {
@@ -136,24 +136,6 @@ impl GllBasis {
         self.order + 1
     }
 
-    /// `l'_j(ξ_i)`.
-    #[inline]
-    pub fn deriv(&self, i: usize, j: usize) -> f64 {
-        self.d[i * (self.order + 1) + j]
-    }
-
-    /// Differentiate nodal values: `out_i = Σ_j D_ij f_j`.
-    pub fn differentiate(&self, f: &[f64], out: &mut [f64]) {
-        let np = self.n_points();
-        for i in 0..np {
-            let mut s = 0.0;
-            for j in 0..np {
-                s += self.d[i * np + j] * f[j];
-            }
-            out[i] = s;
-        }
-    }
-
     /// Integrate nodal values with the GLL rule.
     pub fn integrate(&self, f: &[f64]) -> f64 {
         f.iter().zip(&self.weights).map(|(a, w)| a * w).sum()
@@ -161,7 +143,7 @@ impl GllBasis {
 
     /// Smallest collocation gap on the reference element (between the
     /// endpoint and its neighbour); shrinks like `O(1/n²)`.
-    pub fn min_spacing(&self) -> f64 {
+    pub(crate) fn min_spacing(&self) -> f64 {
         self.points[1] - self.points[0]
     }
 }
@@ -234,10 +216,12 @@ mod tests {
         for n in 2..=8 {
             let b = GllBasis::new(n);
             let np = n + 1;
-            let mut out = vec![0.0; np];
             for k in 0..=n {
                 let f: Vec<f64> = b.points.iter().map(|&x| x.powi(k as i32)).collect();
-                b.differentiate(&f, &mut out);
+                // out_i = Σ_j D_ij f_j
+                let out: Vec<f64> = (0..np)
+                    .map(|i| (0..np).map(|j| b.d[i * np + j] * f[j]).sum())
+                    .collect();
                 for (i, &x) in b.points.iter().enumerate() {
                     let exact = if k == 0 {
                         0.0
@@ -261,7 +245,7 @@ mod tests {
             let b = GllBasis::new(n);
             let np = n + 1;
             for i in 0..np {
-                let s: f64 = (0..np).map(|j| b.deriv(i, j)).sum();
+                let s: f64 = b.d[i * np..(i + 1) * np].iter().sum();
                 assert!(s.abs() < 1e-11, "order {n} row {i}: {s}");
             }
         }

@@ -38,5 +38,4 @@ pub use dofmap::DofMap;
 pub use elastic::ElasticOperator;
 pub use gll::GllBasis;
 pub use parallel::ElementColoring;
-pub use record::SeismogramRecorder;
 pub use unstructured::{UnstructuredAcoustic, UnstructuredElastic};

@@ -13,7 +13,7 @@
 //! node under MPI); combined with `lts-runtime` it gives the familiar
 //! MPI × threads hybrid.
 //!
-//! The executor's entire `unsafe` surface is the [`DisjointOut`] primitive
+//! The executor's entire `unsafe` surface is the `DisjointOut` primitive
 //! (see `disjoint.rs` for the soundness argument); single-threaded calls
 //! take a fully safe path that never constructs the shared view at all. The
 //! colour/barrier protocol itself is model-checked across all interleavings

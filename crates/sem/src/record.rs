@@ -10,7 +10,7 @@ use std::io::Write;
 #[derive(Debug, Clone)]
 pub struct Receiver {
     pub name: String,
-    pub dof: u32,
+    pub(crate) dof: u32,
 }
 
 /// A set of receivers accumulating traces.
@@ -20,7 +20,7 @@ pub struct SeismogramRecorder {
     /// `traces[r][step]`.
     pub traces: Vec<Vec<f64>>,
     /// Sample times.
-    pub times: Vec<f64>,
+    pub(crate) times: Vec<f64>,
 }
 
 impl SeismogramRecorder {
@@ -61,10 +61,6 @@ impl SeismogramRecorder {
         for (r, trace) in self.receivers.iter().zip(self.traces.iter_mut()) {
             trace.push(u[r.dof as usize]);
         }
-    }
-
-    pub fn n_samples(&self) -> usize {
-        self.times.len()
     }
 
     /// Write all traces as CSV (`t, name1, name2, …`).
@@ -155,7 +151,7 @@ mod tests {
         rec.record(0.0, &u);
         u[rec.receivers[1].dof as usize] = -1.5;
         rec.record(0.1, &u);
-        assert_eq!(rec.n_samples(), 2);
+        assert_eq!(rec.times.len(), 2);
         assert_eq!(rec.traces[0], vec![2.5, 2.5]);
         assert_eq!(rec.traces[1], vec![0.0, -1.5]);
         assert_eq!(rec.peaks(), vec![2.5, 1.5]);

@@ -12,7 +12,7 @@
 //!
 //! Batched fields use a structure-of-arrays layout: value of lane `l` at
 //! local node `q` lives at `q * LANES + l`, so the transposed id table of a
-//! [`crate::compiled::CompiledGather`] streams contiguously into lanes.
+//! `crate::compiled::CompiledGather` streams contiguously into lanes.
 //!
 //! Dispatch is by runtime CPU detection ([`KernelVariant`]): AVX-512F
 //! (8 lanes), AVX2 (4 lanes), NEON (2 lanes), with a scalar fallback that
@@ -32,7 +32,7 @@ use std::sync::{Mutex, OnceLock};
 
 /// Widest supported lane count (AVX-512); coefficient tables are sized for
 /// this so one buffer serves every variant.
-pub const MAX_LANES: usize = 8;
+pub(crate) const MAX_LANES: usize = 8;
 
 /// The kernel implementation selected by runtime CPU feature detection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,7 +87,7 @@ impl KernelVariant {
     }
 
     /// Whether this build and CPU can actually execute the variant.
-    pub fn is_supported(self) -> bool {
+    pub(crate) fn is_supported(self) -> bool {
         match self {
             KernelVariant::Scalar => true,
             #[cfg(all(feature = "simd", target_arch = "x86_64"))]
@@ -103,7 +103,7 @@ impl KernelVariant {
 }
 
 /// The widest variant this build and CPU support.
-pub fn detected() -> KernelVariant {
+pub(crate) fn detected() -> KernelVariant {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     {
         if std::arch::is_x86_feature_detected!("avx512f") {
@@ -122,7 +122,7 @@ pub fn detected() -> KernelVariant {
     KernelVariant::Scalar
 }
 
-/// Every variant [`KernelVariant::is_supported`] on this build and CPU,
+/// Every variant `KernelVariant::is_supported` on this build and CPU,
 /// scalar first. Test harnesses iterate this to cover all reachable paths.
 pub fn supported_variants() -> Vec<KernelVariant> {
     [

@@ -31,11 +31,11 @@ pub use lts_core::setup::UNMAPPED;
 
 /// Gather-list acoustic operator.
 pub struct UnstructuredAcoustic {
-    pub basis: GllBasis,
+    pub(crate) basis: GllBasis,
     /// Flattened per-element DOF lists, `(order+1)³` entries per element.
     pub elem_dofs: Vec<u32>,
     /// Per-element `(hx, hy, hz, μ)`.
-    pub elem_geom: Vec<(f64, f64, f64, f64)>,
+    pub(crate) elem_geom: Vec<(f64, f64, f64, f64)>,
     /// Diagonal mass over the (local) DOF range.
     mass: Vec<f64>,
     /// Reciprocal mass, so the scatter multiplies instead of divides.
@@ -60,16 +60,22 @@ impl UnstructuredAcoustic {
         full_mass_of: Option<&dyn Fn(u32) -> f64>,
     ) -> (Self, Vec<u32>) {
         let mut map = vec![UNMAPPED; DofMap::new(mesh, order).n_nodes()];
-        Self::from_subset_in(mesh, order, elems, full_mass_of, &|_| 0, &mut map)
+        let (op, global_of_local, _) =
+            Self::from_subset_in(mesh, order, elems, full_mass_of, &|_| 0, &mut map);
+        (op, global_of_local)
     }
 
     /// [`Self::from_subset`] with the local DOFs grouped by the leaf level
     /// `leaf_of(g)` of each global node, finest first (ascending global
     /// order within a level), numbered by
     /// [`lts_core::setup::local_numbering`] in time linear in the subset,
-    /// through a caller-owned dense map over the mesh's global GLL nodes.
-    /// Every entry must be [`UNMAPPED`], and is again on return, so one map
-    /// serves every rank of a decomposition without a per-rank pass over the
+    /// through a caller-owned dense map over the mesh's global GLL nodes;
+    /// also returns the local DOFs per leaf level. Every entry of the map
+    /// must be [`UNMAPPED`] on entry; on return it maps the subset's nodes
+    /// to their local ids, as `local_numbering` leaves it, and the caller
+    /// clears those entries (through `global_of_local`) before the next
+    /// subset. One map thus serves every rank of a decomposition, as each
+    /// rank's global → local node index, without a per-rank pass over the
     /// whole mesh.
     pub fn from_subset_in(
         mesh: &HexMesh,
@@ -78,12 +84,12 @@ impl UnstructuredAcoustic {
         full_mass_of: Option<&dyn Fn(u32) -> f64>,
         leaf_of: &dyn Fn(u32) -> u8,
         local_of_global: &mut [u32],
-    ) -> (Self, Vec<u32>) {
+    ) -> (Self, Vec<u32>, Vec<usize>) {
         let dofmap = DofMap::new(mesh, order);
         let basis = GllBasis::new(order);
         let npe = dofmap.nodes_per_elem();
         let nodes_of = |e, buf: &mut Vec<u32>| dofmap.elem_nodes(e, buf);
-        let (elem_dofs, global_of_local) =
+        let (elem_dofs, global_of_local, level_counts) =
             local_numbering(elems, npe, nodes_of, leaf_of, local_of_global);
 
         let mut elem_geom = Vec::with_capacity(elems.len());
@@ -140,6 +146,7 @@ impl UnstructuredAcoustic {
                 ndof,
             },
             global_of_local,
+            level_counts,
         )
     }
 
@@ -212,11 +219,11 @@ impl DofTopology for UnstructuredAcoustic {
 /// mirroring [`UnstructuredAcoustic`]. Per-element geometry carries
 /// `(hx, hy, hz, λ, μ)`.
 pub struct UnstructuredElastic {
-    pub basis: GllBasis,
+    pub(crate) basis: GllBasis,
     /// Flattened per-element *node* lists (local node ids), `(order+1)³`
     /// entries per element; DOF `= 3·node + comp`.
     pub elem_nodes: Vec<u32>,
-    pub elem_geom: Vec<(f64, f64, f64, f64, f64)>,
+    pub(crate) elem_geom: Vec<(f64, f64, f64, f64, f64)>,
     mass: Vec<f64>,
     /// Reciprocal mass, so the scatter multiplies instead of divides.
     inv_mass: Vec<f64>,
@@ -235,11 +242,14 @@ impl UnstructuredElastic {
         full_mass_of: Option<&dyn Fn(u32) -> f64>,
     ) -> (Self, Vec<u32>) {
         let mut map = vec![UNMAPPED; DofMap::new(mesh, order).n_nodes()];
-        Self::from_subset_in(mesh, order, elems, full_mass_of, &|_| 0, &mut map)
+        let (op, global_of_local, _) =
+            Self::from_subset_in(mesh, order, elems, full_mass_of, &|_| 0, &mut map);
+        (op, global_of_local)
     }
 
     /// [`Self::from_subset`] with grouped local nodes, through a
-    /// caller-owned node map, as in [`UnstructuredAcoustic::from_subset_in`].
+    /// caller-owned node map, as in [`UnstructuredAcoustic::from_subset_in`]
+    /// (the level counts are of local nodes).
     pub fn from_subset_in(
         mesh: &HexMesh,
         order: usize,
@@ -247,12 +257,12 @@ impl UnstructuredElastic {
         full_mass_of: Option<&dyn Fn(u32) -> f64>,
         leaf_of: &dyn Fn(u32) -> u8,
         local_of_global: &mut [u32],
-    ) -> (Self, Vec<u32>) {
+    ) -> (Self, Vec<u32>, Vec<usize>) {
         let dofmap = DofMap::new(mesh, order);
         let basis = GllBasis::new(order);
         let npe = dofmap.nodes_per_elem();
         let nodes_of = |e, buf: &mut Vec<u32>| dofmap.elem_nodes(e, buf);
-        let (elem_nodes, global_of_local) =
+        let (elem_nodes, global_of_local, level_counts) =
             local_numbering(elems, npe, nodes_of, leaf_of, local_of_global);
         let mut elem_geom = Vec::with_capacity(elems.len());
         let vs_over_vp = 1.0 / 3.0f64.sqrt();
@@ -316,6 +326,7 @@ impl UnstructuredElastic {
                 n_nodes,
             },
             global_of_local,
+            level_counts,
         )
     }
 
@@ -471,25 +482,35 @@ mod tests {
     }
 
     #[test]
-    fn shared_node_map_is_restored_between_subsets() {
+    fn shared_node_map_serves_subsets_in_turn() {
         // one map numbers several subsets in turn, as the rank decomposer
-        // does; each must match a fresh from_subset and leave it unmapped
+        // does; each must match a fresh from_subset and leave the map
+        // holding its local ids, which the caller clears
         let m = mesh();
         let order = 2;
         let mut map = vec![UNMAPPED; DofMap::new(&m, order).n_nodes()];
+        let clear = |map: &mut [u32], g: &[u32]| {
+            for (l, &g) in g.iter().enumerate() {
+                assert_eq!(map[g as usize], l as u32);
+                map[g as usize] = UNMAPPED;
+            }
+            assert!(map.iter().all(|&l| l == UNMAPPED));
+        };
         for elems in [vec![0u32, 1, 4, 5], vec![2, 3, 6, 7, 14], vec![23]] {
             let (a, ga) = UnstructuredAcoustic::from_subset(&m, order, &elems, None);
-            let (b, gb) =
+            let (b, gb, counts) =
                 UnstructuredAcoustic::from_subset_in(&m, order, &elems, None, &|_| 0, &mut map);
             assert_eq!((a.elem_dofs, a.mass), (b.elem_dofs, b.mass));
             assert_eq!(ga, gb);
-            assert!(map.iter().all(|&l| l == UNMAPPED));
+            assert_eq!(counts, vec![gb.len()]);
+            clear(&mut map, &gb);
             let (a, ga) = UnstructuredElastic::from_subset(&m, order, &elems, None);
-            let (b, gb) =
+            let (b, gb, counts) =
                 UnstructuredElastic::from_subset_in(&m, order, &elems, None, &|_| 0, &mut map);
             assert_eq!((a.elem_nodes, a.mass), (b.elem_nodes, b.mass));
             assert_eq!(ga, gb);
-            assert!(map.iter().all(|&l| l == UNMAPPED));
+            assert_eq!(counts, vec![gb.len()]);
+            clear(&mut map, &gb);
         }
     }
 

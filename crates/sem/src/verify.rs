@@ -1,11 +1,11 @@
 //! Machine-checkable statements of the structural invariants the threaded
 //! executor relies on.
 //!
-//! [`crate::parallel::par_colored`]'s disjoint scatter is sound iff within
+//! `crate::parallel::par_colored`'s disjoint scatter is sound iff within
 //! one colour no two elements share a scatter target. This module states
 //! that invariant as a total function over an explicit colouring so it can
 //! be (a) re-asserted by a `debug_assert!` every time a
-//! [`crate::compiled::CompiledGather`] is built, (b) exercised against
+//! `crate::compiled::CompiledGather` is built, (b) exercised against
 //! deliberately broken colourings by tests, and (c) run over the benchmark
 //! meshes by the standalone `lts-check` binary.
 

@@ -114,10 +114,10 @@ LTS_SIMD=scalar ./target/release/lts-profile --mode run --out "$scalar_out" >/de
   --baseline BENCH_lts.json --current "$scalar_out"
 
 echo "== counter gate, flight recorder off (counters must be identical)"
-# LTS_FLIGHT=0 disables the flight recorder entirely; every deterministic
+# --flight 0 disables the flight recorder entirely; every deterministic
 # counter must match the baseline exactly — the recorder is observability,
 # never physics.
-LTS_FLIGHT=0 ./target/release/lts-profile --mode run --out "$flight_off" >/dev/null
+./target/release/lts-profile --mode run --flight 0 --out "$flight_off" >/dev/null
 ./target/release/lts-profile --mode compare \
   --baseline BENCH_lts.json --current "$flight_off"
 

@@ -3,7 +3,9 @@
 //! Provides the group/bench/iter API surface the workspace benches use, with
 //! a simple measurement loop: warm-up, then `sample_size` timed samples of
 //! an adaptively-chosen iteration count, reporting median and spread to
-//! stdout. No statistical regression analysis, plots or saved baselines.
+//! stdout. As upstream, the first command-line argument that is not a flag
+//! (`cargo bench -- <filter>`) selects the benches whose id contains it. No
+//! statistical regression analysis, plots or saved baselines.
 
 use std::time::{Duration, Instant};
 
@@ -101,7 +103,7 @@ pub struct BenchmarkGroup<'a> {
     name: String,
     sample_size: usize,
     throughput: Option<Throughput>,
-    _criterion: &'a mut Criterion,
+    criterion: &'a mut Criterion,
 }
 
 impl<'a> BenchmarkGroup<'a> {
@@ -117,51 +119,75 @@ impl<'a> BenchmarkGroup<'a> {
     }
 
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: impl std::fmt::Display, mut f: F) {
-        let mut b = Bencher {
-            samples: Vec::new(),
-            sample_size: self.sample_size,
-        };
-        f(&mut b);
-        b.report(&format!("{}/{}", self.name, id), self.throughput);
+        self.bench_with_input(id, &(), |b, ()| f(b));
     }
 
     pub fn bench_with_input<I: ?Sized, F: FnMut(&mut Bencher, &I)>(
         &mut self,
-        id: BenchmarkId,
+        id: impl std::fmt::Display,
         input: &I,
         mut f: F,
     ) {
+        let label = format!("{}/{}", self.name, id);
+        if !self.criterion.selects(&label) {
+            return;
+        }
         let mut b = Bencher {
             samples: Vec::new(),
             sample_size: self.sample_size,
         };
         f(&mut b, input);
-        b.report(&format!("{}/{}", self.name, id), self.throughput);
+        b.report(&label, self.throughput);
     }
 
     pub fn finish(self) {}
 }
 
 #[derive(Default)]
-pub struct Criterion {}
+pub struct Criterion {
+    /// Run only the benches whose id contains this.
+    filter: Option<String>,
+}
+
+/// The bench filter of a command line: its first argument that is not a
+/// flag.
+fn filter_of(args: impl IntoIterator<Item = String>) -> Option<String> {
+    args.into_iter().find(|a| !a.starts_with('-'))
+}
 
 impl Criterion {
+    /// Take the bench filter from the process arguments (see the crate
+    /// docs).
+    pub fn configure_from_args(self) -> Self {
+        Criterion {
+            filter: filter_of(std::env::args().skip(1)),
+        }
+    }
+
+    fn selects(&self, id: &str) -> bool {
+        self.filter.as_deref().is_none_or(|f| id.contains(f))
+    }
+
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
             name: name.into(),
             sample_size: 10,
             throughput: None,
-            _criterion: self,
+            criterion: self,
         }
     }
 
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: impl std::fmt::Display, mut f: F) {
+        let id = id.to_string();
+        if !self.selects(&id) {
+            return;
+        }
         let mut b = Bencher {
             samples: Vec::new(),
             sample_size: 10,
         };
         f(&mut b);
-        b.report(&format!("{id}"), None);
+        b.report(&id, None);
     }
 }
 
@@ -169,7 +195,7 @@ impl Criterion {
 macro_rules! criterion_group {
     ($name:ident, $($target:path),+ $(,)?) => {
         fn $name() {
-            let mut criterion = $crate::Criterion::default();
+            let mut criterion = $crate::Criterion::default().configure_from_args();
             $( $target(&mut criterion); )+
         }
     };
@@ -204,5 +230,40 @@ mod tests {
     #[test]
     fn harness_runs() {
         benches();
+    }
+
+    #[test]
+    fn filter_runs_only_matching_ids() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(
+            filter_of(args(&["--bench", "subset_build"])),
+            Some("subset_build".to_string())
+        );
+        assert_eq!(filter_of(args(&["--bench"])), None);
+
+        let mut ran = Vec::new();
+        let mut c = Criterion {
+            filter: Some("g/su".to_string()),
+        };
+        let mut g = c.benchmark_group("g");
+        g.sample_size(2);
+        g.bench_function("sum", |b| {
+            ran.push("sum");
+            b.iter(|| 1)
+        });
+        g.bench_function("product", |b| {
+            ran.push("product");
+            b.iter(|| 1)
+        });
+        g.finish();
+        c.bench_function("g/sub", |b| {
+            ran.push("sub");
+            b.iter(|| 1)
+        });
+        c.bench_function("other", |b| {
+            ran.push("other");
+            b.iter(|| 1)
+        });
+        assert_eq!(ran, ["sum", "sub"]);
     }
 }

@@ -34,7 +34,7 @@ use std::fs::File;
 use wave_lts::lts::{LtsNewmark, LtsSetup, Newmark, Operator};
 use wave_lts::mesh::io as mesh_io;
 use wave_lts::mesh::{BenchmarkMesh, MeshKind};
-use wave_lts::obs::flight_chrome_trace;
+use wave_lts::obs::{flight_chrome_trace, FlightRecorder};
 use wave_lts::partition::{edge_cut, load_imbalance, mpi_volume, partition_mesh, Strategy};
 use wave_lts::runtime::stats::{ascii_timeline, lambda_from_stats};
 use wave_lts::runtime::{
@@ -157,12 +157,9 @@ fn fault_from_args(m: &HashMap<String, String>) -> Option<(usize, wave_lts::runt
     armed.then(|| (get(m, "fault-rank", 0usize), plan))
 }
 
-/// `--flight N` overrides the recorder ring capacity; otherwise `LTS_FLIGHT`
-/// applies, and a value of it that does not parse is a usage error.
+/// `--flight N` sets the recorder ring capacity (`0` = recorder off).
 fn flight_from_args(m: &HashMap<String, String>) -> usize {
-    opt(m, "flight").unwrap_or_else(|| {
-        wave_lts::runtime::flight_capacity_from_env().unwrap_or_else(|e| usage_error(&e))
-    })
+    get(m, "flight", FlightRecorder::DEFAULT_CAPACITY)
 }
 
 fn build(m: &HashMap<String, String>) -> BenchmarkMesh {
@@ -230,14 +227,7 @@ fn cmd_simulate(m: &HashMap<String, String>) {
     let ranks: usize = get(m, "ranks", 0);
     // the trace is rendered from the flight rings: without them it is empty
     if ranks > 0 && flight_from_args(m) == 0 && m.contains_key("trace-out") {
-        let off = if m.contains_key("flight") {
-            "--flight 0"
-        } else {
-            "LTS_FLIGHT=0"
-        };
-        usage_error(&format!(
-            "simulate: --trace-out needs the flight recorder, which {off} disables"
-        ));
+        usage_error("simulate: --trace-out needs the flight recorder, which --flight 0 disables");
     }
     // refuse an unknown transport before building anything
     let transport_name: String = get(m, "transport", "channel".into());

@@ -1,7 +1,7 @@
 //! The `wave-lts` command line is strict: a flag the subcommand does not
 //! accept, or a value that does not parse, exits 2 with a message naming
-//! it, instead of silently running with a default. The same holds for
-//! `LTS_FLIGHT`, and for a trace request the flight recorder cannot serve.
+//! it, instead of silently running with a default. The same holds for a
+//! trace request the flight recorder cannot serve.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -10,17 +10,10 @@ use wave_lts::obs::{validate_trace, Json};
 
 /// Run the built binary; its exit code and stderr.
 fn wave_lts(args: &[&str]) -> (Option<i32>, String) {
-    wave_lts_flight(None, args)
-}
-
-/// [`wave_lts`] with `LTS_FLIGHT` set to `flight`, or unset.
-fn wave_lts_flight(flight: Option<&str>, args: &[&str]) -> (Option<i32>, String) {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_wave-lts"));
-    cmd.args(args).env_remove("LTS_FLIGHT");
-    if let Some(v) = flight {
-        cmd.env("LTS_FLIGHT", v);
-    }
-    let out = cmd.output().expect("run wave-lts");
+    let out = Command::new(env!("CARGO_BIN_EXE_wave-lts"))
+        .args(args)
+        .output()
+        .expect("run wave-lts");
     (
         out.status.code(),
         String::from_utf8_lossy(&out.stderr).into(),
@@ -91,28 +84,27 @@ fn retired_ring_transport_is_a_usage_error() {
 }
 
 #[test]
-fn bad_lts_flight_is_a_usage_error() {
-    let trace = trace_path("bad_env");
-    let args = simulate_args("channel", trace.to_str().unwrap());
-    let (code, stderr) = wave_lts_flight(Some("lots"), &args);
+fn bad_flight_value_is_a_usage_error() {
+    let trace = trace_path("bad_flight");
+    let mut args = simulate_args("channel", trace.to_str().unwrap());
+    args.extend(["--flight", "lots"]);
+    let (code, stderr) = wave_lts(&args);
     assert_eq!(code, Some(2), "stderr: {stderr}");
-    assert!(stderr.contains("LTS_FLIGHT"), "stderr: {stderr}");
+    assert!(stderr.contains("--flight"), "stderr: {stderr}");
     assert!(stderr.contains("\"lots\""), "stderr: {stderr}");
+    assert!(!trace.exists());
 }
 
 /// A trace is rendered from the flight rings, so asking for one with the
-/// recorder off is refused, whichever knob turned it off.
+/// recorder off is refused.
 #[test]
 fn trace_with_the_recorder_off_is_a_usage_error() {
     let trace = trace_path("off");
     let mut args = simulate_args("channel", trace.to_str().unwrap());
-    let (code, stderr) = wave_lts_flight(Some("0"), &args);
-    assert_eq!(code, Some(2), "stderr: {stderr}");
-    assert!(stderr.contains("--trace-out"), "stderr: {stderr}");
-    assert!(stderr.contains("LTS_FLIGHT=0"), "stderr: {stderr}");
     args.extend(["--flight", "0"]);
     let (code, stderr) = wave_lts(&args);
     assert_eq!(code, Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("--trace-out"), "stderr: {stderr}");
     assert!(stderr.contains("--flight 0"), "stderr: {stderr}");
     assert!(!trace.exists());
 }

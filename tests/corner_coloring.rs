@@ -96,7 +96,12 @@ fn check_ranks<P: Decompose>(
             .filter(|&e| part[e as usize] == rank as u32)
             .collect();
         let leaf_of = |g: u32| setup.leaf_level[(c * g) as usize];
-        let (local, _) = problem.local(&global, &mine, &leaf_of, &mut node_map);
+        let (local, node_of_local, _) = problem.local(&global, &mine, &leaf_of, &mut node_map);
+        // the map comes back loaded with this rank's nodes: clear it for
+        // the next rank
+        for &g in &node_of_local {
+            node_map[g as usize] = UNMAPPED;
+        }
         let n_ids = Operator::ndof(&local) / c as usize;
         // the local operator's DOF lists, one id per node
         let ids_of = |e: u32, out: &mut Vec<u32>| {

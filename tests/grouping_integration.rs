@@ -100,7 +100,7 @@ fn grouped_acoustic_run_matches_ungrouped() {
     let all: Vec<u32> = (0..b.mesh.n_elems() as u32).collect();
     let mass = |g: u32| op.mass()[g as usize];
     let mut map = vec![UNMAPPED; ndof];
-    let (sc, node) = UnstructuredAcoustic::from_subset_in(
+    let (sc, node, _) = UnstructuredAcoustic::from_subset_in(
         &b.mesh,
         order,
         &all,
@@ -130,7 +130,7 @@ fn grouped_elastic_run_matches_ungrouped() {
     let all: Vec<u32> = (0..b.mesh.n_elems() as u32).collect();
     let mass = |g: u32| op.mass()[3 * g as usize];
     let mut map = vec![UNMAPPED; op.dofmap.n_nodes()];
-    let (sc, node) =
+    let (sc, node, _) =
         UnstructuredElastic::from_subset_in(&b.mesh, order, &all, Some(&mass), &scramble, &mut map);
     let dof = |k: usize| 3 * node[k / 3] as usize + k % 3;
     let (u1, v1, _) = run(&sc, lv, dt, scrambled(&u_init, dof), 2);
@@ -154,7 +154,7 @@ fn grouped_chain_matches_ungrouped() {
 
     let all: Vec<u32> = (0..20).collect();
     let mut map = vec![u32::MAX; n];
-    let (sc, node) = c.subset(&all, &scramble, &mut map);
+    let (sc, node, _) = c.subset(&all, &scramble, &mut map);
     assert!(node.iter().enumerate().any(|(k, &g)| k != g as usize));
     let dof = |k: usize| node[k] as usize;
     let (u1, v1, ops1) = run(&sc, &lv, dt, scrambled(&u_init, dof), 25);

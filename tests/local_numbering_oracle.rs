@@ -2,9 +2,10 @@
 //! (`lts_core::setup::local_numbering`) against the sort + dedup + group
 //! reference it replaced: for random element subsets of trench meshes
 //! (acoustic and elastic) and of a 3-level chain, under the real leaf levels
-//! and under a scrambling key, `global_of_local` and every element's local
-//! node list equal the reference's exactly, and the shared node map is idle
-//! again on return.
+//! and under a scrambling key, `global_of_local`, every element's local
+//! node list and the per-level node counts equal the reference's exactly,
+//! and the shared node map comes back holding exactly the subset's local
+//! ids, for the caller to clear.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -23,20 +24,29 @@ fn scramble(g: u32) -> u8 {
 /// The reference numbering of the global node lists `nodes` (one list per
 /// element, flattened): the distinct nodes sorted ascending, then grouped by
 /// `leaf_of` finest level first, stable within a level; the lists
-/// translated into it. Returns `(elem_nodes, global_of_local)`.
-fn reference(nodes: &[u32], leaf_of: &dyn Fn(u32) -> u8) -> (Vec<u32>, Vec<u32>) {
+/// translated into it; the distinct nodes per leaf level, up to the finest
+/// level present. Returns `(elem_nodes, global_of_local, level_counts)`.
+fn reference(nodes: &[u32], leaf_of: &dyn Fn(u32) -> u8) -> (Vec<u32>, Vec<u32>, Vec<usize>) {
     let mut ids = nodes.to_vec();
     ids.sort_unstable();
     ids.dedup();
     let levels: Vec<u8> = ids.iter().map(|&g| leaf_of(g)).collect();
-    let n_levels = levels.iter().max().map_or(1, |&m| m as usize + 1);
-    let (pos, _) = level_order(&levels, n_levels);
+    let n_present = levels.iter().max().map_or(0, |&m| m as usize + 1);
+    let (pos, _) = level_order(&levels, n_present.max(1));
     let mut global_of_local = vec![0u32; ids.len()];
     for (&p, &g) in pos.iter().zip(&ids) {
         global_of_local[p as usize] = g;
     }
+    let mut level_counts = vec![0usize; n_present];
+    for &l in &levels {
+        level_counts[l as usize] += 1;
+    }
     let local = |g: &u32| pos[ids.binary_search(g).unwrap()];
-    (nodes.iter().map(local).collect(), global_of_local)
+    (
+        nodes.iter().map(local).collect(),
+        global_of_local,
+        level_counts,
+    )
 }
 
 /// The global node lists of `elems`, flattened.
@@ -73,10 +83,16 @@ fn subsets(n: usize, seed: u64) -> Vec<Vec<u32>> {
     out
 }
 
-fn assert_idle(map: &[u32], what: &str) {
+/// The map contract: on return the map holds `l` at `global_of_local[l]`
+/// and nothing else. Clears it for the next subset, as a caller does.
+fn assert_loaded_then_clear(map: &mut [u32], global_of_local: &[u32], what: &str) {
+    for (l, &g) in global_of_local.iter().enumerate() {
+        assert_eq!(map[g as usize], l as u32, "{what}: node {g}");
+        map[g as usize] = UNMAPPED;
+    }
     assert!(
         map.iter().all(|&x| x == UNMAPPED),
-        "{what}: map left loaded"
+        "{what}: map holds nodes outside the subset"
     );
 }
 
@@ -94,13 +110,14 @@ fn acoustic_numbering_matches_sorted_reference() {
             let keys: [(&dyn Fn(u32) -> u8, &str); 2] = [(&real, "leaf"), (&scramble, "scramble")];
             for (leaf_of, key) in keys {
                 let what = format!("trench {n_elems} p{order} subset {i} {key}");
-                let (sub, global_of_local) = UnstructuredAcoustic::from_subset_in(
+                let (sub, global_of_local, level_counts) = UnstructuredAcoustic::from_subset_in(
                     &b.mesh, order, elems, None, leaf_of, &mut map,
                 );
-                let (elem_nodes, want) = reference(&nodes, leaf_of);
+                let (elem_nodes, want, want_counts) = reference(&nodes, leaf_of);
                 assert_eq!(global_of_local, want, "{what}");
                 assert_eq!(sub.elem_dofs, elem_nodes, "{what}");
-                assert_idle(&map, &what);
+                assert_eq!(level_counts, want_counts, "{what}");
+                assert_loaded_then_clear(&mut map, &global_of_local, &what);
             }
         }
     }
@@ -119,12 +136,13 @@ fn elastic_numbering_matches_sorted_reference() {
         let keys: [(&dyn Fn(u32) -> u8, &str); 2] = [(&real, "leaf"), (&scramble, "scramble")];
         for (leaf_of, key) in keys {
             let what = format!("elastic subset {i} {key}");
-            let (sub, global_of_local) =
+            let (sub, global_of_local, level_counts) =
                 UnstructuredElastic::from_subset_in(&b.mesh, order, elems, None, leaf_of, &mut map);
-            let (elem_nodes, want) = reference(&nodes, leaf_of);
+            let (elem_nodes, want, want_counts) = reference(&nodes, leaf_of);
             assert_eq!(global_of_local, want, "{what}");
             assert_eq!(sub.elem_nodes, elem_nodes, "{what}");
-            assert_idle(&map, &what);
+            assert_eq!(level_counts, want_counts, "{what}");
+            assert_loaded_then_clear(&mut map, &global_of_local, &what);
         }
     }
 }
@@ -142,9 +160,10 @@ fn chain_numbering_matches_sorted_reference() {
         let keys: [(&dyn Fn(u32) -> u8, &str); 2] = [(&real, "leaf"), (&scramble, "scramble")];
         for (leaf_of, key) in keys {
             let what = format!("chain subset {i} {key}");
-            let (sub, global_of_local) = c.subset(elems, leaf_of, &mut map);
-            let (elem_nodes, want) = reference(&nodes, leaf_of);
+            let (sub, global_of_local, level_counts) = c.subset(elems, leaf_of, &mut map);
+            let (elem_nodes, want, want_counts) = reference(&nodes, leaf_of);
             assert_eq!(global_of_local, want, "{what}");
+            assert_eq!(level_counts, want_counts, "{what}");
             let local: Vec<u32> = (0..elems.len() as u32)
                 .flat_map(|e| {
                     let mut buf = Vec::new();
@@ -153,7 +172,7 @@ fn chain_numbering_matches_sorted_reference() {
                 })
                 .collect();
             assert_eq!(local, elem_nodes, "{what}");
-            assert_idle(&map, &what);
+            assert_loaded_then_clear(&mut map, &global_of_local, &what);
         }
     }
 }

@@ -172,7 +172,7 @@ impl Table {
 
 /// Engineering formatter: 1.4e6 → "1.4e6"-style short scientific.
 pub fn sci(x: f64) -> String {
-    // lint: allow(float-eq) — exact-zero guard before log10 (±0 → "0")
+    // exact-zero guard before log10 (±0 → "0")
     if x == 0.0 {
         return "0".into();
     }

@@ -13,7 +13,7 @@
 //!   recursively, sub-step ratio 2 per level, or any ratio `p` on two
 //!   levels as in Sec. II-A), performing only the masked work a
 //!   high-performance implementation does;
-//! * [`reference`](crate::reference) — a literal, full-vector transcription of the scheme used
+//! * [`reference`](mod@reference) — a literal, full-vector transcription of the scheme used
 //!   to validate the masked implementation to round-off;
 //! * [`chain1d`] — a 1-D wave chain discretization (the setting of Fig. 1)
 //!   implementing the traits, used by tests, examples and benches;

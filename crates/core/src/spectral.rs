@@ -23,7 +23,6 @@ pub(crate) fn spectral_radius<O: Operator>(op: &O, iters: usize) -> f64 {
         op.apply(&x, &mut y);
         let norm: f64 = y.iter().map(|v| v * v).sum::<f64>().sqrt();
         // A bitwise-zero iterate means the operator annihilated x.
-        // lint: allow(float-eq) — exact-zero guard; to_bits mishandles -0.0
         if norm == 0.0 {
             return 0.0;
         }

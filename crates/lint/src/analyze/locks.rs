@@ -15,7 +15,6 @@
 //!   error; each one must be bounded or carry a justified allow.
 
 use crate::graph::{BlameHop, FnId, Workspace};
-use crate::parse::ParsedFile;
 use crate::rules::{Diagnostic, RULE_LOCK_BLOCK, RULE_LOCK_ORDER};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -30,7 +29,6 @@ struct Witness {
 
 pub(crate) fn check(
     ws: &Workspace,
-    files: &BTreeMap<String, ParsedFile>,
     hot_parents: &BTreeMap<FnId, Option<(FnId, usize)>>,
     diags: &mut Vec<Diagnostic>,
 ) {
@@ -135,10 +133,6 @@ pub(crate) fn check(
             continue;
         }
         let w = &order[&(a.clone(), b.clone())];
-        let pf = files.get(&w.file);
-        if pf.is_some_and(|pf| super::allowed(pf, w.line, RULE_LOCK_ORDER)) {
-            continue;
-        }
         // chain: one hop per edge of the cycle
         let mut chain = Vec::new();
         let mut prev = a.clone();
@@ -166,13 +160,7 @@ pub(crate) fn check(
     // unbounded blocking reachable from the hot roots (the exchange loop)
     for &id in hot_parents.keys() {
         let n = &ws.fns[id];
-        let Some(pf) = files.get(n.file) else {
-            continue;
-        };
         for w in &n.f.waits {
-            if super::allowed(pf, w.line, RULE_LOCK_BLOCK) {
-                continue;
-            }
             let mut chain = ws.blame_chain(hot_parents, id);
             let root = chain.first().map_or_else(String::new, |r| r.what.clone());
             chain.push(BlameHop {

@@ -1,17 +1,16 @@
 //! The semantic analyses over the workspace model: root-set validation,
-//! transitive hot-path purity, determinism, and lock-and-block. Each
-//! produces [`Diagnostic`]s carrying a blame chain
-//! (root → … → offending construct) where a chain exists.
+//! transitive hot-path purity, and lock-and-block. Each produces
+//! [`Diagnostic`]s carrying a blame chain (root → … → offending construct)
+//! where a chain exists. The analyses report every finding; the driver
+//! drops those an escape covers (`lib.rs`).
 
-pub mod determinism;
 pub mod hotpath;
 pub mod locks;
 
 use crate::config::LintConfig;
 use crate::graph::{FnId, Workspace};
-use crate::parse::ParsedFile;
 use crate::rules::{Diagnostic, RULE_CONFIG};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Policy file path, workspace-relative (where stale-entry blame points).
 pub(crate) const CONFIG_REL: &str = "lint/hotpaths.toml";
@@ -20,16 +19,8 @@ pub(crate) const CONFIG_REL: &str = "lint/hotpaths.toml";
 #[derive(Debug, Default)]
 pub(crate) struct Roots {
     pub(crate) hot: Vec<FnId>,
-    pub(crate) kernels: Vec<FnId>,
     /// Traversal stops: `#[cold]` functions plus `[[exclude]]` entries.
     pub(crate) stops: BTreeSet<FnId>,
-}
-
-/// Is there an `// lint: allow(rule)` escape covering `line` in this file?
-/// An escape covers the line it trails, or — written on its own comment
-/// line(s) — the next line carrying code.
-pub(crate) fn allowed(pf: &ParsedFile, line: usize, rule: &str) -> bool {
-    pf.allows.iter().any(|a| a.rule == rule && a.covers == line)
 }
 
 /// Validate every `hotpaths.toml` entry against the symbol table and build
@@ -61,7 +52,6 @@ pub(crate) fn validate_config(
         ids
     };
     roots.hot = resolve_list(&cfg.hot, &cfg.hot_lines, "[[hotpath]]");
-    roots.kernels = resolve_list(&cfg.kernels, &cfg.kernel_lines, "[[kernel]]");
     let excl_entries: Vec<(String, String)> = cfg
         .excludes
         .iter()
@@ -83,25 +73,17 @@ pub(crate) struct SemanticRun {
     pub(crate) diags: Vec<Diagnostic>,
     pub(crate) roots: Roots,
     pub(crate) hot_reached: usize,
-    pub(crate) kernel_reached: usize,
 }
 
-pub(crate) fn run_semantic(
-    ws: &Workspace,
-    cfg: &LintConfig,
-    files: &BTreeMap<String, ParsedFile>,
-) -> SemanticRun {
+pub(crate) fn run_semantic(ws: &Workspace, cfg: &LintConfig) -> SemanticRun {
     let mut diags = Vec::new();
     let roots = validate_config(ws, cfg, &mut diags);
     let hot_parents = ws.reach(&roots.hot, &roots.stops);
-    hotpath::check(ws, files, &hot_parents, &mut diags);
-    let kernel_parents = ws.reach(&roots.kernels, &roots.stops);
-    determinism::check(ws, files, &kernel_parents, &mut diags);
-    locks::check(ws, files, &hot_parents, &mut diags);
+    hotpath::check(ws, &hot_parents, &mut diags);
+    locks::check(ws, &hot_parents, &mut diags);
     SemanticRun {
         diags,
         roots,
         hot_reached: hot_parents.len(),
-        kernel_reached: kernel_parents.len(),
     }
 }

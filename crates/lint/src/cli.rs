@@ -9,9 +9,10 @@ pub(crate) const HELP: &str = "\
 lts-lint — call-graph lint for the wave-LTS workspace
 
 One pass over one parsed model of the workspace: the call-graph analyses
-(hot-path-alloc, hot-path-panic, determinism, lock-order, lock-block)
-from the roots in lint/hotpaths.toml, and the per-file rules
-(no-panic, unsafe-safety, float-eq). Every finding is an error.
+(hot-path-alloc, hot-path-panic, lock-order, lock-block) from the roots
+in lint/hotpaths.toml. Every finding is an error. Panics outside the hot
+paths, unsafe documentation, float compares and determinism are clippy's
+(see scripts/check.sh).
 
 USAGE:
     lts-lint [FLAGS]
@@ -32,9 +33,10 @@ EXIT STATUS:
 ESCAPES:
     // lint: allow(<rule>) — <one-line justification>
     trailing the offending line, or on the comment lines directly above it.
-    The justification is mandatory; every allow is counted in the summary. Roots and traversal stops live
-    only in lint/hotpaths.toml ([[hotpath]], [[kernel]], [[exclude]] +
-    reason).
+    The justification is mandatory, an escape that suppresses no finding
+    is an error (allow-audit), and every allow is counted in the summary.
+    Roots and traversal stops live only in lint/hotpaths.toml
+    ([[hotpath]], [[exclude]] + reason).
 ";
 
 /// Default root: two levels above this crate's manifest.

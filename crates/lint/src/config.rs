@@ -10,10 +10,6 @@
 //! file = "crates/core/src/lts.rs"    # workspace-relative, '/'-separated
 //! function = "step"
 //!
-//! [[kernel]]                         # determinism root (counter-gated)
-//! file = "crates/sem/src/simd.rs"
-//! function = "scalar_stiffness_batch"
-//!
 //! [[exclude]]                        # traversal stop — reason mandatory
 //! file = "crates/obs/src/registry.rs"
 //! function = "inc_key"
@@ -34,14 +30,11 @@ pub(crate) type Entry = (String, String);
 pub(crate) struct LintConfig {
     /// Transitive hot-path purity roots.
     pub(crate) hot: Vec<Entry>,
-    /// Determinism roots (bitwise counter-gated kernels).
-    pub(crate) kernels: Vec<Entry>,
     /// Traversal stops: `(file, function, reason)`.
     pub(crate) excludes: Vec<(String, String, String)>,
-    /// 1-based line of each entry's `[[table]]` header, parallel to the
-    /// concatenation hot ++ kernels ++ excludes (for stale-entry blame).
+    /// 1-based line of each entry's `[[table]]` header, parallel to
+    /// `hot` and `excludes` (for stale-entry blame).
     pub(crate) hot_lines: Vec<usize>,
-    pub(crate) kernel_lines: Vec<usize>,
     pub(crate) exclude_lines: Vec<usize>,
 }
 
@@ -50,7 +43,6 @@ impl LintConfig {
         #[derive(Clone, Copy, PartialEq)]
         enum Table {
             Hot,
-            Kernel,
             Exclude,
         }
         struct Pending {
@@ -72,7 +64,6 @@ impl LintConfig {
             }
             let table = match line {
                 "[[hotpath]]" => Some(Table::Hot),
-                "[[kernel]]" => Some(Table::Kernel),
                 "[[exclude]]" => Some(Table::Exclude),
                 _ => None,
             };
@@ -88,7 +79,7 @@ impl LintConfig {
             }
             let Some((key, value)) = line.split_once('=') else {
                 return Err(format!(
-                    "hotpaths.toml:{}: expected `key = \"value\"` or a [[hotpath]]/[[kernel]]/[[exclude]] header",
+                    "hotpaths.toml:{}: expected `key = \"value\"` or a [[hotpath]]/[[exclude]] header",
                     i + 1
                 ));
             };
@@ -120,10 +111,6 @@ impl LintConfig {
                     out.hot.push((f, g));
                     out.hot_lines.push(e.line);
                 }
-                Table::Kernel => {
-                    out.kernels.push((f, g));
-                    out.kernel_lines.push(e.line);
-                }
                 Table::Exclude => {
                     let Some(r) = e.reason else {
                         return Err(format!(
@@ -151,13 +138,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parses_all_three_tables() {
+    fn parses_both_tables() {
         let cfg = LintConfig::parse(
-            "# policy\n\n[[hotpath]]\nfile = \"a/b.rs\"  # inline comment\nfunction = \"f\"\n\n[[kernel]]\nfile = \"c.rs\"\nfunction = \"k\"\n\n[[exclude]]\nfile = \"d.rs\"\nfunction = \"setup\"\nreason = \"amortized one-time table build\"\n",
+            "# policy\n\n[[hotpath]]\nfile = \"a/b.rs\"  # inline comment\nfunction = \"f\"\n\n[[exclude]]\nfile = \"d.rs\"\nfunction = \"setup\"\nreason = \"amortized one-time table build\"\n",
         )
         .unwrap();
         assert_eq!(cfg.hot, vec![("a/b.rs".into(), "f".into())]);
-        assert_eq!(cfg.kernels, vec![("c.rs".into(), "k".into())]);
         assert_eq!(
             cfg.excludes,
             vec![(
@@ -175,6 +161,7 @@ mod tests {
         assert!(LintConfig::parse("[[hotpath]]\nfile = x\n").is_err()); // unquoted
         assert!(LintConfig::parse("[[hotpath]]\nfile = \"x\"\n").is_err()); // incomplete
         assert!(LintConfig::parse("[[hotpath]]\nnope = \"x\"\n").is_err()); // unknown key
+        assert!(LintConfig::parse("[[kernel]]\nfile = \"x\"\nfunction = \"f\"\n").is_err()); // unknown table
         assert!(
             LintConfig::parse("[[hotpath]]\nfile = \"x\"\nfunction = \"f\"\nreason = \"r\"\n")
                 .is_err()

@@ -1,6 +1,5 @@
-//! Hand-rolled workspace lint for the wave-LTS codebase, motivated by
-//! production incidents waiting to happen in a numerical hot loop (see
-//! `DESIGN.md` §11 Semantic analysis).
+//! Hand-rolled workspace lint for the wave-LTS codebase: the properties
+//! that need a call graph (see `DESIGN.md` §11 Semantic analysis).
 //!
 //! One pass over one parsed model: every governed file is scrubbed and
 //! parsed once ([`parse`]), the parses become a symbol table and a
@@ -10,24 +9,21 @@
 //!
 //! 1. **hot-path-alloc / hot-path-panic** — transitive purity: no
 //!    allocation or panic-capable construct *reachable* from a hot root;
-//! 2. **determinism** — no hash-order iteration, wall-clock reads, thread
-//!    identity, or FMA/horizontal-reduction intrinsics reachable from the
-//!    counter-gated kernels (the bitwise reproducibility contract);
-//! 3. **lock-order / lock-block** — the transport's Mutex/condvar pairs
+//! 2. **lock-order / lock-block** — the transport's Mutex/condvar pairs
 //!    must be cycle-free and must not block unboundedly on the exchange
 //!    path.
 //!
-//! The wire contract is not the lint's business: the codec
-//! (`crates/runtime/src/transport/codec.rs`) carries it in exhaustive
-//! matches and its own tests.
-//!
-//! Three rules are decided per file in the same pass ([`rules`]):
-//! `no-panic` in runtime/sem (catches panics the call graph cannot prove
-//! reachable), `unsafe-safety` and `float-eq`.
+//! What one file decides is the compiler's business: clippy carries the
+//! no-panic, unsafe-documentation, float-compare and determinism rules
+//! (`#![deny]` in the runtime and sem `lib.rs`, `crates/sem/clippy.toml`,
+//! the `scripts/check.sh` legs), and the codec
+//! (`crates/runtime/src/transport/codec.rs`) carries the wire contract in
+//! exhaustive matches and its own tests.
 //!
 //! Per-line escape: `// lint: allow(<rule>) — <justification>`; the
-//! justification is mandatory (an unjustified allow is itself an error)
-//! and every allow is counted in the summary.
+//! justification is mandatory, an escape that suppresses no finding is
+//! stale, and either is itself an error (`allow-audit`). Every allow is
+//! counted in the summary.
 //!
 //! Run as `cargo xtask lint` (alias in `.cargo/config.toml`); CI runs it
 //! from `scripts/check.sh`. Every run parses every governed file and
@@ -195,14 +191,12 @@ pub(crate) struct Model {
     pub(crate) cfg: LintConfig,
     /// Every governed file's parse, keyed by its root-relative path.
     pub(crate) files: BTreeMap<String, parse::ParsedFile>,
-    /// Findings of the per-file rules ([`rules::check_file`]).
-    pub(crate) file_diags: Vec<Diagnostic>,
     /// Crate key → transitive workspace dependencies.
     pub(crate) deps: BTreeMap<String, BTreeSet<String>>,
 }
 
-/// Read, scrub and parse every workspace file, run the per-file rules on
-/// each, and read the crate dependencies.
+/// Read, scrub and parse every workspace file, and read the crate
+/// dependencies.
 pub(crate) fn build_model(root: &Path) -> std::io::Result<Model> {
     let cfg_path = root.join(analyze::CONFIG_REL);
     let cfg_text = if cfg_path.is_file() {
@@ -212,7 +206,6 @@ pub(crate) fn build_model(root: &Path) -> std::io::Result<Model> {
     };
     let cfg = LintConfig::parse(&cfg_text).map_err(std::io::Error::other)?;
     let mut files = BTreeMap::new();
-    let mut file_diags = Vec::new();
     for file in workspace_files(root)? {
         let rel = file
             .strip_prefix(root)
@@ -220,26 +213,18 @@ pub(crate) fn build_model(root: &Path) -> std::io::Result<Model> {
             .to_string_lossy()
             .replace('\\', "/");
         let s = Scrubbed::new(&std::fs::read_to_string(&file)?);
-        let parsed = parse::parse_file(&s);
-        file_diags.extend(rules::check_file(&rel, &s, &parsed));
-        files.insert(rel, parsed);
+        files.insert(rel, parse::parse_file(&s));
     }
     Ok(Model {
         cfg,
         files,
-        file_diags,
         deps: crate_deps(root),
     })
 }
 
-/// Run the lint: every analysis and every per-file rule, in one pass.
+/// Run the lint: every analysis, then the escapes and their audit.
 pub fn run(opts: &Options) -> std::io::Result<Report> {
-    let Model {
-        cfg,
-        files,
-        file_diags,
-        deps,
-    } = build_model(&opts.root)?;
+    let Model { cfg, files, deps } = build_model(&opts.root)?;
     let ws = graph::Workspace::build_with_deps(&files, deps);
     let mut report = Report {
         n_files: files.len(),
@@ -248,69 +233,64 @@ pub fn run(opts: &Options) -> std::io::Result<Report> {
         ..Report::default()
     };
 
-    let sem = analyze::run_semantic(&ws, &cfg, &files);
+    let sem = analyze::run_semantic(&ws, &cfg);
     if opts.verbose {
-        let names = |ids: &[graph::FnId]| -> Vec<String> {
-            ids.iter()
-                .map(|&id| {
-                    format!(
-                        "{} ({}:{})",
-                        ws.qualified(id),
-                        ws.fns[id].file,
-                        ws.fns[id].f.line
-                    )
-                })
-                .collect()
-        };
+        let roots: Vec<String> = sem
+            .roots
+            .hot
+            .iter()
+            .map(|&id| {
+                let n = &ws.fns[id];
+                format!("{} ({}:{})", ws.qualified(id), n.file, n.f.line)
+            })
+            .collect();
         report
             .verbose_lines
-            .push(format!("hot roots: {}", names(&sem.roots.hot).join(", ")));
+            .push(format!("hot roots: {}", roots.join(", ")));
         report.verbose_lines.push(format!(
-            "kernel roots: {}",
-            names(&sem.roots.kernels).join(", ")
-        ));
-        report.verbose_lines.push(format!(
-            "reach: {} fns from hot roots, {} from kernel roots; {} stops",
+            "reach: {} fns from hot roots; {} stops",
             sem.hot_reached,
-            sem.kernel_reached,
             sem.roots.stops.len()
         ));
     }
-    // a `no-panic` site the reachability rule already reported with a
-    // chain is not reported twice
-    let hot_panics: BTreeSet<(PathBuf, usize)> = sem
-        .diags
-        .iter()
-        .filter(|d| d.rule == rules::RULE_HOT_PANIC)
-        .map(|d| (d.file.clone(), d.line))
-        .collect();
-    let mut diags = sem.diags;
-    diags.extend(file_diags.into_iter().filter(|d| {
-        d.rule != rules::RULE_NO_PANIC || !hot_panics.contains(&(d.file.clone(), d.line))
-    }));
 
-    // allow audit: count escapes, reject unjustified or unknown-rule ones
+    // escapes: an allow of a finding's rule that covers its line drops it
+    let mut diags = sem.diags;
+    let mut used: BTreeSet<(String, usize, &str)> = BTreeSet::new();
+    diags.retain(|d| {
+        let rel = d.file.to_string_lossy();
+        let escape = files.get(rel.as_ref()).and_then(|pf| {
+            pf.allows
+                .iter()
+                .find(|a| a.rule == d.rule && a.covers == d.line)
+        });
+        if let Some(a) = escape {
+            used.insert((rel.into_owned(), a.line, d.rule));
+        }
+        escape.is_none()
+    });
+
+    // allow audit: count escapes, reject unknown-rule, unjustified and
+    // stale ones
     for (rel, parsed) in &files {
         for a in &parsed.allows {
             *report.allows.entry(a.rule.clone()).or_default() += 1;
-            if !rules::ALL_RULES.contains(&a.rule.as_str()) {
-                diags.push(Diagnostic::new(
-                    rel,
-                    a.line,
-                    rules::RULE_ALLOW_AUDIT,
-                    format!("allow names unknown rule `{}`", a.rule),
-                ));
+            let msg = if !rules::ALL_RULES.contains(&a.rule.as_str()) {
+                format!("allow names unknown rule `{}`", a.rule)
             } else if !a.justified {
-                diags.push(Diagnostic::new(
-                    rel,
-                    a.line,
-                    rules::RULE_ALLOW_AUDIT,
-                    format!(
-                        "unjustified escape: `allow({})` needs a one-line reason after the closing paren",
-                        a.rule
-                    ),
-                ));
-            }
+                format!(
+                    "unjustified escape: `allow({})` needs a one-line reason after the closing paren",
+                    a.rule
+                )
+            } else if !used.contains(&(rel.clone(), a.line, a.rule.as_str())) {
+                format!(
+                    "stale escape: `allow({})` suppresses no finding on line {}",
+                    a.rule, a.covers
+                )
+            } else {
+                continue;
+            };
+            diags.push(Diagnostic::new(rel, a.line, rules::RULE_ALLOW_AUDIT, msg));
         }
     }
 

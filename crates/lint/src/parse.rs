@@ -1,7 +1,7 @@
 //! Item-level parsing of one Rust source file into the facts the semantic
 //! analyses consume: function items with impl context, call sites, construct
-//! hits (allocation / panic / determinism), lock acquisitions
-//! with held-lock context, and blocking-wait sites.
+//! hits (allocation / panic), lock acquisitions with held-lock context, and
+//! blocking-wait sites.
 //!
 //! `syn` is unavailable offline, so this is a purpose-built structural
 //! parser over the `Scrubbed` code view (comments, strings and
@@ -13,7 +13,7 @@
 //! outside the workspace, macro-expanded calls from foreign macros) are
 //! documented in DESIGN.md §11.
 
-use crate::source::{line_of, Scrubbed};
+use crate::source::{is_ident, line_of, Scrubbed};
 
 /// What a construct hit means to the analyses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,9 +22,6 @@ pub(crate) enum HitKind {
     Alloc,
     /// Panic-capable construct (`unwrap`, `panic!`, `assert!`, …).
     Panic,
-    /// Run-nondeterminism hazard (`HashMap` iteration order, `Instant::now`,
-    /// FMA / horizontal-reduction intrinsics, thread identity).
-    Det,
 }
 
 /// One construct occurrence inside a function body.
@@ -106,10 +103,6 @@ pub(crate) struct Allow {
 pub(crate) struct ParsedFile {
     pub(crate) fns: Vec<ParsedFn>,
     pub(crate) allows: Vec<Allow>,
-}
-
-pub(crate) fn is_ident(c: char) -> bool {
-    c.is_alphanumeric() || c == '_'
 }
 
 /// Method names that heap-allocate when called on owned/borrowed data.
@@ -269,7 +262,7 @@ fn skip_ws(cs: &[char], j: &mut usize) {
 }
 
 /// Word-boundary occurrences of `word` (char offsets).
-pub(crate) fn word_positions(text: &str, word: &str) -> Vec<usize> {
+fn word_positions(text: &str, word: &str) -> Vec<usize> {
     let cs: Vec<char> = text.chars().collect();
     let w: Vec<char> = word.chars().collect();
     let mut out = Vec::new();
@@ -528,36 +521,6 @@ fn walk_body(
             }
             i = j;
             continue;
-        }
-
-        // determinism hazards fire on any appearance, call or not:
-        // HashMap/HashSet types, time sources, thread identity, FMA and
-        // horizontal-reduction intrinsics
-        match name.as_str() {
-            "HashMap" | "HashSet" => f.hits.push(Hit {
-                kind: HitKind::Det,
-                token: name.clone(),
-                line,
-            }),
-            _ => {
-                let fp = full_path.as_str();
-                if fp == "Instant::now"
-                    || fp == "SystemTime::now"
-                    || fp == "thread::current"
-                    || fp.ends_with("available_parallelism")
-                    || name == "mul_add"
-                    || name.contains("fmadd")
-                    || name.contains("fmsub")
-                    || name.contains("hadd")
-                    || name.contains("reduce_add")
-                {
-                    f.hits.push(Hit {
-                        kind: HitKind::Det,
-                        token: full_path.clone(),
-                        line,
-                    });
-                }
-            }
         }
 
         if is_call {
@@ -848,22 +811,6 @@ mod tests {
     }
 
     #[test]
-    fn determinism_hits() {
-        let src = "fn f() {\n    let m: HashMap<u32, u32> = make();\n    let t = Instant::now();\n    let z = a.mul_add(b, c);\n}\n";
-        let p = parse(src);
-        let h = &p.fns[0].hits;
-        assert!(h
-            .iter()
-            .any(|x| x.kind == HitKind::Det && x.token == "HashMap" && x.line == 2));
-        assert!(h
-            .iter()
-            .any(|x| x.kind == HitKind::Det && x.token == "Instant::now"));
-        assert!(h
-            .iter()
-            .any(|x| x.kind == HitKind::Det && x.token == "mul_add"));
-    }
-
-    #[test]
     fn lock_edges_and_guard_release() {
         let src = "\
 fn f(a: &M, b: &M) {
@@ -938,11 +885,12 @@ fn warm_fn() {}
 
     #[test]
     fn allows_with_and_without_justification() {
-        let src = "fn f() {\n    // lint: allow(no-panic) — structural invariant, cannot fail\n    x.unwrap();\n    // lint: allow(float-eq)\n    y == 0.0;\n}\n";
+        let src = "fn f() {\n    // lint: allow(hot-path-panic) — structural invariant, cannot fail\n    x.unwrap();\n    // lint: allow(hot-path-alloc)\n    let v = vec![0.0];\n}\n";
         let p = parse(src);
         assert_eq!(p.allows.len(), 2);
         assert!(p.allows[0].justified);
-        assert_eq!(p.allows[0].rule, "no-panic");
+        assert_eq!(p.allows[0].rule, "hot-path-panic");
+        assert_eq!(p.allows[0].covers, 3);
         assert!(!p.allows[1].justified);
     }
 

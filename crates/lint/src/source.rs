@@ -1,10 +1,10 @@
 //! Lexical preprocessing: split a Rust source file into a *code* view and a
 //! *comment* view with identical line structure.
 //!
-//! The lint rules are token-pattern based, so the one thing that must be
-//! exact is knowing what is code and what is not: a `.unwrap()` inside a
-//! string literal or a doc comment is not a violation, and a `// SAFETY:`
-//! justification lives in comment text. Instead of a full parser (the usual
+//! The parser reads tokens, so the one thing that must be exact is knowing
+//! what is code and what is not: a `.unwrap()` inside a string literal or a
+//! doc comment is not a hit, and a `// lint: allow(…)` escape lives in
+//! comment text. Instead of a full parser (the usual
 //! tool, `syn`, is not available offline) this module runs a small lexer
 //! that understands exactly the constructs that matter:
 //!
@@ -13,7 +13,7 @@
 //!   hashes, and their escapes;
 //! * character literals vs. lifetimes (`'x'` vs `'a`);
 //! * `#[cfg(test)] mod … { … }` regions, which are blanked entirely — the
-//!   rules apply to non-test code only.
+//!   analyses cover non-test code only.
 //!
 //! Both views preserve every newline, so a char offset in either maps to
 //! the same line number as in the original file.
@@ -34,17 +34,9 @@ impl Scrubbed {
         blank_test_regions(&mut s);
         s
     }
-
-    pub(crate) fn code_lines(&self) -> Vec<&str> {
-        self.code.lines().collect()
-    }
-
-    pub(crate) fn comment_lines(&self) -> Vec<&str> {
-        self.comments.lines().collect()
-    }
 }
 
-fn is_ident(c: char) -> bool {
+pub(crate) fn is_ident(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
@@ -224,7 +216,7 @@ fn blank_test_regions(s: &mut Scrubbed) {
                 }
             }
             // only whole `mod` regions are blanked; `#[cfg(test)]` on other
-            // items (a use, a helper fn) is left for the rules to see
+            // items (a use, a helper fn) is left for the parser to see
             let is_mod = code[j..].starts_with(&"mod ".chars().collect::<Vec<_>>()[..])
                 || code[j..].starts_with(&"pub mod ".chars().collect::<Vec<_>>()[..]);
             if is_mod {
@@ -328,7 +320,7 @@ mod tests {
     fn string_continuation_keeps_line_structure() {
         // regression: `"a \<newline>b"` used to emit a space for the escaped
         // newline, collapsing a line and shifting every later diagnostic —
-        // float-eq then fired on `==` text sitting in doc comments and raw
+        // a per-line rule then fired on `==` text sitting in doc comments and raw
         // strings because it read the wrong line.
         let src = "let s = \"a \\\n   b\";\n/// doc: x == 1.0 here\nlet t = r\"y == 2.0\";\nlet bad = x == 1.0;\n";
         let s = Scrubbed::new(src);

@@ -98,32 +98,6 @@ fn transitive_panic_is_an_error_with_a_chain() {
 }
 
 #[test]
-fn hashmap_reachable_from_kernel_root_breaks_determinism() {
-    let fx = Fixture::new("det");
-    fx.write(
-        "crates/sem/src/kernel.rs",
-        "pub fn kernel(x: &mut f64) { helper(x); }\n\
-         fn helper(_x: &mut f64) { let m: HashMap<u32, u32> = make(); touch(&m); }\n\
-         fn touch(_m: &HashMap<u32, u32>) {}\n",
-    );
-    fx.write(
-        "lint/hotpaths.toml",
-        "[[kernel]]\nfile = \"crates/sem/src/kernel.rs\"\nfunction = \"kernel\"\n",
-    );
-    let report = fx.run();
-    // `touch`'s HashMap type is also reachable, so assert on the first;
-    // both findings are the same hazard class
-    assert!(!report.diags.is_empty(), "{:#?}", report.diags);
-    let d = report
-        .diags
-        .iter()
-        .find(|d| d.line == 2)
-        .expect("diagnostic at the HashMap line");
-    assert_eq!(d.rule, "determinism");
-    assert_eq!(chain(d), vec!["kernel", "helper", "`HashMap`"]);
-}
-
-#[test]
 fn opposite_lock_orders_in_transport_are_a_cycle() {
     let fx = Fixture::new("lockorder");
     fx.write(
@@ -186,21 +160,33 @@ fn stale_hotpaths_entry_is_a_config_error_at_its_line() {
     assert!(d.msg.contains("no function `gone`"), "{}", d.msg);
 }
 
-#[test]
-fn justified_allow_suppresses_and_is_counted() {
-    let fx = Fixture::new("allow");
+/// A workspace whose hot root allocates on line 3, under the comment
+/// `allow_line` on line 2.
+fn escaped_alloc(name: &str, allow_line: &str) -> Fixture {
+    let fx = Fixture::new(name);
     fx.write(
         "crates/core/src/lib.rs",
-        "pub fn root() {\n\
-         \x20   // lint: allow(hot-path-alloc) — one-time table build, amortized\n\
-         \x20   let v = vec![0.0; 4];\n\
-         \x20   use_it(&v);\n\
-         }\n\
-         fn use_it(_v: &Vec<f64>) {}\n",
+        &format!(
+            "pub fn root() {{\n\
+             \x20   {allow_line}\n\
+             \x20   let v = vec![0.0; 4];\n\
+             \x20   use_it(&v);\n\
+             }}\n\
+             fn use_it(_v: &Vec<f64>) {{}}\n"
+        ),
     );
     fx.write(
         "lint/hotpaths.toml",
         "[[hotpath]]\nfile = \"crates/core/src/lib.rs\"\nfunction = \"root\"\n",
+    );
+    fx
+}
+
+#[test]
+fn justified_allow_suppresses_and_is_counted() {
+    let fx = escaped_alloc(
+        "allow",
+        "// lint: allow(hot-path-alloc) — one-time table build, amortized",
     );
     let report = fx.run();
     assert_eq!(report.diags.len(), 0, "{:#?}", report.diags);
@@ -209,18 +195,57 @@ fn justified_allow_suppresses_and_is_counted() {
 
 #[test]
 fn unjustified_allow_is_itself_an_error() {
-    let fx = Fixture::new("allow-audit");
+    let fx = escaped_alloc("allow-unjustified", "// lint: allow(hot-path-alloc)");
+    let report = fx.run();
+    let d = the_one(&report);
+    assert_eq!((d.rule, d.line), ("allow-audit", 2));
+    assert!(d.msg.contains("unjustified"), "{}", d.msg);
+}
+
+#[test]
+fn allow_of_a_retired_rule_is_an_unknown_rule() {
+    // `no-panic` is clippy's now (`clippy::unwrap_used` and kin)
+    let fx = Fixture::new("allow-unknown");
     fx.write(
-        "crates/core/src/lib.rs",
-        "pub fn f(x: f64) -> bool {\n\
-         \x20   // lint: allow(float-eq)\n\
-         \x20   x == 0.0\n\
+        "crates/runtime/src/a.rs",
+        "pub fn f(x: Option<u32>) -> u32 {\n\
+         \x20   // lint: allow(no-panic) — structural invariant, cannot fail\n\
+         \x20   x.unwrap()\n\
          }\n",
     );
     let report = fx.run();
     let d = the_one(&report);
-    assert_eq!(d.rule, "allow-audit");
-    assert!(d.msg.contains("unjustified"), "{}", d.msg);
+    assert_eq!((d.rule, d.line), ("allow-audit", 2));
+    assert!(d.msg.contains("unknown rule `no-panic`"), "{}", d.msg);
+}
+
+#[test]
+fn allow_that_suppresses_nothing_is_stale() {
+    // the escape names the wrong rule: the allocation is reported, and the
+    // escape, which covers no `hot-path-panic` finding, is stale
+    let fx = escaped_alloc(
+        "allow-stale",
+        "// lint: allow(hot-path-panic) — cannot fail",
+    );
+    let report = fx.run();
+    let found: Vec<(&str, usize)> = report.diags.iter().map(|d| (d.rule, d.line)).collect();
+    assert_eq!(found, vec![("allow-audit", 2), ("hot-path-alloc", 3)]);
+    assert!(
+        report.diags[0].msg.contains("stale escape"),
+        "{}",
+        report.diags[0].msg
+    );
+    // a right-rule escape on a line no hot root reaches is stale as well
+    let fx = escaped_alloc("allow-unreached", "// lint: allow(hot-path-alloc) — setup");
+    fx.write("lint/hotpaths.toml", "");
+    let report = fx.run();
+    let d = the_one(&report);
+    assert_eq!((d.rule, d.line), ("allow-audit", 2));
+    assert!(
+        d.msg.contains("suppresses no finding on line 3"),
+        "{}",
+        d.msg
+    );
 }
 
 #[test]
@@ -259,79 +284,54 @@ fn exclude_entry_stops_traversal_into_amortized_setup() {
     assert_eq!(report.diags.len(), 0, "{:#?}", report.diags);
 }
 
-/// One `.unwrap()` that no hot root reaches.
-const UNWRAP_SRC: &str = "pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
-
 #[test]
-fn scoping_applies_no_panic_only_to_runtime_and_sem() {
-    for (rel, in_scope) in [
-        ("crates/runtime/src/a.rs", true),
-        ("crates/sem/src/a.rs", true),
-        ("crates/mesh/src/a.rs", false),
-        ("src/bin/a.rs", false),
-    ] {
-        let fx = Fixture::new("nopanic-scope");
-        fx.write(rel, UNWRAP_SRC);
-        let report = fx.run();
-        if in_scope {
-            let d = the_one(&report);
-            assert_eq!((d.rule, d.line), ("no-panic", 1), "{rel}");
-            assert!(d.chain.is_empty(), "no hot root reaches it");
-        } else {
-            assert_eq!(report.diags.len(), 0, "{rel}: {:#?}", report.diags);
-        }
-    }
-}
-
-#[test]
-fn assert_in_runtime_is_not_a_no_panic_finding() {
-    let fx = Fixture::new("nopanic-assert");
-    fx.write(
-        "crates/runtime/src/a.rs",
-        "pub fn f(x: u32) {\n\
-         \x20   assert!(x > 0, \"x must be positive\");\n\
-         \x20   assert_eq!(x % 2, 1);\n\
-         }\n",
-    );
-    let report = fx.run();
-    assert_eq!(report.diags.len(), 0, "{:#?}", report.diags);
-}
-
-#[test]
-fn no_panic_skips_tests_strings_and_allows() {
-    let fx = Fixture::new("nopanic-skips");
+fn hot_path_panic_skips_tests_strings_and_allows() {
+    let fx = Fixture::new("panic-skips");
     fx.write(
         "crates/sem/src/a.rs",
-        "fn f(x: Option<u32>) -> u32 {\n\
+        "pub fn root(x: Option<u32>) -> u32 {\n\
+         \x20   f(x) + g(x) + h(x)\n\
+         }\n\
+         fn f(x: Option<u32>) -> u32 {\n\
          \x20   let s = \"don't .unwrap() me\";\n\
-         \x20   // lint: allow(no-panic) — structural invariant, cannot fail\n\
+         \x20   // lint: allow(hot-path-panic) — structural invariant, cannot fail\n\
          \x20   x.expect(s)\n\
          }\n\
          fn g(x: Option<u32>) -> u32 {\n\
          \x20   x.unwrap()\n\
          }\n\
          fn h(x: Option<u32>) -> u32 {\n\
-         \x20   x.unwrap() // lint: allow(no-panic) — checked by the caller\n\
+         \x20   x.unwrap() // lint: allow(hot-path-panic) — checked by the caller\n\
          }\n\
          #[cfg(test)]\n\
          mod tests {\n\
          \x20   fn t() { None::<u32>.unwrap(); }\n\
          }\n",
     );
+    fx.write(
+        "lint/hotpaths.toml",
+        "[[hotpath]]\nfile = \"crates/sem/src/a.rs\"\nfunction = \"root\"\n",
+    );
     let report = fx.run();
     let d = the_one(&report);
-    assert_eq!(d.rule, "no-panic");
-    assert_eq!(d.line, 7);
-    assert_eq!(report.allows.get("no-panic"), Some(&2));
+    assert_eq!((d.rule, d.line), ("hot-path-panic", 10));
+    assert_eq!(report.allows.get("hot-path-panic"), Some(&2));
 }
 
 #[test]
 fn diagnostics_render_file_line_rule() {
-    let fx = Fixture::new("nopanic-render");
-    fx.write("crates/sem/src/a.rs", "fn f() { None::<u32>.unwrap(); }\n");
+    let fx = Fixture::new("panic-render");
+    fx.write(
+        "crates/sem/src/a.rs",
+        "pub fn f() { None::<u32>.unwrap(); }\n",
+    );
+    fx.write(
+        "lint/hotpaths.toml",
+        "[[hotpath]]\nfile = \"crates/sem/src/a.rs\"\nfunction = \"f\"\n",
+    );
     let report = fx.run();
     assert_eq!(
         format!("{}", the_one(&report)),
-        "crates/sem/src/a.rs:1: [no-panic] `.unwrap()` in non-test code (return a Result instead)"
+        "crates/sem/src/a.rs:1: [hot-path-panic] `.unwrap()` can panic in `f`, reachable from hot root `f`"
     );
 }

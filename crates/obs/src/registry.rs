@@ -104,7 +104,7 @@ impl MetricsRegistry {
     pub fn inc_key(&mut self, key: Key, by: u64) {
         match self.metrics.entry(key).or_insert(Metric::Counter(0)) {
             Metric::Counter(c) => *c += by,
-            // lint: allow(no-panic) — name/type collision is a programming
+            // lint: allow(hot-path-panic) — name/type collision is a programming
             // error caught the first time the metric is touched
             other => panic!("metric type mismatch: counter vs {other:?}"),
         }
@@ -208,7 +208,7 @@ impl MetricsRegistry {
             .or_insert_with(|| Metric::Histogram(Histogram::default()))
         {
             Metric::Histogram(h) => h.observe(value),
-            // lint: allow(no-panic) — name/type collision is a programming
+            // lint: allow(hot-path-panic) — name/type collision is a programming
             // error caught the first time the metric is touched
             other => panic!("metric type mismatch: histogram vs {other:?}"),
         }
@@ -279,8 +279,6 @@ impl MetricsRegistry {
                         .or_insert_with(|| Metric::Histogram(Histogram::default()))
                     {
                         Metric::Histogram(mine) => mine.merge(h),
-                        // lint: allow(no-panic) — name/type collision is a programming
-                        // error caught the first time the metric is touched
                         other => panic!("metric type mismatch: histogram vs {other:?}"),
                     }
                 }

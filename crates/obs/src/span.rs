@@ -2,7 +2,7 @@
 //!
 //! A [`Span`] is an RAII guard: created via
 //! [`MetricsRegistry::start_span`](crate::MetricsRegistry::start_span) or the
-//! [`span!`] macro, it measures wall time until drop and records the
+//! [`span!`](crate::span!) macro, it measures wall time until drop and records the
 //! duration into the histogram keyed by `(name, level)`. Per-event timelines
 //! are the flight recorder's job ([`crate::flight`]); a span keeps only the
 //! aggregate.

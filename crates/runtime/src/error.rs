@@ -1,7 +1,7 @@
 //! Error type for the distributed runtime.
 //!
 //! The rank loops used to `expect()` on channel operations; under the
-//! workspace `no-panic` lint every fallible exchange step now surfaces a
+//! crate's no-panic deny (`lib.rs`) every fallible exchange step surfaces a
 //! [`RuntimeError`] instead. Failure of one rank cascades deterministically
 //! through the transport's *goodbye* protocol (see
 //! [`crate::transport::Transport`]): when a rank's endpoint closes — whether

@@ -19,6 +19,20 @@
 //! integration tests.
 
 #![forbid(unsafe_code)]
+// Non-test code returns errors instead of panicking: no unwrap/expect or
+// panic-family macro outside the test modules (`assert!` states an
+// invariant and stays allowed).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod distributed;
 pub mod error;

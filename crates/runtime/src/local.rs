@@ -187,8 +187,12 @@ impl LocalIndex {
 
     /// The local id of `g`, which the rank must own: plans only name this
     /// rank's elements and DOFs, so a miss is a plan-construction bug.
+    #[expect(
+        clippy::expect_used,
+        reason = "plan-construction invariant, not a runtime condition"
+    )]
     fn of(&self, g: u32) -> u32 {
-        self.owned(g).expect("not owned by rank") // lint: allow(no-panic) — plan-construction invariant, not a runtime condition
+        self.owned(g).expect("not owned by rank")
     }
 }
 

@@ -170,7 +170,8 @@ pub trait Transport: Send {
     /// Blocking receive: append the next payload to `buf` (which is cleared
     /// first) and return its origin, or the next goodbye.
     fn recv_into(&mut self, buf: &mut Vec<f64>) -> Result<Recv, TransportError> {
-        // lint: allow(lock-block) — blocking forever is this method's contract; the exchange loop calls the watchdog variant
+        // blocking forever is this method's contract; the exchange loop
+        // calls the watchdog variant
         self.recv_into_timeout(buf, None)
     }
 

@@ -273,17 +273,9 @@ impl GatherCache {
         #[cfg(debug_assertions)]
         {
             let conflict = crate::verify::conflict_free(&coloring.classes, src.n_ids, ids_of);
-            debug_assert!(
-                conflict.is_ok(),
-                "compiled colouring for level {level}: {}",
-                conflict.unwrap_err()
-            );
+            debug_assert_eq!(conflict, Ok(()), "compiled colouring for level {level}");
             let cover = crate::verify::complete_cover(&coloring.classes, elems);
-            debug_assert!(
-                cover.is_ok(),
-                "compiled colouring for level {level}: {}",
-                cover.unwrap_err()
-            );
+            debug_assert_eq!(cover, Ok(()), "compiled colouring for level {level}");
         }
         let (order, color_off) = coloring.flatten();
         // free the classes before the table is allocated: this is the

@@ -18,6 +18,20 @@
 // these numerical kernels: the index couples several same-length arrays and
 // mirrors the subscripts in the paper's equations, which zip chains obscure.
 #![allow(clippy::needless_range_loop)]
+// Non-test code returns errors instead of panicking: no unwrap/expect or
+// panic-family macro outside the test modules (`assert!` states an
+// invariant and stays allowed).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 pub mod acoustic;
 pub mod boundary;
 pub(crate) mod compiled;

@@ -29,7 +29,7 @@
 //! enumerates every interleaving to prove the stronger properties that no
 //! schedule deadlocks and every schedule executes every write exactly once.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use lts_mesh::HexMesh;
 use lts_sem::parallel::{chunk_range, ElementColoring};
@@ -92,7 +92,7 @@ fn explore(progs: &[Vec<Op>], n_locs: usize) -> Outcome {
     let mut out = Outcome::default();
     let mut pcs = vec![0usize; progs.len()];
     let mut written: Vec<Option<(usize, usize)>> = vec![None; n_locs];
-    let mut visited: HashSet<Vec<usize>> = HashSet::new();
+    let mut visited: BTreeSet<Vec<usize>> = BTreeSet::new();
     dfs(progs, &mut pcs, 0, &mut written, &mut visited, &mut out);
     out.states = visited.len();
     out
@@ -103,7 +103,7 @@ fn dfs(
     pcs: &mut Vec<usize>,
     epoch: usize,
     written: &mut [Option<(usize, usize)>],
-    visited: &mut HashSet<Vec<usize>>,
+    visited: &mut BTreeSet<Vec<usize>>,
     out: &mut Outcome,
 ) {
     if !visited.insert(pcs.clone()) {

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Repository lint gate: clippy clean under -D warnings, formatting canonical,
-# and the counter regression gate (scenario parameters and deterministic
-# counters vs the committed BENCH_lts.json baseline, exact).
+# Repository lint gate: clippy clean under -D warnings, docs building,
+# formatting canonical, and the counter regression gate (scenario
+# parameters and deterministic counters vs the committed BENCH_lts.json
+# baseline, exact).
 # Run from anywhere; operates on the workspace this script lives in.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -9,10 +10,19 @@ cd "$(dirname "$0")/.."
 echo "== cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo clippy, non-test code: float compares and unsafe blocks"
+# `float_cmp` also flags the exact compares of the bitwise tests, so it
+# covers only the libraries and binaries; compares against exact zero pass.
+cargo clippy --workspace --lib --bins -- -D warnings \
+  -D clippy::float_cmp -D clippy::undocumented_unsafe_blocks
+
+echo "== cargo doc (intra-doc links resolve)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== cargo fmt --check"
 cargo fmt --check
 
-echo "== cargo xtask lint (one pass: call-graph analyses + per-file rules)"
+echo "== cargo xtask lint (call-graph analyses from the hot roots)"
 cargo xtask lint
 
 echo "== lts-check (structural invariants over the four benchmark meshes)"

@@ -252,7 +252,7 @@ pub mod collection {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
 
-    /// Length specification of [`vec`]: exact, `lo..hi` or `lo..=hi`.
+    /// Length specification of [`vec()`]: exact, `lo..hi` or `lo..=hi`.
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         lo: usize,

@@ -29,6 +29,8 @@
 //! assert!(model.speedup() > 1.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use lts_core as lts;
 pub use lts_mesh as mesh;
 pub use lts_obs as obs;
